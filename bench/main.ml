@@ -1174,71 +1174,14 @@ let parallel () =
   progress "parallel: wrote BENCH_parallel.json"
 
 (* ------------------------------------------------------------------ *)
-(* Resilience supervisor: overhead and recovery rates                  *)
+(* Resilience supervisor: recovery rates                               *)
 
-(* Two questions.  (1) What does supervision cost on a clean compile?
-   The ladder adds two fault-spec lookups and a classification test per
-   component solve, so the target is < 2% on the n = 93 Ising-cycle
-   compile — the largest Fig. 3 point.  (2) Does the escalation ladder
-   actually recover each fault class?  Every class is injected on a
-   smaller instance and the compile's failure records say which stage
-   rescued it.  Results land in BENCH_robustness.json. *)
+(* Does the escalation ladder actually recover each fault class?  Every
+   class is injected on a small instance and the compile's failure
+   records say which stage rescued it.  Results land in
+   BENCH_robustness.json. *)
 let robustness () =
   let module F = Qturbo_resilience.Fault in
-  let module Fl = Qturbo_resilience.Failure in
-  (* -- supervisor overhead on the clean n = 93 compile -- *)
-  let n_big = if !quick then 23 else 93 in
-  (* quick-mode compiles finish in milliseconds, so take the best of many
-     reps to keep scheduler noise out of the overhead percentage *)
-  let reps = if !quick then 20 else 3 in
-  let ryd_big = rydberg_for "ising-cycle" n_big in
-  let target_big = static_target "ising-cycle" n_big in
-  let best_compile ~supervise =
-    let options =
-      {
-        Qturbo_core.Compiler.default_options with
-        Qturbo_core.Compiler.supervise;
-        faults = Some F.empty;
-      }
-    in
-    let rec go i acc =
-      if i = 0 then acc
-      else
-        let s, _ =
-          time_run (fun () ->
-              Qturbo_core.Compiler.compile ~options ~aais:ryd_big.Rydberg.aais
-                ~target:target_big ~t_tar:1.0 ())
-        in
-        go (i - 1) (Float.min acc s)
-    in
-    go reps Float.infinity
-  in
-  progress "robustness: warmup";
-  ignore (best_compile ~supervise:false);
-  ignore (best_compile ~supervise:true);
-  progress "robustness: unsupervised compile, n = %d" n_big;
-  let raw_s = best_compile ~supervise:false in
-  progress "robustness: supervised compile, n = %d" n_big;
-  let sup_s = best_compile ~supervise:true in
-  let overhead_pct = 100.0 *. ((sup_s /. Float.max 1e-9 raw_s) -. 1.0) in
-  let t =
-    Table_fmt.create ~header:[ "variant"; "compile(s)"; "overhead%" ]
-  in
-  Table_fmt.add_row t
-    [ "unsupervised"; Table_fmt.cell_of_float raw_s; "-" ];
-  Table_fmt.add_row t
-    [
-      "supervised (no faults)";
-      Table_fmt.cell_of_float sup_s;
-      Table_fmt.cell_of_float overhead_pct;
-    ];
-  Table_fmt.print
-    ~title:
-      (Printf.sprintf
-         "Supervisor overhead (Ising cycle, n = %d, best of %d; target < 2%%)"
-         n_big reps)
-    t;
-  (* -- recovery rates per fault class on a small instance -- *)
   let n_small = 5 in
   let ryd = rydberg_for "ising-chain" n_small in
   let target = static_target "ising-chain" n_small in
@@ -1297,21 +1240,7 @@ let robustness () =
          n_small)
     rt;
   let oc = open_out "BENCH_robustness.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"overhead\": {\n\
-    \    \"benchmark\": \"ising-cycle\",\n\
-    \    \"n\": %d,\n\
-    \    \"reps\": %d,\n\
-    \    \"unsupervised_seconds\": %.6f,\n\
-    \    \"supervised_seconds\": %.6f,\n\
-    \    \"overhead_percent\": %.3f,\n\
-    \    \"target_percent\": 2.0\n\
-    \  },\n\
-    \  \"recovery\": [\n%s\n\
-    \  ]\n\
-     }\n"
-    n_big reps raw_s sup_s overhead_pct
+  Printf.fprintf oc "{\n  \"recovery\": [\n%s\n  ]\n}\n"
     (String.concat ",\n"
        (List.map
           (fun (label, spec, recovered, records, err) ->

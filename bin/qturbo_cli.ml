@@ -240,8 +240,7 @@ let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
       print_endline
         "DEGRADED: best-effort result; some component kept a \
          non-converged solution (see failure records above)";
-    Printf.printf "plan: %d shape(s), %d front-end build(s)\n"
-      td.Qturbo_core.Td_compiler.plan_shapes
+    Printf.printf "plan: %d front-end build(s)\n"
       td.Qturbo_core.Td_compiler.plan_builds;
     0
   end
@@ -834,10 +833,9 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
         (fun i (segments, t_tar, (td : Qturbo_core.Td_compiler.result)) ->
           Printf.printf
             "job %d: segments=%d t=%g -> T_sim=%.4f us, error %.4f%%, %d \
-             shape(s), %d build(s)%s\n"
+             build(s)%s\n"
             i segments t_tar td.Qturbo_core.Td_compiler.t_sim
             td.Qturbo_core.Td_compiler.relative_error
-            td.Qturbo_core.Td_compiler.plan_shapes
             td.Qturbo_core.Td_compiler.plan_builds
             (if td.Qturbo_core.Td_compiler.degraded then " DEGRADED" else ""))
         results;

@@ -20,7 +20,6 @@ type options = {
   dense_linear_solver : bool;
   generic_local_solver : bool;
   domains : int;
-  supervise : bool;
   best_effort : bool;
   deadline_seconds : float option;
   faults : Fault.spec option;
@@ -38,7 +37,6 @@ let default_options =
     dense_linear_solver = false;
     generic_local_solver = false;
     domains = Qturbo_par.Pool.default_domains ();
-    supervise = true;
     best_effort = false;
     deadline_seconds = None;
     faults = None;
@@ -76,6 +74,15 @@ type plan_stats = {
 (* Where this compile's plan came from: a fresh front-end build, the
    in-memory LRU, or the on-disk store. *)
 type provenance = Built | Cached | Stored
+
+type layout = {
+  t_sim : float;
+  env : float array;
+  eps2s : float list;
+  solve_failures : Failure.t list;
+  iterations : int;
+  exhausted : Failure.t option;
+}
 
 type result = {
   env : float array;
@@ -147,13 +154,10 @@ let support_of_target = Shape.support_of_target
 let device_key ~(options : options) ~aais =
   Printf.sprintf "g=%b|%s" options.generic_local_solver (Shape.of_aais aais)
 
-(* Single point of truth for the plan-key format; [Plan_lint]'s
-   round-trip check re-derives keys through here. *)
-let plan_key_raw ~generic ~aais ~support =
-  Printf.sprintf "g=%b|%s" generic (Shape.key ~aais ~support)
-
+(* Single point of truth for the plan-key format. *)
 let plan_key_of_support ~(options : options) ~aais ~support =
-  plan_key_raw ~generic:options.generic_local_solver ~aais ~support
+  Printf.sprintf "g=%b|%s" options.generic_local_solver
+    (Shape.key ~aais ~support)
 
 let plan_key ~options ~aais ~target =
   plan_key_of_support ~options ~aais ~support:(support_of_target target)
@@ -299,14 +303,6 @@ let lint (plan : t) =
    measurement ([bench analysis]) and emergencies. *)
 let lint_plans = ref true
 
-(* Re-lint on every cache hit — a debug flag (QTURBO_LINT_CACHE=1),
-   since hits are the hot path and plans are immutable. *)
-let lint_on_hit =
-  ref
-    (match Sys.getenv_opt "QTURBO_LINT_CACHE" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Caches                                                              *)
 
@@ -320,14 +316,6 @@ let device_cache_stats () = Plan_cache.stats device_cache
 let clear_caches () =
   Plan_cache.clear plan_cache;
   Plan_cache.clear device_cache
-
-(* test-only: plant a plan without the [admit] lint gate, so the
-   hit-path re-lint can be exercised against a corrupted resident *)
-let cache_insert_unchecked (plan : t) =
-  (* replace, not add: [Plan_cache.add] keeps an existing resident on a
-     key collision, which would silently discard the planted plan *)
-  Plan_cache.remove plan_cache plan.key;
-  Plan_cache.add plan_cache plan.key plan
 
 let obtain_device ~options ~aais =
   if not options.plan_cache then build_device ~options ~aais ()
@@ -358,23 +346,27 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
            ~cells:(Linear_system.skeleton_cells skeleton))
       ~comps:(structure_comps device.comps)
   in
+  (* the key render and the lint gate are part of the front end: both
+     run before the clock is read *)
+  let key = plan_key_of_support ~options ~aais ~support:target_shape in
   let plan =
     {
       device;
       support = target_shape;
       skeleton;
       structure_diags;
-      key = plan_key_of_support ~options ~aais ~support:target_shape;
-      build_seconds = Qturbo_util.Clock.now () -. t0;
+      key;
+      build_seconds = 0.0;
     }
   in
-  (if !lint_plans then
-     match Diagnostic.errors (lint plan) with
-     | [] -> ()
-     | errs ->
-         Log.err (fun m ->
-             m "plan lint rejected a fresh build (%d errors)" (List.length errs));
-         raise (Diagnostic.Rejected errs));
+  let lint_errors = if !lint_plans then Diagnostic.errors (lint plan) else [] in
+  let plan = { plan with build_seconds = Qturbo_util.Clock.now () -. t0 } in
+  if lint_errors <> [] then begin
+    Log.err (fun m ->
+        m "plan lint rejected a fresh build (%d errors)"
+          (List.length lint_errors));
+    raise (Diagnostic.Rejected lint_errors)
+  end;
   plan
 
 (* Lint-gated cache admission: a plan failing [Plan_lint] is never
@@ -424,9 +416,8 @@ let store_stats () = Option.map Plan_store.stats !store
    key, checksum) can still be semantic garbage — a hand-edited entry
    with a recomputed checksum.  The decode is exception-guarded and
    every deserialized plan passes the full [Plan_lint] gate before it
-   is served; this is the "deserialized plan store" case the
-   [lint_on_hit] doc anticipates, except here the lint is
-   unconditional.  Any failure demotes the store hit to a corrupt miss
+   is served: store entries are the only plans that come from outside
+   this process.  Any failure demotes the store hit to a corrupt miss
    and the caller rebuilds. *)
 let store_fetch ~key =
   match !store with
@@ -467,30 +458,10 @@ let obtain_for_support ~options ~aais ~support =
     (build ~options ~aais ~target_shape:support (), Built)
   else
     let key = plan_key_of_support ~options ~aais ~support in
-    let rebuild () =
-      let p = build ~options ~aais ~target_shape:support () in
-      (* no [admit] here: when the strict gate is on, [build] just
-         linted this plan (and raised on errors), so re-linting at
-         admission would double the gate cost on every fresh build;
-         when the gate is off, the caller asked for no linting at all *)
-      Plan_cache.add plan_cache p.key p;
-      store_persist p;
-      (p, Built)
-    in
     match Plan_cache.find plan_cache key with
     | Some p ->
-        if !lint_on_hit && Diagnostic.has_errors (lint p) then begin
-          (* a resident plan that no longer lints is never served: pull
-             it, count the rejection, and rebuild from scratch *)
-          Plan_cache.reject plan_cache key;
-          Plan_cache.remove plan_cache key;
-          Log.warn (fun m -> m "plan lint pulled a resident cache entry");
-          rebuild ()
-        end
-        else begin
-          !stage_hook "plan-cache-hit";
-          (p, Cached)
-        end
+        !stage_hook "plan-cache-hit";
+        (p, Cached)
     | None -> (
         match store_fetch ~key with
         | Some p ->
@@ -500,7 +471,16 @@ let obtain_for_support ~options ~aais ~support =
                fresh shapes on the same device skip the prepare pass *)
             Plan_cache.add device_cache p.device.device_key p.device;
             (p, Stored)
-        | None -> rebuild ())
+        | None ->
+            let p = build ~options ~aais ~target_shape:support () in
+            (* no [admit] here: when the strict gate is on, [build] just
+               linted this plan (and raised on errors), so re-linting at
+               admission would double the gate cost on every fresh build;
+               when the gate is off, the caller asked for no linting at
+               all *)
+            Plan_cache.add plan_cache p.key p;
+            store_persist p;
+            (p, Built))
 
 let obtain ~options ~aais ~target =
   obtain_for_support ~options ~aais ~support:(support_of_target target)
@@ -520,8 +500,20 @@ let validate_t_tar ~who t_tar =
          ]);
   if t_tar <= 0.0 then invalid_arg (who ^ ": t_tar <= 0")
 
+let validate_target ~aais ~target ~t_tar =
+  validate_t_tar ~who:"Compiler.compile" t_tar;
+  if Pauli_sum.n_qubits target > aais.Aais.n_qubits then
+    invalid_arg "Compiler.compile: target touches qubits outside the AAIS"
+
 (* ------------------------------------------------------------------ *)
-(* The numeric back-end                                                *)
+(* The numeric back-end, stage by stage                                *)
+
+(* The paper's back end is one sequence of stages: the global linear
+   solve (§4.1), the per-component evolution-time search (§5.1), the
+   constraint loop on the runtime-fixed variables (§5.2) and refinement
+   (§6.2).  [solve] runs it once for a static target; [Td_compiler]
+   runs the same stages per segment (§5.3), adding only the
+   binding-segment choice and the per-segment duration stretching. *)
 
 (* Parallel strategy for a component sweep: when one component holds
    most of the channels (the single position component of a Rydberg
@@ -535,65 +527,93 @@ let component_domains ~domains comps =
   let largest = List.fold_left Int.max 0 sizes in
   if 2 * largest > total then (1, domains) else (domains, 1)
 
-let solve_prepared_comp ?sup ~alpha ~t_sim ~fixed_domains = function
-  | Dynamic p -> (
-      match sup with
-      | None ->
-          let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_prepared ~alpha ~t_sim p
-          in
-          (assignments, eps2, [])
-      | Some sup ->
-          let { Local_solver.assignments; eps2 }, failures =
-            Local_solver.solve_supervised ~sup ~alpha ~t_sim p
-          in
-          (assignments, eps2, failures))
-  | Fixed p -> (
-      match sup with
-      | None ->
-          let { Fixed_solver.assignments; eps2 } =
-            Fixed_solver.solve_prepared ~domains:fixed_domains ~alpha ~t_sim p
-          in
-          (assignments, eps2, [])
-      | Some sup ->
-          let { Fixed_solver.assignments; eps2 }, failures =
-            Fixed_solver.solve_supervised ~domains:fixed_domains ~sup ~alpha
-              ~t_sim p
-          in
-          (assignments, eps2, failures))
+type run = {
+  options : options;
+  sup : Supervisor.t;
+  comp_domains : int;
+  fixed_domains : int;
+  mutable warnings : string list;
+}
 
-(* Run a guarded component sweep.  The supervisor's pool guard raises
-   [Expired] the moment the deadline passes (or an injected deadline fault
-   fires), which abandons the sweep; the fallback rerun is unguarded, and
-   because the deadline has by then expired for every component, each
-   supervised solve short-circuits deterministically with a
-   [Deadline_expired] record — the same degraded result at any domain
-   count. *)
-let guarded_sweep ?sup ~site ~comp_domains f prepared =
-  let run ~guarded =
-    let guard =
-      match sup with
-      | Some s when guarded -> Some (Supervisor.pool_guard s ~site)
-      | _ -> None
-    in
-    Qturbo_par.Pool.parallel_map_list ?guard ~domains:comp_domains ~chunk:1 f
-      prepared
+let start ~options (device : device) =
+  let comp_domains, fixed_domains =
+    component_domains ~domains:options.domains device.comps
   in
-  try run ~guarded:true with Supervisor.Expired -> run ~guarded:false
+  {
+    options;
+    sup =
+      Supervisor.make ?deadline_seconds:options.deadline_seconds
+        ?faults:options.faults ~best_effort:options.best_effort ();
+    comp_domains;
+    fixed_domains;
+    warnings = [];
+  }
 
-(* Solve every component at the given evolution time, returning the full
-   environment, the per-component residuals, and the per-component failure
-   records.  Solves run on the pool (components write disjoint variable
-   slots); the assignments are then applied sequentially in component
-   order, so the resulting [env] is identical to the sequential sweep. *)
-let solve_components ?sup ~vars ~comp_domains ~fixed_domains ~alpha ~t_sim
-    prepared =
-  let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
-  let solved =
-    guarded_sweep ?sup ~site:"local-solve" ~comp_domains
-      (fun p -> solve_prepared_comp ?sup ~alpha ~t_sim ~fixed_domains p)
-      prepared
+let warn run w = run.warnings <- w :: run.warnings
+let warnings run = List.rev run.warnings
+
+(* The pool guard raises [Expired] the moment the deadline passes,
+   abandoning the sweep; by then the deadline has expired for every
+   element, so the unguarded rerun short-circuits each supervised solve
+   deterministically. *)
+let guarded_sweep run ~site ~domains f xs =
+  let sweep guard =
+    Qturbo_par.Pool.parallel_map_list ?guard ~domains ~chunk:1 f xs
   in
+  try sweep (Some (Supervisor.pool_guard run.sup ~site))
+  with Supervisor.Expired -> sweep None
+
+let expiry run ~site detail =
+  if Supervisor.site_expired run.sup ~site ~component:(-1) then
+    [
+      Failure.make ~component:(-1) ~site ~stage:"" ~fatal:false
+        ~class_:Failure.Deadline_expired detail;
+    ]
+  else []
+
+(* the structure pass was computed once at plan build *)
+let diagnose ?t_max ~aais ~plan ~t_tar target =
+  Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
+  @ plan.structure_diags
+
+let enforce run ~strict diagnostics =
+  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
+  List.iter
+    (fun d ->
+      if d.Diagnostic.severity = Diagnostic.Warning then
+        warn run (Diagnostic.to_string d))
+    diagnostics;
+  Log.debug (fun m ->
+      m "precheck: %d diagnostics (%d errors)" (List.length diagnostics)
+        (List.length (Diagnostic.errors diagnostics)))
+
+let linear_solve options ls =
+  if options.dense_linear_solver then Linear_system.solve_dense ls
+  else Linear_system.solve ls
+
+let component_min_time run ~alpha = function
+  | Dynamic p -> Local_solver.min_time_supervised ~sup:run.sup ~alpha p
+  | Fixed _ -> (0.0, [])
+
+let padded options t =
+  if options.time_opt then t else t *. options.no_opt_padding
+
+let solve_component run ~alpha ~t_sim = function
+  | Dynamic p ->
+      let { Local_solver.assignments; eps2 }, failures =
+        Local_solver.solve_supervised ~sup:run.sup ~alpha ~t_sim p
+      in
+      (assignments, eps2, failures)
+  | Fixed p ->
+      let { Fixed_solver.assignments; eps2 }, failures =
+        Fixed_solver.solve_supervised ~domains:run.fixed_domains ~sup:run.sup
+          ~alpha ~t_sim p
+      in
+      (assignments, eps2, failures)
+
+(* components write disjoint variable slots, and the pool collects by
+   index, so [env] matches the sequential sweep *)
+let apply_solved env solved =
   let failures = List.concat_map (fun (_, _, fs) -> fs) solved in
   let eps2s =
     List.map
@@ -602,7 +622,70 @@ let solve_components ?sup ~vars ~comp_domains ~fixed_domains ~alpha ~t_sim
         eps2)
       solved
   in
-  (env, eps2s, failures)
+  (eps2s, failures)
+
+let solve_components run ~env ~alpha ~t_sim prepared =
+  apply_solved env
+    (guarded_sweep run ~site:"local-solve" ~domains:run.comp_domains
+       (solve_component run ~alpha ~t_sim)
+       prepared)
+
+(* Hard-bounded: exhaustion yields the best layout found plus a
+   classified record, never an unbounded spin.  Only the final
+   iteration's solver records survive — earlier layouts are discarded
+   along with theirs. *)
+let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
+  let options = run.options in
+  let retry_fault =
+    Fault.fires (Supervisor.faults run.sup) ~site:"constraint-loop"
+      ~component:(-1)
+    = Some Fault.Retry
+  in
+  let rec attempt t iter =
+    let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
+    let eps2s, solve_failures =
+      solve_components run ~env ~alpha ~t_sim:t prepared
+    in
+    let violations =
+      if retry_fault then
+        [ "injected fault: constraint-loop=retry forces a violation" ]
+      else aais.Aais.check_fixed env
+    in
+    let out_of_iters = iter >= options.max_constraint_iters in
+    if
+      violations = [] || out_of_iters
+      || Supervisor.site_expired run.sup ~site:"constraint-loop"
+           ~component:(-1)
+    then begin
+      let exhausted =
+        if violations = [] then None
+        else
+          let reason =
+            if out_of_iters then
+              Printf.sprintf
+                "layout constraints unresolved after %d iterations: %s" iter
+                (String.concat "; " violations)
+            else
+              Printf.sprintf
+                "deadline expired with layout constraints unresolved after \
+                 %d iterations: %s"
+                iter
+                (String.concat "; " violations)
+          in
+          warn run reason;
+          Some
+            (Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
+               ~fatal:false
+               ~class_:
+                 (if out_of_iters then Failure.Position_retry_exhausted
+                  else Failure.Deadline_expired)
+               reason)
+      in
+      { t_sim = t; env; eps2s; solve_failures; iterations = iter; exhausted }
+    end
+    else attempt (t *. options.dt_factor) (iter + 1)
+  in
+  attempt t_start 0
 
 let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
   (* a kernel eval is ~10 ns; only very wide channel sets outweigh the
@@ -612,17 +695,105 @@ let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
     (fun (c : Instruction.channel) -> Instruction.eval_channel c ~env *. t_sim)
     channels
 
-(* The full numeric back-end: instantiate the right-hand side, run the
-   precheck against the instance, the global linear solve, evolution-time
-   optimisation, the §5.2 constraint iteration and §6.2 refinement.
-   Ported verbatim from the pre-plan [Compiler.compile] body — the float
-   operations and their order are unchanged, so results are
-   bitwise-identical to the monolithic pipeline. *)
+let fixed_channels (d : device) =
+  let mask = Array.make (Array.length d.channels) false in
+  List.iter2
+    (fun (comp : Locality.component) p ->
+      match p with
+      | Fixed _ -> List.iter (fun cid -> mask.(cid) <- true) comp.channel_ids
+      | Dynamic _ -> ())
+    d.comps d.prepared;
+  mask
+
+let refined_alpha ~fixed ~contribution ls =
+  let rows =
+    List.map
+      (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
+        let fixed_part =
+          List.fold_left
+            (fun acc (cid, coeff) ->
+              if fixed.(cid) then acc +. contribution cid coeff else acc)
+            0.0 cells
+        in
+        {
+          Qturbo_linalg.Sparse_solve.cells =
+            List.filter (fun (cid, _) -> not fixed.(cid)) cells;
+          rhs = rhs -. fixed_part;
+        })
+      (Linear_system.rows ls)
+  in
+  (Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length fixed) rows)
+    .Qturbo_linalg.Sparse_solve.x
+
+(* Stage: refinement of a static compile — re-solve the dynamic
+   components at the layout's T against the residual left by the
+   achieved fixed channels.  Returns the refined env and residuals, the
+   pipeline-level record of an expired deadline, and the re-solves'
+   records. *)
+let refine run ~(plan : t) ~ls ~alpha (layout : layout) =
+  if not run.options.refine then (layout.env, layout.eps2s, [], [])
+  else
+    match
+      expiry run ~site:"refine"
+        "deadline expired before refinement; returning unrefined result"
+    with
+    | _ :: _ as expired -> (layout.env, layout.eps2s, expired, [])
+    | [] ->
+        let d = plan.device and t_sim = layout.t_sim in
+        let achieved =
+          alpha_achieved_of_env ~domains:run.options.domains
+            ~channels:d.channels ~env:layout.env ~t_sim
+        in
+        let fixed = fixed_channels d in
+        let alpha_refined =
+          refined_alpha ~fixed
+            ~contribution:(fun cid coeff -> coeff *. achieved.(cid))
+            ls
+        in
+        (* keep the fixed channels' original targets for eps accounting *)
+        Array.iteri
+          (fun cid is_fixed ->
+            if is_fixed then alpha_refined.(cid) <- alpha.(cid))
+          fixed;
+        let env = Array.copy layout.env in
+        let eps2s, failures =
+          apply_solved env
+            (guarded_sweep run ~site:"refine" ~domains:run.comp_domains
+               (fun ((comp : Locality.component), p) ->
+                 match p with
+                 | Fixed _ ->
+                     (* unchanged: recompute its eps2 against original
+                        targets *)
+                     ( [],
+                       List.fold_left
+                         (fun acc cid ->
+                           acc +. Float.abs (achieved.(cid) -. alpha.(cid)))
+                         0.0 comp.channel_ids,
+                       [] )
+                 | Dynamic _ ->
+                     solve_component run ~alpha:alpha_refined ~t_sim p)
+               (List.combine d.comps d.prepared))
+        in
+        (env, eps2s, [], failures)
+
+let conclude run failures =
+  let degraded = List.exists (fun f -> f.Failure.fatal) failures in
+  if degraded && not (Supervisor.best_effort run.sup) then
+    raise (Failure.Failed failures);
+  degraded
+
+let relative_error ~error_l1 systems =
+  let b_norm =
+    List.fold_left
+      (fun acc (ls : Linear_system.t) ->
+        Array.fold_left (fun acc b -> acc +. Float.abs b) acc ls.b_tar)
+      0.0 systems
+  in
+  if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0
+
 let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
-  validate_t_tar ~who:"Compiler.compile" t_tar;
   let aais = plan.device.aais in
-  if Pauli_sum.n_qubits target > aais.Aais.n_qubits then
-    invalid_arg "Compiler.compile: target touches qubits outside the AAIS";
+  validate_target ~aais ~target ~t_tar;
   let plan_index = Linear_system.skeleton_index plan.skeleton in
   List.iter
     (fun (s, _) ->
@@ -633,259 +804,55 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
         invalid_arg "Compile_plan.solve: target term outside the plan's shape")
     (Pauli_sum.terms target);
   let solve_t0 = Qturbo_util.Clock.now () in
-  let domains = options.domains in
-  let warnings = ref [] in
-  (* supervision context: deadline (absolute from here), fault spec
-     (explicit, else QTURBO_FAULTS), best-effort flag.  [supervise = false]
-     bypasses the ladder entirely — the raw seed solver path, kept for
-     overhead benchmarking. *)
-  let sup =
-    if options.supervise then
-      Some
-        (Supervisor.make ?deadline_seconds:options.deadline_seconds
-           ?faults:options.faults ~best_effort:options.best_effort ())
-    else None
-  in
-  let pipeline_failures = ref [] in
-  let fault_fires site =
-    match sup with
-    | None -> None
-    | Some s -> Fault.fires (Supervisor.faults s) ~site ~component:(-1)
-  in
-  let channels = plan.device.channels in
-  let vars = plan.device.vars in
-  let comps = plan.device.comps in
-  (* stage 0: attach the instance to the plan's skeleton, then run the
-     static analyzer as a fail-fast precheck — provably-broken inputs
-     are rejected before any solver runs.  The structure pass was
-     computed once at plan build; only the coefficient-dependent passes
-     run per instance. *)
+  let d = plan.device in
+  let run = start ~options d in
   let ls = Linear_system.instantiate plan.skeleton ~target ~t_tar in
   !stage_hook "precheck";
-  let diagnostics =
-    Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
-    @ plan.structure_diags
-  in
-  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
-  List.iter
-    (fun d ->
-      if d.Diagnostic.severity = Diagnostic.Warning then
-        warnings := Diagnostic.to_string d :: !warnings)
-    diagnostics;
-  Log.debug (fun m ->
-      m "precheck: %d diagnostics (%d errors)" (List.length diagnostics)
-        (List.length (Diagnostic.errors diagnostics)));
-  (* stage 1: global linear system over synthesized variables *)
+  let diagnostics = diagnose ?t_max ~aais ~plan ~t_tar target in
+  enforce run ~strict diagnostics;
   !stage_hook "linear-solve";
-  let lin =
-    if options.dense_linear_solver then Linear_system.solve_dense ls
-    else Linear_system.solve ls
-  in
+  let lin = linear_solve options ls in
   let alpha = lin.Qturbo_linalg.Sparse_solve.x in
   let eps1 = lin.Qturbo_linalg.Sparse_solve.residual_l1 in
   Log.debug (fun m ->
       let st = lin.Qturbo_linalg.Sparse_solve.stats in
       m "linear system: %d rows, %d channels, greedy %d / dense %d, eps1 %.3g"
         (Term_index.count ls.Linear_system.index)
-        (Array.length channels)
+        (Array.length d.channels)
         st.Qturbo_linalg.Sparse_solve.greedy_solved
         st.Qturbo_linalg.Sparse_solve.dense_solved eps1);
-  (* stage 2: classification and prepared contexts come off the plan *)
-  let classifications = plan.device.classifications in
-  let prepared = plan.device.prepared in
-  let comp_domains, fixed_domains = component_domains ~domains comps in
-  (* stage 3: evolution-time optimisation (bottleneck component) *)
   let min_time_results =
-    guarded_sweep ?sup ~site:"min-time" ~comp_domains
-      (function
-        | Dynamic p -> (
-            match sup with
-            | None -> (Local_solver.min_time_prepared ~alpha p, [])
-            | Some sup -> Local_solver.min_time_supervised ~sup ~alpha p)
-        | Fixed _ -> (0.0, []))
-      prepared
+    guarded_sweep run ~site:"min-time" ~domains:run.comp_domains
+      (component_min_time run ~alpha) d.prepared
   in
   let min_times = List.map fst min_time_results in
-  pipeline_failures :=
-    !pipeline_failures @ List.concat_map snd min_time_results;
   let bottleneck = List.fold_left Float.max 0.0 min_times in
   Log.debug (fun m ->
       m "locality: %d components, bottleneck evolution time %.4g"
-        (List.length comps) bottleneck);
+        (List.length d.comps) bottleneck);
   if bottleneck = infinity then
-    warnings := "some component is infeasible at any evolution time" :: !warnings;
+    warn run "some component is infeasible at any evolution time";
   let t_base =
     if bottleneck = infinity || bottleneck = 0.0 then options.time_floor
     else Float.max options.time_floor bottleneck
   in
-  let t_start = if options.time_opt then t_base else t_base *. options.no_opt_padding in
-  (* stage 4: solve localized systems, iterating T upward while the
-     runtime-fixed layout violates device geometry (paper §5.2).  The
-     retry loop is hard-bounded: exhausting [max_constraint_iters]
-     produces a classified [Position_retry_exhausted] failure (and the
-     best layout found), never an unbounded spin. *)
   !stage_hook "local-solve";
-  let retry_fault = fault_fires "constraint-loop" = Some Fault.Retry in
-  let rec attempt t iter =
-    let env, eps2s, solve_failures =
-      solve_components ?sup ~vars ~comp_domains ~fixed_domains ~alpha ~t_sim:t
-        prepared
-    in
-    let violations =
-      if retry_fault then
-        [ "injected fault: constraint-loop=retry forces a violation" ]
-      else aais.Aais.check_fixed env
-    in
-    let expired =
-      match sup with
-      | None -> false
-      | Some s -> Supervisor.site_expired s ~site:"constraint-loop" ~component:(-1)
-    in
-    if violations = [] || iter >= options.max_constraint_iters || expired
-    then begin
-      if violations <> [] then begin
-        let reason =
-          if iter >= options.max_constraint_iters then
-            Printf.sprintf
-              "layout constraints unresolved after %d iterations: %s" iter
-              (String.concat "; " violations)
-          else
-            Printf.sprintf
-              "deadline expired with layout constraints unresolved after %d \
-               iterations: %s"
-              iter
-              (String.concat "; " violations)
-        in
-        warnings := reason :: !warnings;
-        pipeline_failures :=
-          !pipeline_failures
-          @ [
-              Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
-                ~fatal:false
-                ~class_:
-                  (if iter >= options.max_constraint_iters then
-                     Failure.Position_retry_exhausted
-                   else Failure.Deadline_expired)
-                reason;
-            ]
-      end;
-      (t, env, eps2s, solve_failures, iter)
-    end
-    else attempt (t *. options.dt_factor) (iter + 1)
+  let layout =
+    constraint_loop run ~aais ~vars:d.vars ~alpha
+      ~t_start:(padded options t_base) d.prepared
   in
-  let t_sim, env, eps2s, solve_failures, constraint_iterations =
-    attempt t_start 0
-  in
+  let t_sim = layout.t_sim in
   Log.debug (fun m ->
       m "localized systems solved at T = %.4g after %d constraint iterations"
-        t_sim constraint_iterations);
-  (* stage 5: iterative refinement (§6.2) — re-solve the runtime-dynamic
-     channels against the residual left by the achieved fixed channels *)
-  let achieved = alpha_achieved_of_env ~domains ~channels ~env ~t_sim in
-  let refine_expired =
-    match sup with
-    | None -> false
-    | Some s -> Supervisor.site_expired s ~site:"refine" ~component:(-1)
+        t_sim layout.iterations);
+  let env, eps2s, refine_expired, refine_failures =
+    refine run ~plan ~ls ~alpha layout
   in
-  if options.refine && refine_expired then
-    pipeline_failures :=
-      !pipeline_failures
-      @ [
-          Failure.make ~component:(-1) ~site:"refine" ~stage:"" ~fatal:false
-            ~class_:Failure.Deadline_expired
-            "deadline expired before refinement; returning unrefined result";
-        ];
-  let refine_failures = ref [] in
-  let env, eps2s =
-    if (not options.refine) || refine_expired then (env, eps2s)
-    else begin
-      let fixed_cid = Array.make (Array.length channels) false in
-      List.iter2
-        (fun comp cls ->
-          match cls with
-          | Local_solver.Fixed_vars ->
-              List.iter
-                (fun cid -> fixed_cid.(cid) <- true)
-                comp.Locality.channel_ids
-          | Local_solver.Const_channels | Local_solver.Linear _
-          | Local_solver.Polar _ | Local_solver.Generic ->
-              ())
-        comps classifications;
-      (* residual RHS: move the achieved fixed-channel contributions over *)
-      let rows = Array.of_list (Linear_system.rows ls) in
-      let adjusted_rows =
-        Array.to_list
-          (Array.map
-             (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
-               let fixed_part =
-                 List.fold_left
-                   (fun acc (cid, coeff) ->
-                     if fixed_cid.(cid) then acc +. (coeff *. achieved.(cid))
-                     else acc)
-                   0.0 cells
-               in
-               {
-                 Qturbo_linalg.Sparse_solve.cells =
-                   List.filter (fun (cid, _) -> not fixed_cid.(cid)) cells;
-                 rhs = rhs -. fixed_part;
-               })
-             rows)
-      in
-      let refined =
-        Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length channels)
-          adjusted_rows
-      in
-      let alpha_refined = refined.Qturbo_linalg.Sparse_solve.x in
-      (* keep the fixed channels' original targets for eps accounting *)
-      Array.iteri
-        (fun cid is_fixed -> if is_fixed then alpha_refined.(cid) <- alpha.(cid))
-        fixed_cid;
-      (* re-solve only the dynamic components at the same T; solves run
-         on the pool, assignments apply in component order as above *)
-      let env = Array.copy env in
-      let resolved =
-        guarded_sweep ?sup ~site:"refine" ~comp_domains
-          (fun (comp, p) ->
-            match p with
-            | Fixed _ ->
-                (* unchanged: recompute its eps2 against original targets *)
-                ( [],
-                  List.fold_left
-                    (fun acc cid ->
-                      acc +. Float.abs (achieved.(cid) -. alpha.(cid)))
-                    0.0 comp.Locality.channel_ids,
-                  [] )
-            | Dynamic p -> (
-                match sup with
-                | None ->
-                    let { Local_solver.assignments; eps2 } =
-                      Local_solver.solve_prepared ~alpha:alpha_refined ~t_sim p
-                    in
-                    (assignments, eps2, [])
-                | Some sup ->
-                    let { Local_solver.assignments; eps2 }, failures =
-                      Local_solver.solve_supervised ~sup ~alpha:alpha_refined
-                        ~t_sim p
-                    in
-                    (assignments, eps2, failures)))
-          (List.combine comps prepared)
-      in
-      refine_failures := List.concat_map (fun (_, _, fs) -> fs) resolved;
-      let eps2s =
-        List.map
-          (fun (assignments, eps2, _) ->
-            List.iter (fun (v, x) -> env.(v) <- x) assignments;
-            eps2)
-          resolved
-      in
-      (env, eps2s)
-    end
+  let alpha_achieved =
+    alpha_achieved_of_env ~domains:options.domains ~channels:d.channels ~env
+      ~t_sim
   in
-  let alpha_achieved = alpha_achieved_of_env ~domains ~channels ~env ~t_sim in
   let error_l1 = Linear_system.residual_l1 ls ~alpha:alpha_achieved in
-  let b_norm =
-    Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar
-  in
   let eps2_total = List.fold_left ( +. ) 0.0 eps2s in
   let components =
     List.map2
@@ -897,22 +864,19 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
           min_time = tmin;
           eps2;
         })
-      comps
-      (List.map2
-         (fun cls pair -> (cls, pair))
-         classifications
-         (List.combine min_times eps2s))
+      d.comps
+      (List.combine d.classifications (List.combine min_times eps2s))
   in
   (* failures, in pipeline order: evolution-time search and
      pipeline-level records (constraint loop, refinement expiry), then
      the final constraint-iteration solve sweep (component order — the
      pool collects by index), then refinement re-solves *)
-  let failures = !pipeline_failures @ solve_failures @ !refine_failures in
-  let degraded = List.exists (fun f -> f.Failure.fatal) failures in
-  let best_effort =
-    match sup with Some s -> Supervisor.best_effort s | None -> false
+  let failures =
+    List.concat_map snd min_time_results
+    @ Option.to_list layout.exhausted
+    @ refine_expired @ layout.solve_failures @ refine_failures
   in
-  if degraded && not best_effort then raise (Failure.Failed failures);
+  let degraded = conclude run failures in
   let now = Qturbo_util.Clock.now () in
   let cache = Plan_cache.stats plan_cache in
   let kstats =
@@ -925,15 +889,14 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
     alpha_target = alpha;
     alpha_achieved;
     error_l1;
-    relative_error =
-      (if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0);
+    relative_error = relative_error ~error_l1 [ ls ];
     eps1;
     eps2_total;
     theorem1_bound = (Linear_system.norm1 ls *. eps2_total) +. eps1;
     components;
-    constraint_iterations;
+    constraint_iterations = layout.iterations;
     compile_seconds = now -. t0;
-    warnings = List.rev !warnings;
+    warnings = warnings run;
     diagnostics;
     failures;
     degraded;
@@ -964,9 +927,7 @@ let solve ?(options = default_options) ?(strict = true) ?t_max
 
 let compile ?(options = default_options) ?(strict = true) ?t_max ~aais ~target
     ~t_tar () =
-  validate_t_tar ~who:"Compiler.compile" t_tar;
-  if Pauli_sum.n_qubits target > aais.Aais.n_qubits then
-    invalid_arg "Compiler.compile: target touches qubits outside the AAIS";
+  validate_target ~aais ~target ~t_tar;
   let t0 = Qturbo_util.Clock.now () in
   let plan, provenance = obtain ~options ~aais ~target in
   solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar ()

@@ -19,8 +19,10 @@
     no hash collisions; equal keys produce interchangeable plans, so a
     cache hit is bitwise-identical to a cold build by construction.
 
-    [Compiler] re-exports the [options]/[result] types from here and
-    delegates [Compiler.compile]; existing call sites are unaffected. *)
+    The numeric back-end is one sequence of named stages (see
+    {!section-stages}); {!solve} runs it for a static target and
+    [Td_compiler] runs the same stages per segment.  [Compiler] is this
+    module plus the batch and analysis entry points. *)
 
 open Qturbo_aais
 open Qturbo_pauli
@@ -31,33 +33,60 @@ module Supervisor = Qturbo_resilience.Supervisor
 module Diagnostic = Qturbo_analysis.Diagnostic
 
 type options = {
-  refine : bool;  (** iterative refinement pass (paper §6.2) *)
-  time_opt : bool;  (** evolution-time optimisation (§5.1) *)
-  no_opt_padding : float;  (** T multiplier when [time_opt] is off *)
-  dt_factor : float;  (** T growth per constraint iteration (§5.2) *)
-  max_constraint_iters : int;
-  time_floor : float;  (** smallest admissible evolution time *)
-  dense_linear_solver : bool;  (** ablation: skip the greedy pass *)
-  generic_local_solver : bool;  (** ablation: force Nelder–Mead *)
-  domains : int;  (** worker domains for parallel sections *)
-  supervise : bool;  (** run solves under the fallback supervisor *)
-  best_effort : bool;  (** degrade instead of raising on fatal failure *)
+  refine : bool;  (** §6.2 iterative refinement (default true) *)
+  time_opt : bool;
+      (** §5.1 evolution-time optimisation; when false, the bottleneck
+          time is padded by [no_opt_padding] — the ablation baseline *)
+  no_opt_padding : float;  (** default 3.0 *)
+  dt_factor : float;
+      (** multiplicative [Δt] step of the §5.2 constraint iteration
+          (default 1.25) *)
+  max_constraint_iters : int;  (** default 24 *)
+  time_floor : float;  (** smallest allowed [T_sim] (default 1e-4) *)
+  dense_linear_solver : bool;
+      (** force the dense least-squares path (linear-solver ablation) *)
+  generic_local_solver : bool;
+      (** ignore the analytic linear/polar patterns and solve every
+          dynamic component through the generic bisection + LM path
+          (local-solver ablation) *)
+  domains : int;
+      (** pool width for the parallel stages (component solves, residual
+          rows, α evaluation).  Defaults to
+          {!Qturbo_par.Pool.default_domains} — i.e. [QTURBO_DOMAINS] when
+          set, else cores − 1.  [1] runs fully sequentially; results are
+          bitwise-identical either way. *)
+  best_effort : bool;
+      (** when a component fails every ladder stage, carry the failure on
+          [result.failures] (with [degraded = true]) instead of raising
+          {!Qturbo_resilience.Failure.Failed} (default false) *)
   deadline_seconds : float option;
-  faults : Fault.spec option;  (** fault injection (tests/CI) *)
+      (** wall-clock budget for the numeric back-end, measured from the
+          moment it builds its supervisor.  Stages started after expiry
+          short-circuit with [Deadline_expired]; already-running pool
+          sweeps are cancelled and re-run in short-circuit mode so the
+          degraded result is identical at any [domains]. *)
+  faults : Fault.spec option;
+      (** deterministic fault injection for the supervised sites; [None]
+          (the default) reads [QTURBO_FAULTS] from the environment *)
   plan_cache : bool;
-      (** reuse structurally-identical plans from the process-wide
-          cache; off = rebuild the front-end on every compile *)
+      (** reuse structurally-identical plans from the process-wide LRU
+          cache (default true); a cache hit skips the whole structural
+          front-end and is bitwise-identical to a cold build by
+          construction *)
 }
 
 val default_options : options
 
 val stage_hook : (string -> unit) ref
-(** Observability hook; receives ["plan-build"], ["plan-cache-hit"],
-    ["precheck"], ["linear-solve"], ["local-solve"] in pipeline order.
-    Shared with [Compiler.stage_hook] (same ref). *)
+(** Called with a stage name as the pipeline enters it: ["plan-build"],
+    ["plan-cache-hit"], ["plan-store-hit"], ["precheck"],
+    ["linear-solve"], ["local-solve"].  Defaults to a no-op; tests
+    install a recorder to assert, without timing, that rejected inputs
+    never reach a solver stage and that cached compiles skip the plan
+    build. *)
 
 type component_summary = {
-  classification : string;
+  classification : string;  (** ["linear"|"polar"|"fixed"|"const"|"generic"] *)
   channels : int;
   variables : int;
   min_time : float;
@@ -77,7 +106,9 @@ type plan_stats = {
   key_hits : int;  (** counters for {e this} compile's plan key *)
   key_misses : int;
   key_evictions : int;
-  build_seconds : float;  (** front-end cost (0 on a cache or store hit) *)
+  build_seconds : float;
+      (** front-end cost, key render and lint gate included (0 on a
+          cache or store hit) *)
   solve_seconds : float;  (** numeric back-end cost *)
 }
 
@@ -85,24 +116,44 @@ type provenance = Built | Cached | Stored
     (** Where a compile's plan came from: a fresh front-end build, the
         in-memory LRU, or the on-disk {!Qturbo_store.Plan_store}. *)
 
-type result = {
+type layout = {
+  t_sim : float;  (** the evolution time the layout was accepted at *)
   env : float array;
-  t_sim : float;
-  alpha_target : float array;
-  alpha_achieved : float array;
-  error_l1 : float;
-  relative_error : float;
-  eps1 : float;
-  eps2_total : float;
-  theorem1_bound : float;
+  eps2s : float list;  (** per solved component *)
+  solve_failures : Failure.t list;  (** the final iteration's records *)
+  iterations : int;
+  exhausted : Failure.t option;
+      (** [Position_retry_exhausted] / [Deadline_expired] when the loop
+          stopped with violations left; its detail is also a warning *)
+}
+(** What the §5.2 constraint loop ({!constraint_loop}) settled on. *)
+
+type result = {
+  env : float array;  (** value of every AAIS variable *)
+  t_sim : float;  (** compiled evolution time (µs) *)
+  alpha_target : float array;  (** linear-system solution per channel *)
+  alpha_achieved : float array;  (** [expr(env)·T_sim] per channel *)
+  error_l1 : float;  (** [‖B_sim − B_tar‖₁] (paper Eq. 9) *)
+  relative_error : float;  (** [error_l1 / ‖B_tar‖₁ × 100] (%) *)
+  eps1 : float;  (** linear-system residual (Theorem 1's ε₁) *)
+  eps2_total : float;  (** Σ of localized-system residuals (Σε₂ⁱ) *)
+  theorem1_bound : float;  (** [‖M‖₁·Σε₂ + ε₁] — must dominate [error_l1] *)
   components : component_summary list;
   constraint_iterations : int;
-  compile_seconds : float;
+  compile_seconds : float;  (** wall-clock time of the compilation *)
   warnings : string list;
+      (** pipeline warnings; includes rendered warning-severity
+          diagnostics from the precheck *)
   diagnostics : Diagnostic.t list;
+      (** everything the pre-solve static analyzer found *)
   failures : Failure.t list;
+      (** classified solver failures and recoveries collected by the
+          resilience supervisor, in pipeline order *)
   degraded : bool;
-  plan : plan_stats;
+      (** true iff some failure is fatal — a component kept a
+          non-converged solution (best-effort compiles only; strict
+          compiles raise instead) *)
+  plan : plan_stats;  (** plan provenance and cache counters *)
 }
 
 (** {1 Plan artifacts} *)
@@ -147,6 +198,15 @@ val build_device : ?options:options -> aais:Aais.t -> unit -> device
 val obtain_device : options:options -> aais:Aais.t -> device
 (** Cache-aware variant ([options.plan_cache = false] builds fresh). *)
 
+val structure_rows :
+  index:Term_index.t ->
+  cells:(int * float) list array ->
+  Qturbo_analysis.Structure.row list
+(** The generic row view the [Qturbo_analysis.Structure] pass takes. *)
+
+val structure_comps :
+  Locality.component list -> Qturbo_analysis.Structure.comp list
+
 val build :
   ?options:options ->
   ?device:device ->
@@ -163,11 +223,9 @@ val obtain :
     came from.  Lookup order: memory LRU, then the persistent store
     (when {!enable_store} is active — a validated store hit back-fills
     the LRU), then a fresh build (which back-fills both).  Fresh builds
-    pass through the {!lint} gate (see {!build}); with {!lint_on_hit}
-    set, resident plans are re-linted on every hit and a failing plan
-    is pulled, counted as a rejection and rebuilt rather than served.
-    Store payloads are {e always} re-linted before being served,
-    whatever {!lint_on_hit} says. *)
+    pass through the {!lint} gate (see {!build}) and store payloads are
+    re-linted before being served; resident plans are immutable and are
+    served as they are. *)
 
 val obtain_for_support :
   options:options ->
@@ -188,8 +246,8 @@ val obtain_for_support :
     partition, classification arity, structural-key round-trip, and
     prepared-context agreement.  {!build} runs it on every fresh plan
     and raises {!Diagnostic.Rejected} on errors (disable via
-    {!lint_plans}); cached plans re-lint on hit behind {!lint_on_hit}
-    ([QTURBO_LINT_CACHE=1]). *)
+    {!lint_plans}); {!admit} gates explicit cache insertions and every
+    plan loaded from the persistent store is re-linted. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
@@ -204,18 +262,119 @@ val lint_plans : bool ref
 (** Lint every fresh {!build} (default [true]).  Turned off only for
     overhead measurement ([bench analysis]). *)
 
-val lint_on_hit : bool ref
-(** Re-lint resident plans on every cache hit (default: set when
-    [QTURBO_LINT_CACHE] is [1]/[true]/[yes]).  Debug flag — hits are
-    the hot path and plans are immutable, so this buys nothing unless
-    memory corruption or a deserialized plan store is in play. *)
-
 (** {1 Solving} *)
 
 val validate_t_tar : who:string -> float -> unit
 (** Shared input validation: non-finite [t_tar] raises
     {!Diagnostic.Rejected} with a [QT016] diagnostic; [t_tar <= 0.0]
     raises [Invalid_argument "<who>: t_tar <= 0"]. *)
+
+val validate_target : aais:Aais.t -> target:Pauli_sum.t -> t_tar:float -> unit
+(** {!validate_t_tar} (as ["Compiler.compile"]) plus the qubit-range
+    check: a target touching qubits outside the AAIS raises
+    [Invalid_argument]. *)
+
+(** {1:stages Numeric stages}
+
+    The back-end as named stages, in pipeline order: {!start} a run,
+    {!diagnose} + {!enforce} (the precheck), {!linear_solve}, the
+    per-component evolution-time search ({!component_min_time}, padded
+    by {!padded}), the {!constraint_loop}, refinement
+    ({!refined_alpha}) and {!conclude}.  {!solve} runs them once;
+    [Td_compiler] runs them per segment around a shared layout. *)
+
+type run
+(** One compile in flight: its options, its supervisor (the deadline is
+    absolute from {!start}), its pool split and the warnings raised so
+    far. *)
+
+val start : options:options -> device -> run
+
+val warnings : run -> string list
+(** In the order they were raised. *)
+
+val guarded_sweep :
+  run -> site:string -> domains:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Map on the pool under the supervisor's guard for [site].  When the
+    guard fires (deadline passed or injected) the sweep is re-run
+    unguarded; every supervised solve then short-circuits with a
+    [Deadline_expired] record, so the degraded result is the same at
+    any domain count. *)
+
+val expiry : run -> site:string -> string -> Failure.t list
+(** A pipeline-level, non-fatal [Deadline_expired] record for [site]
+    carrying the given detail — or [[]] while the site's deadline holds. *)
+
+val diagnose :
+  ?t_max:float ->
+  aais:Aais.t ->
+  plan:t ->
+  t_tar:float ->
+  Pauli_sum.t ->
+  Diagnostic.t list
+(** Precheck of one coefficient instance: the coefficient-dependent
+    analyzer passes plus the plan's structure findings. *)
+
+val enforce : run -> strict:bool -> Diagnostic.t list -> unit
+(** Strict mode raises {!Diagnostic.Rejected} on error findings;
+    warning findings are recorded on the run. *)
+
+val linear_solve : options -> Linear_system.t -> Qturbo_linalg.Sparse_solve.result
+(** The global linear solve ([dense_linear_solver] picks the ablation
+    path). *)
+
+val component_min_time :
+  run -> alpha:float array -> prepared_comp -> float * Failure.t list
+(** One component's shortest feasible evolution time (§5.1); [0.] for
+    runtime-fixed components, which the constraint loop polices. *)
+
+val padded : options -> float -> float
+(** The bottleneck time as the constraint loop starts from it: padded
+    by [no_opt_padding] when [time_opt] is off. *)
+
+val solve_components :
+  run ->
+  env:float array ->
+  alpha:float array ->
+  t_sim:float ->
+  prepared_comp list ->
+  float list * Failure.t list
+(** Solve the components at [t_sim] under the supervisor (a guarded
+    sweep, site ["local-solve"]) and write their assignments into [env]
+    in component order; returns their residuals and failure records in
+    the same order. *)
+
+val constraint_loop :
+  run ->
+  aais:Aais.t ->
+  vars:Variable.t array ->
+  alpha:float array ->
+  t_start:float ->
+  prepared_comp list ->
+  layout
+(** §5.2: solve the components at [t_start], growing T by [dt_factor]
+    while the runtime-fixed layout violates device geometry, for at
+    most [max_constraint_iters] iterations or until the deadline. *)
+
+val fixed_channels : device -> bool array
+(** Per channel: does it belong to a runtime-fixed component? *)
+
+val refined_alpha :
+  fixed:bool array ->
+  contribution:(int -> float -> float) ->
+  Linear_system.t ->
+  float array
+(** §6.2: move each fixed channel's achieved contribution to a row
+    ([contribution cid coeff]) to the right-hand side and re-solve the
+    rest for the dynamic channels' synthesized variables. *)
+
+val conclude : run -> Failure.t list -> bool
+(** [degraded]: true iff some record is fatal.  Raises
+    {!Failure.Failed} instead unless the compile is best-effort. *)
+
+val relative_error : error_l1:float -> Linear_system.t list -> float
+(** [error_l1] in percent of the instances' summed [‖B_tar‖₁]; [0.]
+    when that is zero. *)
 
 val solve :
   ?options:options ->
@@ -229,11 +388,10 @@ val solve :
   result
 (** Run the numeric back-end: instantiate the right-hand side from
     [coeffs], precheck, global linear solve, evolution-time search,
-    constraint iteration, refinement.  Bitwise-identical to the
-    monolithic pre-plan pipeline.  [coeffs] must lie inside the plan's
-    shape (terms outside it raise [Invalid_argument]); extra shape rows
-    simply get a zero target.  [?provenance] (default [Built]) only
-    annotates [result.plan]. *)
+    constraint iteration, refinement.  [coeffs] must lie inside the
+    plan's shape (terms outside it raise [Invalid_argument]); extra
+    shape rows simply get a zero target.  [?provenance] (default
+    [Built]) only annotates [result.plan]. *)
 
 val compile :
   ?options:options ->
@@ -244,8 +402,25 @@ val compile :
   t_tar:float ->
   unit ->
   result
-(** [obtain] + [solve] — the staged equivalent of the historical
-    [Compiler.compile]. *)
+(** [obtain] + [solve].  Raises [Invalid_argument] when [t_tar <= 0] or
+    the target touches qubits outside the AAIS; a non-finite [t_tar]
+    raises {!Qturbo_analysis.Diagnostic.Rejected} with a [QT016]
+    diagnostic.
+
+    The precheck runs every static-analysis pass before any solver:
+    with [strict] (the default), error-severity diagnostics raise
+    {!Qturbo_analysis.Diagnostic.Rejected}; with [~strict:false] the
+    pipeline proceeds anyway (the historical least-squares behaviour)
+    and the findings are carried on [result.diagnostics].
+    Warning-severity findings are additionally rendered into
+    [result.warnings].
+
+    Every component solve runs under the
+    {!Qturbo_resilience.Supervisor} escalation ladder; if a component
+    exhausts every stage the compile raises
+    {!Qturbo_resilience.Failure.Failed} unless [options.best_effort] is
+    set, in which case the degraded result is returned with the
+    classified records on [result.failures]. *)
 
 (** {1 Persistent plan store}
 
@@ -287,8 +462,3 @@ val device_cache_stats : unit -> Plan_cache.stats
 val clear_caches : unit -> unit
 (** Drop all cached plans/devices and zero the counters (tests,
     benchmarks and cold-path measurement). *)
-
-val cache_insert_unchecked : t -> unit
-(** Insert a plan under its key {e without} the {!admit} lint gate,
-    replacing any resident under that key.  Test-only: plants corrupted
-    residents so the {!lint_on_hit} path can be exercised. *)

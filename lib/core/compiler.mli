@@ -12,127 +12,13 @@
     the §6.2 refinement, re-solving the runtime-dynamic channels against
     the residual left by the achieved runtime-fixed amplitudes.
 
-    The stages are implemented by {!Compile_plan}, split into a
-    structural front-end (reusable, coefficient-free plans, cached by
-    structural key) and a numeric back-end; this module re-exports the
-    historical surface with type equations, so existing call sites are
-    unaffected, and {!compile} delegates to the staged pipeline. *)
+    This is {!Compile_plan} — the structural front-end, its caches and
+    the staged numeric back-end — plus the batch and analysis entry
+    points below. *)
 
-type options = Compile_plan.options = {
-  refine : bool;  (** §6.2 iterative refinement (default true) *)
-  time_opt : bool;
-      (** §5.1 evolution-time optimisation; when false, [T_sim] is padded
-          by [no_opt_padding] — the ablation baseline *)
-  no_opt_padding : float;  (** default 3.0 *)
-  dt_factor : float;
-      (** multiplicative [Δt] step of the §5.2 constraint iteration
-          (default 1.25) *)
-  max_constraint_iters : int;  (** default 24 *)
-  time_floor : float;  (** smallest allowed [T_sim] (default 1e-4) *)
-  dense_linear_solver : bool;
-      (** force the dense least-squares path (linear-solver ablation) *)
-  generic_local_solver : bool;
-      (** ignore the analytic linear/polar patterns and solve every
-          dynamic component through the generic bisection + LM path
-          (local-solver ablation) *)
-  domains : int;
-      (** pool width for the parallel stages (component solves, residual
-          rows, α evaluation).  Defaults to
-          {!Qturbo_par.Pool.default_domains} — i.e. [QTURBO_DOMAINS] when
-          set, else cores − 1.  [1] runs fully sequentially; results are
-          bitwise-identical either way. *)
-  supervise : bool;
-      (** run every component solve under the
-          {!Qturbo_resilience.Supervisor} escalation ladder (default
-          true).  On a clean compile the supervised path issues exactly
-          the same solver calls as the unsupervised one, so results are
-          bitwise-identical; it only changes behaviour on hard solver
-          failure, injected faults, or an expired deadline. *)
-  best_effort : bool;
-      (** when a component fails every ladder stage, carry the failure on
-          [result.failures] (with [degraded = true]) instead of raising
-          {!Qturbo_resilience.Failure.Failed} (default false) *)
-  deadline_seconds : float option;
-      (** wall-clock budget for the whole compile, measured from the
-          moment {!compile} builds its supervisor.  Stages started after
-          expiry short-circuit with [Deadline_expired]; already-running
-          pool sweeps are cancelled and re-run in short-circuit mode so
-          the degraded result is identical at any [domains]. *)
-  faults : Qturbo_resilience.Fault.spec option;
-      (** deterministic fault injection for the supervised sites; [None]
-          (the default) reads [QTURBO_FAULTS] from the environment *)
-  plan_cache : bool;
-      (** reuse structurally-identical {!Compile_plan} artifacts from
-          the process-wide LRU cache (default true); a cache hit skips
-          the whole structural front-end and is bitwise-identical to a
-          cold build by construction *)
-}
-
-val default_options : options
-
-type component_summary = Compile_plan.component_summary = {
-  classification : string;  (** ["linear"|"polar"|"fixed"|"const"|"generic"] *)
-  channels : int;
-  variables : int;
-  min_time : float;
-  eps2 : float;
-}
-
-type plan_stats = Compile_plan.plan_stats = {
-  cache_enabled : bool;
-  cache_hit : bool;  (** this compile's plan came from the memory cache *)
-  store_enabled : bool;  (** the persistent plan store was active *)
-  store_hit : bool;  (** this compile's plan came off the on-disk store *)
-  cache_hits : int;  (** process-wide counter, sampled at completion *)
-  cache_misses : int;
-  cache_discarded : int;
-      (** process-wide: fresh builds dropped because the key was
-          already resident (concurrent double-builds) *)
-  key_hits : int;  (** counters for {e this} compile's plan key *)
-  key_misses : int;
-  key_evictions : int;
-  build_seconds : float;  (** structural front-end cost (0 on a hit) *)
-  solve_seconds : float;  (** numeric back-end cost *)
-}
-
-type provenance = Compile_plan.provenance = Built | Cached | Stored
-    (** Where a compile's plan came from (see {!Compile_plan.obtain}). *)
-
-type result = Compile_plan.result = {
-  env : float array;  (** value of every AAIS variable *)
-  t_sim : float;  (** compiled evolution time (µs) *)
-  alpha_target : float array;  (** linear-system solution per channel *)
-  alpha_achieved : float array;  (** [expr(env)·T_sim] per channel *)
-  error_l1 : float;  (** [‖B_sim − B_tar‖₁] (paper Eq. 9) *)
-  relative_error : float;  (** [error_l1 / ‖B_tar‖₁ × 100] (%) *)
-  eps1 : float;  (** linear-system residual (Theorem 1's ε₁) *)
-  eps2_total : float;  (** Σ of localized-system residuals (Σε₂ⁱ) *)
-  theorem1_bound : float;  (** [‖M‖₁·Σε₂ + ε₁] — must dominate [error_l1] *)
-  components : component_summary list;
-  constraint_iterations : int;
-  compile_seconds : float;  (** wall-clock time of the compilation *)
-  warnings : string list;
-      (** pipeline warnings; includes rendered warning-severity
-          diagnostics from the precheck *)
-  diagnostics : Qturbo_analysis.Diagnostic.t list;
-      (** everything the pre-solve static analyzer found *)
-  failures : Qturbo_resilience.Failure.t list;
-      (** classified solver failures and recoveries collected by the
-          resilience supervisor, in pipeline order *)
-  degraded : bool;
-      (** true iff some failure is fatal — a component kept a
-          non-converged solution (best-effort compiles only; strict
-          compiles raise instead) *)
-  plan : plan_stats;  (** plan provenance and cache counters *)
-}
-
-val stage_hook : (string -> unit) ref
-(** Called with a stage name as the pipeline enters it ("plan-build",
-    "plan-cache-hit", "precheck", "linear-solve", "local-solve").
-    Defaults to a no-op; tests install a recorder to assert, without
-    timing, that rejected inputs never reach a solver stage and that
-    cached compiles skip the plan build.  The same ref as
-    {!Compile_plan.stage_hook}. *)
+include module type of struct
+  include Compile_plan
+end
 
 val analyze :
   ?t_max:float ->
@@ -159,33 +45,6 @@ val diagnostics_of :
     locality decomposition.  This is exactly the marginal work the
     precheck adds inside {!compile} (which builds [ls] and [comps]
     anyway); the [analysis] bench experiment measures it. *)
-
-val compile :
-  ?options:options ->
-  ?strict:bool ->
-  ?t_max:float ->
-  aais:Qturbo_aais.Aais.t ->
-  target:Qturbo_pauli.Pauli_sum.t ->
-  t_tar:float ->
-  unit ->
-  result
-(** Raises [Invalid_argument] when [t_tar <= 0] or the target touches
-    qubits outside the AAIS; a non-finite [t_tar] raises
-    {!Qturbo_analysis.Diagnostic.Rejected} with a [QT016] diagnostic.
-
-    Runs {!analyze} as a fail-fast precheck before any solver: with
-    [strict] (the default), error-severity diagnostics raise
-    {!Qturbo_analysis.Diagnostic.Rejected}; with [~strict:false] the
-    pipeline proceeds anyway (the historical least-squares behaviour)
-    and the findings are carried on [result.diagnostics].
-    Warning-severity findings are additionally rendered into
-    [result.warnings].
-
-    With [options.supervise] (the default), component solves run under
-    the resilience escalation ladder; if a component exhausts every
-    stage the compile raises {!Qturbo_resilience.Failure.Failed} unless
-    [options.best_effort] is set, in which case the degraded result is
-    returned with the classified records on [result.failures]. *)
 
 val compile_batch :
   ?options:options ->

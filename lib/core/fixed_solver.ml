@@ -113,7 +113,7 @@ let par_threshold = 32_768
    the near-linear solve. *)
 let sparse_threshold = 256
 
-let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
+let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
       (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
@@ -190,97 +190,75 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
   let x0_ext = scaled (exp prefit.Scalar.argmin) in
   let nnz = Array.length p.nonzero_derivs in
   let jac_domains = if nnz < par_threshold then 1 else domains in
-  let use_sparse = nv >= sparse_threshold in
   (* exact symbolic Jacobian; LM runs in external coordinates (position
      boxes are wide, so iterates stay interior) and the result is clamped,
-     any clamping error landing in eps2.  Below [sparse_threshold] the
-     dense matrix is reused across LM iterations: zero it, then fill the
-     structurally nonzero cells.  Above it no dense matrix is ever
-     allocated — the CSR structure comes from the prepared template and
-     only its value array is refilled (slot [t] is triple [t]). *)
-  let jacobian_dense =
-    lazy
-      (let jac = Mat.create ~rows:n_rows ~cols:nv in
-       let jac_data = Mat.data jac in
-       fun x ->
-         load x;
-         Array.fill jac_data 0 (Array.length jac_data) 0.0;
-         Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
-             let i, k, d = Array.unsafe_get p.nonzero_derivs t in
-             jac_data.((i * nv) + k) <- Expr.eval_kernel d ~env:scratch *. t_sim);
-         jac)
-  in
-  let jacobian_sparse =
-    lazy
-      (let csr = Csr.of_row_lists ~cols:nv p.jac_row_slots in
-       let values = Csr.values csr in
-       fun x ->
-         load x;
-         Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
-             let _, _, d = Array.unsafe_get p.nonzero_derivs t in
-             values.(t) <- Expr.eval_kernel d ~env:scratch *. t_sim);
-         csr)
-  in
+     any clamping error landing in eps2 *)
   let report, solve_failures =
-    match (sup, use_sparse) with
-    | None, false ->
-        ( Levenberg_marquardt.minimize ~jacobian:(Lazy.force jacobian_dense)
-            residual_ext x0_ext,
-          [] )
-    | None, true ->
-        ( Levenberg_marquardt.minimize_sparse
-            ~jacobian:(Lazy.force jacobian_sparse) residual_ext x0_ext,
-          [] )
-    | Some sup, false ->
-        let outcome =
-          Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
-            ~component:p.comp.Locality.id ~jacobian:(Lazy.force jacobian_dense)
-            ~bounds:p.bounds residual_ext x0_ext
-        in
-        ( outcome.Qturbo_resilience.Supervisor.report,
-          outcome.Qturbo_resilience.Supervisor.failures )
-    | Some sup, true ->
-        (* Large components bypass the escalation ladder: Nelder–Mead is
-           skipped above ~40 dimensions anyway and a multistart over
-           thousands of coordinates would dwarf the compile.  The
-           supervisor still contributes its wall-clock deadline; a hard
-           failure is surfaced as a non-fatal record (the clamped pre-fit
-           layout is returned, its error landing in eps2).  Injected
-           faults do not reach this path — fault-injection drills run at
-           Fig. 3 scale, below [sparse_threshold]. *)
-        let options =
-          {
-            Levenberg_marquardt.default_options with
-            deadline = Qturbo_resilience.Supervisor.deadline sup;
-          }
-        in
-        let report =
-          Levenberg_marquardt.minimize_sparse ~options
-            ~jacobian:(Lazy.force jacobian_sparse) residual_ext x0_ext
-        in
-        let failures =
-          if Float.is_finite report.Objective.cost then []
-          else
-            let class_ =
-              match report.Objective.stop with
-              | Objective.Stop_deadline ->
-                  Qturbo_resilience.Failure.Deadline_expired
-              | Objective.Stop_max_evaluations ->
-                  Qturbo_resilience.Failure.Budget_exhausted
-              | Objective.Stop_invalid ->
-                  Qturbo_resilience.Failure.Numeric_invalid
-              | _ -> Qturbo_resilience.Failure.Non_convergence
-            in
-            [
-              Qturbo_resilience.Failure.make ~component:p.comp.Locality.id
-                ~site:"fixed-solve" ~stage:"lm-sparse" ~fatal:false ~class_
-                (Printf.sprintf
-                   "sparse LM position solve failed with non-finite cost \
-                    after %d iterations"
-                   report.Objective.iterations);
-            ]
-        in
-        (report, failures)
+    if nv < sparse_threshold then begin
+      (* the dense matrix is reused across LM iterations: zero it, then
+         fill the structurally nonzero cells *)
+      let jac = Mat.create ~rows:n_rows ~cols:nv in
+      let jac_data = Mat.data jac in
+      let jacobian x =
+        load x;
+        Array.fill jac_data 0 (Array.length jac_data) 0.0;
+        Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
+            let i, k, d = Array.unsafe_get p.nonzero_derivs t in
+            jac_data.((i * nv) + k) <- Expr.eval_kernel d ~env:scratch *. t_sim);
+        jac
+      in
+      let outcome =
+        Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
+          ~component:p.comp.Locality.id ~jacobian ~bounds:p.bounds residual_ext
+          x0_ext
+      in
+      ( outcome.Qturbo_resilience.Supervisor.report,
+        outcome.Qturbo_resilience.Supervisor.failures )
+    end
+    else begin
+      (* no dense matrix is ever allocated: the CSR structure comes from
+         the prepared template and only its value array is refilled (slot
+         [t] is triple [t]).  Large components bypass the escalation
+         ladder: Nelder–Mead is skipped above ~40 dimensions anyway and a
+         multistart over thousands of coordinates would dwarf the
+         compile.  The supervisor still contributes its wall-clock
+         deadline; a hard failure is surfaced as a non-fatal record (the
+         clamped pre-fit layout is returned, its error landing in eps2).
+         Injected faults do not reach this path — fault-injection drills
+         run at Fig. 3 scale, below [sparse_threshold]. *)
+      let csr = Csr.of_row_lists ~cols:nv p.jac_row_slots in
+      let values = Csr.values csr in
+      let jacobian x =
+        load x;
+        Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
+            let _, _, d = Array.unsafe_get p.nonzero_derivs t in
+            values.(t) <- Expr.eval_kernel d ~env:scratch *. t_sim);
+        csr
+      in
+      let options =
+        {
+          Levenberg_marquardt.default_options with
+          deadline = Qturbo_resilience.Supervisor.deadline sup;
+        }
+      in
+      let report =
+        Levenberg_marquardt.minimize_sparse ~options ~jacobian residual_ext
+          x0_ext
+      in
+      let failures =
+        Option.to_list
+          (Option.map
+             (fun class_ ->
+               Qturbo_resilience.Failure.make ~component:p.comp.Locality.id
+                 ~site:"fixed-solve" ~stage:"lm-sparse" ~fatal:false ~class_
+                 (Printf.sprintf
+                    "sparse LM position solve failed with non-finite cost \
+                     after %d iterations"
+                    report.Objective.iterations))
+             (Qturbo_resilience.Supervisor.classify_report report))
+      in
+      (report, failures)
+    end
   in
   let x_ext =
     Array.mapi (fun k x -> Bounds.clamp p.bounds.(k) x) report.Objective.x
@@ -291,11 +269,8 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
   ( { assignments = free_assignments @ p.pinned; eps2 },
     prefit_failures @ solve_failures )
 
-let solve_prepared ?domains ~alpha ~t_sim p =
-  fst (solve_impl ?domains ~alpha ~t_sim p)
-
-let solve_supervised ?domains ~sup ~alpha ~t_sim p =
-  solve_impl ?domains ~sup ~alpha ~t_sim p
-
 let solve ?domains ~vars ~channels ~alpha ~t_sim comp =
-  solve_prepared ?domains ~alpha ~t_sim (prepare ~vars ~channels comp)
+  fst
+    (solve_supervised ?domains ~sup:Qturbo_resilience.Supervisor.none ~alpha
+       ~t_sim
+       (prepare ~vars ~channels comp))

@@ -44,18 +44,6 @@ val prepare :
   Locality.component ->
   prepared
 
-val solve_prepared :
-  ?domains:int ->
-  alpha:float array ->
-  t_sim:float ->
-  prepared ->
-  result
-(** Solve at a given [T_sim].  [domains > 1] evaluates the residual
-    rows and Jacobian entries on the pool (disjoint writes collected by
-    index, so the result is bitwise-identical to [domains = 1]; small
-    components stay sequential regardless).  Raises [Invalid_argument]
-    when [t_sim <= 0]. *)
-
 val solve_supervised :
   ?domains:int ->
   sup:Qturbo_resilience.Supervisor.t ->
@@ -63,14 +51,17 @@ val solve_supervised :
   t_sim:float ->
   prepared ->
   result * Qturbo_resilience.Failure.t list
-(** {!solve_prepared} with the LM position solve run under the
+(** Solve at a given [T_sim], the LM position solve running under the
     resilience escalation ladder (site ["fixed-solve"], the component's
     locality id; the position boxes seed the multistart stage).  Also
-    reports a non-fatal [Non_convergence] record when the golden-section
-    magnitude pre-fit stops above tolerance.  Under [Supervisor.none]
-    the result is bitwise-identical to {!solve_prepared}; on a hard
+    reports a non-fatal [Non_convergence] record when the
+    golden-section magnitude pre-fit stops above tolerance.  On a hard
     solver failure the returned layout is the (clamped) pre-fit initial
-    layout and the failure list says why. *)
+    layout and the failure list says why.  [domains > 1] evaluates the
+    residual rows and Jacobian entries on the pool (disjoint writes
+    collected by index, so the result is bitwise-identical to
+    [domains = 1]; small components stay sequential regardless).
+    Raises [Invalid_argument] when [t_sim <= 0]. *)
 
 val solve :
   ?domains:int ->
@@ -80,5 +71,6 @@ val solve :
   t_sim:float ->
   Locality.component ->
   result
-(** [prepare] + [solve_prepared] in one step.
-    Raises [Invalid_argument] when [t_sim <= 0]. *)
+(** [prepare] + {!solve_supervised} under
+    {!Qturbo_resilience.Supervisor.none}, failures dropped — a one-off
+    probe.  Raises [Invalid_argument] when [t_sim <= 0]. *)

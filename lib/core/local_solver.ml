@@ -230,7 +230,7 @@ let component_alpha_scale ~alpha comp =
     (fun acc cid -> Float.max acc (Float.abs alpha.(cid)))
     0.0 comp.Locality.channel_ids
 
-let generic_min_time_impl ~alpha p g =
+let generic_min_time ~alpha p g =
   if component_alpha_scale ~alpha p.p_comp = 0.0 then (0.0, [])
   else begin
     let feasible t =
@@ -272,29 +272,44 @@ let generic_min_time_impl ~alpha p g =
         (r.Scalar.root, failures)
   end
 
-let generic_min_time_prepared ~alpha p g = fst (generic_min_time_impl ~alpha p g)
-
-let min_time_prepared ~alpha p =
+(* Closed-form cases (const/linear/polar) are direct arithmetic that
+   cannot diverge; only the generic path consults the supervisor.  Its
+   feasibility probes run plain LM — the ladder guards the final
+   solve, not every bisection probe. *)
+let min_time_supervised ~sup ~alpha p =
   match (p.p_cls, p.p_case) with
-  | Fixed_vars, _ -> 0.0
+  | Fixed_vars, _ -> (0.0, [])
   | Const_channels, P_const ks ->
       (* expr·T = α: every channel pins T; take the largest demand (smaller
          demands become approximation error, reported by solve_at) *)
-      List.fold_left
-        (fun acc (cid, k) ->
-          let a = alpha.(cid) in
-          if a = 0.0 || k = 0.0 then acc else Float.max acc (a /. k))
-        0.0 ks
+      ( List.fold_left
+          (fun acc (cid, k) ->
+            let a = alpha.(cid) in
+            if a = 0.0 || k = 0.0 then acc else Float.max acc (a /. k))
+          0.0 ks,
+        [] )
   | Linear { var; slopes }, _ ->
       let needed = fit_scaled (linear_fit_targets ~alpha slopes) in
-      time_for_bound ~bound:p.p_vars.(var).Variable.bound needed
+      (time_for_bound ~bound:p.p_vars.(var).Variable.bound needed, [])
   | Polar { amp; phase = _; cos_channels; sin_channels }, _ ->
       let omega_t, _ = polar_fit ~alpha ~cos_channels ~sin_channels in
-      if omega_t = 0.0 then 0.0
+      if omega_t = 0.0 then (0.0, [])
       else
         let hi = p.p_vars.(amp).Variable.bound.Bounds.hi in
-        if hi > 0.0 then omega_t /. hi else infinity
-  | Generic, P_generic g -> generic_min_time_prepared ~alpha p g
+        ((if hi > 0.0 then omega_t /. hi else infinity), [])
+  | Generic, P_generic g ->
+      if
+        Qturbo_resilience.Supervisor.site_expired sup ~site:"min-time"
+          ~component:p.p_comp.Locality.id
+      then
+        ( infinity,
+          [
+            Qturbo_resilience.Failure.make ~component:p.p_comp.Locality.id
+              ~site:"min-time" ~stage:"" ~fatal:false
+              ~class_:Qturbo_resilience.Failure.Deadline_expired
+              "expired before evolution-time search";
+          ] )
+      else generic_min_time ~alpha p g
   | (Const_channels | Generic), _ -> assert false
 
 let eval_eps2 ~channels ~alpha ~t_sim comp assignments =
@@ -306,7 +321,7 @@ let eval_eps2 ~channels ~alpha ~t_sim comp assignments =
   let r = component_residual ~channels ~alpha ~t_sim comp env in
   Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0 r
 
-let solve_prepared ~alpha ~t_sim p =
+let solve_supervised ~sup ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
       (Printf.sprintf "Local_solver.solve_at: t_sim <= 0 (component %d)"
@@ -325,54 +340,33 @@ let solve_prepared ~alpha ~t_sim p =
           (fun acc (cid, k) -> acc +. Float.abs ((k *. t_sim) -. alpha.(cid)))
           0.0 ks
       in
-      { assignments = []; eps2 }
+      ({ assignments = []; eps2 }, [])
   | Linear { var; slopes }, _ ->
       let needed = fit_scaled (linear_fit_targets ~alpha slopes) in
       let value = Bounds.clamp vars.(var).Variable.bound (needed /. t_sim) in
       let assignments = [ (var, value) ] in
-      { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments }
+      ( { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments },
+        [] )
   | Polar { amp; phase; cos_channels; sin_channels }, _ ->
       let omega_t, phi = polar_fit ~alpha ~cos_channels ~sin_channels in
       let omega = Bounds.clamp vars.(amp).Variable.bound (omega_t /. t_sim) in
       let phi = Bounds.clamp vars.(phase).Variable.bound phi in
       let assignments = [ (amp, omega); (phase, phi) ] in
-      { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments }
-  | Generic, P_generic g -> generic_solve_prepared ~alpha ~t_sim p g
-  | (Const_channels | Generic), _ -> assert false
-
-(* ---- supervised entry points -------------------------------------- *)
-
-(* Closed-form cases (const/linear/polar) are direct arithmetic that
-   cannot diverge, so only the generic LM path runs under the ladder.
-   With [Supervisor.none] the supervised path is bitwise-identical to
-   [solve_prepared]. *)
-
-let solve_supervised ~sup ~alpha ~t_sim p =
-  match (p.p_cls, p.p_case) with
+      ( { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments },
+        [] )
   | Generic, P_generic g -> generic_solve_supervised ~sup ~alpha ~t_sim p g
-  | _ -> (solve_prepared ~alpha ~t_sim p, [])
-
-let min_time_supervised ~sup ~alpha p =
-  match (p.p_cls, p.p_case) with
-  | Generic, P_generic g ->
-      if
-        Qturbo_resilience.Supervisor.site_expired sup ~site:"min-time"
-          ~component:p.p_comp.Locality.id
-      then
-        ( infinity,
-          [
-            Qturbo_resilience.Failure.make ~component:p.p_comp.Locality.id
-              ~site:"min-time" ~stage:"" ~fatal:false
-              ~class_:Qturbo_resilience.Failure.Deadline_expired
-              "expired before evolution-time search";
-          ] )
-      else generic_min_time_impl ~alpha p g
-  | _ -> (min_time_prepared ~alpha p, [])
+  | (Const_channels | Generic), _ -> assert false
 
 (* ---- unprepared entry points (tests, one-off probes) -------------- *)
 
+let none = Qturbo_resilience.Supervisor.none
+
 let min_time ~vars ~channels ~alpha comp classification =
-  min_time_prepared ~alpha (prepare ~vars ~channels comp classification)
+  fst
+    (min_time_supervised ~sup:none ~alpha
+       (prepare ~vars ~channels comp classification))
 
 let solve_at ~vars ~channels ~alpha ~t_sim comp classification =
-  solve_prepared ~alpha ~t_sim (prepare ~vars ~channels comp classification)
+  fst
+    (solve_supervised ~sup:none ~alpha ~t_sim
+       (prepare ~vars ~channels comp classification))

@@ -62,36 +62,29 @@ val prepare :
 
 val classification_of : prepared -> classification
 
-val min_time_prepared : alpha:float array -> prepared -> float
-(** {!min_time} against a prepared component. *)
-
-val solve_prepared : alpha:float array -> t_sim:float -> prepared -> solution
-(** {!solve_at} against a prepared component. *)
-
 val solve_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
   t_sim:float ->
   prepared ->
   solution * Qturbo_resilience.Failure.t list
-(** {!solve_prepared} with the generic LM path run under the resilience
-    escalation ladder (site ["local-solve"], the component's locality id).
-    Closed-form classifications are direct arithmetic and bypass the
-    ladder.  Under [Supervisor.none] the result is bitwise-identical to
-    {!solve_prepared}; on a hard solver failure the returned solution
-    keeps the initial iterate (clamped into bounds) and the failure list
-    says why. *)
+(** {!solve_at} against a prepared component, with the generic LM path
+    run under the resilience escalation ladder (site ["local-solve"],
+    the component's locality id).  Closed-form classifications are
+    direct arithmetic and bypass the ladder.  On a hard solver failure
+    the returned solution keeps the initial iterate (clamped into
+    bounds) and the failure list says why. *)
 
 val min_time_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
   prepared ->
   float * Qturbo_resilience.Failure.t list
-(** {!min_time_prepared}, additionally reporting a non-fatal
-    [Non_convergence] record when the generic path's [T] bisection (or
-    bracket doubling) stops before reaching its tolerance, and
-    [Deadline_expired] when the supervision deadline has already
-    passed. *)
+(** {!min_time} against a prepared component, additionally reporting a
+    non-fatal [Non_convergence] record when the generic path's [T]
+    bisection (or bracket doubling) stops before reaching its
+    tolerance, and [Deadline_expired] when the supervision deadline has
+    already passed. *)
 
 val min_time :
   vars:Qturbo_aais.Variable.t array ->
@@ -103,7 +96,8 @@ val min_time :
 (** Shortest feasible [T_sim] for this component alone: [0.] when the
     component imposes no lower bound (all-zero targets, or runtime-fixed
     components whose feasibility is policed later), [infinity] when
-    infeasible at any time. *)
+    infeasible at any time.  A one-off probe: prepares the component and
+    runs {!min_time_supervised} under {!Qturbo_resilience.Supervisor.none}. *)
 
 val solve_at :
   vars:Qturbo_aais.Variable.t array ->
@@ -116,4 +110,4 @@ val solve_at :
 (** Solve the component's variables given the global [T_sim].  Values are
     clamped into their bounds; the clamping error shows up in [eps2].
     [Fixed_vars] components raise [Invalid_argument] (use
-    {!Fixed_solver}). *)
+    {!Fixed_solver}).  A one-off probe like {!min_time}. *)

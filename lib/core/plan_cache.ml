@@ -141,16 +141,14 @@ let add t key value =
           if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
           Hashtbl.add t.tbl key { value; last_used = t.tick })
 
-(* A lint rejection: the value was refused admission (or pulled after a
-   failed re-lint on hit).  Counted separately from evictions — an
-   eviction is capacity pressure, a rejection is an integrity failure. *)
+(* A lint rejection: the value was refused admission.  Counted
+   separately from evictions — an eviction is capacity pressure, a
+   rejection is an integrity failure. *)
 let reject t key =
   locked t (fun () ->
       t.rejected <- t.rejected + 1;
       let c = kcell t key in
       c.k_rejected <- c.k_rejected + 1)
-
-let remove t key = locked t (fun () -> Hashtbl.remove t.tbl key)
 
 let clear t =
   locked t (fun () ->

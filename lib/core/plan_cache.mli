@@ -23,8 +23,8 @@ type stats = {
       (** {!add} calls that found the key already resident and dropped
           the freshly built value (concurrent double-builds) *)
   rejected : int;
-      (** {!reject} calls: values refused admission (or pulled on a
-          failed re-lint) by [Compile_plan]'s plan linter *)
+      (** {!reject} calls: values refused admission by
+          [Compile_plan]'s plan linter *)
   size : int;  (** resident entries *)
   capacity : int;
 }
@@ -55,14 +55,8 @@ val add : 'a t -> string -> 'a -> unit
 
 val reject : 'a t -> string -> unit
 (** Count an integrity rejection for [key]: a value that failed
-    [Plan_lint] and was refused admission (or removed after a failed
-    re-lint on a cache hit).  Telemetry only — does not touch resident
-    entries; pair with {!remove} to pull a resident value. *)
-
-val remove : 'a t -> string -> unit
-(** Drop the resident entry for [key], if any.  Not counted as an
-    eviction (evictions are capacity pressure); callers removing a
-    lint-rejected value count it via {!reject}. *)
+    [Plan_lint] and was refused admission.  Telemetry only — does not
+    touch resident entries. *)
 
 val clear : 'a t -> unit
 (** Drop every entry, every per-key cell, and zero the counters. *)

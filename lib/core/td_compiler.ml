@@ -1,7 +1,5 @@
 open Qturbo_aais
 module Failure = Qturbo_resilience.Failure
-module Fault = Qturbo_resilience.Fault
-module Supervisor = Qturbo_resilience.Supervisor
 module Diagnostic = Qturbo_analysis.Diagnostic
 
 type segment_result = {
@@ -22,45 +20,11 @@ type result = {
   diagnostics : Diagnostic.t list;
   failures : Failure.t list;
   degraded : bool;
-  plan_shapes : int;
   plan_builds : int;
 }
 
-(* Precheck every discretized segment Hamiltonian, deduplicating findings
-   that repeat across segments (the channels and bounds are shared, so a
-   term unsupported in one segment is typically unsupported in all).  The
-   structure pass comes off each segment's plan — computed once per
-   distinct shape — so only the coefficient-dependent passes run per
-   segment. *)
-let precheck ?t_max ~aais ~tau_tar pairs =
-  let seen = Hashtbl.create 32 in
-  List.concat_map
-    (fun (h, (plan : Compile_plan.t)) ->
-      List.filter
-        (fun (d : Diagnostic.t) ->
-          let key = (d.code, Diagnostic.subject_to_string d.subject) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        (Qturbo_analysis.Analysis.static_checks ~aais ~target:h
-           ~t_tar:tau_tar ?t_max ()
-        @ plan.Compile_plan.structure_diags))
-    pairs
-
 let validate ~t_tar ~segments =
-  if not (Float.is_finite t_tar) then
-    raise
-      (Diagnostic.Rejected
-         [
-           Diagnostic.make ~code:"QT016" ~severity:Diagnostic.Error
-             ~subject:Diagnostic.System
-             ~hint:"pass a finite positive evolution time"
-             (Printf.sprintf "Td_compiler.compile: t_tar must be finite, got %h"
-                t_tar);
-         ]);
-  if t_tar <= 0.0 then invalid_arg "Td_compiler.compile: t_tar <= 0";
+  Compile_plan.validate_t_tar ~who:"Td_compiler.compile" t_tar;
   if segments <= 0 then
     raise
       (Diagnostic.Rejected
@@ -72,11 +36,26 @@ let validate ~t_tar ~segments =
                 segments);
          ])
 
+(* Findings repeat across segments (the channels and bounds are shared,
+   so a term unsupported in one segment is typically unsupported in
+   all): keep the first occurrence of each (code, subject). *)
+let dedup diagnostics =
+  let seen = Hashtbl.create 32 in
+  List.filter
+    (fun (d : Diagnostic.t) ->
+      let key = (d.code, Diagnostic.subject_to_string d.subject) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    diagnostics
+
 (* A single segment degenerates to a time-independent compile: one
    Hamiltonian, no binding-segment arbitration, no duration stretching.
-   Delegate to the staged static pipeline so the two entry points are
-   the same code path — bitwise-identical results by construction (the
-   golden equivalence test pins this). *)
+   Delegate to the static pipeline so the two entry points are the same
+   code path — bitwise-identical results by construction (the golden
+   equivalence test pins this). *)
 let compile_single ?options ?strict ?t_max ~aais ~model ~t_tar ~t0 () =
   let h =
     match Qturbo_models.Model.discretize model ~segments:1 with
@@ -106,55 +85,16 @@ let compile_single ?options ?strict ?t_max ~aais ~model ~t_tar ~t0 () =
     diagnostics = r.Compile_plan.diagnostics;
     failures = r.Compile_plan.failures;
     degraded = r.Compile_plan.degraded;
-    plan_shapes = 1;
     plan_builds =
       (if r.Compile_plan.plan.cache_hit || r.Compile_plan.plan.store_hit then 0
        else 1);
   }
 
-let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
-    ~model ~t_tar ~segments () =
-  validate ~t_tar ~segments;
-  let t0 = Qturbo_util.Clock.now () in
-  if segments = 1 then
-    compile_single ~options ~strict ?t_max ~aais ~model ~t_tar ~t0 ()
-  else begin
-  let domains = options.Compiler.domains in
-  let warnings = ref [] in
-  (* supervision context — same semantics as the static pipeline: the
-     deadline is absolute from here, the fault spec comes from the options
-     (else [QTURBO_FAULTS]), and [supervise = false] is the raw seed path *)
-  let sup =
-    if options.Compiler.supervise then
-      Some
-        (Supervisor.make ?deadline_seconds:options.Compiler.deadline_seconds
-           ?faults:options.Compiler.faults
-           ~best_effort:options.Compiler.best_effort ())
-    else None
-  in
-  let pipeline_failures = ref [] in
-  let guard_for ~site ~guarded =
-    match sup with
-    | Some s when guarded -> Some (Supervisor.pool_guard s ~site)
-    | _ -> None
-  in
-  (* guarded sweep with the unguarded-rerun fallback: once the guard has
-     fired the deadline has expired for every element, so the rerun's
-     supervised solves short-circuit deterministically — the same degraded
-     result at any domain count (see Compile_plan.guarded_sweep) *)
-  let with_rerun run =
-    try run ~guarded:true with Supervisor.Expired -> run ~guarded:false
-  in
-  (* the target-independent device artifacts — locality decomposition,
-     classification, prepared solver contexts — are shared with the
-     static pipeline's plan cache; segments of equal shape additionally
-     share a full plan (skeleton + structure diagnostics) *)
-  let device =
-    if options.Compiler.plan_cache then Compile_plan.obtain_device ~options ~aais
-    else Compile_plan.build_device ~options ~aais ()
-  in
-  let channels = device.Compile_plan.channels in
-  let vars = device.Compile_plan.vars in
+(* K > 1: the static pipeline's stages, run per segment, sharing the
+   runtime-fixed layout.  What §5.3 adds is the union-support plan, the
+   binding segment and the per-segment duration stretching. *)
+let compile_segments ~options ~strict ?t_max ~aais ~model ~t_tar ~segments ~t0
+    () =
   let tau_tar = t_tar /. float_of_int segments in
   let hams = Qturbo_models.Model.discretize model ~segments in
   (* one plan for the whole sweep, keyed by the canonical union support
@@ -166,47 +106,35 @@ let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
      instantiate that row with b_tar = 0.  When no segment drops a term
      the union equals every segment's own support, so the key, plan and
      pulses are bitwise-unchanged. *)
-  let plan_builds = ref 0 in
-  let union_support =
-    List.sort_uniq Qturbo_pauli.Pauli_string.compare
-      (List.concat_map Compile_plan.support_of_target hams)
+  let plan, provenance =
+    Compile_plan.obtain_for_support ~options ~aais
+      ~support:
+        (List.sort_uniq Qturbo_pauli.Pauli_string.compare
+           (List.concat_map Compile_plan.support_of_target hams))
   in
-  let shared_plan =
-    if options.Compiler.plan_cache then begin
-      let p, provenance =
-        Compile_plan.obtain_for_support ~options ~aais ~support:union_support
-      in
-      if provenance = Compile_plan.Built then incr plan_builds;
-      p
-    end
-    else begin
-      incr plan_builds;
-      Compile_plan.build ~options ~device ~aais ~target_shape:union_support ()
-    end
-  in
-  let plans = List.map (fun _ -> shared_plan) hams in
-  !Compiler.stage_hook "precheck";
+  let device = plan.Compile_plan.device in
+  let channels = device.Compile_plan.channels in
+  let run = Compile_plan.start ~options device in
+  let domains = options.Compile_plan.domains in
+  !Compile_plan.stage_hook "precheck";
   let diagnostics =
-    precheck ?t_max ~aais ~tau_tar (List.combine hams plans)
+    dedup
+      (List.concat_map
+         (Compile_plan.diagnose ?t_max ~aais ~plan ~t_tar:tau_tar)
+         hams)
   in
-  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      if d.severity = Diagnostic.Warning then
-        warnings := Diagnostic.to_string d :: !warnings)
-    diagnostics;
-  (* per-segment right-hand sides against the shared (per-shape) skeleton;
-     instantiation is a single array init, so no pool dispatch *)
+  Compile_plan.enforce run ~strict diagnostics;
   let systems =
-    List.map2
-      (fun h (plan : Compile_plan.t) ->
+    List.map
+      (fun h ->
         Linear_system.instantiate plan.Compile_plan.skeleton ~target:h
           ~t_tar:tau_tar)
-      hams plans
+      hams
   in
-  !Compiler.stage_hook "linear-solve";
+  !Compile_plan.stage_hook "linear-solve";
   let solutions =
-    Qturbo_par.Pool.parallel_map_list ~domains ~chunk:1 Linear_system.solve
+    Qturbo_par.Pool.parallel_map_list ~domains ~chunk:1
+      (Compile_plan.linear_solve options)
       systems
   in
   let alphas =
@@ -217,294 +145,147 @@ let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
     Array.of_list
       (List.map (fun s -> s.Qturbo_linalg.Sparse_solve.residual_l1) solutions)
   in
-  (* fixed/dynamic split of the device's prepared components; the
-     partition preserves component order on both sides *)
-  let combined =
-    List.combine device.Compile_plan.comps device.Compile_plan.prepared
-  in
-  let fixed_comps, dynamic_pairs =
-    List.partition
-      (fun (_, p) ->
-        match p with
-        | Compile_plan.Fixed _ -> true
-        | Compile_plan.Dynamic _ -> false)
-      combined
-  in
-  let dynamic_prepared =
-    List.filter_map
-      (fun (_, p) ->
-        match p with Compile_plan.Dynamic d -> Some d | _ -> None)
-      dynamic_pairs
-  in
-  let fixed_prepared =
-    List.filter_map
-      (fun (_, p) -> match p with Compile_plan.Fixed f -> Some f | _ -> None)
-      fixed_comps
-  in
   (* dynamic bottleneck time per segment; failures are returned (not
      accumulated into a shared ref) because the sweep runs on the pool *)
   let dyn_time alpha =
-    List.fold_left
-      (fun (acc, fs) p ->
-        match sup with
-        | None -> (Float.max acc (Local_solver.min_time_prepared ~alpha p), fs)
-        | Some sup ->
-            let t, f = Local_solver.min_time_supervised ~sup ~alpha p in
-            (Float.max acc t, fs @ f))
-      (options.Compiler.time_floor, [])
-      dynamic_prepared
+    let t, fs =
+      List.fold_left
+        (fun (acc, fs) p ->
+          let t, f = Compile_plan.component_min_time run ~alpha p in
+          (Float.max acc t, fs @ f))
+        (options.Compile_plan.time_floor, [])
+        device.Compile_plan.prepared
+    in
+    (Compile_plan.padded options t, fs)
   in
   let t_dyn_pairs =
-    with_rerun (fun ~guarded ->
-        Qturbo_par.Pool.parallel_map
-          ?guard:(guard_for ~site:"min-time" ~guarded)
-          ~domains ~chunk:1 dyn_time alphas)
+    Compile_plan.guarded_sweep run ~site:"min-time" ~domains dyn_time
+      (Array.to_list alphas)
   in
-  let t_dyn = Array.map fst t_dyn_pairs in
-  Array.iter
-    (fun (_, fs) -> pipeline_failures := !pipeline_failures @ fs)
-    t_dyn_pairs;
-  let fixed_cids =
-    List.concat_map (fun (c, _) -> c.Locality.channel_ids) fixed_comps
-  in
+  let t_dyn = Array.of_list (List.map fst t_dyn_pairs) in
+  let fixed = Compile_plan.fixed_channels device in
   (* binding segment: largest fixed-channel amplitude demand α/T *)
   let demand s =
-    List.fold_left
-      (fun acc cid -> Float.max acc (Float.abs alphas.(s).(cid) /. t_dyn.(s)))
-      0.0 fixed_cids
+    let d = ref 0.0 in
+    Array.iteri
+      (fun cid is_fixed ->
+        if is_fixed then
+          d := Float.max !d (Float.abs alphas.(s).(cid) /. t_dyn.(s)))
+      fixed;
+    !d
   in
   let binding_segment = ref 0 in
   for s = 1 to segments - 1 do
     if demand s > demand !binding_segment then binding_segment := s
   done;
   let sb = !binding_segment in
-  (* solve the layout against the binding segment, growing T on
-     geometric-constraint violations.  The retry loop is hard-bounded:
-     exhausting [max_constraint_iters] (or the deadline) produces a
-     classified failure and the best layout found, never an unbounded
-     spin.  Only the final iteration's solver failures are kept — earlier
-     iterations' layouts are discarded along with their records. *)
-  let retry_fault =
-    (match sup with
-    | None -> None
-    | Some s ->
-        Fault.fires (Supervisor.faults s) ~site:"constraint-loop"
-          ~component:(-1))
-    = Some Fault.Retry
+  let fixed_prepared, dynamic_prepared =
+    List.partition
+      (function Compile_plan.Fixed _ -> true | Compile_plan.Dynamic _ -> false)
+      device.Compile_plan.prepared
   in
-  let rec solve_fixed t iter =
-    let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
-    let layout_failures = ref [] in
-    List.iter
-      (fun fp ->
-        let assignments =
-          match sup with
-          | None ->
-              (Fixed_solver.solve_prepared ~domains ~alpha:alphas.(sb)
-                 ~t_sim:t fp)
-                .Fixed_solver.assignments
-          | Some sup ->
-              let r, fs =
-                Fixed_solver.solve_supervised ~domains ~sup ~alpha:alphas.(sb)
-                  ~t_sim:t fp
-              in
-              layout_failures := !layout_failures @ fs;
-              r.Fixed_solver.assignments
-        in
-        List.iter (fun (v, x) -> env.(v) <- x) assignments)
-      fixed_prepared;
-    let violations =
-      if retry_fault then
-        [ "injected fault: constraint-loop=retry forces a violation" ]
-      else aais.Aais.check_fixed env
-    in
-    let expired =
-      match sup with
-      | None -> false
-      | Some s ->
-          Supervisor.site_expired s ~site:"constraint-loop" ~component:(-1)
-    in
-    if
-      violations = []
-      || iter >= options.Compiler.max_constraint_iters
-      || expired
-    then begin
-      if violations <> [] then begin
-        let reason =
-          if iter >= options.Compiler.max_constraint_iters then
-            Printf.sprintf
-              "layout constraints unresolved after %d iterations: %s" iter
-              (String.concat "; " violations)
-          else
-            Printf.sprintf
-              "deadline expired with layout constraints unresolved after %d \
-               iterations: %s"
-              iter
-              (String.concat "; " violations)
-        in
-        warnings := reason :: !warnings;
-        layout_failures :=
-          !layout_failures
-          @ [
-              Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
-                ~fatal:false
-                ~class_:
-                  (if iter >= options.Compiler.max_constraint_iters then
-                     Failure.Position_retry_exhausted
-                   else Failure.Deadline_expired)
-                reason;
-            ]
-      end;
-      (t, env, !layout_failures)
-    end
-    else solve_fixed (t *. options.Compiler.dt_factor) (iter + 1)
+  (* the shared layout, solved against the binding segment *)
+  let layout =
+    Compile_plan.constraint_loop run ~aais ~vars:device.Compile_plan.vars
+      ~alpha:alphas.(sb) ~t_start:t_dyn.(sb) fixed_prepared
   in
-  let t_binding, fixed_env, layout_failures = solve_fixed t_dyn.(sb) 0 in
-  pipeline_failures := !pipeline_failures @ layout_failures;
   (* the shared layout's amplitude per fixed channel, evaluated once —
      every segment reads the same values *)
-  let fixed_val = Array.make (Array.length channels) 0.0 in
-  List.iter
-    (fun cid ->
-      fixed_val.(cid) <- Instruction.eval_channel channels.(cid) ~env:fixed_env)
-    fixed_cids;
-  let achieved_amp =
-    Array.of_list (List.map (fun cid -> (cid, fixed_val.(cid))) fixed_cids)
+  let fixed_val =
+    Array.mapi
+      (fun cid is_fixed ->
+        if is_fixed then
+          Instruction.eval_channel channels.(cid) ~env:layout.Compile_plan.env
+        else 0.0)
+      fixed
   in
   (* per-segment duration: stretched so the shared layout integrates to
      the segment's required B, never faster than its dynamic bottleneck *)
   let duration s =
-    let t_fixed =
-      Array.fold_left
-        (fun acc (cid, amp) ->
-          if Float.abs amp > 1e-12 then
-            Float.max acc (alphas.(s).(cid) /. amp)
-          else acc)
-        0.0 achieved_amp
-    in
-    let t = Float.max t_dyn.(s) t_fixed in
-    if s = sb then Float.max t t_binding else t
+    let t_fixed = ref 0.0 in
+    Array.iteri
+      (fun cid is_fixed ->
+        let amp = fixed_val.(cid) in
+        if is_fixed && Float.abs amp > 1e-12 then
+          t_fixed := Float.max !t_fixed (alphas.(s).(cid) /. amp))
+      fixed;
+    let t = Float.max t_dyn.(s) !t_fixed in
+    if s = sb then Float.max t layout.Compile_plan.t_sim else t
   in
-  let fixed_cid_mask = Array.make (Array.length channels) false in
-  List.iter (fun cid -> fixed_cid_mask.(cid) <- true) fixed_cids;
-  let solve_segment s ls =
+  let solve_segment (s, ls) =
     let t_s = duration s in
-    let alpha = alphas.(s) in
-    (* refinement-style residual RHS against the achieved fixed amplitudes *)
-    let adjusted_rows =
-      List.map
-        (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
-          let fixed_part =
-            List.fold_left
-              (fun acc (cid, coeff) ->
-                if fixed_cid_mask.(cid) then
-                  acc +. (coeff *. fixed_val.(cid) *. t_s)
-                else acc)
-              0.0 cells
-          in
-          {
-            Qturbo_linalg.Sparse_solve.cells =
-              List.filter (fun (cid, _) -> not fixed_cid_mask.(cid)) cells;
-            rhs = rhs -. fixed_part;
-          })
-        (Linear_system.rows ls)
+    let alpha =
+      if options.Compile_plan.refine then
+        Compile_plan.refined_alpha ~fixed
+          ~contribution:(fun cid coeff -> coeff *. fixed_val.(cid) *. t_s)
+          ls
+      else alphas.(s)
     in
-    let alpha_dyn =
-      if options.Compiler.refine then
-        (Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length channels)
-           adjusted_rows)
-          .Qturbo_linalg.Sparse_solve.x
-      else alpha
+    let env = Array.copy layout.Compile_plan.env in
+    let _, failures =
+      Compile_plan.solve_components run ~env ~alpha ~t_sim:t_s dynamic_prepared
     in
-    let env = Array.copy fixed_env in
-    let seg_failures = ref [] in
-    List.iter
-      (fun p ->
-        let assignments =
-          match sup with
-          | None ->
-              (Local_solver.solve_prepared ~alpha:alpha_dyn ~t_sim:t_s p)
-                .Local_solver.assignments
-          | Some sup ->
-              let sol, fs =
-                Local_solver.solve_supervised ~sup ~alpha:alpha_dyn ~t_sim:t_s
-                  p
-              in
-              seg_failures := !seg_failures @ fs;
-              sol.Local_solver.assignments
-        in
-        List.iter (fun (v, x) -> env.(v) <- x) assignments)
-      dynamic_prepared;
     let achieved =
       Array.map
         (fun (c : Instruction.channel) -> Instruction.eval_channel c ~env *. t_s)
         channels
     in
-    let error_l1 = Linear_system.residual_l1 ls ~alpha:achieved in
-    ({ env; duration = t_s; error_l1; eps1 = eps1s.(s) }, !seg_failures)
+    ( {
+        env;
+        duration = t_s;
+        error_l1 = Linear_system.residual_l1 ls ~alpha:achieved;
+        eps1 = eps1s.(s);
+      },
+      failures )
   in
   (* an injected [segment-loop] deadline (or a truly expired wall clock)
      gets one classified pipeline record; the per-component records from
      the short-circuiting supervised solves carry the detail *)
-  (match sup with
-  | Some s when Supervisor.site_expired s ~site:"segment-loop" ~component:(-1)
-    ->
-      pipeline_failures :=
-        !pipeline_failures
-        @ [
-            Failure.make ~component:(-1) ~site:"segment-loop" ~stage:""
-              ~fatal:false ~class_:Failure.Deadline_expired
-              "deadline expired entering the segment sweep";
-          ]
-  | _ -> ());
+  let segment_loop_expired =
+    Compile_plan.expiry run ~site:"segment-loop"
+      "deadline expired entering the segment sweep"
+  in
   (* segments only read the shared layout; solve them on the pool *)
   let segment_pairs =
-    with_rerun (fun ~guarded ->
-        Qturbo_par.Pool.parallel_map_list
-          ?guard:(guard_for ~site:"segment-loop" ~guarded)
-          ~domains ~chunk:1
-          (fun (s, ls) -> solve_segment s ls)
-          (List.mapi (fun s ls -> (s, ls)) systems))
+    Compile_plan.guarded_sweep run ~site:"segment-loop" ~domains solve_segment
+      (List.mapi (fun s ls -> (s, ls)) systems)
   in
   let segment_results = List.map fst segment_pairs in
-  let segment_failures = List.concat_map snd segment_pairs in
-  let t_sim =
-    List.fold_left (fun acc r -> acc +. r.duration) 0.0 segment_results
-  in
   let error_l1 =
     List.fold_left
       (fun acc (r : segment_result) -> acc +. r.error_l1)
       0.0 segment_results
   in
-  let b_norm =
-    List.fold_left
-      (fun acc ls ->
-        Array.fold_left
-          (fun acc b -> acc +. Float.abs b)
-          acc ls.Linear_system.b_tar)
-      0.0 systems
-  in
   (* failures, in pipeline order: evolution-time search, the binding
      layout's constraint loop, then the segment sweep (segment order —
      the pool collects by index) *)
-  let failures = !pipeline_failures @ segment_failures in
-  let degraded = List.exists (fun f -> f.Failure.fatal) failures in
-  let best_effort =
-    match sup with Some s -> Supervisor.best_effort s | None -> false
+  let failures =
+    List.concat_map snd t_dyn_pairs
+    @ layout.Compile_plan.solve_failures
+    @ Option.to_list layout.Compile_plan.exhausted
+    @ segment_loop_expired
+    @ List.concat_map snd segment_pairs
   in
-  if degraded && not best_effort then raise (Failure.Failed failures);
+  let degraded = Compile_plan.conclude run failures in
   {
     segments = segment_results;
-    t_sim;
+    t_sim =
+      List.fold_left (fun acc r -> acc +. r.duration) 0.0 segment_results;
     error_l1;
-    relative_error = (if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0);
+    relative_error = Compile_plan.relative_error ~error_l1 systems;
     binding_segment = sb;
     compile_seconds = Qturbo_util.Clock.now () -. t0;
-    warnings = List.rev !warnings;
+    warnings = Compile_plan.warnings run;
     diagnostics;
     failures;
     degraded;
-    plan_shapes = 1;
-    plan_builds = !plan_builds;
+    plan_builds = (if provenance = Compile_plan.Built then 1 else 0);
   }
-  end
+
+let compile ?(options = Compile_plan.default_options) ?(strict = true) ?t_max
+    ~aais ~model ~t_tar ~segments () =
+  validate ~t_tar ~segments;
+  let t0 = Qturbo_util.Clock.now () in
+  if segments = 1 then
+    compile_single ~options ~strict ?t_max ~aais ~model ~t_tar ~t0 ()
+  else compile_segments ~options ~strict ?t_max ~aais ~model ~t_tar ~segments ~t0 ()

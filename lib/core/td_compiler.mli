@@ -34,21 +34,15 @@ type result = {
   degraded : bool;
       (** true iff some failure is fatal (best-effort compiles only;
           strict compiles raise instead) *)
-  plan_shapes : int;
-      (** distinct structural shapes among the discretized segments —
-          always 1: every segment compiles against the union support of
-          the whole discretization, so per-segment coefficient
-          cancellations (the mis-chain K ≡ 2 mod 4 quirk) can no longer
-          fork a second shape *)
   plan_builds : int;
-      (** structural front-ends actually built by this compile; [0]
-          when every shape was already resident in the process-wide
-          plan cache — a sweep over re-discretized models pays the
-          front-end once for the whole sweep *)
+      (** structural front-ends actually built by this compile ([0] or
+          [1]): every segment compiles against one plan keyed by the
+          union support of the whole discretization, so a sweep over
+          re-discretized models pays the front-end once *)
 }
 
 val compile :
-  ?options:Compiler.options ->
+  ?options:Compile_plan.options ->
   ?strict:bool ->
   ?t_max:float ->
   aais:Qturbo_aais.Aais.t ->
@@ -63,23 +57,24 @@ val compile :
     {!Qturbo_analysis.Diagnostic.Rejected} with a structured [QT016]
     diagnostic instead of an unclassified exception.
 
-    [~segments:1] delegates to the staged time-independent pipeline
+    [~segments:1] delegates to the time-independent pipeline
     ({!Compile_plan.compile}) — a single-segment compile is
     bitwise-identical to {!Compiler.compile} of the discretized
-    Hamiltonian.  With more segments, the target-independent plan
-    artifacts (locality decomposition, classifications — including the
-    [generic_local_solver] override — and prepared solver contexts) are
-    shared across all segments, and segments of equal shape share one
-    linear-system skeleton.
+    Hamiltonian.  With more segments, every segment runs the same
+    numeric stages ({!Compile_plan.section-stages}) against one plan
+    built for the union support of all segments; only the binding
+    segment's layout solve and the duration stretching are specific to
+    time-dependent targets.  [options.time_opt = false] pads each segment's
+    dynamic bottleneck by [no_opt_padding], as the static path pads
+    its own.
 
     Every discretized segment Hamiltonian runs through the pre-solve
     static analyzer first; with [strict] (the default) error-severity
     diagnostics raise {!Qturbo_analysis.Diagnostic.Rejected} before any
     solver runs.
 
-    With [options.supervise] (the default), the binding-layout and
-    per-segment solves run under the resilience escalation ladder; if a
-    component exhausts every stage the compile raises
-    {!Qturbo_resilience.Failure.Failed} unless [options.best_effort] is
-    set, in which case the degraded result is returned with the
-    classified records on [result.failures]. *)
+    The binding-layout and per-segment solves run under the resilience
+    escalation ladder; if a component exhausts every stage the compile
+    raises {!Qturbo_resilience.Failure.Failed} unless
+    [options.best_effort] is set, in which case the degraded result is
+    returned with the classified records on [result.failures]. *)

@@ -29,12 +29,22 @@ let default_options =
     deadline = None;
   }
 
-(* Internal control-flow exceptions.  Both are caught inside [minimize] and
+(* Internal control-flow exceptions.  Both are caught inside [drive] and
    turned into a stop reason on the report; neither can escape to callers. *)
 exception Budget_exhausted
 exception Deadline_hit
 
-let minimize ?(options = default_options) ?jacobian f x0 =
+(* The one outer loop behind both Jacobian representations: damping
+   schedule, accept/reject, every stopping rule, and the evaluation
+   budget and deadline.  What differs is passed in:
+   - [jac ~charge x] builds the Jacobian at [x] ([charge k] bills [k]
+     residual evaluations to the budget, for finite differences);
+   - [gradient j r] is [Jᵀr];
+   - [normal j neg_g] prepares the damped normal equations
+     [(JᵀJ + λ·diag s) δ = −g] at the current point and returns their
+     solver for one damping value, [None] meaning a singular or broken
+     solve (the damping is then raised and the attempt retried). *)
+let drive ~options ~jac ~gradient ~normal f x0 =
   let n = Array.length x0 in
   let evaluations = ref 0 in
   let check_deadline () =
@@ -48,25 +58,14 @@ let minimize ?(options = default_options) ?jacobian f x0 =
     incr evaluations;
     f x
   in
-  let jac x =
-    match jacobian with
-    | Some j ->
-        check_deadline ();
-        j x
-    | None ->
-        (* charge n + 1 evaluations for a forward-difference Jacobian *)
-        check_deadline ();
-        if !evaluations + n >= options.max_evaluations then
-          raise Budget_exhausted;
-        evaluations := !evaluations + n;
-        Numeric_jacobian.forward f x
+  let charge k =
+    if !evaluations + k >= options.max_evaluations then raise Budget_exhausted;
+    evaluations := !evaluations + k
   in
   let x = ref (Array.copy x0) in
-  (* reusable buffers: candidate point (double-buffered against [x]) and
-     the damped normal matrix the LM attempts overwrite *)
+  (* candidate point, double-buffered against [x] *)
   let x_new = ref (Array.make n 0.0) in
   let best_x = Array.copy x0 in
-  let damped = Mat.create ~rows:n ~cols:n in
   let r = ref [||] in
   let cost = ref infinity in
   let best_cost = ref infinity in
@@ -97,66 +96,55 @@ let minimize ?(options = default_options) ?jacobian f x0 =
        end;
        while !continue_loop && !iterations < options.max_iterations do
          incr iterations;
-         let j = jac !x in
-         let g = Mat.mul_vec_t j !r in
+         check_deadline ();
+         let j = jac ~charge !x in
+         let g = gradient j !r in
          if Vec.norm_inf g <= options.gtol then begin
            converged := true;
            stop := Objective.Stop_converged;
            continue_loop := false
          end
          else begin
-           (* normal equations with Marquardt scaling on the diagonal *)
-           let jtj = Mat.at_mul_self j in
-           let neg_g = Vec.scale (-1.0) g in
+           let solve = normal j (Vec.scale (-1.0) g) in
            let accepted = ref false in
            let attempts = ref 0 in
            while (not !accepted) && !attempts < 25 do
              incr attempts;
-             Array.blit (Mat.data jtj) 0 (Mat.data damped) 0 (n * n);
-             for k = 0 to n - 1 do
-               let d = Mat.get jtj k k in
-               let scaled = if d > 0.0 then d else 1.0 in
-               Mat.set damped k k (d +. (!lambda *. scaled))
-             done;
-             let step_ok, delta =
-               match Lu.solve_factored (Lu.factorize_in_place damped) neg_g with
-               | delta -> (Array.for_all Float.is_finite delta, delta)
-               | exception Lu.Singular _ -> (false, [||])
-             in
-             if not step_ok then lambda := !lambda *. options.lambda_up
-             else begin
-               let xc = !x_new in
-               for k = 0 to n - 1 do
-                 xc.(k) <- !x.(k) +. delta.(k)
-               done;
-               let r_new = eval xc in
-               let cost_new = Objective.cost_of_residual r_new in
-               if Float.is_finite cost_new && cost_new < !cost then begin
-                 accepted := true;
-                 let cost_drop = !cost -. cost_new in
-                 let step_norm = Vec.norm2 delta in
-                 x_new := !x;
-                 x := xc;
-                 r := r_new;
-                 cost := cost_new;
-                 if cost_new < !best_cost then begin
-                   best_cost := cost_new;
-                   Array.blit xc 0 best_x 0 n
-                 end;
-                 lambda := Float.max 1e-12 (!lambda /. options.lambda_down);
-                 if
-                   cost_new <= options.cost_target
-                   || accepted_early r_new
-                   || cost_drop <= options.ftol *. Float.max !cost 1e-300
-                   || step_norm <= options.xtol *. (Vec.norm2 !x +. options.xtol)
-                 then begin
-                   converged := true;
-                   stop := Objective.Stop_converged;
-                   continue_loop := false
+             match solve !lambda with
+             | None -> lambda := !lambda *. options.lambda_up
+             | Some delta ->
+                 let xc = !x_new in
+                 for k = 0 to n - 1 do
+                   xc.(k) <- !x.(k) +. delta.(k)
+                 done;
+                 let r_new = eval xc in
+                 let cost_new = Objective.cost_of_residual r_new in
+                 if Float.is_finite cost_new && cost_new < !cost then begin
+                   accepted := true;
+                   let cost_drop = !cost -. cost_new in
+                   let step_norm = Vec.norm2 delta in
+                   x_new := !x;
+                   x := xc;
+                   r := r_new;
+                   cost := cost_new;
+                   if cost_new < !best_cost then begin
+                     best_cost := cost_new;
+                     Array.blit xc 0 best_x 0 n
+                   end;
+                   lambda := Float.max 1e-12 (!lambda /. options.lambda_down);
+                   if
+                     cost_new <= options.cost_target
+                     || accepted_early r_new
+                     || cost_drop <= options.ftol *. Float.max !cost 1e-300
+                     || step_norm
+                        <= options.xtol *. (Vec.norm2 !x +. options.xtol)
+                   then begin
+                     converged := true;
+                     stop := Objective.Stop_converged;
+                     continue_loop := false
+                   end
                  end
-               end
-               else lambda := !lambda *. options.lambda_up
-             end
+                 else lambda := !lambda *. options.lambda_up
            done;
            if not !accepted then begin
              (* no downhill step found at any damping: local minimum *)
@@ -187,7 +175,33 @@ let minimize ?(options = default_options) ?jacobian f x0 =
     stop = !stop;
   }
 
-(* ---- sparse-Jacobian variant ----------------------------------------- *)
+(* Dense steps: the normal equations with Marquardt scaling on the
+   diagonal, factorized by LU into one reusable n×n buffer. *)
+let minimize ?(options = default_options) ?jacobian f x0 =
+  let n = Array.length x0 in
+  let jac ~charge x =
+    match jacobian with
+    | Some j -> j x
+    | None ->
+        (* charge n evaluations for a forward-difference Jacobian *)
+        charge n;
+        Numeric_jacobian.forward f x
+  in
+  let damped = Mat.create ~rows:n ~cols:n in
+  let normal j neg_g =
+    let jtj = Mat.at_mul_self j in
+    fun lambda ->
+      Array.blit (Mat.data jtj) 0 (Mat.data damped) 0 (n * n);
+      for k = 0 to n - 1 do
+        let d = Mat.get jtj k k in
+        let scaled = if d > 0.0 then d else 1.0 in
+        Mat.set damped k k (d +. (lambda *. scaled))
+      done;
+      match Lu.solve_factored (Lu.factorize_in_place damped) neg_g with
+      | delta -> if Array.for_all Float.is_finite delta then Some delta else None
+      | exception Lu.Singular _ -> None
+  in
+  drive ~options ~jac ~gradient:Mat.mul_vec_t ~normal f x0
 
 (* Conjugate gradient on the damped normal equations
    [(JᵀJ + λ·diag s) δ = b]: the matrix is only ever applied, never
@@ -269,143 +283,21 @@ let cg_normal ~j ~lambda ~scale ~b ~jv ~av =
     if !failed || not (Array.for_all Float.is_finite x) then None else Some x
   end
 
+(* Sparse steps: conjugate gradients on the same damped normal
+   equations, with the Marquardt scale taken from the diagonal of JᵀJ
+   exactly as the dense path does (zero columns get unit scale). *)
 let minimize_sparse ?(options = default_options) ~jacobian f x0 =
   let n = Array.length x0 in
-  let evaluations = ref 0 in
-  let check_deadline () =
-    match options.deadline with
-    | Some t when Qturbo_util.Clock.now () >= t -> raise Deadline_hit
-    | _ -> ()
-  in
-  let eval x =
-    check_deadline ();
-    if !evaluations >= options.max_evaluations then raise Budget_exhausted;
-    incr evaluations;
-    f x
-  in
-  let jac x =
-    check_deadline ();
-    jacobian x
-  in
-  let x = ref (Array.copy x0) in
-  let x_new = ref (Array.make n 0.0) in
-  let best_x = Array.copy x0 in
   (* CG scratch, sized on the first Jacobian *)
   let jv = ref [||] in
   let av = Array.make n 0.0 in
-  let r = ref [||] in
-  let cost = ref infinity in
-  let best_cost = ref infinity in
-  let lambda = ref options.lambda_init in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let stop = ref Objective.Stop_max_iterations in
-  (try
-     r := eval !x;
-     cost := Objective.cost_of_residual !r;
-     best_cost := !cost;
-     let accepted_early r =
-       match options.accept_residual with
-       | Some f -> f r
-       | None -> false
-     in
-     if not (Float.is_finite !cost) then stop := Objective.Stop_invalid
-     else begin
-       let continue_loop =
-         ref (!cost > options.cost_target && not (accepted_early !r))
-       in
-       if not !continue_loop then begin
-         converged := true;
-         stop := Objective.Stop_converged
-       end;
-       while !continue_loop && !iterations < options.max_iterations do
-         incr iterations;
-         let j = jac !x in
-         if Array.length !jv < Csr.rows j then jv := Array.make (Csr.rows j) 0.0;
-         let g = Csr.mul_vec_t j !r in
-         if Vec.norm_inf g <= options.gtol then begin
-           converged := true;
-           stop := Objective.Stop_converged;
-           continue_loop := false
-         end
-         else begin
-           (* Marquardt scaling from the diagonal of JᵀJ, exactly as the
-              dense path: zero columns get unit scale *)
-           let diag = Csr.col_sq_sums j in
-           let scale =
-             Array.map (fun d -> if d > 0.0 then d else 1.0) diag
-           in
-           let neg_g = Vec.scale (-1.0) g in
-           let accepted = ref false in
-           let attempts = ref 0 in
-           while (not !accepted) && !attempts < 25 do
-             incr attempts;
-             let step_ok, delta =
-               match
-                 cg_normal ~j ~lambda:!lambda ~scale ~b:neg_g ~jv:!jv ~av
-               with
-               | Some delta -> (true, delta)
-               | None -> (false, [||])
-             in
-             if not step_ok then lambda := !lambda *. options.lambda_up
-             else begin
-               let xc = !x_new in
-               for k = 0 to n - 1 do
-                 xc.(k) <- !x.(k) +. delta.(k)
-               done;
-               let r_new = eval xc in
-               let cost_new = Objective.cost_of_residual r_new in
-               if Float.is_finite cost_new && cost_new < !cost then begin
-                 accepted := true;
-                 let cost_drop = !cost -. cost_new in
-                 let step_norm = Vec.norm2 delta in
-                 x_new := !x;
-                 x := xc;
-                 r := r_new;
-                 cost := cost_new;
-                 if cost_new < !best_cost then begin
-                   best_cost := cost_new;
-                   Array.blit xc 0 best_x 0 n
-                 end;
-                 lambda := Float.max 1e-12 (!lambda /. options.lambda_down);
-                 if
-                   cost_new <= options.cost_target
-                   || accepted_early r_new
-                   || cost_drop <= options.ftol *. Float.max !cost 1e-300
-                   || step_norm <= options.xtol *. (Vec.norm2 !x +. options.xtol)
-                 then begin
-                   converged := true;
-                   stop := Objective.Stop_converged;
-                   continue_loop := false
-                 end
-               end
-               else lambda := !lambda *. options.lambda_up
-             end
-           done;
-           if not !accepted then begin
-             converged := true;
-             stop := Objective.Stop_no_progress;
-             continue_loop := false
-           end
-         end
-       done
-     end
-   with
-  | Budget_exhausted ->
-      converged := false;
-      stop := Objective.Stop_max_evaluations
-  | Deadline_hit ->
-      converged := false;
-      stop := Objective.Stop_deadline);
-  let residual_norm =
-    if !best_cost = infinity then infinity else sqrt (2.0 *. !best_cost)
+  let normal j neg_g =
+    if Array.length !jv < Csr.rows j then jv := Array.make (Csr.rows j) 0.0;
+    let scale =
+      Array.map (fun d -> if d > 0.0 then d else 1.0) (Csr.col_sq_sums j)
+    in
+    fun lambda -> cg_normal ~j ~lambda ~scale ~b:neg_g ~jv:!jv ~av
   in
-  {
-    Objective.x = best_x;
-    cost = !best_cost;
-    residual_norm;
-    iterations = !iterations;
-    evaluations = !evaluations;
-    converged = !converged;
-    stop = !stop;
-  }
+  drive ~options
+    ~jac:(fun ~charge:_ x -> jacobian x)
+    ~gradient:Csr.mul_vec_t ~normal f x0

@@ -55,17 +55,11 @@ val minimize_sparse :
   Objective.residual_fn ->
   float array ->
   Objective.report
-(** {!minimize} for a sparse Jacobian.  Identical outer control flow
-    (damping schedule, accept/reject, every stopping rule), but each
-    damped step solves the normal equations
-    [(JᵀJ + λ·diag s) δ = −Jᵀr] by conjugate gradients applying [J]
-    twice per iteration — O(cg·nnz) per attempt instead of the dense
-    path's O(n³) factorization, which is what keeps large runtime-fixed
-    solves (thousands of free variables) near-linear.  The Marquardt
-    scale [s] is the diagonal of [JᵀJ] with zero columns mapped to 1,
-    matching the dense path.  Fully deterministic: sequential dot
-    products in fixed order, no data-dependent parallelism.  A
-    non-finite or non-positive-curvature CG breakdown is treated like a
-    singular factorization (damping raised, attempt retried).  The
-    [jacobian] is required — there is no finite-difference fallback on
-    this path. *)
+(** {!minimize} for a sparse Jacobian: the same outer loop (damping
+    schedule, accept/reject, every stopping rule), but each damped step
+    solves [(JᵀJ + λ·diag s) δ = −Jᵀr] by conjugate gradients — O(cg·nnz)
+    per attempt instead of an O(n³) factorization, which keeps large
+    runtime-fixed solves near-linear.  [s] is the diagonal of [JᵀJ] with
+    zero columns mapped to 1, as on the dense path.  Deterministic; a CG
+    breakdown is treated like a singular factorization.  The [jacobian]
+    is required. *)

@@ -17,8 +17,8 @@
     Escalation happens only on {e hard} failure — non-finite cost,
     deadline expiry, an injected fault, or an exception out of the
     residual/Jacobian.  A merely-unconverged finite iterate is accepted
-    as-is, so compiles that never trip a fault are bitwise-identical to
-    the unsupervised solver.  Every stage failure is recorded as a typed
+    as-is, so a compile that never trips a fault runs exactly the solver
+    calls of the first stage.  Every stage failure is recorded as a typed
     {!Failure.t}; when a later stage succeeds those records are
     non-fatal history, and when every stage fails the last record is
     marked fatal and the best iterate seen is still returned. *)
@@ -32,9 +32,8 @@ type t
     spec, best-effort flag.  Immutable and domain-safe. *)
 
 val none : t
-(** No deadline, no faults, strict mode.  [solve] under [none] adds two
-    spec lookups and a float test over the raw solver — its overhead on
-    a full compile is well under a percent. *)
+(** No deadline, no faults, strict mode — the context of one-off probes
+    outside a compile. *)
 
 val make :
   ?deadline_seconds:float ->
@@ -62,6 +61,10 @@ val pool_guard : t -> site:string -> unit -> unit
     match).  This is how a deadline propagates through the pool: the
     guard stops the job from claiming further ranges and the caller
     catches {!Expired} and degrades. *)
+
+val classify_report : Qturbo_optim.Objective.report -> Failure.class_ option
+(** [None] for a finite cost; otherwise the failure class its stop
+    reason names. *)
 
 type outcome = {
   report : Qturbo_optim.Objective.report;

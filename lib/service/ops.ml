@@ -228,11 +228,10 @@ let sweep_td_json ~options ~batch_domains ~backend ~inst ~probe ~td_jobs () =
   in
   let job_json (segments, t_tar, (td : Qturbo_core.Td_compiler.result)) =
     Printf.sprintf
-      {|{"segments":%d,"t_tar":%s,"t_sim":%s,"relative_error":%s,"plan_shapes":%d,"plan_builds":%d,"degraded":%b}|}
+      {|{"segments":%d,"t_tar":%s,"t_sim":%s,"relative_error":%s,"plan_builds":%d,"degraded":%b}|}
       segments (jf t_tar)
       (jf td.Qturbo_core.Td_compiler.t_sim)
       (jf td.Qturbo_core.Td_compiler.relative_error)
-      td.Qturbo_core.Td_compiler.plan_shapes
       td.Qturbo_core.Td_compiler.plan_builds
       td.Qturbo_core.Td_compiler.degraded
   in

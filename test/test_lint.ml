@@ -348,51 +348,6 @@ let test_build_raises_on_broken_invariant () =
       let plan = plan_for "ising-chain" 3 in
       Alcotest.(check (list string)) "still sound" [] (codes (Compile_plan.lint plan)))
 
-let test_cache_hit_relint_pulls_corrupted () =
-  Compile_plan.clear_caches ();
-  let ryd = rydberg_for "ising-chain" 5 in
-  let target = static_target "ising-chain" 5 in
-  let options = Compile_plan.default_options in
-  (* plant a corrupted resident under the true structural key: same key,
-     broken prepared-context invariant *)
-  let plan, prov =
-    Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-  in
-  Alcotest.(check bool) "first obtain is a miss" true
-    (prov = Compile_plan.Built);
-  let d = plan.Compile_plan.device in
-  let corrupted =
-    {
-      plan with
-      Compile_plan.device =
-        { d with Compile_plan.prepared = drop_last d.Compile_plan.prepared };
-    }
-  in
-  Compile_plan.cache_insert_unchecked corrupted;
-  (* without on-hit re-linting the corrupted resident would be served *)
-  Compile_plan.lint_on_hit := true;
-  Fun.protect
-    ~finally:(fun () -> Compile_plan.lint_on_hit := false)
-    (fun () ->
-      let before = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-      let served, prov' =
-        Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-      in
-      Alcotest.(check bool) "re-lint turns the hit into a rebuild" true
-        (prov' = Compile_plan.Built);
-      Alcotest.(check (list string)) "served plan is sound" []
-        (codes (Compile_plan.lint served));
-      let after = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-      Alcotest.(check int) "pull counted as rejection" (before + 1) after;
-      (* the rebuilt plan was re-admitted: a second obtain hits clean *)
-      let again, prov2 =
-        Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-      in
-      Alcotest.(check bool) "resident is sound again" true
-        (prov2 = Compile_plan.Cached);
-      Alcotest.(check (list string)) "clean" [] (codes (Compile_plan.lint again)));
-  Compile_plan.clear_caches ()
-
 let () =
   Alcotest.run "lint"
     [
@@ -441,7 +396,5 @@ let () =
             test_admit_rejects_corrupted;
           Alcotest.test_case "lint_plans escape hatch" `Quick
             test_build_raises_on_broken_invariant;
-          Alcotest.test_case "on-hit re-lint pulls corrupted residents" `Quick
-            test_cache_hit_relint_pulls_corrupted;
         ] );
     ]

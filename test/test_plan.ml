@@ -352,6 +352,28 @@ let test_td_multi_segment_unchanged () =
   check_bits "t_sim" a.Td_compiler.t_sim b.Td_compiler.t_sim;
   check_bits "error" a.Td_compiler.error_l1 b.Td_compiler.error_l1
 
+(* Without evolution-time optimisation every segment's dynamic
+   bottleneck is padded by [no_opt_padding], exactly as a static
+   compile pads its own. *)
+let test_td_no_time_opt_pads () =
+  let ryd = rydberg_for "mis-chain" 5 in
+  let model = Qturbo_models.Benchmarks.mis_chain ~n:5 () in
+  let compile options =
+    Td_compiler.compile ~options ~aais:ryd.Rydberg.aais ~model ~t_tar:1.0
+      ~segments:4 ()
+  in
+  let opt = compile Compiler.default_options in
+  let padded =
+    compile { Compiler.default_options with Compiler.time_opt = false }
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "padded %g > optimised %g" padded.Td_compiler.t_sim
+       opt.Td_compiler.t_sim)
+    true
+    (padded.Td_compiler.t_sim > opt.Td_compiler.t_sim);
+  Alcotest.(check bool) "still accurate" true
+    (padded.Td_compiler.relative_error < 1.0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "plan"
@@ -360,6 +382,7 @@ let () =
         [
           quick "td single segment == static compile" test_td_single_segment_golden;
           quick "td multi segment, cold == warm" test_td_multi_segment_unchanged;
+          quick "td time_opt=false pads every segment" test_td_no_time_opt_pads;
         ] );
       ( "validation",
         [ quick "non-finite t_tar rejected (QT016)" test_compiler_rejects_nonfinite_t_tar ] );

@@ -215,27 +215,6 @@ let compile ~options n =
   Qturbo_core.Compiler.compile ~options ~aais:ryd.Rydberg.aais
     ~target:(static_target n) ~t_tar:1.0 ()
 
-let test_supervised_compile_matches_seed () =
-  (* no faults, no deadline: the supervised pipeline must be
-     bitwise-identical to the unsupervised one *)
-  let r_sup = compile ~options:(compile_opts ()) 5 in
-  let r_raw =
-    compile
-      ~options:
-        { (compile_opts ()) with Qturbo_core.Compiler.supervise = false }
-      5
-  in
-  check_bits_array "env" r_raw.Qturbo_core.Compiler.env
-    r_sup.Qturbo_core.Compiler.env;
-  Alcotest.(check bool) "t_sim" true
-    (Int64.equal
-       (bits r_raw.Qturbo_core.Compiler.t_sim)
-       (bits r_sup.Qturbo_core.Compiler.t_sim));
-  Alcotest.(check (list pass)) "no failures" []
-    r_sup.Qturbo_core.Compiler.failures;
-  Alcotest.(check bool) "not degraded" false
-    r_sup.Qturbo_core.Compiler.degraded
-
 let all_nan = Fault.parse_exn "*=nan"
 
 let test_strict_compile_raises () =
@@ -404,8 +383,6 @@ let () =
         ] );
       ( "compile",
         [
-          Alcotest.test_case "supervised compile matches seed" `Quick
-            test_supervised_compile_matches_seed;
           Alcotest.test_case "strict raises Failed" `Quick
             test_strict_compile_raises;
           Alcotest.test_case "best-effort degrades" `Quick
@@ -414,12 +391,12 @@ let () =
             test_recovered_compile_matches_clean;
           Alcotest.test_case "constraint retry classified" `Quick
             test_constraint_retry_classified;
+          Alcotest.test_case "td strict and best-effort" `Quick
+            test_td_strict_and_best_effort;
           Alcotest.test_case "degraded result, 1 vs 4 domains" `Quick
             test_degraded_deterministic_across_domains;
           Alcotest.test_case "expired deadline, 1 vs 4 domains" `Quick
             test_expired_deadline_compile;
-          Alcotest.test_case "td strict and best-effort" `Quick
-            test_td_strict_and_best_effort;
           Alcotest.test_case "verifier carries failures" `Quick
             test_verifier_carries_failures;
         ] );
