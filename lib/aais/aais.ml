@@ -6,6 +6,16 @@ type truncation = {
   max_dropped : float;
 }
 
+type rendering = { text : string; digest : Digest.t }
+
+(* Filled on first use, never in [make]: callers that never key the
+   device (checks, analysis) never pay for the rendering.  The pool size
+   it was taken at travels with it, so a variable appended to the pool
+   afterwards invalidates it.  An [Atomic] rather than a [Lazy]: two
+   domains forcing one lazy value raise [Lazy.Undefined], while two
+   domains filling this slot at once both store an equal rendering. *)
+type key_memo = (int * rendering) option Atomic.t
+
 type t = {
   name : string;
   n_qubits : int;
@@ -15,6 +25,7 @@ type t = {
   fingerprint : string;
   sites : (int * int option) array;
   truncation : truncation option;
+  key_memo : key_memo;
 }
 
 let channels t =
@@ -46,10 +57,23 @@ let make ~name ~n_qubits ~pool ~instructions ?(check_fixed = fun _ -> [])
       fingerprint;
       sites;
       truncation;
+      key_memo = Atomic.make None;
     }
   in
   ignore (channels t);
   t
+
+let memo_key t ~render =
+  let size = Variable.count t.pool in
+  match Atomic.get t.key_memo with
+  | Some (at, r) when at = size -> r
+  | _ ->
+      let text = render t in
+      let r = { text; digest = Digest.string text } in
+      Atomic.set t.key_memo (Some (size, r));
+      r
+
+let without_key_memo t = { t with key_memo = Atomic.make None }
 
 let channel_count t =
   List.fold_left

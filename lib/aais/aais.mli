@@ -22,7 +22,11 @@ type truncation = {
     Only present when pairs were actually dropped — an AAIS whose cutoff
     covered the full layout is byte-identical to the exact one. *)
 
-type t = {
+type key_memo
+(** A slot holding {!Shape}'s rendering of the AAIS once it has been
+    taken (see {!memo_key}). *)
+
+type t = private {
   name : string;
   n_qubits : int;
   pool : Variable.pool;
@@ -51,6 +55,10 @@ type t = {
           channels; [None] for exact devices.  Not part of the
           structural cache key — the emitted channels already determine
           it. *)
+  key_memo : key_memo;
+      (** Empty until the first {!memo_key}.  The type is [private], so
+          [{ aais with ... }] cannot carry one device's memo over to
+          another: every AAIS comes from {!make}. *)
 }
 
 val make :
@@ -68,7 +76,20 @@ val make :
     [Invalid_argument] otherwise).  [fingerprint] defaults to [""] —
     correct only when [check_fixed] captures nothing beyond what the
     variables and channels already expose.  [sites] defaults to [[||]]
-    (no spatial layout, no key canonicalization). *)
+    (no spatial layout, no key canonicalization).  The key memo starts
+    empty: building an AAIS renders nothing. *)
+
+type rendering = { text : string; digest : Digest.t  (** MD5 of [text] *) }
+
+val memo_key : t -> render:(t -> string) -> rendering
+(** [render t] with its digest, computed on the first call and served
+    from the memo afterwards.  A variable added to [t.pool] since the
+    memo was filled (the pool is mutable) discards it and renders
+    again.  Safe to call from several domains at once. *)
+
+val without_key_memo : t -> t
+(** The same AAIS with an empty memo, for serializing a plan without
+    the rendering it already carries in its keys. *)
 
 val channels : t -> Instruction.channel array
 (** All channels indexed by [cid]. *)

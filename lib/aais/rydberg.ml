@@ -420,7 +420,17 @@ let distance t ~env i j =
   let xi, yi = ps.(i) and xj, yj = ps.(j) in
   sqrt (((xi -. xj) ** 2.0) +. ((yi -. yj) ** 2.0))
 
-let hamiltonian_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta () =
+(* The physical Hamiltonian as a stream of (string, coefficient) terms
+   in ascending [Pauli_string.compare] order: for each site i, X_i, Y_i,
+   Z_i, then Z_iZ_j for every j > i.  Each coefficient is the float that
+   adding the terms one by one into a [Pauli_sum] builds, in the order
+   of the pair double loop: a pair (i, j) adds its amplitude to Z_iZ_j
+   and subtracts it from Z_i and Z_j, then site i adds its detuning to
+   Z_i.  Row i's pair amplitudes are computed once, into [amp]; when
+   they are done every contribution to Z_i is in, so the site's
+   single-qubit terms go out ahead of its pairs.  Zero coefficients are
+   skipped, as [Pauli_sum.add_term] skips them. *)
+let iter_terms_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta f =
   let n = Array.length positions in
   if Array.length omega <> n || Array.length phi <> n || Array.length delta <> n
   then invalid_arg "Rydberg.hamiltonian_of_pulse: per-atom array lengths";
@@ -432,32 +442,50 @@ let hamiltonian_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta () =
     | None -> fun _ -> true
     | Some r -> fun d2 -> d2 <= r *. r
   in
-  let h = ref Pauli_sum.zero in
-  let add c s = h := Pauli_sum.add_term !h s c in
+  let emit s c = if c <> 0.0 then f s c in
+  (* adding a zero leaves an accumulator that started at +0.0 unchanged,
+     so unconditional sums match [add_term]'s zero skipping *)
+  let z = Array.make n 0.0 in
+  let amp = Array.make n 0.0 and kept = Array.make n false in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let xi, yi = positions.(i) and xj, yj = positions.(j) in
       let d2 = ((xi -. xj) ** 2.0) +. ((yi -. yj) ** 2.0) in
-      if keep d2 then begin
+      kept.(j) <- keep d2;
+      if kept.(j) then begin
         let a = spec.Device.c6 /. (4.0 *. (d2 ** 3.0)) in
-        add a (Pauli_string.two i Pauli.Z j Pauli.Z);
-        add (-.a) (Pauli_string.single i Pauli.Z);
-        add (-.a) (Pauli_string.single j Pauli.Z)
+        amp.(j) <- a;
+        z.(i) <- z.(i) +. -.a;
+        z.(j) <- z.(j) +. -.a
       end
     done;
-    add (delta.(i) /. 2.0) (Pauli_string.single i Pauli.Z);
-    add (omega.(i) /. 2.0 *. cos phi.(i)) (Pauli_string.single i Pauli.X);
-    add (-.(omega.(i) /. 2.0) *. sin phi.(i)) (Pauli_string.single i Pauli.Y)
-  done;
+    z.(i) <- z.(i) +. (delta.(i) /. 2.0);
+    emit (Pauli_string.single i Pauli.X) (omega.(i) /. 2.0 *. cos phi.(i));
+    emit (Pauli_string.single i Pauli.Y) (-.(omega.(i) /. 2.0) *. sin phi.(i));
+    emit (Pauli_string.single i Pauli.Z) z.(i);
+    for j = i + 1 to n - 1 do
+      if kept.(j) then emit (Pauli_string.two i Pauli.Z j Pauli.Z) amp.(j)
+    done
+  done
+
+let collect iter =
+  let h = ref Pauli_sum.zero in
+  iter (fun s c -> h := Pauli_sum.add_term !h s c);
   !h
 
-let hamiltonian t ~env =
+let hamiltonian_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta () =
+  collect
+    (iter_terms_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta)
+
+let iter_terms t ~env f =
   let k i =
     match t.spec.Device.control with Device.Global -> 0 | Device.Local -> i
   in
   let per_atom vars = Array.init t.n (fun i -> env.(vars.(k i).Variable.id)) in
-  hamiltonian_of_pulse ~spec:t.spec ~positions:(positions t ~env)
+  iter_terms_of_pulse ~spec:t.spec ~positions:(positions t ~env)
     ~omega:(per_atom t.omegas) ~phi:(per_atom t.phis) ~delta:(per_atom t.deltas)
-    ()
+    f
+
+let hamiltonian t ~env = collect (iter_terms t ~env)
 
 let check_layout ~spec positions = check_layout_positions ~spec positions

@@ -92,7 +92,20 @@ val distance : t -> env:float array -> int -> int -> float
 val hamiltonian : t -> env:float array -> Qturbo_pauli.Pauli_sum.t
 (** The physical simulator Hamiltonian at the given variable values:
     van-der-Waals from the positions plus the detuning/Rabi drives.  Used
-    for theory curves and by the device emulator. *)
+    for theory curves and by the device emulator.  The terms of
+    {!iter_terms}, collected. *)
+
+val iter_terms :
+  t ->
+  env:float array ->
+  (Qturbo_pauli.Pauli_string.t -> float -> unit) ->
+  unit
+(** {!hamiltonian}'s terms, streamed in ascending
+    {!Qturbo_pauli.Pauli_string.compare} order without building the
+    sum: for each atom i, X_i, Y_i, Z_i, then Z_iZ_j for every j > i.
+    Zero coefficients are skipped; every other coefficient is
+    bit-identical to the collected sum's.  One O(n) accumulator array,
+    no per-term map update — the verifier's entry point. *)
 
 val hamiltonian_of_pulse :
   ?cutoff_radius:float ->
@@ -107,7 +120,8 @@ val hamiltonian_of_pulse :
     an AAIS instance — the emulator's entry point.  [cutoff_radius]
     drops van-der-Waals pairs beyond that distance, reconstructing what
     a cutoff-truncated AAIS compiles against; the default is the exact
-    physics (a real device's tails do not truncate). *)
+    physics (a real device's tails do not truncate).  Built from the same
+    term stream as {!iter_terms}. *)
 
 val check_layout : spec:Device.rydberg -> (float * float) array -> string list
 (** Geometric constraint violations: pairwise separation below

@@ -138,6 +138,21 @@ let coordinate_offsets (aais : Aais.t) =
   end;
   offsets
 
+(* sparse site:op rendering — Pauli strings are low-weight, so this is
+   far shorter (and cheaper) than the dense spelling, and the ascending
+   (site, op) list is just as injective *)
+let add_pstring buf s =
+  List.iter
+    (fun (site, op) ->
+      Buffer.add_string buf (string_of_int site);
+      Buffer.add_char buf
+        (match op with
+        | Pauli.I -> 'I'
+        | Pauli.X -> 'X'
+        | Pauli.Y -> 'Y'
+        | Pauli.Z -> 'Z'))
+    (Pauli_string.to_list s)
+
 let add_channel buf (c : Instruction.channel) =
   Buffer.add_char buf '|';
   Buffer.add_string buf (string_of_int c.Instruction.cid);
@@ -148,24 +163,12 @@ let add_channel buf (c : Instruction.channel) =
   List.iter
     (fun { Instruction.pstring; coeff } ->
       Buffer.add_char buf ';';
-      (* sparse site:op rendering — effect terms are low-weight, so this
-         is far shorter (and cheaper) than the dense spelling, and the
-         ascending (site, op) list is just as injective *)
-      List.iter
-        (fun (site, op) ->
-          Buffer.add_string buf (string_of_int site);
-          Buffer.add_char buf
-            (match op with
-            | Pauli.I -> 'I'
-            | Pauli.X -> 'X'
-            | Pauli.Y -> 'Y'
-            | Pauli.Z -> 'Z'))
-        (Pauli_string.to_list pstring);
+      add_pstring buf pstring;
       Buffer.add_char buf ':';
       add_float buf coeff)
     c.Instruction.effects
 
-let of_aais (aais : Aais.t) =
+let render (aais : Aais.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf aais.Aais.name;
   Buffer.add_string buf (Printf.sprintf "#%d#" aais.Aais.n_qubits);
@@ -186,6 +189,10 @@ let of_aais (aais : Aais.t) =
   Array.iter (add_channel buf) (Aais.channels aais);
   Buffer.contents buf
 
+let of_aais aais = (Aais.memo_key aais ~render).Aais.text
+let digest aais = (Aais.memo_key aais ~render).Aais.digest
+let same_device a b = a == b || String.equal (of_aais a) (of_aais b)
+
 let support_of_target target =
   List.filter
     (fun s -> not (Pauli_string.is_identity s))
@@ -195,9 +202,35 @@ let of_support support =
   let buf = Buffer.create 256 in
   List.iter
     (fun s ->
-      Buffer.add_string buf (Pauli_string.to_string s);
+      add_pstring buf s;
       Buffer.add_char buf ',')
     support;
   Buffer.contents buf
+
+(* The inverse of [add_pstring]: a run of (decimal site, op letter)
+   pairs. *)
+let pstring_of_sparse text =
+  let ib = Scanf.Scanning.from_string text in
+  let rec pairs acc =
+    if Scanf.Scanning.end_of_input ib then Pauli_string.of_list (List.rev acc)
+    else
+      Scanf.bscanf ib "%u%c" (fun site c ->
+          match Pauli.op_of_char c with
+          | Some ((Pauli.X | Pauli.Y | Pauli.Z) as op) ->
+              pairs ((site, op) :: acc)
+          | Some Pauli.I | None -> invalid_arg "Shape.support_of_rendering")
+  in
+  pairs []
+
+let support_of_rendering text =
+  match
+    String.split_on_char ',' text
+    |> List.filter (fun s -> s <> "")
+    |> List.map pstring_of_sparse
+  with
+  | support -> Some support
+  | exception
+      (Invalid_argument _ | Failure _ | Scanf.Scan_failure _ | End_of_file) ->
+      None
 
 let key ~aais ~support = of_aais aais ^ "@@" ^ of_support support

@@ -10,13 +10,15 @@
     (its global system is keyed identically), so both compilers agree
     on when two compiles have the same shape.
 
-    Keys are exact, not hashed: every float is rendered as a hex
-    literal ([%h]), so two devices differing in one ulp of a bound get
-    different keys and a cached plan is never reused across genuinely
-    different structures. *)
+    Renderings are exact, not hashed: every float is rendered as its
+    IEEE bits in hex, so two devices differing in one ulp of a bound
+    get different renderings.  The device rendering is memoized on the
+    {!Aais.t} (see {!Aais.memo_key}), so each AAIS value is rendered at
+    most once, however many compiles key it. *)
 
 val of_aais : Aais.t -> string
-(** Canonical rendering of the device structure: name, qubit count,
+(** Canonical rendering of the device structure, taken once per AAIS
+    value and served from its memo afterwards: name, qubit count,
     the builder {!Aais.t.fingerprint}, every variable (id, kind, box
     bounds, initial guess) and every channel (cid, expression tree,
     solver hint, effect terms with coefficients).
@@ -30,13 +32,29 @@ val of_aais : Aais.t -> string
     differences (van der Waals amplitudes, pairwise feasibility
     checks).  Rotation is not canonicalized. *)
 
+val digest : Aais.t -> Digest.t
+(** MD5 of {!of_aais}, memoized with it: the compact stand-in for the
+    rendering in cache keys. *)
+
+val same_device : Aais.t -> Aais.t -> bool
+(** Equal renderings: physical equality, or else [String.equal] of the
+    two memoized {!of_aais}.  Confirms a digest match exactly. *)
+
 val support_of_target : Qturbo_pauli.Pauli_sum.t -> Qturbo_pauli.Pauli_string.t list
 (** The target's shape: its support in canonical (sorted) order with
     the identity string removed — exactly the term set the compiler's
     row index is built from. *)
 
 val of_support : Qturbo_pauli.Pauli_string.t list -> string
-(** Canonical rendering of a target shape. *)
+(** Canonical rendering of a target shape: each string as its ascending
+    [site op] pairs (["0Z1Z"] for Z₀Z₁), one [','] after each — the
+    spelling {!of_aais} uses for channel effects, linear in the
+    strings' weight rather than in the qubit count. *)
+
+val support_of_rendering :
+  string -> Qturbo_pauli.Pauli_string.t list option
+(** The inverse of {!of_support}; [None] on text it cannot have
+    produced. *)
 
 val key : aais:Aais.t -> support:Qturbo_pauli.Pauli_string.t list -> string
 (** [of_aais aais] and [of_support support] joined — the full

@@ -146,21 +146,44 @@ type t = {
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
   key : string;
+  lru_key : string;
   build_seconds : float;
 }
 
 let support_of_target = Shape.support_of_target
 
+(* [^] copies the memoized rendering once; [sprintf "%s"] would copy
+   it through a buffer twice *)
+let flag_prefix generic = Printf.sprintf "g=%b|" generic
+
 let device_key ~(options : options) ~aais =
-  Printf.sprintf "g=%b|%s" options.generic_local_solver (Shape.of_aais aais)
+  flag_prefix options.generic_local_solver ^ Shape.of_aais aais
 
 (* Single point of truth for the plan-key format. *)
 let plan_key_of_support ~(options : options) ~aais ~support =
-  Printf.sprintf "g=%b|%s" options.generic_local_solver
-    (Shape.key ~aais ~support)
+  flag_prefix options.generic_local_solver ^ Shape.key ~aais ~support
 
 let plan_key ~options ~aais ~target =
   plan_key_of_support ~options ~aais ~support:(support_of_target target)
+
+(* The in-memory LRUs file entries under compact keys: the solver flag
+   and digests of the device rendering (and of the support, for plans).
+   A digest match is only a candidate; [device_serves] / [plan_serves]
+   confirm it exactly before anything is served. *)
+let device_lru_key ~generic ~aais =
+  flag_prefix generic ^ Digest.to_hex (Shape.digest aais)
+
+let plan_lru_key ~generic ~aais ~support =
+  device_lru_key ~generic ~aais
+  ^ "|"
+  ^ Digest.to_hex (Digest.string (Shape.of_support support))
+
+let device_serves ~generic ~aais (d : device) =
+  Bool.equal d.generic_local_solver generic && Shape.same_device d.aais aais
+
+let plan_serves ~generic ~aais ~support (p : t) =
+  device_serves ~generic ~aais p.device
+  && List.equal Pauli_string.equal p.support support
 
 let build_device ?(options = default_options) ~aais () =
   let channels = Aais.channels aais in
@@ -251,15 +274,9 @@ let last_separator key =
 let key_support_of key =
   match last_separator key with
   | None -> None
-  | Some i -> (
-      let body = String.sub key (i + 2) (String.length key - i - 2) in
-      match
-        String.split_on_char ',' body
-        |> List.filter (fun s -> not (String.equal s ""))
-        |> List.map Pauli_string.of_string
-      with
-      | terms -> Some terms
-      | exception _ -> None)
+  | Some i ->
+      Shape.support_of_rendering
+        (String.sub key (i + 2) (String.length key - i - 2))
 
 let lint (plan : t) =
   let d = plan.device in
@@ -320,12 +337,14 @@ let clear_caches () =
 let obtain_device ~options ~aais =
   if not options.plan_cache then build_device ~options ~aais ()
   else
-    let key = device_key ~options ~aais in
-    match Plan_cache.find device_cache key with
+    let generic = options.generic_local_solver in
+    let key = device_lru_key ~generic ~aais in
+    let accept = device_serves ~generic ~aais in
+    match Plan_cache.find device_cache key ~accept with
     | Some d -> d
     | None ->
         let d = build_device ~options ~aais () in
-        Plan_cache.add device_cache key d;
+        Plan_cache.add device_cache key ~accept d;
         d
 
 let build ?(options = default_options) ?device ~aais ~target_shape () =
@@ -346,16 +365,18 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
            ~cells:(Linear_system.skeleton_cells skeleton))
       ~comps:(structure_comps device.comps)
   in
-  (* the key render and the lint gate are part of the front end: both
-     run before the clock is read *)
-  let key = plan_key_of_support ~options ~aais ~support:target_shape in
+  (* the keys and the lint gate are part of the front end: all run
+     before the clock is read *)
   let plan =
     {
       device;
       support = target_shape;
       skeleton;
       structure_diags;
-      key;
+      key = plan_key_of_support ~options ~aais ~support:target_shape;
+      lru_key =
+        plan_lru_key ~generic:options.generic_local_solver ~aais
+          ~support:target_shape;
       build_seconds = 0.0;
     }
   in
@@ -375,10 +396,13 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
 let admit (plan : t) =
   match Diagnostic.errors (lint plan) with
   | [] ->
-      Plan_cache.add plan_cache plan.key plan;
+      Plan_cache.add plan_cache plan.lru_key plan
+        ~accept:
+          (plan_serves ~generic:plan.device.generic_local_solver
+             ~aais:plan.device.aais ~support:plan.support);
       []
   | errs ->
-      Plan_cache.reject plan_cache plan.key;
+      Plan_cache.reject plan_cache plan.lru_key;
       Log.warn (fun m ->
           m "plan lint refused cache admission (%d errors)" (List.length errs));
       errs
@@ -441,10 +465,19 @@ let store_fetch ~key =
               end
               else Some p))
 
+(* The payload leaves out the AAIS's key memo: [key] and [device_key]
+   already carry the rendering, and a third copy would only grow every
+   entry a loader has to read, checksum and decode. *)
 let store_persist (p : t) =
   match !store with
   | None -> ()
   | Some st -> (
+      let p =
+        {
+          p with
+          device = { p.device with aais = Aais.without_key_memo p.device.aais };
+        }
+      in
       match Marshal.to_string p [ Marshal.Closures ] with
       | payload -> ignore (Plan_store.save st ~key:p.key ~payload : bool)
       | exception _ ->
@@ -452,24 +485,32 @@ let store_persist (p : t) =
 
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
-   build (which back-fills both). *)
+   build (which back-fills both).  A hit renders nothing: the LRU key
+   comes from the AAIS's memoized digest, and the exact full key is
+   spelled out only on a miss, for the store. *)
 let obtain_for_support ~options ~aais ~support =
   if not options.plan_cache then
     (build ~options ~aais ~target_shape:support (), Built)
   else
-    let key = plan_key_of_support ~options ~aais ~support in
-    match Plan_cache.find plan_cache key with
+    let generic = options.generic_local_solver in
+    let lru_key = plan_lru_key ~generic ~aais ~support in
+    let accept = plan_serves ~generic ~aais ~support in
+    match Plan_cache.find plan_cache lru_key ~accept with
     | Some p ->
         !stage_hook "plan-cache-hit";
         (p, Cached)
     | None -> (
-        match store_fetch ~key with
+        match store_fetch ~key:(plan_key_of_support ~options ~aais ~support) with
         | Some p ->
             !stage_hook "plan-store-hit";
-            Plan_cache.add plan_cache p.key p;
+            let p = { p with lru_key } in
+            Plan_cache.add plan_cache lru_key ~accept p;
             (* the deserialized device part is shareable too: admit it so
                fresh shapes on the same device skip the prepare pass *)
-            Plan_cache.add device_cache p.device.device_key p.device;
+            Plan_cache.add device_cache
+              (device_lru_key ~generic ~aais)
+              ~accept:(device_serves ~generic ~aais)
+              p.device;
             (p, Stored)
         | None ->
             let p = build ~options ~aais ~target_shape:support () in
@@ -478,7 +519,7 @@ let obtain_for_support ~options ~aais ~support =
                admission would double the gate cost on every fresh build;
                when the gate is off, the caller asked for no linting at
                all *)
-            Plan_cache.add plan_cache p.key p;
+            Plan_cache.add plan_cache lru_key ~accept p;
             store_persist p;
             (p, Built))
 
@@ -880,7 +921,7 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
   let now = Qturbo_util.Clock.now () in
   let cache = Plan_cache.stats plan_cache in
   let kstats =
-    if options.plan_cache then Plan_cache.key_stats plan_cache plan.key
+    if options.plan_cache then Plan_cache.key_stats plan_cache plan.lru_key
     else Plan_cache.zero_key_stats
   in
   {

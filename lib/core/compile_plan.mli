@@ -11,13 +11,20 @@
     batch compiles and the segments of a time-dependent compile all
     reuse one plan, paying the front-end once.
 
-    Plans are cached process-wide in a bounded LRU ({!Plan_cache})
-    keyed by an exact structural string ({!plan_key}): the AAIS
-    fingerprint (name, variables, channel expressions/hints/effects and
-    the device builder's constraint fingerprint) plus the target's
-    support and the classification-affecting options.  Exact keys mean
-    no hash collisions; equal keys produce interchangeable plans, so a
-    cache hit is bitwise-identical to a cold build by construction.
+    A plan's exact structural key ({!plan_key}) is the AAIS rendering
+    ({!Shape.of_aais}: name, variables, channel expressions/hints/effects
+    and the device builder's constraint fingerprint) plus the target's
+    support and the classification-affecting options.  Plans are cached
+    process-wide in a bounded LRU ({!Plan_cache}) under a compact key
+    (the solver flag, the rendering's memoized MD5 and the support's
+    MD5), and a resident plan is served only after exact equality of
+    its flag, rendering and support with the request's — digests pick
+    the candidate, equality decides, so no collision can serve a wrong
+    plan.  Equal structures produce interchangeable plans, so a cache
+    hit is bitwise-identical to a cold build by construction.  Each
+    AAIS value is rendered at most once; the full key is spelled out
+    only on an LRU miss, for the persistent store and the [QT027]
+    round-trip check.
 
     The numeric back-end is one sequence of named stages (see
     {!section-stages}); {!solve} runs it for a static target and
@@ -171,6 +178,8 @@ type device = {
   classifications : Local_solver.classification list;
   prepared : prepared_comp list;
   device_key : string;
+      (** ["g=<flag>|"] and the {!Shape.of_aais} rendering: the device
+          section of every plan key built on it *)
 }
 (** The target-independent part of a plan: locality decomposition,
     classifications (with the [generic_local_solver] override applied)
@@ -184,6 +193,11 @@ type t = {
   structure_diags : Diagnostic.t list;
       (** the shape-only analyzer pass, computed once per plan *)
   key : string;
+      (** the exact structural key ({!plan_key}); the store files the
+          plan under it *)
+  lru_key : string;
+      (** the compact key the in-memory LRU files the plan under:
+          solver flag, rendering digest, support digest *)
   build_seconds : float;
 }
 
@@ -191,8 +205,10 @@ val support_of_target : Pauli_sum.t -> Pauli_string.t list
 (** Non-identity support, in term order (= {!Shape.support_of_target}). *)
 
 val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
-(** The structural cache key this target would compile under.  Equal
-    keys ⇒ interchangeable plans; coefficients do not contribute. *)
+(** The exact structural key this target would compile under.  Equal
+    keys ⇒ interchangeable plans; coefficients do not contribute.  The
+    device section comes from the AAIS's memo, so only the first call
+    on an AAIS value renders it. *)
 
 val build_device : ?options:options -> aais:Aais.t -> unit -> device
 val obtain_device : options:options -> aais:Aais.t -> device
@@ -454,8 +470,9 @@ val store_version : unit -> string
 val cache_stats : unit -> Plan_cache.stats
 
 val cache_per_key : unit -> (string * Plan_cache.key_stats) list
-(** Per-key counters of the plan cache (keys are the exact structural
-    strings; display layers typically digest them), sorted by key. *)
+(** Per-key counters of the plan cache, keyed by the compact LRU keys
+    ({!t.lru_key}; display layers digest them further), sorted by
+    key. *)
 
 val device_cache_stats : unit -> Plan_cache.stats
 

@@ -88,17 +88,17 @@ let kcell t key =
       Hashtbl.add t.keys key c;
       c
 
-let find t key =
+let find ?(accept = fun _ -> true) t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | Some e ->
+      | Some e when accept e.value ->
           t.tick <- t.tick + 1;
           e.last_used <- t.tick;
           t.hits <- t.hits + 1;
           let c = kcell t key in
           c.k_hits <- c.k_hits + 1;
           Some e.value
-      | None ->
+      | Some _ | None ->
           t.misses <- t.misses + 1;
           let c = kcell t key in
           c.k_misses <- c.k_misses + 1;
@@ -122,11 +122,11 @@ let evict_lru t =
       c.k_evictions <- c.k_evictions + 1
   | None -> ()
 
-let add t key value =
+let add ?(accept = fun _ -> true) t key value =
   locked t (fun () ->
       t.tick <- t.tick + 1;
       match Hashtbl.find_opt t.tbl key with
-      | Some e ->
+      | Some e when accept e.value ->
           (* plans for equal keys are interchangeable; keep the resident
              one (it may already be shared) and just refresh its age.
              The fresh build is dropped — count it, so the telemetry
@@ -137,6 +137,14 @@ let add t key value =
           t.discarded <- t.discarded + 1;
           let c = kcell t key in
           c.k_discarded <- c.k_discarded + 1
+      | Some _ ->
+          (* a resident the caller does not accept is not the same
+             structure (its key merely collides with this one): the
+             fresh value takes its slot *)
+          t.evictions <- t.evictions + 1;
+          let c = kcell t key in
+          c.k_evictions <- c.k_evictions + 1;
+          Hashtbl.replace t.tbl key { value; last_used = t.tick }
       | None ->
           if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
           Hashtbl.add t.tbl key { value; last_used = t.tick })

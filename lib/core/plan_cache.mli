@@ -1,4 +1,4 @@
-(** Bounded, mutex-guarded LRU cache keyed by structural strings.
+(** Bounded, mutex-guarded LRU cache keyed by compact strings.
 
     Backs the {!Compile_plan} plan and device caches.  Entries must be
     immutable (plans are), because a cached value may be shared by
@@ -44,14 +44,21 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val find : 'a t -> string -> 'a option
-(** Counts a hit (and refreshes the entry's age) or a miss. *)
+val find : ?accept:('a -> bool) -> 'a t -> string -> 'a option
+(** Counts a hit (and refreshes the entry's age) or a miss.  A resident
+    value is served only if [accept] (default: any) holds for it;
+    otherwise the lookup is a miss.  Keys that are digests use [accept]
+    to confirm the resident is exactly the requested structure, so a
+    digest collision can cost a rebuild but never serve a wrong
+    value.  [accept] runs under the cache lock and must not call back
+    into the cache. *)
 
-val add : 'a t -> string -> 'a -> unit
+val add : ?accept:('a -> bool) -> 'a t -> string -> 'a -> unit
 (** Insert, evicting the least-recently-used entry at capacity.  If the
-    key is already resident the resident value is kept — values for
-    equal structural keys are interchangeable by construction — and the
-    drop is counted as [discarded]. *)
+    key is already resident and [accept] holds for the resident value,
+    it is kept — values for equal structures are interchangeable by
+    construction — and the drop is counted as [discarded]; a resident
+    that [accept] refuses is replaced and counted as an eviction. *)
 
 val reject : 'a t -> string -> unit
 (** Count an integrity rejection for [key]: a value that failed

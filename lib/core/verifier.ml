@@ -15,21 +15,60 @@ type report = {
   plan : Compiler.plan_stats;
 }
 
-let compare_hamiltonians ~h_sim ~t_sim ~target ~t_tar =
-  let b_sim = Pauli_sum.scale t_sim (Pauli_sum.drop_identity h_sim) in
-  let b_tar = Pauli_sum.scale t_tar (Pauli_sum.drop_identity target) in
-  let diff = Pauli_sum.sub b_sim b_tar in
-  let error_l1 = Pauli_sum.norm1 diff in
-  let max_term_error =
-    List.fold_left
-      (fun acc (_, c) -> Float.max acc (Float.abs c))
-      0.0 (Pauli_sum.terms diff)
+(* ‖B_sim − B_tar‖₁, its largest term and ‖B_tar‖₁ in one merge of two
+   ascending term streams, with B = T·H and the identity dropped on both
+   sides.  [sim] feeds the simulator's terms in ascending
+   [Pauli_string.compare] order.  Sums run in that order with the
+   association of [Pauli_sum]'s [scale]/[sub]/[norm1] — [t_sim *. h],
+   then [+. -.(t_tar *. c)] where the target has the term too — so every
+   value is bit-identical to the map-built comparison's; only the maps
+   are gone. *)
+let compare_terms ~sim ~t_sim ~target ~t_tar =
+  let error_l1 = ref 0.0 and max_term_error = ref 0.0 and b_norm = ref 0.0 in
+  let add d =
+    let a = Float.abs d in
+    error_l1 := !error_l1 +. a;
+    max_term_error := Float.max !max_term_error a
   in
-  let b_norm = Pauli_sum.norm1 b_tar in
+  let tar_term c =
+    let b = t_tar *. c in
+    b_norm := !b_norm +. Float.abs b;
+    -.b
+  in
+  (* [Pauli_sum.scale 0.0] is the empty sum *)
+  let pending =
+    ref
+      (if t_tar = 0.0 then []
+       else
+         List.filter
+           (fun (s, _) -> not (Pauli_string.is_identity s))
+           (Pauli_sum.terms target))
+  in
+  let rec merge s h =
+    match !pending with
+    | (s', c) :: rest ->
+        let order = Pauli_string.compare s' s in
+        if order < 0 then begin
+          pending := rest;
+          add (tar_term c);
+          merge s h
+        end
+        else if order = 0 then begin
+          pending := rest;
+          add ((t_sim *. h) +. tar_term c)
+        end
+        else add (t_sim *. h)
+    | [] -> add (t_sim *. h)
+  in
+  if t_sim <> 0.0 then
+    sim (fun s h -> if not (Pauli_string.is_identity s) then merge s h);
+  List.iter (fun (_, c) -> add (tar_term c)) !pending;
   let relative_error =
-    if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0
+    if !b_norm > 0.0 then !error_l1 /. !b_norm *. 100.0 else 0.0
   in
-  (error_l1, relative_error, max_term_error)
+  (!error_l1, relative_error, !max_term_error)
+
+let iter_sum h f = List.iter (fun (s, c) -> f s c) (Pauli_sum.terms h)
 
 let consistency ~recomputed (result : Compiler.result) =
   Float.abs (recomputed -. result.Compiler.error_l1)
@@ -38,9 +77,8 @@ let consistency ~recomputed (result : Compiler.result) =
 let verify_rydberg ryd ~target ~t_tar (result : Compiler.result) =
   let env = result.Compiler.env in
   let t_sim = result.Compiler.t_sim in
-  let h_sim = Rydberg.hamiltonian ryd ~env in
   let error_l1, relative_error, max_term_error =
-    compare_hamiltonians ~h_sim ~t_sim ~target ~t_tar
+    compare_terms ~sim:(Rydberg.iter_terms ryd ~env) ~t_sim ~target ~t_tar
   in
   let pulse = Extract.rydberg_pulse ryd ~env ~t_sim in
   let violations = Pulse.within_limits pulse in
@@ -64,9 +102,10 @@ let verify_rydberg ryd ~target ~t_tar (result : Compiler.result) =
 let verify_heisenberg heis ~target ~t_tar (result : Compiler.result) =
   let env = result.Compiler.env in
   let t_sim = result.Compiler.t_sim in
-  let h_sim = Heisenberg.hamiltonian heis ~env in
   let error_l1, relative_error, max_term_error =
-    compare_hamiltonians ~h_sim ~t_sim ~target ~t_tar
+    compare_terms
+      ~sim:(iter_sum (Heisenberg.hamiltonian heis ~env))
+      ~t_sim ~target ~t_tar
   in
   (* amplitude bounds *)
   let violations = ref [] in
@@ -116,9 +155,10 @@ let verify_heisenberg heis ~target ~t_tar (result : Compiler.result) =
 let verify_iontrap trap ~target ~t_tar (result : Compiler.result) =
   let env = result.Compiler.env in
   let t_sim = result.Compiler.t_sim in
-  let h_sim = Iontrap.hamiltonian trap ~env in
   let error_l1, relative_error, max_term_error =
-    compare_hamiltonians ~h_sim ~t_sim ~target ~t_tar
+    compare_terms
+      ~sim:(iter_sum (Iontrap.hamiltonian trap ~env))
+      ~t_sim ~target ~t_tar
   in
   let pulse = Extract.iontrap_pulse trap ~env ~t_sim in
   let violations = ref (Pulse.iontrap_within_limits pulse) in

@@ -1,12 +1,21 @@
 (** Independent verification of compiled results.
 
     Defence in depth for the compiler pipeline: rather than trusting the
-    linear-system bookkeeping, the verifier rebuilds the {e physical}
+    linear-system bookkeeping, the verifier recomputes the {e physical}
     simulator Hamiltonian from the compiled variable values (through
-    {!Qturbo_aais.Rydberg.hamiltonian} / {!Qturbo_aais.Heisenberg.hamiltonian},
-    which know nothing about channels or synthesized variables), compares
-    [H_sim·T_sim] with [H_tar·T_tar] coefficient by coefficient, and
-    re-checks the extracted pulse against the device limits. *)
+    {!Qturbo_aais.Rydberg.iter_terms} / {!Qturbo_aais.Heisenberg.hamiltonian}
+    / {!Qturbo_aais.Iontrap.hamiltonian}, which know nothing about
+    channels or synthesized variables), compares [H_sim·T_sim] with
+    [H_tar·T_tar] coefficient by coefficient, and re-checks the
+    extracted pulse against the device limits.
+
+    The comparison is one merge of two term streams in ascending
+    Pauli-string order — the simulator's terms against the target's —
+    with no intermediate sum: a Rydberg device's O(n²) pair terms are
+    generated straight into it.  Its sums follow the order and float
+    association of the sum-based comparison
+    ([scale]/[sub]/[norm1] over {!Qturbo_pauli.Pauli_sum}), so every
+    report value is bit-identical to it. *)
 
 type report = {
   error_l1 : float;  (** independently recomputed [‖B_sim − B_tar‖₁] *)

@@ -95,8 +95,8 @@ let parse_int_list ~what text =
 
 (* ---- cache / store telemetry ------------------------------------------ *)
 
-(* Plan-cache keys are exact structural strings (kilobytes for large
-   devices); display layers show a stable digest prefix instead. *)
+(* Plan-cache keys are compact (solver flag and two hex digests);
+   display layers show a stable digest prefix of them. *)
 let digest_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
 
 let plan_cache_json () =

@@ -3,8 +3,9 @@
     The in-memory [Plan_cache] amortizes the structural front end
     within one process; this store amortizes it {e across} processes.
     Entries are opaque byte payloads keyed by the exact structural
-    [Shape] key string — the same canonicalized key the LRU uses — so
-    a hit here is as trustworthy as an LRU hit, provided the payload
+    [Shape] key string — the one the LRU's compact key digests, and
+    the LRU confirms a digest match with the same exact equality — so a
+    hit here is as trustworthy as an LRU hit, provided the payload
     survives validation.
 
     Trust model: the store is a cache, never a source of truth.  Every

@@ -5,9 +5,12 @@
    Here the expected values are literals: the hex-float rendering of
    [t_sim], [error_l1] and the Theorem-1 bound, an MD5 over the
    hex-float rendering of the whole variable assignment (for a
-   time-dependent compile: every segment's [env] and duration), and the
-   classified failure list.  A refactor of the numeric back end that
-   claims to preserve output must keep every row below unchanged.
+   time-dependent compile: every segment's [env] and duration), the
+   classified failure list, and the backend verifier's [error_l1],
+   [relative_error] and [max_term_error] (for a time-dependent compile:
+   per segment, against that segment's discretized Hamiltonian).  A
+   refactor of the numeric back end or of the verifier that claims to
+   preserve output must keep every row below unchanged.
 
    Fault injection is always explicit ([Fault.empty] for the clean
    cases), so the suite means the same under any [QTURBO_FAULTS]; the
@@ -26,6 +29,10 @@ type observed = {
   env_md5 : string;
   failures : (int * string * string * string * bool) list;
       (** (component, site, stage, class, fatal) in pipeline order *)
+  verify : string list;
+      (** per verified instance (one static target, or each segment):
+          the verifier's [error_l1], [relative_error] and
+          [max_term_error], [|]-joined *)
 }
 
 let hex = Printf.sprintf "%h"
@@ -39,6 +46,53 @@ let failure_row (f : Failure.t) =
     Failure.class_name f.Failure.class_,
     f.Failure.fatal )
 
+let verify_row (report : Verifier.report) =
+  String.concat "|"
+    [
+      hex report.Verifier.error_l1;
+      hex report.Verifier.relative_error;
+      hex report.Verifier.max_term_error;
+    ]
+
+let no_plan =
+  {
+    Compiler.cache_enabled = false;
+    cache_hit = false;
+    store_enabled = false;
+    store_hit = false;
+    cache_hits = 0;
+    cache_misses = 0;
+    cache_discarded = 0;
+    key_hits = 0;
+    key_misses = 0;
+    key_evictions = 0;
+    build_seconds = 0.0;
+    solve_seconds = 0.0;
+  }
+
+(* One segment of a time-dependent compile, as the verifier reads it:
+   its variable values, duration and compiler error. *)
+let segment_result (r : Td_compiler.result) (s : Td_compiler.segment_result) =
+  {
+    Compiler.env = s.Td_compiler.env;
+    t_sim = s.Td_compiler.duration;
+    alpha_target = [||];
+    alpha_achieved = [||];
+    error_l1 = s.Td_compiler.error_l1;
+    relative_error = 0.0;
+    eps1 = s.Td_compiler.eps1;
+    eps2_total = 0.0;
+    theorem1_bound = infinity;
+    components = [];
+    constraint_iterations = 0;
+    compile_seconds = 0.0;
+    warnings = [];
+    diagnostics = [];
+    failures = r.Td_compiler.failures;
+    degraded = r.Td_compiler.degraded;
+    plan = no_plan;
+  }
+
 let options ?(faults = Fault.empty) ?(best_effort = false) f =
   f
     {
@@ -47,9 +101,9 @@ let options ?(faults = Fault.empty) ?(best_effort = false) f =
       best_effort;
     }
 
-let static ?(backend = Backend.rydberg) ?(tweak = Fun.id) ?faults
+let static ?(backend = Backend.rydberg) ?cutoff ?(tweak = Fun.id) ?faults
     ?best_effort ~model ~n () =
-  let inst = backend.Backend.instantiate ~model_name:model ~n () in
+  let inst = backend.Backend.instantiate ?cutoff ~model_name:model ~n () in
   let target =
     Qturbo_pauli.Pauli_sum.drop_identity
       (Qturbo_models.Model.hamiltonian_at
@@ -67,18 +121,19 @@ let static ?(backend = Backend.rydberg) ?(tweak = Fun.id) ?faults
     bound = hex r.Compiler.theorem1_bound;
     env_md5 = md5 (render_env r.Compiler.env);
     failures = List.map failure_row r.Compiler.failures;
+    verify = [ verify_row (inst.Backend.verify ~target ~t_tar:1.0 r) ];
   }
 
 let td ?(backend = Backend.rydberg) ?(tweak = Fun.id) ?faults ?best_effort
     ~model ~n ~segments () =
   let inst = backend.Backend.instantiate ~model_name:model ~n () in
+  let model = Qturbo_models.Benchmarks.by_name ~name:model ~n in
   let r =
     Td_compiler.compile
       ~options:(options ?faults ?best_effort tweak)
-      ~aais:inst.Backend.aais
-      ~model:(Qturbo_models.Benchmarks.by_name ~name:model ~n)
-      ~t_tar:1.0 ~segments ()
+      ~aais:inst.Backend.aais ~model ~t_tar:1.0 ~segments ()
   in
+  let tau = 1.0 /. float_of_int segments in
   {
     t_sim = hex r.Td_compiler.t_sim;
     error_l1 = hex r.Td_compiler.error_l1;
@@ -91,6 +146,15 @@ let td ?(backend = Backend.rydberg) ?(tweak = Fun.id) ?faults ?best_effort
                 render_env s.Td_compiler.env ^ "|" ^ hex s.Td_compiler.duration)
               r.Td_compiler.segments));
     failures = List.map failure_row r.Td_compiler.failures;
+    verify =
+      List.map2
+        (fun target s ->
+          verify_row
+            (inst.Backend.verify
+               ~target:(Qturbo_pauli.Pauli_sum.drop_identity target)
+               ~t_tar:tau (segment_result r s)))
+        (Qturbo_models.Model.discretize model ~segments)
+        r.Td_compiler.segments;
   }
 
 let faults = Fault.parse_exn
@@ -147,8 +211,17 @@ let cases =
             let faults, best_effort = best_effort spec in
             mis ~faults ~best_effort 4 ))
       [ "*=nan"; "segment-loop=deadline"; "constraint-loop=retry" ]
+  @ [
+      ( "rydberg ising-cycle n=300 cutoff 45um",
+        fun () -> static ~cutoff:"45" ~model:"ising-cycle" ~n:300 () );
+      ( "rydberg mis-chain n=5 K=4 time_opt=false",
+        fun () ->
+          mis ~tweak:(fun o -> { o with Compiler.time_opt = false }) 4 );
+    ]
 
-(* recorded at the commit that introduced this suite *)
+(* recorded at the commit that introduced this suite; the [verify]
+   rows and the n=300 cutoff and K=4 time_opt=false cases were recorded
+   before the verifier's streaming comparison replaced the map-based one *)
 let expected =
   [
     ( "rydberg ising-cycle n=23",
@@ -158,6 +231,7 @@ let expected =
         bound = "0x1.4e21b5664f39fp+0";
         env_md5 = "48bb4d02f79d0349052a337a35ea9404";
         failures = [];
+        verify = [ "0x1.bd824733145a6p-2|0x1.e43fb190908edp-1|0x1.0eb5bdebcd7e3p-6" ];
       } );
     ( "rydberg ising-cycle n=93",
       {
@@ -166,6 +240,7 @@ let expected =
         bound = "0x1.3b5ac6fd79e7p+2";
         env_md5 = "4b8c611d0d57197a0768457949b43d95";
         failures = [];
+        verify = [ "0x1.a4790951f7f9cp+0|0x1.c41f0cc63ef11p-1|0x1.00d07d8788a8bp-6" ];
       } );
     ( "rydberg ising-cycle n=150 (sparse LM)",
       {
@@ -174,6 +249,16 @@ let expected =
         bound = "0x1.c987c868e3a67p+2";
         env_md5 = "73807aa29bada6e5044f7abd71518109";
         failures = [];
+        verify = [ "0x1.946a76e1bda6fp+1|0x1.0d9c4f412919fp+0|0x1.00463ee11bfd9p-6" ];
+      } );
+    ( "rydberg ising-cycle n=300 cutoff 45um",
+      {
+        t_sim = "0x1.999999999999ap-1";
+        error_l1 = "0x1.510813e9beebfp+2";
+        bound = "0x1.f98c1dde9e61ap+3";
+        env_md5 = "59f2d0daae181f772684fbae5cd6f158";
+        failures = [];
+        verify = [ "0x1.533e0e99718d2p+2|0x1.c452be21ecbc2p-1|0x1.00056cbfd5faep-6" ];
       } );
     ( "heisenberg heis-chain n=6",
       {
@@ -182,6 +267,7 @@ let expected =
         bound = "0x0p+0";
         env_md5 = "4cf2e8f27e6f82565aac38335253e97b";
         failures = [];
+        verify = [ "0x0p+0|0x0p+0|0x0p+0" ];
       } );
     ( "iontrap ising-chain n=6",
       {
@@ -190,6 +276,7 @@ let expected =
         bound = "0x0p+0";
         env_md5 = "f1ee827326ae308d6938a5b629b29426";
         failures = [];
+        verify = [ "0x0p+0|0x0p+0|0x0p+0" ];
       } );
     ( "rydberg ising-chain n=5",
       {
@@ -198,6 +285,7 @@ let expected =
         bound = "0x1.36d0dfdf524fcp-3";
         env_md5 = "0de69ce1c463470ab53cff537a6966e8";
         failures = [];
+        verify = [ "0x1.9e6bd529c315p-5|0x1.1fcae2408e95bp-1|0x1.ffe7e120699d7p-7" ];
       } );
     ( "rydberg ising-chain n=5 generic local solver",
       {
@@ -206,6 +294,7 @@ let expected =
         bound = "0x1.36d129191278cp-3";
         env_md5 = "5caf52d059f0a6f70e2ed7a5509857aa";
         failures = [];
+        verify = [ "0x1.9e6c36cc18a2fp-5|0x1.1fcb260dbbc68p-1|0x1.ffe7e120699d7p-7" ];
       } );
     ( "rydberg ising-chain n=5 refine=false",
       {
@@ -214,6 +303,7 @@ let expected =
         bound = "0x1.36d0dfdf524fcp-3";
         env_md5 = "ea67f8f61003d943b42b1455cd85cb54";
         failures = [];
+        verify = [ "0x1.30c92c9545ecp-3|0x1.a7504c24a8399p+0|0x1.f7dd99d7c2ap-6" ];
       } );
     ( "rydberg ising-chain n=5 time_opt=false",
       {
@@ -222,6 +312,7 @@ let expected =
         bound = "0x1.36d0dfdf51f64p-3";
         env_md5 = "3cf373b2af424b01291406248584c3a5";
         failures = [];
+        verify = [ "0x1.9e6bd529c2abdp-5|0x1.1fcae2408e4cap-1|0x1.ffe7e12069a05p-7" ];
       } );
     ( "rydberg mis-chain n=5 K=4",
       {
@@ -230,6 +321,12 @@ let expected =
         bound = "";
         env_md5 = "529ef7194f7a74aee89afb3d59854813";
         failures = [];
+        verify = [
+            "0x1.9a807eea54c84p-9|0x1.5be20c1906c3cp-3|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54be4p-9|0x1.a2e128b06b5eep-3|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54c24p-9|0x1.07246b9cc6be2p-2|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54c2cp-9|0x1.36fc7f2da50fbp-2|0x1.0004055f8945bp-10";
+          ];
       } );
     ( "rydberg mis-chain n=5 K=6",
       {
@@ -238,6 +335,28 @@ let expected =
         bound = "";
         env_md5 = "f7a6e06f20b7d5b6fa975cd7fb6a80a6";
         failures = [];
+        verify = [
+            "0x1.11aaff46e327dp-9|0x1.525365c991ca9p-3|0x1.555ab1d4b7079p-11";
+            "0x1.11aaff46e331dp-9|0x1.7c1829a990e1cp-3|0x1.555ab1d4b7079p-11";
+            "0x1.11aaff46e329dp-9|0x1.b1a0f9721fd45p-3|0x1.555ab1d4b7079p-11";
+            "0x1.11aaff46e327dp-9|0x1.f8b72abb63fbcp-3|0x1.555ab1d4b7079p-11";
+            "0x1.11aaff46e328dp-9|0x1.2dd6f3e8899a4p-2|0x1.555ab1d4b7079p-11";
+            "0x1.11aaff46e32c1p-9|0x1.3a28de84508ap-2|0x1.555ab1d4b7079p-11";
+          ];
+      } );
+    ( "rydberg mis-chain n=5 K=4 time_opt=false",
+      {
+        t_sim = "0x1.33468047f9169p+0";
+        error_l1 = "0x1.9a807eea54e56p-7";
+        bound = "";
+        env_md5 = "8de2ed8d21ac65d50a4520aaff9a8b89";
+        failures = [];
+        verify = [
+            "0x1.9a807eea54f1ep-9|0x1.5be20c1906e7p-3|0x1.0004055f89466p-10";
+            "0x1.9a807eea54f1ep-9|0x1.a2e128b06b93ap-3|0x1.0004055f89466p-10";
+            "0x1.9a807eea54f0ep-9|0x1.07246b9cc6dcp-2|0x1.0004055f89466p-10";
+            "0x1.9a807eea54efep-9|0x1.36fc7f2da531ep-2|0x1.0004055f89466p-10";
+          ];
       } );
     ( "rydberg mis-chain n=5 K=4 refine=false",
       {
@@ -246,6 +365,12 @@ let expected =
         bound = "";
         env_md5 = "b462842269856825be4e193c016b8b1e";
         failures = [];
+        verify = [
+            "0x1.33e05f2fbf8a1p-7|0x1.04e98912c5089p-1|0x1.000405662bacp-9";
+            "0x1.33e05f2fbf8b1p-7|0x1.3a28de8450837p-1|0x1.000405662bbp-9";
+            "0x1.33e05f2fbf88dp-7|0x1.8ab6a16b2a11ep-1|0x1.000405662baep-9";
+            "0x1.33e05f2fbf889p-7|0x1.d27abec477892p-1|0x1.000405662badp-9";
+          ];
       } );
     ( "rydberg mis-chain n=5 K=4 generic local solver",
       {
@@ -254,6 +379,12 @@ let expected =
         bound = "";
         env_md5 = "5f793e9c6671aee02de7f7a4cab02338";
         failures = [];
+        verify = [
+            "0x1.9a8188e6fa61p-9|0x1.5be2ed82a8cbbp-3|0x1.0004055f8945bp-10";
+            "0x1.9a8188d54ea5p-9|0x1.a2e23808ae4a5p-3|0x1.0004055f8945bp-10";
+            "0x1.9a8188d5a2f4p-9|0x1.07251612caeb3p-2|0x1.0004055f8945bp-10";
+            "0x1.9a8188e85099p-9|0x1.36fd48affeff9p-2|0x1.0004055f8945bp-10";
+          ];
       } );
     ( "iontrap qaoa-chain n=5 K=4",
       {
@@ -262,6 +393,12 @@ let expected =
         bound = "";
         env_md5 = "4601208f5a3a79195976b25da2e27e6d";
         failures = [];
+        verify = [
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
+          ];
       } );
     ( "static best-effort lm=nan",
       {
@@ -272,6 +409,7 @@ let expected =
         failures = [
             (0, "fixed-solve", "lm", "numeric-invalid", false);
           ];
+        verify = [ "0x1.9e6bd57a435bdp-5|0x1.1fcae27875e35p-1|0x1.ffe7e11eb84cp-7" ];
       } );
     ( "static best-effort constraint-loop=retry",
       {
@@ -282,6 +420,7 @@ let expected =
         failures = [
             (-1, "constraint-loop", "", "position-retry-exhausted", false);
           ];
+        verify = [ "0x1.9e6bd529c3e82p-5|0x1.1fcae2408f285p-1|0x1.ffe7e12069989p-7" ];
       } );
     ( "static best-effort refine=deadline",
       {
@@ -292,6 +431,7 @@ let expected =
         failures = [
             (-1, "refine", "", "deadline-expired", false);
           ];
+        verify = [ "0x1.30c92c9545ecp-3|0x1.a7504c24a8399p+0|0x1.f7dd99d7c2ap-6" ];
       } );
     ( "static best-effort *=nan",
       {
@@ -305,6 +445,7 @@ let expected =
             (0, "fixed-solve", "nelder-mead", "non-convergence", false);
             (0, "fixed-solve", "multistart", "numeric-invalid", true);
           ];
+        verify = [ "0x1.09283ba456dd8p+1|0x1.704619f278a56p+4|0x1.1226344425294p+0" ];
       } );
     ( "td K=4 best-effort *=nan",
       {
@@ -318,6 +459,12 @@ let expected =
             (0, "fixed-solve", "nelder-mead", "non-convergence", false);
             (0, "fixed-solve", "multistart", "numeric-invalid", true);
           ];
+        verify = [
+            "0x1.fb8ecb28f85b4p-3|0x1.ae223b5b2092cp+3|0x1.7b7d6d9041763p-3";
+            "0x1.fb8ecb28f85b4p-3|0x1.02f54314e733cp+4|0x1.7b7d6d9041763p-3";
+            "0x1.fb8ecb28f85b2p-3|0x1.455b88cb7e61cp+4|0x1.7b7d6d9041763p-3";
+            "0x1.fb8ecb28f85b2p-3|0x1.8083731f09b97p+4|0x1.7b7d6d9041763p-3";
+          ];
       } );
     ( "td K=4 best-effort segment-loop=deadline",
       {
@@ -327,6 +474,12 @@ let expected =
         env_md5 = "529ef7194f7a74aee89afb3d59854813";
         failures = [
             (-1, "segment-loop", "", "deadline-expired", false);
+          ];
+        verify = [
+            "0x1.9a807eea54c84p-9|0x1.5be20c1906c3cp-3|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54be4p-9|0x1.a2e128b06b5eep-3|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54c24p-9|0x1.07246b9cc6be2p-2|0x1.0004055f8945bp-10";
+            "0x1.9a807eea54c2cp-9|0x1.36fc7f2da50fbp-2|0x1.0004055f8945bp-10";
           ];
       } );
     ( "td K=4 best-effort constraint-loop=retry",
@@ -338,18 +491,26 @@ let expected =
         failures = [
             (-1, "constraint-loop", "", "position-retry-exhausted", false);
           ];
+        verify = [
+            "0x1.9a807eea54c64p-9|0x1.5be20c1906c21p-3|0x1.0004055f89457p-10";
+            "0x1.9a807eea54c24p-9|0x1.a2e128b06b62fp-3|0x1.0004055f89457p-10";
+            "0x1.9a807eea54c44p-9|0x1.07246b9cc6bf7p-2|0x1.0004055f89457p-10";
+            "0x1.9a807eea54c64p-9|0x1.36fc7f2da5125p-2|0x1.0004055f89457p-10";
+          ];
       } );
   ]
 
 let show o =
   Printf.sprintf
-    "{ t_sim = %S; error_l1 = %S; bound = %S; env_md5 = %S; failures = [%s] }"
+    "{ t_sim = %S; error_l1 = %S; bound = %S; env_md5 = %S; failures = [%s]; \
+     verify = [%s] }"
     o.t_sim o.error_l1 o.bound o.env_md5
     (String.concat "; "
        (List.map
           (fun (c, site, stage, cls, fatal) ->
             Printf.sprintf "(%d, %S, %S, %S, %b)" c site stage cls fatal)
           o.failures))
+    (String.concat "; " (List.map (Printf.sprintf "%S") o.verify))
 
 let check (name, run) =
   Alcotest.test_case name `Quick (fun () ->

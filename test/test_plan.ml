@@ -138,6 +138,35 @@ let prop_plan_key_coefficient_invariant =
         (key ~target:(target ~j ~h))
         (key ~target:(target ~j:1.0 ~h:1.0)))
 
+(* The support section of a plan key is spelled sparsely, and QT027
+   parses it back: the round trip is exact, and text the renderer
+   cannot produce does not parse. *)
+let test_support_rendering_roundtrip () =
+  let supports =
+    [
+      [];
+      Shape.support_of_target (static_target "ising-cycle" 12);
+      Shape.support_of_target (static_target "kitaev" 7);
+      [
+        Pauli_string.of_list [ (0, Pauli.X); (17, Pauli.Y); (1203, Pauli.Z) ];
+        Pauli_string.single 9 Pauli.Y;
+      ];
+    ]
+  in
+  List.iter
+    (fun support ->
+      match Shape.support_of_rendering (Shape.of_support support) with
+      | Some parsed when List.equal Pauli_string.equal parsed support -> ()
+      | _ ->
+          Alcotest.failf "support %S does not round-trip"
+            (Shape.of_support support))
+    supports;
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (text ^ " is refused") true
+        (Shape.support_of_rendering text = None))
+    [ "Z0,"; "0,"; "0Z1,"; "0Q,"; "0Z0Z,"; "IZZ," ]
+
 (* ---- cached vs cold solves are bitwise-identical ---- *)
 
 let cold_vs_warm ~domains (j, h) =
@@ -224,6 +253,102 @@ let test_plan_cache_lru () =
   Alcotest.(check int) "cleared misses" 0 s.Plan_cache.misses;
   Alcotest.(check int) "cleared discarded" 0 s.Plan_cache.discarded;
   Alcotest.(check int) "cleared per_key" 0 (List.length (Plan_cache.per_key c))
+
+(* ---- compact LRU keys: a digest picks the candidate, equality decides ---- *)
+
+let obtain aais target =
+  Compile_plan.obtain ~options:Compiler.default_options ~aais ~target
+
+let provenance_name = function
+  | Compile_plan.Built -> "built"
+  | Compile_plan.Cached -> "cached"
+  | Compile_plan.Stored -> "stored"
+
+let check_provenance msg expected (_, got) =
+  Alcotest.(check string) msg (provenance_name expected) (provenance_name got)
+
+let test_equal_devices_share_plan () =
+  Compile_plan.clear_caches ();
+  let target = static_target "ising-chain" 5 in
+  let a = rydberg_for "ising-chain" 5 and b = rydberg_for "ising-chain" 5 in
+  Alcotest.(check bool) "separately built" false (a.Rydberg.aais == b.Rydberg.aais);
+  let pa, prov_a = obtain a.Rydberg.aais target in
+  let pb, prov_b = obtain b.Rydberg.aais target in
+  check_provenance "first device builds" Compile_plan.Built (pa, prov_a);
+  check_provenance "equal device hits" Compile_plan.Cached (pb, prov_b);
+  Alcotest.(check bool) "one shared plan" true (pa == pb)
+
+let test_one_ulp_bound_misses () =
+  Compile_plan.clear_caches ();
+  let target = static_target "ising-chain" 5 in
+  let base = rydberg_for "ising-chain" 5 in
+  let nudged =
+    Rydberg.build
+      ~spec:
+        {
+          relaxed_line with
+          Device.omega_max = Float.succ relaxed_line.Device.omega_max;
+        }
+      ~n:5
+  in
+  check_provenance "base builds" Compile_plan.Built (obtain base.Rydberg.aais target);
+  check_provenance "one ulp of the omega bound misses" Compile_plan.Built
+    (obtain nudged.Rydberg.aais target);
+  check_provenance "base still hits" Compile_plan.Cached
+    (obtain base.Rydberg.aais target)
+
+let test_pool_growth_rekeys () =
+  Compile_plan.clear_caches ();
+  let target = static_target "ising-chain" 4 in
+  let aais = (rydberg_for "ising-chain" 4).Rydberg.aais in
+  check_provenance "first key builds" Compile_plan.Built (obtain aais target);
+  let before = Shape.of_aais aais in
+  ignore
+    (Variable.fresh aais.Aais.pool ~name:"appended"
+       ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ());
+  Alcotest.(check bool) "the rendering follows the pool" false
+    (String.equal before (Shape.of_aais aais));
+  check_provenance "the grown device misses" Compile_plan.Built
+    (obtain aais target)
+
+(* A key shared by two different values (a digest collision) serves
+   neither to the other's request. *)
+let test_plan_cache_accept () =
+  let c = Plan_cache.create ~capacity:2 in
+  let is v x = x = v in
+  Plan_cache.add c "k" ~accept:(is 1) 1;
+  Alcotest.(check (option int)) "accepted hit" (Some 1)
+    (Plan_cache.find c "k" ~accept:(is 1));
+  Alcotest.(check (option int)) "refused resident is a miss" None
+    (Plan_cache.find c "k" ~accept:(is 2));
+  Plan_cache.add c "k" ~accept:(is 2) 2;
+  Alcotest.(check (option int)) "refused resident replaced" (Some 2)
+    (Plan_cache.find c "k" ~accept:(is 2));
+  Plan_cache.add c "k" ~accept:(is 2) 3;
+  Alcotest.(check (option int)) "accepted resident kept" (Some 2)
+    (Plan_cache.find c "k");
+  let s = Plan_cache.stats c in
+  Alcotest.(check int) "hits" 3 s.Plan_cache.hits;
+  Alcotest.(check int) "misses" 1 s.Plan_cache.misses;
+  Alcotest.(check int) "replacement counted as an eviction" 1
+    s.Plan_cache.evictions;
+  Alcotest.(check int) "discarded" 1 s.Plan_cache.discarded;
+  Alcotest.(check int) "size" 1 s.Plan_cache.size
+
+(* Bytes, not time: [Gc.allocated_bytes] counts every allocation of
+   this domain, and the obtain runs on it alone. *)
+let test_warm_obtain_allocation () =
+  Compile_plan.clear_caches ();
+  let target = static_target "ising-cycle" 93 in
+  let aais = (rydberg_for "ising-cycle" 93).Rydberg.aais in
+  let options = { Compiler.default_options with Compiler.domains = 1 } in
+  ignore (Compile_plan.obtain ~options ~aais ~target);
+  let before = Gc.allocated_bytes () in
+  let _, provenance = Compile_plan.obtain ~options ~aais ~target in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check string) "warm" "cached" (provenance_name provenance);
+  if bytes >= 65536.0 then
+    Alcotest.failf "a warm obtain at ising-cycle n=93 allocated %.0f bytes" bytes
 
 (* ---- stage hooks and cache plumbing ---- *)
 
@@ -390,6 +515,7 @@ let () =
         [
           quick "structural key sensitivity" test_plan_key_ignores_coefficients;
           QCheck_alcotest.to_alcotest prop_plan_key_coefficient_invariant;
+          quick "sparse support rendering round-trips" test_support_rendering_roundtrip;
         ] );
       ( "cache",
         [
@@ -398,6 +524,11 @@ let () =
           quick "device part shared across shapes" test_device_plan_shared_across_shapes;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_1;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_4;
+          quick "equal devices built apart share a plan" test_equal_devices_share_plan;
+          quick "one ulp of one bound misses" test_one_ulp_bound_misses;
+          quick "a grown pool re-keys and misses" test_pool_growth_rekeys;
+          quick "warm obtain allocates under 64 KB" test_warm_obtain_allocation;
+          quick "acceptance predicate confirms hits" test_plan_cache_accept;
         ] );
       ( "staging",
         [

@@ -275,6 +275,38 @@ let test_store_bitwise_identical_across_domains () =
             [ ("cold store", cold); ("store hit", stored) ]))
     [ 1; 4 ]
 
+(* The AAIS's key memo holds a copy of the device rendering; the plan's
+   keys already carry it, so the payload must leave the memo out: it is
+   smaller than the resident plan's own marshaling by at least the
+   rendering. *)
+let test_store_payload_leaves_out_key_memo () =
+  with_store @@ fun dir ->
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options ~aais
+      ~target:(static_target "ising-chain" 5)
+  in
+  let rendering = Shape.of_aais aais in
+  let payload =
+    match
+      PS.load
+        (PS.open_store ~version:(Compile_plan.store_version ()) ~dir)
+        ~key:plan.Compile_plan.key
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "the fresh build was not persisted"
+  in
+  let resident = Marshal.to_string plan [ Marshal.Closures ] in
+  if String.length payload + String.length rendering > String.length resident
+  then
+    Alcotest.failf "payload %d bytes + rendering %d > resident plan %d bytes"
+      (String.length payload) (String.length rendering)
+      (String.length resident);
+  let loaded : Compile_plan.t = Marshal.from_string payload 0 in
+  Alcotest.(check bool) "the loaded device renders the same" true
+    (String.equal rendering
+       (Shape.of_aais loaded.Compile_plan.device.Compile_plan.aais))
+
 let () =
   Alcotest.run "store"
     [
@@ -297,5 +329,7 @@ let () =
             test_version_mismatch_rebuilds;
           Alcotest.test_case "bitwise identical on/off, domains 1 and 4"
             `Quick test_store_bitwise_identical_across_domains;
+          Alcotest.test_case "payload leaves out the key memo" `Quick
+            test_store_payload_leaves_out_key_memo;
         ] );
     ]
