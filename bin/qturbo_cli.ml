@@ -573,6 +573,20 @@ let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
                 CP.channels = Array.sub d.CP.channels 0 (Array.length d.CP.channels - 1);
               };
           } )
+  | "plan-csr" ->
+      (* the CSR the linear solve reads no longer packs the skeleton's
+         cells: one stored coefficient changed in a deep copy (the
+         skeleton is shared and its lists are immutable, so the copy
+         goes through the store's marshaling) *)
+      let copy : CP.t =
+        Marshal.from_string (Marshal.to_string plan [ Marshal.Closures ]) 0
+      in
+      let values =
+        Qturbo_linalg.Csr.values
+          (Qturbo_core.Linear_system.skeleton_csr copy.CP.skeleton)
+      in
+      if Array.length values > 0 then values.(0) <- values.(0) +. 1.0;
+      Some ("QT024", copy)
   | "plan-dup-channel" ->
       (* one channel listed twice inside a locality component *)
       let comps =
@@ -697,8 +711,9 @@ let lint_inject_arg =
            $(b,kernel-env) (QT019), $(b,kernel-depth) (QT020), \
            $(b,kernel-range) (QT021), $(b,kernel-opcode) (QT022).  Plan \
            defects: $(b,plan-support) (QT023), $(b,plan-channels) (QT024), \
-           $(b,plan-dup-channel) (QT025), $(b,plan-class-count) (QT026), \
-           $(b,plan-key) (QT027), $(b,plan-prepared) (QT028).")
+           $(b,plan-csr) (QT024), $(b,plan-dup-channel) (QT025), \
+           $(b,plan-class-count) (QT026), $(b,plan-key) (QT027), \
+           $(b,plan-prepared) (QT028).")
 
 let lint_term =
   Term.(

@@ -13,6 +13,7 @@ type view = {
   key_support : Ps.t list option;
   rows : Ps.t array;
   cells : (int * float) list array;
+  csr : Qturbo_linalg.Csr.t;
   n_channels : int;
   n_vars : int;
   channel_terms : Ps.t list;
@@ -113,20 +114,42 @@ let check_skeleton v =
          ~hint:"the skeleton must carry one cell list per indexed term"
          (Printf.sprintf "skeleton has %d cell rows for %d index rows"
             (Array.length v.cells) n_rows));
+  let in_range = ref true in
+  let last_row = Array.make v.n_channels (-1) in
   Array.iteri
     (fun i cells ->
       List.iter
         (fun (cid, _) ->
-          if cid < 0 || cid >= v.n_channels then
+          if cid < 0 || cid >= v.n_channels then begin
+            in_range := false;
             add
               (error ~subject:Diagnostic.System ~code:"QT024"
                  ~hint:
                    (Printf.sprintf "the device has %d channels" v.n_channels)
                  (Printf.sprintf
                     "skeleton row %d references channel %d outside [0, %d)" i
-                    cid v.n_channels)))
+                    cid v.n_channels))
+          end
+          else if last_row.(cid) = i then
+            add
+              (error ~subject:Diagnostic.System ~code:"QT024"
+                 ~hint:
+                   "the greedy linear solve assumes each row names a channel \
+                    once"
+                 (Printf.sprintf "skeleton row %d names channel %d twice" i cid))
+          else last_row.(cid) <- i)
         cells)
     v.cells;
+  (* the linear solve, error_l1 and the Theorem-1 bound read the CSR,
+     so it must be exactly the cells, packed in order *)
+  if !in_range && not (Qturbo_linalg.Csr.packs v.csr ~cols:v.n_channels v.cells)
+  then
+    add
+      (error ~subject:Diagnostic.System ~code:"QT024"
+         ~hint:
+           "the solve and the error metrics read the CSR; it must pack the \
+            cell lists verbatim"
+         "skeleton CSR disagrees with its cell lists");
   List.rev !diags
 
 (* ---- QT025: locality components partition the channel set ----------- *)

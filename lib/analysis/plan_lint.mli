@@ -13,9 +13,10 @@
        canonical support — a support term without a row, rows not
        leading with the support in order, a duplicate row, or a row that
        is neither a support term nor producible by any channel;}
-    {- [QT024] (error): skeleton dimensions are inconsistent — the cell
-       array length differs from the row count, or a cell references a
-       channel id outside [0, n_channels);}
+    {- [QT024] (error): the skeleton is inconsistent — the cell array
+       length differs from the row count, a cell references a channel id
+       outside [0, n_channels), a row names a channel twice, or the CSR
+       the solve reads differs from [Csr.of_row_lists] of the cells;}
     {- [QT025] (error): the locality components fail to partition the
        channel set — a channel in no component or in several, a
        duplicated or out-of-range variable id, or a duplicate component
@@ -56,6 +57,9 @@ type view = {
           not parse *)
   rows : Qturbo_pauli.Pauli_string.t array;  (** term-index rows, in order *)
   cells : (int * float) list array;  (** per-row [(channel, coeff)] *)
+  csr : Qturbo_linalg.Csr.t;
+      (** the same matrix as the linear solve and the error metrics
+          read it *)
   n_channels : int;
   n_vars : int;
   channel_terms : Qturbo_pauli.Pauli_string.t list;

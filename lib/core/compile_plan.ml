@@ -307,6 +307,7 @@ let lint (plan : t) =
       key_support = key_support_of plan.key;
       rows = Term_index.strings index;
       cells = Linear_system.skeleton_cells plan.skeleton;
+      csr = Linear_system.skeleton_csr plan.skeleton;
       n_channels = Array.length d.channels;
       n_vars = Array.length d.vars;
       channel_terms;
@@ -746,24 +747,30 @@ let fixed_channels (d : device) =
     d.comps d.prepared;
   mask
 
-let refined_alpha ~fixed ~contribution ls =
-  let rows =
-    List.map
-      (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
-        let fixed_part =
-          List.fold_left
-            (fun acc (cid, coeff) ->
-              if fixed.(cid) then acc +. contribution cid coeff else acc)
-            0.0 cells
-        in
-        {
-          Qturbo_linalg.Sparse_solve.cells =
-            List.filter (fun (cid, _) -> not fixed.(cid)) cells;
-          rhs = rhs -. fixed_part;
-        })
-      (Linear_system.rows ls)
+(* The §4.1 system with the fixed channels' achieved contribution moved
+   to the right-hand side: the skeleton's CSR filtered to the dynamic
+   columns, in O(nnz). *)
+let refined_alpha ~fixed ~contribution (ls : Linear_system.t) =
+  let module Csr = Qturbo_linalg.Csr in
+  let csr = ls.csr in
+  let row_ptr = Csr.row_ptr csr
+  and col_idx = Csr.col_idx csr
+  and values = Csr.values csr in
+  let rhs =
+    Array.mapi
+      (fun i b ->
+        let fixed_part = ref 0.0 in
+        for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          let cid = col_idx.(k) in
+          if fixed.(cid) then
+            fixed_part := !fixed_part +. contribution cid values.(k)
+        done;
+        b -. !fixed_part)
+      ls.b_tar
   in
-  (Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length fixed) rows)
+  (Qturbo_linalg.Sparse_solve.solve_csr
+     (Csr.filter_cols (fun cid -> not fixed.(cid)) csr)
+     ~rhs)
     .Qturbo_linalg.Sparse_solve.x
 
 (* Stage: refinement of a static compile — re-solve the dynamic

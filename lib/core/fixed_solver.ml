@@ -30,9 +30,10 @@ type prepared = {
          dispatch *)
   jac_row_slots : (int * float) list array;
       (* per row, the free columns with structurally nonzero derivative,
-         in [nonzero_derivs] order — the CSR template of the sparse
-         Jacobian.  [Csr.of_row_lists] on this packs slot [t] of the
-         value array at exactly triple [t]. *)
+         in [nonzero_derivs] order (strictly ascending, checked below) —
+         the CSR template of the Jacobian both step solvers take.
+         [Csr.of_row_lists] on this packs slot [t] of the value array at
+         exactly triple [t]. *)
 }
 
 let prepare ~vars ~channels (comp : Locality.component) =
@@ -74,6 +75,25 @@ let prepare ~vars ~channels (comp : Locality.component) =
       nonzero_derivs;
     Array.map List.rev rows
   in
+  (* The LU path's JᵀJ assembly needs ascending columns within a row,
+     and the CG path's row products sum in this order.  Both hold by
+     construction (union-find groups list their members in ascending
+     order and [Expr.vars] is sorted); check it once per plan here
+     rather than once per Jacobian. *)
+  Array.iteri
+    (fun i slots ->
+      ignore
+        (List.fold_left
+           (fun prev (k, _) ->
+             if k <= prev then
+               invalid_arg
+                 (Printf.sprintf
+                    "Fixed_solver.prepare: component %d, Jacobian row %d: \
+                     free columns not strictly ascending"
+                    comp.Locality.id i);
+             k)
+           (-1) slots))
+    jac_row_slots;
   {
     comp;
     vars;
@@ -106,11 +126,11 @@ let prepare ~vars ~channels (comp : Locality.component) =
 let par_threshold = 32_768
 
 (* Free-variable count at which the LM position solve switches from the
-   dense normal-equation factorization (O(nv³) per damping attempt) to
-   the conjugate-gradient sparse path.  Every Fig. 3-scale device
-   (n ≤ 100 atoms, nv ≤ ~200) stays on the historical dense path — and
-   therefore stays bitwise-identical — while n ≳ 130 planar layouts get
-   the near-linear solve. *)
+   LU factorization of the normal equations (O(nv³) per damping attempt)
+   to conjugate gradients.  Every Fig. 3-scale device (n ≤ 100 atoms,
+   nv ≤ ~200) stays on the LU path — assembled from the CSR Jacobian
+   bitwise as the dense matrix used to be — while n ≳ 130 planar
+   layouts get the near-linear solve. *)
 let sparse_threshold = 256
 
 let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
@@ -192,49 +212,39 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
   let jac_domains = if nnz < par_threshold then 1 else domains in
   (* exact symbolic Jacobian; LM runs in external coordinates (position
      boxes are wide, so iterates stay interior) and the result is clamped,
-     any clamping error landing in eps2 *)
+     any clamping error landing in eps2.  Both step solvers take the
+     same CSR Jacobian: the structure comes from the prepared template
+     and only its value array is refilled (slot [t] is triple [t]); no
+     dense matrix is ever allocated. *)
+  let csr = Csr.of_row_lists ~cols:nv p.jac_row_slots in
+  let values = Csr.values csr in
+  let jacobian x =
+    load x;
+    Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
+        let _, _, d = Array.unsafe_get p.nonzero_derivs t in
+        values.(t) <- Expr.eval_kernel d ~env:scratch *. t_sim);
+    csr
+  in
   let report, solve_failures =
     if nv < sparse_threshold then begin
-      (* the dense matrix is reused across LM iterations: zero it, then
-         fill the structurally nonzero cells *)
-      let jac = Mat.create ~rows:n_rows ~cols:nv in
-      let jac_data = Mat.data jac in
-      let jacobian x =
-        load x;
-        Array.fill jac_data 0 (Array.length jac_data) 0.0;
-        Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
-            let i, k, d = Array.unsafe_get p.nonzero_derivs t in
-            jac_data.((i * nv) + k) <- Expr.eval_kernel d ~env:scratch *. t_sim);
-        jac
-      in
       let outcome =
         Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
-          ~component:p.comp.Locality.id ~jacobian ~bounds:p.bounds residual_ext
-          x0_ext
+          ~component:p.comp.Locality.id
+          ~jacobian:(fun x -> Objective.Csr (jacobian x))
+          ~bounds:p.bounds residual_ext x0_ext
       in
       ( outcome.Qturbo_resilience.Supervisor.report,
         outcome.Qturbo_resilience.Supervisor.failures )
     end
     else begin
-      (* no dense matrix is ever allocated: the CSR structure comes from
-         the prepared template and only its value array is refilled (slot
-         [t] is triple [t]).  Large components bypass the escalation
-         ladder: Nelder–Mead is skipped above ~40 dimensions anyway and a
-         multistart over thousands of coordinates would dwarf the
-         compile.  The supervisor still contributes its wall-clock
-         deadline; a hard failure is surfaced as a non-fatal record (the
-         clamped pre-fit layout is returned, its error landing in eps2).
-         Injected faults do not reach this path — fault-injection drills
-         run at Fig. 3 scale, below [sparse_threshold]. *)
-      let csr = Csr.of_row_lists ~cols:nv p.jac_row_slots in
-      let values = Csr.values csr in
-      let jacobian x =
-        load x;
-        Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
-            let _, _, d = Array.unsafe_get p.nonzero_derivs t in
-            values.(t) <- Expr.eval_kernel d ~env:scratch *. t_sim);
-        csr
-      in
+      (* Large components bypass the escalation ladder: Nelder–Mead is
+         skipped above ~40 dimensions anyway and a multistart over
+         thousands of coordinates would dwarf the compile.  The
+         supervisor still contributes its wall-clock deadline; a hard
+         failure is surfaced as a non-fatal record (the clamped pre-fit
+         layout is returned, its error landing in eps2).  Injected
+         faults do not reach this path — fault-injection drills run at
+         Fig. 3 scale, below [sparse_threshold]. *)
       let options =
         {
           Levenberg_marquardt.default_options with

@@ -29,20 +29,28 @@ type prepared
 
 val sparse_threshold : int
 (** Free-variable count at which the LM position solve switches from
-    the dense normal-equation factorization (O(nv³) per damping
-    attempt) to the conjugate-gradient sparse path
-    ({!Qturbo_optim.Levenberg_marquardt.minimize_sparse}).  Components
-    below it — every Fig. 3-scale device — run the historical dense
-    path and stay bitwise-identical to prior releases.  On the sparse
-    path under a supervisor, the escalation ladder is bypassed (the
-    deadline still applies; hard failures surface as non-fatal records)
-    and injected faults are not applied. *)
+    the LU factorization of the normal equations (O(nv³) per damping
+    attempt, {!Qturbo_optim.Levenberg_marquardt.minimize}) to the
+    conjugate-gradient path
+    ({!Qturbo_optim.Levenberg_marquardt.minimize_sparse}).  Both take
+    the same CSR Jacobian, refilled in place from the prepared
+    template; no dense Jacobian is built on either side.  Components
+    below it — every Fig. 3-scale device — get [JᵀJ] assembled from
+    the CSR bitwise as the dense matrix gave it, so they stay
+    bitwise-identical to prior releases.  On the CG path under a
+    supervisor, the escalation ladder is bypassed (the deadline still
+    applies; hard failures surface as non-fatal records) and injected
+    faults are not applied. *)
 
 val prepare :
   vars:Qturbo_aais.Variable.t array ->
   channels:Qturbo_aais.Instruction.channel array ->
   Locality.component ->
   prepared
+(** Raises [Invalid_argument] when a Jacobian row's free columns are not
+    strictly ascending — the order the LU path's [JᵀJ] assembly needs
+    and the CG path's row products sum in.  It holds by construction;
+    the check runs once per plan instead of once per Jacobian. *)
 
 val solve_supervised :
   ?domains:int ->

@@ -32,11 +32,19 @@ let skeleton ~channels ~support =
     channels;
   (* restore channel order within each row *)
   Array.iteri (fun i row -> cells.(i) <- List.rev row) cells;
+  let csr = Csr.of_row_lists ~cols:(Array.length channels) cells in
+  (* the greedy solve trusts this and does not re-check it per call *)
+  (match Csr.repeated_col csr with
+  | Some (row, cid) ->
+      invalid_arg
+        (Printf.sprintf "Linear_system.skeleton: row %d names channel %d twice"
+           row cid)
+  | None -> ());
   {
     sk_index = index;
     sk_cells = cells;
     sk_n_channels = Array.length channels;
-    sk_csr = Csr.of_row_lists ~cols:(Array.length channels) cells;
+    sk_csr = csr;
   }
 
 let instantiate sk ~target ~t_tar =
@@ -67,7 +75,7 @@ let rows t =
        (fun i cells -> { Sparse_solve.cells; rhs = t.b_tar.(i) })
        t.cells)
 
-let solve t = Sparse_solve.solve ~ncols:t.n_channels (rows t)
+let solve t = Sparse_solve.solve_csr t.csr ~rhs:t.b_tar
 let solve_dense t = Sparse_solve.dense_only ~ncols:t.n_channels (rows t)
 
 (* The numeric kernels below run once per sweep instance (not once per

@@ -33,7 +33,9 @@ val skeleton :
   support:Qturbo_pauli.Pauli_string.t list ->
   skeleton
 (** Build the index and cells from a target shape
-    ({!Qturbo_aais.Shape.support_of_target}). *)
+    ({!Qturbo_aais.Shape.support_of_target}).  Raises
+    [Invalid_argument] when a row would name a channel twice — the
+    structural precondition {!solve} relies on without re-checking. *)
 
 val instantiate :
   skeleton -> target:Qturbo_pauli.Pauli_sum.t -> t_tar:float -> t
@@ -66,7 +68,10 @@ val build :
     cells and [b_tar] to the historical one-shot builder. *)
 
 val solve : t -> Qturbo_linalg.Sparse_solve.result
-(** Greedy structural pass + dense fallback (see {!Qturbo_linalg.Sparse_solve}). *)
+(** Greedy structural pass + dense fallback
+    ({!Qturbo_linalg.Sparse_solve.solve_csr}) on the shared [csr] and
+    [b_tar].  The structure was checked when the skeleton was built (and
+    by the plan lint gate for plans loaded from a store), not here. *)
 
 val solve_dense : t -> Qturbo_linalg.Sparse_solve.result
 (** Dense-only reference path, for the linear-solver ablation. *)
@@ -79,5 +84,3 @@ val residual_l1 : t -> alpha:float array -> float
 
 val norm1 : t -> float
 (** [‖M‖₁], the constant of Theorem 1's error bound. *)
-
-val rows : t -> Qturbo_linalg.Sparse_solve.row list

@@ -79,11 +79,13 @@ let classify ~vars ~channels (comp : Locality.component) =
         else Generic)
     | _ :: _ :: _ :: _ -> Generic
 
-(* Least-squares fit of a single scaled unknown: y* minimising
-   Σ (k_c·y − α_c)². *)
-let fit_scaled targets =
-  let num = List.fold_left (fun acc (k, a) -> acc +. (k *. a)) 0.0 targets in
-  let den = List.fold_left (fun acc (k, _) -> acc +. (k *. k)) 0.0 targets in
+(* Least-squares fit of a single scaled unknown over [(cid, k_c)]
+   channels: y* minimising Σ (k_c·y − α_c)². *)
+let fit_scaled ~alpha channels =
+  let num =
+    List.fold_left (fun acc (cid, k) -> acc +. (k *. alpha.(cid))) 0.0 channels
+  in
+  let den = List.fold_left (fun acc (_, k) -> acc +. (k *. k)) 0.0 channels in
   if den = 0.0 then 0.0 else num /. den
 
 let time_for_bound ~(bound : Bounds.bound) needed =
@@ -94,12 +96,9 @@ let time_for_bound ~(bound : Bounds.bound) needed =
   else if bound.Bounds.lo < 0.0 then needed /. bound.Bounds.lo
   else infinity
 
-let linear_fit_targets ~alpha slopes =
-  List.map (fun (cid, slope) -> (slope, alpha.(cid))) slopes
-
 let polar_fit ~alpha ~cos_channels ~sin_channels =
-  let a_star = fit_scaled (linear_fit_targets ~alpha cos_channels) in
-  let b_star = fit_scaled (linear_fit_targets ~alpha sin_channels) in
+  let a_star = fit_scaled ~alpha cos_channels in
+  let b_star = fit_scaled ~alpha sin_channels in
   (* a_star = ΩT·cos φ, b_star = ΩT·sin φ *)
   let omega_t = sqrt ((a_star *. a_star) +. (b_star *. b_star)) in
   let phi = if omega_t = 0.0 then 0.0 else atan2 b_star a_star in
@@ -112,11 +111,11 @@ let polar_fit ~alpha ~cos_channels ~sin_channels =
    reused across every probe of the T-bisection, every constraint
    iteration and every refinement pass.  A [prepared] value is
    immutable, so it may be shared freely across pool domains (the
-   per-call env scratch is allocated per solve). *)
+   generic path allocates its env per solve; the closed forms use a
+   per-domain scratch env). *)
 
 type generic_ctx = {
   g_var_ids : int array;
-  g_env_size : int;
   g_transform : Bounds.transform;
   g_x0 : float array; (* internal coordinates *)
 }
@@ -131,6 +130,7 @@ type prepared = {
   p_comp : Locality.component;
   p_cls : classification;
   p_cids : int array;
+  p_env_size : int; (* max variable id of the component + 1 *)
   p_vars : Variable.t array;
   p_channels : Instruction.channel array;
   p_case : prep_case;
@@ -157,8 +157,6 @@ let prepare ~vars ~channels comp classification =
         P_generic
           {
             g_var_ids = var_ids;
-            g_env_size =
-              Array.fold_left (fun acc v -> Int.max acc (v + 1)) 1 var_ids;
             g_transform = transform;
             g_x0 = Bounds.to_internal transform x0_ext;
           }
@@ -167,6 +165,8 @@ let prepare ~vars ~channels comp classification =
     p_comp = comp;
     p_cls = classification;
     p_cids = Array.of_list comp.Locality.channel_ids;
+    p_env_size =
+      List.fold_left (fun acc v -> Int.max acc (v + 1)) 1 comp.Locality.var_ids;
     p_vars = vars;
     p_channels = channels;
     p_case = case;
@@ -174,19 +174,12 @@ let prepare ~vars ~channels comp classification =
 
 (* ---- generic path: bounded LM feasibility + bisection over T ---- *)
 
-let component_residual ~channels ~alpha ~t_sim comp env =
-  List.map
-    (fun cid ->
-      (Instruction.eval_channel channels.(cid) ~env *. t_sim) -. alpha.(cid))
-    comp.Locality.channel_ids
-  |> Array.of_list
-
 let generic_residual ~alpha ~t_sim p g =
   let channels = p.p_channels in
   let cids = p.p_cids in
   let n_ch = Array.length cids in
   let var_ids = g.g_var_ids in
-  let scratch = Array.make g.g_env_size 0.0 in
+  let scratch = Array.make p.p_env_size 0.0 in
   fun x ->
     Array.iteri (fun k v -> scratch.(v) <- x.(k)) var_ids;
     Array.init n_ch (fun i ->
@@ -289,7 +282,7 @@ let min_time_supervised ~sup ~alpha p =
           0.0 ks,
         [] )
   | Linear { var; slopes }, _ ->
-      let needed = fit_scaled (linear_fit_targets ~alpha slopes) in
+      let needed = fit_scaled ~alpha slopes in
       (time_for_bound ~bound:p.p_vars.(var).Variable.bound needed, [])
   | Polar { amp; phase = _; cos_channels; sin_channels }, _ ->
       let omega_t, _ = polar_fit ~alpha ~cos_channels ~sin_channels in
@@ -312,21 +305,40 @@ let min_time_supervised ~sup ~alpha p =
       else generic_min_time ~alpha p g
   | (Const_channels | Generic), _ -> assert false
 
-let eval_eps2 ~channels ~alpha ~t_sim comp assignments =
-  let env_size =
-    List.fold_left (fun acc (v, _) -> Int.max acc (v + 1)) 1 assignments
-  in
-  let env = Array.make env_size 0.0 in
+(* Per-domain zeroed env for the closed forms' eps2: prepared
+   components are shared across pool domains, so the scratch must be
+   domain-local (the pattern [Expr.Batch] uses for its stack). *)
+let eps2_env_key = Domain.DLS.new_key (fun () -> ref [||])
+
+(* L1 residual of a closed-form assignment: set the component's own
+   slots, accumulate |k·T − α| in channel order, clear the slots.  The
+   component's kernels read only its own variables, and no pool call
+   runs between the set and the clear, so the env is all zeros outside
+   this call. *)
+let eval_eps2 ~alpha ~t_sim p assignments =
+  let cell = Domain.DLS.get eps2_env_key in
+  if Array.length !cell < p.p_env_size then
+    cell := Array.make (Int.max p.p_env_size (2 * Array.length !cell)) 0.0;
+  let env = !cell in
   List.iter (fun (v, x) -> env.(v) <- x) assignments;
-  let r = component_residual ~channels ~alpha ~t_sim comp env in
-  Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0 r
+  let acc = ref 0.0 in
+  Array.iter
+    (fun cid ->
+      acc :=
+        !acc
+        +. Float.abs
+             ((Instruction.eval_channel p.p_channels.(cid) ~env *. t_sim)
+             -. alpha.(cid)))
+    p.p_cids;
+  List.iter (fun (v, _) -> env.(v) <- 0.0) assignments;
+  !acc
 
 let solve_supervised ~sup ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
       (Printf.sprintf "Local_solver.solve_at: t_sim <= 0 (component %d)"
          p.p_comp.Locality.id);
-  let vars = p.p_vars and channels = p.p_channels and comp = p.p_comp in
+  let vars = p.p_vars in
   match (p.p_cls, p.p_case) with
   | Fixed_vars, _ ->
       invalid_arg
@@ -342,18 +354,16 @@ let solve_supervised ~sup ~alpha ~t_sim p =
       in
       ({ assignments = []; eps2 }, [])
   | Linear { var; slopes }, _ ->
-      let needed = fit_scaled (linear_fit_targets ~alpha slopes) in
+      let needed = fit_scaled ~alpha slopes in
       let value = Bounds.clamp vars.(var).Variable.bound (needed /. t_sim) in
       let assignments = [ (var, value) ] in
-      ( { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments },
-        [] )
+      ({ assignments; eps2 = eval_eps2 ~alpha ~t_sim p assignments }, [])
   | Polar { amp; phase; cos_channels; sin_channels }, _ ->
       let omega_t, phi = polar_fit ~alpha ~cos_channels ~sin_channels in
       let omega = Bounds.clamp vars.(amp).Variable.bound (omega_t /. t_sim) in
       let phi = Bounds.clamp vars.(phase).Variable.bound phi in
       let assignments = [ (amp, omega); (phase, phi) ] in
-      ( { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments },
-        [] )
+      ({ assignments; eps2 = eval_eps2 ~alpha ~t_sim p assignments }, [])
   | Generic, P_generic g -> generic_solve_supervised ~sup ~alpha ~t_sim p g
   | (Const_channels | Generic), _ -> assert false
 

@@ -97,6 +97,97 @@ let col_sq_sums t =
     t.col_idx;
   sums
 
+(* AᵀA without the dense detour, bitwise equal to [Mat.at_mul_self] on
+   [to_dense t]: the upper triangle accumulates row by row over
+   ascending columns with exact zeros skipped, then is mirrored.  The
+   ascending order is what makes each row's products land in the same
+   cells in the same sequence, so it is checked as the row is walked. *)
+let at_mul_self t =
+  let n = t.ncols in
+  let c = Mat.create ~rows:n ~cols:n in
+  let cd = Mat.data c in
+  for r = 0 to t.nrows - 1 do
+    let lo = t.row_ptr.(r) and hi = t.row_ptr.(r + 1) - 1 in
+    for p = lo to hi do
+      if p > lo && t.col_idx.(p) <= t.col_idx.(p - 1) then
+        invalid_arg "Csr.at_mul_self: columns not strictly ascending in a row";
+      let vp = t.values.(p) in
+      if vp <> 0.0 then begin
+        let row = t.col_idx.(p) * n in
+        for q = p to hi do
+          let vq = t.values.(q) in
+          if vq <> 0.0 then begin
+            let cell = row + t.col_idx.(q) in
+            cd.(cell) <- cd.(cell) +. (vp *. vq)
+          end
+        done
+      end
+    done
+  done;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      cd.((j * n) + i) <- cd.((i * n) + j)
+    done
+  done;
+  c
+
+let filter_cols keep t =
+  let row_ptr = Array.make (t.nrows + 1) 0 in
+  let kept = Array.map keep t.col_idx in
+  let nnz = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 kept in
+  let col_idx = Array.make nnz 0 and values = Array.make nnz 0.0 in
+  let pos = ref 0 in
+  for i = 0 to t.nrows - 1 do
+    row_ptr.(i) <- !pos;
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      if kept.(k) then begin
+        col_idx.(!pos) <- t.col_idx.(k);
+        values.(!pos) <- t.values.(k);
+        incr pos
+      end
+    done
+  done;
+  row_ptr.(t.nrows) <- !pos;
+  { t with row_ptr; col_idx; values }
+
+let repeated_col t =
+  let last_row = Array.make t.ncols (-1) in
+  let rec scan i k =
+    if i >= t.nrows then None
+    else if k >= t.row_ptr.(i + 1) then scan (i + 1) k
+    else
+      let c = t.col_idx.(k) in
+      if last_row.(c) = i then Some (i, c)
+      else begin
+        last_row.(c) <- i;
+        scan i (k + 1)
+      end
+  in
+  scan 0 (if t.nrows = 0 then 0 else t.row_ptr.(0))
+
+let packs t ~cols row_lists =
+  let n = Array.length row_lists in
+  t.nrows = n && t.ncols = cols
+  && Array.length t.row_ptr = n + 1
+  && Array.length t.values = Array.length t.col_idx
+  && t.row_ptr.(n) = Array.length t.col_idx
+  &&
+  let rec cells_match k stop = function
+    | [] -> k = stop
+    | (c, v) :: rest ->
+        k < stop && t.col_idx.(k) = c
+        && Int64.equal (Int64.bits_of_float t.values.(k)) (Int64.bits_of_float v)
+        && cells_match (k + 1) stop rest
+  in
+  let rec rows_match i =
+    i >= n
+    || cells_match t.row_ptr.(i) t.row_ptr.(i + 1) row_lists.(i)
+       && rows_match (i + 1)
+  in
+  (* a structurally damaged [t] (an unmarshaled one) may index out of
+     bounds; that is a mismatch too *)
+  try t.row_ptr.(0) = 0 && rows_match 0 with Invalid_argument _ -> false
+
 let get t i j =
   if i < 0 || i >= t.nrows || j < 0 || j >= t.ncols then
     invalid_arg "Csr.get: out of bounds";

@@ -42,6 +42,28 @@ val col_sq_sums : t -> float array
 (** Per-column sum of squared stored values — the diagonal of [AᵀA],
     computed in row-major stored order (deterministic summation). *)
 
+val at_mul_self : t -> Mat.t
+(** [AᵀA] as a dense [cols × cols] matrix, bitwise equal to
+    [Mat.at_mul_self (to_dense t)]: the same upper-triangle accumulation
+    row by row over ascending columns, exact zeros skipped, then
+    mirrored — without materialising [t] densely.  Columns must be
+    strictly ascending within each row; otherwise [Invalid_argument]. *)
+
+val filter_cols : (int -> bool) -> t -> t
+(** The stored entries whose column satisfies the predicate, in stored
+    order; same dimensions.  O(nnz). *)
+
+val repeated_col : t -> (int * int) option
+(** The first [(row, col)] at which a row stores the same column twice,
+    in row-major order; [None] when every row names each column at most
+    once.  O(nnz). *)
+
+val packs : t -> cols:int -> (int * float) list array -> bool
+(** [packs t ~cols rows]: [t] is exactly [of_row_lists ~cols rows] — the
+    same dimensions and the same stored entries in the same order, with
+    bitwise-equal values — checked without building the packed copy.
+    [false], never an exception, for a structurally damaged [t]. *)
+
 val get : t -> int -> int -> float
 (** Zero for non-stored entries; O(row nnz). *)
 

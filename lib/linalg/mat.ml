@@ -59,10 +59,11 @@ let mul a b =
 
 let data m = m.data
 
-(* AᵀA without materialising the transpose.  Jacobians here are
-   row-sparse (a van-der-Waals channel touches 4 coordinates), so each
-   row contributes only nnz² products; entries accumulate over rows in
-   ascending order, making the result independent of call context. *)
+(* AᵀA without materialising the transpose, for the numeric (dense)
+   Jacobians.  Zero entries are skipped, so each row contributes only
+   nnz² products; entries accumulate over rows in ascending order,
+   making the result independent of call context.  [Csr.at_mul_self]
+   reproduces this accumulation bit for bit from a CSR matrix. *)
 let at_mul_self a =
   let n = a.cols in
   let c = create ~rows:n ~cols:n in

@@ -29,10 +29,24 @@ type result = {
   stats : stats;
 }
 
+val solve_csr : Csr.t -> rhs:float array -> result
+(** Solve [A x = rhs] for a CSR matrix [A] — the one greedy
+    implementation.  Never raises on rank deficiency or inconsistency;
+    the residual reports the quality.  Each row must name each column
+    at most once ({!Csr.repeated_col} is [None]); this is {e not}
+    re-checked per call — callers check it where the matrix is built
+    (the compiler's skeleton build and its plan lint gate).  Raises
+    [Invalid_argument] when [rhs] does not have one entry per row.
+    Floats are combined in a fixed order (singletons queued in
+    ascending row order, each solved column's rows updated in
+    descending row order), so the result is a pure function of the
+    stored entries and their order. *)
+
 val solve : ncols:int -> row list -> result
-(** Solve the system.  Never raises on rank deficiency or inconsistency;
-    the residual reports the quality.  Raises [Invalid_argument] on
-    out-of-range columns or duplicate columns within one row. *)
+(** The validated entry point for row lists: raises [Invalid_argument]
+    on out-of-range columns or duplicate columns within one row, then
+    packs the rows ({!Csr.of_row_lists}, verbatim order) and runs
+    {!solve_csr}. *)
 
 val residual_l1 : ncols:int -> row list -> Vec.t -> float
 (** Recompute [‖A x − b‖₁] for an arbitrary candidate (used by the

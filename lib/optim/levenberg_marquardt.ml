@@ -175,8 +175,10 @@ let drive ~options ~jac ~gradient ~normal f x0 =
     stop = !stop;
   }
 
-(* Dense steps: the normal equations with Marquardt scaling on the
-   diagonal, factorized by LU into one reusable n×n buffer. *)
+(* LU steps: the normal equations with Marquardt scaling on the
+   diagonal, factorized into one reusable n×n buffer.  JᵀJ and Jᵀr are
+   assembled from whichever representation the Jacobian has; both give
+   the same bits for the same matrix. *)
 let minimize ?(options = default_options) ?jacobian f x0 =
   let n = Array.length x0 in
   let jac ~charge x =
@@ -185,11 +187,20 @@ let minimize ?(options = default_options) ?jacobian f x0 =
     | None ->
         (* charge n evaluations for a forward-difference Jacobian *)
         charge n;
-        Numeric_jacobian.forward f x
+        Objective.Dense (Numeric_jacobian.forward f x)
+  in
+  let gradient j r =
+    match j with
+    | Objective.Dense m -> Mat.mul_vec_t m r
+    | Objective.Csr c -> Csr.mul_vec_t c r
   in
   let damped = Mat.create ~rows:n ~cols:n in
   let normal j neg_g =
-    let jtj = Mat.at_mul_self j in
+    let jtj =
+      match j with
+      | Objective.Dense m -> Mat.at_mul_self m
+      | Objective.Csr c -> Csr.at_mul_self c
+    in
     fun lambda ->
       Array.blit (Mat.data jtj) 0 (Mat.data damped) 0 (n * n);
       for k = 0 to n - 1 do
@@ -201,7 +212,7 @@ let minimize ?(options = default_options) ?jacobian f x0 =
       | delta -> if Array.for_all Float.is_finite delta then Some delta else None
       | exception Lu.Singular _ -> None
   in
-  drive ~options ~jac ~gradient:Mat.mul_vec_t ~normal f x0
+  drive ~options ~jac ~gradient ~normal f x0
 
 (* Conjugate gradient on the damped normal equations
    [(JᵀJ + λ·diag s) δ = b]: the matrix is only ever applied, never
@@ -285,7 +296,7 @@ let cg_normal ~j ~lambda ~scale ~b ~jv ~av =
 
 (* Sparse steps: conjugate gradients on the same damped normal
    equations, with the Marquardt scale taken from the diagonal of JᵀJ
-   exactly as the dense path does (zero columns get unit scale). *)
+   exactly as the LU path does (zero columns get unit scale). *)
 let minimize_sparse ?(options = default_options) ~jacobian f x0 =
   let n = Array.length x0 in
   (* CG scratch, sized on the first Jacobian *)

@@ -38,12 +38,18 @@ val minimize :
   Objective.residual_fn ->
   float array ->
   Objective.report
-(** [minimize f x0] runs LM from [x0].  When [jacobian] is omitted a
-    forward-difference Jacobian is used (its evaluations are charged to the
-    budget).  The report's [converged] is true when any of the three
-    tolerances triggered; exhausting the iteration or evaluation budget
-    leaves it false while still returning the best point seen, with
-    [report.stop] naming the cause ([Stop_max_evaluations],
+(** [minimize f x0] runs LM from [x0], each damped step an LU solve of
+    the normal equations.  When [jacobian] is omitted a forward-difference
+    Jacobian is used (its evaluations are charged to the budget).  [JᵀJ]
+    and [Jᵀr] are assembled from whichever {!Objective.jacobian} case the
+    Jacobian has — {!Qturbo_linalg.Mat.at_mul_self} for [Dense],
+    {!Qturbo_linalg.Csr.at_mul_self} for [Csr] — and the two give the
+    same bits for the same matrix (the residual is finite wherever a
+    gradient is taken), so a problem's report does not depend on its
+    Jacobian's representation.  The report's [converged] is true when
+    any of the three tolerances triggered; exhausting the iteration or
+    evaluation budget leaves it false while still returning the best
+    point seen, with [report.stop] naming the cause ([Stop_max_evaluations],
     [Stop_deadline], [Stop_invalid] for a non-finite initial cost, …).
     No exception ever escapes [minimize] itself: the internal budget and
     deadline signals are caught here and surfaced only through the
@@ -60,6 +66,6 @@ val minimize_sparse :
     solves [(JᵀJ + λ·diag s) δ = −Jᵀr] by conjugate gradients — O(cg·nnz)
     per attempt instead of an O(n³) factorization, which keeps large
     runtime-fixed solves near-linear.  [s] is the diagonal of [JᵀJ] with
-    zero columns mapped to 1, as on the dense path.  Deterministic; a CG
+    zero columns mapped to 1, as on the LU path.  Deterministic; a CG
     breakdown is treated like a singular factorization.  The [jacobian]
     is required. *)

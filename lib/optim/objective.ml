@@ -1,5 +1,6 @@
 type residual_fn = float array -> float array
-type jacobian_fn = float array -> Qturbo_linalg.Mat.t
+type jacobian = Dense of Qturbo_linalg.Mat.t | Csr of Qturbo_linalg.Csr.t
+type jacobian_fn = float array -> jacobian
 type scalar_fn = float array -> float
 
 (* Why a solver handed back the iterate it did.  [converged] alone cannot

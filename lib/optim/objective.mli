@@ -3,8 +3,18 @@
 type residual_fn = float array -> float array
 (** A vector residual [F : R^n -> R^m]; solvers minimise [‖F(x)‖₂²]. *)
 
-type jacobian_fn = float array -> Qturbo_linalg.Mat.t
-(** Jacobian [J(x)] with [J_{ij} = ∂F_i/∂x_j]. *)
+(** A Jacobian [J(x)] with [J_{ij} = ∂F_i/∂x_j], in the representation
+    its producer has.  Solvers take either and give the same bits for
+    the same matrix. *)
+type jacobian =
+  | Dense of Qturbo_linalg.Mat.t
+      (** numeric Jacobians: forward differences, SimuQ's central
+          differences *)
+  | Csr of Qturbo_linalg.Csr.t
+      (** exact sparse Jacobians (the position solve); columns strictly
+          ascending within each row *)
+
+type jacobian_fn = float array -> jacobian
 
 type scalar_fn = float array -> float
 

@@ -123,7 +123,8 @@ let compile ?(options = default_options) ~aais ~target ~t_tar () =
        let wrapped = Bounds.wrap_residual transform residual in
        let report =
          Levenberg_marquardt.minimize ~options:lm_options
-           ~jacobian:(fun x -> Numeric_jacobian.central wrapped x)
+           ~jacobian:(fun x ->
+             Objective.Dense (Numeric_jacobian.central wrapped x))
            wrapped
            (Bounds.to_internal transform x0)
        in

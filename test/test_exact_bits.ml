@@ -101,9 +101,11 @@ let options ?(faults = Fault.empty) ?(best_effort = false) f =
       best_effort;
     }
 
-let static ?(backend = Backend.rydberg) ?cutoff ?(tweak = Fun.id) ?faults
-    ?best_effort ~model ~n () =
-  let inst = backend.Backend.instantiate ?cutoff ~model_name:model ~n () in
+let static ?(backend = Backend.rydberg) ?device ?cutoff ?(tweak = Fun.id)
+    ?faults ?best_effort ~model ~n () =
+  let inst =
+    backend.Backend.instantiate ?device ?cutoff ~model_name:model ~n ()
+  in
   let target =
     Qturbo_pauli.Pauli_sum.drop_identity
       (Qturbo_models.Model.hamiltonian_at
@@ -217,11 +219,34 @@ let cases =
       ( "rydberg mis-chain n=5 K=4 time_opt=false",
         fun () ->
           mis ~tweak:(fun o -> { o with Compiler.time_opt = false }) 4 );
+      (* the LU position solve past its first gradient test (4 LM
+         iterations), and the closed-form components at scale *)
+      ("rydberg kitaev n=93", fun () -> static ~model:"kitaev" ~n:93 ());
+      ( "heisenberg heis-chain n=300",
+        fun () ->
+          static ~backend:Backend.heisenberg ~model:"heis-chain" ~n:300 () );
+      ( "iontrap ising-chain n=40",
+        fun () -> static ~backend:Backend.iontrap ~model:"ising-chain" ~n:40 ()
+      );
+      ( "heisenberg qaoa-chain n=300 K=4",
+        fun () ->
+          td ~backend:Backend.heisenberg ~model:"qaoa-chain" ~n:300 ~segments:4
+            () );
+      (* global control: one linear component over 12 detuning channels
+         and one polar component over 24 Rabi channels, both with a
+         nonzero least-squares residual, so the closed forms' eps2
+         accumulation order reaches the Theorem-1 bound *)
+      ( "rydberg ising-chain n=12 global control",
+        fun () -> static ~device:"aquila" ~model:"ising-chain" ~n:12 () );
     ]
 
 (* recorded at the commit that introduced this suite; the [verify]
    rows and the n=300 cutoff and K=4 time_opt=false cases were recorded
-   before the verifier's streaming comparison replaced the map-based one *)
+   before the verifier's streaming comparison replaced the map-based one,
+   and the kitaev n=93, heis-chain n=300, ising-chain n=40, qaoa-chain
+   n=300 and global-control cases before the closed-form components, the
+   LU position solve and the greedy linear solve moved onto scratch
+   slots and CSR arrays *)
 let expected =
   [
     ( "rydberg ising-cycle n=23",
@@ -496,6 +521,56 @@ let expected =
             "0x1.9a807eea54c24p-9|0x1.a2e128b06b62fp-3|0x1.0004055f89457p-10";
             "0x1.9a807eea54c44p-9|0x1.07246b9cc6bf7p-2|0x1.0004055f89457p-10";
             "0x1.9a807eea54c64p-9|0x1.36fc7f2da5125p-2|0x1.0004055f89457p-10";
+          ];
+      } );
+    ( "rydberg kitaev n=93",
+      {
+        t_sim = "0x1.999999999999ap-1";
+        error_l1 = "0x1.99150dd9d8ep-1";
+        bound = "0x1.32cfca6362a7fp+1";
+        env_md5 = "ac7ae31fd5966d2851fd9fe5c529e9e6";
+        failures = [];
+        verify = [ "0x1.99150dd9d8edfp-1|0x1.60a838141348bp-2|0x1.ffe7e0f5e5c5fp-8" ];
+      } );
+    ( "heisenberg heis-chain n=300",
+      {
+        t_sim = "0x1p+0";
+        error_l1 = "0x0p+0";
+        bound = "0x0p+0";
+        env_md5 = "1fe9149d7108a1e420129dff2f23e0e2";
+        failures = [];
+        verify = [ "0x0p+0|0x0p+0|0x0p+0" ];
+      } );
+    ( "iontrap ising-chain n=40",
+      {
+        t_sim = "0x1.5555555555555p-1";
+        error_l1 = "0x0p+0";
+        bound = "0x0p+0";
+        env_md5 = "5bddd50a4a96a191a5acc4109ed446fe";
+        failures = [];
+        verify = [ "0x0p+0|0x0p+0|0x0p+0" ];
+      } );
+    ( "rydberg ising-chain n=12 global control",
+      {
+        t_sim = "0x1.033d91d2a2067p-3";
+        error_l1 = "0x1.cbb00c2ae19e1p+1";
+        bound = "0x1.58c409202936ap+3";
+        env_md5 = "901222b6606c1db4aaddf69f71ee4a44";
+        failures = [];
+        verify = [ "0x1.cbb00c2ae19e4p+1|0x1.f3a9185b21c25p+3|0x1.b2b7ee5836a71p-1" ];
+      } );
+    ( "heisenberg qaoa-chain n=300 K=4",
+      {
+        t_sim = "0x1.051eb851eb852p-1";
+        error_l1 = "0x0p+0";
+        bound = "";
+        env_md5 = "327b7300c6bd51a0fa004b9d13ca7c95";
+        failures = [];
+        verify = [
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
+            "0x0p+0|0x0p+0|0x0p+0";
           ];
       } );
   ]

@@ -326,6 +326,311 @@ let prop_csr_matvec_matches_dense =
         (Csr.mul_vec (Csr.of_dense m) x)
         (Mat.mul_vec m x))
 
+(* ---- the CSR greedy solve against the list solve it replaced ---- *)
+
+(* The list-based greedy solve as it stood before the CSR rewrite, kept
+   verbatim as the oracle: validation with a fresh table per row,
+   [List.assoc] per settled cell, a [Hashtbl] numbering the dense
+   fallback's columns. *)
+module List_oracle = struct
+  open Sparse_solve
+
+  let validate ~ncols rows =
+    List.iter
+      (fun { cells; rhs = _ } ->
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun (c, _) ->
+            if c < 0 || c >= ncols then
+              invalid_arg "Sparse_solve: column out of range";
+            if Hashtbl.mem seen c then
+              invalid_arg "Sparse_solve: duplicate column in row";
+            Hashtbl.add seen c ())
+          cells)
+      rows
+
+  let pivot_tol = 1e-12
+
+  let solve ~ncols rows =
+    validate ~ncols rows;
+    let rows = Array.of_list rows in
+    let nrows = Array.length rows in
+    let x = Array.make ncols 0.0 in
+    let solved = Array.make ncols false in
+    let rhs = Array.map (fun r -> r.rhs) rows in
+    let unsolved = Array.map (fun r -> List.length r.cells) rows in
+    let done_row = Array.make nrows false in
+    let col_rows = Array.make ncols [] in
+    Array.iteri
+      (fun i r ->
+        List.iter (fun (c, _) -> col_rows.(c) <- i :: col_rows.(c)) r.cells)
+      rows;
+    let greedy_solved = ref 0 in
+    let queue = Queue.create () in
+    Array.iteri (fun i n -> if n = 1 then Queue.add i queue) unsolved;
+    let remaining_cell i =
+      let rec find = function
+        | [] -> None
+        | (c, a) :: rest -> if solved.(c) then find rest else Some (c, a)
+      in
+      find rows.(i).cells
+    in
+    let settle_column c value =
+      solved.(c) <- true;
+      x.(c) <- value;
+      List.iter
+        (fun j ->
+          if not done_row.(j) then begin
+            let coeff = List.assoc c rows.(j).cells in
+            rhs.(j) <- rhs.(j) -. (coeff *. value);
+            unsolved.(j) <- unsolved.(j) - 1;
+            if unsolved.(j) = 1 then Queue.add j queue
+            else if unsolved.(j) = 0 then done_row.(j) <- true
+          end)
+        col_rows.(c)
+    in
+    while not (Queue.is_empty queue) do
+      let i = Queue.pop queue in
+      if (not done_row.(i)) && unsolved.(i) = 1 then
+        match remaining_cell i with
+        | None -> done_row.(i) <- true
+        | Some (c, a) ->
+            if Float.abs a > pivot_tol then begin
+              done_row.(i) <- true;
+              incr greedy_solved;
+              settle_column c (rhs.(i) /. a)
+            end
+    done;
+    let leftover_rows =
+      List.filter (fun i -> not done_row.(i)) (List.init nrows Fun.id)
+    in
+    let leftover_cols = Hashtbl.create 16 in
+    let col_order = ref [] in
+    List.iter
+      (fun i ->
+        List.iter
+          (fun (c, _) ->
+            if (not solved.(c)) && not (Hashtbl.mem leftover_cols c) then begin
+              Hashtbl.add leftover_cols c (Hashtbl.length leftover_cols);
+              col_order := c :: !col_order
+            end)
+          rows.(i).cells)
+      leftover_rows;
+    let dense_cols = Array.of_list (List.rev !col_order) in
+    let dense_rows_n = List.length leftover_rows in
+    let dense_solved = Array.length dense_cols in
+    if dense_solved > 0 && dense_rows_n > 0 then begin
+      let a = Mat.create ~rows:dense_rows_n ~cols:dense_solved in
+      let b = Array.make dense_rows_n 0.0 in
+      List.iteri
+        (fun ri i ->
+          b.(ri) <- rhs.(i);
+          List.iter
+            (fun (c, coeff) ->
+              if not solved.(c) then
+                Mat.set a ri (Hashtbl.find leftover_cols c) coeff)
+            rows.(i).cells)
+        leftover_rows;
+      let sol = Qr.least_squares a b in
+      Array.iteri (fun k c -> x.(c) <- sol.(k); solved.(c) <- true) dense_cols
+    end;
+    let free_vars = ref 0 in
+    Array.iter (fun s -> if not s then incr free_vars) solved;
+    let res =
+      Array.fold_left
+        (fun acc r ->
+          let lhs =
+            List.fold_left (fun s (c, a) -> s +. (a *. x.(c))) 0.0 r.cells
+          in
+          acc +. Float.abs (lhs -. r.rhs))
+        0.0 rows
+    in
+    {
+      x;
+      residual_l1 = res;
+      stats =
+        {
+          greedy_solved = !greedy_solved;
+          dense_solved;
+          free_vars = !free_vars;
+          dense_rows = dense_rows_n;
+        };
+    }
+end
+
+let bits x = Int64.bits_of_float x
+
+let same_result (a : Sparse_solve.result) (b : Sparse_solve.result) =
+  Array.length a.Sparse_solve.x = Array.length b.Sparse_solve.x
+  && Array.for_all2 (fun p q -> bits p = bits q) a.Sparse_solve.x b.Sparse_solve.x
+  && bits a.Sparse_solve.residual_l1 = bits b.Sparse_solve.residual_l1
+  && a.Sparse_solve.stats = b.Sparse_solve.stats
+
+(* Random systems over up to 8 columns: rows name distinct columns in
+   any order, coefficients include exact zeros and pivots below the
+   greedy pass's 1e-12 tolerance, and half the systems are chains
+   (row i couples columns i and i+1) closed by a singleton, some with a
+   cycle back to column 0 that only the dense fallback can resolve. *)
+let system_gen =
+  let open QCheck.Gen in
+  let coeff =
+    frequency
+      [
+        (6, float_range (-3.0) 3.0);
+        (3, oneofl [ 1.0; -1.0; 2.0; 0.5 ]);
+        (1, oneofl [ 0.0; 1e-13; -1e-13 ]);
+      ]
+  in
+  let random_system =
+    int_range 1 8 >>= fun ncols ->
+    int_range 0 10 >>= fun nrows ->
+    let row =
+      int_range 0 (Int.min 4 ncols) >>= fun k ->
+      shuffle_l (List.init ncols Fun.id) >>= fun cols ->
+      list_repeat k coeff >>= fun coeffs ->
+      float_range (-5.0) 5.0 >>= fun rhs ->
+      return
+        {
+          Sparse_solve.cells =
+            List.combine (List.filteri (fun i _ -> i < k) cols) coeffs;
+          rhs;
+        }
+    in
+    list_repeat nrows row >>= fun rows -> return (ncols, rows)
+  in
+  let chain_system =
+    int_range 2 7 >>= fun n ->
+    bool >>= fun cycle ->
+    list_repeat (2 * n) coeff >>= fun cs ->
+    list_repeat (n + 1) (float_range (-5.0) 5.0) >>= fun rhss ->
+    let c = Array.of_list cs and r = Array.of_list rhss in
+    let links =
+      List.init (n - 1) (fun i ->
+          {
+            Sparse_solve.cells = [ (i, c.(2 * i)); (i + 1, c.((2 * i) + 1)) ];
+            rhs = r.(i);
+          })
+    in
+    let closing =
+      if cycle then
+        { Sparse_solve.cells = [ (n - 1, c.(2 * n - 2)); (0, c.(2 * n - 1)) ]; rhs = r.(n - 1) }
+      else { Sparse_solve.cells = [ (n - 1, c.(2 * n - 2)) ]; rhs = r.(n - 1) }
+    in
+    shuffle_l (closing :: links) >>= fun rows ->
+    bool >>= fun spare ->
+    (* an unused trailing column and an empty row, sometimes *)
+    return
+      ( (if spare then n + 1 else n),
+        if spare then rows @ [ { Sparse_solve.cells = []; rhs = r.(n) } ] else rows )
+  in
+  frequency [ (1, random_system); (1, chain_system) ]
+
+let print_system (ncols, rows) =
+  Printf.sprintf "ncols=%d rows=[%s]" ncols
+    (String.concat "; "
+       (List.map
+          (fun { Sparse_solve.cells; rhs } ->
+            Printf.sprintf "{%s} = %h"
+              (String.concat " "
+                 (List.map (fun (c, a) -> Printf.sprintf "%d:%h" c a) cells))
+              rhs)
+          rows))
+
+let prop_csr_solve_matches_list_oracle =
+  QCheck.Test.make ~name:"CSR greedy solve == list greedy solve, bitwise"
+    ~count:2000
+    (QCheck.make ~print:print_system system_gen)
+    (fun (ncols, rows) ->
+      let expected = List_oracle.solve ~ncols rows in
+      let packed =
+        Csr.of_row_lists ~cols:ncols
+          (Array.of_list (List.map (fun r -> r.Sparse_solve.cells) rows))
+      in
+      let rhs = Array.of_list (List.map (fun r -> r.Sparse_solve.rhs) rows) in
+      same_result expected (Sparse_solve.solve ~ncols rows)
+      && same_result expected (Sparse_solve.solve_csr packed ~rhs))
+
+(* the generator reaches every branch the property is meant to cover *)
+let test_system_gen_coverage () =
+  let rand = Random.State.make [| 2024 |] in
+  let seen = Hashtbl.create 8 in
+  let note k = Hashtbl.replace seen k () in
+  for _ = 1 to 2000 do
+    let ncols, rows = system_gen rand in
+    let r = List_oracle.solve ~ncols rows in
+    let st = r.Sparse_solve.stats in
+    if st.Sparse_solve.greedy_solved >= 3 then note "singleton chain";
+    if st.Sparse_solve.dense_solved > 0 then note "QR fallback";
+    if st.Sparse_solve.free_vars > 0 then note "unused column";
+    if List.exists (fun r -> r.Sparse_solve.cells = []) rows then note "empty row";
+    if
+      List.exists
+        (fun r ->
+          List.exists
+            (fun (_, a) -> a <> 0.0 && Float.abs a <= 1e-12)
+            r.Sparse_solve.cells)
+        rows
+      && st.Sparse_solve.dense_rows > 0
+    then note "pivot below tolerance"
+  done;
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem seen k) then Alcotest.failf "generator never hit: %s" k)
+    [ "singleton chain"; "QR fallback"; "unused column"; "empty row"; "pivot below tolerance" ]
+
+(* ---- CSR normal-equation kernels against the dense ones ---- *)
+
+(* CSR matrices with strictly ascending columns per row, storing
+   explicit 0.0 and -0.0 among ordinary values, and a finite vector with
+   zero entries for the transposed product. *)
+let csr_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (6, float_range (-4.0) 4.0); (1, return 0.0); (1, return (-0.0)) ]
+  in
+  int_range 1 7 >>= fun rows ->
+  int_range 1 7 >>= fun cols ->
+  let row =
+    list_repeat cols (pair bool value) >>= fun picks ->
+    return
+      (List.concat
+         (List.mapi (fun j (keep, v) -> if keep then [ (j, v) ] else []) picks))
+  in
+  list_repeat rows row >>= fun row_lists ->
+  list_repeat rows
+    (frequency [ (5, float_range (-3.0) 3.0); (1, oneofl [ 0.0; -0.0 ]) ])
+  >>= fun y ->
+  return (Csr.of_row_lists ~cols (Array.of_list row_lists), Array.of_list y)
+
+let print_csr (m, y) =
+  Printf.sprintf "rows=[%s] y=[%s]"
+    (String.concat "; "
+       (List.init (Csr.rows m) (fun i ->
+            String.concat " "
+              (List.map
+                 (fun (c, v) -> Printf.sprintf "%d:%h" c v)
+                 (Csr.row_entries m i)))))
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") y)))
+
+let prop_csr_normal_equations_match_dense =
+  QCheck.Test.make ~name:"CSR J^T J and J^T r == dense, bitwise" ~count:1000
+    (QCheck.make ~print:print_csr csr_gen)
+    (fun (m, y) ->
+      let d = Csr.to_dense m in
+      let same a b =
+        Array.length a = Array.length b
+        && Array.for_all2 (fun p q -> bits p = bits q) a b
+      in
+      same (Mat.data (Csr.at_mul_self m)) (Mat.data (Mat.at_mul_self d))
+      && same (Csr.mul_vec_t m y) (Mat.mul_vec_t d y))
+
+let test_csr_at_mul_self_rejects_unsorted_rows () =
+  Alcotest.check_raises "descending row"
+    (Invalid_argument "Csr.at_mul_self: columns not strictly ascending in a row")
+    (fun () ->
+      ignore (Csr.at_mul_self (Csr.of_row_lists ~cols:3 [| [ (2, 1.0); (0, 1.0) ] |])))
+
 let () =
   Alcotest.run "linalg"
     [
@@ -391,4 +696,14 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_lu_solves; prop_qr_residual_orthogonal; prop_csr_matvec_matches_dense ]
       );
+      ( "csr kernels",
+        Alcotest.test_case "system generator covers every branch" `Quick
+          test_system_gen_coverage
+        :: Alcotest.test_case "J^T J rejects unsorted rows" `Quick
+             test_csr_at_mul_self_rejects_unsorted_rows
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_csr_solve_matches_list_oracle;
+               prop_csr_normal_equations_match_dense;
+             ] );
     ]

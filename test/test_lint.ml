@@ -260,6 +260,46 @@ let test_qt024_skeleton_dims () =
   in
   check_has "missing channel" "QT024" (Compile_plan.lint bad)
 
+(* A plan copy whose skeleton can be damaged in place: the skeleton is
+   shared with the original and immutable through the API, so the copy
+   goes through marshaling, as a store entry does. *)
+let deep_copy (plan : Compile_plan.t) : Compile_plan.t =
+  Marshal.from_string (Marshal.to_string plan [ Marshal.Closures ]) 0
+
+(* the linear solve, error_l1 and the Theorem-1 bound read the CSR *)
+let test_qt024_csr_mismatch () =
+  let plan = Lazy.force base_plan in
+  let bad = deep_copy plan in
+  let values =
+    Qturbo_linalg.Csr.values
+      (Linear_system.skeleton_csr bad.Compile_plan.skeleton)
+  in
+  values.(0) <- values.(0) +. 1.0;
+  check_codes "CSR disagrees with the cells" [ "QT024" ] (Compile_plan.lint bad);
+  check_codes "the original is untouched" [] (Compile_plan.lint plan)
+
+(* the greedy solve no longer re-checks that a row names a channel
+   once; the gate does *)
+let test_qt024_repeated_channel () =
+  let bad = deep_copy (Lazy.force base_plan) in
+  let cells = Linear_system.skeleton_cells bad.Compile_plan.skeleton in
+  let row =
+    match
+      List.find_opt (fun i -> cells.(i) <> []) (List.init (Array.length cells) Fun.id)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "no populated row"
+  in
+  cells.(row) <- List.hd cells.(row) :: cells.(row);
+  let diags = Compile_plan.lint bad in
+  check_codes "repeated channel" [ "QT024" ] diags;
+  let expected =
+    Printf.sprintf "skeleton row %d names channel %d twice" row
+      (fst (List.hd cells.(row)))
+  in
+  if not (List.exists (fun d -> d.D.message = expected) diags) then
+    Alcotest.failf "no diagnostic says %S" expected
+
 let test_qt025_partition () =
   let plan = Lazy.force base_plan in
   let d = plan.Compile_plan.device in
@@ -383,6 +423,10 @@ let () =
           Alcotest.test_case "QT023 support coverage" `Quick
             test_qt023_support_coverage;
           Alcotest.test_case "QT024 skeleton dims" `Quick test_qt024_skeleton_dims;
+          Alcotest.test_case "QT024 CSR disagrees with the cells" `Quick
+            test_qt024_csr_mismatch;
+          Alcotest.test_case "QT024 row names a channel twice" `Quick
+            test_qt024_repeated_channel;
           Alcotest.test_case "QT025 partition" `Quick test_qt025_partition;
           Alcotest.test_case "QT026 classification" `Quick
             test_qt026_classification;

@@ -55,7 +55,7 @@ let test_lm_vdw_style () =
 let test_lm_exact_jacobian () =
   let f x = [| (x.(0) *. x.(0)) -. 4.0 |] in
   let jacobian x =
-    Qturbo_linalg.Mat.of_rows [| [| 2.0 *. x.(0) |] |]
+    Objective.Dense (Qturbo_linalg.Mat.of_rows [| [| 2.0 *. x.(0) |] |])
   in
   let r = Levenberg_marquardt.minimize ~jacobian f [| 1.0 |] in
   check_close "root" 1e-6 2.0 r.Objective.x.(0)
@@ -370,6 +370,101 @@ let prop_lm_decreases_cost =
       let r = Levenberg_marquardt.minimize f x0 in
       r.Objective.cost <= start_cost +. 1e-12)
 
+(* LM with a CSR Jacobian against LM with the dense Jacobian of the same
+   problem: r_i(x) = Σ_{j∈S_i} (a_ij·x_j² + d_ij·x_j) − t_i over a random
+   sparsity pattern S (ascending columns, rows possibly empty), so
+   J_ij = 2·a_ij·x_j + d_ij, an exact zero wherever x_j = 0 and d_ij = 0.
+   The CSR Jacobian refills one value array in place, as the position
+   solve does. *)
+let sparse_lsq_gen =
+  let open QCheck.Gen in
+  let coeff = frequency [ (4, float_range (-2.0) 2.0); (1, return 0.0) ] in
+  int_range 1 6 >>= fun n ->
+  int_range 1 8 >>= fun m ->
+  let row =
+    list_repeat n (triple bool coeff coeff) >>= fun picks ->
+    float_range (-3.0) 3.0 >>= fun t ->
+    return
+      ( List.concat
+          (List.mapi
+             (fun j (keep, a, d) -> if keep then [ (j, a, d) ] else [])
+             picks),
+        t )
+  in
+  list_repeat m row >>= fun rows ->
+  list_repeat n (frequency [ (4, float_range (-2.0) 2.0); (1, return 0.0) ])
+  >>= fun x0 -> return (n, Array.of_list rows, Array.of_list x0)
+
+let print_lsq (n, rows, x0) =
+  Printf.sprintf "n=%d rows=[%s] x0=[%s]" n
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (cells, t) ->
+               Printf.sprintf "{%s} - %h"
+                 (String.concat " "
+                    (List.map
+                       (fun (j, a, d) -> Printf.sprintf "%d:%h,%h" j a d)
+                       cells))
+                 t)
+             rows)))
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") x0)))
+
+let prop_lm_csr_matches_dense =
+  QCheck.Test.make ~name:"LM with a CSR Jacobian == with the dense one, bitwise"
+    ~count:500
+    (QCheck.make ~print:print_lsq sparse_lsq_gen)
+    (fun (n, rows, x0) ->
+      let module Csr = Qturbo_linalg.Csr in
+      let module Mat = Qturbo_linalg.Mat in
+      let m = Array.length rows in
+      let f x =
+        Array.map
+          (fun (cells, t) ->
+            List.fold_left
+              (fun acc (j, a, d) -> acc +. ((a *. x.(j) *. x.(j)) +. (d *. x.(j))))
+              0.0 cells
+            -. t)
+          rows
+      in
+      let entry x (j, a, d) = (2.0 *. a *. x.(j)) +. d in
+      let csr =
+        Csr.of_row_lists ~cols:n
+          (Array.map (fun (cells, _) -> List.map (fun (j, _, _) -> (j, 0.0)) cells) rows)
+      in
+      let csr_jacobian x =
+        let values = Csr.values csr in
+        let t = ref 0 in
+        Array.iter
+          (fun (cells, _) ->
+            List.iter
+              (fun cell ->
+                values.(!t) <- entry x cell;
+                incr t)
+              cells)
+          rows;
+        Objective.Csr csr
+      in
+      let dense_jacobian x =
+        let d = Mat.create ~rows:m ~cols:n in
+        Array.iteri
+          (fun i (cells, _) ->
+            List.iter (fun ((j, _, _) as cell) -> Mat.set d i j (entry x cell)) cells)
+          rows;
+        Objective.Dense d
+      in
+      let options = { Levenberg_marquardt.default_options with max_iterations = 50 } in
+      let a = Levenberg_marquardt.minimize ~options ~jacobian:csr_jacobian f x0 in
+      let b = Levenberg_marquardt.minimize ~options ~jacobian:dense_jacobian f x0 in
+      let bits = Int64.bits_of_float in
+      Array.for_all2 (fun p q -> bits p = bits q) a.Objective.x b.Objective.x
+      && bits a.Objective.cost = bits b.Objective.cost
+      && bits a.Objective.residual_norm = bits b.Objective.residual_norm
+      && a.Objective.iterations = b.Objective.iterations
+      && a.Objective.evaluations = b.Objective.evaluations
+      && a.Objective.converged = b.Objective.converged
+      && a.Objective.stop = b.Objective.stop)
+
 let () =
   Alcotest.run "optim"
     [
@@ -434,6 +529,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_bounds_roundtrip; prop_of_internal_inside; prop_lm_decreases_cost ]
-      );
+          [
+            prop_bounds_roundtrip;
+            prop_of_internal_inside;
+            prop_lm_decreases_cost;
+            prop_lm_csr_matches_dense;
+          ] );
     ]

@@ -350,6 +350,69 @@ let test_warm_obtain_allocation () =
   if bytes >= 65536.0 then
     Alcotest.failf "a warm obtain at ising-cycle n=93 allocated %.0f bytes" bytes
 
+(* ---- warm solve allocation ---- *)
+
+(* Bytes allocated by one warm [Compile_plan.solve] of a backend's
+   benchmark model: the plan is cached and the first solve has sized
+   every per-domain scratch, so what remains is the solve's own work.
+   [domains = 1] and explicit empty faults make the figure independent
+   of [QTURBO_DOMAINS] and [QTURBO_FAULTS]. *)
+let warm_solve_bytes (backend : Qturbo_backend.Backend.t) model n =
+  Compile_plan.clear_caches ();
+  let inst = backend.Qturbo_backend.Backend.instantiate ~model_name:model ~n () in
+  let target = static_target model n in
+  let options =
+    {
+      Compiler.default_options with
+      Compiler.domains = 1;
+      faults = Some Qturbo_resilience.Fault.empty;
+    }
+  in
+  let plan, _ =
+    Compile_plan.obtain ~options ~aais:inst.Qturbo_backend.Backend.aais ~target
+  in
+  let solve () =
+    ignore (Compile_plan.solve ~options ~plan ~coeffs:target ~t_tar:1.0 ())
+  in
+  solve ();
+  let before = Gc.allocated_bytes () in
+  solve ();
+  Gc.allocated_bytes () -. before
+
+let mb = 1e6
+
+let check_solve_bytes ~limit_mb label bytes =
+  if bytes >= limit_mb *. mb then
+    Alcotest.failf "a warm %s solve allocated %.1f MB (limit %.0f MB)" label
+      (bytes /. mb) limit_mb
+
+(* closed-form components evaluate on per-domain scratch, not on a
+   device-sized env per call *)
+let test_closed_form_solve_allocation () =
+  let module B = Qturbo_backend.Backend in
+  check_solve_bytes ~limit_mb:24.0 "heisenberg heis-chain n=300"
+    (warm_solve_bytes B.heisenberg "heis-chain" 300);
+  check_solve_bytes ~limit_mb:24.0 "iontrap ising-chain n=40"
+    (warm_solve_bytes B.iontrap "ising-chain" 40)
+
+(* the component count triples from n=100 to n=300; a per-call
+   allocation sized by the device makes the bytes grow ~5x *)
+let test_closed_form_solve_growth () =
+  let module B = Qturbo_backend.Backend in
+  let small = warm_solve_bytes B.heisenberg "heis-chain" 100 in
+  let large = warm_solve_bytes B.heisenberg "heis-chain" 300 in
+  if large > 3.5 *. small then
+    Alcotest.failf
+      "heis-chain warm solve bytes grew %.2fx from n=100 (%.1f MB) to n=300 \
+       (%.1f MB); limit 3.5x"
+      (large /. small) (small /. mb) (large /. mb)
+
+(* the LU position solve refills a CSR Jacobian instead of a dense
+   rows x free-coordinates matrix *)
+let test_position_solve_allocation () =
+  check_solve_bytes ~limit_mb:28.0 "rydberg ising-cycle n=93"
+    (warm_solve_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 93)
+
 (* ---- stage hooks and cache plumbing ---- *)
 
 let with_stages f =
@@ -529,6 +592,14 @@ let () =
           quick "a grown pool re-keys and misses" test_pool_growth_rekeys;
           quick "warm obtain allocates under 64 KB" test_warm_obtain_allocation;
           quick "acceptance predicate confirms hits" test_plan_cache_accept;
+        ] );
+      ( "allocation",
+        [
+          quick "closed-form components under 24 MB" test_closed_form_solve_allocation;
+          quick "closed-form bytes grow at most 3.5x for 3x components"
+            test_closed_form_solve_growth;
+          quick "ising-cycle n=93 position solve under 28 MB"
+            test_position_solve_allocation;
         ] );
       ( "staging",
         [

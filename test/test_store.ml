@@ -226,6 +226,48 @@ let test_corrupt_store_rebuilds () =
   Alcotest.(check bool) "repaired entry hits" true
     r.Compiler.plan.Compiler.store_hit
 
+(* A hand-edited entry with a recomputed checksum whose skeleton CSR
+   disagrees with its cell lists: the solve and the error metrics read
+   the CSR, so the lint gate must refuse it as a corrupt miss, and the
+   rebuild must repair the entry. *)
+let test_csr_mismatch_rebuilds () =
+  with_store @@ fun dir ->
+  let r1 = compile_ising () in
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options
+      ~aais:(rydberg_for 5).Rydberg.aais
+      ~target:(static_target "ising-chain" 5)
+  in
+  let key = plan.Compile_plan.key in
+  let raw = PS.open_store ~version:(Compile_plan.store_version ()) ~dir in
+  let tampered : Compile_plan.t =
+    match PS.load raw ~key with
+    | Some payload -> Marshal.from_string payload 0
+    | None -> Alcotest.fail "the fresh build was not persisted"
+  in
+  let values =
+    Qturbo_linalg.Csr.values
+      (Linear_system.skeleton_csr tampered.Compile_plan.skeleton)
+  in
+  values.(0) <- values.(0) +. 1.0;
+  Alcotest.(check bool) "tampered entry written" true
+    (PS.save raw ~key
+       ~payload:(Marshal.to_string tampered [ Marshal.Closures ]));
+  Compile_plan.clear_caches ();
+  let r2 = compile_ising () in
+  Alcotest.(check bool) "refused, rebuilt" false
+    r2.Compiler.plan.Compiler.store_hit;
+  check_bits "t_sim identical" r1.Compiler.t_sim r2.Compiler.t_sim;
+  check_bits_arr "env identical" r1.Compiler.env r2.Compiler.env;
+  check_bits "error identical" r1.Compiler.error_l1 r2.Compiler.error_l1;
+  (match Compile_plan.store_stats () with
+  | None -> Alcotest.fail "store stats missing"
+  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt);
+  Compile_plan.clear_caches ();
+  let r3 = compile_ising () in
+  Alcotest.(check bool) "repaired entry hits" true
+    r3.Compiler.plan.Compiler.store_hit
+
 let test_version_mismatch_rebuilds () =
   with_store @@ fun dir ->
   let r1 = compile_ising () in
@@ -327,6 +369,8 @@ let () =
             test_corrupt_store_rebuilds;
           Alcotest.test_case "version mismatch rebuilds" `Quick
             test_version_mismatch_rebuilds;
+          Alcotest.test_case "CSR disagreeing with its cells rebuilds" `Quick
+            test_csr_mismatch_rebuilds;
           Alcotest.test_case "bitwise identical on/off, domains 1 and 4"
             `Quick test_store_bitwise_identical_across_domains;
           Alcotest.test_case "payload leaves out the key memo" `Quick
