@@ -434,9 +434,12 @@ let compile_info =
    built-in backend has one, so [qturbo check --inject dangling-channel]
    is the only way to see QT005 from the command line. *)
 let inject_dangling (aais : Aais.t) =
+  (* extend a copy of the pool: the resolved instance is shared with
+     every later resolution of the same device *)
+  let pool = Variable.copy_pool aais.Aais.pool in
   let v =
-    Variable.fresh aais.Aais.pool ~name:"dangling"
-      ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ()
+    Variable.fresh pool ~name:"dangling" ~kind:Variable.Runtime_dynamic
+      ~lo:0.0 ~hi:1.0 ()
   in
   let ch =
     Instruction.channel ~cid:(Aais.channel_count aais) ~label:"dangling"
@@ -445,7 +448,7 @@ let inject_dangling (aais : Aais.t) =
   let instr = Instruction.make ~label:"dangling" ~channels:[ ch ] in
   Aais.make
     ~name:(aais.Aais.name ^ "+dangling")
-    ~n_qubits:aais.Aais.n_qubits ~pool:aais.Aais.pool
+    ~n_qubits:aais.Aais.n_qubits ~pool
     ~instructions:(aais.Aais.instructions @ [ instr ])
     ~check_fixed:aais.Aais.check_fixed ~fingerprint:aais.Aais.fingerprint
     ~sites:aais.Aais.sites ()

@@ -60,6 +60,19 @@ let rec var_set = function
 let vars e = Int_set.elements (var_set e)
 let depends_on e id = Int_set.mem id (var_set e)
 
+let rec map_vars f e =
+  match e with
+  | Const _ -> e
+  | Var id -> Var (f id)
+  | Neg a -> Neg (map_vars f a)
+  | Add (a, b) -> Add (map_vars f a, map_vars f b)
+  | Sub (a, b) -> Sub (map_vars f a, map_vars f b)
+  | Mul (a, b) -> Mul (map_vars f a, map_vars f b)
+  | Div (a, b) -> Div (map_vars f a, map_vars f b)
+  | Pow_int (a, n) -> Pow_int (map_vars f a, n)
+  | Sin a -> Sin (map_vars f a)
+  | Cos a -> Cos (map_vars f a)
+
 let rec simplify e =
   match e with
   | Const _ | Var _ -> e

@@ -60,6 +60,12 @@ val vars : t -> int list
 
 val depends_on : t -> int -> bool
 
+val map_vars : (int -> int) -> t -> t
+(** The same expression with every variable id [v] renamed to [f v]:
+    {!eval} of the result on an environment holding [env.(f v)] performs
+    the same float operations on the same values as {!eval} of the
+    original on one holding [env.(v)]. *)
+
 val simplify : t -> t
 (** Constant folding and algebraic identities ([0·x], [x+0], [x^1], …).
     Idempotent. *)

@@ -29,7 +29,10 @@ let validate_hint c =
   | Hint_polar_cos { amp; phase; scale } | Hint_polar_sin { amp; phase; scale }
     ->
       (* structural check: depends on exactly {amp, phase}; numerical
-         check at a few probe points against the declared closed form *)
+         check at a few probe points against the declared closed form.
+         The probes evaluate on a two-slot environment (amp in slot 0,
+         phase in slot 1) rather than one indexed by variable id, so a
+         device's validation stays linear in its channels. *)
       Expr.vars c.expr = List.sort Int.compare [ amp; phase ]
       && begin
            let is_sin =
@@ -38,15 +41,17 @@ let validate_hint c =
              | Hint_polar_cos _ | Hint_linear _ | Hint_fixed | Hint_generic ->
                  false
            in
-           let n = 1 + Int.max amp phase in
+           let local =
+             Expr.map_vars (fun v -> if v = amp then 0 else 1) c.expr
+           in
+           let env = [| 0.0; 0.0 |] in
            let probe (a, p) =
-             let env = Array.make n 0.0 in
-             env.(amp) <- a;
-             env.(phase) <- p;
+             env.(0) <- a;
+             env.(1) <- p;
              let expect =
                if is_sin then scale *. a *. sin p else scale *. a *. cos p
              in
-             Float.abs (Expr.eval c.expr ~env -. expect)
+             Float.abs (Expr.eval local ~env -. expect)
              <= 1e-9 *. Float.max 1.0 (Float.abs expect)
            in
            List.for_all probe

@@ -30,6 +30,7 @@ let fresh pool ~name ~kind ?(lo = neg_infinity) ?(hi = infinity) ?init () =
   pool.vars <- v :: pool.vars;
   v
 
+let copy_pool pool = { vars = pool.vars; next = pool.next }
 let count pool = pool.next
 
 let all pool =
@@ -42,6 +43,14 @@ let all pool =
 let get pool id =
   if id < 0 || id >= pool.next then invalid_arg "Variable.get: unknown id";
   (all pool).(id)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let identical a b =
+  a.id = b.id && String.equal a.name b.name && a.kind = b.kind
+  && same_bits a.bound.Bounds.lo b.bound.Bounds.lo
+  && same_bits a.bound.Bounds.hi b.bound.Bounds.hi
+  && same_bits a.init b.init
 
 let is_fixed v = v.kind = Runtime_fixed
 let is_dynamic v = v.kind = Runtime_dynamic

@@ -35,6 +35,11 @@ val fresh :
 (** Allocate a variable.  Bounds default to unbounded; [init] defaults to
     the bound midpoint when finite, else [0.]. *)
 
+val copy_pool : pool -> pool
+(** An independent pool holding the same variables: {!fresh} on the
+    copy leaves the original (and every AAIS built on it) untouched.
+    O(1) — the variables themselves are immutable and shared. *)
+
 val count : pool -> int
 
 val all : pool -> t array
@@ -42,6 +47,10 @@ val all : pool -> t array
 
 val get : pool -> int -> t
 (** Raises [Invalid_argument] on unknown ids. *)
+
+val identical : t -> t -> bool
+(** Same id, name and kind, and bit-identical bounds and initial
+    guess. *)
 
 val is_fixed : t -> bool
 

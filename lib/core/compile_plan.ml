@@ -331,9 +331,7 @@ let cache_stats () = Plan_cache.stats plan_cache
 let cache_per_key () = Plan_cache.per_key plan_cache
 let device_cache_stats () = Plan_cache.stats device_cache
 
-let clear_caches () =
-  Plan_cache.clear plan_cache;
-  Plan_cache.clear device_cache
+let clear_caches = Plan_cache.clear_all
 
 let obtain_device ~options ~aais =
   if not options.plan_cache then build_device ~options ~aais ()
@@ -484,6 +482,47 @@ let store_persist (p : t) =
       | exception _ ->
           Log.warn (fun m -> m "plan could not be marshaled for the store"))
 
+(* What a device's key leaves out but the solve and the analyzer read:
+   the variables bit for bit (the key anchors site coordinates, so a
+   translated layout keys equal to the untranslated one) and the
+   truncation summary (the key does not carry the cutoff radius, which
+   QT029 prints).  Exact key equality already proves every channel's
+   expression, hint and effects equal. *)
+let same_unkeyed (d : device) ~aais ~vars =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_truncation (a : Aais.truncation) (b : Aais.truncation) =
+    bits a.radius b.radius && a.kept_pairs = b.kept_pairs
+    && a.dropped_pairs = b.dropped_pairs
+    && bits a.dropped_l1 b.dropped_l1
+    && bits a.max_dropped b.max_dropped
+  in
+  Array.length vars = Array.length d.vars
+  && Array.for_all2 Variable.identical vars d.vars
+  && Option.equal same_truncation aais.Aais.truncation d.aais.Aais.truncation
+
+(* A stored plan arrives with its own deserialized AAIS, channels and
+   variables.  When they agree with the requester's on everything above,
+   the plan is rebound onto the requester's, so the device is resident
+   once and every output bit stays what the loaded copy would give.  A
+   device that differs (a translated layout) keeps the loaded copy. *)
+let rebind_device (d : device) ~aais =
+  let vars = Aais.variables aais in
+  if not (same_unkeyed d ~aais ~vars) then d
+  else
+    let channels = Aais.channels aais in
+    {
+      d with
+      aais;
+      channels;
+      vars;
+      prepared =
+        List.map
+          (function
+            | Dynamic p -> Dynamic (Local_solver.rebind p ~vars ~channels)
+            | Fixed p -> Fixed (Fixed_solver.rebind p ~vars ~channels))
+          d.prepared;
+    }
+
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
    build (which back-fills both).  A hit renders nothing: the LRU key
@@ -504,7 +543,7 @@ let obtain_for_support ~options ~aais ~support =
         match store_fetch ~key:(plan_key_of_support ~options ~aais ~support) with
         | Some p ->
             !stage_hook "plan-store-hit";
-            let p = { p with lru_key } in
+            let p = { p with device = rebind_device p.device ~aais; lru_key } in
             Plan_cache.add plan_cache lru_key ~accept p;
             (* the deserialized device part is shareable too: admit it so
                fresh shapes on the same device skip the prepare pass *)

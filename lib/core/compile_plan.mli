@@ -477,5 +477,7 @@ val cache_per_key : unit -> (string * Plan_cache.key_stats) list
 val device_cache_stats : unit -> Plan_cache.stats
 
 val clear_caches : unit -> unit
-(** Drop all cached plans/devices and zero the counters (tests,
-    benchmarks and cold-path measurement). *)
+(** Empty every {!Plan_cache} in the process — plans, device parts and
+    the service's backend instances — and zero their counters: the
+    state of a fresh process (tests, benchmarks and cold-path
+    measurement). *)

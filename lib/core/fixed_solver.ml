@@ -117,6 +117,8 @@ let prepare ~vars ~channels (comp : Locality.component) =
     jac_row_slots;
   }
 
+let rebind p ~vars ~channels = { p with vars; channels }
+
 (* Below this many rows/entries the pool dispatch costs more than it
    saves: submitting a job and waking sleeping workers runs ~0.5 ms,
    while a compiled-kernel row evaluates in ~10 ns — a residual pass

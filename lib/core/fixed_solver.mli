@@ -52,6 +52,14 @@ val prepare :
     and the CG path's row products sum in.  It holds by construction;
     the check runs once per plan instead of once per Jacobian. *)
 
+val rebind :
+  prepared ->
+  vars:Qturbo_aais.Variable.t array ->
+  channels:Qturbo_aais.Instruction.channel array ->
+  prepared
+(** As [Local_solver.rebind]: the same component reading identical
+    [vars] and [channels] instead of its own. *)
+
 val solve_supervised :
   ?domains:int ->
   sup:Qturbo_resilience.Supervisor.t ->

@@ -137,6 +137,7 @@ type prepared = {
 }
 
 let classification_of p = p.p_cls
+let rebind p ~vars ~channels = { p with p_vars = vars; p_channels = channels }
 
 let prepare ~vars ~channels comp classification =
   let case =

@@ -62,6 +62,16 @@ val prepare :
 
 val classification_of : prepared -> classification
 
+val rebind :
+  prepared ->
+  vars:Qturbo_aais.Variable.t array ->
+  channels:Qturbo_aais.Instruction.channel array ->
+  prepared
+(** The same component reading [vars] and [channels] instead of the
+    arrays it was prepared from.  They must be identical to those
+    arrays (equal structure, bit-identical variables): nothing derived
+    from them is recomputed. *)
+
 val solve_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->

@@ -52,20 +52,32 @@ type 'a t = {
   mutable rejected : int;
 }
 
+(* Every cache ever created, so [clear_all] reaches caches owned by
+   libraries above this one (the service's instance cache) without a
+   second clear entry point. *)
+type any = Any : 'a t -> any
+
+let registry : any list ref = ref []
+let registry_lock = Mutex.create ()
+
 let create ~capacity =
   if capacity < 1 then invalid_arg "Plan_cache.create: capacity < 1";
-  {
-    capacity;
-    tbl = Hashtbl.create (2 * capacity);
-    keys = Hashtbl.create (4 * capacity);
-    lock = Mutex.create ();
-    tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    discarded = 0;
-    rejected = 0;
-  }
+  let t =
+    {
+      capacity;
+      tbl = Hashtbl.create (2 * capacity);
+      keys = Hashtbl.create (4 * capacity);
+      lock = Mutex.create ();
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      discarded = 0;
+      rejected = 0;
+    }
+  in
+  Mutex.protect registry_lock (fun () -> registry := Any t :: !registry);
+  t
 
 let locked t f =
   Mutex.lock t.lock;
@@ -168,6 +180,10 @@ let clear t =
       t.evictions <- 0;
       t.discarded <- 0;
       t.rejected <- 0)
+
+let clear_all () =
+  let caches = Mutex.protect registry_lock (fun () -> !registry) in
+  List.iter (fun (Any t) -> clear t) caches
 
 let stats t =
   locked t (fun () ->

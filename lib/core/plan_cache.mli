@@ -1,6 +1,7 @@
 (** Bounded, mutex-guarded LRU cache keyed by compact strings.
 
-    Backs the {!Compile_plan} plan and device caches.  Entries must be
+    Backs the {!Compile_plan} plan and device caches and the service's
+    backend-instance cache.  Entries must be
     immutable (plans are), because a cached value may be shared by
     concurrent compiles running on different pool domains.  All
     operations are thread-safe; the critical sections are tiny (a
@@ -67,6 +68,10 @@ val reject : 'a t -> string -> unit
 
 val clear : 'a t -> unit
 (** Drop every entry, every per-key cell, and zero the counters. *)
+
+val clear_all : unit -> unit
+(** {!clear} every cache {!create} has ever made, in this library or
+    above it: what a fresh process would start from. *)
 
 val stats : 'a t -> stats
 

@@ -44,12 +44,34 @@ let resolve_model ~hamiltonian ~model_name ~n ~j ~h =
   | None, Some name -> build_model ~name ~n ~j ~h
   | None, None -> failwith "provide either --model or --hamiltonian"
 
+(* Backend instances by the exact arguments [instantiate] receives, so a
+   daemon request for a device it has already built skips the AAIS build
+   and, through the AAIS's key memo, the key render.  Sharing is safe
+   because nothing reachable from an instance is mutated after its
+   builder returns.  The capacity is the plan LRU's: the serve mix cycles
+   through a dozen devices, and an instance whose plans are resident
+   costs nothing extra, since they hold the same AAIS.
+   [Compile_plan.clear_caches] empties it with every other cache. *)
+let instances : Backend.instance Qturbo_core.Plan_cache.t =
+  Qturbo_core.Plan_cache.create ~capacity:32
+
+let instance_key ~backend ~device ~cutoff ~model_name ~n =
+  let opt = function None -> "-" | Some s -> Printf.sprintf "%S" s in
+  Printf.sprintf "%S %s %s %S %d" backend (opt device) (opt cutoff) model_name n
+
 (* Resolve --backend/--device/--cutoff through the registry, rejecting
-   explicitly-passed flags the chosen backend does not declare. *)
+   explicitly-passed flags the chosen backend does not declare (on every
+   request: a rejection is never cached). *)
 let resolve_backend ~backend ~device ~cutoff ~ramp ~model_name ~n =
   let b = Backend.find_exn backend in
   Backend.reject_unsupported b ~device ~cutoff ~ramp;
-  b.Backend.instantiate ?device ?cutoff ~model_name ~n ()
+  let key = instance_key ~backend ~device ~cutoff ~model_name ~n in
+  match Qturbo_core.Plan_cache.find instances key with
+  | Some inst -> inst
+  | None ->
+      let inst = b.Backend.instantiate ?device ?cutoff ~model_name ~n () in
+      Qturbo_core.Plan_cache.add instances key inst;
+      inst
 
 let static_target model =
   Qturbo_pauli.Pauli_sum.drop_identity
@@ -117,6 +139,16 @@ let plan_cache_json () =
               k.Qturbo_core.Plan_cache.key_evictions
               k.Qturbo_core.Plan_cache.key_discarded)
           per_key))
+
+(* The daemon's [stats] op only: compile, check, lint and sweep payloads
+   stay byte-identical to the CLI's, which never reuses an instance. *)
+let instance_cache_json () =
+  let s = Qturbo_core.Plan_cache.stats instances in
+  Printf.sprintf
+    {|{"hits":%d,"misses":%d,"evictions":%d,"size":%d,"capacity":%d}|}
+    s.Qturbo_core.Plan_cache.hits s.Qturbo_core.Plan_cache.misses
+    s.Qturbo_core.Plan_cache.evictions s.Qturbo_core.Plan_cache.size
+    s.Qturbo_core.Plan_cache.capacity
 
 let plan_store_json () =
   match Qturbo_core.Compile_plan.store_stats () with

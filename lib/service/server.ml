@@ -34,10 +34,11 @@ let ok_json payload = {|{"ok":true,"result":|} ^ payload ^ "}"
 
 let stats_json ~requests ~started =
   Printf.sprintf
-    {|{"requests":%d,"uptime_seconds":%s,"plan_cache":%s,"plan_store":%s}|}
+    {|{"requests":%d,"uptime_seconds":%s,"plan_cache":%s,"plan_store":%s,"instances":%s}|}
     requests
     (J.float_lit (Qturbo_util.Clock.now () -. started))
     (Ops.plan_cache_json ()) (Ops.plan_store_json ())
+    (Ops.instance_cache_json ())
 
 (* The same failure taxonomy the CLI maps to exit codes, as typed error
    responses: a request can fail, the daemon does not. *)

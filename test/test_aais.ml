@@ -28,6 +28,23 @@ let test_variable_init_clamped () =
   let v = Variable.fresh pool ~name:"v" ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ~init:9.0 () in
   check_close "clamped" 1e-12 1.0 v.Variable.init
 
+(* the CLI's dangling-channel injection extends a copy, because the
+   resolved instance it starts from may be shared *)
+let test_copy_pool_leaves_original () =
+  let aais = (Rydberg.build ~spec:Device.aquila_paper ~n:3).Rydberg.aais in
+  let pool = aais.Aais.pool in
+  let count = Variable.count pool and digest = Shape.digest aais in
+  let copy = Variable.copy_pool pool in
+  let v =
+    Variable.fresh copy ~name:"extra" ~kind:Variable.Runtime_dynamic ~lo:0.0
+      ~hi:1.0 ()
+  in
+  Alcotest.(check int) "the copy continues the ids" count v.Variable.id;
+  Alcotest.(check int) "the copy grew" (count + 1) (Variable.count copy);
+  Alcotest.(check int) "the original did not" count (Variable.count pool);
+  Alcotest.(check string) "the AAIS digest is unchanged" (Digest.to_hex digest)
+    (Digest.to_hex (Shape.digest aais))
+
 (* ---- Expr ---- *)
 
 let env_of lst =
@@ -135,6 +152,36 @@ let test_hint_polar_accepts_rydberg_shape () =
       ~hint:(Instruction.Hint_polar_cos { amp = 0; phase = 1; scale = 0.5 })
   in
   Alcotest.(check bool) "valid" true (Instruction.validate_hint c)
+
+(* Each lie changes the value at some probe point.  Ids of 5000 and
+   more check that the probes bind the hint's own variables, whatever
+   their ids; the truthful hints must still validate there. *)
+let test_polar_hint_lies_rejected () =
+  let rejected msg expr hint =
+    match Instruction.channel ~cid:0 ~label:"bad" ~expr ~effects:[] ~hint with
+    | _ -> Alcotest.failf "%s: accepted" msg
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (amp, phase) ->
+      let case what = Printf.sprintf "amp %d, phase %d: %s" amp phase what in
+      let cos_expr = Expr.(Mul (Mul (Const 0.5, Var amp), Cos (Var phase))) in
+      let sin_expr = Expr.(Mul (Mul (Const 0.5, Var amp), Sin (Var phase))) in
+      let cos_hint = Instruction.Hint_polar_cos { amp; phase; scale = 0.5 } in
+      let sin_hint = Instruction.Hint_polar_sin { amp; phase; scale = 0.5 } in
+      List.iter
+        (fun (expr, hint) ->
+          Alcotest.(check bool) (case "truthful hint") true
+            (Instruction.validate_hint
+               (Instruction.channel ~cid:0 ~label:"ok" ~expr ~effects:[] ~hint)))
+        [ (cos_expr, cos_hint); (sin_expr, sin_hint) ];
+      rejected (case "amp and phase swapped") cos_expr
+        (Instruction.Hint_polar_cos { amp = phase; phase = amp; scale = 0.5 });
+      rejected (case "sin hint on a cos channel") cos_expr sin_hint;
+      rejected (case "cos hint on a sin channel") sin_expr cos_hint;
+      rejected (case "wrong scale") cos_expr
+        (Instruction.Hint_polar_cos { amp; phase; scale = 0.25 }))
+    [ (0, 1); (1, 0); (5000, 5001); (7331, 5002) ]
 
 let test_instruction_variables_derived () =
   let c1 =
@@ -364,6 +411,8 @@ let () =
         [
           Alcotest.test_case "pool" `Quick test_variable_pool;
           Alcotest.test_case "init clamped" `Quick test_variable_init_clamped;
+          Alcotest.test_case "copy_pool leaves the original" `Quick
+            test_copy_pool_leaves_original;
         ] );
       ( "expr",
         [
@@ -382,6 +431,8 @@ let () =
         [
           Alcotest.test_case "lying hints rejected" `Quick test_hint_validation_rejects_lies;
           Alcotest.test_case "polar shape accepted" `Quick test_hint_polar_accepts_rydberg_shape;
+          Alcotest.test_case "lying polar hints rejected" `Quick
+            test_polar_hint_lies_rejected;
           Alcotest.test_case "variables derived" `Quick test_instruction_variables_derived;
           Alcotest.test_case "identity effects filtered" `Quick
             test_effect_terms_filter_identity;

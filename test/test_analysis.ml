@@ -149,16 +149,16 @@ let test_reject_sign_infeasible_coefficient () =
 let dangling_aais () =
   let ryd = rydberg3 () in
   let aais = ryd.Rydberg.aais in
+  let pool = Variable.copy_pool aais.Aais.pool in
   let v =
-    Variable.fresh aais.Aais.pool ~name:"dangling"
-      ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ()
+    Variable.fresh pool ~name:"dangling" ~kind:Variable.Runtime_dynamic
+      ~lo:0.0 ~hi:1.0 ()
   in
   let ch =
     Instruction.channel ~cid:(Aais.channel_count aais) ~label:"dangling"
       ~expr:(Expr.var v) ~effects:[] ~hint:Instruction.Hint_generic
   in
-  Aais.make ~name:"rydberg+dangling" ~n_qubits:aais.Aais.n_qubits
-    ~pool:aais.Aais.pool
+  Aais.make ~name:"rydberg+dangling" ~n_qubits:aais.Aais.n_qubits ~pool
     ~instructions:(aais.Aais.instructions @ [ Instruction.make ~label:"dangling" ~channels:[ ch ] ])
     ~check_fixed:aais.Aais.check_fixed ()
 

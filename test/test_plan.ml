@@ -413,6 +413,32 @@ let test_position_solve_allocation () =
   check_solve_bytes ~limit_mb:28.0 "rydberg ising-cycle n=93"
     (warm_solve_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 93)
 
+(* ---- AAIS construction allocation ---- *)
+
+(* Bytes of one uncached [instantiate] (the instance cache lives in the
+   service, above the backend).  Polar hints are validated on a two-slot
+   environment, so the build stops allocating a device-sized array per
+   probe: 2n polar channels times 5n variables made it quadratic. *)
+let instantiate_bytes (backend : Qturbo_backend.Backend.t) model n =
+  let before = Gc.allocated_bytes () in
+  ignore
+    (Sys.opaque_identity
+       (backend.Qturbo_backend.Backend.instantiate ~model_name:model ~n ()));
+  Gc.allocated_bytes () -. before
+
+let check_instantiate_bytes ~limit_mb label bytes =
+  if bytes >= limit_mb *. mb then
+    Alcotest.failf "instantiating %s allocated %.1f MB (limit %.0f MB)" label
+      (bytes /. mb) limit_mb
+
+let test_instantiate_allocation_rydberg () =
+  check_instantiate_bytes ~limit_mb:30.0 "rydberg ising-cycle n=1000"
+    (instantiate_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 1000)
+
+let test_instantiate_allocation_iontrap () =
+  check_instantiate_bytes ~limit_mb:50.0 "iontrap ising-chain n=93"
+    (instantiate_bytes Qturbo_backend.Backend.iontrap "ising-chain" 93)
+
 (* ---- stage hooks and cache plumbing ---- *)
 
 let with_stages f =
@@ -600,6 +626,10 @@ let () =
             test_closed_form_solve_growth;
           quick "ising-cycle n=93 position solve under 28 MB"
             test_position_solve_allocation;
+          quick "rydberg ising-cycle n=1000 instantiate under 30 MB"
+            test_instantiate_allocation_rydberg;
+          quick "iontrap ising-chain n=93 instantiate under 50 MB"
+            test_instantiate_allocation_iontrap;
         ] );
       ( "staging",
         [

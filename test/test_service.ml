@@ -8,6 +8,11 @@ module Protocol = Qturbo_service.Protocol
 module Server = Qturbo_service.Server
 module Ops = Qturbo_service.Ops
 module Client = Qturbo_service.Client
+module Backend = Qturbo_backend.Backend
+module Aais = Qturbo_aais.Aais
+module Shape = Qturbo_aais.Shape
+module Variable = Qturbo_aais.Variable
+module Compile_plan = Qturbo_core.Compile_plan
 
 let parse_ok line =
   match Protocol.parse_line line with
@@ -123,20 +128,20 @@ let test_handler_basics () =
         [ "requests"; "uptime_seconds"; "plan_cache"; "plan_store" ]
   | _ -> Alcotest.fail "stats result is not an object"
 
+let member path v =
+  List.fold_left
+    (fun v k ->
+      match v with
+      | J.Object fields -> (
+          match List.assoc_opt k fields with
+          | Some v -> v
+          | None -> Alcotest.failf "missing field %s" k)
+      | _ -> Alcotest.failf "not an object at %s" k)
+    v path
+
 let test_handler_compile_and_warm_cache () =
   Qturbo_core.Compile_plan.clear_caches ();
   let req = {|{"op":"compile","model":"ising-chain","n":5}|} in
-  let member path v =
-    List.fold_left
-      (fun v k ->
-        match v with
-        | J.Object fields -> (
-            match List.assoc_opt k fields with
-            | Some v -> v
-            | None -> Alcotest.failf "missing field %s" k)
-        | _ -> Alcotest.failf "not an object at %s" k)
-      v path
-  in
   let resp1, _ = handle req in
   let r1 = response_result resp1 in
   (match member [ "plan_cache"; "hit" ] r1 with
@@ -207,6 +212,113 @@ let test_handler_cli_parity () =
     (J.emit (drop_plan_cache (J.parse_exn direct)))
     (J.emit (drop_plan_cache (response_result resp)))
 
+(* ---- backend instances shared across requests ---- *)
+
+let resolve ~backend ~model ~n =
+  Ops.resolve_backend ~backend ~device:None ~cutoff:None ~ramp:false
+    ~model_name:model ~n
+
+let test_instance_reuse () =
+  Compile_plan.clear_caches ();
+  let first = resolve ~backend:"rydberg" ~model:"ising-chain" ~n:5 in
+  Alcotest.(check bool) "a repeat resolution returns the same instance" true
+    (first == resolve ~backend:"rydberg" ~model:"ising-chain" ~n:5);
+  Alcotest.(check bool) "another size gets its own" false
+    (first == resolve ~backend:"rydberg" ~model:"ising-chain" ~n:6);
+  (* an undeclared flag is rejected on every request, cached device or not *)
+  ignore (resolve ~backend:"heisenberg" ~model:"ising-chain" ~n:5);
+  for _ = 1 to 2 do
+    match
+      Ops.resolve_backend ~backend:"heisenberg" ~device:None
+        ~cutoff:(Some "10") ~ramp:false ~model_name:"ising-chain" ~n:5
+    with
+    | _ -> Alcotest.fail "--cutoff accepted on heisenberg"
+    | exception Failure _ -> ()
+  done;
+  (* a fresh process (and perfbench's oneshot) builds anew *)
+  Compile_plan.clear_caches ();
+  Alcotest.(check bool) "clear_caches drops the instance" false
+    (first == resolve ~backend:"rydberg" ~model:"ising-chain" ~n:5)
+
+let int_at path v =
+  match member path v with
+  | J.Number f -> int_of_float f
+  | _ -> Alcotest.failf "%s is not a number" (String.concat "." path)
+
+let test_stats_reports_instances () =
+  Compile_plan.clear_caches ();
+  let req = {|{"op":"compile","model":"ising-chain","n":5}|} in
+  ignore (response_result (fst (handle req)));
+  ignore (response_result (fst (handle req)));
+  let stats = response_result (fst (handle {|{"op":"stats"}|})) in
+  Alcotest.(check bool) "hits >= 1" true (int_at [ "instances"; "hits" ] stats >= 1);
+  Alcotest.(check int) "one miss" 1 (int_at [ "instances"; "misses" ] stats);
+  Alcotest.(check int) "no eviction" 0 (int_at [ "instances"; "evictions" ] stats);
+  Alcotest.(check int) "one resident" 1 (int_at [ "instances"; "size" ] stats);
+  (* a smaller cache would thrash on a mix of 12 devices *)
+  Alcotest.(check bool) "capacity" true
+    (int_at [ "instances"; "capacity" ] stats >= 12);
+  (* the cache shows in stats only: a compile payload is the CLI's *)
+  let compiled = response_result (fst (handle req)) in
+  match compiled with
+  | J.Object fields ->
+      Alcotest.(check bool) "no instances in a compile payload" false
+        (List.mem_assoc "instances" fields)
+  | _ -> Alcotest.fail "compile result is not an object"
+
+let backends = [ "rydberg"; "heisenberg"; "iontrap" ]
+
+let job_fields ~backend ~model =
+  Printf.sprintf {|"model":%s,"n":4,"backend":%s|} (J.quote model)
+    (J.quote backend)
+
+let test_repeat_compile_identical () =
+  List.iter
+    (fun backend ->
+      Compile_plan.clear_caches ();
+      let req =
+        Printf.sprintf {|{"op":"compile",%s,"show_pulse":true}|}
+          (job_fields ~backend ~model:"ising-chain")
+      in
+      let payload () = J.emit (drop_plan_cache (response_result (fst (handle req)))) in
+      let cold = payload () in
+      Alcotest.(check string) (backend ^ ": warm = cold") cold (payload ()))
+    backends
+
+(* ROADMAP direction 2's guard: a shared instance must come out of every
+   request kind exactly as it went in. *)
+let test_requests_leave_instances_unchanged () =
+  let guard ~backend ~model lines =
+    Compile_plan.clear_caches ();
+    let inst = resolve ~backend ~model ~n:4 in
+    let aais = inst.Backend.aais in
+    let count = Variable.count aais.Aais.pool and digest = Shape.digest aais in
+    List.iter
+      (fun line ->
+        let resp, _ = handle (Printf.sprintf line (job_fields ~backend ~model)) in
+        ignore (response_result resp))
+      lines;
+    let msg what = Printf.sprintf "%s %s: %s" backend model what in
+    Alcotest.(check bool) (msg "still the cached instance") true
+      (inst == resolve ~backend ~model ~n:4);
+    Alcotest.(check int) (msg "variable count") count
+      (Variable.count aais.Aais.pool);
+    Alcotest.(check string) (msg "digest") (Digest.to_hex digest)
+      (Digest.to_hex (Shape.digest aais))
+  in
+  List.iter
+    (fun backend ->
+      guard ~backend ~model:"ising-chain"
+        [
+          {|{"op":"compile",%s}|};
+          {|{"op":"check",%s}|};
+          {|{"op":"lint",%s}|};
+          {|{"op":"sweep",%s,"sweep_j":"0.5:1.0:2"}|};
+        ];
+      guard ~backend ~model:"qaoa-chain"
+        [ {|{"op":"sweep",%s,"sweep_segments":"2","sweep_t":"1.0"}|} ])
+    backends
+
 (* ---- end-to-end over a real socket ---- *)
 
 let test_socket_end_to_end () =
@@ -262,6 +374,17 @@ let () =
           Alcotest.test_case "typed errors" `Quick test_handler_typed_errors;
           Alcotest.test_case "CLI --json parity" `Quick
             test_handler_cli_parity;
+        ] );
+      ( "instances",
+        [
+          Alcotest.test_case "reused until clear_caches" `Quick
+            test_instance_reuse;
+          Alcotest.test_case "stats reports the cache" `Quick
+            test_stats_reports_instances;
+          Alcotest.test_case "repeat compiles byte-identical" `Quick
+            test_repeat_compile_identical;
+          Alcotest.test_case "requests leave instances unchanged" `Quick
+            test_requests_leave_instances_unchanged;
         ] );
       ( "socket",
         [ Alcotest.test_case "end to end" `Quick test_socket_end_to_end ] );

@@ -349,6 +349,79 @@ let test_store_payload_leaves_out_key_memo () =
     (String.equal rendering
        (Shape.of_aais loaded.Compile_plan.device.Compile_plan.aais))
 
+(* A store hit for a device whose variables are bit-identical to the
+   stored one's is rebound onto the requester's AAIS: one resident copy
+   per device, and the same bits as the cold build. *)
+let test_store_hit_rebinds_onto_requester () =
+  with_store @@ fun _dir ->
+  let cold = compile_ising () in
+  Compile_plan.clear_caches ();
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let target = static_target "ising-chain" 5 in
+  let plan, provenance =
+    Compile_plan.obtain ~options:Compiler.default_options ~aais ~target
+  in
+  Alcotest.(check bool) "a store hit" true (provenance = Compile_plan.Stored);
+  let d = plan.Compile_plan.device in
+  Alcotest.(check bool) "the requester's AAIS" true (d.Compile_plan.aais == aais);
+  Alcotest.(check bool) "the requester's channels" true
+    (Array.for_all2 ( == ) d.Compile_plan.channels (Aais.channels aais));
+  Alcotest.(check bool) "the requester's variables" true
+    (Array.for_all2 ( == ) d.Compile_plan.vars (Aais.variables aais));
+  let r = Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 () in
+  check_bits "t_sim" cold.Compiler.t_sim r.Compiler.t_sim;
+  check_bits_arr "env" cold.Compiler.env r.Compiler.env;
+  check_bits "error" cold.Compiler.error_l1 r.Compiler.error_l1;
+  check_bits "bound" cold.Compiler.theorem1_bound r.Compiler.theorem1_bound
+
+(* Devices whose keys are equal but which differ in what the key leaves
+   out keep the loaded copy, and with it the result a store hit has
+   always given them: a rigidly translated layout (other coordinates)
+   and a cutoff radius that drops the same pairs (QT029 prints it). *)
+let test_store_hit_keeps_loaded_copy () =
+  let options = Compiler.default_options in
+  let target = static_target "ising-chain" 5 in
+  let keeps what ~stored ~requester =
+    with_store @@ fun _dir ->
+    let cold = Compiler.compile ~options ~aais:stored ~target ~t_tar:1.0 () in
+    Compile_plan.clear_caches ();
+    Alcotest.(check string) (what ^ ": keys equal")
+      (Compile_plan.plan_key ~options ~aais:stored ~target)
+      (Compile_plan.plan_key ~options ~aais:requester ~target);
+    let plan, provenance = Compile_plan.obtain ~options ~aais:requester ~target in
+    Alcotest.(check bool) (what ^ ": a store hit") true
+      (provenance = Compile_plan.Stored);
+    let d = plan.Compile_plan.device in
+    Alcotest.(check bool) (what ^ ": the loaded AAIS") false
+      (d.Compile_plan.aais == requester);
+    Alcotest.(check bool) (what ^ ": the loaded channels") false
+      (Array.exists2 ( == ) d.Compile_plan.channels (Aais.channels requester));
+    let r = Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 () in
+    check_bits (what ^ ": t_sim") cold.Compiler.t_sim r.Compiler.t_sim;
+    check_bits_arr (what ^ ": env") cold.Compiler.env r.Compiler.env;
+    check_bits (what ^ ": error") cold.Compiler.error_l1 r.Compiler.error_l1;
+    let rendered (r : Compiler.result) =
+      List.map Qturbo_analysis.Diagnostic.to_string r.Compiler.diagnostics
+    in
+    Alcotest.(check (list string)) (what ^ ": diagnostics") (rendered cold)
+      (rendered r)
+  in
+  keeps "translated layout" ~stored:(rydberg_for 5).Rydberg.aais
+    ~requester:
+      (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:relaxed_line ~n:5).Rydberg.aais;
+  (* on the evenly spaced chain, both radii keep exactly the
+     nearest-neighbour pairs *)
+  let spacing =
+    let ryd = rydberg_for 5 in
+    Rydberg.distance ryd ~env:(Variable.initial_env ryd.Rydberg.aais.Aais.pool) 0 1
+  in
+  let cut factor =
+    (Rydberg.build_cutoff ~cutoff:(Rydberg.Radius (factor *. spacing))
+       ~spec:relaxed_line ~n:5)
+      .Rydberg.aais
+  in
+  keeps "another cutoff radius" ~stored:(cut 1.2) ~requester:(cut 1.5)
+
 let () =
   Alcotest.run "store"
     [
@@ -375,5 +448,10 @@ let () =
             `Quick test_store_bitwise_identical_across_domains;
           Alcotest.test_case "payload leaves out the key memo" `Quick
             test_store_payload_leaves_out_key_memo;
+          Alcotest.test_case "a store hit rebinds onto an identical device"
+            `Quick test_store_hit_rebinds_onto_requester;
+          Alcotest.test_case "a device the key cannot tell apart keeps \
+                               the loaded copy"
+            `Quick test_store_hit_keeps_loaded_copy;
         ] );
     ]
