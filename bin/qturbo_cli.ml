@@ -1051,7 +1051,7 @@ let serve_cmd socket max_request_bytes deadline_cap max_requests plan_store
   if max_request_bytes < 1 then failwith "--max-request-bytes must be >= 1";
   let config =
     {
-      Qturbo_service.Server.socket_path;
+      (Qturbo_service.Server.default_config ~socket_path) with
       max_request_bytes;
       deadline_cap = (if deadline_cap > 0.0 then Some deadline_cap else None);
       max_requests = (if max_requests > 0 then Some max_requests else None);

@@ -340,6 +340,9 @@ and op_crdiv = 25 (* top <- consts.(arg) / top *)
 and op_var_sin = 26 (* push sin env.(arg) *)
 and op_var_cos = 27
 
+(* variable ids below this fit a fused pair's packed argument *)
+let pack_limit = 1 lsl 24
+
 (* [var a; var b; <binop>] → one op; [var b; <binop>] and
    [const c; <binop>] likewise; [vv_sub; pow 2] → [dsq]; pow 2 and
    pow 3 get dedicated ops ([int_pow]'s binary exponentiation performs
@@ -356,7 +359,7 @@ let fuse ops args n =
   in
   let last_is op = !m > 0 && fop.(!m - 1) = op in
   let last2_are o1 o2 = !m > 1 && fop.(!m - 2) = o1 && fop.(!m - 1) = o2 in
-  let pack_ok a b = a < 1 lsl 24 && b < 1 lsl 24 in
+  let pack_ok a b = a < pack_limit && b < pack_limit in
   for i = 0 to n - 1 do
     let op = ops.(i) and arg = args.(i) in
     if op >= op_add && op <= op_div then
@@ -462,7 +465,8 @@ let compile_raw ~fused e =
 (* Test-mode verification point: [Qturbo_analysis.Kernel_check] installs
    a verifier here so every kernel the pipeline compiles is checked at
    birth.  Default is a no-op — production builds pay nothing. *)
-let compile_hook : (t -> kernel -> unit) ref = ref (fun _ _ -> ())
+let no_hook _ _ = ()
+let compile_hook : (t -> kernel -> unit) ref = ref no_hook
 
 let compile e =
   let k = compile_raw ~fused:true e in
@@ -476,6 +480,169 @@ let compile_unfused e =
 
 let kernel_length k = Array.length k.k_prog
 let kernel_max_var k = k.k_max_var
+
+(* ---- templates ------------------------------------------------------- *)
+
+(* Variables renamed to 0..k-1 in left-to-right first-occurrence order.
+   The renaming is a linear scan: a channel reads a handful of
+   variables. *)
+let template e =
+  let open Stdlib in
+  let seen = ref [] and k = ref 0 in
+  let local g =
+    let rec find = function
+      | [] ->
+          let l = !k in
+          seen := (g, l) :: !seen;
+          incr k;
+          l
+      | (g', l) :: rest -> if g' = g then l else find rest
+    in
+    find !seen
+  in
+  (* explicit lets: constructor arguments evaluate right to left *)
+  let rec go e =
+    match e with
+    | Const _ -> e
+    | Var g -> Var (local g)
+    | Neg a -> Neg (go a)
+    | Add (a, b) -> let a = go a in Add (a, go b)
+    | Sub (a, b) -> let a = go a in Sub (a, go b)
+    | Mul (a, b) -> let a = go a in Mul (a, go b)
+    | Div (a, b) -> let a = go a in Div (a, go b)
+    | Pow_int (a, n) -> Pow_int (go a, n)
+    | Sin a -> Sin (go a)
+    | Cos a -> Cos (go a)
+  in
+  let local_e = go e in
+  let globals = Array.make !k 0 in
+  List.iter (fun (g, l) -> globals.(l) <- g) !seen;
+  (local_e, globals)
+
+(* Structural equality and hash with constants compared by their bits:
+   [=] equates [-0.0] with [0.0] and never a NaN with itself, and
+   [Hashtbl.hash] stops after the first few nodes of a deep tree. *)
+let rec equal_bits a b =
+  match (a, b) with
+  | Const x, Const y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Var x, Var y -> Int.equal x y
+  | Neg a, Neg b | Sin a, Sin b | Cos a, Cos b -> equal_bits a b
+  | Add (a1, a2), Add (b1, b2)
+  | Sub (a1, a2), Sub (b1, b2)
+  | Mul (a1, a2), Mul (b1, b2)
+  | Div (a1, a2), Div (b1, b2) ->
+      equal_bits a1 b1 && equal_bits a2 b2
+  | Pow_int (a, n), Pow_int (b, m) -> Int.equal n m && equal_bits a b
+  | ( ( Const _ | Var _ | Neg _ | Add _ | Sub _ | Mul _ | Div _ | Pow_int _
+      | Sin _ | Cos _ ),
+      _ ) ->
+      false
+
+let hash_bits e =
+  let open Stdlib in
+  let mix h x = (h * 31) + x in
+  let rec go h = function
+    | Const x ->
+        let b = Int64.bits_of_float x in
+        mix (mix h 1) (Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32))
+    | Var v -> mix (mix h 2) v
+    | Neg a -> go (mix h 3) a
+    | Add (a, b) -> go (go (mix h 4) a) b
+    | Sub (a, b) -> go (go (mix h 5) a) b
+    | Mul (a, b) -> go (go (mix h 6) a) b
+    | Div (a, b) -> go (go (mix h 7) a) b
+    | Pow_int (a, n) -> go (mix (mix h 8) n) a
+    | Sin a -> go (mix h 9) a
+    | Cos a -> go (mix h 10) a
+  in
+  go 0 e land max_int
+
+(* A kernel compiled from a template, its variable fields rewritten
+   through [globals]: [op_var], [var_op], [var_sin] and [var_cos] carry
+   one id, [vv] and [dsq] a packed pair.  [deriv_raw], [simplify] and
+   [compile_raw] only test ids for equality, and the fusion pass only
+   bounds them ([pack_ok]), so when every id is below [pack_limit] this
+   is the kernel [compile] gives the renamed expression, word for word.
+   The constant table is shared: kernels are never mutated. *)
+let relabel k globals =
+  let open Stdlib in
+  let src = k.k_prog in
+  let prog = Array.make (Array.length src) 0 in
+  let max_var = ref (-1) in
+  for pc = 0 to Array.length src - 1 do
+    let word = src.(pc) in
+    let op = word land 31 and arg = word asr 5 in
+    prog.(pc) <-
+      (if op = op_var || (op >= op_var_add && op < op_const_add)
+          || op = op_var_sin || op = op_var_cos
+       then begin
+         let g = globals.(arg) in
+         if g > !max_var then max_var := g;
+         (g lsl 5) lor op
+       end
+       else if (op >= op_vv_add && op < op_var_add) || op = op_dsq then begin
+         let a = globals.(arg lsr 24) and b = globals.(arg land 0xffffff) in
+         if a > !max_var then max_var := a;
+         if b > !max_var then max_var := b;
+         (((a lsl 24) lor b) lsl 5) lor op
+       end
+       else word)
+  done;
+  { k with k_prog = prog; k_max_var = !max_var }
+
+module Template_tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal_bits
+  let hash = hash_bits
+end)
+
+module Deriv_table = struct
+  (* per local variable of a template: the derivative in local ids and
+     its compiled kernel, [None] when it simplifies to zero *)
+  type table = (t * kernel) option array Template_tbl.t
+
+  let create () : table = Template_tbl.create 16
+
+  let direct ~wrt e =
+    List.filter_map
+      (fun v ->
+        if not (wrt v) then None
+        else match deriv e v with Const 0.0 -> None | d -> Some (v, compile d))
+      (vars e)
+
+  let kernels table ~wrt e =
+    let local_e, globals = template e in
+    if Array.exists (fun g -> g >= pack_limit) globals then direct ~wrt e
+    else begin
+      let derivs =
+        match Template_tbl.find_opt table local_e with
+        | Some ds -> ds
+        | None ->
+            let ds =
+              Array.init (Array.length globals) (fun l ->
+                  match deriv local_e l with
+                  | Const 0.0 -> None
+                  | d -> Some (d, compile_raw ~fused:true d))
+            in
+            Template_tbl.add table local_e ds;
+            ds
+      in
+      (* the relabeled source is built only for an installed hook *)
+      let hooked = !compile_hook != no_hook in
+      List.filter_map
+        (fun l ->
+          match derivs.(l) with
+          | Some (d, k) when wrt globals.(l) ->
+              let k = relabel k globals in
+              if hooked then !compile_hook (map_vars (fun l -> globals.(l)) d) k;
+              Some (globals.(l), k)
+          | Some _ | None -> None)
+        (List.sort
+           (fun a b -> Int.compare globals.(a) globals.(b))
+           (List.init (Array.length globals) Fun.id))
+    end
+end
 
 (* ---- typed IR view --------------------------------------------------- *)
 

@@ -140,11 +140,54 @@ val compile_unfused : t -> kernel
     point for the peephole-equivalence property tests. *)
 
 val compile_hook : (t -> kernel -> unit) ref
-(** Called by {!compile} / {!compile_unfused} on every kernel, with the
-    source expression it was compiled from.  Default is a no-op.
+(** Called by {!compile} / {!compile_unfused} on every kernel, and by
+    {!Deriv_table.kernels} on every kernel it relabels, with the source
+    expression the kernel computes.  Default is a no-op.
     [Qturbo_analysis.Kernel_check.install_compile_hook] points this at
     the kernel verifier so test-mode runs check every kernel at birth;
     the hook may raise to reject a bad kernel. *)
+
+(** {1 Templates}
+
+    A device repeats one expression shape across thousands of channels:
+    every planar van-der-Waals pair is
+    [c / ((x_i − x_j)² + (y_i − y_j)²)³] over its own coordinates.  A
+    template is that shape with the variable ids renamed away, so work
+    that depends only on the shape (deriving, compiling) runs once per
+    template and is relabeled per channel. *)
+
+val template : t -> t * int array
+(** [template e] is [(e', globals)]: [e] with its variables renamed to
+    [0 .. k-1] in left-to-right first-occurrence order, and
+    [globals.(l)] the id that local variable [l] stands for, so
+    [map_vars (fun l -> globals.(l)) e'] is [e]. *)
+
+val equal_bits : t -> t -> bool
+(** Structural equality with constants compared by their IEEE bits:
+    [Const (-0.0)] differs from [Const 0.0], and a NaN equals a NaN
+    with the same payload. *)
+
+val hash_bits : t -> int
+(** A hash over the whole tree, compatible with {!equal_bits}. *)
+
+module Deriv_table : sig
+  type table
+  (** Mutable: compiled derivative kernels per template.  Keep one per
+      unit of work (a [Fixed_solver.prepare]), never process-wide. *)
+
+  val create : unit -> table
+
+  val kernels : table -> wrt:(int -> bool) -> t -> (int * kernel) list
+  (** [kernels tbl ~wrt e] is [(v, compile (deriv e v))] for every
+      variable [v] of [e] with [wrt v], in ascending [v], leaving out
+      those whose derivative simplifies to [Const 0.0].  Each kernel is
+      the one {!compile} gives — the same program, constants (by bits),
+      depth and {!kernel_max_var} — but only the first expression of a
+      template is derived and compiled; later ones get its kernels
+      relabeled, sharing the constant tables.  An expression reading an
+      id of 2²⁴ or more compiles directly.  {!compile_hook} sees every
+      returned kernel, with its source derivative. *)
+end
 
 (** {1 Batched evaluation}
 

@@ -21,6 +21,18 @@ let add_float buf f =
     done
   end
 
+(* Decimal digits straight into the buffer, spelled as [string_of_int]
+   spells them ('-' first for a negative, [min_int] included), without
+   its call into the C formatter and the string it allocates.  The
+   digits come off the non-positive value: [-min_int] overflows. *)
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+  in
+  digits (if n > 0 then -n else n)
+
 (* Exact structural rendering of an amplitude expression.  Constants are
    printed as hex floats so two expressions that differ only in a
    constant's low bits never collide; the constructors are tagged so
@@ -32,7 +44,7 @@ let rec add_expr buf (e : Expr.t) =
       add_float buf c
   | Expr.Var v ->
       Buffer.add_char buf 'v';
-      Buffer.add_string buf (string_of_int v)
+      add_int buf v
   | Expr.Neg a ->
       Buffer.add_string buf "n(";
       add_expr buf a;
@@ -43,7 +55,7 @@ let rec add_expr buf (e : Expr.t) =
   | Expr.Div (a, b) -> add_binop buf "/" a b
   | Expr.Pow_int (a, k) ->
       Buffer.add_char buf 'p';
-      Buffer.add_string buf (string_of_int k);
+      add_int buf k;
       Buffer.add_char buf '(';
       add_expr buf a;
       Buffer.add_char buf ')'
@@ -67,21 +79,21 @@ let add_hint buf (h : Instruction.solver_hint) =
   match h with
   | Instruction.Hint_linear { var; slope } ->
       Buffer.add_char buf 'L';
-      Buffer.add_string buf (string_of_int var);
+      add_int buf var;
       Buffer.add_char buf ':';
       add_float buf slope
   | Instruction.Hint_polar_cos { amp; phase; scale } ->
       Buffer.add_char buf 'C';
-      Buffer.add_string buf (string_of_int amp);
+      add_int buf amp;
       Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int phase);
+      add_int buf phase;
       Buffer.add_char buf ':';
       add_float buf scale
   | Instruction.Hint_polar_sin { amp; phase; scale } ->
       Buffer.add_char buf 'S';
-      Buffer.add_string buf (string_of_int amp);
+      add_int buf amp;
       Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int phase);
+      add_int buf phase;
       Buffer.add_char buf ':';
       add_float buf scale
   | Instruction.Hint_fixed -> Buffer.add_char buf 'F'
@@ -98,7 +110,7 @@ let quantize x = Float.round (x *. 1e6) /. 1e6
 let add_variable buf ~site ~offset (v : Variable.t) =
   let canon x = if site then quantize (x -. offset) else x in
   Buffer.add_char buf '|';
-  Buffer.add_string buf (string_of_int v.Variable.id);
+  add_int buf v.Variable.id;
   Buffer.add_char buf ' ';
   Buffer.add_char buf
     (match v.Variable.kind with
@@ -144,7 +156,7 @@ let coordinate_offsets (aais : Aais.t) =
 let add_pstring buf s =
   List.iter
     (fun (site, op) ->
-      Buffer.add_string buf (string_of_int site);
+      add_int buf site;
       Buffer.add_char buf
         (match op with
         | Pauli.I -> 'I'
@@ -155,7 +167,7 @@ let add_pstring buf s =
 
 let add_channel buf (c : Instruction.channel) =
   Buffer.add_char buf '|';
-  Buffer.add_string buf (string_of_int c.Instruction.cid);
+  add_int buf c.Instruction.cid;
   Buffer.add_char buf ' ';
   add_expr buf c.Instruction.expr;
   Buffer.add_char buf ' ';
@@ -171,7 +183,9 @@ let add_channel buf (c : Instruction.channel) =
 let render (aais : Aais.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf aais.Aais.name;
-  Buffer.add_string buf (Printf.sprintf "#%d#" aais.Aais.n_qubits);
+  Buffer.add_char buf '#';
+  add_int buf aais.Aais.n_qubits;
+  Buffer.add_char buf '#';
   Buffer.add_string buf aais.Aais.fingerprint;
   let offsets = coordinate_offsets aais in
   let site = Array.make (Array.length (Aais.variables aais)) false in

@@ -441,11 +441,14 @@ let store_stats () = Option.map Plan_store.stats !store
    every deserialized plan passes the full [Plan_lint] gate before it
    is served: store entries are the only plans that come from outside
    this process.  Any failure demotes the store hit to a corrupt miss
-   and the caller rebuilds. *)
-let store_fetch ~key =
+   and the caller rebuilds.  The full key is spelled out only when a
+   store is open: with none, a miss would concatenate the whole device
+   rendering for nothing. *)
+let store_fetch ~options ~aais ~support =
   match !store with
   | None -> None
   | Some st -> (
+      let key = plan_key_of_support ~options ~aais ~support in
       match Plan_store.load st ~key with
       | None -> None
       | Some payload -> (
@@ -527,7 +530,7 @@ let rebind_device (d : device) ~aais =
    where it came from: memory LRU, then on-disk store, then a fresh
    build (which back-fills both).  A hit renders nothing: the LRU key
    comes from the AAIS's memoized digest, and the exact full key is
-   spelled out only on a miss, for the store. *)
+   spelled out only on a miss with a store open, for the store. *)
 let obtain_for_support ~options ~aais ~support =
   if not options.plan_cache then
     (build ~options ~aais ~target_shape:support (), Built)
@@ -540,7 +543,7 @@ let obtain_for_support ~options ~aais ~support =
         !stage_hook "plan-cache-hit";
         (p, Cached)
     | None -> (
-        match store_fetch ~key:(plan_key_of_support ~options ~aais ~support) with
+        match store_fetch ~options ~aais ~support with
         | Some p ->
             !stage_hook "plan-store-hit";
             let p = { p with device = rebind_device p.device ~aais; lru_key } in

@@ -51,21 +51,19 @@ let prepare ~vars ~channels (comp : Locality.component) =
   let k_of_var = Array.make env_size (-1) in
   Array.iteri (fun k v -> k_of_var.(v) <- k) free_ids;
   (* only the structurally nonzero entries, found by scanning each
-     channel's own variable set rather than the full free-variable list *)
+     channel's own variable set rather than the full free-variable list;
+     rows sharing an expression template (every van-der-Waals pair)
+     derive and compile once and relabel after that *)
   let nonzero_derivs =
+    let derivs = Expr.Deriv_table.create () in
+    let free v = v < env_size && k_of_var.(v) >= 0 in
     let triples = ref [] in
     Array.iteri
       (fun i cid ->
-        let expr = channels.(cid).Instruction.expr in
         List.iter
-          (fun v ->
-            match if v < env_size then k_of_var.(v) else -1 with
-            | -1 -> ()
-            | k -> (
-                match Expr.deriv expr v with
-                | Expr.Const 0.0 -> ()
-                | d -> triples := (i, k, Expr.compile d) :: !triples))
-          (Expr.vars expr))
+          (fun (v, d) -> triples := (i, k_of_var.(v), d) :: !triples)
+          (Expr.Deriv_table.kernels derivs ~wrt:free
+             channels.(cid).Instruction.expr))
       cids;
     Array.of_list (List.rev !triples)
   in

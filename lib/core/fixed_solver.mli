@@ -47,10 +47,14 @@ val prepare :
   channels:Qturbo_aais.Instruction.channel array ->
   Locality.component ->
   prepared
-(** Raises [Invalid_argument] when a Jacobian row's free columns are not
-    strictly ascending — the order the LU path's [JᵀJ] assembly needs
-    and the CG path's row products sum in.  It holds by construction;
-    the check runs once per plan instead of once per Jacobian. *)
+(** Rows that share an expression template derive and compile their
+    Jacobian kernels once per call and relabel them after that
+    ({!Qturbo_aais.Expr.Deriv_table}); the kernels are the ones a
+    direct compile gives.  Raises [Invalid_argument] when a Jacobian
+    row's free columns are not strictly ascending — the order the LU
+    path's [JᵀJ] assembly needs and the CG path's row products sum in.
+    It holds by construction; the check runs once per plan instead of
+    once per Jacobian. *)
 
 val rebind :
   prepared ->

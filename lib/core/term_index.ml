@@ -1,38 +1,36 @@
 open Qturbo_pauli
 open Qturbo_aais
 
-module Term_map = Map.Make (struct
-  type t = Pauli_string.t
+(* Keyed by [Pauli_string.hash]/[equal], which read the content: the
+   polymorphic hash would see the site map's tree shape, and two equal
+   strings built in different insertion orders can differ in shape. *)
+module Term_tbl = Hashtbl.Make (Pauli_string)
 
-  let compare = Pauli_string.compare
-end)
-
-type t = { by_string : int Term_map.t; by_row : Pauli_string.t array }
+type t = { by_string : int Term_tbl.t; by_row : Pauli_string.t array }
 
 let build_of_support ~channels ~support =
-  (* the row counter rides in the accumulator — [List.length rev] per
-     insertion made assembly quadratic in the row count *)
-  let add ((map, rev, count) as acc) s =
-    if Pauli_string.is_identity s || Term_map.mem s map then acc
-    else (Term_map.add s count map, s :: rev, count + 1)
+  let by_string =
+    Term_tbl.create (List.length support + (3 * Array.length channels))
   in
-  let acc = List.fold_left add (Term_map.empty, [], 0) support in
-  let map, rev, _ =
-    Array.fold_left
-      (fun acc c ->
-        List.fold_left
-          (fun acc (s, _) -> add acc s)
-          acc
-          (Instruction.effect_terms c))
-      acc channels
+  let rev = ref [] and count = ref 0 in
+  let add s =
+    if not (Pauli_string.is_identity s || Term_tbl.mem by_string s) then begin
+      Term_tbl.add by_string s !count;
+      rev := s :: !rev;
+      incr count
+    end
   in
-  { by_string = map; by_row = Array.of_list (List.rev rev) }
+  List.iter add support;
+  Array.iter
+    (fun c -> List.iter (fun (s, _) -> add s) (Instruction.effect_terms c))
+    channels;
+  { by_string; by_row = Array.of_list (List.rev !rev) }
 
 let build ~channels ~target =
   build_of_support ~channels ~support:(List.map fst (Pauli_sum.terms target))
 
 let count t = Array.length t.by_row
-let row_of t s = Term_map.find_opt s t.by_string
+let row_of t s = Term_tbl.find_opt t.by_string s
 
 let string_of t i =
   if i < 0 || i >= count t then invalid_arg "Term_index.string_of: out of range";

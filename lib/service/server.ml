@@ -11,6 +11,7 @@ type config = {
   max_request_bytes : int;
   deadline_cap : float option;
   max_requests : int option;
+  read_timeout : float;
 }
 
 let default_config ~socket_path =
@@ -19,6 +20,7 @@ let default_config ~socket_path =
     max_request_bytes = 1 lsl 20;
     deadline_cap = None;
     max_requests = None;
+    read_timeout = 30.0;
   }
 
 (* ---- responses -------------------------------------------------------- *)
@@ -133,6 +135,12 @@ let serve config =
     match Unix.accept sock with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | fd, _ ->
+        (* connections are served one at a time, so a client that
+           connects and goes quiet would block everyone behind it: a
+           read that waits past the deadline fails (EAGAIN, surfacing
+           as [Sys_blocked_io]) and the connection is dropped uncounted *)
+        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO config.read_timeout
+         with Unix.Unix_error _ -> ());
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         (try
@@ -168,7 +176,7 @@ let serve config =
                output_char oc '\n';
                flush oc
              with Sys_error _ -> ())
-        | Sys_error _ | Unix.Unix_error _ -> ());
+        | Sys_blocked_io | Sys_error _ | Unix.Unix_error _ -> ());
         (try flush oc with Sys_error _ -> ());
         (try Unix.close fd with Unix.Unix_error _ -> ())
   done;

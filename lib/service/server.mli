@@ -24,6 +24,12 @@ type config = {
   max_requests : int option;
       (** serve at most this many requests, then exit the loop —
           tests and smoke jobs use it to bound the daemon's life *)
+  read_timeout : float;
+      (** read deadline (seconds) on every accepted connection: when no
+          byte arrives within it, the connection is dropped without
+          counting a request and the daemon goes back to [accept], so a
+          client that connects and stays silent cannot stall the ones
+          queued behind it (default 30 s; [0.0] disables it) *)
 }
 
 val default_config : socket_path:string -> config

@@ -132,6 +132,202 @@ let test_expr_is_linear () =
   Alcotest.(check (option (float 1e-12))) "nonlinear" None
     (Expr.is_linear_in Expr.(Pow_int (Var 0, 2)) 0)
 
+(* ---- Expression templates ---- *)
+
+let bits = Int64.bits_of_float
+
+(* what [Expr.Deriv_table.kernels] must reproduce *)
+let direct_derivs ~wrt e =
+  List.filter_map
+    (fun v ->
+      if not (wrt v) then None
+      else
+        match Expr.deriv e v with
+        | Expr.Const 0.0 -> None
+        | d -> Some (v, Expr.compile d))
+    (Expr.vars e)
+
+let same_kernel a b =
+  Expr.kernel_view a = Expr.kernel_view b
+  && Array.length (Expr.kernel_consts a) = Array.length (Expr.kernel_consts b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (bits x) (bits y))
+       (Expr.kernel_consts a) (Expr.kernel_consts b)
+  && Expr.kernel_depth a = Expr.kernel_depth b
+  && Expr.kernel_max_var a = Expr.kernel_max_var b
+
+let same_derivs a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (v, k) (w, k') -> v = w && same_kernel k k') a b
+
+let test_template_view () =
+  let e = Expr.(Div (Const 2.0, Pow_int (Sub (Var 7, Var 3), 6)) + Var 7) in
+  let local, globals = Expr.template e in
+  Alcotest.(check (array int)) "first-occurrence order" [| 7; 3 |] globals;
+  Alcotest.(check bool) "renamed" true
+    (Expr.equal_bits local
+       Expr.(Div (Const 2.0, Pow_int (Sub (Var 0, Var 1), 6)) + Var 0));
+  Alcotest.(check bool) "maps back" true
+    (Expr.equal_bits e (Expr.map_vars (fun l -> globals.(l)) local))
+
+let test_equal_bits_constants () =
+  let nan1 = Int64.float_of_bits 0x7ff8000000000001L
+  and nan2 = Int64.float_of_bits 0x7ff8000000000002L in
+  Alcotest.(check bool) "-0.0 <> 0.0" false
+    (Expr.equal_bits (Expr.Const 0.0) (Expr.Const (-0.0)));
+  Alcotest.(check bool) "a NaN equals itself" true
+    (Expr.equal_bits (Expr.Const nan1) (Expr.Const nan1));
+  Alcotest.(check bool) "NaN payloads differ" false
+    (Expr.equal_bits (Expr.Const nan1) (Expr.Const nan2));
+  Alcotest.(check bool) "hash reads past the first nodes" true
+    (let deep c =
+       List.fold_left (fun acc _ -> Expr.Neg acc) (Expr.Const c) (List.init 40 Fun.id)
+     in
+     Expr.hash_bits (deep 1.0) <> Expr.hash_bits (deep 2.0))
+
+(* [Div (v, ±0.0)] keeps its constant through [simplify], and the
+   derivative's constant table carries the sign: a table that equated
+   the two templates would hand the second channel the first one's
+   constants *)
+let test_signed_zero_templates () =
+  let tbl = Expr.Deriv_table.create () in
+  let wrt _ = true in
+  let pos = Expr.(Div (Var 0, Const 0.0)) and neg = Expr.(Div (Var 1, Const (-0.0))) in
+  let kpos = Expr.Deriv_table.kernels tbl ~wrt pos in
+  let kneg = Expr.Deriv_table.kernels tbl ~wrt neg in
+  Alcotest.(check bool) "+0.0 channel" true (same_derivs kpos (direct_derivs ~wrt pos));
+  Alcotest.(check bool) "-0.0 channel" true (same_derivs kneg (direct_derivs ~wrt neg));
+  match (kpos, kneg) with
+  | [ (_, a) ], [ (_, b) ] ->
+      Alcotest.(check bool) "different kernels" false
+        (Array.for_all2
+           (fun x y -> Int64.equal (bits x) (bits y))
+           (Expr.kernel_consts a) (Expr.kernel_consts b))
+  | _ -> Alcotest.fail "expected one derivative per channel"
+
+(* ids at or above 2^24 do not fit the fused pair encoding, so the
+   fusion pass keeps them apart; such expressions compile directly *)
+let test_template_wide_ids () =
+  let wide = 1 lsl 24 in
+  let e = Expr.(Div (Const 3.0, Pow_int (Sub (Var wide, Var 5), 2))) in
+  let small = Expr.map_vars (function 0 -> 1 | _ -> 2) (fst (Expr.template e)) in
+  let tbl = Expr.Deriv_table.create () in
+  let wrt _ = true in
+  ignore (Expr.Deriv_table.kernels tbl ~wrt small);
+  Alcotest.(check bool) "fallback equals direct" true
+    (same_derivs (Expr.Deriv_table.kernels tbl ~wrt e) (direct_derivs ~wrt e))
+
+let const_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        float_range (-10.0) 10.0;
+        oneofl
+          [
+            0.0; -0.0; 1.0; -1.0;
+            Int64.float_of_bits 0x7ff8000000000001L;
+            Int64.float_of_bits 0xfff8000000000abcL;
+          ];
+      ])
+
+(* expressions over local variables 0..3 *)
+let template_expr_gen =
+  let open QCheck.Gen in
+  sized_size (int_range 1 5)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               map (fun c -> Expr.Const c) const_gen;
+               map (fun v -> Expr.Var v) (int_range 0 3);
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           let sub = self (depth - 1) in
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun a b -> Expr.Add (a, b)) sub sub);
+               (2, map2 (fun a b -> Expr.Sub (a, b)) sub sub);
+               (2, map2 (fun a b -> Expr.Mul (a, b)) sub sub);
+               (2, map2 (fun a b -> Expr.Div (a, b)) sub sub);
+               (1, map (fun a -> Expr.Neg a) sub);
+               (2, map2 (fun a p -> Expr.Pow_int (a, p)) sub (int_range (-4) 6));
+               (1, map (fun a -> Expr.Sin a) sub);
+               (1, map (fun a -> Expr.Cos a) sub);
+             ])
+
+(* an injective renaming of 0..3, now and then onto ids past 2^24 *)
+let renaming_gen =
+  let narrow = [ 0; 1; 2; 3; 4; 5; 11; 40; 977; (1 lsl 24) - 1 ] in
+  QCheck.Gen.(
+    map
+      (fun ids -> Array.of_list (List.filteri (fun i _ -> i < 4) ids))
+      (frequency
+         [
+           (4, shuffle_l narrow);
+           (1, shuffle_l ((1 lsl 24) :: ((1 lsl 24) + 3) :: narrow));
+         ]))
+
+(* the first renaming primes the table, the second is served from it;
+   [skip] leaves one id out of [wrt], as a pinned coordinate is *)
+let prop_template_kernels_match_direct =
+  QCheck.Test.make ~name:"template-relabeled derivative kernels = direct compile"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(quad template_expr_gen renaming_gen renaming_gen (int_range 0 3)))
+    (fun (e, r1, r2, skip) ->
+      let tbl = Expr.Deriv_table.create () in
+      let e1 = Expr.map_vars (fun v -> r1.(v)) e
+      and e2 = Expr.map_vars (fun v -> r2.(v)) e in
+      let wrt1 v = v <> r1.(skip) and wrt2 v = v <> r2.(skip) in
+      let k1 = Expr.Deriv_table.kernels tbl ~wrt:wrt1 e1 in
+      let k2 = Expr.Deriv_table.kernels tbl ~wrt:wrt2 e2 in
+      same_derivs k1 (direct_derivs ~wrt:wrt1 e1)
+      && same_derivs k2 (direct_derivs ~wrt:wrt2 e2))
+
+(* The key renderer writes integers digit by digit; it must spell them
+   exactly as [string_of_int] does, signs and extremes included. *)
+let test_key_integer_spelling () =
+  let pool = Variable.create_pool () in
+  let v =
+    Variable.fresh pool ~name:"v" ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ()
+  in
+  let channel cid n =
+    Instruction.channel ~cid ~label:"p"
+      ~expr:Expr.(Pow_int (Var v.Variable.id, n))
+      ~effects:
+        [ { Instruction.pstring = Pauli_string.single 1203 Pauli.Z; coeff = 1.0 } ]
+      ~hint:Instruction.Hint_generic
+  in
+  let aais =
+    Aais.make ~name:"toy" ~n_qubits:1204 ~pool
+      ~instructions:
+        [
+          Instruction.make ~label:"p"
+            ~channels:
+              [ channel 0 (-6); channel 1 min_int; channel 2 max_int; channel 3 0;
+                channel 4 10; channel 5 (-10) ];
+        ]
+      ()
+  in
+  let text = Shape.of_aais aais in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun needle ->
+      if not (contains needle) then Alcotest.failf "%S not in the key %S" needle text)
+    ([ "#1204#"; "|0 "; "|5 "; "1203Z:" ]
+    @ List.map
+        (fun n -> "p" ^ string_of_int n ^ "(")
+        [ -6; min_int; max_int; 0; 10; -10 ])
+
 (* ---- Instruction hints ---- *)
 
 let test_hint_validation_rejects_lies () =
@@ -426,6 +622,22 @@ let () =
           Alcotest.test_case "deriv quotient" `Quick test_expr_deriv_quotient;
           Alcotest.test_case "deriv vs numeric" `Quick test_expr_deriv_matches_numeric;
           Alcotest.test_case "linearity detection" `Quick test_expr_is_linear;
+        ] );
+      ( "template",
+        [
+          Alcotest.test_case "view and map back" `Quick test_template_view;
+          Alcotest.test_case "constants compared by bits" `Quick
+            test_equal_bits_constants;
+          Alcotest.test_case "0.0 and -0.0 templates get their own kernels"
+            `Quick test_signed_zero_templates;
+          Alcotest.test_case "ids past 2^24 compile directly" `Quick
+            test_template_wide_ids;
+          QCheck_alcotest.to_alcotest prop_template_kernels_match_direct;
+        ] );
+      ( "shape",
+        [
+          Alcotest.test_case "key integers spelled as string_of_int" `Quick
+            test_key_integer_spelling;
         ] );
       ( "instruction",
         [

@@ -43,6 +43,34 @@ let test_term_index_bijective () =
     | _ -> Alcotest.failf "row %d not bijective" r
   done
 
+(* Equal Pauli strings built in different insertion orders can differ
+   in tree shape; the index hashes and compares their content. *)
+let test_term_index_content_keyed () =
+  let ryd = rydberg3 () in
+  let channels = Aais.channels ryd.Rydberg.aais in
+  let pairs = List.init 7 (fun i -> (i, if i mod 2 = 0 then Pauli.Z else Pauli.X)) in
+  let forward = Pauli_string.of_list pairs
+  and backward = Pauli_string.of_list (List.rev pairs) in
+  Alcotest.(check bool) "the two trees differ in shape" false (forward = backward);
+  let support = [ Pauli_string.two 0 Pauli.Z 1 Pauli.Z; forward ] in
+  let idx = Term_index.build_of_support ~channels ~support in
+  Alcotest.(check (option int)) "found from the other order" (Some 1)
+    (Term_index.row_of idx backward);
+  (* rows in first-occurrence order: the support, then channel effects
+     in channel order, each string once, identity never *)
+  let expected =
+    Array.fold_left
+      (fun acc c ->
+        List.fold_left
+          (fun acc (s, _) ->
+            if List.exists (Pauli_string.equal s) acc then acc else acc @ [ s ])
+          acc (Instruction.effect_terms c))
+      support channels
+  in
+  Alcotest.(check bool) "first-occurrence order" true
+    (List.equal Pauli_string.equal expected
+       (Array.to_list (Term_index.strings idx)))
+
 (* ---- Linear_system ---- *)
 
 let test_linear_system_worked_example () =
@@ -653,6 +681,8 @@ let () =
         [
           Alcotest.test_case "rows" `Quick test_term_index_rows;
           Alcotest.test_case "bijective" `Quick test_term_index_bijective;
+          Alcotest.test_case "content-keyed, first-occurrence rows" `Quick
+            test_term_index_content_keyed;
         ] );
       ( "linear_system",
         [

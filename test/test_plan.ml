@@ -138,6 +138,30 @@ let prop_plan_key_coefficient_invariant =
         (key ~target:(target ~j ~h))
         (key ~target:(target ~j:1.0 ~h:1.0)))
 
+(* Device-key digests, pinned: plan-store entries and LRU keys are filed
+   under the key bytes, so a renderer change must keep every byte. *)
+let key_digest_goldens =
+  [
+    ("rydberg", "ising-cycle", 93, None, "5b4cc857d0de8bbb2d3e4bbdc7a55846");
+    ("rydberg", "kitaev", 93, None, "e98d8ec1b034a43cd2253b89ee39f2a4");
+    ("rydberg", "ising-cycle", 300, Some "45", "3b80fecca9461179f3329c68d4ba58aa");
+    ("rydberg", "ising-cycle", 1000, None, "1cad3d1a6f9b19ce8992b3aa141bd4c6");
+    ("heisenberg", "heis-chain", 300, None, "82bc8676b28312077345868934c923bf");
+    ("iontrap", "ising-chain", 40, None, "ddbe0e51b978dbd7b82eae9d7c5dd0ef");
+    ("iontrap", "qaoa-chain", 23, None, "b9f9d114a9860453d05a5df48fd19f40");
+  ]
+
+let test_key_digest_goldens () =
+  List.iter
+    (fun (backend, model, n, cutoff, hex) ->
+      let b = Qturbo_backend.Backend.find_exn backend in
+      let inst = b.Qturbo_backend.Backend.instantiate ?cutoff ~model_name:model ~n () in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s n=%d" backend model n)
+        hex
+        (Digest.to_hex (Shape.digest inst.Qturbo_backend.Backend.aais)))
+    key_digest_goldens
+
 (* The support section of a plan key is spelled sparsely, and QT027
    parses it back: the round trip is exact, and text the renderer
    cannot produce does not parse. *)
@@ -439,6 +463,26 @@ let test_instantiate_allocation_iontrap () =
   check_instantiate_bytes ~limit_mb:50.0 "iontrap ising-chain n=93"
     (instantiate_bytes Qturbo_backend.Backend.iontrap "ising-chain" 93)
 
+(* Bytes of one cold [Compile_plan.build] on a fresh instance, the first
+   key render included.  The position Jacobian's 16,836 kernels come
+   from one compile per expression template, relabeled per row;
+   compiling each row's kernels allocates over twice the limit. *)
+let test_cold_build_allocation () =
+  Compile_plan.clear_caches ();
+  let inst =
+    Qturbo_backend.Backend.rydberg.Qturbo_backend.Backend.instantiate
+      ~model_name:"ising-cycle" ~n:93 ()
+  in
+  let target_shape = Shape.support_of_target (static_target "ising-cycle" 93) in
+  let before = Gc.allocated_bytes () in
+  ignore
+    (Sys.opaque_identity
+       (Compile_plan.build ~aais:inst.Qturbo_backend.Backend.aais ~target_shape ()));
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 80.0 *. mb then
+    Alcotest.failf "a cold ising-cycle n=93 build allocated %.1f MB (limit 80 MB)"
+      (bytes /. mb)
+
 (* ---- stage hooks and cache plumbing ---- *)
 
 let with_stages f =
@@ -605,6 +649,7 @@ let () =
           quick "structural key sensitivity" test_plan_key_ignores_coefficients;
           QCheck_alcotest.to_alcotest prop_plan_key_coefficient_invariant;
           quick "sparse support rendering round-trips" test_support_rendering_roundtrip;
+          quick "device-key digests match the goldens" test_key_digest_goldens;
         ] );
       ( "cache",
         [
@@ -630,6 +675,7 @@ let () =
             test_instantiate_allocation_rydberg;
           quick "iontrap ising-chain n=93 instantiate under 50 MB"
             test_instantiate_allocation_iontrap;
+          quick "cold ising-cycle n=93 build under 80 MB" test_cold_build_allocation;
         ] );
       ( "staging",
         [

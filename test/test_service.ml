@@ -1,7 +1,7 @@
 (* Tests for the compile service: strict request parsing, the
    socket-free request handler (response shapes, typed errors, warm
-   plan-cache reuse, CLI parity), and one end-to-end daemon round-trip
-   over a real Unix-domain socket. *)
+   plan-cache reuse, CLI parity), and end-to-end daemon round-trips
+   over a real Unix-domain socket, the read deadline included. *)
 
 module J = Qturbo_util.Json
 module Protocol = Qturbo_service.Protocol
@@ -358,6 +358,69 @@ let test_socket_end_to_end () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "daemon still answering after shutdown")
 
+(* A client that connects and sends nothing holds the daemon's only
+   serving slot until the read deadline drops it.  The second client
+   bounds its own wait, so a daemon without the deadline fails this
+   test instead of hanging it. *)
+let test_silent_client_dropped () =
+  let socket_path = Filename.temp_file "qturbo-serve-test" ".sock" in
+  Sys.remove socket_path;
+  let config =
+    {
+      (Server.default_config ~socket_path) with
+      Server.max_requests = Some 8;
+      read_timeout = 0.2;
+    }
+  in
+  let daemon = Thread.create Server.serve config in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close silent with Unix.Unix_error _ -> ());
+      if Sys.file_exists socket_path then Sys.remove socket_path)
+    (fun () ->
+      Unix.connect silent (Unix.ADDR_UNIX socket_path);
+      let started = Unix.gettimeofday () in
+      let pinger = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let answer =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close pinger with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect pinger (Unix.ADDR_UNIX socket_path);
+            Unix.setsockopt_float pinger Unix.SO_RCVTIMEO 2.0;
+            let oc = Unix.out_channel_of_descr pinger in
+            output_string oc "{\"op\":\"ping\"}\n";
+            flush oc;
+            match input_line (Unix.in_channel_of_descr pinger) with
+            | line -> Some line
+            | exception (Sys_blocked_io | Sys_error _ | End_of_file) -> None)
+      in
+      let waited = Unix.gettimeofday () -. started in
+      (match answer with
+      | Some line ->
+          Alcotest.(check string) "ping behind a silent client"
+            {|{"ok":true,"result":"pong"}|} line
+      | None -> Alcotest.fail "ping not answered within 2 s behind a silent client");
+      if waited >= 2.0 then Alcotest.failf "ping took %.2f s" waited;
+      (match Client.request ~socket_path {|{"op":"stats"}|} with
+      | Ok resp ->
+          (* the ping and this stats request; the dropped client is not
+             counted *)
+          check_contains "requests counted" ~needle:{|"requests":2,|} resp
+      | Error msg -> Alcotest.failf "stats: %s" msg);
+      (match Client.request ~socket_path {|{"op":"shutdown"}|} with
+      | Ok resp ->
+          Alcotest.(check string) "shutdown"
+            {|{"ok":true,"result":"shutting down"}|} resp
+      | Error msg -> Alcotest.failf "shutdown: %s" msg);
+      Thread.join daemon;
+      Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path))
+
 let () =
   Alcotest.run "service"
     [
@@ -387,5 +450,9 @@ let () =
             test_requests_leave_instances_unchanged;
         ] );
       ( "socket",
-        [ Alcotest.test_case "end to end" `Quick test_socket_end_to_end ] );
+        [
+          Alcotest.test_case "end to end" `Quick test_socket_end_to_end;
+          Alcotest.test_case "silent client dropped at the read deadline"
+            `Quick test_silent_client_dropped;
+        ] );
     ]
