@@ -679,8 +679,7 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
                 | Some (_code, bad) -> CP.lint bad
                 | None -> failwith ("unknown injection: " ^ variant))))
   in
-  let plan_diags = CP.lint plan in
-  let diags = kernel_diags @ plan_diags @ injected in
+  let diags = kernel_diags @ CP.lint_findings plan @ injected in
   let n_rows =
     Qturbo_core.Term_index.count
       (Qturbo_core.Linear_system.skeleton_index plan.CP.skeleton)

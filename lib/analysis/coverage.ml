@@ -1,53 +1,23 @@
 open Qturbo_pauli
-open Qturbo_aais
 
-module Ps_tbl = Hashtbl.Make (struct
-  type t = Pauli_string.t
-
-  let equal = Pauli_string.equal
-  let hash = Pauli_string.hash
-end)
-
-let check ~channels ~n_qubits ~target =
-  let terms = Pauli_sum.terms (Pauli_sum.drop_identity target) in
-  (* mark which target terms some channel produces; scanning the channel
-     effect lists against a table of target terms stays linear even when
-     the AAIS produces O(N²) terms the target never mentions *)
-  let covered = Ps_tbl.create 64 in
-  List.iter (fun (s, _) -> Ps_tbl.replace covered s false) terms;
-  (* identity effects can never be in [covered], so the raw effect list
-     needs no filtering here *)
-  Array.iter
-    (fun (c : Instruction.channel) ->
-      List.iter
-        (fun (e : Instruction.effect) ->
-          if Ps_tbl.mem covered e.pstring then
-            Ps_tbl.replace covered e.pstring true)
-        c.effects)
-    channels;
-  let diags = ref [] in
-  List.iter
-    (fun (s, _coeff) ->
-      if Pauli_string.max_site s >= n_qubits then
-        diags :=
-          Diagnostic.make ~code:"QT004" ~severity:Diagnostic.Error
-            ~subject:(Diagnostic.Term s)
-            ~hint:
-              (Printf.sprintf
-                 "remap the target onto sites 0..%d or build a larger AAIS"
-                 (n_qubits - 1))
-            (Printf.sprintf "term touches site %d but the AAIS has %d qubits"
-               (Pauli_string.max_site s) n_qubits)
-          :: !diags
-      else if not (Ps_tbl.find covered s) then
-        diags :=
-          Diagnostic.make ~code:"QT001" ~severity:Diagnostic.Error
-            ~subject:(Diagnostic.Term s)
-            ~hint:
-              "no instruction channel feeds this Pauli term; choose an AAIS \
-               whose instructions span it, or transform the target (e.g. a \
-               basis change) before compiling"
-            "target term is not producible by any instruction channel"
-          :: !diags)
-    terms;
-  List.rev !diags
+let judge ~n_qubits ~covered s =
+  if Pauli_string.max_site s >= n_qubits then
+    Some
+      (Diagnostic.make ~code:"QT004" ~severity:Diagnostic.Error
+         ~subject:(Diagnostic.Term s)
+         ~hint:
+           (Printf.sprintf
+              "remap the target onto sites 0..%d or build a larger AAIS"
+              (n_qubits - 1))
+         (Printf.sprintf "term touches site %d but the AAIS has %d qubits"
+            (Pauli_string.max_site s) n_qubits))
+  else if not covered then
+    Some
+      (Diagnostic.make ~code:"QT001" ~severity:Diagnostic.Error
+         ~subject:(Diagnostic.Term s)
+         ~hint:
+           "no instruction channel feeds this Pauli term; choose an AAIS \
+            whose instructions span it, or transform the target (e.g. a \
+            basis change) before compiling"
+         "target term is not producible by any instruction channel")
+  else None

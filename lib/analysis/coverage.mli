@@ -8,10 +8,15 @@
 
     {ul
     {- [QT001] (error): a target term no channel produces;}
-    {- [QT004] (error): the target touches qubits outside the AAIS.}} *)
+    {- [QT004] (error): the target touches qubits outside the AAIS.}}
 
-val check :
-  channels:Qturbo_aais.Instruction.channel array ->
+    {!Analysis} walks the target's terms; this module decides one. *)
+
+val judge :
   n_qubits:int ->
-  target:Qturbo_pauli.Pauli_sum.t ->
-  Diagnostic.t list
+  covered:bool ->
+  Qturbo_pauli.Pauli_string.t ->
+  Diagnostic.t option
+(** The finding for one target term: [QT004] when it touches a site
+    [>= n_qubits], else [QT001] when no channel feeds it
+    ([covered = false]), else none. *)

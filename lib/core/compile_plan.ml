@@ -145,6 +145,8 @@ type t = {
   support : Pauli_string.t list;
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
+  precheck : Qturbo_analysis.Analysis.table;
+  lint_diags : Diagnostic.t list option;
   key : string;
   lru_key : string;
   build_seconds : float;
@@ -230,6 +232,25 @@ let structure_comps comps =
         var_ids = c.Locality.var_ids;
       })
     comps
+
+(* What the analyzer needs of a plan beyond its target: the structure
+   pass and the tables of passes 1, 2 and 4 over the support rows (the
+   index numbers the support first).  Computed when a plan is built, and
+   again from the linted artifacts when one is loaded from the store. *)
+let analyzed (d : device) ~support skeleton =
+  let index = Linear_system.skeleton_index skeleton in
+  let cells = Linear_system.skeleton_cells skeleton in
+  let structure_diags =
+    Qturbo_analysis.Structure.check ~channels:d.channels ~variables:d.vars
+      ~rows:(structure_rows ~index ~cells)
+      ~comps:(structure_comps d.comps)
+  in
+  let precheck =
+    Qturbo_analysis.Analysis.table ~channels:d.channels ~variables:d.vars
+      ~cells
+      ~rows:(Int.min (List.length support) (Term_index.count index))
+  in
+  (structure_diags, precheck)
 
 (* ------------------------------------------------------------------ *)
 (* Plan linting                                                        *)
@@ -355,14 +376,8 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
   let skeleton =
     Linear_system.skeleton ~channels:device.channels ~support:target_shape
   in
-  let structure_diags =
-    Qturbo_analysis.Structure.check ~channels:device.channels
-      ~variables:device.vars
-      ~rows:
-        (structure_rows
-           ~index:(Linear_system.skeleton_index skeleton)
-           ~cells:(Linear_system.skeleton_cells skeleton))
-      ~comps:(structure_comps device.comps)
+  let structure_diags, precheck =
+    analyzed device ~support:target_shape skeleton
   in
   (* the keys and the lint gate are part of the front end: all run
      before the clock is read *)
@@ -372,6 +387,8 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       support = target_shape;
       skeleton;
       structure_diags;
+      precheck;
+      lint_diags = None;
       key = plan_key_of_support ~options ~aais ~support:target_shape;
       lru_key =
         plan_lru_key ~generic:options.generic_local_solver ~aais
@@ -379,15 +396,20 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       build_seconds = 0.0;
     }
   in
-  let lint_errors = if !lint_plans then Diagnostic.errors (lint plan) else [] in
-  let plan = { plan with build_seconds = Qturbo_util.Clock.now () -. t0 } in
-  if lint_errors <> [] then begin
-    Log.err (fun m ->
-        m "plan lint rejected a fresh build (%d errors)"
-          (List.length lint_errors));
-    raise (Diagnostic.Rejected lint_errors)
-  end;
-  plan
+  let lint_diags = if !lint_plans then Some (lint plan) else None in
+  let plan =
+    { plan with lint_diags; build_seconds = Qturbo_util.Clock.now () -. t0 }
+  in
+  match Diagnostic.errors (Option.value lint_diags ~default:[]) with
+  | [] -> plan
+  | lint_errors ->
+      Log.err (fun m ->
+          m "plan lint rejected a fresh build (%d errors)"
+            (List.length lint_errors));
+      raise (Diagnostic.Rejected lint_errors)
+
+let lint_findings plan =
+  match plan.lint_diags with Some diags -> diags | None -> lint plan
 
 (* Lint-gated cache admission: a plan failing [Plan_lint] is never
    admitted, and the refusal is counted ([Plan_cache.reject]).  Returns
@@ -440,32 +462,42 @@ let store_stats () = Option.map Plan_store.stats !store
    with a recomputed checksum.  The decode is exception-guarded and
    every deserialized plan passes the full [Plan_lint] gate before it
    is served: store entries are the only plans that come from outside
-   this process.  Any failure demotes the store hit to a corrupt miss
-   and the caller rebuilds.  The full key is spelled out only when a
-   store is open: with none, a miss would concatenate the whole device
-   rendering for nothing. *)
+   this process.  No lint pass reads the analyzer's findings, so those
+   are re-derived from the linted skeleton and device rather than taken
+   from the payload, and the plan records the re-lint.  Any failure
+   demotes the store hit to a corrupt miss and the caller rebuilds.
+   The full key is spelled out only when a store is open: with none, a
+   miss would concatenate the whole device rendering for nothing. *)
 let store_fetch ~options ~aais ~support =
   match !store with
   | None -> None
   | Some st -> (
       let key = plan_key_of_support ~options ~aais ~support in
+      let corrupt what =
+        Plan_store.reclassify_corrupt st;
+        Log.warn (fun m -> m "plan store entry %s; rebuilding" what);
+        None
+      in
       match Plan_store.load st ~key with
       | None -> None
       | Some payload -> (
           match (Marshal.from_string payload 0 : t) with
-          | exception _ ->
-              Plan_store.reclassify_corrupt st;
-              Log.warn (fun m ->
-                  m "plan store entry failed to decode; rebuilding");
-              None
-          | p ->
-              if p.key <> key || Diagnostic.has_errors (lint p) then begin
-                Plan_store.reclassify_corrupt st;
-                Log.warn (fun m ->
-                    m "plan store entry failed the lint gate; rebuilding");
-                None
-              end
-              else Some p))
+          | exception _ -> corrupt "failed to decode"
+          | p when p.key <> key -> corrupt "failed the lint gate"
+          | p -> (
+              let diags = lint p in
+              if Diagnostic.has_errors diags then corrupt "failed the lint gate"
+              else
+                match analyzed p.device ~support:p.support p.skeleton with
+                | exception _ -> corrupt "failed the analyzer"
+                | structure_diags, precheck ->
+                    Some
+                      {
+                        p with
+                        structure_diags;
+                        precheck;
+                        lint_diags = Some diags;
+                      })))
 
 (* The payload leaves out the AAIS's key memo: [key] and [device_key]
    already carry the rendering, and a third copy would only grow every
@@ -655,9 +687,33 @@ let expiry run ~site detail =
     ]
   else []
 
-(* the structure pass was computed once at plan build *)
+(* One index lookup per target term against the plan's table.  A term
+   only channels produce lies in a row past the table and is rated from
+   its cells here; a term with no row is outside the plan's shape. *)
 let diagnose ?t_max ~aais ~plan ~t_tar target =
-  Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
+  let module Feasibility = Qturbo_analysis.Feasibility in
+  let index = Linear_system.skeleton_index plan.skeleton in
+  let rates = plan.precheck.Qturbo_analysis.Analysis.rates in
+  (* local to this call, so no two domains ever force it *)
+  let channel_rate =
+    lazy
+      (Feasibility.channel_rates ~channels:plan.device.channels
+         ~variables:plan.device.vars)
+  in
+  let rate_of s =
+    match Term_index.row_of index s with
+    | Some row when row < Array.length rates -> rates.(row)
+    | Some row -> (
+        match (Linear_system.skeleton_cells plan.skeleton).(row) with
+        | [] -> None
+        | cells ->
+            Some (Feasibility.row_rate ~rate:(Lazy.force channel_rate) cells))
+    | None ->
+        invalid_arg
+          "Compile_plan.diagnose: target term outside the plan's shape"
+  in
+  Qturbo_analysis.Analysis.target_checks plan.precheck ~aais ~rate_of ~target
+    ~t_tar ?t_max ()
   @ plan.structure_diags
 
 let enforce run ~strict diagnostics =

@@ -192,6 +192,15 @@ type t = {
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
       (** the shape-only analyzer pass, computed once per plan *)
+  precheck : Qturbo_analysis.Analysis.table;
+      (** the target-independent facts of the coefficient-dependent
+          passes over the support rows (coverage, achievable-rate
+          intervals, variable-pool findings): {!diagnose} walks only the
+          target's terms against it *)
+  lint_diags : Diagnostic.t list option;
+      (** everything the {!lint} gate reported when this plan was
+          admitted — at {!build}, or on the re-lint of a store load;
+          [None] when {!lint_plans} was off *)
   key : string;
       (** the exact structural key ({!plan_key}); the store files the
           plan under it *)
@@ -278,6 +287,10 @@ val lint_plans : bool ref
 (** Lint every fresh {!build} (default [true]).  Turned off only for
     overhead measurement ([bench analysis]). *)
 
+val lint_findings : t -> Diagnostic.t list
+(** The plan's {!lint} findings: the list its gate recorded
+    ([lint_diags]), or a fresh lint when none was. *)
+
 (** {1 Solving} *)
 
 val validate_t_tar : who:string -> float -> unit
@@ -329,7 +342,13 @@ val diagnose :
   Pauli_sum.t ->
   Diagnostic.t list
 (** Precheck of one coefficient instance: the coefficient-dependent
-    analyzer passes plus the plan's structure findings. *)
+    analyzer passes, decided per target term from the plan's [precheck]
+    table, plus the plan's structure findings — byte-identical to
+    [Qturbo_analysis.Analysis.static_checks] followed by
+    [structure_diags].  Channel and variable facts come from the plan's
+    device; [aais] supplies only the qubit count ([QT004]) and the
+    truncation summary ([QT029]).  A target term the plan has no row
+    for raises [Invalid_argument], as {!solve} does. *)
 
 val enforce : run -> strict:bool -> Diagnostic.t list -> unit
 (** Strict mode raises {!Diagnostic.Rejected} on error findings;

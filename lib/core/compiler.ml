@@ -5,20 +5,9 @@ let b_tar_norm1 ~aais ~target ~t_tar =
   let ls = Linear_system.build ~channels:(Aais.channels aais) ~target ~t_tar in
   Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar
 
-let diagnostics_of ?t_max ~aais ~target ~t_tar ~ls ~comps () =
-  Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
-  @ Qturbo_analysis.Structure.check ~channels:(Aais.channels aais)
-      ~variables:(Aais.variables aais)
-      ~rows:(structure_rows ~index:ls.Linear_system.index ~cells:ls.cells)
-      ~comps:(structure_comps comps)
-
 let analyze ?t_max ~aais ~target ~t_tar () =
-  let channels = Aais.channels aais in
-  let ls = Linear_system.build ~channels ~target ~t_tar in
-  let comps =
-    Locality.decompose ~channels ~n_vars:(Array.length (Aais.variables aais))
-  in
-  diagnostics_of ?t_max ~aais ~target ~t_tar ~ls ~comps ()
+  let plan, _ = obtain ~options:default_options ~aais ~target in
+  diagnose ?t_max ~aais ~plan ~t_tar target
 
 let compile_batch ?(options = default_options) ?(strict = true) ?t_max
     ?(batch_domains = 1) ~aais jobs =

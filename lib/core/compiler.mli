@@ -28,23 +28,11 @@ val analyze :
   unit ->
   Qturbo_analysis.Diagnostic.t list
 (** Run every static-analysis pass (coverage, bounds feasibility,
-    system structure, variable sanity) without compiling.  [t_max]
-    enables the [QT003] magnitude check.  This is what [qturbo check]
-    calls. *)
-
-val diagnostics_of :
-  ?t_max:float ->
-  aais:Qturbo_aais.Aais.t ->
-  target:Qturbo_pauli.Pauli_sum.t ->
-  t_tar:float ->
-  ls:Linear_system.t ->
-  comps:Locality.component list ->
-  unit ->
-  Qturbo_analysis.Diagnostic.t list
-(** The passes of {!analyze} against a pre-built linear system and
-    locality decomposition.  This is exactly the marginal work the
-    precheck adds inside {!compile} (which builds [ls] and [comps]
-    anyway); the [analysis] bench experiment measures it. *)
+    system structure, variable sanity) without compiling: {!obtain}
+    the target's plan (default options, so it is the plan a compile
+    would use, served from the cache or the store when resident) and
+    {!diagnose} against it.  [t_max] enables the [QT003] magnitude
+    check.  This is what [qturbo check] calls. *)
 
 val compile_batch :
   ?options:options ->

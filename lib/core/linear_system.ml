@@ -47,11 +47,18 @@ let skeleton ~channels ~support =
     sk_csr = csr;
   }
 
+(* Filled from the target's terms, so the cost follows the target: a
+   row the target does not name keeps [0.0 *. t_tar], the bits a zero
+   coefficient gives ([-0.0] for a negative [t_tar], NaN for an
+   infinite one). *)
 let instantiate sk ~target ~t_tar =
-  let b_tar =
-    Array.init (Term_index.count sk.sk_index) (fun i ->
-        Pauli_sum.coeff target (Term_index.string_of sk.sk_index i) *. t_tar)
-  in
+  let b_tar = Array.make (Term_index.count sk.sk_index) (0.0 *. t_tar) in
+  List.iter
+    (fun (s, c) ->
+      match Term_index.row_of sk.sk_index s with
+      | Some row -> b_tar.(row) <- c *. t_tar
+      | None -> ())
+    (Pauli_sum.terms target);
   {
     index = sk.sk_index;
     cells = sk.sk_cells;

@@ -190,15 +190,16 @@ let check_report_json ~inst ~aais ~target ~t_tar () =
   in
   D.list_to_json diags
 
-(* `qturbo lint --json` without an injected defect. *)
+(* `qturbo lint --json` without an injected defect, from the plan a
+   compile of [target] would use and the findings its lint gate
+   recorded. *)
 let lint_report_json ~model_label ~backend ~inst ~target () =
   let module CP = Qturbo_core.Compile_plan in
-  let module KC = Qturbo_analysis.Kernel_check in
   let aais = inst.Backend.aais in
-  let support = CP.support_of_target target in
-  let plan = CP.build ~aais ~target_shape:support () in
-  let channels = Qturbo_aais.Aais.channels aais in
-  let diags = KC.check_aais aais @ CP.lint plan in
+  let plan, _ = CP.obtain ~options:C.default_options ~aais ~target in
+  let diags =
+    Qturbo_analysis.Kernel_check.check_aais aais @ CP.lint_findings plan
+  in
   let n_rows =
     Qturbo_core.Term_index.count
       (Qturbo_core.Linear_system.skeleton_index plan.CP.skeleton)
@@ -206,7 +207,8 @@ let lint_report_json ~model_label ~backend ~inst ~target () =
   Printf.sprintf "{\"model\":%s,\"backend\":%s,\"channels\":%d,\"rows\":%d,%s}"
     (Qturbo_util.Json.quote model_label)
     (Qturbo_util.Json.quote backend)
-    (Array.length channels) n_rows
+    (Qturbo_aais.Aais.channel_count aais)
+    n_rows
     (let report = D.list_to_json diags in
      (* embed the report object's fields *)
      String.sub report 1 (String.length report - 2))

@@ -100,22 +100,78 @@ let prepare_path path =
   end
 
 exception Line_too_long
+exception Timed_out
 
-(* One newline-terminated request, bounded: a hostile client cannot
-   buffer the daemon into the ground.  None = clean EOF. *)
-let read_line_bounded ic ~max_bytes =
-  let b = Buffer.create 256 in
+(* When [timeout] (seconds, positive) runs out, counted from now; [None]
+   never does. *)
+let deadline_of timeout =
+  if timeout > 0.0 then Some (Qturbo_util.Clock.now () +. timeout) else None
+
+let time_left = function
+  | None -> -1.0 (* [Unix.select]: block *)
+  | Some d ->
+      let left = d -. Qturbo_util.Clock.now () in
+      if left <= 0.0 then raise Timed_out else left
+
+(* A connection's bytes, read through one buffer so that pipelined
+   request lines survive between calls. *)
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+let reader fd = { fd; buf = Bytes.create 4096; pos = 0; len = 0 }
+
+(* One newline-terminated request, bounded in bytes and in time: a
+   hostile client can neither buffer the daemon into the ground nor
+   hold it by trickling bytes, since the whole line must arrive within
+   [timeout] of the daemon starting to wait for it.  None = clean EOF. *)
+let read_line_bounded r ~max_bytes ~timeout =
+  let deadline = deadline_of timeout in
+  let line = Buffer.create 256 in
+  let rec refill () =
+    match Unix.select [ r.fd ] [] [] (time_left deadline) with
+    | [], _, _ -> raise Timed_out
+    | _ ->
+        r.pos <- 0;
+        r.len <- Unix.read r.fd r.buf 0 (Bytes.length r.buf)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill ()
+  in
   let rec go () =
-    match input_char ic with
-    | '\n' -> Some (Buffer.contents b)
-    | c ->
-        if Buffer.length b >= max_bytes then raise Line_too_long;
-        Buffer.add_char b c;
+    if r.pos >= r.len then refill ();
+    if r.len = 0 then
+      if Buffer.length line = 0 then None else Some (Buffer.contents line)
+    else begin
+      let c = Bytes.get r.buf r.pos in
+      r.pos <- r.pos + 1;
+      if c = '\n' then Some (Buffer.contents line)
+      else begin
+        if Buffer.length line >= max_bytes then raise Line_too_long;
+        Buffer.add_char line c;
         go ()
-    | exception End_of_file ->
-        if Buffer.length b = 0 then None else Some (Buffer.contents b)
+      end
+    end
   in
   go ()
+
+(* One response line, within [timeout] as a whole.  [SO_SNDTIMEO] bounds
+   each blocking write, so a client that stops reading fails the write
+   (EAGAIN) once the socket buffer is full instead of stalling the
+   daemon. *)
+let write_line fd s ~timeout =
+  let deadline = deadline_of timeout in
+  let s = s ^ "\n" in
+  let rec go off =
+    if off < String.length s then begin
+      ignore (time_left deadline : float);
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+    end
+  in
+  go 0
 
 let serve config =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -135,20 +191,22 @@ let serve config =
     match Unix.accept sock with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | fd, _ ->
-        (* connections are served one at a time, so a client that
-           connects and goes quiet would block everyone behind it: a
-           read that waits past the deadline fails (EAGAIN, surfacing
-           as [Sys_blocked_io]) and the connection is dropped uncounted *)
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO config.read_timeout
+        (* connections are served one at a time, so a client that goes
+           quiet, trickles its request or stops reading its responses
+           would block everyone behind it: a request line must arrive
+           whole, and each response leave, within the read deadline, or
+           the connection is dropped uncounted *)
+        (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO config.read_timeout
          with Unix.Unix_error _ -> ());
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
+        let r = reader fd in
+        let send line = write_line fd line ~timeout:config.read_timeout in
         (try
            (* serve request lines until the client hangs up *)
            let rec connection () =
              if !keep_serving && budget_left () then
                match
-                 read_line_bounded ic ~max_bytes:config.max_request_bytes
+                 read_line_bounded r ~max_bytes:config.max_request_bytes
+                   ~timeout:config.read_timeout
                with
                | None -> ()
                | Some line ->
@@ -157,27 +215,23 @@ let serve config =
                      handle_request ?deadline_cap:config.deadline_cap
                        ~requests:!requests ~started line
                    in
-                   output_string oc resp;
-                   output_char oc '\n';
-                   flush oc;
-                   if not keep then keep_serving := false else connection ()
+                   if not keep then keep_serving := false;
+                   send resp;
+                   connection ()
            in
            connection ()
          with
-        | Line_too_long ->
+        | Line_too_long -> (
             incr requests;
-            (try
-               output_string oc
-                 (error_json ~kind:"parse"
-                    ~message:
-                      (Printf.sprintf "request exceeds %d bytes"
-                         config.max_request_bytes)
-                    ());
-               output_char oc '\n';
-               flush oc
-             with Sys_error _ -> ())
-        | Sys_blocked_io | Sys_error _ | Unix.Unix_error _ -> ());
-        (try flush oc with Sys_error _ -> ());
+            try
+              send
+                (error_json ~kind:"parse"
+                   ~message:
+                     (Printf.sprintf "request exceeds %d bytes"
+                        config.max_request_bytes)
+                   ())
+            with Timed_out | Unix.Unix_error _ -> ())
+        | Timed_out | Unix.Unix_error _ -> ());
         (try Unix.close fd with Unix.Unix_error _ -> ())
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());

@@ -25,11 +25,14 @@ type config = {
       (** serve at most this many requests, then exit the loop —
           tests and smoke jobs use it to bound the daemon's life *)
   read_timeout : float;
-      (** read deadline (seconds) on every accepted connection: when no
-          byte arrives within it, the connection is dropped without
-          counting a request and the daemon goes back to [accept], so a
-          client that connects and stays silent cannot stall the ones
-          queued behind it (default 30 s; [0.0] disables it) *)
+      (** deadline (seconds) on every accepted connection: each request
+          line must arrive whole within it of the daemon starting to
+          wait for it, and each response must be written within it
+          ([SO_SNDTIMEO] bounds every blocking write).  A connection
+          that misses it is dropped without counting a request and the
+          daemon goes back to [accept], so a client that stays silent,
+          trickles bytes or never reads cannot stall the ones queued
+          behind it (default 30 s; [0.0] disables it) *)
 }
 
 val default_config : socket_path:string -> config

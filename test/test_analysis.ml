@@ -363,6 +363,199 @@ let prop_interval_encloses_eval =
         lo <= v +. 1e-9 +. (1e-9 *. Float.abs v)
         && v -. 1e-9 -. (1e-9 *. Float.abs v) <= hi)
 
+(* ---- a plan's tables decide what the reference channel scan decides ---- *)
+
+module Backend = Qturbo_backend.Backend
+module Analysis = Qturbo_analysis.Analysis
+
+(* A device and the terms random targets draw from: the model's own
+   terms, a sample of terms its channels produce (negative signs on
+   van-der-Waals rows give QT002), terms no channel produces (QT001)
+   and a term on the first site past the register (QT004). *)
+type device_case = {
+  label : string;
+  aais : Aais.t;
+  candidates : Pauli_string.t list;
+}
+
+let device_case (backend : Backend.t) ~model ~n =
+  let aais = (backend.Backend.instantiate ~model_name:model ~n ()).Backend.aais in
+  let produced = Hashtbl.create 1024 in
+  Array.iter
+    (fun (c : Instruction.channel) ->
+      List.iter
+        (fun (e : Instruction.effect) ->
+          if not (Pauli_string.is_identity e.pstring) then
+            Hashtbl.replace produced e.pstring ())
+        c.effects)
+    (Aais.channels aais);
+  let model_terms =
+    Pauli_sum.support
+      (Pauli_sum.drop_identity
+         (Qturbo_models.Model.hamiltonian_at
+            (Qturbo_models.Benchmarks.by_name ~name:model ~n)
+            ~s:0.0))
+  in
+  let channel_terms =
+    List.filteri (fun i _ -> i < 24)
+      (List.sort Pauli_string.compare
+         (Hashtbl.fold (fun s () acc -> s :: acc) produced []))
+  in
+  let uncovered =
+    List.filter
+      (fun s -> not (Hashtbl.mem produced s))
+      [
+        Pauli_string.two 0 Pauli.Y 1 Pauli.Y;
+        Pauli_string.two 0 Pauli.X 1 Pauli.Z;
+        Pauli_string.two 0 Pauli.Z 3 Pauli.Z;
+        Pauli_string.two 1 Pauli.Y 2 Pauli.X;
+      ]
+  in
+  {
+    label = Printf.sprintf "%s %s n=%d" backend.Backend.name model n;
+    aais;
+    candidates =
+      List.sort_uniq Pauli_string.compare
+        ((Pauli_string.single n Pauli.Z :: model_terms)
+        @ channel_terms @ uncovered);
+  }
+
+let device_cases =
+  lazy
+    [
+      device_case Backend.rydberg ~model:"ising-chain" ~n:5;
+      device_case Backend.heisenberg ~model:"heis-chain" ~n:5;
+      device_case Backend.iontrap ~model:"ising-chain" ~n:5;
+      (* planar, truncated by the Auto cutoff *)
+      device_case Backend.rydberg ~model:"ising-cycle" ~n:150;
+    ]
+
+let json = Diagnostic.list_to_json
+
+(* [diagnose] on the target's own plan against the reference scan plus
+   the plan's structure findings, byte for byte *)
+let plan_agrees ~aais ~plan ?t_max ~t_tar target =
+  json (Compile_plan.diagnose ?t_max ~aais ~plan ~t_tar target)
+  = json
+      (Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
+      @ plan.Compile_plan.structure_diags)
+
+let arb_target case =
+  let open QCheck.Gen in
+  let pick = triple (float_range 0.0 1.0) bool (float_range 0.05 4.0) in
+  let gen =
+    list_repeat (List.length case.candidates) pick >>= fun picks ->
+    opt (float_range 0.01 2.0) >>= fun t_max ->
+    float_range 0.05 20.0 >>= fun t_tar ->
+    let terms =
+      List.filter_map
+        (fun (s, (keep, negative, c)) ->
+          if keep < 0.4 then Some (s, if negative then -.c else c) else None)
+        (List.combine case.candidates picks)
+    in
+    return (Pauli_sum.of_list terms, t_max, t_tar)
+  in
+  QCheck.make
+    ~print:(fun (target, t_max, t_tar) ->
+      Format.asprintf "%s: %a, t_tar %g, t_max %s" case.label Pauli_sum.pp
+        target t_tar
+        (match t_max with Some t -> string_of_float t | None -> "none"))
+    gen
+
+let prop_plan_precheck_matches_reference case =
+  QCheck.Test.make
+    ~name:("diagnose == static_checks @ structure, " ^ case.label)
+    ~count:40 (arb_target case)
+    (fun (target, t_max, t_tar) ->
+      let plan, _ =
+        Compile_plan.obtain ~options:Compiler.default_options ~aais:case.aais
+          ~target
+      in
+      plan_agrees ~aais:case.aais ~plan ?t_max ~t_tar target)
+
+(* the generator reaches every code the tables decide *)
+let test_generator_reaches_every_code () =
+  let seen = Hashtbl.create 8 in
+  let rand = Random.State.make [| 42 |] in
+  List.iter
+    (fun case ->
+      let arb = arb_target case in
+      for _ = 1 to 40 do
+        let target, t_max, t_tar = QCheck.Gen.generate1 ~rand arb.QCheck.gen in
+        List.iter
+          (fun (d : Diagnostic.t) -> Hashtbl.replace seen d.code ())
+          (Analysis.static_checks ~aais:case.aais ~target ~t_tar ?t_max ())
+      done)
+    (Lazy.force device_cases);
+  List.iter
+    (fun code ->
+      Alcotest.(check bool) (code ^ " generated") true (Hashtbl.mem seen code))
+    [ "QT001"; "QT002"; "QT003"; "QT004"; "QT029" ]
+
+(* A time-dependent compile diagnoses every segment against one plan on
+   the union support.  mis-chain at K = 6 (K = 2 mod 4) samples s = 0.75,
+   where the end-atom Z terms cancel: that segment names fewer terms
+   than the plan's support. *)
+let test_td_union_support_matches_reference () =
+  let ryd = Rydberg.build ~spec:Device.aquila_paper ~n:5 in
+  let aais = ryd.Rydberg.aais in
+  let segments = 6 and t_tar = 4.0 in
+  let hams =
+    Qturbo_models.Model.discretize
+      (Qturbo_models.Benchmarks.mis_chain ~n:5 ())
+      ~segments
+  in
+  let plan, _ =
+    Compile_plan.obtain_for_support ~options:Compiler.default_options ~aais
+      ~support:
+        (List.sort_uniq Pauli_string.compare
+           (List.concat_map Compile_plan.support_of_target hams))
+  in
+  let support = List.length plan.Compile_plan.support in
+  Alcotest.(check bool) "some segment cancels a term" true
+    (List.exists
+       (fun h -> List.length (Compile_plan.support_of_target h) < support)
+       hams);
+  List.iteri
+    (fun k h ->
+      List.iter
+        (fun t_max ->
+          Alcotest.(check bool)
+            (Printf.sprintf "segment %d" k)
+            true
+            (plan_agrees ~aais ~plan ?t_max ~t_tar:(t_tar /. float_of_int segments) h))
+        [ None; Some 4.0; Some 0.01 ])
+    hams
+
+(* The plan's shape is the contract, as for [solve]: a term only
+   channels produce has a row past the support and is still judged as
+   the reference judges it; a term with no row is a caller error, never
+   a silent QT001. *)
+let test_diagnose_shape_contract () =
+  let ryd = rydberg3 () in
+  let aais = ryd.Rydberg.aais in
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options ~aais
+      ~target:(ising_chain 3)
+  in
+  let channel_only =
+    Pauli_sum.add (ising_chain 3)
+      (Pauli_sum.of_list
+         [
+           (Pauli_string.single 0 Pauli.Z, 0.5);
+           (Pauli_string.two 0 Pauli.Z 2 Pauli.Z, -1.0);
+         ])
+  in
+  Alcotest.(check bool) "channel-only rows == reference" true
+    (plan_agrees ~aais ~plan ~t_max:1.0 ~t_tar:1.0 channel_only);
+  let target =
+    Pauli_sum.add (ising_chain 3)
+      (Pauli_sum.term 1.0 (Pauli_string.two 0 Pauli.Y 1 Pauli.Y))
+  in
+  match Compile_plan.diagnose ~aais ~plan ~t_tar:1.0 target with
+  | _ -> Alcotest.fail "a term outside the plan's shape was diagnosed"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "analysis"
     [
@@ -395,4 +588,16 @@ let () =
       ( "json", [ Alcotest.test_case "rendering" `Quick test_json_rendering ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_interval_encloses_eval ] );
+      ( "tables",
+        Alcotest.test_case "generator reaches every code" `Quick
+          test_generator_reaches_every_code
+        :: Alcotest.test_case "td union support == reference" `Quick
+             test_td_union_support_matches_reference
+        :: Alcotest.test_case "the plan's shape is the contract" `Quick
+             test_diagnose_shape_contract
+        :: List.map
+             (fun case ->
+               QCheck_alcotest.to_alcotest
+                 (prop_plan_precheck_matches_reference case))
+             (Lazy.force device_cases) );
     ]

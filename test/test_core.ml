@@ -119,6 +119,47 @@ let test_linear_system_b_tar_scales_with_time () =
     (fun i b -> check_close "scaled" 1e-12 (2.5 *. b) ls2.Linear_system.b_tar.(i))
     ls1.Linear_system.b_tar
 
+(* The right-hand side is filled from the target's terms; every row must
+   hold the bits the per-row [Pauli_sum.coeff] lookup gave it, on rows
+   the target names and rows it does not ([-0.0] for a negative t_tar,
+   NaN for an infinite one). *)
+let test_linear_system_instantiate_matches_row_lookup () =
+  let ryd = rydberg3 () in
+  let channels = Aais.channels ryd.Rydberg.aais in
+  let support =
+    Shape.support_of_target
+      (Pauli_sum.add (ising_chain 3)
+         (Pauli_sum.term 1.0 (Pauli_string.single 0 Pauli.Z)))
+  in
+  let sk = Linear_system.skeleton ~channels ~support in
+  let index = Linear_system.skeleton_index sk in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun t_tar ->
+          let ls = Linear_system.instantiate sk ~target ~t_tar in
+          Array.iteri
+            (fun row b ->
+              let expected =
+                Pauli_sum.coeff target (Term_index.string_of index row) *. t_tar
+              in
+              if not (Int64.equal (bits expected) (bits b)) then
+                Alcotest.failf "row %d at t_tar %g: %h, expected %h" row t_tar b
+                  expected)
+            ls.Linear_system.b_tar)
+        [ 1.0; 0.25; -1.0; infinity ])
+    [
+      ising_chain 3;
+      (* a subset of the support, plus an identity term no row holds *)
+      Pauli_sum.of_list
+        [
+          (Pauli_string.two 0 Pauli.Z 1 Pauli.Z, -0.75);
+          (Pauli_string.single 2 Pauli.X, 3.0);
+          (Pauli_string.identity, 0.5);
+        ];
+    ]
+
 let test_linear_system_residual_metric () =
   let ryd = rydberg3 () in
   let channels = Aais.channels ryd.Rydberg.aais in
@@ -690,6 +731,8 @@ let () =
           Alcotest.test_case "greedy matches dense" `Quick test_linear_system_greedy_matches_dense;
           Alcotest.test_case "B scales with t_tar" `Quick test_linear_system_b_tar_scales_with_time;
           Alcotest.test_case "residual metric" `Quick test_linear_system_residual_metric;
+          Alcotest.test_case "B filled from the target's terms" `Quick
+            test_linear_system_instantiate_matches_row_lookup;
         ] );
       ( "locality",
         [

@@ -437,6 +437,43 @@ let test_position_solve_allocation () =
   check_solve_bytes ~limit_mb:28.0 "rydberg ising-cycle n=93"
     (warm_solve_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 93)
 
+(* A warm solve no longer scans the device for its precheck, and fills
+   its right-hand side from the target's terms *)
+let test_warm_solve_allocation () =
+  check_solve_bytes ~limit_mb:14.0 "rydberg ising-cycle n=93"
+    (warm_solve_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 93)
+
+(* The precheck reads the plan's tables: one index lookup per target
+   term.  Kitaev is the worst case for a channel scan, since every pair
+   channel feeds a Z row. *)
+let test_diagnose_allocation () =
+  Compile_plan.clear_caches ();
+  let inst =
+    Qturbo_backend.Backend.rydberg.Qturbo_backend.Backend.instantiate
+      ~model_name:"kitaev" ~n:93 ()
+  in
+  let aais = inst.Qturbo_backend.Backend.aais in
+  let target = static_target "kitaev" 93 in
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options ~aais ~target
+  in
+  let diagnose () =
+    ignore
+      (Sys.opaque_identity
+         (Compile_plan.diagnose ~t_max:inst.Qturbo_backend.Backend.max_time
+            ~aais ~plan ~t_tar:1.0 target))
+  in
+  diagnose ();
+  (* an empty minor heap: a collection inside the measured call would
+     count its whole arena *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  diagnose ();
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 1.0 *. mb then
+    Alcotest.failf "diagnosing rydberg kitaev n=93 allocated %.2f MB (limit 1 MB)"
+      (bytes /. mb)
+
 (* ---- AAIS construction allocation ---- *)
 
 (* Bytes of one uncached [instantiate] (the instance cache lives in the
@@ -676,6 +713,8 @@ let () =
           quick "iontrap ising-chain n=93 instantiate under 50 MB"
             test_instantiate_allocation_iontrap;
           quick "cold ising-cycle n=93 build under 80 MB" test_cold_build_allocation;
+          quick "warm ising-cycle n=93 solve under 14 MB" test_warm_solve_allocation;
+          quick "kitaev n=93 diagnose under 1 MB" test_diagnose_allocation;
         ] );
       ( "staging",
         [

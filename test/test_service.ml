@@ -319,6 +319,91 @@ let test_requests_leave_instances_unchanged () =
         [ {|{"op":"sweep",%s,"sweep_segments":"2","sweep_t":"1.0"}|} ])
     backends
 
+(* ---- check and lint read the obtained plan ---- *)
+
+let fresh_dir () =
+  let dir = Filename.temp_file "qturbo-serve-store" "" in
+  Sys.remove dir;
+  dir
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+(* The check and lint payloads do not depend on where the plan came
+   from: a fresh build, the in-memory LRU or the on-disk store.  The
+   check payload also equals the reference analyzer's (a channel scan
+   plus a fresh build's structure findings). *)
+let test_payloads_across_plan_sources () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Compile_plan.disable_store ();
+      Compile_plan.clear_caches ();
+      rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun backend ->
+          let model = "ising-chain" and n = 5 in
+          let inst = resolve ~backend ~model ~n in
+          let aais = inst.Backend.aais in
+          let target =
+            Ops.static_target
+              (Qturbo_models.Benchmarks.by_name ~name:model ~n)
+          in
+          let check () =
+            Ops.check_report_json ~inst ~aais ~target ~t_tar:1.0 ()
+          in
+          let lint () =
+            Ops.lint_report_json ~model_label:model ~backend ~inst ~target ()
+          in
+          let reference =
+            Qturbo_analysis.Diagnostic.list_to_json
+              (inst.Backend.spec_diagnostics
+              @ Qturbo_analysis.Analysis.static_checks
+                  ~t_max:inst.Backend.max_time ~aais ~target ~t_tar:1.0 ()
+              @ (Compile_plan.build ~aais
+                   ~target_shape:(Compile_plan.support_of_target target)
+                   ())
+                  .Compile_plan.structure_diags)
+          in
+          Alcotest.(check string) (backend ^ ": check = reference") reference
+            (check ());
+          List.iter
+            (fun (what, payload) ->
+              (* each source in turn: an empty store and cache, then the
+                 LRU, then the store alone *)
+              rm_rf dir;
+              Compile_plan.clear_caches ();
+              Compile_plan.enable_store ~dir;
+              let stages = ref [] in
+              let old = !Compile_plan.stage_hook in
+              Compile_plan.stage_hook := (fun st -> stages := st :: !stages);
+              let built, cached, stored =
+                Fun.protect
+                  ~finally:(fun () -> Compile_plan.stage_hook := old)
+                  (fun () ->
+                    let built = payload () in
+                    let cached = payload () in
+                    Compile_plan.clear_caches ();
+                    let stored = payload () in
+                    (built, cached, stored))
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s: one build, one LRU hit, one store hit"
+                   backend what)
+                [ "plan-build"; "plan-cache-hit"; "plan-store-hit" ]
+                (List.filter
+                   (fun st -> String.length st > 5 && String.sub st 0 5 = "plan-")
+                   (List.rev !stages));
+              let label src = Printf.sprintf "%s %s: %s = built" backend what src in
+              Alcotest.(check string) (label "cached") built cached;
+              Alcotest.(check string) (label "stored") built stored)
+            [ ("check", check); ("lint", lint) ])
+        backends)
+
 (* ---- end-to-end over a real socket ---- *)
 
 let test_socket_end_to_end () =
@@ -421,6 +506,143 @@ let test_silent_client_dropped () =
       Thread.join daemon;
       Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path))
 
+(* ---- slow clients ---- *)
+
+let start_daemon ?(read_timeout = 0.3) () =
+  let socket_path = Filename.temp_file "qturbo-serve-test" ".sock" in
+  Sys.remove socket_path;
+  let config =
+    {
+      (Server.default_config ~socket_path) with
+      Server.max_requests = Some 10_000;
+      read_timeout;
+    }
+  in
+  let daemon = Thread.create Server.serve config in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  (socket_path, daemon)
+
+(* A ping on a fresh connection, waiting at most [wait] seconds for the
+   answer, so a stalled daemon fails the test instead of hanging it. *)
+let ping_within ~socket_path ~wait =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket_path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO wait;
+      let line = "{\"op\":\"ping\"}\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      match input_line (Unix.in_channel_of_descr fd) with
+      | line -> Some line
+      | exception (Sys_blocked_io | Sys_error _ | End_of_file) -> None)
+
+let shutdown_daemon ~socket_path daemon =
+  (match Client.request ~socket_path {|{"op":"shutdown"}|} with
+  | Ok resp ->
+      Alcotest.(check string) "shutdown" {|{"ok":true,"result":"shutting down"}|}
+        resp
+  | Error msg -> Alcotest.failf "shutdown: %s" msg);
+  Thread.join daemon;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
+
+(* A client that trickles one byte per 0.05 s never lets a per-read
+   deadline fire; the whole request line must arrive within 0.3 s. *)
+let test_trickling_client_dropped () =
+  let socket_path, daemon = start_daemon () in
+  let trickler = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close trickler with Unix.Unix_error _ -> ());
+      if Sys.file_exists socket_path then Sys.remove socket_path)
+    (fun () ->
+      Unix.connect trickler (Unix.ADDR_UNIX socket_path);
+      let started = Unix.gettimeofday () in
+      let dropped_after = ref None in
+      let trickle =
+        Thread.create
+          (fun () ->
+            (* no newline ever; give up after 3 s *)
+            let rec go () =
+              if Unix.gettimeofday () -. started < 3.0 then
+                match Unix.write_substring trickler " " 0 1 with
+                | _ ->
+                    Thread.delay 0.05;
+                    go ()
+                | exception Unix.Unix_error _ ->
+                    dropped_after := Some (Unix.gettimeofday () -. started)
+            in
+            go ())
+          ()
+      in
+      Thread.delay 0.1;
+      let asked = Unix.gettimeofday () in
+      let answer = ping_within ~socket_path ~wait:2.0 in
+      let waited = Unix.gettimeofday () -. asked in
+      Thread.join trickle;
+      (match !dropped_after with
+      | Some t when t <= 1.0 -> ()
+      | Some t -> Alcotest.failf "the trickling client was dropped after %.2f s" t
+      | None -> Alcotest.fail "the trickling client was never dropped");
+      (match answer with
+      | Some line ->
+          Alcotest.(check string) "ping behind a trickling client"
+            {|{"ok":true,"result":"pong"}|} line
+      | None -> Alcotest.fail "ping not answered within 2 s");
+      if waited >= 2.0 then Alcotest.failf "ping took %.2f s" waited;
+      shutdown_daemon ~socket_path daemon)
+
+(* A client that pipelines compiles whose pulses outgrow the socket
+   buffer and never reads: the write deadline drops it, and the daemon
+   serves the next client. *)
+let test_non_reading_client_dropped () =
+  let socket_path, daemon = start_daemon () in
+  let hog = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close hog with Unix.Unix_error _ -> ());
+      if Sys.file_exists socket_path then Sys.remove socket_path)
+    (fun () ->
+      Unix.connect hog (Unix.ADDR_UNIX socket_path);
+      let count = 1500 in
+      let lines =
+        String.concat ""
+          (List.init count (fun _ ->
+               {|{"op":"compile","model":"ising-chain","n":12,"show_pulse":true}|}
+               ^ "\n"))
+      in
+      ignore (Unix.write_substring hog lines 0 (String.length lines));
+      let answer = ping_within ~socket_path ~wait:5.0 in
+      (match answer with
+      | Some line ->
+          Alcotest.(check string) "ping behind a non-reading client"
+            {|{"ok":true,"result":"pong"}|} line
+      | None -> Alcotest.fail "ping not answered within 5 s");
+      (* what the daemon wrote before it gave up, then end of stream:
+         fewer responses than requests *)
+      Unix.setsockopt_float hog Unix.SO_RCVTIMEO 5.0;
+      let buf = Bytes.create 65536 and newlines = ref 0 in
+      let rec drain () =
+        match Unix.read hog buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | k ->
+            Bytes.iteri
+              (fun i c -> if i < k && c = '\n' then incr newlines)
+              buf;
+            drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+        | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+            Alcotest.fail "the non-reading client's connection is still open"
+      in
+      drain ();
+      if !newlines >= count then
+        Alcotest.failf "all %d responses were written" count;
+      shutdown_daemon ~socket_path daemon)
+
 let () =
   Alcotest.run "service"
     [
@@ -454,5 +676,14 @@ let () =
           Alcotest.test_case "end to end" `Quick test_socket_end_to_end;
           Alcotest.test_case "silent client dropped at the read deadline"
             `Quick test_silent_client_dropped;
+          Alcotest.test_case "trickling client dropped at the request deadline"
+            `Quick test_trickling_client_dropped;
+          Alcotest.test_case "non-reading client dropped at the write deadline"
+            `Quick test_non_reading_client_dropped;
+        ] );
+      ( "plans",
+        [
+          Alcotest.test_case "check and lint payloads: built = cached = stored"
+            `Quick test_payloads_across_plan_sources;
         ] );
     ]

@@ -268,6 +268,94 @@ let test_csr_mismatch_rebuilds () =
   Alcotest.(check bool) "repaired entry hits" true
     r3.Compiler.plan.Compiler.store_hit
 
+let json = Qturbo_analysis.Diagnostic.list_to_json
+
+(* Rewrite the stored plan for [target] through [edit], as a hand edit
+   with a recomputed checksum would. *)
+let tamper_entry dir ~aais ~target edit =
+  let key =
+    Compile_plan.plan_key ~options:Compiler.default_options ~aais ~target
+  in
+  let raw = PS.open_store ~version:(Compile_plan.store_version ()) ~dir in
+  let plan : Compile_plan.t =
+    match PS.load raw ~key with
+    | Some payload -> Marshal.from_string payload 0
+    | None -> Alcotest.fail "the fresh build was not persisted"
+  in
+  Alcotest.(check bool) "tampered entry written" true
+    (PS.save raw ~key
+       ~payload:(Marshal.to_string (edit plan) [ Marshal.Closures ]))
+
+let store_hits () =
+  match Compile_plan.store_stats () with
+  | Some s -> s.PS.hits
+  | None -> Alcotest.fail "store stats missing"
+
+(* An entry that drops the plan's structure findings passes every byte
+   check and the lint gate, which reads no analyzer result.  A store
+   load re-derives the findings from the linted skeleton and device, so
+   a check and a compile served from the entry report what the cold
+   build did (its QT007 included). *)
+let test_dropped_structure_findings_rederived () =
+  with_store @@ fun dir ->
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let target = static_target "ising-chain" 5 in
+  let analyze () = json (Compiler.analyze ~aais ~target ~t_tar:1.0 ()) in
+  let cold_check = analyze () in
+  let cold = compile_ising () in
+  Alcotest.(check bool) "the cold plan carries a QT007" true
+    (List.exists
+       (fun (d : Qturbo_analysis.Diagnostic.t) -> d.code = "QT007")
+       cold.Compiler.diagnostics);
+  tamper_entry dir ~aais ~target (fun p ->
+      { p with Compile_plan.structure_diags = [] });
+  Compile_plan.clear_caches ();
+  Alcotest.(check string) "check served from the entry" cold_check (analyze ());
+  Compile_plan.clear_caches ();
+  let r = compile_ising () in
+  Alcotest.(check bool) "compile served from the entry" true
+    r.Compiler.plan.Compiler.store_hit;
+  Alcotest.(check string) "compile diagnostics"
+    (json cold.Compiler.diagnostics)
+    (json r.Compiler.diagnostics);
+  Alcotest.(check int) "both served by the store" 2 (store_hits ())
+
+(* The same for the analyzer's tables and the recorded lint list: an
+   entry claiming no channel feeds any row, and a lint error the plan
+   does not have, is served with what its own artifacts say. *)
+let test_tampered_tables_and_lint_rederived () =
+  with_store @@ fun dir ->
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let target = static_target "ising-chain" 5 in
+  let analyze () = json (Compiler.analyze ~aais ~target ~t_tar:1.0 ()) in
+  let lint () =
+    json
+      (Compile_plan.lint_findings
+         (fst (Compile_plan.obtain ~options:Compiler.default_options ~aais ~target)))
+  in
+  let cold_check = analyze () and cold_lint = lint () in
+  let fake =
+    Qturbo_analysis.Diagnostic.make ~code:"QT023"
+      ~severity:Qturbo_analysis.Diagnostic.Error
+      ~subject:Qturbo_analysis.Diagnostic.System "planted"
+  in
+  tamper_entry dir ~aais ~target (fun p ->
+      let table = p.Compile_plan.precheck in
+      {
+        p with
+        Compile_plan.precheck =
+          {
+            table with
+            Qturbo_analysis.Analysis.rates =
+              Array.map (fun _ -> None) table.Qturbo_analysis.Analysis.rates;
+          };
+        lint_diags = Some [ fake ];
+      });
+  Compile_plan.clear_caches ();
+  Alcotest.(check string) "check served from the entry" cold_check (analyze ());
+  Alcotest.(check string) "lint served from the entry" cold_lint (lint ());
+  Alcotest.(check int) "served by the store" 1 (store_hits ())
+
 let test_version_mismatch_rebuilds () =
   with_store @@ fun dir ->
   let r1 = compile_ising () in
@@ -453,5 +541,9 @@ let () =
           Alcotest.test_case "a device the key cannot tell apart keeps \
                                the loaded copy"
             `Quick test_store_hit_keeps_loaded_copy;
+          Alcotest.test_case "dropped structure findings are re-derived"
+            `Quick test_dropped_structure_findings_rederived;
+          Alcotest.test_case "tampered tables and lint list are re-derived"
+            `Quick test_tampered_tables_and_lint_rederived;
         ] );
     ]
