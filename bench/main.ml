@@ -1,6 +1,6 @@
 (* Benchmark harness regenerating every table and figure of the paper's
    evaluation (§7), plus the design-choice ablations called out in
-   DESIGN.md and Bechamel micro-benchmarks of each experiment's kernel.
+   DESIGN.md.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- table1 fig3  -- run a subset
@@ -1250,101 +1250,6 @@ let robustness () =
   progress "robustness: wrote BENCH_robustness.json"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per table/figure              *)
-
-let micro () =
-  let open Bechamel in
-  let n = 13 in
-  let ryd = rydberg_for "ising-chain" n in
-  let target = static_target "ising-chain" n in
-  let channels = Aais.channels ryd.Rydberg.aais in
-  let ls = Qturbo_core.Linear_system.build ~channels ~target ~t_tar:1.0 in
-  let heis = Heisenberg.build ~spec:Device.heisenberg_default ~n in
-  let heis_target = static_target "ising-chain" n in
-  let mis = Qturbo_models.Benchmarks.mis_chain ~n:5 () in
-  let mis_ryd = Rydberg.build ~spec:relaxed_line ~n:5 in
-  let fig6_ryd = Rydberg.build ~spec:Device.aquila_fig6a ~n:6 in
-  let fig6_target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at
-         (Qturbo_models.Benchmarks.ising_cycle ~n:6 ~j:0.157 ~h:0.785 ())
-         ~s:0.0)
-  in
-  let fig6_pulse =
-    let r =
-      Qturbo_core.Compiler.compile ~aais:fig6_ryd.Rydberg.aais
-        ~target:fig6_target ~t_tar:0.5 ()
-    in
-    Qturbo_core.Extract.rydberg_pulse fig6_ryd ~env:r.Qturbo_core.Compiler.env
-      ~t_sim:r.Qturbo_core.Compiler.t_sim
-  in
-  let small_ryd = Rydberg.build ~spec:Device.aquila_paper ~n:3 in
-  let small_target = static_target "ising-chain" 3 in
-  let tests =
-    [
-      Test.make ~name:"table1/simuq-global-solve-n3"
-        (Staged.stage (fun () ->
-             Qturbo_simuq.Simuq_compiler.compile
-               ~aais:small_ryd.Rydberg.aais ~target:small_target ~t_tar:1.0 ()));
-      Test.make ~name:"fig3/qturbo-compile-rydberg-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Compiler.compile ~aais:ryd.Rydberg.aais ~target
-               ~t_tar:1.0 ()));
-      Test.make ~name:"fig4/qturbo-compile-heisenberg-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Compiler.compile ~aais:heis.Heisenberg.aais
-               ~target:heis_target ~t_tar:1.0 ()));
-      Test.make ~name:"fig5a/greedy-mapping-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Mapping.greedy_chain ~target ~n));
-      Test.make ~name:"fig5b/td-compile-mis-n5"
-        (Staged.stage (fun () ->
-             Qturbo_core.Td_compiler.compile ~aais:mis_ryd.Rydberg.aais
-               ~model:mis ~t_tar:1.0 ~segments:4 ()));
-      Test.make ~name:"fig6/pulse-evolution-6q"
-        (Staged.stage (fun () ->
-             Qturbo_device_noise.Emulator.noiseless_final_state
-               ~pulse:fig6_pulse));
-      Test.make ~name:"substrate/global-linear-system-n13"
-        (Staged.stage (fun () -> Qturbo_core.Linear_system.solve ls));
-      Test.make ~name:"substrate/locality-decomposition-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Locality.decompose ~channels
-               ~n_vars:(Variable.count ryd.Rydberg.aais.Aais.pool)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"qturbo" ~fmt:"%s %s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:500
-      ~quota:(Time.second (if !quick then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Table_fmt.create ~header:[ "kernel"; "time/run" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      match Analyze.OLS.estimates est with
-      | Some (ns :: _) ->
-          let cell =
-            if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-            else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-            else Printf.sprintf "%.0f ns" ns
-          in
-          rows := (name, cell) :: !rows
-      | Some [] | None -> ())
-    results;
-  List.iter
-    (fun (name, cell) -> Table_fmt.add_row t [ name; cell ])
-    (List.sort compare !rows);
-  Table_fmt.print ~title:"Bechamel micro-benchmarks (per-run OLS estimate)" t
-
-(* ------------------------------------------------------------------ *)
 (* Staged-pipeline economics: how much of a compile is the reusable    *)
 (* coefficient-free front end, and what the structural plan cache buys *)
 (* on repeated solves over one shape.  Results land in BENCH_plan.json *)
@@ -1935,7 +1840,6 @@ let experiments =
     ("ext-markovian", ext_markovian);
     ("ext-digital", ext_digital);
     ("ext-segments", ext_segments);
-    ("micro", micro);
   ]
 
 let () =

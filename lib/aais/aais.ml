@@ -83,11 +83,6 @@ let channel_count t =
 let variables t = Variable.all t.pool
 let variable t id = (variables t).(id)
 
-let dynamic_variable_ids t =
-  Array.to_list (variables t)
-  |> List.filter Variable.is_dynamic
-  |> List.map (fun v -> v.Variable.id)
-
 let fixed_variable_ids t =
   Array.to_list (variables t)
   |> List.filter Variable.is_fixed

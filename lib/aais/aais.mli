@@ -100,6 +100,4 @@ val variable : t -> int -> Variable.t
 
 val variables : t -> Variable.t array
 
-val dynamic_variable_ids : t -> int list
-
 val fixed_variable_ids : t -> int list

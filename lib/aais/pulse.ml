@@ -148,14 +148,6 @@ type iontrap = { spec : Device.iontrap; segments : iontrap_segment list }
 let iontrap_duration p =
   List.fold_left (fun acc s -> acc +. s.duration) 0.0 p.segments
 
-let iontrap_segment_hamiltonians p =
-  List.map
-    (fun s ->
-      ( Iontrap.hamiltonian_of_pulse ~omega:s.omega ~phi:s.phi ~mu:s.mu
-          ~couplings:s.couplings (),
-        s.duration ))
-    p.segments
-
 let iontrap_within_limits p =
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in

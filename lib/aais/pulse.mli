@@ -74,9 +74,6 @@ type iontrap = { spec : Device.iontrap; segments : iontrap_segment list }
 
 val iontrap_duration : iontrap -> float
 
-val iontrap_segment_hamiltonians :
-  iontrap -> (Qturbo_pauli.Pauli_sum.t * float) list
-
 val iontrap_within_limits : iontrap -> string list
 (** Per-ion drive/shift bounds, distance-dependent coupling bounds
     ({!Iontrap.pair_bound}) and the total-time limit.  Ion traps have no

@@ -13,10 +13,6 @@ module Diagnostic = Qturbo_analysis.Diagnostic
 type options = {
   refine : bool;
   time_opt : bool;
-  no_opt_padding : float;
-  dt_factor : float;
-  max_constraint_iters : int;
-  time_floor : float;
   dense_linear_solver : bool;
   generic_local_solver : bool;
   domains : int;
@@ -30,10 +26,6 @@ let default_options =
   {
     refine = true;
     time_opt = true;
-    no_opt_padding = 3.0;
-    dt_factor = 1.25;
-    max_constraint_iters = 24;
-    time_floor = 1e-4;
     dense_linear_solver = false;
     generic_local_solver = false;
     domains = Qturbo_par.Pool.default_domains ();
@@ -42,6 +34,15 @@ let default_options =
     faults = None;
     plan_cache = true;
   }
+
+(* The §5 evolution-time search's fixed parameters: the bottleneck
+   padding of the [time_opt = false] ablation, the §5.2 constraint
+   loop's multiplicative [Δt] step and iteration bound, and the
+   smallest [T_sim] any compile returns. *)
+let no_opt_padding = 3.0
+let dt_factor = 1.25
+let max_constraint_iters = 24
+let time_floor = 1e-4
 
 (* Observability hook for the pipeline stages.  Tests install a recorder
    to assert ordering properties ("no solver stage ran before rejection",
@@ -146,7 +147,7 @@ type t = {
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
   precheck : Qturbo_analysis.Analysis.table;
-  lint_diags : Diagnostic.t list option;
+  lint_diags : Diagnostic.t list;
   key : string;
   lru_key : string;
   build_seconds : float;
@@ -337,11 +338,6 @@ let lint (plan : t) =
       prepared_names = List.map prepared_name d.prepared;
     }
 
-(* Strict-mode gate: fresh builds are linted before anyone can use (or
-   cache) them.  [lint_plans := false] is the escape hatch for overhead
-   measurement ([bench analysis]) and emergencies. *)
-let lint_plans = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Caches                                                              *)
 
@@ -380,7 +376,8 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
     analyzed device ~support:target_shape skeleton
   in
   (* the keys and the lint gate are part of the front end: all run
-     before the clock is read *)
+     before the clock is read.  Fresh builds are linted before anyone
+     can use (or cache) them. *)
   let plan =
     {
       device;
@@ -388,7 +385,7 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       skeleton;
       structure_diags;
       precheck;
-      lint_diags = None;
+      lint_diags = [];
       key = plan_key_of_support ~options ~aais ~support:target_shape;
       lru_key =
         plan_lru_key ~generic:options.generic_local_solver ~aais
@@ -396,11 +393,11 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       build_seconds = 0.0;
     }
   in
-  let lint_diags = if !lint_plans then Some (lint plan) else None in
+  let lint_diags = lint plan in
   let plan =
     { plan with lint_diags; build_seconds = Qturbo_util.Clock.now () -. t0 }
   in
-  match Diagnostic.errors (Option.value lint_diags ~default:[]) with
+  match Diagnostic.errors lint_diags with
   | [] -> plan
   | lint_errors ->
       Log.err (fun m ->
@@ -408,25 +405,7 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
             (List.length lint_errors));
       raise (Diagnostic.Rejected lint_errors)
 
-let lint_findings plan =
-  match plan.lint_diags with Some diags -> diags | None -> lint plan
-
-(* Lint-gated cache admission: a plan failing [Plan_lint] is never
-   admitted, and the refusal is counted ([Plan_cache.reject]).  Returns
-   the lint errors (empty = admitted). *)
-let admit (plan : t) =
-  match Diagnostic.errors (lint plan) with
-  | [] ->
-      Plan_cache.add plan_cache plan.lru_key plan
-        ~accept:
-          (plan_serves ~generic:plan.device.generic_local_solver
-             ~aais:plan.device.aais ~support:plan.support);
-      []
-  | errs ->
-      Plan_cache.reject plan_cache plan.lru_key;
-      Log.warn (fun m ->
-          m "plan lint refused cache admission (%d errors)" (List.length errs));
-      errs
+let lint_findings plan = plan.lint_diags
 
 (* ------------------------------------------------------------------ *)
 (* Persistent plan store                                               *)
@@ -496,7 +475,7 @@ let store_fetch ~options ~aais ~support =
                         p with
                         structure_diags;
                         precheck;
-                        lint_diags = Some diags;
+                        lint_diags = diags;
                       })))
 
 (* The payload leaves out the AAIS's key memo: [key] and [device_key]
@@ -580,7 +559,7 @@ let obtain_for_support ~options ~aais ~support =
             !stage_hook "plan-store-hit";
             let p = { p with device = rebind_device p.device ~aais; lru_key } in
             Plan_cache.add plan_cache lru_key ~accept p;
-            (* the deserialized device part is shareable too: admit it so
+            (* the deserialized device part is shareable too: cache it so
                fresh shapes on the same device skip the prepare pass *)
             Plan_cache.add device_cache
               (device_lru_key ~generic ~aais)
@@ -588,12 +567,8 @@ let obtain_for_support ~options ~aais ~support =
               p.device;
             (p, Stored)
         | None ->
+            (* [build] just linted this plan and raised on errors *)
             let p = build ~options ~aais ~target_shape:support () in
-            (* no [admit] here: when the strict gate is on, [build] just
-               linted this plan (and raised on errors), so re-linting at
-               admission would double the gate cost on every fresh build;
-               when the gate is off, the caller asked for no linting at
-               all *)
             Plan_cache.add plan_cache lru_key ~accept p;
             store_persist p;
             (p, Built))
@@ -736,7 +711,7 @@ let component_min_time run ~alpha = function
   | Fixed _ -> (0.0, [])
 
 let padded options t =
-  if options.time_opt then t else t *. options.no_opt_padding
+  if options.time_opt then t else t *. no_opt_padding
 
 let solve_component run ~alpha ~t_sim = function
   | Dynamic p ->
@@ -775,7 +750,6 @@ let solve_components run ~env ~alpha ~t_sim prepared =
    iteration's solver records survive — earlier layouts are discarded
    along with theirs. *)
 let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
-  let options = run.options in
   let retry_fault =
     Fault.fires (Supervisor.faults run.sup) ~site:"constraint-loop"
       ~component:(-1)
@@ -791,7 +765,7 @@ let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
         [ "injected fault: constraint-loop=retry forces a violation" ]
       else aais.Aais.check_fixed env
     in
-    let out_of_iters = iter >= options.max_constraint_iters in
+    let out_of_iters = iter >= max_constraint_iters in
     if
       violations = [] || out_of_iters
       || Supervisor.site_expired run.sup ~site:"constraint-loop"
@@ -823,7 +797,7 @@ let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
       in
       { t_sim = t; env; eps2s; solve_failures; iterations = iter; exhausted }
     end
-    else attempt (t *. options.dt_factor) (iter + 1)
+    else attempt (t *. dt_factor) (iter + 1)
   in
   attempt t_start 0
 
@@ -979,8 +953,8 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
   if bottleneck = infinity then
     warn run "some component is infeasible at any evolution time";
   let t_base =
-    if bottleneck = infinity || bottleneck = 0.0 then options.time_floor
-    else Float.max options.time_floor bottleneck
+    if bottleneck = infinity || bottleneck = 0.0 then time_floor
+    else Float.max time_floor bottleneck
   in
   !stage_hook "local-solve";
   let layout =

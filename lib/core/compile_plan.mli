@@ -43,13 +43,7 @@ type options = {
   refine : bool;  (** §6.2 iterative refinement (default true) *)
   time_opt : bool;
       (** §5.1 evolution-time optimisation; when false, the bottleneck
-          time is padded by [no_opt_padding] — the ablation baseline *)
-  no_opt_padding : float;  (** default 3.0 *)
-  dt_factor : float;
-      (** multiplicative [Δt] step of the §5.2 constraint iteration
-          (default 1.25) *)
-  max_constraint_iters : int;  (** default 24 *)
-  time_floor : float;  (** smallest allowed [T_sim] (default 1e-4) *)
+          time is tripled — the ablation baseline *)
   dense_linear_solver : bool;
       (** force the dense least-squares path (linear-solver ablation) *)
   generic_local_solver : bool;
@@ -83,6 +77,9 @@ type options = {
 }
 
 val default_options : options
+
+val time_floor : float
+(** The smallest [T_sim] a compile starts its search from (1e-4 µs). *)
 
 val stage_hook : (string -> unit) ref
 (** Called with a stage name as the pipeline enters it: ["plan-build"],
@@ -197,10 +194,9 @@ type t = {
           passes over the support rows (coverage, achievable-rate
           intervals, variable-pool findings): {!diagnose} walks only the
           target's terms against it *)
-  lint_diags : Diagnostic.t list option;
+  lint_diags : Diagnostic.t list;
       (** everything the {!lint} gate reported when this plan was
-          admitted — at {!build}, or on the re-lint of a store load;
-          [None] when {!lint_plans} was off *)
+          admitted — at {!build}, or on the re-lint of a store load *)
   key : string;
       (** the exact structural key ({!plan_key}); the store files the
           plan under it *)
@@ -219,18 +215,9 @@ val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
     device section comes from the AAIS's memo, so only the first call
     on an AAIS value renders it. *)
 
-val build_device : ?options:options -> aais:Aais.t -> unit -> device
 val obtain_device : options:options -> aais:Aais.t -> device
-(** Cache-aware variant ([options.plan_cache = false] builds fresh). *)
-
-val structure_rows :
-  index:Term_index.t ->
-  cells:(int * float) list array ->
-  Qturbo_analysis.Structure.row list
-(** The generic row view the [Qturbo_analysis.Structure] pass takes. *)
-
-val structure_comps :
-  Locality.component list -> Qturbo_analysis.Structure.comp list
+(** Fetch-or-build the device part through its cache
+    ([options.plan_cache = false] builds fresh). *)
 
 val build :
   ?options:options ->
@@ -270,26 +257,15 @@ val obtain_for_support :
     canonical support, skeleton dimensions, locality-component
     partition, classification arity, structural-key round-trip, and
     prepared-context agreement.  {!build} runs it on every fresh plan
-    and raises {!Diagnostic.Rejected} on errors (disable via
-    {!lint_plans}); {!admit} gates explicit cache insertions and every
-    plan loaded from the persistent store is re-linted. *)
+    and raises {!Diagnostic.Rejected} on errors, and every plan loaded
+    from the persistent store is re-linted. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
 
-val admit : t -> Diagnostic.t list
-(** Lint-gated cache admission: admit the plan under its key when the
-    lint is clean (returning [[]]), otherwise refuse, count the
-    rejection in the cache telemetry ({!Plan_cache.stats.rejected}) and
-    return the errors.  A plan failing {!lint} is never admitted. *)
-
-val lint_plans : bool ref
-(** Lint every fresh {!build} (default [true]).  Turned off only for
-    overhead measurement ([bench analysis]). *)
-
 val lint_findings : t -> Diagnostic.t list
 (** The plan's {!lint} findings: the list its gate recorded
-    ([lint_diags]), or a fresh lint when none was. *)
+    ([lint_diags]). *)
 
 (** {1 Solving} *)
 
@@ -364,8 +340,8 @@ val component_min_time :
     runtime-fixed components, which the constraint loop polices. *)
 
 val padded : options -> float -> float
-(** The bottleneck time as the constraint loop starts from it: padded
-    by [no_opt_padding] when [time_opt] is off. *)
+(** The bottleneck time as the constraint loop starts from it: tripled
+    when [time_opt] is off. *)
 
 val solve_components :
   run ->
@@ -387,9 +363,9 @@ val constraint_loop :
   t_start:float ->
   prepared_comp list ->
   layout
-(** §5.2: solve the components at [t_start], growing T by [dt_factor]
-    while the runtime-fixed layout violates device geometry, for at
-    most [max_constraint_iters] iterations or until the deadline. *)
+(** §5.2: solve the components at [t_start], growing T by a factor of
+    1.25 while the runtime-fixed layout violates device geometry, for at
+    most 24 iterations or until the deadline. *)
 
 val fixed_channels : device -> bool array
 (** Per channel: does it belong to a runtime-fixed component? *)

@@ -1,10 +1,6 @@
 open Qturbo_aais
 include Compile_plan
 
-let b_tar_norm1 ~aais ~target ~t_tar =
-  let ls = Linear_system.build ~channels:(Aais.channels aais) ~target ~t_tar in
-  Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar
-
 let analyze ?t_max ~aais ~target ~t_tar () =
   let plan, _ = obtain ~options:default_options ~aais ~target in
   diagnose ?t_max ~aais ~plan ~t_tar target

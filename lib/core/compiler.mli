@@ -56,11 +56,3 @@ val compile_batch :
     so the output list is bitwise-identical at any [batch_domains],
     including under injected faults; a rejection or failure raises the
     smallest-index job's exception, exactly like the sequential loop. *)
-
-val b_tar_norm1 :
-  aais:Qturbo_aais.Aais.t ->
-  target:Qturbo_pauli.Pauli_sum.t ->
-  t_tar:float ->
-  float
-(** [‖B_tar‖₁] over the compiler's row set (identity excluded); the
-    denominator of the relative-error metric. *)

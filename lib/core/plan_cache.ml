@@ -3,7 +3,6 @@ type stats = {
   misses : int;
   evictions : int;
   discarded : int;
-  rejected : int;
   size : int;
   capacity : int;
 }
@@ -13,7 +12,6 @@ type key_stats = {
   key_misses : int;
   key_evictions : int;
   key_discarded : int;
-  key_rejected : int;
 }
 
 let zero_key_stats =
@@ -22,7 +20,6 @@ let zero_key_stats =
     key_misses = 0;
     key_evictions = 0;
     key_discarded = 0;
-    key_rejected = 0;
   }
 
 type 'a entry = { value : 'a; mutable last_used : int }
@@ -36,7 +33,6 @@ type kcell = {
   mutable k_misses : int;
   mutable k_evictions : int;
   mutable k_discarded : int;
-  mutable k_rejected : int;
 }
 
 type 'a t = {
@@ -49,7 +45,6 @@ type 'a t = {
   mutable misses : int;
   mutable evictions : int;
   mutable discarded : int;
-  mutable rejected : int;
 }
 
 (* Every cache ever created, so [clear_all] reaches caches owned by
@@ -73,7 +68,6 @@ let create ~capacity =
       misses = 0;
       evictions = 0;
       discarded = 0;
-      rejected = 0;
     }
   in
   Mutex.protect registry_lock (fun () -> registry := Any t :: !registry);
@@ -94,7 +88,6 @@ let kcell t key =
           k_misses = 0;
           k_evictions = 0;
           k_discarded = 0;
-          k_rejected = 0;
         }
       in
       Hashtbl.add t.keys key c;
@@ -161,15 +154,6 @@ let add ?(accept = fun _ -> true) t key value =
           if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
           Hashtbl.add t.tbl key { value; last_used = t.tick })
 
-(* A lint rejection: the value was refused admission.  Counted
-   separately from evictions — an eviction is capacity pressure, a
-   rejection is an integrity failure. *)
-let reject t key =
-  locked t (fun () ->
-      t.rejected <- t.rejected + 1;
-      let c = kcell t key in
-      c.k_rejected <- c.k_rejected + 1)
-
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
@@ -178,8 +162,7 @@ let clear t =
       t.hits <- 0;
       t.misses <- 0;
       t.evictions <- 0;
-      t.discarded <- 0;
-      t.rejected <- 0)
+      t.discarded <- 0)
 
 let clear_all () =
   let caches = Mutex.protect registry_lock (fun () -> !registry) in
@@ -192,7 +175,6 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
         discarded = t.discarded;
-        rejected = t.rejected;
         size = Hashtbl.length t.tbl;
         capacity = t.capacity;
       })
@@ -203,7 +185,6 @@ let key_stats_of_cell (c : kcell) =
     key_misses = c.k_misses;
     key_evictions = c.k_evictions;
     key_discarded = c.k_discarded;
-    key_rejected = c.k_rejected;
   }
 
 let key_stats t key =

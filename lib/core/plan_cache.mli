@@ -23,9 +23,6 @@ type stats = {
   discarded : int;
       (** {!add} calls that found the key already resident and dropped
           the freshly built value (concurrent double-builds) *)
-  rejected : int;
-      (** {!reject} calls: values refused admission by
-          [Compile_plan]'s plan linter *)
   size : int;  (** resident entries *)
   capacity : int;
 }
@@ -35,7 +32,6 @@ type key_stats = {
   key_misses : int;
   key_evictions : int;
   key_discarded : int;
-  key_rejected : int;
 }
 
 val zero_key_stats : key_stats
@@ -60,11 +56,6 @@ val add : ?accept:('a -> bool) -> 'a t -> string -> 'a -> unit
     it is kept — values for equal structures are interchangeable by
     construction — and the drop is counted as [discarded]; a resident
     that [accept] refuses is replaced and counted as an eviction. *)
-
-val reject : 'a t -> string -> unit
-(** Count an integrity rejection for [key]: a value that failed
-    [Plan_lint] and was refused admission.  Telemetry only — does not
-    touch resident entries. *)
 
 val clear : 'a t -> unit
 (** Drop every entry, every per-key cell, and zero the counters. *)

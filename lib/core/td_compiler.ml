@@ -97,6 +97,9 @@ let compile_segments ~options ~strict ?t_max ~aais ~model ~t_tar ~segments ~t0
     () =
   let tau_tar = t_tar /. float_of_int segments in
   let hams = Qturbo_models.Model.discretize model ~segments in
+  (* the static path's register-size check, on every segment, before a
+     plan is obtained ([t_tar] itself is already validated) *)
+  List.iter (fun h -> Compile_plan.validate_target ~aais ~target:h ~t_tar) hams;
   (* one plan for the whole sweep, keyed by the canonical union support
      of every discretized segment.  Keying each segment by its own shape
      forked a second plan whenever a coefficient happened to cancel in
@@ -153,7 +156,7 @@ let compile_segments ~options ~strict ?t_max ~aais ~model ~t_tar ~segments ~t0
         (fun (acc, fs) p ->
           let t, f = Compile_plan.component_min_time run ~alpha p in
           (Float.max acc t, fs @ f))
-        (options.Compile_plan.time_floor, [])
+        (Compile_plan.time_floor, [])
         device.Compile_plan.prepared
     in
     (Compile_plan.padded options t, fs)

@@ -53,7 +53,8 @@ val compile :
   result
 (** Works for static models too (each segment then sees the same
     Hamiltonian).  Raises [Invalid_argument] on finite nonpositive
-    [t_tar]; a non-finite [t_tar] or [segments <= 0] raises
+    [t_tar], and, at any segment count, when a segment touches qubits
+    outside the AAIS; a non-finite [t_tar] or [segments <= 0] raises
     {!Qturbo_analysis.Diagnostic.Rejected} with a structured [QT016]
     diagnostic instead of an unclassified exception.
 
@@ -64,9 +65,8 @@ val compile :
     numeric stages ({!Compile_plan.section-stages}) against one plan
     built for the union support of all segments; only the binding
     segment's layout solve and the duration stretching are specific to
-    time-dependent targets.  [options.time_opt = false] pads each segment's
-    dynamic bottleneck by [no_opt_padding], as the static path pads
-    its own.
+    time-dependent targets.  [options.time_opt = false] triples each
+    segment's dynamic bottleneck, as the static path does its own.
 
     Every discretized segment Hamiltonian runs through the pre-solve
     static analyzer first; with [strict] (the default) error-severity

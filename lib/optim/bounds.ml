@@ -55,4 +55,3 @@ let of_internal t u =
   Array.mapi (fun i ui -> of_internal_1 t.(i) ui) u
 
 let wrap_residual t f u = f (of_internal t u)
-let wrap_scalar t f u = f (of_internal t u)

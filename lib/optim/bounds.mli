@@ -35,5 +35,3 @@ val wrap_residual :
   transform -> Objective.residual_fn -> Objective.residual_fn
 (** Conjugate a residual function by {!of_internal} so an unconstrained
     solver optimises in internal coordinates. *)
-
-val wrap_scalar : transform -> Objective.scalar_fn -> Objective.scalar_fn

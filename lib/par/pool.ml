@@ -170,16 +170,6 @@ let parallel_map ?domains ?chunk ?guard f arr =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let parallel_mapi ?domains ?chunk ?guard f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for ?domains ?chunk ?guard ~total:n (fun i ->
-        out.(i) <- Some (f i arr.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
 let parallel_map_list ?domains ?chunk ?guard f l =
   Array.to_list (parallel_map ?domains ?chunk ?guard f (Array.of_list l))
 

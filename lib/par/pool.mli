@@ -45,9 +45,6 @@ val parallel_for :
 val parallel_map :
   ?domains:int -> ?chunk:int -> ?guard:(unit -> unit) ->
   ('a -> 'b) -> 'a array -> 'b array
-val parallel_mapi :
-  ?domains:int -> ?chunk:int -> ?guard:(unit -> unit) ->
-  (int -> 'a -> 'b) -> 'a array -> 'b array
 val parallel_map_list :
   ?domains:int -> ?chunk:int -> ?guard:(unit -> unit) ->
   ('a -> 'b) -> 'a list -> 'b list

@@ -11,12 +11,6 @@ let phase_of_int k =
 
 let phase_mul a b = phase_of_int (phase_int a + phase_int b)
 
-let phase_to_complex = function
-  | P1 -> Complex.one
-  | Pi -> Complex.i
-  | Pm1 -> { Complex.re = -1.0; im = 0.0 }
-  | Pmi -> { Complex.re = 0.0; im = -1.0 }
-
 let mul a b =
   match (a, b) with
   | I, o -> (P1, o)

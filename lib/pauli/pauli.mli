@@ -11,8 +11,6 @@ val mul : op -> op -> phase * op
 
 val phase_mul : phase -> phase -> phase
 
-val phase_to_complex : phase -> Complex.t
-
 val commutes : op -> op -> bool
 (** Single-site commutation: true iff either operand is [I] or they are
     equal. *)

@@ -20,7 +20,6 @@ let make ?deadline_seconds ?faults ?(best_effort = false) () =
   let faults = match faults with Some f -> f | None -> Fault.of_env () in
   { deadline; faults; best_effort }
 
-let with_best_effort t best_effort = { t with best_effort }
 let best_effort t = t.best_effort
 let faults t = t.faults
 let deadline t = t.deadline

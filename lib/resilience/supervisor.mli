@@ -44,7 +44,6 @@ val make :
 (** [deadline_seconds] is relative to now; [faults] defaults to
     {!Fault.of_env} (the [QTURBO_FAULTS] variable). *)
 
-val with_best_effort : t -> bool -> t
 val best_effort : t -> bool
 val faults : t -> Fault.spec
 val deadline : t -> float option

@@ -167,12 +167,3 @@ let stats t =
         writes = t.writes;
         write_errors = t.write_errors;
       })
-
-let reset_stats t =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.corrupt <- 0;
-      t.version_mismatch <- 0;
-      t.writes <- 0;
-      t.write_errors <- 0)

@@ -63,4 +63,3 @@ val reclassify_corrupt : t -> unit
     honest. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit

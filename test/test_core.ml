@@ -670,7 +670,23 @@ let test_td_rejects_bad_args () =
   (* the finite-nonpositive message is unchanged — callers pin it *)
   Alcotest.check_raises "t_tar" (Invalid_argument "Td_compiler.compile: t_tar <= 0")
     (fun () ->
-      ignore (Td_compiler.compile ~aais:ryd.Rydberg.aais ~model ~t_tar:0.0 ~segments:2 ()))
+      ignore (Td_compiler.compile ~aais:ryd.Rydberg.aais ~model ~t_tar:0.0 ~segments:2 ()));
+  (* a target wider than the register is refused with the static path's
+     message at every segment count, strict or not *)
+  let spec = { Device.aquila_paper with Device.max_extent = 1e6 } in
+  let ryd4 = Rydberg.build ~spec ~n:4 in
+  let mis5 = Qturbo_models.Benchmarks.mis_chain ~n:5 () in
+  List.iter
+    (fun (segments, strict) ->
+      Alcotest.check_raises
+        (Printf.sprintf "mis-chain n=5 on 4 atoms, segments=%d strict=%b"
+           segments strict)
+        (Invalid_argument "Compiler.compile: target touches qubits outside the AAIS")
+        (fun () ->
+          ignore
+            (Td_compiler.compile ~strict ~aais:ryd4.Rydberg.aais ~model:mis5
+               ~t_tar:1.0 ~segments ())))
+    [ (1, true); (1, false); (4, true); (4, false) ]
 
 (* ---- Extract ---- *)
 

@@ -153,12 +153,6 @@ let test_extract_segments_rejects_empty () =
     (Invalid_argument "Extract.rydberg_pulse_segments: no segments") (fun () ->
       ignore (Extract.rydberg_pulse_segments ryd ~segments:[]))
 
-let test_b_tar_norm () =
-  let ryd, target, _ = golden () in
-  (* ||B_tar||_1 = 5 terms x 1 MHz x 1 us *)
-  check_close "norm" 1e-12 5.0
-    (Compiler.b_tar_norm1 ~aais:ryd.Rydberg.aais ~target ~t_tar:1.0)
-
 let test_td_binding_segment_in_range () =
   let spec = { Device.aquila_paper with Device.max_extent = 1e6 } in
   let ryd = Rydberg.build ~spec ~n:3 in
@@ -178,10 +172,6 @@ let test_state_probabilities_sum () =
   let s = Evolve.evolve ~h ~t:0.9 (State.ground ~n:3) in
   let total = Array.fold_left ( +. ) 0.0 (State.probabilities s) in
   check_close "sums to one" 1e-9 1.0 total
-
-let test_krylov_dt_max_override () =
-  check_close "explicit dt_max" 1e-12 10.0
-    (float_of_int (Krylov.step_count ~norm1:100.0 ~t:1.0 ~dt_max:(Some 0.1)))
 
 let test_trotter_single_step_api () =
   let h = Qturbo_pauli.Pauli_sum.term 1.0 (Qturbo_pauli.Pauli_string.single 0 Qturbo_pauli.Pauli.Z) in
@@ -295,13 +285,11 @@ let () =
         [
           Alcotest.test_case "component summaries" `Quick test_component_summaries_content;
           Alcotest.test_case "extract empty segments" `Quick test_extract_segments_rejects_empty;
-          Alcotest.test_case "b_tar norm" `Quick test_b_tar_norm;
           Alcotest.test_case "binding segment" `Quick test_td_binding_segment_in_range;
         ] );
       ( "quantum",
         [
           Alcotest.test_case "probabilities sum" `Quick test_state_probabilities_sum;
-          Alcotest.test_case "krylov dt_max" `Quick test_krylov_dt_max_override;
           Alcotest.test_case "trotter step api" `Quick test_trotter_single_step_api;
           Alcotest.test_case "compiled_n" `Quick test_apply_compiled_n;
         ] );

@@ -1,6 +1,6 @@
 (* Tests for static analyzer stage two: the kernel IR verifier
    (Kernel_check, QT017-QT022), the plan-invariant linter (Plan_lint via
-   Compile_plan.lint, QT023-QT028), the lint-gated plan-cache admission,
+   Compile_plan.lint, QT023-QT028), the lint gate on fresh plan builds,
    and the fused/unfused peephole-equivalence property. *)
 
 open Qturbo_pauli
@@ -344,49 +344,21 @@ let test_qt027_key_roundtrip () =
 let test_qt028_prepared () =
   let plan = Lazy.force base_plan in
   let d = plan.Compile_plan.device in
-  let bad =
-    {
-      plan with
-      Compile_plan.device =
-        { d with Compile_plan.prepared = drop_last d.Compile_plan.prepared };
-    }
+  let device =
+    { d with Compile_plan.prepared = drop_last d.Compile_plan.prepared }
   in
-  check_codes "prepared count" [ "QT028" ] (Compile_plan.lint bad)
-
-(* ---- lint-gated cache admission ---- *)
-
-let test_admit_rejects_corrupted () =
-  Compile_plan.clear_caches ();
-  let plan = plan_for "ising-chain" 5 in
-  let before = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-  (* a sound plan is admitted silently *)
-  Alcotest.(check (list string)) "sound plan admitted" []
-    (codes (Compile_plan.admit plan));
-  let bad = { plan with Compile_plan.key = plan.Compile_plan.key ^ "#stale" } in
-  let errs = Compile_plan.admit bad in
-  check_codes "refused with QT027" [ "QT027" ] errs;
-  let after = Compile_plan.cache_stats () in
-  Alcotest.(check int) "rejection counted" (before + 1)
-    after.Plan_cache.rejected;
-  (* the corrupted plan is not resident under its (corrupted) key *)
-  let per_key = Compile_plan.cache_per_key () in
-  Alcotest.(check bool) "corrupted key absent" false
-    (List.exists
-       (fun (k, (ks : Plan_cache.key_stats)) ->
-         String.equal k bad.Compile_plan.key && ks.Plan_cache.key_rejected = 0)
-       per_key)
-
-let test_build_raises_on_broken_invariant () =
-  (* with linting disabled, build hands back whatever it assembled; the
-     flag is the bench's overhead-measurement escape hatch, and flipping
-     it must not leak past the test *)
-  Alcotest.(check bool) "lint_plans defaults on" true !Compile_plan.lint_plans;
-  Compile_plan.lint_plans := false;
-  Fun.protect
-    ~finally:(fun () -> Compile_plan.lint_plans := true)
-    (fun () ->
-      let plan = plan_for "ising-chain" 3 in
-      Alcotest.(check (list string)) "still sound" [] (codes (Compile_plan.lint plan)))
+  let bad = { plan with Compile_plan.device = device } in
+  check_codes "prepared count" [ "QT028" ] (Compile_plan.lint bad);
+  (* the gate every fresh build runs refuses the same defect *)
+  match
+    Compile_plan.build ~device ~aais:d.Compile_plan.aais
+      ~target_shape:plan.Compile_plan.support ()
+  with
+  | _ -> Alcotest.fail "a fresh build over a broken device part was served"
+  | exception D.Rejected diags ->
+      Alcotest.(check (list string))
+        "fresh build rejected" [ "QT028" ]
+        (List.map (fun d -> d.D.code) diags)
 
 let () =
   Alcotest.run "lint"
@@ -433,12 +405,5 @@ let () =
           Alcotest.test_case "QT027 key round-trip" `Quick
             test_qt027_key_roundtrip;
           Alcotest.test_case "QT028 prepared contexts" `Quick test_qt028_prepared;
-        ] );
-      ( "cache-admission",
-        [
-          Alcotest.test_case "admit refuses corrupted plans" `Quick
-            test_admit_rejects_corrupted;
-          Alcotest.test_case "lint_plans escape hatch" `Quick
-            test_build_raises_on_broken_invariant;
         ] );
     ]

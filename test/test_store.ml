@@ -349,7 +349,7 @@ let test_tampered_tables_and_lint_rederived () =
             Qturbo_analysis.Analysis.rates =
               Array.map (fun _ -> None) table.Qturbo_analysis.Analysis.rates;
           };
-        lint_diags = Some [ fake ];
+        lint_diags = [ fake ];
       });
   Compile_plan.clear_caches ();
   Alcotest.(check string) "check served from the entry" cold_check (analyze ());
