@@ -37,6 +37,13 @@ val eval : t -> env:float array -> float
     and 0^negative follow IEEE semantics (yield infinities/NaN) so the
     optimisers can see and reject the region. *)
 
+val int_pow : float -> int -> float
+(** The arithmetic of [Pow_int] in {!eval}, the compiled kernels and
+    {!eval_interval}: binary exponentiation, low exponent bit first,
+    squaring the base once per bit and multiplying it into an
+    accumulator seeded with [1.0] on the set bits; a negative exponent
+    gives [1.0 /. int_pow x (-n)].  Allocation-free. *)
+
 val eval_interval : t -> bounds:(float * float) array -> float * float
 (** Conservative interval evaluation: [eval_interval e ~bounds] encloses
     [eval e ~env] for every [env] with [env.(id)] inside the closed

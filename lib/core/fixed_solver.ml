@@ -8,11 +8,12 @@ let is_pinned (b : Bounds.bound) = b.Bounds.lo = b.Bounds.hi
 
 (* Everything independent of (α, T_sim), derived once per component:
    the free/pinned split, the sparse symbolic Jacobian (structure and
-   compiled derivative kernels) and the channel kernels.  The dominant
-   saving is the Jacobian scan: probing every (row, variable) pair costs
-   O(rows · cols) symbolic derivatives, while scanning each row's own
-   variable set costs O(rows · vars-per-row) — a van-der-Waals channel
-   touches 4 coordinates, not all of them. *)
+   compiled derivative kernels), the channel kernels and the rows'
+   common degree of homogeneity.  The dominant saving is the Jacobian
+   scan: probing every (row, variable) pair costs O(rows · cols)
+   symbolic derivatives, while scanning each row's own variable set
+   costs O(rows · vars-per-row) — a van-der-Waals channel touches 4
+   coordinates, not all of them. *)
 type prepared = {
   comp : Locality.component;
   vars : Variable.t array;
@@ -23,18 +24,43 @@ type prepared = {
   x_init : float array;
   bounds : Bounds.bound array;
   pinned : (int * float) list;
-  nonzero_derivs : (int * int * Expr.kernel) array; (* (row, free col, d/dv) *)
   res_batch : Expr.Batch.t;
       (* the component's channel kernels packed for SoA evaluation —
          one flat program per residual sweep instead of per-row
          dispatch *)
-  jac_row_slots : (int * float) list array;
-      (* per row, the free columns with structurally nonzero derivative,
-         in [nonzero_derivs] order (strictly ascending, checked below) —
-         the CSR template of the Jacobian both step solvers take.
-         [Csr.of_row_lists] on this packs slot [t] of the value array at
-         exactly triple [t]. *)
+  jac_row_ptr : int array;
+  jac_col_idx : int array;
+      (* the CSR pattern of the Jacobian both step solvers take: per
+         row, the free columns with structurally nonzero derivative,
+         strictly ascending (checked below) *)
+  jac_kernels : Expr.kernel array;
+      (* d row / d column for slot [t] of the pattern *)
+  degree : int option;
+      (* [Some d]: every row is homogeneous of degree d ≠ 0 in the free
+         coordinates ([expr_degree]) *)
 }
+
+(* The degree of [e] under a uniform rescale x ↦ s·x of the free
+   coordinates, [None] when [e] is not homogeneous.  A variable pinned
+   at 0.0 scales with them (s·0 = 0); one pinned elsewhere, like a
+   constant, does not. *)
+let rec expr_degree ~var_degree (e : Expr.t) =
+  let both a b f =
+    match (expr_degree ~var_degree a, expr_degree ~var_degree b) with
+    | Some da, Some db -> f da db
+    | _ -> None
+  in
+  match e with
+  | Const _ -> Some 0
+  | Var v -> var_degree v
+  | Neg a -> expr_degree ~var_degree a
+  | Add (a, b) | Sub (a, b) ->
+      both a b (fun da db -> if da = db then Some da else None)
+  | Mul (a, b) -> both a b (fun da db -> Some (da + db))
+  | Div (a, b) -> both a b (fun da db -> Some (da - db))
+  | Pow_int (a, n) -> Option.map (fun d -> d * n) (expr_degree ~var_degree a)
+  | Sin a | Cos a -> (
+      match expr_degree ~var_degree a with Some 0 -> Some 0 | _ -> None)
 
 let prepare ~vars ~channels (comp : Locality.component) =
   let all_ids = Array.of_list comp.Locality.var_ids in
@@ -47,14 +73,23 @@ let prepare ~vars ~channels (comp : Locality.component) =
          comp.Locality.var_ids)
   in
   let cids = Array.of_list comp.Locality.channel_ids in
+  let n_rows = Array.length cids in
   let env_size = Array.fold_left (fun acc v -> Int.max acc (v + 1)) 1 all_ids in
   let k_of_var = Array.make env_size (-1) in
   Array.iteri (fun k v -> k_of_var.(v) <- k) free_ids;
+  let pinned =
+    List.filter_map
+      (fun v ->
+        if is_pinned vars.(v).Variable.bound then
+          Some (v, vars.(v).Variable.bound.Bounds.lo)
+        else None)
+      comp.Locality.var_ids
+  in
   (* only the structurally nonzero entries, found by scanning each
      channel's own variable set rather than the full free-variable list;
      rows sharing an expression template (every van-der-Waals pair)
      derive and compile once and relabel after that *)
-  let nonzero_derivs =
+  let triples =
     let derivs = Expr.Deriv_table.create () in
     let free v = v < env_size && k_of_var.(v) >= 0 in
     let triples = ref [] in
@@ -67,31 +102,44 @@ let prepare ~vars ~channels (comp : Locality.component) =
       cids;
     Array.of_list (List.rev !triples)
   in
-  let jac_row_slots =
-    let rows = Array.make (Array.length cids) [] in
-    Array.iter (fun (i, k, _) -> rows.(i) <- (k, 0.0) :: rows.(i))
-      nonzero_derivs;
-    Array.map List.rev rows
-  in
+  let jac_row_ptr = Array.make (n_rows + 1) 0 in
+  Array.iter (fun (i, _, _) -> jac_row_ptr.(i + 1) <- jac_row_ptr.(i + 1) + 1)
+    triples;
+  for i = 1 to n_rows do
+    jac_row_ptr.(i) <- jac_row_ptr.(i) + jac_row_ptr.(i - 1)
+  done;
+  let jac_col_idx = Array.map (fun (_, k, _) -> k) triples in
   (* The LU path's JᵀJ assembly needs ascending columns within a row,
      and the CG path's row products sum in this order.  Both hold by
      construction (union-find groups list their members in ascending
      order and [Expr.vars] is sorted); check it once per plan here
      rather than once per Jacobian. *)
-  Array.iteri
-    (fun i slots ->
-      ignore
-        (List.fold_left
-           (fun prev (k, _) ->
-             if k <= prev then
-               invalid_arg
-                 (Printf.sprintf
-                    "Fixed_solver.prepare: component %d, Jacobian row %d: \
-                     free columns not strictly ascending"
-                    comp.Locality.id i);
-             k)
-           (-1) slots))
-    jac_row_slots;
+  for i = 0 to n_rows - 1 do
+    for t = jac_row_ptr.(i) + 1 to jac_row_ptr.(i + 1) - 1 do
+      if jac_col_idx.(t) <= jac_col_idx.(t - 1) then
+        invalid_arg
+          (Printf.sprintf
+             "Fixed_solver.prepare: component %d, Jacobian row %d: free \
+              columns not strictly ascending"
+             comp.Locality.id i)
+    done
+  done;
+  let degree =
+    let var_degree v =
+      if v < env_size && k_of_var.(v) >= 0 then Some 1
+      else
+        match List.assoc_opt v pinned with
+        | Some x -> Some (if x = 0.0 then 1 else 0)
+        | None -> None
+    in
+    let row cid = expr_degree ~var_degree channels.(cid).Instruction.expr in
+    if n_rows = 0 then None
+    else
+      match row cids.(0) with
+      | Some d when d <> 0 && Array.for_all (fun c -> row c = Some d) cids ->
+          Some d
+      | _ -> None
+  in
   {
     comp;
     vars;
@@ -101,19 +149,17 @@ let prepare ~vars ~channels (comp : Locality.component) =
     env_size;
     x_init = Array.map (fun v -> vars.(v).Variable.init) free_ids;
     bounds = Array.map (fun v -> vars.(v).Variable.bound) free_ids;
-    pinned =
-      List.filter_map
-        (fun v ->
-          if is_pinned vars.(v).Variable.bound then
-            Some (v, vars.(v).Variable.bound.Bounds.lo)
-          else None)
-        comp.Locality.var_ids;
-    nonzero_derivs;
+    pinned;
     res_batch =
       Expr.Batch.pack
         (Array.map (fun cid -> channels.(cid).Instruction.kernel) cids);
-    jac_row_slots;
+    jac_row_ptr;
+    jac_col_idx;
+    jac_kernels = Array.map (fun (_, _, d) -> d) triples;
+    degree;
   }
+
+let degree p = p.degree
 
 let rebind p ~vars ~channels = { p with vars; channels }
 
@@ -133,26 +179,36 @@ let par_threshold = 32_768
    layouts get the near-linear solve. *)
 let sparse_threshold = 256
 
-let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
+(* The residual rows r_i(x) = row_i(x)·T_sim − α_i of one solve, over
+   an environment holding the pinned values, whose free slots [load]
+   rewrites. *)
+type sweep = {
+  env : float array;
+  out : Expr.Batch.buffer;
+  load : float array -> unit;
+  residual : float array -> float array;
+  cost : float array -> float;  (* Σ r_i², summed in row order *)
+}
+
+let sweep ~domains ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
       (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
          p.comp.Locality.id);
   let channels = p.channels and cids = p.cids and free_ids = p.free_ids in
   let n_rows = Array.length cids in
-  let nv = Array.length free_ids in
-  let scratch = Array.make p.env_size 0.0 in
-  List.iter (fun (v, x) -> scratch.(v) <- x) p.pinned;
+  let env = Array.make p.env_size 0.0 in
+  List.iter (fun (v, x) -> env.(v) <- x) p.pinned;
   let row_domains = if n_rows < par_threshold then 1 else domains in
   (* sequential residual sweeps run on the packed SoA batch: one flat
      program over a reusable float64 buffer, bitwise-identical to the
      per-row kernel dispatch it replaces *)
   let out = Expr.Batch.create_buffer n_rows in
-  let load x = Array.iteri (fun k v -> scratch.(v) <- x.(k)) free_ids in
-  let residual_ext x =
+  let load x = Array.iteri (fun k v -> env.(v) <- x.(k)) free_ids in
+  let residual x =
     load x;
     if row_domains = 1 then begin
-      Expr.Batch.eval p.res_batch ~env:scratch ~out;
+      Expr.Batch.eval p.res_batch ~env ~out;
       Array.init n_rows (fun i ->
           (Bigarray.Array1.unsafe_get out i *. t_sim)
           -. alpha.(Array.unsafe_get cids i))
@@ -162,7 +218,7 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
       Qturbo_par.Pool.parallel_for ~domains:row_domains ~total:n_rows (fun i ->
           let cid = Array.unsafe_get cids i in
           r.(i) <-
-            (Instruction.eval_channel channels.(cid) ~env:scratch *. t_sim)
+            (Instruction.eval_channel channels.(cid) ~env *. t_sim)
             -. alpha.(cid));
       r
     end
@@ -172,7 +228,7 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
       (* allocation-free: square the rows straight out of the batch
          buffer, accumulating in row order like the array fold did *)
       load x;
-      Expr.Batch.eval p.res_batch ~env:scratch ~out;
+      Expr.Batch.eval p.res_batch ~env ~out;
       let acc = ref 0.0 in
       for i = 0 to n_rows - 1 do
         let ri =
@@ -183,46 +239,93 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
       done;
       !acc
     end
-    else begin
-      let r = residual_ext x in
-      Array.fold_left (fun acc ri -> acc +. (ri *. ri)) 0.0 r
-    end
+    else Array.fold_left (fun acc ri -> acc +. (ri *. ri)) 0.0 (residual x)
   in
-  (* magnitude pre-fit: van-der-Waals amplitudes are homogeneous in the
-     coordinates, so a single uniform rescale of the initial layout finds
-     the right magnitude basin before LM refines the shape *)
-  let scaled s = Array.map (fun x -> s *. x) p.x_init in
-  let prefit =
-    Scalar.golden_min ~f:(fun ls -> cost (scaled (exp ls))) ~lo:(-3.0) ~hi:3.0 ()
+  { env; out; load; residual; cost }
+
+type start = {
+  log_scale : float;
+  closed_form : bool;
+  failures : Qturbo_resilience.Failure.t list;
+}
+
+let scaled p s = Array.map (fun x -> s *. x) p.x_init
+
+(* Magnitude pre-fit: one uniform rescale s of the initial layout,
+   bringing it into the right magnitude basin before LM refines the
+   shape.  When every row is homogeneous of degree d, the rows at
+   s·x_init are s^d·a_i with a_i = row_i(x_init)·T_sim, so the cost
+   Σ (u·a_i − α_i)² is a parabola in u = s^d with its minimum at
+   u* = Σ a_i α_i / Σ a_i² — one residual pass.  Otherwise, or when u*
+   is not a positive number, a golden-section search over ln s runs on
+   the same bracket. *)
+let start_of_sweep ~alpha ~t_sim p sw =
+  let closed_form =
+    match p.degree with
+    | None -> None
+    | Some d ->
+        sw.load p.x_init;
+        Expr.Batch.eval p.res_batch ~env:sw.env ~out:sw.out;
+        let num = ref 0.0 and den = ref 0.0 in
+        for i = 0 to Array.length p.cids - 1 do
+          let a = Bigarray.Array1.unsafe_get sw.out i *. t_sim in
+          num := !num +. (a *. alpha.(Array.unsafe_get p.cids i));
+          den := !den +. (a *. a)
+        done;
+        let u = !num /. !den in
+        if Float.is_finite u && u > 0.0 then
+          Some (Float.min 3.0 (Float.max (-3.0) (log u /. float_of_int d)))
+        else None
   in
-  let prefit_failures =
-    if prefit.Scalar.converged then []
-    else
-      [
-        Qturbo_resilience.Failure.make ~component:p.comp.Locality.id
-          ~site:"fixed-solve" ~stage:"prefit" ~fatal:false
-          ~class_:Qturbo_resilience.Failure.Non_convergence
-          (Printf.sprintf
-             "magnitude pre-fit stopped after %d iterations above tolerance"
-             prefit.Scalar.iterations);
-      ]
-  in
-  let x0_ext = scaled (exp prefit.Scalar.argmin) in
-  let nnz = Array.length p.nonzero_derivs in
+  match closed_form with
+  | Some log_scale -> { log_scale; closed_form = true; failures = [] }
+  | None ->
+      let m =
+        Scalar.golden_min
+          ~f:(fun ls -> sw.cost (scaled p (exp ls)))
+          ~lo:(-3.0) ~hi:3.0 ()
+      in
+      let failures =
+        if m.Scalar.converged then []
+        else
+          [
+            Qturbo_resilience.Failure.make ~component:p.comp.Locality.id
+              ~site:"fixed-solve" ~stage:"prefit" ~fatal:false
+              ~class_:Qturbo_resilience.Failure.Non_convergence
+              (Printf.sprintf
+                 "magnitude pre-fit stopped after %d iterations above \
+                  tolerance"
+                 m.Scalar.iterations);
+          ]
+      in
+      { log_scale = m.Scalar.argmin; closed_form = false; failures }
+
+let prefit ~alpha ~t_sim p =
+  start_of_sweep ~alpha ~t_sim p (sweep ~domains:1 ~alpha ~t_sim p)
+
+let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
+  let sw = sweep ~domains ~alpha ~t_sim p in
+  let start = start_of_sweep ~alpha ~t_sim p sw in
+  let nv = Array.length p.free_ids in
+  let x0_ext = scaled p (exp start.log_scale) in
+  let nnz = Array.length p.jac_kernels in
   let jac_domains = if nnz < par_threshold then 1 else domains in
   (* exact symbolic Jacobian; LM runs in external coordinates (position
      boxes are wide, so iterates stay interior) and the result is clamped,
      any clamping error landing in eps2.  Both step solvers take the
-     same CSR Jacobian: the structure comes from the prepared template
-     and only its value array is refilled (slot [t] is triple [t]); no
-     dense matrix is ever allocated. *)
-  let csr = Csr.of_row_lists ~cols:nv p.jac_row_slots in
+     same CSR Jacobian over the prepared pattern: a solve allocates only
+     its value array and refills it in place; no dense matrix is ever
+     allocated. *)
+  let csr =
+    Csr.of_pattern ~cols:nv ~row_ptr:p.jac_row_ptr ~col_idx:p.jac_col_idx
+  in
   let values = Csr.values csr in
   let jacobian x =
-    load x;
+    sw.load x;
     Qturbo_par.Pool.parallel_for ~domains:jac_domains ~total:nnz (fun t ->
-        let _, _, d = Array.unsafe_get p.nonzero_derivs t in
-        values.(t) <- Expr.eval_kernel d ~env:scratch *. t_sim);
+        values.(t) <-
+          Expr.eval_kernel (Array.unsafe_get p.jac_kernels t) ~env:sw.env
+          *. t_sim);
     csr
   in
   let report, solve_failures =
@@ -231,7 +334,7 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
         Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
           ~component:p.comp.Locality.id
           ~jacobian:(fun x -> Objective.Csr (jacobian x))
-          ~bounds:p.bounds residual_ext x0_ext
+          ~bounds:p.bounds sw.residual x0_ext
       in
       ( outcome.Qturbo_resilience.Supervisor.report,
         outcome.Qturbo_resilience.Supervisor.failures )
@@ -252,7 +355,7 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
         }
       in
       let report =
-        Levenberg_marquardt.minimize_sparse ~options ~jacobian residual_ext
+        Levenberg_marquardt.minimize_sparse ~options ~jacobian sw.residual
           x0_ext
       in
       let failures =
@@ -273,11 +376,13 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
   let x_ext =
     Array.mapi (fun k x -> Bounds.clamp p.bounds.(k) x) report.Objective.x
   in
-  let final = residual_ext x_ext in
+  let final = sw.residual x_ext in
   let eps2 = Array.fold_left (fun acc r -> acc +. Float.abs r) 0.0 final in
-  let free_assignments = List.init nv (fun k -> (free_ids.(k), x_ext.(k))) in
+  let free_assignments =
+    List.init nv (fun k -> (p.free_ids.(k), x_ext.(k)))
+  in
   ( { assignments = free_assignments @ p.pinned; eps2 },
-    prefit_failures @ solve_failures )
+    start.failures @ solve_failures )
 
 let solve ?domains ~vars ~channels ~alpha ~t_sim comp =
   fst

@@ -8,10 +8,17 @@
     least squares by Levenberg–Marquardt with exact symbolic Jacobians.
 
     Initialisation: the variables' built-in initial layout is first
-    rescaled by a golden-section search over a uniform scale factor —
-    van-der-Waals amplitudes are homogeneous in the coordinates, so one
-    scalar brings the initial guess into the right magnitude basin before
-    LM refines the shape. *)
+    rescaled by one uniform factor [s], which brings the initial guess
+    into the right magnitude basin before LM refines the shape.  When
+    every row is homogeneous of the same degree [d ≠ 0] in the
+    coordinates ({!degree}; van-der-Waals rows have [d = −6]), the rows
+    at [s·x_init] are [s^d·a_i] with [a_i = row_i(x_init)·T_sim], so the
+    least-squares [s] has a closed form that costs one residual pass:
+    [u* = Σ a_i α_i / Σ a_i²] and [ln s = clamp(ln u* / d, −3, 3)].  A
+    component that is not homogeneous, or whose [u*] is not a finite
+    positive number (every [α_i = 0], or [α] anti-correlated with the
+    rows), falls back to a golden-section search over [ln s] on the same
+    bracket. *)
 
 type result = {
   assignments : (int * float) list;  (** [(variable id, value)] *)
@@ -20,12 +27,15 @@ type result = {
 
 type prepared
 (** The (α, T_sim)-independent part of a solve: the free/pinned
-    variable split and the sparse symbolic Jacobian structure with its
-    compiled derivative kernels.  Preparing once and re-solving across
-    the §5.2 constraint iteration avoids re-deriving O(rows · vars)
-    symbolic derivatives on every probe — the single largest cost of
-    the original solver on position components.  Immutable and
-    shareable across pool domains. *)
+    variable split, the packed residual kernels, the Jacobian's CSR
+    pattern (row pointers and column indices) with one compiled
+    derivative kernel per stored entry, and the rows' degree of
+    homogeneity.  Preparing once and re-solving across the §5.2
+    constraint iteration avoids re-deriving O(rows · vars) symbolic
+    derivatives on every probe — the single largest cost of the
+    original solver on position components — and a solve allocates
+    only the Jacobian's value array.  Immutable and shareable across
+    pool domains. *)
 
 val sparse_threshold : int
 (** Free-variable count at which the LM position solve switches from
@@ -33,8 +43,8 @@ val sparse_threshold : int
     attempt, {!Qturbo_optim.Levenberg_marquardt.minimize}) to the
     conjugate-gradient path
     ({!Qturbo_optim.Levenberg_marquardt.minimize_sparse}).  Both take
-    the same CSR Jacobian, refilled in place from the prepared
-    template; no dense Jacobian is built on either side.  Components
+    the same CSR Jacobian over the prepared pattern, its values refilled
+    in place; no dense Jacobian is built on either side.  Components
     below it — every Fig. 3-scale device — get [JᵀJ] assembled from
     the CSR bitwise as the dense matrix gave it, so they stay
     bitwise-identical to prior releases.  On the CG path under a
@@ -56,6 +66,17 @@ val prepare :
     It holds by construction; the check runs once per plan instead of
     once per Jacobian. *)
 
+val degree : prepared -> int option
+(** [Some d] when every row of the component is homogeneous of the same
+    degree [d ≠ 0] under a uniform rescale of its free coordinates,
+    decided once by {!prepare} from the expressions and the component's
+    own variables: free variables and variables pinned at [0.0] have
+    degree 1; constants and variables pinned elsewhere have degree 0;
+    [Mul] adds degrees, [Div] subtracts them, [Pow_int] multiplies them
+    by the exponent; [Add] and [Sub] need equal degrees, [Sin] and [Cos]
+    degree 0.  [None] otherwise — e.g. a layout whose pinned atom sits
+    off the origin ({!Qturbo_aais.Rydberg.build_at}). *)
+
 val rebind :
   prepared ->
   vars:Qturbo_aais.Variable.t array ->
@@ -63,6 +84,20 @@ val rebind :
   prepared
 (** As [Local_solver.rebind]: the same component reading identical
     [vars] and [channels] instead of its own. *)
+
+type start = {
+  log_scale : float;  (** [ln s]: the layout LM starts from is [s·x_init] *)
+  closed_form : bool;  (** [false]: the golden-section search ran *)
+  failures : Qturbo_resilience.Failure.t list;
+      (** a non-fatal [Non_convergence] record (stage ["prefit"]) when
+          the search stopped above tolerance; always empty for the
+          closed form *)
+}
+
+val prefit : alpha:float array -> t_sim:float -> prepared -> start
+(** The magnitude pre-fit {!solve_supervised} starts from (see
+    "Initialisation" above), on one domain: the same start at any pool
+    width.  Raises [Invalid_argument] when [t_sim <= 0]. *)
 
 val solve_supervised :
   ?domains:int ->
@@ -73,14 +108,14 @@ val solve_supervised :
   result * Qturbo_resilience.Failure.t list
 (** Solve at a given [T_sim], the LM position solve running under the
     resilience escalation ladder (site ["fixed-solve"], the component's
-    locality id; the position boxes seed the multistart stage).  Also
-    reports a non-fatal [Non_convergence] record when the
-    golden-section magnitude pre-fit stops above tolerance.  On a hard
-    solver failure the returned layout is the (clamped) pre-fit initial
-    layout and the failure list says why.  [domains > 1] evaluates the
-    residual rows and Jacobian entries on the pool (disjoint writes
-    collected by index, so the result is bitwise-identical to
-    [domains = 1]; small components stay sequential regardless).
+    locality id; the position boxes seed the multistart stage), starting
+    from {!prefit}'s layout and reporting its failure records first.  On
+    a hard solver failure the returned layout is the (clamped) pre-fit
+    initial layout and the failure list says why.  [domains > 1]
+    evaluates the residual rows and Jacobian entries on the pool
+    (disjoint writes collected by index, so the result is
+    bitwise-identical to [domains = 1]; small components stay
+    sequential regardless).
     Raises [Invalid_argument] when [t_sim <= 0]. *)
 
 val solve :

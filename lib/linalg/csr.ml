@@ -83,6 +83,21 @@ let of_row_lists ~cols row_lists =
     row_lists;
   { nrows; ncols = cols; row_ptr; col_idx; values }
 
+let of_pattern ~cols ~row_ptr ~col_idx =
+  let nrows = Array.length row_ptr - 1 and nnz = Array.length col_idx in
+  if nrows < 0 || row_ptr.(0) <> 0 || row_ptr.(nrows) <> nnz then
+    invalid_arg "Csr.of_pattern: row pointers do not span the columns";
+  for i = 0 to nrows - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then
+      invalid_arg "Csr.of_pattern: row pointers decrease"
+  done;
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= cols then
+        invalid_arg "Csr.of_pattern: column out of range")
+    col_idx;
+  { nrows; ncols = cols; row_ptr; col_idx; values = Array.make nnz 0.0 }
+
 let rows t = t.nrows
 let cols t = t.ncols
 let nnz t = Array.length t.values

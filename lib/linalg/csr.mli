@@ -19,6 +19,14 @@ val of_row_lists : cols:int -> (int * float) list array -> t
     lossless bridge from the historical list-of-cells representation.
     Out-of-range columns raise [Invalid_argument]. *)
 
+val of_pattern : cols:int -> row_ptr:int array -> col_idx:int array -> t
+(** A zero matrix over a kept sparsity pattern, to be filled through
+    {!values}: only the value array is allocated, [row_ptr] and
+    [col_idx] are shared, not copied, so the caller must not mutate
+    them.  [row_ptr] runs from 0 up to [Array.length col_idx] without
+    decreasing, and every column [c] has [0 <= c < cols]; otherwise
+    [Invalid_argument]. *)
+
 val rows : t -> int
 
 val cols : t -> int

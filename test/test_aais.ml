@@ -65,6 +65,40 @@ let test_expr_negative_power () =
   let e = Expr.(Pow_int (Var 0, -6)) in
   check_close "inverse sixth" 1e-12 (1.0 /. 64.0) (Expr.eval e ~env:(env_of [ (0, 2.0) ]))
 
+(* [Expr.int_pow] is a loop; the recursion it replaced is the
+   reference: the same multiplications in the same order, so every bit
+   agrees, IEEE special values included *)
+let int_pow_reference x n =
+  let rec go acc base n =
+    if n = 0 then acc
+    else if n land 1 = 1 then go (acc *. base) (base *. base) (n asr 1)
+    else go acc (base *. base) (n asr 1)
+  in
+  if n >= 0 then go 1.0 x n else 1.0 /. go 1.0 x (-n)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let specials = [ 0.0; -0.0; infinity; neg_infinity; nan ]
+
+let prop_int_pow_matches_recursion =
+  QCheck.Test.make ~name:"int_pow loop = recursive reference, bit for bit"
+    ~count:1000
+    QCheck.(
+      pair
+        (oneof [ float; float_range (-4.0) 4.0; oneofl specials ])
+        (int_range (-12) 12))
+    (fun (x, n) -> same_bits (Expr.int_pow x n) (int_pow_reference x n))
+
+let test_int_pow_special_values () =
+  List.iter
+    (fun x ->
+      for n = -12 to 12 do
+        if not (same_bits (Expr.int_pow x n) (int_pow_reference x n)) then
+          Alcotest.failf "int_pow %h %d = %h, reference %h" x n
+            (Expr.int_pow x n) (int_pow_reference x n)
+      done)
+    specials
+
 let test_expr_vars () =
   let e = Expr.(Div (Const 1.0, Pow_int (Sub (Var 3, Var 1), 6))) in
   Alcotest.(check (list int)) "vars" [ 1; 3 ] (Expr.vars e);
@@ -615,6 +649,9 @@ let () =
           Alcotest.test_case "eval" `Quick test_expr_eval;
           Alcotest.test_case "trig" `Quick test_expr_eval_trig;
           Alcotest.test_case "negative power" `Quick test_expr_negative_power;
+          Alcotest.test_case "int_pow special values" `Quick
+            test_int_pow_special_values;
+          QCheck_alcotest.to_alcotest prop_int_pow_matches_recursion;
           Alcotest.test_case "vars" `Quick test_expr_vars;
           Alcotest.test_case "simplify" `Quick test_expr_simplify;
           Alcotest.test_case "deriv polynomial" `Quick test_expr_deriv_polynomial;

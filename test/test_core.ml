@@ -422,6 +422,228 @@ let test_fixed_solver_rejects_bad_time () =
                ~t_sim:0.0 comp))
   | [] -> Alcotest.fail "no components"
 
+(* ---- Fixed_solver magnitude pre-fit ---- *)
+
+(* The runtime-fixed component of a Rydberg device, prepared. *)
+let prepared_positions ryd =
+  let channels, vars, comps, classes = classified ryd in
+  match
+    List.filter_map
+      (fun (comp, cls) ->
+        match cls with
+        | Local_solver.Fixed_vars -> Some comp
+        | Local_solver.Linear _ | Local_solver.Polar _
+        | Local_solver.Const_channels | Local_solver.Generic ->
+            None)
+      (List.combine comps classes)
+  with
+  | [ comp ] -> (channels, vars, comp, Fixed_solver.prepare ~vars ~channels comp)
+  | _ -> Alcotest.fail "one position component expected"
+
+(* A synthetic runtime-fixed component: one channel per expression over
+   the given variables ([(lo, hi, init)]; lo = hi pins). *)
+let synthetic vars_spec exprs =
+  let pool = Variable.create_pool () in
+  let vars =
+    Array.of_list
+      (List.mapi
+         (fun i (lo, hi, init) ->
+           Variable.fresh pool ~name:(Printf.sprintf "q%d" i)
+             ~kind:Variable.Runtime_fixed ~lo ~hi ~init ())
+         vars_spec)
+  in
+  let channels =
+    Array.of_list
+      (List.mapi
+         (fun cid expr ->
+           Instruction.channel ~cid ~label:(Printf.sprintf "c%d" cid) ~expr
+             ~effects:
+               [ { Instruction.pstring = Pauli_string.single cid Pauli.Z; coeff = 1.0 } ]
+             ~hint:Instruction.Hint_fixed)
+         exprs)
+  in
+  match Locality.decompose ~channels ~n_vars:(Array.length vars) with
+  | [ comp ] -> (vars, channels, comp)
+  | _ -> Alcotest.fail "one component expected"
+
+let synthetic_degree vars_spec exprs =
+  let vars, channels, comp = synthetic vars_spec exprs in
+  Fixed_solver.degree (Fixed_solver.prepare ~vars ~channels comp)
+
+let test_prefit_degree_detection () =
+  let degree ryd =
+    let _, _, _, p = prepared_positions ryd in
+    Fixed_solver.degree p
+  in
+  let line = Device.aquila_paper in
+  let plane = Device.with_geometry Device.Plane line in
+  Alcotest.(check (option int)) "line device" (Some (-6))
+    (degree (Rydberg.build ~spec:line ~n:5));
+  Alcotest.(check (option int)) "plane device" (Some (-6))
+    (degree (Rydberg.build ~spec:plane ~n:6));
+  (* atom 0 pinned at x = 37.5: x0 - x1 mixes degrees 0 and 1 *)
+  Alcotest.(check (option int)) "translated line device" None
+    (degree (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:line ~n:5));
+  Alcotest.(check (option int)) "translated plane device" None
+    (degree (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:plane ~n:6));
+  let free = (-10.0, 10.0, 1.0) and at_zero = (0.0, 0.0, 0.0)
+  and at_two = (2.0, 2.0, 2.0) in
+  let x = Expr.Var 0 and y = Expr.Var 1 in
+  Alcotest.(check (option int)) "pinned at 0.0 scales" (Some 2)
+    (synthetic_degree [ free; at_zero ]
+       Expr.[ Const 3.0 * Pow_int (x - y, 2); Mul (x, y) ]);
+  Alcotest.(check (option int)) "mixed degrees" None
+    (synthetic_degree [ free; free ]
+       Expr.[ Pow_int (x, 2); Pow_int (x - y, 3) ]);
+  Alcotest.(check (option int)) "sum of unequal degrees" None
+    (synthetic_degree [ free ] Expr.[ Pow_int (x, 2) + x ]);
+  Alcotest.(check (option int)) "pinned elsewhere is a constant" None
+    (synthetic_degree [ free; at_two ] Expr.[ Pow_int (x - y, 2) ]);
+  Alcotest.(check (option int)) "sine of a coordinate" None
+    (synthetic_degree [ free ] Expr.[ Sin x * Pow_int (x, 2) ]);
+  Alcotest.(check (option int)) "degree-0 row" None
+    (synthetic_degree [ free; free ] Expr.[ x / y; Pow_int (x, 2) ]);
+  Alcotest.(check (option int)) "every row degree 0" None
+    (synthetic_degree [ free; free ] Expr.[ x / y ])
+
+(* Rows c_i·x^d over one free coordinate starting at x = 1, so that
+   a_i = row_i(x_init)·T = c_i·T. *)
+let monomial_rows ~d cs =
+  synthetic [ (-1e6, 1e6, 1.0) ]
+    (List.map (fun c -> Expr.(Const c * Pow_int (Var 0, d))) cs)
+
+(* The cost the search minimises, evaluated as the solver does: rows at
+   s·x_init, scaled by T, minus α, squared and summed in row order. *)
+let prefit_cost (channels : Instruction.channel array) ~alpha ~t_sim ls =
+  let env = [| exp ls *. 1.0 |] in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i ch ->
+      let r = (Expr.eval ch.Instruction.expr ~env *. t_sim) -. alpha.(i) in
+      acc := !acc +. (r *. r))
+    channels;
+  !acc
+
+let search channels ~alpha ~t_sim =
+  Qturbo_optim.Scalar.golden_min
+    ~f:(prefit_cost channels ~alpha ~t_sim)
+    ~lo:(-3.0) ~hi:3.0 ()
+
+(* Over random homogeneous instances the closed form takes no search and
+   lands where the search does, at no higher cost.  The search compares
+   rounded costs, so near the minimum it stops anywhere inside the band
+   of log-scales whose costs are equal to rounding: the cost there is
+   f* + κ·δ² with κ = d²·Σ (u·a_i)², and the rounding of a cost sum over
+   n rows is at most (n + 9)·ε·(f + Σ α_i²) (each row is a handful of
+   correctly rounded operations, and Σ (u·a_i)² ≤ Σ α_i² at the
+   minimum).  The log-scales must agree to the search's tolerance
+   widened by that band, and the costs to that rounding.  On consistent
+   instances (α = u·a exactly) the minimum is sharp and the closed form
+   recovers ln u / d to the search's tolerance. *)
+let prop_prefit_closed_form_matches_search =
+  let gen =
+    QCheck.Gen.(
+      let* d = oneofl [ -6; -3; 2 ] in
+      let* rows = int_range 1 12 in
+      let* cs = list_repeat rows (float_range (-2.0) 2.0) in
+      let* t_sim = float_range 0.05 5.0 in
+      let* consistent = bool in
+      let* ls_true = float_range (-2.5) 2.5 in
+      let* alphas =
+        if consistent then
+          return
+            (List.map (fun c -> exp (float_of_int d *. ls_true) *. c *. t_sim) cs)
+        else list_repeat rows (float_range (-2.0) 2.0)
+      in
+      return (d, cs, alphas, t_sim, if consistent then Some ls_true else None))
+  in
+  QCheck.Test.make ~name:"closed-form pre-fit = search on homogeneous rows"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (d, cs, alphas, t, _) ->
+         Printf.sprintf "d=%d cs=[%s] alphas=[%s] t=%h" d
+           (String.concat ";" (List.map (Printf.sprintf "%h") cs))
+           (String.concat ";" (List.map (Printf.sprintf "%h") alphas))
+           t)
+       gen)
+    (fun (d, cs, alphas, t_sim, ls_true) ->
+      let vars, channels, comp = monomial_rows ~d cs in
+      let alpha = Array.of_list alphas in
+      let start =
+        Fixed_solver.prefit ~alpha ~t_sim (Fixed_solver.prepare ~vars ~channels comp)
+      in
+      let a = List.map (fun c -> c *. t_sim) cs in
+      let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l in
+      let u =
+        List.fold_left2 (fun acc a al -> acc +. (a *. al)) 0.0 a alphas
+        /. sum (fun a -> a *. a) a
+      in
+      let m = search channels ~alpha ~t_sim in
+      let ls = start.Fixed_solver.log_scale
+      and ls_search = m.Qturbo_optim.Scalar.argmin in
+      let tol x = 1e-10 *. Float.max 1.0 (Float.abs x) in
+      if not (Float.is_finite u && u > 0.0) then
+        (* the search itself, bit for bit *)
+        (not start.Fixed_solver.closed_form)
+        && Int64.equal (Int64.bits_of_float ls) (Int64.bits_of_float ls_search)
+      else
+        let cost = prefit_cost channels ~alpha ~t_sim in
+        let c_closed = cost ls and c_search = m.Qturbo_optim.Scalar.minimum in
+        let rounding =
+          float_of_int (List.length cs + 9)
+          *. epsilon_float
+          *. (c_search +. sum (fun al -> al *. al) alphas)
+        in
+        let kappa =
+          let s_d = exp (float_of_int d *. ls) in
+          float_of_int (d * d) *. sum (fun a -> (s_d *. a) *. (s_d *. a)) a
+        in
+        let band = sqrt (2.0 *. rounding /. kappa) in
+        start.Fixed_solver.closed_form
+        && start.Fixed_solver.failures = []
+        && c_closed <= c_search +. rounding
+        && Float.abs (ls -. ls_search) <= tol ls_search +. band
+        &&
+        match ls_true with
+        | Some ls_true ->
+            Float.abs (ls -. ls_true) <= tol ls_true
+            && Float.abs (ls -. ls_search) <= tol ls_search
+        | None -> true)
+
+(* α = 0 on every row, or α anti-correlated with the rows: u* ≤ 0 has
+   no real root, so the pre-fit is the golden-section search, bit for
+   bit, on homogeneous rows too *)
+let test_prefit_falls_back_to_search () =
+  let cs = [ 1.0; 0.5; 2.0 ] and t_sim = 0.8 in
+  let vars, channels, comp = monomial_rows ~d:(-6) cs in
+  let p = Fixed_solver.prepare ~vars ~channels comp in
+  let check what alpha =
+    let start = Fixed_solver.prefit ~alpha ~t_sim p in
+    let m = search channels ~alpha ~t_sim in
+    Alcotest.(check bool) (what ^ ": search") false start.Fixed_solver.closed_form;
+    Alcotest.(check int64) (what ^ ": the search's argmin")
+      (Int64.bits_of_float m.Qturbo_optim.Scalar.argmin)
+      (Int64.bits_of_float start.Fixed_solver.log_scale)
+  in
+  check "alpha = 0" [| 0.0; 0.0; 0.0 |];
+  check "anti-correlated" (Array.of_list (List.map (fun c -> -3.0 *. c) cs));
+  (* and the same on a Rydberg device, whose rows are homogeneous *)
+  let ryd = Rydberg.build ~spec:Device.aquila_paper ~n:4 in
+  let channels, _, comp, p = prepared_positions ryd in
+  let zeros = Array.make (Array.length channels) 0.0 in
+  Alcotest.(check bool) "rydberg, alpha = 0: search" false
+    (Fixed_solver.prefit ~alpha:zeros ~t_sim p).Fixed_solver.closed_form;
+  let env = Variable.initial_env ryd.Rydberg.aais.Aais.pool in
+  let anti = Array.copy zeros in
+  List.iter
+    (fun cid -> anti.(cid) <- -.Instruction.eval_channel channels.(cid) ~env)
+    comp.Locality.channel_ids;
+  Alcotest.(check bool) "rydberg, anti-correlated: search" false
+    (Fixed_solver.prefit ~alpha:anti ~t_sim p).Fixed_solver.closed_form;
+  Alcotest.(check bool) "rydberg, correlated: closed form" true
+    (Fixed_solver.prefit ~alpha:(Array.map Float.neg anti) ~t_sim p)
+      .Fixed_solver.closed_form
+
 (* ---- Compiler ---- *)
 
 let compile_ising3 ?options () =
@@ -771,6 +993,11 @@ let () =
         [
           Alcotest.test_case "positions (§5.2)" `Quick test_fixed_solver_positions;
           Alcotest.test_case "bad time" `Quick test_fixed_solver_rejects_bad_time;
+          Alcotest.test_case "pre-fit degree detection" `Quick
+            test_prefit_degree_detection;
+          QCheck_alcotest.to_alcotest prop_prefit_closed_form_matches_search;
+          Alcotest.test_case "pre-fit falls back to the search" `Quick
+            test_prefit_falls_back_to_search;
         ] );
       ( "compiler",
         [

@@ -204,6 +204,33 @@ let test_csr_out_of_range () =
     (Invalid_argument "Csr.of_triplets: entry out of range") (fun () ->
       ignore (Csr.of_triplets ~rows:1 ~cols:1 [ { Csr.row = 1; col = 0; value = 1.0 } ]))
 
+(* A matrix over a kept pattern is the zero matrix [of_row_lists] packs
+   from the same rows, shares the pattern arrays and gets its own
+   values; malformed patterns are refused. *)
+let test_csr_of_pattern () =
+  let rows = [| [ (0, 0.0); (2, 0.0) ]; []; [ (1, 0.0) ] |] in
+  let packed = Csr.of_row_lists ~cols:3 rows in
+  let row_ptr = Csr.row_ptr packed and col_idx = Csr.col_idx packed in
+  let a = Csr.of_pattern ~cols:3 ~row_ptr ~col_idx in
+  let b = Csr.of_pattern ~cols:3 ~row_ptr ~col_idx in
+  Alcotest.(check bool) "packs the zero rows" true (Csr.packs a ~cols:3 rows);
+  Alcotest.(check bool) "pattern shared" true
+    (Csr.row_ptr a == row_ptr && Csr.col_idx a == col_idx);
+  (Csr.values a).(1) <- 4.0;
+  check_float "filled in place" 4.0 (Csr.get a 0 2);
+  check_float "values not shared" 0.0 (Csr.get b 0 2);
+  let refused what ~cols ~row_ptr ~col_idx =
+    Alcotest.check_raises what (Invalid_argument ("Csr.of_pattern: " ^ what))
+      (fun () -> ignore (Csr.of_pattern ~cols ~row_ptr ~col_idx))
+  in
+  refused "row pointers do not span the columns" ~cols:3 ~row_ptr:[| 0; 2 |]
+    ~col_idx:[| 0 |];
+  refused "row pointers do not span the columns" ~cols:3 ~row_ptr:[||]
+    ~col_idx:[||];
+  refused "row pointers decrease" ~cols:3 ~row_ptr:[| 0; 2; 1; 2 |]
+    ~col_idx:[| 0; 1 |];
+  refused "column out of range" ~cols:2 ~row_ptr:[| 0; 1 |] ~col_idx:[| 2 |]
+
 (* ---- Sparse_solve ---- *)
 
 let row cells rhs = { Sparse_solve.cells; rhs }
@@ -677,6 +704,7 @@ let () =
           Alcotest.test_case "norm1" `Quick test_csr_norm1_matches_dense;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
           Alcotest.test_case "range check" `Quick test_csr_out_of_range;
+          Alcotest.test_case "kept pattern" `Quick test_csr_of_pattern;
         ] );
       ( "sparse_solve",
         [

@@ -443,6 +443,14 @@ let test_warm_solve_allocation () =
   check_solve_bytes ~limit_mb:14.0 "rydberg ising-cycle n=93"
     (warm_solve_bytes Qturbo_backend.Backend.rydberg "ising-cycle" 93)
 
+(* The position solve starts from the closed-form magnitude pre-fit
+   (one residual pass instead of a golden-section search), fills a
+   Jacobian over the prepared CSR pattern, and evaluates its 1-D
+   van-der-Waals rows ([pow dx 6]) without boxing *)
+let test_warm_kitaev_solve_allocation () =
+  check_solve_bytes ~limit_mb:12.0 "rydberg kitaev n=93"
+    (warm_solve_bytes Qturbo_backend.Backend.rydberg "kitaev" 93)
+
 (* The precheck reads the plan's tables: one index lookup per target
    term.  Kitaev is the worst case for a channel scan, since every pair
    channel feeds a Z row. *)
@@ -715,6 +723,8 @@ let () =
           quick "cold ising-cycle n=93 build under 80 MB" test_cold_build_allocation;
           quick "warm ising-cycle n=93 solve under 14 MB" test_warm_solve_allocation;
           quick "kitaev n=93 diagnose under 1 MB" test_diagnose_allocation;
+          quick "warm kitaev n=93 solve under 12 MB"
+            test_warm_kitaev_solve_allocation;
         ] );
       ( "staging",
         [
