@@ -1411,11 +1411,11 @@ let plan () =
           let aais = Aais.without_key_memo ryd.Rydberg.aais in
           Gc.full_major ();
           let live0 = (Gc.stat ()).Gc.live_words in
-          let alloc0 = Gc.allocated_bytes () in
+          let alloc0 = Qturbo_util.Alloc.bytes () in
           let total_s, r =
             time_run (fun () -> C.compile ~aais ~target ~t_tar:1.0 ())
           in
-          let allocated_mb = (Gc.allocated_bytes () -. alloc0) /. 1e6 in
+          let allocated_mb = (Qturbo_util.Alloc.bytes () -. alloc0) /. 1e6 in
           Gc.full_major ();
           let live1 = (Gc.stat ()).Gc.live_words in
           (* live delta after a full major = the resident plan (cache

@@ -10,11 +10,12 @@ type truncation = {
   kept_pairs : int;  (** pair channels emitted *)
   dropped_pairs : int;  (** pair channels omitted (beyond [radius]) *)
   dropped_l1 : float;
-      (** L1 weight of every omitted effect, in the channel amplitude's
-          units (MHz for Rydberg): an upper bound on the per-unit-time
-          operator-norm error of the truncated device Hamiltonian.
-          Multiplied by the evolution time it adds to the Theorem-1
-          bound; the analyzer reports it as [QT029]. *)
+      (** L1 weight of every omitted effect at the initial layout, in
+          the channel amplitude's units (MHz for Rydberg): the
+          per-unit-time operator-norm error of the truncated device
+          Hamiltonian there.  Multiplied by the evolution time it
+          estimates the addition to the Theorem-1 bound; the analyzer
+          reports it as [QT029]. *)
   max_dropped : float;  (** largest single omitted pair amplitude *)
 }
 (** Summary of an interaction cutoff a builder applied while emitting

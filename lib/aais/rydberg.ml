@@ -434,13 +434,11 @@ let iter_terms_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta f =
   let n = Array.length positions in
   if Array.length omega <> n || Array.length phi <> n || Array.length delta <> n
   then invalid_arg "Rydberg.hamiltonian_of_pulse: per-atom array lengths";
-  let keep =
-    (* [cutoff_radius] reconstructs what a truncated AAIS compiles
-       against; the default is the exact physics — a real device's
-       van-der-Waals tails do not truncate *)
-    match cutoff_radius with
-    | None -> fun _ -> true
-    | Some r -> fun d2 -> d2 <= r *. r
+  (* [cutoff_radius] reconstructs what a truncated AAIS compiles
+     against; the default is the exact physics — a real device's
+     van-der-Waals tails do not truncate *)
+  let keep_all, r2 =
+    match cutoff_radius with None -> (true, 0.0) | Some r -> (false, r *. r)
   in
   let emit s c = if c <> 0.0 then f s c in
   (* adding a zero leaves an accumulator that started at +0.0 unchanged,
@@ -451,7 +449,7 @@ let iter_terms_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta f =
     for j = i + 1 to n - 1 do
       let xi, yi = positions.(i) and xj, yj = positions.(j) in
       let d2 = ((xi -. xj) ** 2.0) +. ((yi -. yj) ** 2.0) in
-      kept.(j) <- keep d2;
+      kept.(j) <- keep_all || d2 <= r2;
       if kept.(j) then begin
         let a = spec.Device.c6 /. (4.0 *. (d2 ** 3.0)) in
         amp.(j) <- a;
@@ -464,7 +462,8 @@ let iter_terms_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta f =
     emit (Pauli_string.single i Pauli.Y) (-.(omega.(i) /. 2.0) *. sin phi.(i));
     emit (Pauli_string.single i Pauli.Z) z.(i);
     for j = i + 1 to n - 1 do
-      if kept.(j) then emit (Pauli_string.two i Pauli.Z j Pauli.Z) amp.(j)
+      if kept.(j) && amp.(j) <> 0.0 then
+        f (Pauli_string.two i Pauli.Z j Pauli.Z) amp.(j)
     done
   done
 

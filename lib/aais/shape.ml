@@ -154,8 +154,8 @@ let coordinate_offsets (aais : Aais.t) =
    far shorter (and cheaper) than the dense spelling, and the ascending
    (site, op) list is just as injective *)
 let add_pstring buf s =
-  List.iter
-    (fun (site, op) ->
+  Pauli_string.iter
+    (fun site op ->
       add_int buf site;
       Buffer.add_char buf
         (match op with
@@ -163,7 +163,7 @@ let add_pstring buf s =
         | Pauli.X -> 'X'
         | Pauli.Y -> 'Y'
         | Pauli.Z -> 'Z'))
-    (Pauli_string.to_list s)
+    s
 
 let add_channel buf (c : Instruction.channel) =
   Buffer.add_char buf '|';

@@ -134,7 +134,7 @@ let variables vars =
     vars;
   List.rev !diags
 
-let rydberg_pulse (p : Pulse.rydberg) =
+let rydberg_pulse ~violations (p : Pulse.rydberg) =
   let limit_diags =
     List.map
       (fun msg ->
@@ -144,7 +144,7 @@ let rydberg_pulse (p : Pulse.rydberg) =
             "the schedule is not executable on this device; recompile \
              against the device's actual limits"
           msg)
-      (Pulse.within_limits p)
+      violations
   in
   let slew_diags =
     List.map

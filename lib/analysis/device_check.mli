@@ -34,8 +34,11 @@ val iontrap_spec : Qturbo_aais.Device.iontrap -> Diagnostic.t list
 val variables : Qturbo_aais.Variable.t array -> Diagnostic.t list
 (** [QT009]. *)
 
-val rydberg_pulse : Qturbo_aais.Pulse.rydberg -> Diagnostic.t list
-(** [QT012] and [QT013]. *)
+val rydberg_pulse :
+  violations:string list -> Qturbo_aais.Pulse.rydberg -> Diagnostic.t list
+(** [QT012], one per message of [violations] — the pulse's
+    {!Qturbo_aais.Pulse.within_limits}, which the caller has already
+    computed — and [QT013]. *)
 
 val heisenberg_pulse : Qturbo_aais.Pulse.heisenberg -> Diagnostic.t list
 (** [QT012] (unified with {!Qturbo_aais.Pulse.heisenberg_within_limits}). *)

@@ -4,7 +4,7 @@ let check ~(aais : Aais.t) ~t_tar =
   match aais.Aais.truncation with
   | None -> []
   | Some tr ->
-      let bound = tr.Aais.dropped_l1 *. t_tar in
+      let estimate = tr.Aais.dropped_l1 *. t_tar in
       [
         Diagnostic.make ~code:"QT029" ~severity:Diagnostic.Info
           ~subject:(Diagnostic.Device aais.Aais.name)
@@ -14,10 +14,10 @@ let check ~(aais : Aais.t) ~t_tar =
           (Printf.sprintf
              "interaction cutoff at %g um dropped %d of %d pair channels \
               (kept %d); omitted-coupling L1 weight %.3e (largest single \
-              pair %.3e) adds at most %.3e to the Theorem-1 bound over \
-              t_tar = %g"
+              pair %.3e) at the initial layout, an estimated %.3e added to \
+              the Theorem-1 bound over t_tar = %g"
              tr.Aais.radius tr.Aais.dropped_pairs
              (tr.Aais.kept_pairs + tr.Aais.dropped_pairs)
-             tr.Aais.kept_pairs tr.Aais.dropped_l1 tr.Aais.max_dropped bound
-             t_tar);
+             tr.Aais.kept_pairs tr.Aais.dropped_l1 tr.Aais.max_dropped
+             estimate t_tar);
       ]

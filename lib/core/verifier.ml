@@ -15,6 +15,33 @@ type report = {
   plan : Compiler.plan_stats;
 }
 
+(* The three sums of [compare_terms], in a flat float record so that
+   updating them allocates nothing. *)
+type sums = {
+  mutable l1 : float;
+  mutable max_term : float;
+  mutable norm : float;
+}
+
+(* [Float.max], written out so that it inlines and its operands stay
+   unboxed: NaN in either operand gives NaN. *)
+let[@inline] float_max x y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y else x
+
+let[@inline] add sums d =
+  let a = Float.abs d in
+  sums.l1 <- sums.l1 +. a;
+  sums.max_term <- float_max sums.max_term a
+
+(* the target's side of a term, [-(t_tar c)], adding [|t_tar c|] to the
+   target norm *)
+let[@inline] tar_term sums ~t_tar c =
+  let b = t_tar *. c in
+  sums.norm <- sums.norm +. Float.abs b;
+  -.b
+
 (* ‖B_sim − B_tar‖₁, its largest term and ‖B_tar‖₁ in one merge of two
    ascending term streams, with B = T·H and the identity dropped on both
    sides.  [sim] feeds the simulator's terms in ascending
@@ -22,51 +49,44 @@ type report = {
    association of [Pauli_sum]'s [scale]/[sub]/[norm1] — [t_sim *. h],
    then [+. -.(t_tar *. c)] where the target has the term too — so every
    value is bit-identical to the map-built comparison's; only the maps
-   are gone. *)
+   are gone.  [pending.(next ..)] are the target terms not yet merged. *)
 let compare_terms ~sim ~t_sim ~target ~t_tar =
-  let error_l1 = ref 0.0 and max_term_error = ref 0.0 and b_norm = ref 0.0 in
-  let add d =
-    let a = Float.abs d in
-    error_l1 := !error_l1 +. a;
-    max_term_error := Float.max !max_term_error a
-  in
-  let tar_term c =
-    let b = t_tar *. c in
-    b_norm := !b_norm +. Float.abs b;
-    -.b
-  in
+  let sums = { l1 = 0.0; max_term = 0.0; norm = 0.0 } in
   (* [Pauli_sum.scale 0.0] is the empty sum *)
   let pending =
-    ref
-      (if t_tar = 0.0 then []
-       else
-         List.filter
+    if t_tar = 0.0 then [||]
+    else
+      Array.of_list
+        (List.filter
            (fun (s, _) -> not (Pauli_string.is_identity s))
            (Pauli_sum.terms target))
   in
+  let next = ref 0 in
   let rec merge s h =
-    match !pending with
-    | (s', c) :: rest ->
-        let order = Pauli_string.compare s' s in
-        if order < 0 then begin
-          pending := rest;
-          add (tar_term c);
-          merge s h
-        end
-        else if order = 0 then begin
-          pending := rest;
-          add ((t_sim *. h) +. tar_term c)
-        end
-        else add (t_sim *. h)
-    | [] -> add (t_sim *. h)
+    if !next = Array.length pending then add sums (t_sim *. h)
+    else
+      let s', c = pending.(!next) in
+      let order = Pauli_string.compare s' s in
+      if order < 0 then begin
+        add sums (tar_term sums ~t_tar c);
+        incr next;
+        merge s h
+      end
+      else if order = 0 then begin
+        add sums ((t_sim *. h) +. tar_term sums ~t_tar c);
+        incr next
+      end
+      else add sums (t_sim *. h)
   in
   if t_sim <> 0.0 then
     sim (fun s h -> if not (Pauli_string.is_identity s) then merge s h);
-  List.iter (fun (_, c) -> add (tar_term c)) !pending;
+  for k = !next to Array.length pending - 1 do
+    add sums (tar_term sums ~t_tar (snd pending.(k)))
+  done;
   let relative_error =
-    if !b_norm > 0.0 then !error_l1 /. !b_norm *. 100.0 else 0.0
+    if sums.norm > 0.0 then sums.l1 /. sums.norm *. 100.0 else 0.0
   in
-  (!error_l1, relative_error, !max_term_error)
+  (sums.l1, relative_error, sums.max_term)
 
 let iter_sum h f = List.iter (fun (s, c) -> f s c) (Pauli_sum.terms h)
 
@@ -85,7 +105,9 @@ let verify_rydberg ryd ~target ~t_tar (result : Compiler.result) =
   (* QT012 for the hard limit violations above, QT013 for slew findings
      (informational here: raw compiled pulses are rectangles and only
      pass the slew check after the ramping post-pass) *)
-  let diagnostics = Qturbo_analysis.Device_check.rydberg_pulse pulse in
+  let diagnostics =
+    Qturbo_analysis.Device_check.rydberg_pulse ~violations pulse
+  in
   {
     error_l1;
     relative_error;

@@ -53,4 +53,10 @@ val golden_min :
   hi:float ->
   unit ->
   min_result
-(** Golden-section minimisation of a unimodal [f]. *)
+(** Golden-section minimisation of a unimodal [f].  [converged] means
+    only that the bracket narrowed to [tol] times [max 1 |b|], [b] its
+    upper end, within [max_iterations]; it says nothing of how close
+    [argmin] is to the true minimiser.  On a cost that is flat to
+    rounding near its minimum the comparisons [f c < f d] are noise, the
+    bracket can close around the wrong point, and [argmin] can lie far
+    outside [tol] of the minimiser while [converged] is [true]. *)

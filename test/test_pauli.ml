@@ -249,6 +249,215 @@ let prop_sum_add_commutative =
       let a = Pauli_sum.term c1 s1 and b = Pauli_sum.term c2 s2 in
       Pauli_sum.equal ~tol:1e-12 (Pauli_sum.add a b) (Pauli_sum.add b a))
 
+(* ---- the packed representation against a map-based reference ---- *)
+
+(* The site-keyed map Pauli strings were before they became sorted code
+   arrays, kept here as the specification every operation must match. *)
+module Reference = struct
+  module M = Map.Make (Int)
+
+  let of_list pairs =
+    List.fold_left
+      (fun acc (site, op) ->
+        if site < 0 then invalid_arg "Pauli_string.of_list: negative site";
+        match op with
+        | Pauli.I -> acc
+        | Pauli.X | Pauli.Y | Pauli.Z ->
+            if M.mem site acc then
+              invalid_arg "Pauli_string.of_list: duplicate site";
+            M.add site op acc)
+      M.empty pairs
+
+  let two i a j b =
+    if i = j then invalid_arg "Pauli_string.two: equal sites";
+    of_list [ (i, a); (j, b) ]
+
+  let op_at t i = Option.value (M.find_opt i t) ~default:Pauli.I
+  let max_site t = match M.max_binding_opt t with Some (s, _) -> s | None -> -1
+
+  let mul a b =
+    let phase = ref Pauli.P1 in
+    let merged =
+      M.merge
+        (fun _ oa ob ->
+          match (oa, ob) with
+          | None, None -> None
+          | Some o, None | None, Some o -> Some o
+          | Some o1, Some o2 -> (
+              let p, o = Pauli.mul o1 o2 in
+              phase := Pauli.phase_mul !phase p;
+              match o with Pauli.I -> None | o -> Some o))
+        a b
+    in
+    (!phase, merged)
+
+  let commutes a b =
+    M.fold
+      (fun site oa odd -> if Pauli.commutes oa (op_at b site) then odd else not odd)
+      a false
+    |> not
+
+  let compare = M.compare Pauli.compare_op
+
+  let hash t =
+    M.fold
+      (fun site op acc ->
+        let opi = match op with Pauli.I -> 0 | X -> 1 | Y -> 2 | Z -> 3 in
+        (acc * 1_000_003) + (site * 4) + opi)
+      t 17
+
+  let of_string s =
+    let pairs = ref [] in
+    String.iteri
+      (fun i c ->
+        match Pauli.op_of_char c with
+        | Some op -> pairs := (i, op) :: !pairs
+        | None -> invalid_arg "Pauli_string.of_string: invalid character")
+      s;
+    of_list !pairs
+
+  let to_string ?n t =
+    let len = match n with Some n -> n | None -> max_site t + 1 in
+    String.init len (fun i -> (Pauli.op_to_string (op_at t i)).[0])
+end
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Sites cluster in a small range half the time, so pairs share prefixes
+   and whole strings, and spread up to 2^20 otherwise. *)
+let site_gen = QCheck.Gen.(oneof [ int_range 0 7; int_range 0 (1 lsl 20) ])
+let xyz_gen = QCheck.Gen.oneofl [ Pauli.X; Pauli.Y; Pauli.Z ]
+
+(* distinct sites, weight 0-6, every op X, Y or Z *)
+let pairs_gen =
+  QCheck.Gen.(
+    int_range 0 6 >>= fun w ->
+    list_repeat w (pair site_gen xyz_gen) >>= fun pairs ->
+    return (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pairs)
+    >>= fun sorted -> shuffle_l sorted)
+
+(* the second string is the first, the first with one op changed or one
+   site added, or independent *)
+let pairs_pair_gen =
+  QCheck.Gen.(
+    pairs_gen >>= fun a ->
+    let changed =
+      match a with
+      | [] -> return a
+      | (s, _) :: rest -> map (fun op -> (s, op) :: rest) xyz_gen
+    in
+    let extended =
+      map2
+        (fun s op -> if List.mem_assoc s a then a else (s, op) :: a)
+        site_gen xyz_gen
+    in
+    oneof [ return a; changed; extended; pairs_gen ] >>= fun b -> return (a, b))
+
+let print_pairs l =
+  String.concat " "
+    (List.map (fun (s, op) -> Pauli.op_to_string op ^ string_of_int s) l)
+
+let sign x = Int.compare x 0
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"packed strings agree with the map reference"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_pairs a ^ " | " ^ print_pairs b)
+       pairs_pair_gen)
+    (fun (pa, pb) ->
+      let a = Pauli_string.of_list pa and b = Pauli_string.of_list pb in
+      let ra = Reference.of_list pa and rb = Reference.of_list pb in
+      let bindings = Reference.M.bindings in
+      let iterated s =
+        let acc = ref [] in
+        Pauli_string.iter (fun site op -> acc := (site, op) :: !acc) s;
+        List.rev !acc
+      in
+      let phase, prod = Pauli_string.mul a b in
+      let rphase, rprod = Reference.mul ra rb in
+      let probe = match pa with (s, _) :: _ -> [ s; s + 1; 0 ] | [] -> [ 0; 3 ] in
+      sign (Pauli_string.compare a b) = sign (Reference.compare ra rb)
+      && Pauli_string.equal a b = (Reference.compare ra rb = 0)
+      && Pauli_string.hash a = Reference.hash ra
+      && phase = rphase
+      && Pauli_string.to_list prod = bindings rprod
+      && Pauli_string.commutes a b = Reference.commutes ra rb
+      && List.for_all (fun i -> Pauli_string.op_at a i = Reference.op_at ra i) probe
+      && Pauli_string.weight a = Reference.M.cardinal ra
+      && Pauli_string.support a = List.map fst (bindings ra)
+      && Pauli_string.max_site a = Reference.max_site ra
+      && Pauli_string.to_list a = bindings ra
+      && iterated a = bindings ra)
+
+(* raw inputs: repeated and negative sites, identity entries *)
+let raw_pair_gen =
+  QCheck.Gen.(
+    pair
+      (oneof [ int_range (-2) 5; int_range 0 (1 lsl 20) ])
+      (oneofl [ Pauli.I; Pauli.X; Pauli.Y; Pauli.Z ]))
+
+let prop_constructors_match_reference =
+  QCheck.Test.make ~name:"of_list and two raise and build as the reference"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (l, _) -> print_pairs l)
+       QCheck.Gen.(pair (list_size (int_range 0 6) raw_pair_gen) (pair raw_pair_gen raw_pair_gen)))
+    (fun (raw, ((i, a), (j, b))) ->
+      let same f g =
+        match (outcome f, outcome g) with
+        | Ok s, Ok r -> Pauli_string.to_list s = Reference.M.bindings r
+        | Error m, Error m' -> String.equal m m'
+        | _ -> false
+      in
+      same (fun () -> Pauli_string.of_list raw) (fun () -> Reference.of_list raw)
+      && same (fun () -> Pauli_string.two i a j b) (fun () -> Reference.two i a j b))
+
+let prop_dense_spelling_matches_reference =
+  QCheck.Test.make ~name:"of_string and to_string agree with the reference"
+    ~count:1000
+    QCheck.(pair (string_gen_of_size Gen.(int_range 0 12) (Gen.oneofl [ 'I'; 'X'; 'Y'; 'Z'; 'I'; 'Q' ])) (int_range 0 14))
+    (fun (text, n) ->
+      match
+        (outcome (fun () -> Pauli_string.of_string text),
+         outcome (fun () -> Reference.of_string text))
+      with
+      | Ok s, Ok r ->
+          Pauli_string.to_list s = Reference.M.bindings r
+          && String.equal (Pauli_string.to_string s) (Reference.to_string r)
+          && String.equal (Pauli_string.to_string ~n s) (Reference.to_string ~n r)
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false)
+
+(* Bytes, not time: the row key of every string-keyed table and map must
+   cost nothing to compare, test for equality or hash. *)
+let test_key_operations_allocate_nothing () =
+  let allocated f =
+    let before = Qturbo_util.Alloc.bytes () in
+    f ();
+    Qturbo_util.Alloc.bytes () -. before
+  in
+  let a = Pauli_string.two 3 Pauli.Z 17 Pauli.Z in
+  let a' = Pauli_string.two 17 Pauli.Z 3 Pauli.Z in
+  let b = Pauli_string.two 3 Pauli.Z 17 Pauli.X in
+  let repeat op () =
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (op a a'));
+      ignore (Sys.opaque_identity (op a b))
+    done
+  in
+  let overhead = allocated (fun () -> ()) in
+  List.iter
+    (fun (name, f) ->
+      let bytes = allocated f -. overhead in
+      if bytes <> 0.0 then
+        Alcotest.failf "2000 weight-2 %s calls allocated %.0f bytes" name bytes)
+    [
+      ("compare", repeat Pauli_string.compare);
+      ("equal", repeat (fun x y -> if Pauli_string.equal x y then 1 else 0));
+      ("hash", repeat (fun x _ -> Pauli_string.hash x));
+    ]
+
 let () =
   Alcotest.run "pauli"
     [
@@ -272,6 +481,8 @@ let () =
           Alcotest.test_case "parse print" `Quick test_string_parse_print;
           Alcotest.test_case "parse rejects" `Quick test_string_parse_rejects;
           Alcotest.test_case "total order" `Quick test_string_compare_total_order;
+          Alcotest.test_case "compare, equal and hash allocate nothing" `Quick
+            test_key_operations_allocate_nothing;
         ] );
       ( "pauli_sum",
         [
@@ -295,5 +506,8 @@ let () =
             prop_commute_symmetric;
             prop_self_square_identity;
             prop_sum_add_commutative;
+            prop_matches_reference;
+            prop_constructors_match_reference;
+            prop_dense_spelling_matches_reference;
           ] );
     ]

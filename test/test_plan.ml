@@ -359,17 +359,17 @@ let test_plan_cache_accept () =
   Alcotest.(check int) "discarded" 1 s.Plan_cache.discarded;
   Alcotest.(check int) "size" 1 s.Plan_cache.size
 
-(* Bytes, not time: [Gc.allocated_bytes] counts every allocation of
-   this domain, and the obtain runs on it alone. *)
+(* Bytes, not time: [Alloc.bytes] counts every allocation of this
+   domain, and the obtain runs on it alone. *)
 let test_warm_obtain_allocation () =
   Compile_plan.clear_caches ();
   let target = static_target "ising-cycle" 93 in
   let aais = (rydberg_for "ising-cycle" 93).Rydberg.aais in
   let options = { Compiler.default_options with Compiler.domains = 1 } in
   ignore (Compile_plan.obtain ~options ~aais ~target);
-  let before = Gc.allocated_bytes () in
+  let before = Qturbo_util.Alloc.bytes () in
   let _, provenance = Compile_plan.obtain ~options ~aais ~target in
-  let bytes = Gc.allocated_bytes () -. before in
+  let bytes = Qturbo_util.Alloc.bytes () -. before in
   Alcotest.(check string) "warm" "cached" (provenance_name provenance);
   if bytes >= 65536.0 then
     Alcotest.failf "a warm obtain at ising-cycle n=93 allocated %.0f bytes" bytes
@@ -399,9 +399,9 @@ let warm_solve_bytes (backend : Qturbo_backend.Backend.t) model n =
     ignore (Compile_plan.solve ~options ~plan ~coeffs:target ~t_tar:1.0 ())
   in
   solve ();
-  let before = Gc.allocated_bytes () in
+  let before = Qturbo_util.Alloc.bytes () in
   solve ();
-  Gc.allocated_bytes () -. before
+  Qturbo_util.Alloc.bytes () -. before
 
 let mb = 1e6
 
@@ -472,12 +472,9 @@ let test_diagnose_allocation () =
             ~aais ~plan ~t_tar:1.0 target))
   in
   diagnose ();
-  (* an empty minor heap: a collection inside the measured call would
-     count its whole arena *)
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
+  let before = Qturbo_util.Alloc.bytes () in
   diagnose ();
-  let bytes = Gc.allocated_bytes () -. before in
+  let bytes = Qturbo_util.Alloc.bytes () -. before in
   if bytes >= 1.0 *. mb then
     Alcotest.failf "diagnosing rydberg kitaev n=93 allocated %.2f MB (limit 1 MB)"
       (bytes /. mb)
@@ -489,11 +486,11 @@ let test_diagnose_allocation () =
    environment, so the build stops allocating a device-sized array per
    probe: 2n polar channels times 5n variables made it quadratic. *)
 let instantiate_bytes (backend : Qturbo_backend.Backend.t) model n =
-  let before = Gc.allocated_bytes () in
+  let before = Qturbo_util.Alloc.bytes () in
   ignore
     (Sys.opaque_identity
        (backend.Qturbo_backend.Backend.instantiate ~model_name:model ~n ()));
-  Gc.allocated_bytes () -. before
+  Qturbo_util.Alloc.bytes () -. before
 
 let check_instantiate_bytes ~limit_mb label bytes =
   if bytes >= limit_mb *. mb then
@@ -519,11 +516,11 @@ let test_cold_build_allocation () =
       ~model_name:"ising-cycle" ~n:93 ()
   in
   let target_shape = Shape.support_of_target (static_target "ising-cycle" 93) in
-  let before = Gc.allocated_bytes () in
+  let before = Qturbo_util.Alloc.bytes () in
   ignore
     (Sys.opaque_identity
        (Compile_plan.build ~aais:inst.Qturbo_backend.Backend.aais ~target_shape ()));
-  let bytes = Gc.allocated_bytes () -. before in
+  let bytes = Qturbo_util.Alloc.bytes () -. before in
   if bytes >= 80.0 *. mb then
     Alcotest.failf "a cold ising-cycle n=93 build allocated %.1f MB (limit 80 MB)"
       (bytes /. mb)
