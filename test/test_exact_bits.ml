@@ -242,7 +242,13 @@ let cases =
           fun () ->
             let faults, best_effort = best_effort spec in
             mis ~faults ~best_effort 4 ))
-      [ "*=nan"; "segment-loop=deadline"; "constraint-loop=retry" ]
+      [
+        "*=nan";
+        "segment-loop=deadline";
+        "constraint-loop=retry";
+        "refine=deadline";
+        "fixed-solve=deadline";
+      ]
   @ [
       ( "rydberg ising-cycle n=300 cutoff 45um",
         fun () -> static ~cutoff:"45" ~model:"ising-cycle" ~n:300 () );
@@ -269,7 +275,42 @@ let cases =
       ( "rydberg ising-chain n=12 global control",
         fun () -> static ~device:"aquila" ~model:"ising-chain" ~n:12 () );
       ("rydberg ising-chain n=5 translated layout", translated_chain);
+      ( "rydberg mis-chain n=5 K=4 dense linear solver",
+        fun () ->
+          mis ~tweak:(fun o -> { o with Compiler.dense_linear_solver = true }) 4
+      );
     ]
+  @ List.map
+      (fun segments ->
+        ( Printf.sprintf
+            "td K=%d generic local solver best-effort min-time=deadline"
+            segments,
+          fun () ->
+            let faults, best_effort = best_effort "min-time=deadline" in
+            mis
+              ~tweak:(fun o -> { o with Compiler.generic_local_solver = true })
+              ~faults ~best_effort segments ))
+      [ 4; 1 ]
+
+(* Every stage of a supervised solve's escalation ladder failing, as the
+   supervisor records it for one component at [site]. *)
+let ladder ~site component =
+  [
+    (component, site, "lm", "numeric-invalid", false);
+    (component, site, "lm-retry", "numeric-invalid", false);
+    (component, site, "nelder-mead", "non-convergence", false);
+    (component, site, "multistart", "numeric-invalid", true);
+  ]
+
+let min_time_expired component =
+  (component, "min-time", "", "deadline-expired", false)
+
+(* mis-chain n=5 under the generic local solver: components 1-10 are the
+   dynamic ones, component 0 the positions *)
+let dynamic_components = List.init 10 succ
+
+(* the same records from each of the four segments, in segment order *)
+let per_segment records = List.concat (List.init 4 (fun _ -> records))
 
 (* recorded at the commit that introduced this suite; the [verify]
    rows and the n=300 cutoff and K=4 time_opt=false cases were recorded
@@ -279,7 +320,10 @@ let cases =
    LU position solve and the greedy linear solve moved onto scratch
    slots and CSR arrays.  The Rydberg rows but the translated layout were
    re-recorded with the closed-form magnitude pre-fit (see the header);
-   the translated-layout row was recorded before it. *)
+   the translated-layout row was recorded before it.  The rows from
+   "td K=4 best-effort refine=deadline" on were recorded before the
+   time-dependent driver moved into [Compile_plan]: they pin the rules
+   that differ between one segment and several. *)
 let expected =
   [
     ( "rydberg ising-cycle n=23",
@@ -615,6 +659,75 @@ let expected =
         failures = [];
         verify = [ "0x1.9e6bd576ca6aep-5|0x1.1fcae2760c916p-1|0x1.ffe7e11ecd41dp-7" ];
       } );
+    ( "td K=4 best-effort refine=deadline",
+      {
+        t_sim = "0x1.99b355b54c1dcp-2";
+        error_l1 = "0x1.9a807eea54b26p-7";
+        bound = "";
+        env_md5 = "f351b926e3baed32a40d4eb7ef3a2ac6";
+        failures = [];
+        verify = [
+            "0x1.9a807eea54be6p-9|0x1.5be20c1906bb6p-3|0x1.0004055f8945ep-10";
+            "0x1.9a807eea54be6p-9|0x1.a2e128b06b5efp-3|0x1.0004055f8945ep-10";
+            "0x1.9a807eea54beep-9|0x1.07246b9cc6bcp-2|0x1.0004055f8945ep-10";
+            "0x1.9a807eea54b9ep-9|0x1.36fc7f2da508fp-2|0x1.0004055f8945ep-10";
+          ];
+      } );
+    ( "td K=4 best-effort fixed-solve=deadline",
+      {
+        t_sim = "0x1.99ace6749749fp-2";
+        error_l1 = "0x1.987980e0bf379p-7";
+        bound = "";
+        env_md5 = "614150fa2a7d9a29f28eef8956237649";
+        failures = [ (0, "fixed-solve", "", "deadline-expired", true) ];
+        verify = [
+            "0x1.987980e0bf439p-9|0x1.5a2a39269969p-3|0x1.000000000000bp-10";
+            "0x1.987980e0bf419p-9|0x1.a0cf932e7a044p-3|0x1.000000000000bp-10";
+            "0x1.987980e0bf409p-9|0x1.05d7bba3c2cd8p-2|0x1.000000000000bp-10";
+            "0x1.987980e0bf409p-9|0x1.3573521ea0673p-2|0x1.000000000000bp-10";
+          ];
+      } );
+    ( "rydberg mis-chain n=5 K=4 dense linear solver",
+      {
+        t_sim = "0x1.99b355b54c1dfp-2";
+        error_l1 = "0x1.9a807eea54c56p-7";
+        bound = "";
+        env_md5 = "a1fd43b2951b1af22f5fcf5f2e186249";
+        failures = [];
+        verify = [
+            "0x1.9a807eea54d86p-9|0x1.5be20c1906d17p-3|0x1.0004055f8946p-10";
+            "0x1.9a807eea54c44p-9|0x1.a2e128b06b65p-3|0x1.0004055f8945fp-10";
+            "0x1.9a807eea54cf6p-9|0x1.07246b9cc6c6ap-2|0x1.0004055f8946p-10";
+            "0x1.9a807eea54d06p-9|0x1.36fc7f2da51ap-2|0x1.0004055f8946p-10";
+          ];
+      } );
+    (* every segment's dynamic bottleneck is infinite, so the layout is
+       solved at T = infinity and so is every segment *)
+    ( "td K=4 generic local solver best-effort min-time=deadline",
+      {
+        t_sim = "infinity";
+        error_l1 = "nan";
+        bound = "";
+        env_md5 = "f80b480dacb21a9733f7f4d51efa7071";
+        failures =
+          per_segment (List.map min_time_expired dynamic_components)
+          @ ladder ~site:"fixed-solve" 0
+          @ [ (-1, "constraint-loop", "", "position-retry-exhausted", false) ]
+          @ per_segment
+              (List.concat_map (ladder ~site:"local-solve") dynamic_components);
+        verify = List.init 4 (fun _ -> "infinity|infinity|infinity");
+      } );
+    (* the static path starts the constraint loop from the time floor *)
+    ( "td K=1 generic local solver best-effort min-time=deadline",
+      {
+        t_sim = "0x1.6bcc41e9p-8";
+        error_l1 = "0x1.3d2d8d9b8ea92p+1";
+        bound = "";
+        env_md5 = "7368d2fb5d11a522e034bef939cb245c";
+        failures = List.map min_time_expired dynamic_components;
+        verify =
+          [ "0x1.3d2d8d9b8ea9p+1|0x1.686df25f50a8dp+5|0x1.f8e502b675aafp-2" ];
+      } );
   ]
 
 let show o =
@@ -629,6 +742,112 @@ let show o =
           o.failures))
     (String.concat "; " (List.map (Printf.sprintf "%S") o.verify))
 
+(* What [observed] leaves out of a time-dependent compile: the binding
+   segment, the warnings and the analyzer's findings.  The kitaev rows
+   compile non-strictly against a 0.05 us device time limit, so each
+   carries 14 findings (13 QT003 and one QT007) and 14 warnings (the
+   QT003s and the constraint loop's exhaustion); at K >= 2 the segments'
+   findings are deduplicated by (code, subject). *)
+type td_facts = {
+  binding_segment : int;
+  warnings : int;
+  warnings_md5 : string;  (** over the newline-joined list *)
+  diagnostics_md5 : string;  (** over [Diagnostic.list_to_json] *)
+}
+
+let td_facts ?(tweak = Fun.id) ?(strict = true) ?t_max ~model ~n ~segments ()
+    =
+  let inst = Backend.rydberg.Backend.instantiate ~model_name:model ~n () in
+  let r =
+    Td_compiler.compile ~options:(options tweak) ~strict ?t_max
+      ~aais:inst.Backend.aais
+      ~model:(Qturbo_models.Benchmarks.by_name ~name:model ~n)
+      ~t_tar:1.0 ~segments ()
+  in
+  {
+    binding_segment = r.Td_compiler.binding_segment;
+    warnings = List.length r.Td_compiler.warnings;
+    warnings_md5 = md5 (String.concat "\n" r.Td_compiler.warnings);
+    diagnostics_md5 =
+      md5 (Qturbo_analysis.Diagnostic.list_to_json r.Td_compiler.diagnostics);
+  }
+
+let facts_cases =
+  List.map
+    (fun segments ->
+      ( Printf.sprintf "kitaev n=13 K=%d non-strict t_max=0.05" segments,
+        fun () ->
+          td_facts ~strict:false ~t_max:0.05 ~model:"kitaev" ~n:13 ~segments
+            () ))
+    [ 1; 2; 4 ]
+  @ [
+      ( "rydberg mis-chain n=5 K=4",
+        fun () -> td_facts ~model:"mis-chain" ~n:5 ~segments:4 () );
+      (* the one time-dependent case tried whose binding segment is not 0 *)
+      ( "rydberg mis-chain n=5 K=4 dense linear solver",
+        fun () ->
+          td_facts
+            ~tweak:(fun o -> { o with Compiler.dense_linear_solver = true })
+            ~model:"mis-chain" ~n:5 ~segments:4 () );
+    ]
+
+(* recorded before the time-dependent driver moved into [Compile_plan] *)
+let expected_facts =
+  [
+    ( "kitaev n=13 K=1 non-strict t_max=0.05",
+      {
+        binding_segment = 0;
+        warnings = 14;
+        warnings_md5 = "194bef016f725a3dd8310ba397863243";
+        diagnostics_md5 = "84cbba1f5754b0c34f5a1132ccc9c5ef";
+      } );
+    ( "kitaev n=13 K=2 non-strict t_max=0.05",
+      {
+        binding_segment = 0;
+        warnings = 14;
+        warnings_md5 = "95c69cf939d459cca605c4d8941689dc";
+        diagnostics_md5 = "95cc9ec8c624beb5e2cbb67e2a451237";
+      } );
+    ( "kitaev n=13 K=4 non-strict t_max=0.05",
+      {
+        binding_segment = 0;
+        warnings = 14;
+        warnings_md5 = "1b40683534a2b72358d48b9f7ada9b1a";
+        diagnostics_md5 = "31df9ce36522bee02817ec1cfcc8c073";
+      } );
+    ( "rydberg mis-chain n=5 K=4",
+      {
+        binding_segment = 0;
+        warnings = 0;
+        warnings_md5 = "d41d8cd98f00b204e9800998ecf8427e";
+        diagnostics_md5 = "4d5d42154e34ec2e2879dbd506b4b0a1";
+      } );
+    ( "rydberg mis-chain n=5 K=4 dense linear solver",
+      {
+        binding_segment = 1;
+        warnings = 0;
+        warnings_md5 = "d41d8cd98f00b204e9800998ecf8427e";
+        diagnostics_md5 = "4d5d42154e34ec2e2879dbd506b4b0a1";
+      } );
+  ]
+
+let show_facts f =
+  Printf.sprintf
+    "{ binding_segment = %d; warnings = %d; warnings_md5 = %S; \
+     diagnostics_md5 = %S }"
+    f.binding_segment f.warnings f.warnings_md5 f.diagnostics_md5
+
+let check_facts (name, run) =
+  Alcotest.test_case name `Quick (fun () ->
+      let got = run () in
+      match List.assoc_opt name expected_facts with
+      | None ->
+          Alcotest.failf "%s: no recorded values; got %s" name (show_facts got)
+      | Some e when got <> e ->
+          Alcotest.failf "%s drifted:\n  expected %s\n  got      %s" name
+            (show_facts e) (show_facts got)
+      | Some _ -> ())
+
 let check (name, run) =
   Alcotest.test_case name `Quick (fun () ->
       let got = run () in
@@ -639,4 +858,9 @@ let check (name, run) =
             (show e) (show got)
       | Some _ -> ())
 
-let () = Alcotest.run "exact-bits" [ ("exact-bits", List.map check cases) ]
+let () =
+  Alcotest.run "exact-bits"
+    [
+      ("exact-bits", List.map check cases);
+      ("td-facts", List.map check_facts facts_cases);
+    ]
