@@ -29,10 +29,11 @@ let run_device_presets =
     ("aquila-fig6b", Device.aquila_fig6b);
   ]
 
-(* Model/backend resolution, range parsing, and the machine-readable
-   payload builders live in {!Qturbo_service.Ops}, shared with the
-   [qturbo serve] daemon — a CLI --json invocation and a daemon request
-   are byte-identical for the same job. *)
+(* Model/backend resolution, compile options, static targets, range
+   parsing, the check and lint findings and the machine-readable payload
+   builders live in {!Qturbo_service.Ops}, shared with the [qturbo
+   serve] daemon — a CLI --json invocation and a daemon request are
+   byte-identical for the same job by construction. *)
 module Ops = Qturbo_service.Ops
 
 let build_model = Ops.build_model
@@ -200,15 +201,9 @@ let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
   in
   let options =
     {
-      Qturbo_core.Compiler.default_options with
+      (Ops.options_with ~domains ~best_effort ~deadline ~no_plan_cache) with
       Qturbo_core.Compiler.refine = not no_refine;
       time_opt = not no_time_opt;
-      domains =
-        (if domains > 0 then domains
-         else Qturbo_core.Compiler.default_options.Qturbo_core.Compiler.domains);
-      best_effort;
-      deadline_seconds = (if deadline > 0.0 then Some deadline else None);
-      plan_cache = not no_plan_cache;
     }
   in
   let inst =
@@ -245,10 +240,7 @@ let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
     0
   end
   else begin
-    let target =
-      Qturbo_pauli.Pauli_sum.drop_identity
-        (Qturbo_models.Model.hamiltonian_at model ~s:0.0)
-    in
+    let target = Ops.static_target model in
     if baseline then begin
       let r =
         Qturbo_simuq.Simuq_compiler.compile ~aais:inst.Backend.aais ~target
@@ -465,21 +457,15 @@ let check_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
     resolve_backend ~backend ~device:device_name ~cutoff ~ramp:false
       ~model_name:model.Qturbo_models.Model.name ~n
   in
-  let aais = inst.Backend.aais in
-  let t_max = inst.Backend.max_time in
-  let spec_diags = inst.Backend.spec_diagnostics in
   let aais =
     match inject with
-    | None -> aais
-    | Some "dangling-channel" -> inject_dangling aais
+    | None -> inst.Backend.aais
+    | Some "dangling-channel" -> inject_dangling inst.Backend.aais
     | Some other -> failwith ("unknown injection: " ^ other)
   in
-  let target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at model ~s:0.0)
-  in
   let diags =
-    spec_diags @ Qturbo_core.Compiler.analyze ~t_max ~aais ~target ~t_tar ()
+    Ops.check_diagnostics ~inst ~aais ~target:(Ops.static_target model) ~t_tar
+      ()
   in
   if json then print_endline (D.list_to_json diags)
   else begin
@@ -643,12 +629,11 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
        ~model_name:model.Qturbo_models.Model.name ~n)
       .Backend.aais
   in
-  let target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at model ~s:0.0)
+  let plan =
+    CP.build ~aais
+      ~target_shape:(CP.support_of_target (Ops.static_target model))
+      ()
   in
-  let support = CP.support_of_target target in
-  let plan = CP.build ~aais ~target_shape:support () in
   let channels = Aais.channels aais in
   let subject0 =
     if Array.length channels > 0 then
@@ -680,18 +665,11 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
                 | None -> failwith ("unknown injection: " ^ variant))))
   in
   let diags = kernel_diags @ CP.lint_findings plan @ injected in
-  let n_rows =
-    Qturbo_core.Term_index.count
-      (Qturbo_core.Linear_system.skeleton_index plan.CP.skeleton)
-  in
+  let n_rows = Ops.plan_rows plan in
   if json then
-    Printf.printf "{\"model\":%s,\"backend\":%s,\"channels\":%d,\"rows\":%d,%s}\n"
-      (Qturbo_util.Json.quote model.Qturbo_models.Model.name)
-      (Qturbo_util.Json.quote backend)
-      (Array.length channels) n_rows
-      (let report = D.list_to_json diags in
-       (* embed the report object's fields *)
-       String.sub report 1 (String.length report - 2))
+    print_endline
+      (Ops.lint_payload ~model_label:model.Qturbo_models.Model.name ~backend
+         ~channels:(Array.length channels) ~rows:n_rows diags)
   else begin
     List.iter (fun d -> print_endline (D.to_string d)) diags;
     Printf.printf
@@ -788,14 +766,7 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
   setup_logging verbose;
   setup_plan_store ~plan_store ~no_plan_store;
   let options =
-    {
-      Qturbo_core.Compiler.default_options with
-      Qturbo_core.Compiler.domains =
-        (if domains > 0 then domains
-         else Qturbo_core.Compiler.default_options.Qturbo_core.Compiler.domains);
-      best_effort;
-      plan_cache = not no_plan_cache;
-    }
+    Ops.options_with ~domains ~best_effort ~deadline:0.0 ~no_plan_cache
   in
   let batch_domains =
     if batch_domains > 0 then batch_domains
@@ -861,10 +832,7 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
     0
   end
   else begin
-    let target_of ~j ~h =
-      Qturbo_pauli.Pauli_sum.drop_identity
-        (Qturbo_models.Model.hamiltonian_at (model_of ~j ~h) ~s:0.0)
-    in
+    let target_of ~j ~h = Ops.static_target (model_of ~j ~h) in
     if json then
       print_endline
         (Ops.sweep_static_json ~options ~batch_domains ~backend ~inst ~probe
@@ -935,7 +903,9 @@ let batch_domains_arg =
         ~doc:
           "Worker domains for the batch job sweep (0 = the QTURBO_DOMAINS / \
            core-count default; 1 = fully sequential).  Batch output is \
-           bitwise-identical for every value.")
+           bitwise-identical for every value.  Time-dependent sweeps run \
+           their jobs in order (each spreads its segments over \
+           $(b,--domains)); the value is only echoed in their JSON header.")
 
 let sweep_term =
   Term.(
@@ -968,10 +938,7 @@ let run_cmd model_name n device_name t_tar j h shots noise_scale seed verbose =
     | None -> failwith ("unknown device: " ^ device_name)
   in
   let ryd = Rydberg.build ~spec ~n in
-  let target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at model ~s:0.0)
-  in
+  let target = Ops.static_target model in
   let r = Qturbo_core.Compiler.compile ~aais:ryd.Rydberg.aais ~target ~t_tar () in
   let pulse =
     Qturbo_core.Extract.rydberg_pulse ryd ~env:r.Qturbo_core.Compiler.env

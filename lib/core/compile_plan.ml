@@ -76,6 +76,10 @@ type plan_stats = {
    in-memory LRU, or the on-disk store. *)
 type provenance = Built | Cached | Stored
 
+(* What the §5.2 constraint loop settled on: the evolution time the
+   layout was accepted at, the variable values, each solved component's
+   residual and the final iteration's records; [exhausted] carries the
+   loop's own record when it stopped with violations left. *)
 type layout = {
   t_sim : float;
   env : float array;
@@ -597,14 +601,16 @@ let validate_target ~aais ~target ~t_tar =
     invalid_arg "Compiler.compile: target touches qubits outside the AAIS"
 
 (* ------------------------------------------------------------------ *)
-(* The numeric back-end, stage by stage                                *)
+(* The numeric back-end                                                *)
 
 (* The paper's back end is one sequence of stages: the global linear
    solve (§4.1), the per-component evolution-time search (§5.1), the
    constraint loop on the runtime-fixed variables (§5.2) and refinement
-   (§6.2).  [solve] runs it once for a static target; [Td_compiler]
-   runs the same stages per segment (§5.3), adding only the
-   binding-segment choice and the per-segment duration stretching. *)
+   (§6.2).  A time-dependent target (§5.3) runs them over K coefficient
+   instances of one plan, its piecewise-constant segments, around one
+   shared runtime-fixed layout.  [instances] runs the per-instance
+   stages for any K; then the static tail (K = 1) or the shared-layout
+   tail (K >= 2) solves the layout and refines. *)
 
 (* Parallel strategy for a component sweep: when one component holds
    most of the channels (the single position component of a Rydberg
@@ -618,6 +624,9 @@ let component_domains ~domains comps =
   let largest = List.fold_left Int.max 0 sizes in
   if 2 * largest > total then (1, domains) else (domains, 1)
 
+(* One compile in flight: its options, its supervisor (the deadline is
+   absolute from [start]), its pool split and the warnings raised so
+   far. *)
 type run = {
   options : options;
   sup : Supervisor.t;
@@ -643,10 +652,12 @@ let start ~options (device : device) =
 let warn run w = run.warnings <- w :: run.warnings
 let warnings run = List.rev run.warnings
 
-(* The pool guard raises [Expired] the moment the deadline passes,
-   abandoning the sweep; by then the deadline has expired for every
-   element, so the unguarded rerun short-circuits each supervised solve
-   deterministically. *)
+(* Map on the pool under the supervisor's guard for [site].  The guard
+   raises [Expired] the moment the deadline passes, abandoning the
+   sweep; by then the deadline has expired for every element, so the
+   unguarded rerun short-circuits each supervised solve
+   deterministically and the degraded result is the same at any domain
+   count. *)
 let guarded_sweep run ~site ~domains f xs =
   let sweep guard =
     Qturbo_par.Pool.parallel_map_list ?guard ~domains ~chunk:1 f xs
@@ -691,6 +702,21 @@ let diagnose ?t_max ~aais ~plan ~t_tar target =
     ~t_tar ?t_max ()
   @ plan.structure_diags
 
+(* Findings repeat across instances (the channels and bounds are shared,
+   so a term unsupported in one segment is typically unsupported in
+   all): keep the first occurrence of each (code, subject). *)
+let dedup diagnostics =
+  let seen = Hashtbl.create 32 in
+  List.filter
+    (fun (d : Diagnostic.t) ->
+      let key = (d.code, Diagnostic.subject_to_string d.subject) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    diagnostics
+
 let enforce run ~strict diagnostics =
   if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
   List.iter
@@ -706,6 +732,8 @@ let linear_solve options ls =
   if options.dense_linear_solver then Linear_system.solve_dense ls
   else Linear_system.solve ls
 
+(* One component's shortest feasible evolution time (§5.1); [0.] for
+   runtime-fixed components, which the constraint loop polices. *)
 let component_min_time run ~alpha = function
   | Dynamic p -> Local_solver.min_time_supervised ~sup:run.sup ~alpha p
   | Fixed _ -> (0.0, [])
@@ -745,25 +773,27 @@ let solve_components run ~env ~alpha ~t_sim prepared =
        (solve_component run ~alpha ~t_sim)
        prepared)
 
-(* Hard-bounded: exhaustion yields the best layout found plus a
+(* §5.2: solve the components at [t_start], growing T by [dt_factor]
+   while the runtime-fixed layout violates device geometry.
+   Hard-bounded: exhaustion yields the best layout found plus a
    classified record, never an unbounded spin.  Only the final
    iteration's solver records survive — earlier layouts are discarded
    along with theirs. *)
-let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
+let constraint_loop run ~device:(d : device) ~alpha ~t_start prepared =
   let retry_fault =
     Fault.fires (Supervisor.faults run.sup) ~site:"constraint-loop"
       ~component:(-1)
     = Some Fault.Retry
   in
   let rec attempt t iter =
-    let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
+    let env = Array.map (fun (v : Variable.t) -> v.Variable.init) d.vars in
     let eps2s, solve_failures =
       solve_components run ~env ~alpha ~t_sim:t prepared
     in
     let violations =
       if retry_fault then
         [ "injected fault: constraint-loop=retry forces a violation" ]
-      else aais.Aais.check_fixed env
+      else d.aais.Aais.check_fixed env
     in
     let out_of_iters = iter >= max_constraint_iters in
     if
@@ -802,12 +832,13 @@ let constraint_loop run ~aais ~vars ~alpha ~t_start prepared =
   attempt t_start 0
 
 let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
+  let achieved (c : Instruction.channel) =
+    Instruction.eval_channel c ~env *. t_sim
+  in
   (* a kernel eval is ~10 ns; only very wide channel sets outweigh the
      pool dispatch (same granularity reasoning as Fixed_solver) *)
-  let domains = if Array.length channels < 32_768 then 1 else domains in
-  Qturbo_par.Pool.parallel_map ~domains
-    (fun (c : Instruction.channel) -> Instruction.eval_channel c ~env *. t_sim)
-    channels
+  if Array.length channels < 32_768 then Array.map achieved channels
+  else Qturbo_par.Pool.parallel_map ~domains achieved channels
 
 let fixed_channels (d : device) =
   let mask = Array.make (Array.length d.channels) false in
@@ -819,9 +850,12 @@ let fixed_channels (d : device) =
     d.comps d.prepared;
   mask
 
-(* The §4.1 system with the fixed channels' achieved contribution moved
-   to the right-hand side: the skeleton's CSR filtered to the dynamic
-   columns, in O(nnz). *)
+(* §6.2: the §4.1 system with the fixed channels' achieved contribution
+   to each row ([contribution cid coeff]) moved to the right-hand side,
+   re-solved for the dynamic channels — the skeleton's CSR filtered to
+   the dynamic columns, in O(nnz).  The fixed channels' entries of the
+   result are not meaningful: a dynamic component reads only its own
+   channels. *)
 let refined_alpha ~fixed ~contribution (ls : Linear_system.t) =
   let module Csr = Qturbo_linalg.Csr in
   let csr = ls.csr in
@@ -845,12 +879,11 @@ let refined_alpha ~fixed ~contribution (ls : Linear_system.t) =
      ~rhs)
     .Qturbo_linalg.Sparse_solve.x
 
-(* Stage: refinement of a static compile — re-solve the dynamic
-   components at the layout's T against the residual left by the
-   achieved fixed channels.  Returns the refined env and residuals, the
-   pipeline-level record of an expired deadline, and the re-solves'
-   records. *)
-let refine run ~(plan : t) ~ls ~alpha (layout : layout) =
+(* Refinement of a static compile: re-solve the dynamic components at
+   the layout's T against the residual left by the achieved fixed
+   channels.  Returns the refined env and residuals, the pipeline-level
+   record of an expired deadline, and the re-solves' records. *)
+let refine run ~device:(d : device) ~ls ~alpha (layout : layout) =
   if not run.options.refine then (layout.env, layout.eps2s, [], [])
   else
     match
@@ -859,22 +892,16 @@ let refine run ~(plan : t) ~ls ~alpha (layout : layout) =
     with
     | _ :: _ as expired -> (layout.env, layout.eps2s, expired, [])
     | [] ->
-        let d = plan.device and t_sim = layout.t_sim in
+        let t_sim = layout.t_sim in
         let achieved =
           alpha_achieved_of_env ~domains:run.options.domains
             ~channels:d.channels ~env:layout.env ~t_sim
         in
-        let fixed = fixed_channels d in
         let alpha_refined =
-          refined_alpha ~fixed
+          refined_alpha ~fixed:(fixed_channels d)
             ~contribution:(fun cid coeff -> coeff *. achieved.(cid))
             ls
         in
-        (* keep the fixed channels' original targets for eps accounting *)
-        Array.iteri
-          (fun cid is_fixed ->
-            if is_fixed then alpha_refined.(cid) <- alpha.(cid))
-          fixed;
         let env = Array.copy layout.env in
         let eps2s, failures =
           apply_solved env
@@ -911,42 +938,108 @@ let relative_error ~error_l1 systems =
   in
   if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0
 
-let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
-  let aais = plan.device.aais in
-  validate_target ~aais ~target ~t_tar;
-  let plan_index = Linear_system.skeleton_index plan.skeleton in
-  List.iter
-    (fun (s, _) ->
-      if
-        (not (Pauli_string.is_identity s))
-        && Term_index.row_of plan_index s = None
-      then
-        invalid_arg "Compile_plan.solve: target term outside the plan's shape")
-    (Pauli_sum.terms target);
-  let solve_t0 = Qturbo_util.Clock.now () in
+(* What the per-instance stages leave for a tail: per instance, its
+   system, the §4.1 solution and residual, and its bottleneck (the
+   largest component evolution time); every instance's min-time records
+   in order; and, for a single instance, each component's time. *)
+type instances = {
+  run : run;
+  systems : Linear_system.t list;
+  alphas : float array array;
+  eps1s : float array;
+  bottlenecks : float array;
+  component_times : float list;
+  min_time_failures : Failure.t list;
+  diagnostics : Diagnostic.t list;
+}
+
+(* The per-instance stages, for any number of instances sharing [plan]:
+   right-hand sides, the precheck, the linear solves and the
+   evolution-time search. *)
+let instances ~options ~strict ?t_max ~plan ~t_tar targets =
   let d = plan.device in
+  let aais = d.aais in
   let run = start ~options d in
-  let ls = Linear_system.instantiate plan.skeleton ~target ~t_tar in
+  let systems =
+    List.map
+      (fun target -> Linear_system.instantiate plan.skeleton ~target ~t_tar)
+      targets
+  in
   !stage_hook "precheck";
-  let diagnostics = diagnose ?t_max ~aais ~plan ~t_tar target in
+  let diagnostics =
+    match targets with
+    | [ target ] -> diagnose ?t_max ~aais ~plan ~t_tar target
+    | _ -> dedup (List.concat_map (diagnose ?t_max ~aais ~plan ~t_tar) targets)
+  in
   enforce run ~strict diagnostics;
   !stage_hook "linear-solve";
-  let lin = linear_solve options ls in
-  let alpha = lin.Qturbo_linalg.Sparse_solve.x in
-  let eps1 = lin.Qturbo_linalg.Sparse_solve.residual_l1 in
-  Log.debug (fun m ->
-      let st = lin.Qturbo_linalg.Sparse_solve.stats in
-      m "linear system: %d rows, %d channels, greedy %d / dense %d, eps1 %.3g"
-        (Term_index.count ls.Linear_system.index)
-        (Array.length d.channels)
-        st.Qturbo_linalg.Sparse_solve.greedy_solved
-        st.Qturbo_linalg.Sparse_solve.dense_solved eps1);
-  let min_time_results =
-    guarded_sweep run ~site:"min-time" ~domains:run.comp_domains
-      (component_min_time run ~alpha) d.prepared
+  let module S = Qturbo_linalg.Sparse_solve in
+  let solutions =
+    Qturbo_par.Pool.parallel_map_list ~domains:options.domains ~chunk:1
+      (linear_solve options) systems
   in
-  let min_times = List.map fst min_time_results in
-  let bottleneck = List.fold_left Float.max 0.0 min_times in
+  List.iter2
+    (fun (ls : Linear_system.t) (lin : S.result) ->
+      Log.debug (fun m ->
+          m
+            "linear system: %d rows, %d channels, greedy %d / dense %d, \
+             eps1 %.3g"
+            (Term_index.count ls.index) (Array.length d.channels)
+            lin.stats.greedy_solved lin.stats.dense_solved lin.residual_l1))
+    systems solutions;
+  let alphas =
+    Array.of_list (List.map (fun (lin : S.result) -> lin.x) solutions)
+  in
+  let eps1s =
+    Array.of_list (List.map (fun (lin : S.result) -> lin.residual_l1) solutions)
+  in
+  (* the pool takes the components of a single instance, or the
+     instances of several, each folding its components in order (so no
+     per-component list outlives the sweep) *)
+  let component_times, bottlenecks, min_time_failures =
+    match Array.to_list alphas with
+    | [ alpha ] ->
+        let timed =
+          guarded_sweep run ~site:"min-time" ~domains:run.comp_domains
+            (component_min_time run ~alpha) d.prepared
+        in
+        let times = List.map fst timed in
+        ( times,
+          [| List.fold_left Float.max 0.0 times |],
+          List.concat_map snd timed )
+    | alphas ->
+        let timed =
+          guarded_sweep run ~site:"min-time" ~domains:options.domains
+            (fun alpha ->
+              List.fold_left
+                (fun (bottleneck, fs) p ->
+                  let t, f = component_min_time run ~alpha p in
+                  (Float.max bottleneck t, fs @ f))
+                (0.0, []) d.prepared)
+            alphas
+        in
+        ([], Array.of_list (List.map fst timed), List.concat_map snd timed)
+  in
+  !stage_hook "local-solve";
+  {
+    run;
+    systems;
+    alphas;
+    eps1s;
+    bottlenecks;
+    component_times;
+    min_time_failures;
+    diagnostics;
+  }
+
+(* K = 1: the constraint loop solves every component, from the padded
+   bottleneck (the time floor when some component is infeasible at any
+   T), and refinement runs at the loop's T. *)
+let static_tail ~t0 ~provenance ~plan (i : instances) =
+  let run = i.run and d = plan.device in
+  let options = run.options in
+  let ls = List.hd i.systems and alpha = i.alphas.(0) in
+  let bottleneck = i.bottlenecks.(0) in
   Log.debug (fun m ->
       m "locality: %d components, bottleneck evolution time %.4g"
         (List.length d.comps) bottleneck);
@@ -956,17 +1049,16 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
     if bottleneck = infinity || bottleneck = 0.0 then time_floor
     else Float.max time_floor bottleneck
   in
-  !stage_hook "local-solve";
   let layout =
-    constraint_loop run ~aais ~vars:d.vars ~alpha
-      ~t_start:(padded options t_base) d.prepared
+    constraint_loop run ~device:d ~alpha ~t_start:(padded options t_base)
+      d.prepared
   in
   let t_sim = layout.t_sim in
   Log.debug (fun m ->
       m "localized systems solved at T = %.4g after %d constraint iterations"
         t_sim layout.iterations);
   let env, eps2s, refine_expired, refine_failures =
-    refine run ~plan ~ls ~alpha layout
+    refine run ~device:d ~ls ~alpha layout
   in
   let alpha_achieved =
     alpha_achieved_of_env ~domains:options.domains ~channels:d.channels ~env
@@ -985,14 +1077,14 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
           eps2;
         })
       d.comps
-      (List.combine d.classifications (List.combine min_times eps2s))
+      (List.combine d.classifications (List.combine i.component_times eps2s))
   in
-  (* failures, in pipeline order: evolution-time search and
-     pipeline-level records (constraint loop, refinement expiry), then
-     the final constraint-iteration solve sweep (component order — the
-     pool collects by index), then refinement re-solves *)
+  (* in pipeline order: evolution-time search and pipeline-level records
+     (constraint loop, refinement expiry), then the final constraint
+     iteration's solve sweep (component order — the pool collects by
+     index), then refinement re-solves *)
   let failures =
-    List.concat_map snd min_time_results
+    i.min_time_failures
     @ Option.to_list layout.exhausted
     @ refine_expired @ layout.solve_failures @ refine_failures
   in
@@ -1009,15 +1101,15 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
     alpha_target = alpha;
     alpha_achieved;
     error_l1;
-    relative_error = relative_error ~error_l1 [ ls ];
-    eps1;
+    relative_error = relative_error ~error_l1 i.systems;
+    eps1 = i.eps1s.(0);
     eps2_total;
-    theorem1_bound = (Linear_system.norm1 ls *. eps2_total) +. eps1;
+    theorem1_bound = (Linear_system.norm1 ls *. eps2_total) +. i.eps1s.(0);
     components;
     constraint_iterations = layout.iterations;
     compile_seconds = now -. t0;
     warnings = warnings run;
-    diagnostics;
+    diagnostics = i.diagnostics;
     failures;
     degraded;
     plan =
@@ -1036,18 +1128,211 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
           (* a store hit skipped the front end too; the build time baked
              into the deserialized plan belongs to the writer process *)
           (match provenance with Built -> plan.build_seconds | _ -> 0.0);
-        solve_seconds = now -. solve_t0;
+        solve_seconds = now -. t0;
       };
   }
 
+module Segments = struct
+  type segment_result = {
+    env : float array;
+    duration : float;
+    error_l1 : float;
+    eps1 : float;
+  }
+
+  type result = {
+    segments : segment_result list;
+    t_sim : float;
+    error_l1 : float;
+    relative_error : float;
+    binding_segment : int;
+    compile_seconds : float;
+    warnings : string list;
+    diagnostics : Diagnostic.t list;
+    failures : Failure.t list;
+    degraded : bool;
+    plan_builds : int;
+  }
+end
+
+(* K >= 2 (§5.3): the binding segment, the one demanding the largest
+   fixed-channel amplitude, fixes the layout; the constraint loop solves
+   only the fixed components, from that segment's padded dynamic
+   bottleneck.  Every segment's duration is stretched so the shared
+   layout integrates to the segment's required B, never below its own
+   bottleneck, and the binding segment's is at least the loop's T.
+   Each segment then refines and re-solves its dynamic components at its
+   own duration.  An infinite bottleneck propagates. *)
+let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
+  let run = i.run and d = plan.device and alphas = i.alphas in
+  let options = run.options in
+  let t_dyn =
+    Array.map (fun b -> padded options (Float.max time_floor b)) i.bottlenecks
+  in
+  let fixed = fixed_channels d in
+  let demand s =
+    let dm = ref 0.0 in
+    Array.iteri
+      (fun cid is_fixed ->
+        if is_fixed then
+          dm := Float.max !dm (Float.abs alphas.(s).(cid) /. t_dyn.(s)))
+      fixed;
+    !dm
+  in
+  let sb = ref 0 in
+  for s = 1 to Array.length alphas - 1 do
+    if demand s > demand !sb then sb := s
+  done;
+  let sb = !sb in
+  let fixed_prepared, dynamic_prepared =
+    List.partition (function Fixed _ -> true | Dynamic _ -> false) d.prepared
+  in
+  let layout =
+    constraint_loop run ~device:d ~alpha:alphas.(sb) ~t_start:t_dyn.(sb)
+      fixed_prepared
+  in
+  (* the shared layout's amplitude per fixed channel, evaluated once *)
+  let fixed_val =
+    Array.mapi
+      (fun cid is_fixed ->
+        if is_fixed then
+          Instruction.eval_channel d.channels.(cid) ~env:layout.env
+        else 0.0)
+      fixed
+  in
+  let duration s =
+    let t_fixed = ref 0.0 in
+    Array.iteri
+      (fun cid is_fixed ->
+        let amp = fixed_val.(cid) in
+        if is_fixed && Float.abs amp > 1e-12 then
+          t_fixed := Float.max !t_fixed (alphas.(s).(cid) /. amp))
+      fixed;
+    let t = Float.max t_dyn.(s) !t_fixed in
+    if s = sb then Float.max t layout.t_sim else t
+  in
+  let solve_segment (s, ls) =
+    let t_s = duration s in
+    let alpha =
+      if options.refine then
+        refined_alpha ~fixed
+          ~contribution:(fun cid coeff -> coeff *. fixed_val.(cid) *. t_s)
+          ls
+      else alphas.(s)
+    in
+    let env = Array.copy layout.env in
+    let _, failures =
+      solve_components run ~env ~alpha ~t_sim:t_s dynamic_prepared
+    in
+    let achieved =
+      alpha_achieved_of_env ~domains:options.domains ~channels:d.channels
+        ~env ~t_sim:t_s
+    in
+    ( Segments.
+        {
+          env;
+          duration = t_s;
+          error_l1 = Linear_system.residual_l1 ls ~alpha:achieved;
+          eps1 = i.eps1s.(s);
+        },
+      failures )
+  in
+  (* an expired [segment-loop] deadline gets one classified pipeline
+     record; the short-circuiting supervised solves carry the detail *)
+  let segment_loop_expired =
+    expiry run ~site:"segment-loop"
+      "deadline expired entering the segment sweep"
+  in
+  (* segments only read the shared layout; solve them on the pool *)
+  let segment_pairs =
+    guarded_sweep run ~site:"segment-loop" ~domains:options.domains
+      solve_segment
+      (List.mapi (fun s ls -> (s, ls)) i.systems)
+  in
+  let segments = List.map fst segment_pairs in
+  let error_l1 =
+    List.fold_left
+      (fun acc (r : Segments.segment_result) -> acc +. r.error_l1)
+      0.0 segments
+  in
+  (* in pipeline order: evolution-time search, the binding layout's
+     constraint loop, then the segment sweep (segment order) *)
+  let failures =
+    i.min_time_failures @ layout.solve_failures
+    @ Option.to_list layout.exhausted
+    @ segment_loop_expired
+    @ List.concat_map snd segment_pairs
+  in
+  let degraded = conclude run failures in
+  {
+    Segments.segments;
+    t_sim =
+      List.fold_left
+        (fun acc (r : Segments.segment_result) -> acc +. r.duration)
+        0.0 segments;
+    error_l1;
+    relative_error = relative_error ~error_l1 i.systems;
+    binding_segment = sb;
+    compile_seconds = Qturbo_util.Clock.now () -. t0;
+    warnings = warnings run;
+    diagnostics = i.diagnostics;
+    failures;
+    degraded;
+    plan_builds = (if provenance = Built then 1 else 0);
+  }
+
 let solve ?(options = default_options) ?(strict = true) ?t_max
-    ?(provenance = Built) ~plan ~coeffs ~t_tar () =
-  solve_from ~t0:(Qturbo_util.Clock.now ()) ~provenance ~options ~strict ?t_max
-    ~plan ~target:coeffs ~t_tar ()
+    ?(provenance = Built) ~plan ~coeffs:target ~t_tar () =
+  validate_target ~aais:plan.device.aais ~target ~t_tar;
+  let plan_index = Linear_system.skeleton_index plan.skeleton in
+  List.iter
+    (fun (s, _) ->
+      if
+        (not (Pauli_string.is_identity s))
+        && Term_index.row_of plan_index s = None
+      then
+        invalid_arg "Compile_plan.solve: target term outside the plan's shape")
+    (Pauli_sum.terms target);
+  let t0 = Qturbo_util.Clock.now () in
+  static_tail ~t0 ~provenance ~plan
+    (instances ~options ~strict ?t_max ~plan ~t_tar [ target ])
+
+let solve_segments ?(options = default_options) ?(strict = true) ?t_max
+    ?(provenance = Built) ~plan ~t_tar targets =
+  let t0 = Qturbo_util.Clock.now () in
+  let i = instances ~options ~strict ?t_max ~plan ~t_tar targets in
+  match targets with
+  | [ _ ] ->
+      let r = static_tail ~t0 ~provenance ~plan i in
+      {
+        Segments.segments =
+          [
+            {
+              env = r.env;
+              duration = r.t_sim;
+              error_l1 = r.error_l1;
+              eps1 = r.eps1;
+            };
+          ];
+        t_sim = r.t_sim;
+        error_l1 = r.error_l1;
+        relative_error = r.relative_error;
+        binding_segment = 0;
+        compile_seconds = r.compile_seconds;
+        warnings = r.warnings;
+        diagnostics = r.diagnostics;
+        failures = r.failures;
+        degraded = r.degraded;
+        plan_builds = (if provenance = Built then 1 else 0);
+      }
+  | _ -> shared_layout_tail ~t0 ~provenance ~plan i
 
 let compile ?(options = default_options) ?(strict = true) ?t_max ~aais ~target
     ~t_tar () =
   validate_target ~aais ~target ~t_tar;
   let t0 = Qturbo_util.Clock.now () in
   let plan, provenance = obtain ~options ~aais ~target in
-  solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar ()
+  let r =
+    solve ~options ~strict ?t_max ~provenance ~plan ~coeffs:target ~t_tar ()
+  in
+  { r with compile_seconds = Qturbo_util.Clock.now () -. t0 }

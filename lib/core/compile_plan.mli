@@ -26,10 +26,11 @@
     only on an LRU miss, for the persistent store and the [QT027]
     round-trip check.
 
-    The numeric back-end is one sequence of named stages (see
-    {!section-stages}); {!solve} runs it for a static target and
-    [Td_compiler] runs the same stages per segment.  [Compiler] is this
-    module plus the batch and analysis entry points. *)
+    The numeric back-end is one sequence of stages over K coefficient
+    instances of one plan (see {!section-stages}): {!solve} runs it for
+    a static target (K = 1) and {!solve_segments} for the segments of a
+    time-dependent one, which [Td_compiler] discretizes.  [Compiler] is
+    this module plus the batch and analysis entry points. *)
 
 open Qturbo_aais
 open Qturbo_pauli
@@ -78,9 +79,6 @@ type options = {
 
 val default_options : options
 
-val time_floor : float
-(** The smallest [T_sim] a compile starts its search from (1e-4 µs). *)
-
 val stage_hook : (string -> unit) ref
 (** Called with a stage name as the pipeline enters it: ["plan-build"],
     ["plan-cache-hit"], ["plan-store-hit"], ["precheck"],
@@ -119,18 +117,6 @@ type plan_stats = {
 type provenance = Built | Cached | Stored
     (** Where a compile's plan came from: a fresh front-end build, the
         in-memory LRU, or the on-disk {!Qturbo_store.Plan_store}. *)
-
-type layout = {
-  t_sim : float;  (** the evolution time the layout was accepted at *)
-  env : float array;
-  eps2s : float list;  (** per solved component *)
-  solve_failures : Failure.t list;  (** the final iteration's records *)
-  iterations : int;
-  exhausted : Failure.t option;
-      (** [Position_retry_exhausted] / [Deadline_expired] when the loop
-          stopped with violations left; its detail is also a warning *)
-}
-(** What the §5.2 constraint loop ({!constraint_loop}) settled on. *)
 
 type result = {
   env : float array;  (** value of every AAIS variable *)
@@ -281,34 +267,30 @@ val validate_target : aais:Aais.t -> target:Pauli_sum.t -> t_tar:float -> unit
 
 (** {1:stages Numeric stages}
 
-    The back-end as named stages, in pipeline order: {!start} a run,
-    {!diagnose} + {!enforce} (the precheck), {!linear_solve}, the
-    per-component evolution-time search ({!component_min_time}, padded
-    by {!padded}), the {!constraint_loop}, refinement
-    ({!refined_alpha}) and {!conclude}.  {!solve} runs them once;
-    [Td_compiler] runs them per segment around a shared layout. *)
+    The back-end runs over K coefficient instances that share one plan:
+    a static target is one instance, a time-dependent target's segments
+    are K.  Every instance gets its right-hand side, the precheck (with
+    more than one instance, the findings are deduplicated by code and
+    subject), the §4.1 linear solve and the §5.1 per-component
+    evolution-time search.  Then one of two tails runs:
 
-type run
-(** One compile in flight: its options, its supervisor (the deadline is
-    absolute from {!start}), its pool split and the warnings raised so
-    far. *)
+    - K = 1: the §5.2 constraint loop solves every component, starting
+      from the padded bottleneck (from the 1e-4 µs time floor, with a
+      warning, when some component is infeasible at any time), and §6.2
+      refinement re-solves the dynamic components at the loop's T
+      (deadline site ["refine"]).
+    - K >= 2 (§5.3): the binding segment, the one with the largest
+      fixed-channel amplitude demand, fixes the runtime-fixed layout;
+      the constraint loop solves only the fixed components, starting
+      from that segment's padded bottleneck (an infinite one
+      propagates); every segment's duration is stretched so that layout
+      integrates to its required [B], and each segment refines and
+      re-solves its dynamic components at its duration (deadline site
+      ["segment-loop"]).
 
-val start : options:options -> device -> run
-
-val warnings : run -> string list
-(** In the order they were raised. *)
-
-val guarded_sweep :
-  run -> site:string -> domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Map on the pool under the supervisor's guard for [site].  When the
-    guard fires (deadline passed or injected) the sweep is re-run
-    unguarded; every supervised solve then short-circuits with a
-    [Deadline_expired] record, so the degraded result is the same at
-    any domain count. *)
-
-val expiry : run -> site:string -> string -> Failure.t list
-(** A pipeline-level, non-fatal [Deadline_expired] record for [site]
-    carrying the given detail — or [[]] while the site's deadline holds. *)
+    [options.time_opt = false] triples the bottleneck either way.  The
+    device AAIS (geometry checks, qubit count) always comes from the
+    plan. *)
 
 val diagnose :
   ?t_max:float ->
@@ -326,67 +308,6 @@ val diagnose :
     truncation summary ([QT029]).  A target term the plan has no row
     for raises [Invalid_argument], as {!solve} does. *)
 
-val enforce : run -> strict:bool -> Diagnostic.t list -> unit
-(** Strict mode raises {!Diagnostic.Rejected} on error findings;
-    warning findings are recorded on the run. *)
-
-val linear_solve : options -> Linear_system.t -> Qturbo_linalg.Sparse_solve.result
-(** The global linear solve ([dense_linear_solver] picks the ablation
-    path). *)
-
-val component_min_time :
-  run -> alpha:float array -> prepared_comp -> float * Failure.t list
-(** One component's shortest feasible evolution time (§5.1); [0.] for
-    runtime-fixed components, which the constraint loop polices. *)
-
-val padded : options -> float -> float
-(** The bottleneck time as the constraint loop starts from it: tripled
-    when [time_opt] is off. *)
-
-val solve_components :
-  run ->
-  env:float array ->
-  alpha:float array ->
-  t_sim:float ->
-  prepared_comp list ->
-  float list * Failure.t list
-(** Solve the components at [t_sim] under the supervisor (a guarded
-    sweep, site ["local-solve"]) and write their assignments into [env]
-    in component order; returns their residuals and failure records in
-    the same order. *)
-
-val constraint_loop :
-  run ->
-  aais:Aais.t ->
-  vars:Variable.t array ->
-  alpha:float array ->
-  t_start:float ->
-  prepared_comp list ->
-  layout
-(** §5.2: solve the components at [t_start], growing T by a factor of
-    1.25 while the runtime-fixed layout violates device geometry, for at
-    most 24 iterations or until the deadline. *)
-
-val fixed_channels : device -> bool array
-(** Per channel: does it belong to a runtime-fixed component? *)
-
-val refined_alpha :
-  fixed:bool array ->
-  contribution:(int -> float -> float) ->
-  Linear_system.t ->
-  float array
-(** §6.2: move each fixed channel's achieved contribution to a row
-    ([contribution cid coeff]) to the right-hand side and re-solve the
-    rest for the dynamic channels' synthesized variables. *)
-
-val conclude : run -> Failure.t list -> bool
-(** [degraded]: true iff some record is fatal.  Raises
-    {!Failure.Failed} instead unless the compile is best-effort. *)
-
-val relative_error : error_l1:float -> Linear_system.t list -> float
-(** [error_l1] in percent of the instances' summed [‖B_tar‖₁]; [0.]
-    when that is zero. *)
-
 val solve :
   ?options:options ->
   ?strict:bool ->
@@ -403,6 +324,57 @@ val solve :
     plan's shape (terms outside it raise [Invalid_argument]); extra
     shape rows simply get a zero target.  [?provenance] (default
     [Built]) only annotates [result.plan]. *)
+
+module Segments : sig
+  type segment_result = {
+    env : float array;  (** value of every AAIS variable in this segment *)
+    duration : float;  (** compiled duration of this segment (µs) *)
+    error_l1 : float;
+    eps1 : float;
+  }
+
+  type result = {
+    segments : segment_result list;
+    t_sim : float;  (** total compiled execution time *)
+    error_l1 : float;  (** summed over segments *)
+    relative_error : float;  (** percent, against the summed [‖B_tar‖₁] *)
+    binding_segment : int;  (** index of the segment that fixed the layout *)
+    compile_seconds : float;
+    warnings : string list;
+    diagnostics : Diagnostic.t list;
+        (** static-analyzer findings over all segments; with more than
+            one, deduplicated by (code, subject) *)
+    failures : Failure.t list;
+        (** classified solver failures and recoveries collected by the
+            resilience supervisor, in pipeline order *)
+    degraded : bool;
+        (** true iff some failure is fatal (best-effort compiles only;
+            strict compiles raise instead) *)
+    plan_builds : int;
+        (** structural front-ends this compile built: [1] when its
+            plan's provenance is [Built], else [0] *)
+  }
+end
+(** What {!solve_segments} returns; [Td_compiler] re-exports it. *)
+
+val solve_segments :
+  ?options:options ->
+  ?strict:bool ->
+  ?t_max:float ->
+  ?provenance:provenance ->
+  plan:t ->
+  t_tar:float ->
+  Pauli_sum.t list ->
+  Segments.result
+(** Run the numeric back-end over the segments of a time-dependent
+    target, each of duration [t_tar], against one plan whose shape holds
+    every segment's terms (the precheck raises [Invalid_argument] on a
+    term outside it).  The caller checks the register size, as
+    [Td_compiler] does before it obtains the plan.  One segment is
+    exactly {!solve} (its result as a single segment,
+    [binding_segment = 0]).  The failure records and the other
+    exceptions are {!solve}'s; [?provenance] (default [Built]) only
+    sets [plan_builds]. *)
 
 val compile :
   ?options:options ->

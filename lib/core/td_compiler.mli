@@ -1,45 +1,25 @@
-(** Compilation of time-dependent targets (paper §5.3).
+(** Compilation of time-dependent targets (paper §5.3): a discretizer in
+    front of {!Compile_plan.solve_segments}.
 
     The driven Hamiltonian is discretized into piecewise-constant segments
-    (midpoint rule).  Runtime-dynamic variables may change between
-    segments, but runtime-fixed variables (atom positions) must be shared:
-    the solver picks the segment demanding the largest fixed-channel
-    amplitude as the {e binding segment}, solves the layout against it,
-    and stretches every other segment's evolution time so its (now
-    over-strong) fixed amplitudes integrate to exactly the required
-    [B] — lowering the dynamic amplitudes, which always remains within
-    bounds (paper's argument at the end of §5.3). *)
+    (midpoint rule), one plan is obtained for them, and the numeric
+    back-end runs over the segments as instances of that plan.
+    Runtime-dynamic variables may change between segments, but
+    runtime-fixed variables (atom positions) are shared: the back-end
+    picks the segment demanding the largest fixed-channel amplitude as
+    the {e binding segment}, solves the layout against it, and stretches
+    every other segment's evolution time so its (now over-strong) fixed
+    amplitudes integrate to exactly the required [B] — lowering the
+    dynamic amplitudes, which always remains within bounds (paper's
+    argument at the end of §5.3). *)
 
-type segment_result = {
-  env : float array;
-  duration : float;  (** compiled duration of this segment (µs) *)
-  error_l1 : float;
-  eps1 : float;
-}
-
-type result = {
-  segments : segment_result list;
-  t_sim : float;  (** total compiled execution time *)
-  error_l1 : float;  (** summed over segments *)
-  relative_error : float;  (** percent, against the summed [‖B_tar‖₁] *)
-  binding_segment : int;  (** index of the segment that fixed the layout *)
-  compile_seconds : float;
-  warnings : string list;
-  diagnostics : Qturbo_analysis.Diagnostic.t list;
-      (** static-analyzer findings over all discretized segments,
-          deduplicated by (code, subject) *)
-  failures : Qturbo_resilience.Failure.t list;
-      (** classified solver failures and recoveries collected by the
-          resilience supervisor, in pipeline order *)
-  degraded : bool;
-      (** true iff some failure is fatal (best-effort compiles only;
-          strict compiles raise instead) *)
-  plan_builds : int;
-      (** structural front-ends actually built by this compile ([0] or
-          [1]): every segment compiles against one plan keyed by the
-          union support of the whole discretization, so a sweep over
-          re-discretized models pays the front-end once *)
-}
+include module type of struct
+  include Compile_plan.Segments
+end
+(** {!Compile_plan.Segments}, with [compile_seconds] counting the
+    discretization and the plan too.  Every segment compiles against
+    one plan, so [plan_builds] is [0] or [1] and a sweep over
+    re-discretized models pays the front-end once. *)
 
 val compile :
   ?options:Compile_plan.options ->
@@ -58,15 +38,12 @@ val compile :
     {!Qturbo_analysis.Diagnostic.Rejected} with a structured [QT016]
     diagnostic instead of an unclassified exception.
 
-    [~segments:1] delegates to the time-independent pipeline
-    ({!Compile_plan.compile}) — a single-segment compile is
-    bitwise-identical to {!Compiler.compile} of the discretized
-    Hamiltonian.  With more segments, every segment runs the same
-    numeric stages ({!Compile_plan.section-stages}) against one plan
-    built for the union support of all segments; only the binding
-    segment's layout solve and the duration stretching are specific to
-    time-dependent targets.  [options.time_opt = false] triples each
-    segment's dynamic bottleneck, as the static path does its own.
+    One segment is obtained under its own shape and is bitwise-identical
+    to {!Compiler.compile} of the discretized Hamiltonian.  Several are
+    obtained under the union support of all segments, so a coefficient
+    that cancels in one segment cannot fork a second plan shape.  Either
+    way the segments run the numeric stages of
+    {!Compile_plan.section-stages}.
 
     Every discretized segment Hamiltonian runs through the pre-solve
     static analyzer first; with [strict] (the default) error-severity

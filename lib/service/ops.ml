@@ -182,13 +182,30 @@ let compile_report_json ~options ~inst ~target ~t_tar ~show_pulse ~ramp () =
   end
   else report
 
+(* What `qturbo check` reports: the device spec's findings, then the
+   analyzer's over [aais] (the instance's, or a copy with a seeded
+   defect). *)
+let check_diagnostics ~inst ~aais ~target ~t_tar () =
+  inst.Backend.spec_diagnostics
+  @ C.analyze ~t_max:inst.Backend.max_time ~aais ~target ~t_tar ()
+
 let check_report_json ~inst ~aais ~target ~t_tar () =
-  let t_max = inst.Backend.max_time in
-  let diags =
-    inst.Backend.spec_diagnostics
-    @ C.analyze ~t_max ~aais ~target ~t_tar ()
-  in
-  D.list_to_json diags
+  D.list_to_json (check_diagnostics ~inst ~aais ~target ~t_tar ())
+
+(* The `qturbo lint --json` payload: what was linted, then the report
+   object's fields. *)
+let lint_payload ~model_label ~backend ~channels ~rows diags =
+  let report = D.list_to_json diags in
+  Printf.sprintf "{\"model\":%s,\"backend\":%s,\"channels\":%d,\"rows\":%d,%s}"
+    (Qturbo_util.Json.quote model_label)
+    (Qturbo_util.Json.quote backend)
+    channels rows
+    (String.sub report 1 (String.length report - 2))
+
+let plan_rows (plan : Qturbo_core.Compile_plan.t) =
+  Qturbo_core.Term_index.count
+    (Qturbo_core.Linear_system.skeleton_index
+       plan.Qturbo_core.Compile_plan.skeleton)
 
 (* `qturbo lint --json` without an injected defect, from the plan a
    compile of [target] would use and the findings its lint gate
@@ -197,21 +214,10 @@ let lint_report_json ~model_label ~backend ~inst ~target () =
   let module CP = Qturbo_core.Compile_plan in
   let aais = inst.Backend.aais in
   let plan, _ = CP.obtain ~options:C.default_options ~aais ~target in
-  let diags =
-    Qturbo_analysis.Kernel_check.check_aais aais @ CP.lint_findings plan
-  in
-  let n_rows =
-    Qturbo_core.Term_index.count
-      (Qturbo_core.Linear_system.skeleton_index plan.CP.skeleton)
-  in
-  Printf.sprintf "{\"model\":%s,\"backend\":%s,\"channels\":%d,\"rows\":%d,%s}"
-    (Qturbo_util.Json.quote model_label)
-    (Qturbo_util.Json.quote backend)
-    (Qturbo_aais.Aais.channel_count aais)
-    n_rows
-    (let report = D.list_to_json diags in
-     (* embed the report object's fields *)
-     String.sub report 1 (String.length report - 2))
+  lint_payload ~model_label ~backend
+    ~channels:(Qturbo_aais.Aais.channel_count aais)
+    ~rows:(plan_rows plan)
+    (Qturbo_analysis.Kernel_check.check_aais aais @ CP.lint_findings plan)
 
 let sweep_header ~probe ~backend ~n ~mode ~job_count ~batch_domains =
   Printf.sprintf
