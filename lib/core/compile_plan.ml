@@ -966,6 +966,8 @@ let instances ~options ~strict ?t_max ~plan ~t_tar targets =
       targets
   in
   !stage_hook "precheck";
+  (* a single instance reports its findings as [Compiler.analyze] (and
+     so [qturbo check]) does *)
   let diagnostics =
     match targets with
     | [ target ] -> diagnose ?t_max ~aais ~plan ~t_tar target
