@@ -608,9 +608,10 @@ let validate_target ~aais ~target ~t_tar =
    constraint loop on the runtime-fixed variables (§5.2) and refinement
    (§6.2).  A time-dependent target (§5.3) runs them over K coefficient
    instances of one plan, its piecewise-constant segments, around one
-   shared runtime-fixed layout.  [instances] runs the per-instance
-   stages for any K; then the static tail (K = 1) or the shared-layout
-   tail (K >= 2) solves the layout and refines. *)
+   shared runtime-fixed layout.  [instances] runs the right-hand
+   sides, the precheck and the linear solves for any K; then the static
+   tail (K = 1) or the shared-layout tail (K >= 2) runs its own
+   evolution-time sweep, solves the layout and refines. *)
 
 (* Parallel strategy for a component sweep: when one component holds
    most of the channels (the single position component of a Rydberg
@@ -939,23 +940,17 @@ let relative_error ~error_l1 systems =
   if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0
 
 (* What the per-instance stages leave for a tail: per instance, its
-   system, the §4.1 solution and residual, and its bottleneck (the
-   largest component evolution time); every instance's min-time records
-   in order; and, for a single instance, each component's time. *)
+   system and its §4.1 solution and residual. *)
 type instances = {
   run : run;
   systems : Linear_system.t list;
   alphas : float array array;
   eps1s : float array;
-  bottlenecks : float array;
-  component_times : float list;
-  min_time_failures : Failure.t list;
   diagnostics : Diagnostic.t list;
 }
 
 (* The per-instance stages, for any number of instances sharing [plan]:
-   right-hand sides, the precheck, the linear solves and the
-   evolution-time search. *)
+   right-hand sides, the precheck and the linear solves. *)
 let instances ~options ~strict ?t_max ~plan ~t_tar targets =
   let d = plan.device in
   let aais = d.aais in
@@ -989,59 +984,32 @@ let instances ~options ~strict ?t_max ~plan ~t_tar targets =
             (Term_index.count ls.index) (Array.length d.channels)
             lin.stats.greedy_solved lin.stats.dense_solved lin.residual_l1))
     systems solutions;
-  let alphas =
-    Array.of_list (List.map (fun (lin : S.result) -> lin.x) solutions)
-  in
-  let eps1s =
-    Array.of_list (List.map (fun (lin : S.result) -> lin.residual_l1) solutions)
-  in
-  (* the pool takes the components of a single instance, or the
-     instances of several, each folding its components in order (so no
-     per-component list outlives the sweep) *)
-  let component_times, bottlenecks, min_time_failures =
-    match Array.to_list alphas with
-    | [ alpha ] ->
-        let timed =
-          guarded_sweep run ~site:"min-time" ~domains:run.comp_domains
-            (component_min_time run ~alpha) d.prepared
-        in
-        let times = List.map fst timed in
-        ( times,
-          [| List.fold_left Float.max 0.0 times |],
-          List.concat_map snd timed )
-    | alphas ->
-        let timed =
-          guarded_sweep run ~site:"min-time" ~domains:options.domains
-            (fun alpha ->
-              List.fold_left
-                (fun (bottleneck, fs) p ->
-                  let t, f = component_min_time run ~alpha p in
-                  (Float.max bottleneck t, fs @ f))
-                (0.0, []) d.prepared)
-            alphas
-        in
-        ([], Array.of_list (List.map fst timed), List.concat_map snd timed)
-  in
-  !stage_hook "local-solve";
   {
     run;
     systems;
-    alphas;
-    eps1s;
-    bottlenecks;
-    component_times;
-    min_time_failures;
+    alphas =
+      Array.of_list (List.map (fun (lin : S.result) -> lin.x) solutions);
+    eps1s =
+      Array.of_list
+        (List.map (fun (lin : S.result) -> lin.residual_l1) solutions);
     diagnostics;
   }
 
-(* K = 1: the constraint loop solves every component, from the padded
-   bottleneck (the time floor when some component is infeasible at any
-   T), and refinement runs at the loop's T. *)
+(* K = 1: the §5.1 search runs the components on the pool, the
+   constraint loop solves every component, from the padded bottleneck
+   (the time floor when some component is infeasible at any T), and
+   refinement runs at the loop's T. *)
 let static_tail ~t0 ~provenance ~plan (i : instances) =
   let run = i.run and d = plan.device in
   let options = run.options in
   let ls = List.hd i.systems and alpha = i.alphas.(0) in
-  let bottleneck = i.bottlenecks.(0) in
+  let timed =
+    guarded_sweep run ~site:"min-time" ~domains:run.comp_domains
+      (component_min_time run ~alpha) d.prepared
+  in
+  let min_times = List.map fst timed in
+  let bottleneck = List.fold_left Float.max 0.0 min_times in
+  !stage_hook "local-solve";
   Log.debug (fun m ->
       m "locality: %d components, bottleneck evolution time %.4g"
         (List.length d.comps) bottleneck);
@@ -1079,14 +1047,14 @@ let static_tail ~t0 ~provenance ~plan (i : instances) =
           eps2;
         })
       d.comps
-      (List.combine d.classifications (List.combine i.component_times eps2s))
+      (List.combine d.classifications (List.combine min_times eps2s))
   in
   (* in pipeline order: evolution-time search and pipeline-level records
      (constraint loop, refinement expiry), then the final constraint
      iteration's solve sweep (component order — the pool collects by
      index), then refinement re-solves *)
   let failures =
-    i.min_time_failures
+    List.concat_map snd timed
     @ Option.to_list layout.exhausted
     @ refine_expired @ layout.solve_failures @ refine_failures
   in
@@ -1157,7 +1125,9 @@ module Segments = struct
   }
 end
 
-(* K >= 2 (§5.3): the binding segment, the one demanding the largest
+(* K >= 2 (§5.3): the §5.1 search runs the instances on the pool, each
+   folding its components in order (so no per-component list outlives
+   the sweep).  The binding segment, the one demanding the largest
    fixed-channel amplitude, fixes the layout; the constraint loop solves
    only the fixed components, from that segment's padded dynamic
    bottleneck.  Every segment's duration is stretched so the shared
@@ -1168,8 +1138,19 @@ end
 let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
   let run = i.run and d = plan.device and alphas = i.alphas in
   let options = run.options in
+  let timed =
+    guarded_sweep run ~site:"min-time" ~domains:options.domains
+      (fun alpha ->
+        List.fold_left
+          (fun (bottleneck, fs) p ->
+            let t, f = component_min_time run ~alpha p in
+            (Float.max bottleneck t, fs @ f))
+          (time_floor, []) d.prepared)
+      (Array.to_list alphas)
+  in
+  !stage_hook "local-solve";
   let t_dyn =
-    Array.map (fun b -> padded options (Float.max time_floor b)) i.bottlenecks
+    Array.of_list (List.map (fun (b, _) -> padded options b) timed)
   in
   let fixed = fixed_channels d in
   let demand s =
@@ -1260,7 +1241,7 @@ let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
   (* in pipeline order: evolution-time search, the binding layout's
      constraint loop, then the segment sweep (segment order) *)
   let failures =
-    i.min_time_failures @ layout.solve_failures
+    List.concat_map snd timed @ layout.solve_failures
     @ Option.to_list layout.exhausted
     @ segment_loop_expired
     @ List.concat_map snd segment_pairs
@@ -1301,6 +1282,7 @@ let solve ?(options = default_options) ?(strict = true) ?t_max
 
 let solve_segments ?(options = default_options) ?(strict = true) ?t_max
     ?(provenance = Built) ~plan ~t_tar targets =
+  if targets = [] then invalid_arg "Compile_plan.solve_segments: no segments";
   let t0 = Qturbo_util.Clock.now () in
   let i = instances ~options ~strict ?t_max ~plan ~t_tar targets in
   match targets with

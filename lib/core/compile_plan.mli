@@ -271,8 +271,8 @@ val validate_target : aais:Aais.t -> target:Pauli_sum.t -> t_tar:float -> unit
     a static target is one instance, a time-dependent target's segments
     are K.  Every instance gets its right-hand side, the precheck (with
     more than one instance, the findings are deduplicated by code and
-    subject), the §4.1 linear solve and the §5.1 per-component
-    evolution-time search.  Then one of two tails runs:
+    subject) and the §4.1 linear solve.  Then one of two tails runs,
+    each starting with the §5.1 per-component evolution-time search:
 
     - K = 1: the §5.2 constraint loop solves every component, starting
       from the padded bottleneck (from the 1e-4 µs time floor, with a
@@ -369,7 +369,8 @@ val solve_segments :
 (** Run the numeric back-end over the segments of a time-dependent
     target, each of duration [t_tar], against one plan whose shape holds
     every segment's terms (the precheck raises [Invalid_argument] on a
-    term outside it).  The caller checks the register size, as
+    term outside it).  The list must not be empty: [[]] raises
+    [Invalid_argument].  The caller checks the register size, as
     [Td_compiler] does before it obtains the plan.  One segment is
     exactly {!solve} (its result as a single segment,
     [binding_segment = 0]).  The failure records and the other

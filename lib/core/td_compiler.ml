@@ -23,20 +23,16 @@ let compile ?(options = Compile_plan.default_options) ?(strict = true) ?t_max
   (* the register-size check, on every segment, before a plan is
      obtained ([t_tar] itself is already validated) *)
   List.iter (fun h -> Compile_plan.validate_target ~aais ~target:h ~t_tar) hams;
-  (* One segment is a static compile of its own shape.  Several share
-     one plan keyed by the canonical union support of every segment:
-     keying each by its own shape forked a second plan whenever a
-     coefficient cancelled in one segment (the mis-chain quirk: K ≡ 2
-     mod 4 discretizations hit s = 0.75, which zeroes the end-atom Z
-     terms), and a segment missing a term instantiates that row with
-     b_tar = 0.  When no segment drops a term the union equals every
-     segment's own support. *)
+  (* One plan for every segment, keyed by the canonical union support
+     of all of them: keying each by its own shape forked a second plan
+     whenever a coefficient cancelled in one segment (the mis-chain
+     quirk: K ≡ 2 mod 4 discretizations hit s = 0.75, which zeroes the
+     end-atom Z terms), and a segment missing a term instantiates that
+     row with b_tar = 0.  A target's support is already sorted and
+     unique, so one segment's union is its own support. *)
   let support =
-    match hams with
-    | [ h ] -> Compile_plan.support_of_target h
-    | _ ->
-        List.sort_uniq Qturbo_pauli.Pauli_string.compare
-          (List.concat_map Compile_plan.support_of_target hams)
+    List.sort_uniq Qturbo_pauli.Pauli_string.compare
+      (List.concat_map Compile_plan.support_of_target hams)
   in
   let plan, provenance =
     Compile_plan.obtain_for_support ~options ~aais ~support

@@ -38,11 +38,11 @@ val compile :
     {!Qturbo_analysis.Diagnostic.Rejected} with a structured [QT016]
     diagnostic instead of an unclassified exception.
 
-    One segment is obtained under its own shape and is bitwise-identical
-    to {!Compiler.compile} of the discretized Hamiltonian.  Several are
-    obtained under the union support of all segments, so a coefficient
-    that cancels in one segment cannot fork a second plan shape.  Either
-    way the segments run the numeric stages of
+    The plan is obtained under the union support of all segments, so a
+    coefficient that cancels in one segment cannot fork a second plan
+    shape; for one segment that union is the segment's own support, and
+    the compile is bitwise-identical to {!Compiler.compile} of the
+    discretized Hamiltonian.  The segments run the numeric stages of
     {!Compile_plan.section-stages}.
 
     Every discretized segment Hamiltonian runs through the pre-solve

@@ -894,6 +894,14 @@ let test_td_rejects_bad_args () =
   Alcotest.check_raises "t_tar" (Invalid_argument "Td_compiler.compile: t_tar <= 0")
     (fun () ->
       ignore (Td_compiler.compile ~aais:ryd.Rydberg.aais ~model ~t_tar:0.0 ~segments:2 ()));
+  (* the back end itself refuses an empty segment list *)
+  let plan =
+    Compiler.build ~aais:ryd.Rydberg.aais
+      ~target_shape:(Compiler.support_of_target (ising_chain 3)) ()
+  in
+  Alcotest.check_raises "no segments"
+    (Invalid_argument "Compile_plan.solve_segments: no segments") (fun () ->
+      ignore (Compiler.solve_segments ~plan ~t_tar:1.0 []));
   (* a target wider than the register is refused with the static path's
      message at every segment count, strict or not *)
   let spec = { Device.aquila_paper with Device.max_extent = 1e6 } in
