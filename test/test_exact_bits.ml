@@ -112,19 +112,7 @@ let options ?(faults = Fault.empty) ?(best_effort = false) f =
       best_effort;
     }
 
-let static_on ~aais ~verify ?(tweak = Fun.id) ?faults ?best_effort ~model ~n
-    () =
-  let target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at
-         (Qturbo_models.Benchmarks.by_name ~name:model ~n)
-         ~s:0.0)
-  in
-  let r =
-    Compiler.compile
-      ~options:(options ?faults ?best_effort tweak)
-      ~aais ~target ~t_tar:1.0 ()
-  in
+let observe_static ~verify ~target (r : Compiler.result) =
   {
     t_sim = hex r.Compiler.t_sim;
     error_l1 = hex r.Compiler.error_l1;
@@ -133,6 +121,19 @@ let static_on ~aais ~verify ?(tweak = Fun.id) ?faults ?best_effort ~model ~n
     failures = List.map failure_row r.Compiler.failures;
     verify = [ verify_row (verify ~target ~t_tar:1.0 r) ];
   }
+
+let static_on ~aais ~verify ?(tweak = Fun.id) ?faults ?best_effort ~model ~n
+    () =
+  let target =
+    Qturbo_pauli.Pauli_sum.drop_identity
+      (Qturbo_models.Model.hamiltonian_at
+         (Qturbo_models.Benchmarks.by_name ~name:model ~n)
+         ~s:0.0)
+  in
+  observe_static ~verify ~target
+    (Compiler.compile
+       ~options:(options ?faults ?best_effort tweak)
+       ~aais ~target ~t_tar:1.0 ())
 
 let static ?(backend = Backend.rydberg) ?device ?cutoff ?tweak ?faults
     ?best_effort ~model ~n () =
@@ -155,6 +156,37 @@ let translated_chain () =
     ~verify:(Verifier.verify_rydberg ryd)
     ~tweak:(fun o -> { o with Compiler.plan_cache = false })
     ~model:"ising-chain" ~n:5 ()
+
+(* X0 + ... + X4 on ising-chain n=5's device, compiled non-strictly: no
+   target term reaches a van-der-Waals channel, so every α of the
+   position component is 0, the closed form's u* is 0, and the magnitude
+   pre-fit takes the golden-section search (asserted here).  The result
+   is degenerate; the row pins its bits, not its quality. *)
+let prefit_search () =
+  let inst =
+    Backend.rydberg.Backend.instantiate ~model_name:"ising-chain" ~n:5 ()
+  in
+  let aais = inst.Backend.aais in
+  let target =
+    Qturbo_pauli.(
+      Pauli_sum.of_list
+        (List.init 5 (fun i -> (Pauli_string.single i Pauli.X, 1.0))))
+  in
+  let options = options Fun.id in
+  let r = Compiler.compile ~options ~strict:false ~aais ~target ~t_tar:1.0 () in
+  let plan, _ = Compiler.obtain ~options ~aais ~target in
+  List.iter
+    (function
+      | Compiler.Fixed p ->
+          let start =
+            Fixed_solver.prefit ~alpha:r.Compiler.alpha_target
+              ~t_sim:r.Compiler.t_sim p
+          in
+          Alcotest.(check bool)
+            "the pre-fit takes the search" false start.Fixed_solver.closed_form
+      | Compiler.Dynamic _ -> ())
+    plan.Compiler.device.Compiler.prepared;
+  observe_static ~verify:inst.Backend.verify ~target r
 
 let td ?(backend = Backend.rydberg) ?(tweak = Fun.id) ?faults ?best_effort
     ~model ~n ~segments () =
@@ -275,6 +307,7 @@ let cases =
       ( "rydberg ising-chain n=12 global control",
         fun () -> static ~device:"aquila" ~model:"ising-chain" ~n:12 () );
       ("rydberg ising-chain n=5 translated layout", translated_chain);
+      ("rydberg ising-chain n=5 X-only target, pre-fit search", prefit_search);
       ( "rydberg mis-chain n=5 K=4 dense linear solver",
         fun () ->
           mis ~tweak:(fun o -> { o with Compiler.dense_linear_solver = true }) 4
@@ -658,6 +691,17 @@ let expected =
         env_md5 = "e0fe99f6bf603d89264542aedc6842d4";
         failures = [];
         verify = [ "0x1.9e6bd576ca6aep-5|0x1.1fcae2760c916p-1|0x1.ffe7e11ecd41dp-7" ];
+      } );
+    (* the constraint loop gives up, so the error is infinite *)
+    ( "rydberg ising-chain n=5 X-only target, pre-fit search",
+      {
+        t_sim = "0x1.52d02c7e14af6p+7";
+        error_l1 = "infinity";
+        bound = "infinity";
+        env_md5 = "672aef2058e19c38d95942f6688fe027";
+        failures =
+          [ (-1, "constraint-loop", "", "position-retry-exhausted", false) ];
+        verify = [ "infinity|infinity|infinity" ];
       } );
     ( "td K=4 best-effort refine=deadline",
       {
