@@ -443,7 +443,7 @@ let inject_dangling (aais : Aais.t) =
     ~n_qubits:aais.Aais.n_qubits ~pool
     ~instructions:(aais.Aais.instructions @ [ instr ])
     ~check_fixed:aais.Aais.check_fixed ~fingerprint:aais.Aais.fingerprint
-    ~sites:aais.Aais.sites ()
+    ?truncation:aais.Aais.truncation ()
 
 let check_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
     inject

@@ -23,7 +23,6 @@ type t = {
   instructions : Instruction.t list;
   check_fixed : float array -> string list;
   fingerprint : string;
-  sites : (int * int option) array;
   truncation : truncation option;
   key_memo : key_memo;
 }
@@ -46,7 +45,7 @@ let channels t =
     arr
 
 let make ~name ~n_qubits ~pool ~instructions ?(check_fixed = fun _ -> [])
-    ?(fingerprint = "") ?(sites = [||]) ?truncation () =
+    ?(fingerprint = "") ?truncation () =
   let t =
     {
       name;
@@ -55,7 +54,6 @@ let make ~name ~n_qubits ~pool ~instructions ?(check_fixed = fun _ -> [])
       instructions;
       check_fixed;
       fingerprint;
-      sites;
       truncation;
       key_memo = Atomic.make None;
     }

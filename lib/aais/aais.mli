@@ -42,20 +42,14 @@ type t = private {
           parameters captured only inside the [check_fixed] closure
           (e.g. the minimum atom separation).  Part of the structural
           cache key computed by {!Shape}; two AAIS values whose
-          variables, channels and fingerprint all agree are
-          interchangeable for compilation. *)
-  sites : (int * int option) array;
-      (** Per lattice site, the variable ids of its coordinates:
-          [(x_id, Some y_id)] on a plane, [(x_id, None)] on a line.
-          Empty when the device has no spatial layout (e.g.
-          Heisenberg).  {!Shape} uses this to anchor the first site at
-          the origin when rendering the structural cache key, so
-          rigidly-translated devices share one plan. *)
+          variables, channels, fingerprint and [truncation] all agree
+          are interchangeable for compilation. *)
   truncation : truncation option;
       (** Interaction-cutoff summary when the builder dropped pair
-          channels; [None] for exact devices.  Not part of the
-          structural cache key — the emitted channels already determine
-          it. *)
+          channels; [None] for exact devices.  Part of the structural
+          cache key computed by {!Shape}: two radii that keep the same
+          pairs emit identical channels, and [QT029] reports the radius
+          and the dropped weight. *)
   key_memo : key_memo;
       (** Empty until the first {!memo_key}.  The type is [private], so
           [{ aais with ... }] cannot carry one device's memo over to
@@ -69,16 +63,14 @@ val make :
   instructions:Instruction.t list ->
   ?check_fixed:(float array -> string list) ->
   ?fingerprint:string ->
-  ?sites:(int * int option) array ->
   ?truncation:truncation ->
   unit ->
   t
 (** Validates that channel [cid]s are dense [0 .. count-1] (raises
     [Invalid_argument] otherwise).  [fingerprint] defaults to [""] —
     correct only when [check_fixed] captures nothing beyond what the
-    variables and channels already expose.  [sites] defaults to [[||]]
-    (no spatial layout, no key canonicalization).  The key memo starts
-    empty: building an AAIS renders nothing. *)
+    variables and channels already expose.  The key memo starts empty:
+    building an AAIS renders nothing. *)
 
 type rendering = { text : string; digest : Digest.t  (** MD5 of [text] *) }
 

@@ -138,35 +138,26 @@ let check_layout_positions ~spec positions =
       :: !violations;
   List.rev !violations
 
-let build_cutoff_at ~cutoff ~origin ~spec ~n =
+let build_cutoff ~cutoff ~spec ~n =
   if n < 1 then invalid_arg "Rydberg.build: need at least one atom";
-  let ox, oy = origin in
   let pool = Variable.create_pool () in
   let inits =
-    let base =
-      match spec.Device.geometry with
-      | Device.Line -> chain_inits n
-      | Device.Plane -> polygon_inits n
-    in
-    Array.map (fun (x, y) -> (x +. ox, y +. oy)) base
+    match spec.Device.geometry with
+    | Device.Line -> chain_inits n
+    | Device.Plane -> polygon_inits n
   in
   let extent = spec.Device.max_extent in
-  (* the feasible box is centered on the origin coordinate, so a rigid
-     translation shifts bounds, pins and inits together and the
-     Shape-anchored cache key comes out identical for every origin *)
-  let coord ~name ~pinned ~center ~init =
+  let coord ~name ~pinned ~init =
     if pinned then
-      Variable.fresh pool ~name ~kind:Variable.Runtime_fixed ~lo:center
-        ~hi:center ~init:center ()
+      Variable.fresh pool ~name ~kind:Variable.Runtime_fixed ~lo:0.0 ~hi:0.0
+        ~init:0.0 ()
     else
       Variable.fresh pool ~name ~kind:Variable.Runtime_fixed
-        ~lo:(center -. (2.0 *. extent))
-        ~hi:(center +. (2.0 *. extent))
-        ~init ()
+        ~lo:(-2.0 *. extent) ~hi:(2.0 *. extent) ~init ()
   in
   let xs =
     Array.init n (fun i ->
-        coord ~name:(Printf.sprintf "x%d" i) ~pinned:(i = 0) ~center:ox
+        coord ~name:(Printf.sprintf "x%d" i) ~pinned:(i = 0)
           ~init:(fst inits.(i)))
   in
   let ys =
@@ -178,7 +169,6 @@ let build_cutoff_at ~cutoff ~origin ~spec ~n =
                coord
                  ~name:(Printf.sprintf "y%d" i)
                  ~pinned:(i = 0 || i = 1)
-                 ~center:oy
                  ~init:(snd inits.(i))))
   in
   let n_controls =
@@ -388,24 +378,13 @@ let build_cutoff_at ~cutoff ~origin ~spec ~n =
         | Device.Line -> "line"
         | Device.Plane -> "plane")
     in
-    let sites =
-      Array.init n (fun i ->
-          ( xs.(i).Variable.id,
-            match ys with
-            | None -> None
-            | Some ys -> Some ys.(i).Variable.id ))
-    in
     Aais.make ~name:(Printf.sprintf "rydberg[%s,n=%d]" spec.Device.name n)
-      ~n_qubits:n ~pool ~instructions ~check_fixed ~fingerprint ~sites
+      ~n_qubits:n ~pool ~instructions ~check_fixed ~fingerprint
       ?truncation ()
   in
   { aais; spec; n; xs; ys; deltas; omegas; phis }
 
-let build_at ~origin ~spec ~n = build_cutoff_at ~cutoff:Auto ~origin ~spec ~n
-let build ~spec ~n = build_at ~origin:(0.0, 0.0) ~spec ~n
-
-let build_cutoff ~cutoff ~spec ~n =
-  build_cutoff_at ~cutoff ~origin:(0.0, 0.0) ~spec ~n
+let build ~spec ~n = build_cutoff ~cutoff:Auto ~spec ~n
 
 let positions t ~env =
   Array.init t.n (fun i ->

@@ -55,34 +55,19 @@ val pairs_within :
     the exact double loop.  Cell-grid backed — O(n) for bounded-density
     layouts. *)
 
-val build : spec:Device.rydberg -> n:int -> t
-(** Build the AAIS for [n] atoms under the {!Auto} cutoff policy: exact
-    all-pairs channels up to {!auto_threshold} atoms, the neighbor-list
-    cutoff beyond.  Atom 0 is pinned at the origin (and atom 1 at
-    [y = 0] in planar geometry) to fix the translation/rotation gauge of
-    the position solve.  Initial positions are an evenly spaced chain
-    (1-D) or regular polygon (2-D).  When pairs are dropped the AAIS
-    carries an {!Aais.truncation} summary and the analyzer reports the
-    truncation bound as [QT029].  Equivalent to
-    [build_at ~origin:(0.0, 0.0)]. *)
-
 val build_cutoff : cutoff:cutoff -> spec:Device.rydberg -> n:int -> t
-(** {!build} with an explicit cutoff policy ([All_pairs] forces the
-    exact O(n²) channels at any size; [Radius r] truncates at [r] µm
-    regardless of size). *)
+(** Build the AAIS for [n] atoms under a cutoff policy ([All_pairs]
+    forces the exact O(n²) channels at any size; [Radius r] truncates at
+    [r] µm regardless of size).  Atom 0 is pinned at the origin (and
+    atom 1 at [y = 0] in planar geometry) to fix the translation/rotation
+    gauge of the position solve.  Initial positions are an evenly spaced
+    chain (1-D) or regular polygon (2-D).  When pairs are dropped the
+    AAIS carries an {!Aais.truncation} summary and the analyzer reports
+    the truncation bound as [QT029]. *)
 
-val build_cutoff_at :
-  cutoff:cutoff -> origin:float * float -> spec:Device.rydberg -> n:int -> t
-(** {!build_cutoff} anchored at [origin] — the general entry point
-    behind every other builder. *)
-
-val build_at : origin:float * float -> spec:Device.rydberg -> n:int -> t
-(** Like {!build} with atom 0 pinned at [origin] (and atom 1 at
-    [y = origin_y] in planar geometry): the whole initial layout is
-    rigidly translated by [origin] and the position bounds are centered
-    on it.  Devices differing only in [origin] are physically
-    interchangeable and share one structural cache key (the {!Shape}
-    key anchors the first site at the origin). *)
+val build : spec:Device.rydberg -> n:int -> t
+(** {!build_cutoff} under the {!Auto} policy: exact all-pairs channels
+    up to {!auto_threshold} atoms, the neighbor-list cutoff beyond. *)
 
 val positions : t -> env:float array -> (float * float) array
 (** Atom coordinates under an environment ([y = 0] in 1-D). *)

@@ -99,16 +99,7 @@ let add_hint buf (h : Instruction.solver_hint) =
   | Instruction.Hint_fixed -> Buffer.add_char buf 'F'
   | Instruction.Hint_generic -> Buffer.add_char buf 'G'
 
-(* Anchored site coordinates are additionally snapped to a 1e-6 um grid
-   (a picometer — far below any physically meaningful layout
-   difference): the anchoring subtraction [(x +. o) -. o] is not exact
-   in floating point, so without the snap a rigidly-translated device
-   would render ulp-different coordinates and miss the shared plan.
-   Non-site variables keep the exact [%h] rendering. *)
-let quantize x = Float.round (x *. 1e6) /. 1e6
-
-let add_variable buf ~site ~offset (v : Variable.t) =
-  let canon x = if site then quantize (x -. offset) else x in
+let add_variable buf (v : Variable.t) =
   Buffer.add_char buf '|';
   add_int buf v.Variable.id;
   Buffer.add_char buf ' ';
@@ -117,38 +108,26 @@ let add_variable buf ~site ~offset (v : Variable.t) =
     | Variable.Runtime_fixed -> 'f'
     | Variable.Runtime_dynamic -> 'd');
   Buffer.add_char buf ' ';
-  add_float buf (canon v.Variable.bound.Qturbo_optim.Bounds.lo);
+  add_float buf v.Variable.bound.Qturbo_optim.Bounds.lo;
   Buffer.add_char buf ' ';
-  add_float buf (canon v.Variable.bound.Qturbo_optim.Bounds.hi);
+  add_float buf v.Variable.bound.Qturbo_optim.Bounds.hi;
   Buffer.add_char buf ' ';
-  add_float buf (canon v.Variable.init)
+  add_float buf v.Variable.init
 
-(* Canonicalize the device geometry: subtract the first site's initial
-   coordinates from every site-coordinate variable before rendering, so
-   rigidly-translated layouts produce the same key.  Sound because the
-   compiler only ever consumes coordinate {e differences} (van der
-   Waals interactions, pairwise-distance feasibility checks), so
-   translated devices are genuinely plan-interchangeable.  Rotation is
-   out of scope.  Variables that are not site coordinates get a zero
-   offset. *)
-let coordinate_offsets (aais : Aais.t) =
-  let n_vars = Array.length (Aais.variables aais) in
-  let offsets = Array.make n_vars 0.0 in
-  let sites = aais.Aais.sites in
-  if Array.length sites > 0 then begin
-    let vars = Aais.variables aais in
-    let x0, y0 = sites.(0) in
-    let ox = vars.(x0).Variable.init in
-    let oy =
-      match y0 with Some y -> vars.(y).Variable.init | None -> 0.0
-    in
-    Array.iter
-      (fun (x, y) ->
-        offsets.(x) <- ox;
-        match y with Some y -> offsets.(y) <- oy | None -> ())
-      sites
-  end;
-  offsets
+(* The emitted channels do not determine the cutoff: two radii that keep
+   the same pairs emit identical ones, yet the analyzer reports the
+   applied radius and the dropped weight (QT029). *)
+let add_truncation buf (tr : Aais.truncation) =
+  Buffer.add_string buf "#cut ";
+  add_float buf tr.Aais.radius;
+  Buffer.add_char buf ' ';
+  add_int buf tr.Aais.kept_pairs;
+  Buffer.add_char buf ' ';
+  add_int buf tr.Aais.dropped_pairs;
+  Buffer.add_char buf ' ';
+  add_float buf tr.Aais.dropped_l1;
+  Buffer.add_char buf ' ';
+  add_float buf tr.Aais.max_dropped
 
 (* sparse site:op rendering — Pauli strings are low-weight, so this is
    far shorter (and cheaper) than the dense spelling, and the ascending
@@ -187,18 +166,8 @@ let render (aais : Aais.t) =
   add_int buf aais.Aais.n_qubits;
   Buffer.add_char buf '#';
   Buffer.add_string buf aais.Aais.fingerprint;
-  let offsets = coordinate_offsets aais in
-  let site = Array.make (Array.length (Aais.variables aais)) false in
-  Array.iter
-    (fun (x, y) ->
-      site.(x) <- true;
-      match y with Some y -> site.(y) <- true | None -> ())
-    aais.Aais.sites;
-  Array.iter
-    (fun (v : Variable.t) ->
-      add_variable buf ~site:site.(v.Variable.id)
-        ~offset:offsets.(v.Variable.id) v)
-    (Aais.variables aais);
+  Option.iter (add_truncation buf) aais.Aais.truncation;
+  Array.iter (add_variable buf) (Aais.variables aais);
   Buffer.add_string buf "##";
   Array.iter (add_channel buf) (Aais.channels aais);
   Buffer.contents buf

@@ -19,18 +19,16 @@
 val of_aais : Aais.t -> string
 (** Canonical rendering of the device structure, taken once per AAIS
     value and served from its memo afterwards: name, qubit count,
-    the builder {!Aais.t.fingerprint}, every variable (id, kind, box
-    bounds, initial guess) and every channel (cid, expression tree,
-    solver hint, effect terms with coefficients).
+    the builder {!Aais.t.fingerprint}, the {!Aais.t.truncation} summary
+    when the builder dropped pairs, every variable (id, kind, box bounds,
+    initial guess) and every channel (cid, expression tree, solver hint,
+    effect terms with coefficients).
 
-    When {!Aais.t.sites} is non-empty, site-coordinate variables are
-    rendered with the first site's initial coordinates subtracted from
-    their bounds and initial guess, anchoring the layout at the origin:
-    rigidly-translated devices (same geometry, different placement in
-    the field of view) share one key and therefore one cached plan.
-    This is sound because the compiler consumes only coordinate
-    differences (van der Waals amplitudes, pairwise feasibility
-    checks).  Rotation is not canonicalized. *)
+    Everything the solve and the analyzer read of a device is rendered,
+    floats by their bits, so equal renderings mean interchangeable
+    devices: a plan built on one serves the other.  Variable names and
+    channel labels are left out; the builder and its parameters, which
+    the name and the fingerprint render, determine them. *)
 
 val digest : Aais.t -> Digest.t
 (** MD5 of {!of_aais}, memoized with it: the compact stand-in for the

@@ -44,14 +44,6 @@ let get pool id =
   if id < 0 || id >= pool.next then invalid_arg "Variable.get: unknown id";
   (all pool).(id)
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let identical a b =
-  a.id = b.id && String.equal a.name b.name && a.kind = b.kind
-  && same_bits a.bound.Bounds.lo b.bound.Bounds.lo
-  && same_bits a.bound.Bounds.hi b.bound.Bounds.hi
-  && same_bits a.init b.init
-
 let is_fixed v = v.kind = Runtime_fixed
 let is_dynamic v = v.kind = Runtime_dynamic
 

@@ -48,10 +48,6 @@ val all : pool -> t array
 val get : pool -> int -> t
 (** Raises [Invalid_argument] on unknown ids. *)
 
-val identical : t -> t -> bool
-(** Same id, name and kind, and bit-identical bounds and initial
-    guess. *)
-
 val is_fixed : t -> bool
 
 val is_dynamic : t -> bool

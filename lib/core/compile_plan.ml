@@ -500,46 +500,25 @@ let store_persist (p : t) =
       | exception _ ->
           Log.warn (fun m -> m "plan could not be marshaled for the store"))
 
-(* What a device's key leaves out but the solve and the analyzer read:
-   the variables bit for bit (the key anchors site coordinates, so a
-   translated layout keys equal to the untranslated one) and the
-   truncation summary (the key does not carry the cutoff radius, which
-   QT029 prints).  Exact key equality already proves every channel's
-   expression, hint and effects equal. *)
-let same_unkeyed (d : device) ~aais ~vars =
-  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let same_truncation (a : Aais.truncation) (b : Aais.truncation) =
-    bits a.radius b.radius && a.kept_pairs = b.kept_pairs
-    && a.dropped_pairs = b.dropped_pairs
-    && bits a.dropped_l1 b.dropped_l1
-    && bits a.max_dropped b.max_dropped
-  in
-  Array.length vars = Array.length d.vars
-  && Array.for_all2 Variable.identical vars d.vars
-  && Option.equal same_truncation aais.Aais.truncation d.aais.Aais.truncation
-
 (* A stored plan arrives with its own deserialized AAIS, channels and
-   variables.  When they agree with the requester's on everything above,
-   the plan is rebound onto the requester's, so the device is resident
-   once and every output bit stays what the loaded copy would give.  A
-   device that differs (a translated layout) keeps the loaded copy. *)
+   variables.  Its key equals the requester's, and the key renders
+   everything the solve and the analyzer read, so the plan is rebound
+   onto the requester's device: the device is resident once, and every
+   output bit is what the loaded copy would give. *)
 let rebind_device (d : device) ~aais =
-  let vars = Aais.variables aais in
-  if not (same_unkeyed d ~aais ~vars) then d
-  else
-    let channels = Aais.channels aais in
-    {
-      d with
-      aais;
-      channels;
-      vars;
-      prepared =
-        List.map
-          (function
-            | Dynamic p -> Dynamic (Local_solver.rebind p ~vars ~channels)
-            | Fixed p -> Fixed (Fixed_solver.rebind p ~vars ~channels))
-          d.prepared;
-    }
+  let vars = Aais.variables aais and channels = Aais.channels aais in
+  {
+    d with
+    aais;
+    channels;
+    vars;
+    prepared =
+      List.map
+        (function
+          | Dynamic p -> Dynamic (Local_solver.rebind p ~vars ~channels)
+          | Fixed p -> Fixed (Fixed_solver.rebind p ~vars ~channels))
+        d.prepared;
+  }
 
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
@@ -741,6 +720,19 @@ let component_min_time run ~alpha = function
 
 let padded options t =
   if options.time_opt then t else t *. no_opt_padding
+
+(* The §5.1 start rule for every segment count: each instance starts
+   from its padded bottleneck, or from the padded time floor when no
+   component bounds it (0) or some component is infeasible at any
+   evolution time (infinity, warned once per compile). *)
+let start_times run bottlenecks =
+  if List.mem infinity bottlenecks then
+    warn run "some component is infeasible at any evolution time";
+  List.map
+    (fun b ->
+      padded run.options
+        (if b = infinity || b = 0.0 then time_floor else Float.max time_floor b))
+    bottlenecks
 
 let solve_component run ~alpha ~t_sim = function
   | Dynamic p ->
@@ -996,8 +988,7 @@ let instances ~options ~strict ?t_max ~plan ~t_tar targets =
   }
 
 (* K = 1: the §5.1 search runs the components on the pool, the
-   constraint loop solves every component, from the padded bottleneck
-   (the time floor when some component is infeasible at any T), and
+   constraint loop solves every component from the start time, and
    refinement runs at the loop's T. *)
 let static_tail ~t0 ~provenance ~plan (i : instances) =
   let run = i.run and d = plan.device in
@@ -1013,14 +1004,9 @@ let static_tail ~t0 ~provenance ~plan (i : instances) =
   Log.debug (fun m ->
       m "locality: %d components, bottleneck evolution time %.4g"
         (List.length d.comps) bottleneck);
-  if bottleneck = infinity then
-    warn run "some component is infeasible at any evolution time";
-  let t_base =
-    if bottleneck = infinity || bottleneck = 0.0 then time_floor
-    else Float.max time_floor bottleneck
-  in
   let layout =
-    constraint_loop run ~device:d ~alpha ~t_start:(padded options t_base)
+    constraint_loop run ~device:d ~alpha
+      ~t_start:(List.hd (start_times run [ bottleneck ]))
       d.prepared
   in
   let t_sim = layout.t_sim in
@@ -1129,12 +1115,11 @@ end
    folding its components in order (so no per-component list outlives
    the sweep).  The binding segment, the one demanding the largest
    fixed-channel amplitude, fixes the layout; the constraint loop solves
-   only the fixed components, from that segment's padded dynamic
-   bottleneck.  Every segment's duration is stretched so the shared
-   layout integrates to the segment's required B, never below its own
-   bottleneck, and the binding segment's is at least the loop's T.
-   Each segment then refines and re-solves its dynamic components at its
-   own duration.  An infinite bottleneck propagates. *)
+   only the fixed components, from that segment's start time.  Every
+   segment's duration is stretched so the shared layout integrates to
+   the segment's required B, never below its own start time, and the
+   binding segment's is at least the loop's T.  Each segment then
+   refines and re-solves its dynamic components at its own duration. *)
 let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
   let run = i.run and d = plan.device and alphas = i.alphas in
   let options = run.options in
@@ -1145,13 +1130,11 @@ let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
           (fun (bottleneck, fs) p ->
             let t, f = component_min_time run ~alpha p in
             (Float.max bottleneck t, fs @ f))
-          (time_floor, []) d.prepared)
+          (0.0, []) d.prepared)
       (Array.to_list alphas)
   in
   !stage_hook "local-solve";
-  let t_dyn =
-    Array.of_list (List.map (fun (b, _) -> padded options b) timed)
-  in
+  let t_dyn = Array.of_list (start_times run (List.map fst timed)) in
   let fixed = fixed_channels d in
   let demand s =
     let dm = ref 0.0 in

@@ -12,9 +12,9 @@
     reuse one plan, paying the front-end once.
 
     A plan's exact structural key ({!plan_key}) is the AAIS rendering
-    ({!Shape.of_aais}: name, variables, channel expressions/hints/effects
-    and the device builder's constraint fingerprint) plus the target's
-    support and the classification-affecting options.  Plans are cached
+    ({!Shape.of_aais}: name, variables, channel expressions/hints/effects,
+    the device builder's constraint fingerprint and its cutoff summary)
+    plus the target's support and the classification-affecting options.  Plans are cached
     process-wide in a bounded LRU ({!Plan_cache}) under a compact key
     (the solver flag, the rendering's memoized MD5 and the support's
     MD5), and a resident plan is served only after exact equality of
@@ -274,22 +274,23 @@ val validate_target : aais:Aais.t -> target:Pauli_sum.t -> t_tar:float -> unit
     subject) and the §4.1 linear solve.  Then one of two tails runs,
     each starting with the §5.1 per-component evolution-time search:
 
-    - K = 1: the §5.2 constraint loop solves every component, starting
-      from the padded bottleneck (from the 1e-4 µs time floor, with a
-      warning, when some component is infeasible at any time), and §6.2
-      refinement re-solves the dynamic components at the loop's T
-      (deadline site ["refine"]).
+    Each instance's start time is its padded bottleneck, or the padded
+    1e-4 µs time floor when no component bounds it or some component is
+    infeasible at any time (warned once per compile);
+    [options.time_opt = false] triples it.
+
+    - K = 1: the §5.2 constraint loop solves every component from the
+      start time, and §6.2 refinement re-solves the dynamic components
+      at the loop's T (deadline site ["refine"]).
     - K >= 2 (§5.3): the binding segment, the one with the largest
       fixed-channel amplitude demand, fixes the runtime-fixed layout;
       the constraint loop solves only the fixed components, starting
-      from that segment's padded bottleneck (an infinite one
-      propagates); every segment's duration is stretched so that layout
-      integrates to its required [B], and each segment refines and
-      re-solves its dynamic components at its duration (deadline site
-      ["segment-loop"]).
+      from that segment's start time; every segment's duration is
+      stretched so that layout integrates to its required [B], and each
+      segment refines and re-solves its dynamic components at its
+      duration (deadline site ["segment-loop"]).
 
-    [options.time_opt = false] triples the bottleneck either way.  The
-    device AAIS (geometry checks, qubit count) always comes from the
+    The device AAIS (geometry checks, qubit count) always comes from the
     plan. *)
 
 val diagnose :

@@ -75,7 +75,8 @@ val degree : prepared -> int option
     [Mul] adds degrees, [Div] subtracts them, [Pow_int] multiplies them
     by the exponent; [Add] and [Sub] need equal degrees, [Sin] and [Cos]
     degree 0.  [None] otherwise — e.g. a layout whose pinned atom sits
-    off the origin ({!Qturbo_aais.Rydberg.build_at}). *)
+    off the origin, where a difference like [x0 − x1] mixes degrees 0
+    and 1. *)
 
 val rebind :
   prepared ->

@@ -482,11 +482,6 @@ let test_prefit_degree_detection () =
     (degree (Rydberg.build ~spec:line ~n:5));
   Alcotest.(check (option int)) "plane device" (Some (-6))
     (degree (Rydberg.build ~spec:plane ~n:6));
-  (* atom 0 pinned at x = 37.5: x0 - x1 mixes degrees 0 and 1 *)
-  Alcotest.(check (option int)) "translated line device" None
-    (degree (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:line ~n:5));
-  Alcotest.(check (option int)) "translated plane device" None
-    (degree (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:plane ~n:6));
   let free = (-10.0, 10.0, 1.0) and at_zero = (0.0, 0.0, 0.0)
   and at_two = (2.0, 2.0, 2.0) in
   let x = Expr.Var 0 and y = Expr.Var 1 in

@@ -25,8 +25,9 @@
    bit-equal on every static row and within 1e-10 relative on the
    time-dependent ones (whose segment durations stretch to the solved
    layout), and the compiler's and verifier's [error_l1] moved by at
-   most 2.4e-8 relative.  The heisenberg and iontrap rows, and the
-   translated-layout row (which still takes the search), did not move. *)
+   most 2.4e-8 relative.  The heisenberg and iontrap rows did not move.
+   The X-only row keeps the search covered: no target term feeds a
+   van-der-Waals channel, so the closed form does not apply. *)
 
 open Qturbo_core
 module Backend = Qturbo_backend.Backend
@@ -122,40 +123,21 @@ let observe_static ~verify ~target (r : Compiler.result) =
     verify = [ verify_row (verify ~target ~t_tar:1.0 r) ];
   }
 
-let static_on ~aais ~verify ?(tweak = Fun.id) ?faults ?best_effort ~model ~n
-    () =
+let static ?(backend = Backend.rydberg) ?device ?cutoff ?(tweak = Fun.id)
+    ?faults ?best_effort ~model ~n () =
+  let inst =
+    backend.Backend.instantiate ?device ?cutoff ~model_name:model ~n ()
+  in
   let target =
     Qturbo_pauli.Pauli_sum.drop_identity
       (Qturbo_models.Model.hamiltonian_at
          (Qturbo_models.Benchmarks.by_name ~name:model ~n)
          ~s:0.0)
   in
-  observe_static ~verify ~target
+  observe_static ~verify:inst.Backend.verify ~target
     (Compiler.compile
        ~options:(options ?faults ?best_effort tweak)
-       ~aais ~target ~t_tar:1.0 ())
-
-let static ?(backend = Backend.rydberg) ?device ?cutoff ?tweak ?faults
-    ?best_effort ~model ~n () =
-  let inst =
-    backend.Backend.instantiate ?device ?cutoff ~model_name:model ~n ()
-  in
-  static_on ~aais:inst.Backend.aais ~verify:inst.Backend.verify ?tweak ?faults
-    ?best_effort ~model ~n ()
-
-(* ising-chain n=5 on the paper's device with the layout rigidly
-   translated so atom 0 is pinned at x = 37.5 µm.  The plan cache is
-   off: the translated device keys equal to the untranslated one, and
-   this row must solve on its own variables. *)
-let translated_chain () =
-  let ryd =
-    Qturbo_aais.Rydberg.build_at ~origin:(37.5, 0.0)
-      ~spec:Qturbo_aais.Device.aquila_paper ~n:5
-  in
-  static_on ~aais:ryd.Qturbo_aais.Rydberg.aais
-    ~verify:(Verifier.verify_rydberg ryd)
-    ~tweak:(fun o -> { o with Compiler.plan_cache = false })
-    ~model:"ising-chain" ~n:5 ()
+       ~aais:inst.Backend.aais ~target ~t_tar:1.0 ())
 
 (* X0 + ... + X4 on ising-chain n=5's device, compiled non-strictly: no
    target term reaches a van-der-Waals channel, so every α of the
@@ -306,7 +288,6 @@ let cases =
          accumulation order reaches the Theorem-1 bound *)
       ( "rydberg ising-chain n=12 global control",
         fun () -> static ~device:"aquila" ~model:"ising-chain" ~n:12 () );
-      ("rydberg ising-chain n=5 translated layout", translated_chain);
       ("rydberg ising-chain n=5 X-only target, pre-fit search", prefit_search);
       ( "rydberg mis-chain n=5 K=4 dense linear solver",
         fun () ->
@@ -325,16 +306,6 @@ let cases =
               ~faults ~best_effort segments ))
       [ 4; 1 ]
 
-(* Every stage of a supervised solve's escalation ladder failing, as the
-   supervisor records it for one component at [site]. *)
-let ladder ~site component =
-  [
-    (component, site, "lm", "numeric-invalid", false);
-    (component, site, "lm-retry", "numeric-invalid", false);
-    (component, site, "nelder-mead", "non-convergence", false);
-    (component, site, "multistart", "numeric-invalid", true);
-  ]
-
 let min_time_expired component =
   (component, "min-time", "", "deadline-expired", false)
 
@@ -351,9 +322,10 @@ let per_segment records = List.concat (List.init 4 (fun _ -> records))
    and the kitaev n=93, heis-chain n=300, ising-chain n=40, qaoa-chain
    n=300 and global-control cases before the closed-form components, the
    LU position solve and the greedy linear solve moved onto scratch
-   slots and CSR arrays.  The Rydberg rows but the translated layout were
-   re-recorded with the closed-form magnitude pre-fit (see the header);
-   the translated-layout row was recorded before it.  The rows from
+   slots and CSR arrays.  The Rydberg rows were re-recorded with the
+   closed-form magnitude pre-fit (see the header).  The X-only row was
+   recorded with the structural key that rendered site coordinates
+   relative to the first atom.  The rows from
    "td K=4 best-effort refine=deadline" on were recorded before the
    time-dependent driver moved into [Compile_plan]: they pin the rules
    that differ between one segment and several. *)
@@ -683,15 +655,6 @@ let expected =
             "0x0p+0|0x0p+0|0x0p+0";
           ];
       } );
-    ( "rydberg ising-chain n=5 translated layout",
-      {
-        t_sim = "0x1.999999999999ap-1";
-        error_l1 = "0x1.9e6bd576ca6a4p-5";
-        bound = "0x1.36d0e01917cfbp-3";
-        env_md5 = "e0fe99f6bf603d89264542aedc6842d4";
-        failures = [];
-        verify = [ "0x1.9e6bd576ca6aep-5|0x1.1fcae2760c916p-1|0x1.ffe7e11ecd41dp-7" ];
-      } );
     (* the constraint loop gives up, so the error is infinite *)
     ( "rydberg ising-chain n=5 X-only target, pre-fit search",
       {
@@ -745,23 +708,26 @@ let expected =
             "0x1.9a807eea54d06p-9|0x1.36fc7f2da51ap-2|0x1.0004055f8946p-10";
           ];
       } );
-    (* every segment's dynamic bottleneck is infinite, so the layout is
-       solved at T = infinity and so is every segment *)
+    (* every segment's dynamic bottleneck is infinite, so every segment
+       starts from the time floor, as a single one does; re-recorded when
+       the shared-layout tail stopped propagating the infinite bottleneck
+       (it had t_sim = infinity, error_l1 = nan and 164 records) *)
     ( "td K=4 generic local solver best-effort min-time=deadline",
       {
-        t_sim = "infinity";
-        error_l1 = "nan";
+        t_sim = "0x1.7d9037a764effp-8";
+        error_l1 = "0x1.bc576b0f91eecp+1";
         bound = "";
-        env_md5 = "f80b480dacb21a9733f7f4d51efa7071";
-        failures =
-          per_segment (List.map min_time_expired dynamic_components)
-          @ ladder ~site:"fixed-solve" 0
-          @ [ (-1, "constraint-loop", "", "position-retry-exhausted", false) ]
-          @ per_segment
-              (List.concat_map (ladder ~site:"local-solve") dynamic_components);
-        verify = List.init 4 (fun _ -> "infinity|infinity|infinity");
+        env_md5 = "f5cb033b37c1f9f5ac965eef0bd812e8";
+        failures = per_segment (List.map min_time_expired dynamic_components);
+        verify =
+          [
+            "0x1.04913508df49ep+0|0x1.b9a3ac54761dcp+5|0x1p-3";
+            "0x1.69226a11bcd56p-1|0x1.70812850cb22ep+5|0x1p-3";
+            "0x1.6f8c6c0d662afp-1|0x1.d7374f73a3ce1p+5|0x1p-3";
+            "0x1.07c63606b3134p+0|0x1.8fa870e35ce6ep+6|0x1p-3";
+          ];
       } );
-    (* the static path starts the constraint loop from the time floor *)
+    (* the constraint loop starts from the time floor *)
     ( "td K=1 generic local solver best-effort min-time=deadline",
       {
         t_sim = "0x1.6bcc41e9p-8";
@@ -799,11 +765,13 @@ type td_facts = {
   diagnostics_md5 : string;  (** over [Diagnostic.list_to_json] *)
 }
 
-let td_facts ?(tweak = Fun.id) ?(strict = true) ?t_max ~model ~n ~segments ()
-    =
+let td_facts ?(tweak = Fun.id) ?faults ?best_effort ?(strict = true) ?t_max
+    ~model ~n ~segments () =
   let inst = Backend.rydberg.Backend.instantiate ~model_name:model ~n () in
   let r =
-    Td_compiler.compile ~options:(options tweak) ~strict ?t_max
+    Td_compiler.compile
+      ~options:(options ?faults ?best_effort tweak)
+      ~strict ?t_max
       ~aais:inst.Backend.aais
       ~model:(Qturbo_models.Benchmarks.by_name ~name:model ~n)
       ~t_tar:1.0 ~segments ()
@@ -834,8 +802,22 @@ let facts_cases =
             ~tweak:(fun o -> { o with Compiler.dense_linear_solver = true })
             ~model:"mis-chain" ~n:5 ~segments:4 () );
     ]
+  (* an infinite bottleneck warns once per compile at any segment count *)
+  @ List.map
+      (fun segments ->
+        ( Printf.sprintf
+            "td K=%d generic local solver best-effort min-time=deadline"
+            segments,
+          fun () ->
+            td_facts
+              ~tweak:(fun o -> { o with Compiler.generic_local_solver = true })
+              ~faults:(faults "min-time=deadline") ~best_effort:true
+              ~model:"mis-chain" ~n:5 ~segments () ))
+      [ 1; 4 ]
 
-(* recorded before the time-dependent driver moved into [Compile_plan] *)
+(* recorded before the time-dependent driver moved into [Compile_plan],
+   but the min-time=deadline rows, recorded with the start rule both
+   tails share *)
 let expected_facts =
   [
     ( "kitaev n=13 K=1 non-strict t_max=0.05",
@@ -871,6 +853,22 @@ let expected_facts =
         binding_segment = 1;
         warnings = 0;
         warnings_md5 = "d41d8cd98f00b204e9800998ecf8427e";
+        diagnostics_md5 = "4d5d42154e34ec2e2879dbd506b4b0a1";
+      } );
+    (* the one warning is "some component is infeasible at any evolution
+       time" *)
+    ( "td K=1 generic local solver best-effort min-time=deadline",
+      {
+        binding_segment = 0;
+        warnings = 1;
+        warnings_md5 = "159e1cc4615858f5363d806d5d84b842";
+        diagnostics_md5 = "4d5d42154e34ec2e2879dbd506b4b0a1";
+      } );
+    ( "td K=4 generic local solver best-effort min-time=deadline",
+      {
+        binding_segment = 0;
+        warnings = 1;
+        warnings_md5 = "159e1cc4615858f5363d806d5d84b842";
         diagnostics_md5 = "4d5d42154e34ec2e2879dbd506b4b0a1";
       } );
   ]

@@ -139,13 +139,16 @@ let prop_plan_key_coefficient_invariant =
         (key ~target:(target ~j:1.0 ~h:1.0)))
 
 (* Device-key digests, pinned: plan-store entries and LRU keys are filed
-   under the key bytes, so a renderer change must keep every byte. *)
+   under the key bytes, so a renderer change must keep every byte.  The
+   three planar Rydberg rows were re-recorded when the key stopped
+   rendering site coordinates relative to the first atom (and snapped to
+   1e-6 um) and started rendering the truncation summary. *)
 let key_digest_goldens =
   [
-    ("rydberg", "ising-cycle", 93, None, "5b4cc857d0de8bbb2d3e4bbdc7a55846");
+    ("rydberg", "ising-cycle", 93, None, "3b785a08356e7d8ff40953d7de2d038b");
     ("rydberg", "kitaev", 93, None, "e98d8ec1b034a43cd2253b89ee39f2a4");
-    ("rydberg", "ising-cycle", 300, Some "45", "3b80fecca9461179f3329c68d4ba58aa");
-    ("rydberg", "ising-cycle", 1000, None, "1cad3d1a6f9b19ce8992b3aa141bd4c6");
+    ("rydberg", "ising-cycle", 300, Some "45", "565666e33cb74833cf0b9b00a8c60d3c");
+    ("rydberg", "ising-cycle", 1000, None, "87b14ea22aabcce74a8ff8da288e41ae");
     ("heisenberg", "heis-chain", 300, None, "82bc8676b28312077345868934c923bf");
     ("iontrap", "ising-chain", 40, None, "ddbe0e51b978dbd7b82eae9d7c5dd0ef");
     ("iontrap", "qaoa-chain", 23, None, "b9f9d114a9860453d05a5df48fd19f40");

@@ -462,53 +462,61 @@ let test_store_hit_rebinds_onto_requester () =
   check_bits "error" cold.Compiler.error_l1 r.Compiler.error_l1;
   check_bits "bound" cold.Compiler.theorem1_bound r.Compiler.theorem1_bound
 
-(* Devices whose keys are equal but which differ in what the key leaves
-   out keep the loaded copy, and with it the result a store hit has
-   always given them: a rigidly translated layout (other coordinates)
-   and a cutoff radius that drops the same pairs (QT029 prints it). *)
-let test_store_hit_keeps_loaded_copy () =
+(* On the evenly spaced chain, radii of 1.2 and 1.5 spacings keep
+   exactly the nearest-neighbour pairs, so the two devices emit the same
+   channels.  The key renders the truncation summary, so they key apart:
+   neither the plan cache nor the store serves one's plan to the other,
+   and each compile reports its own radius (QT029). *)
+let test_radii_keeping_the_same_pairs_key_apart () =
   let options = Compiler.default_options in
   let target = static_target "ising-chain" 5 in
-  let keeps what ~stored ~requester =
-    with_store @@ fun _dir ->
-    let cold = Compiler.compile ~options ~aais:stored ~target ~t_tar:1.0 () in
-    Compile_plan.clear_caches ();
-    Alcotest.(check string) (what ^ ": keys equal")
-      (Compile_plan.plan_key ~options ~aais:stored ~target)
-      (Compile_plan.plan_key ~options ~aais:requester ~target);
-    let plan, provenance = Compile_plan.obtain ~options ~aais:requester ~target in
-    Alcotest.(check bool) (what ^ ": a store hit") true
-      (provenance = Compile_plan.Stored);
-    let d = plan.Compile_plan.device in
-    Alcotest.(check bool) (what ^ ": the loaded AAIS") false
-      (d.Compile_plan.aais == requester);
-    Alcotest.(check bool) (what ^ ": the loaded channels") false
-      (Array.exists2 ( == ) d.Compile_plan.channels (Aais.channels requester));
-    let r = Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 () in
-    check_bits (what ^ ": t_sim") cold.Compiler.t_sim r.Compiler.t_sim;
-    check_bits_arr (what ^ ": env") cold.Compiler.env r.Compiler.env;
-    check_bits (what ^ ": error") cold.Compiler.error_l1 r.Compiler.error_l1;
-    let rendered (r : Compiler.result) =
-      List.map Qturbo_analysis.Diagnostic.to_string r.Compiler.diagnostics
-    in
-    Alcotest.(check (list string)) (what ^ ": diagnostics") (rendered cold)
-      (rendered r)
-  in
-  keeps "translated layout" ~stored:(rydberg_for 5).Rydberg.aais
-    ~requester:
-      (Rydberg.build_at ~origin:(37.5, 0.0) ~spec:relaxed_line ~n:5).Rydberg.aais;
-  (* on the evenly spaced chain, both radii keep exactly the
-     nearest-neighbour pairs *)
   let spacing =
     let ryd = rydberg_for 5 in
     Rydberg.distance ryd ~env:(Variable.initial_env ryd.Rydberg.aais.Aais.pool) 0 1
   in
+  let radius factor = factor *. spacing in
   let cut factor =
-    (Rydberg.build_cutoff ~cutoff:(Rydberg.Radius (factor *. spacing))
+    (Rydberg.build_cutoff ~cutoff:(Rydberg.Radius (radius factor))
        ~spec:relaxed_line ~n:5)
       .Rydberg.aais
   in
-  keeps "another cutoff radius" ~stored:(cut 1.2) ~requester:(cut 1.5)
+  let compile factor =
+    Compiler.compile ~options ~aais:(cut factor) ~target ~t_tar:1.0 ()
+  in
+  let reports_own_radius what factor (r : Compiler.result) =
+    let own = Printf.sprintf "cutoff at %g um " (radius factor) in
+    let qt029 =
+      List.filter
+        (fun (d : Qturbo_analysis.Diagnostic.t) ->
+          d.Qturbo_analysis.Diagnostic.code = "QT029")
+        r.Compiler.diagnostics
+    in
+    match qt029 with
+    | [ d ] ->
+        let msg = d.Qturbo_analysis.Diagnostic.message in
+        let n = String.length own in
+        let rec has i =
+          i + n <= String.length msg && (String.sub msg i n = own || has (i + 1))
+        in
+        if not (has 0) then Alcotest.failf "%s: QT029 says %S" what msg
+    | ds -> Alcotest.failf "%s: %d QT029 findings" what (List.length ds)
+  in
+  with_store @@ fun _dir ->
+  reports_own_radius "cold 1.2" 1.2 (compile 1.2);
+  let warm = compile 1.5 in
+  reports_own_radius "warm 1.5" 1.5 warm;
+  Alcotest.(check bool) "warm: no cache hit" false
+    warm.Compiler.plan.Compiler.cache_hit;
+  Alcotest.(check bool) "keys differ" false
+    (String.equal
+       (Compile_plan.plan_key ~options ~aais:(cut 1.2) ~target)
+       (Compile_plan.plan_key ~options ~aais:(cut 1.5) ~target));
+  (* a fresh process on a store that holds both plans *)
+  Compile_plan.clear_caches ();
+  let stored = compile 1.2 in
+  Alcotest.(check bool) "a store hit" true
+    stored.Compiler.plan.Compiler.store_hit;
+  reports_own_radius "stored 1.2" 1.2 stored
 
 let () =
   Alcotest.run "store"
@@ -538,9 +546,8 @@ let () =
             test_store_payload_leaves_out_key_memo;
           Alcotest.test_case "a store hit rebinds onto an identical device"
             `Quick test_store_hit_rebinds_onto_requester;
-          Alcotest.test_case "a device the key cannot tell apart keeps \
-                               the loaded copy"
-            `Quick test_store_hit_keeps_loaded_copy;
+          Alcotest.test_case "radii keeping the same pairs key apart"
+            `Quick test_radii_keeping_the_same_pairs_key_apart;
           Alcotest.test_case "dropped structure findings are re-derived"
             `Quick test_dropped_structure_findings_rederived;
           Alcotest.test_case "tampered tables and lint list are re-derived"

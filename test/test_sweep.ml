@@ -1,8 +1,9 @@
 (* Tests for the sweep/batch layer and its supporting bugfixes: the
    strict JSON emission path (non-finite floats must render as null and
    every --json report must parse under a strict RFC 8259 parser), the
-   translation-invariant structural cache key, and the parallel batch
-   compile's bitwise equivalence at any worker count. *)
+   structural cache key's contract (equal keys mean interchangeable
+   devices), and the parallel batch compile's bitwise equivalence at any
+   worker count. *)
 
 open Qturbo_pauli
 open Qturbo_aais
@@ -213,41 +214,99 @@ let key_of_ryd (ryd : Rydberg.t) target =
   Compile_plan.plan_key ~options:Compiler.default_options
     ~aais:ryd.Rydberg.aais ~target
 
-let test_key_translation_invariant_cases () =
+(* Equal renderings must mean interchangeable devices: everything the
+   key leaves out (variable names, channel labels) must then agree too,
+   and so must everything the solve and the analyzer read. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let identical (a : Variable.t) (b : Variable.t) =
+  let open Qturbo_optim.Bounds in
+  a.Variable.id = b.Variable.id
+  && String.equal a.Variable.name b.Variable.name
+  && a.Variable.kind = b.Variable.kind
+  && same_bits a.Variable.bound.lo b.Variable.bound.lo
+  && same_bits a.Variable.bound.hi b.Variable.bound.hi
+  && same_bits a.Variable.init b.Variable.init
+
+let same_truncation (a : Aais.truncation) (b : Aais.truncation) =
+  same_bits a.Aais.radius b.Aais.radius
+  && a.Aais.kept_pairs = b.Aais.kept_pairs
+  && a.Aais.dropped_pairs = b.Aais.dropped_pairs
+  && same_bits a.Aais.dropped_l1 b.Aais.dropped_l1
+  && same_bits a.Aais.max_dropped b.Aais.max_dropped
+
+let interchangeable (a : Aais.t) (b : Aais.t) =
+  let labels aais =
+    Array.map (fun (c : Instruction.channel) -> c.Instruction.label)
+      (Aais.channels aais)
+  in
+  let va = Aais.variables a and vb = Aais.variables b in
+  Array.length va = Array.length vb
+  && Array.for_all2 identical va vb
+  && labels a = labels b
+  && Option.equal same_truncation a.Aais.truncation b.Aais.truncation
+
+(* (backend, model, n, cutoff); the cutoff is [None] for auto, ["all-pairs"]
+   or a radius of 0.5-3 default spacings (the other backends ignore it) *)
+let instance (backend, model, n, cutoff) =
+  (Qturbo_backend.Backend.find_exn backend).Qturbo_backend.Backend.instantiate
+    ?cutoff ~model_name:model ~n ()
+
+let gen_config =
+  let open QCheck.Gen in
+  let* backend = oneofl [ "rydberg"; "heisenberg"; "iontrap" ] in
+  let* model = oneofl [ "ising-chain"; "ising-cycle"; "kitaev"; "heis-chain" ] in
+  let* n = int_range 3 8 in
+  let* cutoff =
+    oneof
+      [
+        return None;
+        return (Some "all-pairs");
+        map
+          (fun k -> Some (Printf.sprintf "%.17g" (k *. Rydberg.default_spacing)))
+          (float_range 0.5 3.0);
+      ]
+  in
+  return (backend, model, n, cutoff)
+
+let show_config (backend, model, n, cutoff) =
+  Printf.sprintf "%s %s n=%d cutoff=%s" backend model n
+    (Option.value cutoff ~default:"auto")
+
+let test_equal_keys_interchangeable =
+  QCheck.Test.make ~name:"equal device keys mean interchangeable devices"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (a, b) -> show_config a ^ " / " ^ show_config b)
+       QCheck.Gen.(pair gen_config gen_config))
+    (fun (a, b) ->
+      let a = (instance a).Qturbo_backend.Backend.aais
+      and b = (instance b).Qturbo_backend.Backend.aais in
+      (not (String.equal (Shape.of_aais a) (Shape.of_aais b)))
+      || interchangeable a b)
+
+(* The premise of the property above is reachable: these pairs build
+   the same device and key equal. *)
+let test_equal_keys_reachable () =
   List.iter
-    (fun (spec, name, n) ->
-      let target = static_target name n in
-      let base = Rydberg.build_at ~origin:(0.0, 0.0) ~spec ~n in
-      let same = Rydberg.build ~spec ~n in
-      Alcotest.(check string)
-        (name ^ " origin (0,0) is the default key")
-        (key_of_ryd base target) (key_of_ryd same target);
-      List.iter
-        (fun origin ->
-          let moved = Rydberg.build_at ~origin ~spec ~n in
-          Alcotest.(check string)
-            (Printf.sprintf "%s key invariant under (%g, %g)" name (fst origin)
-               (snd origin))
-            (key_of_ryd base target) (key_of_ryd moved target))
-        [ (37.5, 0.0); (-12.25, 101.0); (0.0, -5.5); (250.0, 250.0) ])
+    (fun (a, b) ->
+      let aa = (instance a).Qturbo_backend.Backend.aais
+      and ab = (instance b).Qturbo_backend.Backend.aais in
+      Alcotest.(check bool)
+        (show_config a ^ " keys as " ^ show_config b)
+        true
+        (String.equal (Shape.of_aais aa) (Shape.of_aais ab));
+      Alcotest.(check bool) "interchangeable" true (interchangeable aa ab))
     [
-      (relaxed_line, "ising-chain", 4);
-      (relaxed_plane, "ising-cycle", 5);
+      (("rydberg", "ising-chain", 5, None), ("rydberg", "kitaev", 5, Some "all-pairs"));
+      (("rydberg", "ising-cycle", 4, Some "27"), ("rydberg", "ising-cycle", 4, None));
+      (("heisenberg", "ising-chain", 6, None), ("heisenberg", "heis-chain", 6, None));
+      (("iontrap", "kitaev", 3, Some "9"), ("iontrap", "ising-cycle", 3, None));
     ]
 
-let test_key_translation_invariant_qcheck =
-  QCheck.Test.make ~name:"shape key invariant under rigid translation"
-    ~count:40
-    QCheck.(pair (float_range (-300.0) 300.0) (float_range (-300.0) 300.0))
-    (fun origin ->
-      let target = static_target "ising-cycle" 5 in
-      let base = Rydberg.build ~spec:relaxed_plane ~n:5 in
-      let moved = Rydberg.build_at ~origin ~spec:relaxed_plane ~n:5 in
-      String.equal (key_of_ryd base target) (key_of_ryd moved target))
-
 let test_key_still_separates_devices () =
-  (* anchoring must not over-merge: a different spacing scale (different
-     initial guesses relative to the anchor) keeps a distinct key *)
+  (* a constraint only the check_fixed closure reads keeps a distinct
+     key through the builder's fingerprint *)
   let target = static_target "ising-chain" 4 in
   let a = Rydberg.build ~spec:relaxed_line ~n:4 in
   let b =
@@ -404,9 +463,9 @@ let () =
         ] );
       ( "cache-key",
         [
-          Alcotest.test_case "translation invariant" `Quick
-            test_key_translation_invariant_cases;
-          QCheck_alcotest.to_alcotest test_key_translation_invariant_qcheck;
+          QCheck_alcotest.to_alcotest test_equal_keys_interchangeable;
+          Alcotest.test_case "equal keys are reachable" `Quick
+            test_equal_keys_reachable;
           Alcotest.test_case "still separates devices" `Quick
             test_key_still_separates_devices;
           Alcotest.test_case "term order invariant" `Quick
