@@ -24,9 +24,10 @@ val of_aais : Aais.t -> string
     initial guess) and every channel (cid, expression tree, solver hint,
     effect terms with coefficients).
 
-    Everything the solve and the analyzer read of a device is rendered,
-    floats by their bits, so equal renderings mean interchangeable
-    devices: a plan built on one serves the other.  Variable names and
+    Everything the solve and the analyzer read of a device is rendered
+    (what only the [check_fixed] closure reads, through the
+    fingerprint), floats by their bits, so equal renderings mean
+    interchangeable devices: a plan built on one serves the other.  Variable names and
     channel labels are left out; the builder and its parameters, which
     the name and the fingerprint render, determine them. *)
 

@@ -709,9 +709,8 @@ let expected =
           ];
       } );
     (* every segment's dynamic bottleneck is infinite, so every segment
-       starts from the time floor, as a single one does; re-recorded when
-       the shared-layout tail stopped propagating the infinite bottleneck
-       (it had t_sim = infinity, error_l1 = nan and 164 records) *)
+       starts from the time floor, as a single one does; re-recorded with
+       the start rule both tails share *)
     ( "td K=4 generic local solver best-effort min-time=deadline",
       {
         t_sim = "0x1.7d9037a764effp-8";

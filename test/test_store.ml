@@ -474,9 +474,8 @@ let test_radii_keeping_the_same_pairs_key_apart () =
     let ryd = rydberg_for 5 in
     Rydberg.distance ryd ~env:(Variable.initial_env ryd.Rydberg.aais.Aais.pool) 0 1
   in
-  let radius factor = factor *. spacing in
   let cut factor =
-    (Rydberg.build_cutoff ~cutoff:(Rydberg.Radius (radius factor))
+    (Rydberg.build_cutoff ~cutoff:(Rydberg.Radius (factor *. spacing))
        ~spec:relaxed_line ~n:5)
       .Rydberg.aais
   in
@@ -484,22 +483,15 @@ let test_radii_keeping_the_same_pairs_key_apart () =
     Compiler.compile ~options ~aais:(cut factor) ~target ~t_tar:1.0 ()
   in
   let reports_own_radius what factor (r : Compiler.result) =
-    let own = Printf.sprintf "cutoff at %g um " (radius factor) in
-    let qt029 =
-      List.filter
-        (fun (d : Qturbo_analysis.Diagnostic.t) ->
-          d.Qturbo_analysis.Diagnostic.code = "QT029")
-        r.Compiler.diagnostics
-    in
-    match qt029 with
-    | [ d ] ->
-        let msg = d.Qturbo_analysis.Diagnostic.message in
-        let n = String.length own in
-        let rec has i =
-          i + n <= String.length msg && (String.sub msg i n = own || has (i + 1))
-        in
-        if not (has 0) then Alcotest.failf "%s: QT029 says %S" what msg
-    | ds -> Alcotest.failf "%s: %d QT029 findings" what (List.length ds)
+    let module D = Qturbo_analysis.Diagnostic in
+    Alcotest.(check (list string))
+      (what ^ ": QT029 reports its own radius")
+      (List.map D.to_string
+         (Qturbo_analysis.Truncation.check ~aais:(cut factor) ~t_tar:1.0))
+      (List.filter_map
+         (fun (d : D.t) ->
+           if d.D.code = "QT029" then Some (D.to_string d) else None)
+         r.Compiler.diagnostics)
   in
   with_store @@ fun _dir ->
   reports_own_radius "cold 1.2" 1.2 (compile 1.2);
@@ -513,10 +505,10 @@ let test_radii_keeping_the_same_pairs_key_apart () =
        (Compile_plan.plan_key ~options ~aais:(cut 1.5) ~target));
   (* a fresh process on a store that holds both plans *)
   Compile_plan.clear_caches ();
-  let stored = compile 1.2 in
+  let stored = compile 1.5 in
   Alcotest.(check bool) "a store hit" true
     stored.Compiler.plan.Compiler.store_hit;
-  reports_own_radius "stored 1.2" 1.2 stored
+  reports_own_radius "stored 1.5" 1.5 stored
 
 let () =
   Alcotest.run "store"
