@@ -814,7 +814,7 @@ let facts_cases =
               ~model:"mis-chain" ~n:5 ~segments () ))
       [ 1; 4 ]
 
-(* recorded before the time-dependent driver moved into [Compile_plan],
+(* recorded before the time-dependent compile moved into [Compile_plan],
    but the min-time=deadline rows, recorded with the start rule both
    tails share *)
 let expected_facts =
