@@ -434,7 +434,7 @@ let inject_dangling (aais : Aais.t) =
       ~lo:0.0 ~hi:1.0 ()
   in
   let ch =
-    Instruction.channel ~cid:(Aais.channel_count aais) ~label:"dangling"
+    Instruction.channel_of_expr ~cid:(Aais.channel_count aais) ~label:"dangling"
       ~expr:(Expr.var v) ~effects:[] ~hint:Instruction.Hint_generic
   in
   let instr = Instruction.make ~label:"dangling" ~channels:[ ch ] in
@@ -759,8 +759,8 @@ let print_plan_summary ~plan_cache =
   end;
   print_store_summary ()
 
-let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
-    sweep_h sweep_t sweep_segments domains batch_domains no_plan_cache
+let sweep_cmd model_name hamiltonian n backend device_name cutoff jobs_file
+    sweep_j sweep_h sweep_t sweep_segments domains batch_domains no_plan_cache
     plan_store no_plan_store best_effort json verbose =
  user_errors @@ fun () ->
   setup_logging verbose;
@@ -789,7 +789,7 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
   let probe = model_of ~j:0.0 ~h:0.0 in
   let n = probe.Qturbo_models.Model.n in
   let inst =
-    resolve_backend ~backend ~device:device_name ~cutoff:None ~ramp:false
+    resolve_backend ~backend ~device:device_name ~cutoff ~ramp:false
       ~model_name:probe.Qturbo_models.Model.name ~n
   in
   if Qturbo_models.Model.is_driven probe then begin
@@ -910,8 +910,8 @@ let batch_domains_arg =
 let sweep_term =
   Term.(
     const sweep_cmd $ model_arg $ hamiltonian_arg $ n_arg $ backend_arg
-    $ device_arg $ jobs_file_arg $ sweep_j_arg $ sweep_h_arg $ sweep_t_arg
-    $ sweep_segments_arg $ domains_arg $ batch_domains_arg
+    $ device_arg $ cutoff_arg $ jobs_file_arg $ sweep_j_arg $ sweep_h_arg
+    $ sweep_t_arg $ sweep_segments_arg $ domains_arg $ batch_domains_arg
     $ no_plan_cache_flag $ plan_store_arg $ no_plan_store_flag
     $ best_effort_flag $ json_flag $ verbose_flag)
 

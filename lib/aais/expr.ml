@@ -487,10 +487,34 @@ let kernel_max_var k = k.k_max_var
 
 (* ---- templates ------------------------------------------------------- *)
 
+(* A channel shape over local variables 0..k-1, compiled once.  [id] is
+   the template's identity for the per-pass tables below; it is unique
+   among the templates one process declares. *)
+type template = { id : int; expr : t; arity : int; kernel : kernel }
+
+let next_template_id = Atomic.make 0
+
+let template e =
+  let open Stdlib in
+  let vs = vars e in
+  List.iteri
+    (fun l v ->
+      if v <> l then
+        invalid_arg "Expr.template: variables must be exactly 0 .. k-1")
+    vs;
+  {
+    id = Atomic.fetch_and_add next_template_id 1;
+    expr = e;
+    arity = List.length vs;
+    kernel = compile e;
+  }
+
+let template_expr tpl = tpl.expr
+
 (* Variables renamed to 0..k-1 in left-to-right first-occurrence order.
    The renaming is a linear scan: a channel reads a handful of
    variables. *)
-let template e =
+let split e =
   let open Stdlib in
   let seen = ref [] and k = ref 0 in
   let local g =
@@ -519,56 +543,18 @@ let template e =
     | Cos a -> Cos (go a)
   in
   let local_e = go e in
-  let globals = Array.make !k 0 in
-  List.iter (fun (g, l) -> globals.(l) <- g) !seen;
-  (local_e, globals)
-
-(* Structural equality and hash with constants compared by their bits:
-   [=] equates [-0.0] with [0.0] and never a NaN with itself, and
-   [Hashtbl.hash] stops after the first few nodes of a deep tree. *)
-let rec equal_bits a b =
-  match (a, b) with
-  | Const x, Const y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Var x, Var y -> Int.equal x y
-  | Neg a, Neg b | Sin a, Sin b | Cos a, Cos b -> equal_bits a b
-  | Add (a1, a2), Add (b1, b2)
-  | Sub (a1, a2), Sub (b1, b2)
-  | Mul (a1, a2), Mul (b1, b2)
-  | Div (a1, a2), Div (b1, b2) ->
-      equal_bits a1 b1 && equal_bits a2 b2
-  | Pow_int (a, n), Pow_int (b, m) -> Int.equal n m && equal_bits a b
-  | ( ( Const _ | Var _ | Neg _ | Add _ | Sub _ | Mul _ | Div _ | Pow_int _
-      | Sin _ | Cos _ ),
-      _ ) ->
-      false
-
-let hash_bits e =
-  let open Stdlib in
-  let mix h x = (h * 31) + x in
-  let rec go h = function
-    | Const x ->
-        let b = Int64.bits_of_float x in
-        mix (mix h 1) (Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32))
-    | Var v -> mix (mix h 2) v
-    | Neg a -> go (mix h 3) a
-    | Add (a, b) -> go (go (mix h 4) a) b
-    | Sub (a, b) -> go (go (mix h 5) a) b
-    | Mul (a, b) -> go (go (mix h 6) a) b
-    | Div (a, b) -> go (go (mix h 7) a) b
-    | Pow_int (a, n) -> go (mix (mix h 8) n) a
-    | Sin a -> go (mix h 9) a
-    | Cos a -> go (mix h 10) a
-  in
-  go 0 e land max_int
+  let ids = Array.make !k 0 in
+  List.iter (fun (g, l) -> ids.(l) <- g) !seen;
+  (template local_e, ids)
 
 (* A kernel compiled from a template, its variable fields rewritten
-   through [globals]: [op_var], [var_op], [var_sin] and [var_cos] carry
+   through [ids]: [op_var], [var_op], [var_sin] and [var_cos] carry
    one id, [vv] and [dsq] a packed pair.  [deriv_raw], [simplify] and
    [compile_raw] only test ids for equality, and the fusion pass only
    bounds them ([pack_ok]), so when every id is below [pack_limit] this
    is the kernel [compile] gives the renamed expression, word for word.
    The constant table is shared: kernels are never mutated. *)
-let relabel k globals =
+let relabel k ids =
   let open Stdlib in
   let src = k.k_prog in
   let prog = Array.make (Array.length src) 0 in
@@ -580,12 +566,12 @@ let relabel k globals =
       (if op = op_var || (op >= op_var_add && op < op_const_add)
           || op = op_var_sin || op = op_var_cos
        then begin
-         let g = globals.(arg) in
+         let g = ids.(arg) in
          if g > !max_var then max_var := g;
          (g lsl 5) lor op
        end
        else if (op >= op_vv_add && op < op_var_add) || op = op_dsq then begin
-         let a = globals.(arg lsr 24) and b = globals.(arg land 0xffffff) in
+         let a = ids.(arg lsr 24) and b = ids.(arg land 0xffffff) in
          if a > !max_var then max_var := a;
          if b > !max_var then max_var := b;
          (((a lsl 24) lor b) lsl 5) lor op
@@ -594,19 +580,59 @@ let relabel k globals =
   done;
   { k with k_prog = prog; k_max_var = !max_var }
 
-module Template_tbl = Hashtbl.Make (struct
-  type nonrec t = t
+(* Relabeling commutes with [deriv] only for a one-to-one renaming: two
+   locals mapped onto one id would need the sum of their derivatives. *)
+let check_ids who tpl ids =
+  let open Stdlib in
+  let k = Array.length ids in
+  if k <> tpl.arity then
+    invalid_arg
+      (Printf.sprintf "Expr.%s: %d ids for a template of arity %d" who k
+         tpl.arity);
+  for a = 0 to k - 1 do
+    for b = a + 1 to k - 1 do
+      if ids.(a) = ids.(b) then
+        invalid_arg (Printf.sprintf "Expr.%s: id %d repeats" who ids.(a))
+    done
+  done
 
-  let equal = equal_bits
-  let hash = hash_bits
-end)
+let wide ids = Array.exists (fun g -> g >= pack_limit) ids
+let instance_expr tpl ids = map_vars (fun l -> ids.(l)) tpl.expr
+
+(* the instance expression is built only for a direct compile or an
+   installed hook *)
+let instance tpl ids =
+  check_ids "instance" tpl ids;
+  if wide ids then compile (instance_expr tpl ids)
+  else begin
+    let k = relabel tpl.kernel ids in
+    if !compile_hook != no_hook then !compile_hook (instance_expr tpl ids) k;
+    k
+  end
+
+(* Tables confined to one pass over one device.  A template read back
+   by [Marshal] keeps the id it was written with, so a hit is confirmed
+   by physical equality and a stranger sharing the id replaces it. *)
+module Template_memo = struct
+  type 'a t = (int, template * 'a) Hashtbl.t
+
+  let create () : 'a t = Hashtbl.create 16
+
+  let find_or_add (tbl : 'a t) tpl make =
+    match Hashtbl.find_opt tbl tpl.id with
+    | Some (t, v) when t == tpl -> v
+    | Some _ | None ->
+        let v = make () in
+        Hashtbl.replace tbl tpl.id (tpl, v);
+        v
+end
 
 module Deriv_table = struct
   (* per local variable of a template: the derivative in local ids and
      its compiled kernel, [None] when it simplifies to zero *)
-  type table = (t * kernel) option array Template_tbl.t
+  type table = (t * kernel) option array Template_memo.t
 
-  let create () : table = Template_tbl.create 16
+  let create () : table = Template_memo.create ()
 
   let direct ~wrt e =
     List.filter_map
@@ -615,36 +641,30 @@ module Deriv_table = struct
         else match deriv e v with Const 0.0 -> None | d -> Some (v, compile d))
       (vars e)
 
-  let kernels table ~wrt e =
-    let local_e, globals = template e in
-    if Array.exists (fun g -> g >= pack_limit) globals then direct ~wrt e
+  let kernels table ~wrt tpl ids =
+    check_ids "Deriv_table.kernels" tpl ids;
+    if wide ids then direct ~wrt (instance_expr tpl ids)
     else begin
       let derivs =
-        match Template_tbl.find_opt table local_e with
-        | Some ds -> ds
-        | None ->
-            let ds =
-              Array.init (Array.length globals) (fun l ->
-                  match deriv local_e l with
-                  | Const 0.0 -> None
-                  | d -> Some (d, compile_raw ~fused:true d))
-            in
-            Template_tbl.add table local_e ds;
-            ds
+        Template_memo.find_or_add table tpl (fun () ->
+            Array.init tpl.arity (fun l ->
+                match deriv tpl.expr l with
+                | Const 0.0 -> None
+                | d -> Some (d, compile_raw ~fused:true d)))
       in
       (* the relabeled source is built only for an installed hook *)
       let hooked = !compile_hook != no_hook in
       List.filter_map
         (fun l ->
           match derivs.(l) with
-          | Some (d, k) when wrt globals.(l) ->
-              let k = relabel k globals in
-              if hooked then !compile_hook (map_vars (fun l -> globals.(l)) d) k;
-              Some (globals.(l), k)
+          | Some (d, k) when wrt ids.(l) ->
+              let k = relabel k ids in
+              if hooked then !compile_hook (map_vars (fun l -> ids.(l)) d) k;
+              Some (ids.(l), k)
           | Some _ | None -> None)
         (List.sort
-           (fun a b -> Int.compare globals.(a) globals.(b))
-           (List.init (Array.length globals) Fun.id))
+           (fun a b -> Int.compare ids.(a) ids.(b))
+           (List.init tpl.arity Fun.id))
     end
 end
 

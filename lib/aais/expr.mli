@@ -148,8 +148,8 @@ val compile_unfused : t -> kernel
 
 val compile_hook : (t -> kernel -> unit) ref
 (** Called by {!compile} / {!compile_unfused} on every kernel, and by
-    {!Deriv_table.kernels} on every kernel it relabels, with the source
-    expression the kernel computes.  Default is a no-op.
+    {!instance} and {!Deriv_table.kernels} on every kernel they relabel,
+    with the source expression the kernel computes.  Default is a no-op.
     [Qturbo_analysis.Kernel_check.install_compile_hook] points this at
     the kernel verifier so test-mode runs check every kernel at birth;
     the hook may raise to reject a bad kernel. *)
@@ -159,23 +159,50 @@ val compile_hook : (t -> kernel -> unit) ref
     A device repeats one expression shape across thousands of channels:
     every planar van-der-Waals pair is
     [c / ((x_i − x_j)² + (y_i − y_j)²)³] over its own coordinates.  A
-    template is that shape with the variable ids renamed away, so work
-    that depends only on the shape (deriving, compiling) runs once per
+    builder declares that shape once, as a template over local variables
+    [0 .. k-1], and makes each channel an instance of it: the local
+    variables mapped to the channel's global ids.  Work that depends only
+    on the shape (compiling, deriving, rendering) then runs once per
     template and is relabeled per channel. *)
 
-val template : t -> t * int array
-(** [template e] is [(e', globals)]: [e] with its variables renamed to
-    [0 .. k-1] in left-to-right first-occurrence order, and
-    [globals.(l)] the id that local variable [l] stands for, so
-    [map_vars (fun l -> globals.(l)) e'] is [e]. *)
+type template
 
-val equal_bits : t -> t -> bool
-(** Structural equality with constants compared by their IEEE bits:
-    [Const (-0.0)] differs from [Const 0.0], and a NaN equals a NaN
-    with the same payload. *)
+val template : t -> template
+(** Declare a template: the expression, whose variables must be exactly
+    [0 .. k-1] (raises [Invalid_argument] otherwise), compiled once.
+    Each call is a new template, with its own identity. *)
 
-val hash_bits : t -> int
-(** A hash over the whole tree, compatible with {!equal_bits}. *)
+val template_expr : template -> t
+(** The expression over local variables. *)
+
+val split : t -> template * int array
+(** [split e] is [(tpl, ids)]: a one-off template of [e] with its
+    variables renamed to [0 .. k-1] in left-to-right first-occurrence
+    order, and [ids.(l)] the id local variable [l] stands for, so
+    [instance_expr tpl ids] is [e]. *)
+
+val instance_expr : template -> int array -> t
+(** The template's expression with local variable [l] renamed to
+    [ids.(l)]: the instance's expression, built on each call. *)
+
+val instance : template -> int array -> kernel
+(** The kernel {!compile} gives [instance_expr tpl ids] — the same
+    program, constants (by bits), depth and {!kernel_max_var} — made by
+    relabeling the template's kernel, or compiled directly when an id is
+    2²⁴ or more.  {!compile_hook} sees every instance kernel, with its
+    expression.  Raises [Invalid_argument] unless [ids] has one entry
+    per local variable and no id repeats. *)
+
+(** A table keyed by template identity, for one pass over one device:
+    create it inside the pass, never process-wide. *)
+module Template_memo : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find_or_add : 'a t -> template -> (unit -> 'a) -> 'a
+  (** The value stored for this template, or [make ()] stored first. *)
+end
 
 module Deriv_table : sig
   type table
@@ -184,16 +211,19 @@ module Deriv_table : sig
 
   val create : unit -> table
 
-  val kernels : table -> wrt:(int -> bool) -> t -> (int * kernel) list
-  (** [kernels tbl ~wrt e] is [(v, compile (deriv e v))] for every
-      variable [v] of [e] with [wrt v], in ascending [v], leaving out
-      those whose derivative simplifies to [Const 0.0].  Each kernel is
-      the one {!compile} gives — the same program, constants (by bits),
-      depth and {!kernel_max_var} — but only the first expression of a
-      template is derived and compiled; later ones get its kernels
-      relabeled, sharing the constant tables.  An expression reading an
-      id of 2²⁴ or more compiles directly.  {!compile_hook} sees every
-      returned kernel, with its source derivative. *)
+  val kernels :
+    table -> wrt:(int -> bool) -> template -> int array -> (int * kernel) list
+  (** [kernels tbl ~wrt tpl ids] is [(v, compile (deriv e v))] for every
+      variable [v] of the instance [e = instance_expr tpl ids] with
+      [wrt v], in ascending [v], leaving out those whose derivative
+      simplifies to [Const 0.0].  Each kernel is the one {!compile}
+      gives — the same program, constants (by bits), depth and
+      {!kernel_max_var} — but a template is derived and compiled once
+      per table; its instances get those kernels relabeled, sharing the
+      constant tables.  An instance with an id of 2²⁴ or more compiles
+      directly.  {!compile_hook} sees every returned kernel, with its
+      source derivative.  Raises [Invalid_argument] on [ids] that
+      {!instance} rejects. *)
 end
 
 (** {1 Batched evaluation}

@@ -20,13 +20,16 @@ let build ~spec ~n =
     c
   in
   let instructions = ref [] in
+  (* every channel is one variable's linear drive *)
+  let linear = Expr.template (Expr.Var 0) in
   let linear_instruction ~label ~bound ~pstring =
     let v =
       Variable.fresh pool ~name:label ~kind:Variable.Runtime_dynamic ~lo:(-.bound)
         ~hi:bound ~init:0.0 ()
     in
     let channel =
-      Instruction.channel ~cid:(fresh_cid ()) ~label ~expr:(Expr.var v)
+      Instruction.channel ~cid:(fresh_cid ()) ~label ~template:linear
+        ~ids:[| v.Variable.id |]
         ~effects:[ { Instruction.pstring; coeff = 1.0 } ]
         ~hint:(Instruction.Hint_linear { var = v.Variable.id; slope = 1.0 })
     in

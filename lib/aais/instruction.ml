@@ -12,7 +12,8 @@ type solver_hint =
 type channel = {
   cid : int;
   label : string;
-  expr : Expr.t;
+  template : Expr.template;
+  ids : int array;
   kernel : Expr.kernel;
   effects : effect list;
   hint : solver_hint;
@@ -20,10 +21,12 @@ type channel = {
 
 type t = { label : string; channels : channel list; variables : int list }
 
+let expr c = Expr.instance_expr c.template c.ids
+
 let validate_hint c =
   match c.hint with
   | Hint_linear { var; slope } -> (
-      match Expr.is_linear_in c.expr var with
+      match Expr.is_linear_in (expr c) var with
       | Some k -> Float.abs (k -. slope) <= 1e-12 *. Float.max 1.0 (Float.abs k)
       | None -> false)
   | Hint_polar_cos { amp; phase; scale } | Hint_polar_sin { amp; phase; scale }
@@ -33,7 +36,8 @@ let validate_hint c =
          The probes evaluate on a two-slot environment (amp in slot 0,
          phase in slot 1) rather than one indexed by variable id, so a
          device's validation stays linear in its channels. *)
-      Expr.vars c.expr = List.sort Int.compare [ amp; phase ]
+      let e = expr c in
+      Expr.vars e = List.sort Int.compare [ amp; phase ]
       && begin
            let is_sin =
              match c.hint with
@@ -42,7 +46,7 @@ let validate_hint c =
                  false
            in
            let local =
-             Expr.map_vars (fun v -> if v = amp then 0 else 1) c.expr
+             Expr.map_vars (fun v -> if v = amp then 0 else 1) e
            in
            let env = [| 0.0; 0.0 |] in
            let probe (a, p) =
@@ -59,25 +63,29 @@ let validate_hint c =
          end
   | Hint_fixed | Hint_generic -> true
 
-(* the kernel is compiled eagerly here rather than lazily at first use:
+(* the kernel is made eagerly here rather than lazily at first use:
    channels are shared across pool domains and [Lazy.force] is not safe
    under concurrent forcing *)
-let channel ~cid ~label ~expr ~effects ~hint =
-  let c = { cid; label; expr; kernel = Expr.compile expr; effects; hint } in
+let channel ~cid ~label ~template ~ids ~effects ~hint =
+  let kernel = Expr.instance template ids in
+  let c = { cid; label; template; ids; kernel; effects; hint } in
   if not (validate_hint c) then
     invalid_arg ("Instruction.channel: hint contradicts expression: " ^ label);
   c
 
+let channel_of_expr ~cid ~label ~expr ~effects ~hint =
+  let template, ids = Expr.split expr in
+  channel ~cid ~label ~template ~ids ~effects ~hint
+
 let eval_channel c ~env = Expr.eval_kernel c.kernel ~env
 
-module Int_set = Set.Make (Int)
-
 let make ~label ~channels =
+  let ids = Array.concat (List.map (fun c -> c.ids) channels) in
+  Array.sort Int.compare ids;
   let variables =
-    List.fold_left
-      (fun acc c -> Int_set.union acc (Int_set.of_list (Expr.vars c.expr)))
-      Int_set.empty channels
-    |> Int_set.elements
+    Array.fold_right
+      (fun v acc -> match acc with w :: _ when w = v -> acc | _ -> v :: acc)
+      ids []
   in
   { label; channels; variables }
 

@@ -27,10 +27,14 @@ type solver_hint =
 type channel = {
   cid : int;  (** dense channel index within one AAIS *)
   label : string;
-  expr : Expr.t;
+  template : Expr.template;  (** the expression shape this channel instantiates *)
+  ids : int array;
+      (** the global variable id of each local variable of [template],
+          pairwise distinct: exactly the variables the channel reads *)
   kernel : Expr.kernel;
-      (** [expr] compiled once at construction; hot paths evaluate this
-          instead of re-interpreting the ADT *)
+      (** the instance's kernel, relabeled from the template's at
+          construction; hot paths evaluate this instead of
+          re-interpreting the ADT *)
   effects : effect list;
   hint : solver_hint;
 }
@@ -42,23 +46,41 @@ type t = {
 }
 
 val make : label:string -> channels:channel list -> t
-(** Derives [variables] from the channel expressions. *)
+(** Derives [variables] from the channels' ids. *)
 
 val channel :
+  cid:int ->
+  label:string ->
+  template:Expr.template ->
+  ids:int array ->
+  effects:effect list ->
+  hint:solver_hint ->
+  channel
+(** An instance of [template] over [ids] ({!Expr.instance}, which
+    raises [Invalid_argument] on a wrong count or a repeated id).
+    Smoke-checks the hint against the expression structure:
+    [Hint_linear] must satisfy {!Expr.is_linear_in} and the polar hints
+    must depend on exactly their two variables.  Raises
+    [Invalid_argument] on a lying hint. *)
+
+val channel_of_expr :
   cid:int ->
   label:string ->
   expr:Expr.t ->
   effects:effect list ->
   hint:solver_hint ->
   channel
-(** Smoke-checks the hint against the expression structure:
-    [Hint_linear] must satisfy {!Expr.is_linear_in} and the polar hints
-    must depend on exactly their two variables.  Raises
-    [Invalid_argument] on a lying hint. *)
+(** {!channel} on a one-off template split from [expr] ({!Expr.split}):
+    for channels made one at a time, outside a device builder. *)
+
+val expr : channel -> Expr.t
+(** The channel's amplitude expression, [template] over [ids]
+    ({!Expr.instance_expr}), built on each call: passes that only
+    evaluate a channel read its kernel or its template instead. *)
 
 val eval_channel : channel -> env:float array -> float
 (** [Expr.eval_kernel] on the cached kernel — bitwise-identical to
-    [Expr.eval c.expr ~env]. *)
+    [Expr.eval (expr c) ~env]. *)
 
 val effect_terms : channel -> (Qturbo_pauli.Pauli_string.t * float) list
 (** Non-identity effects. *)

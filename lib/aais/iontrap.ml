@@ -80,13 +80,18 @@ let build ~spec ~n =
           ~kind:Variable.Runtime_dynamic ~lo:(-.Float.pi) ~hi:Float.pi
           ~init:0.0 ())
   in
+  (* the channel families, declared once per build *)
+  let linear = Expr.template (Expr.Var 0) in
+  let drive_cos = Expr.(template (const 0.5 * Var 0 * cos_ (Var 1))) in
+  let drive_sin = Expr.(template (neg (const 0.5 * Var 0 * sin_ (Var 1)))) in
   let ms_instructions =
     List.map
       (fun (i, j, op, v) ->
         let base = String.lowercase_ascii (Pauli.op_to_string op) in
         let label = Printf.sprintf "ms-%s%s(%d,%d)" base base i j in
         let channel =
-          Instruction.channel ~cid:(fresh_cid ()) ~label ~expr:(Expr.var v)
+          Instruction.channel ~cid:(fresh_cid ()) ~label ~template:linear
+            ~ids:[| v.Variable.id |]
             ~effects:
               [ { Instruction.pstring = Pauli_string.two i op j op; coeff = 1.0 } ]
             ~hint:(Instruction.Hint_linear { var = v.Variable.id; slope = 1.0 })
@@ -98,8 +103,8 @@ let build ~spec ~n =
     List.init n (fun i ->
         let label = Printf.sprintf "shift(%d)" i in
         let channel =
-          Instruction.channel ~cid:(fresh_cid ()) ~label
-            ~expr:(Expr.var mus.(i))
+          Instruction.channel ~cid:(fresh_cid ()) ~label ~template:linear
+            ~ids:[| mus.(i).Variable.id |]
             ~effects:
               [
                 {
@@ -115,10 +120,11 @@ let build ~spec ~n =
   let drive_instructions =
     List.init n (fun i ->
         let omega = omegas.(i) and phi = phis.(i) in
+        let ids = [| omega.Variable.id; phi.Variable.id |] in
         let cos_channel =
           Instruction.channel ~cid:(fresh_cid ())
             ~label:(Printf.sprintf "drive-cos(%d)" i)
-            ~expr:Expr.(const 0.5 * var omega * cos_ (var phi))
+            ~template:drive_cos ~ids
             ~effects:
               [
                 {
@@ -133,7 +139,7 @@ let build ~spec ~n =
         let sin_channel =
           Instruction.channel ~cid:(fresh_cid ())
             ~label:(Printf.sprintf "drive-sin(%d)" i)
-            ~expr:Expr.(neg (const 0.5 * var omega * sin_ (var phi)))
+            ~template:drive_sin ~ids
             ~effects:
               [
                 {

@@ -99,6 +99,25 @@ let pairs_within ~radius positions =
   done;
   List.rev !out
 
+(* ["vdw(i,j)"], spelled as [Printf.sprintf "vdw(%d,%d)"] spells it,
+   without the format interpreter: a build labels every pair, and the
+   formatting cost more than the rest of a pair channel's label work. *)
+let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
+
+let rec put_decimal b last n =
+  if n >= 10 then put_decimal b (last - 1) (n / 10);
+  Bytes.set b last (Char.chr (Char.code '0' + (n mod 10)))
+
+let pair_label i j =
+  let li = decimal_length i and lj = decimal_length j in
+  let b = Bytes.create (li + lj + 6) in
+  Bytes.blit_string "vdw(" 0 b 0 4;
+  put_decimal b (li + 3) i;
+  Bytes.set b (li + 4) ',';
+  put_decimal b (li + lj + 4) j;
+  Bytes.set b (li + lj + 5) ')';
+  Bytes.unsafe_to_string b
+
 let check_layout_positions ~spec positions =
   let n = Array.length positions in
   let violations = ref [] in
@@ -200,12 +219,24 @@ let build_cutoff ~cutoff ~spec ~n =
     incr next_cid;
     c
   in
-  let dist6_expr i j =
-    let dx = Expr.(var xs.(i) - var xs.(j)) in
-    match ys with
-    | None -> Expr.pow dx 6
-    | Some ys -> Expr.(pow (pow dx 2 + pow (var ys.(i) - var ys.(j)) 2) 3)
+  (* the channel families, declared once per build: every pair,
+     detuning and Rabi channel is an instance of one of these *)
+  let vdw =
+    let c = Expr.const (spec.Device.c6 /. 4.0) in
+    Expr.template
+      (match ys with
+      | None -> Expr.(c / pow (Var 0 - Var 1) 6)
+      | Some _ -> Expr.(c / pow (pow (Var 0 - Var 1) 2 + pow (Var 2 - Var 3) 2) 3))
   in
+  let vdw_ids i j =
+    let x k = xs.(k).Variable.id in
+    match ys with
+    | None -> [| x i; x j |]
+    | Some ys -> [| x i; x j; ys.(i).Variable.id; ys.(j).Variable.id |]
+  in
+  let detuning = Expr.(template (const 0.5 * Var 0)) in
+  let rabi_cos = Expr.(template (const 0.5 * Var 0 * cos_ (Var 1))) in
+  let rabi_sin = Expr.(template (neg (const 0.5 * Var 0 * sin_ (Var 1)))) in
   (* pair selection: exact all-pairs, or the neighbor list of the
      initial layout under the cutoff radius.  The kept pairs are
      enumerated in the same (i ascending, j ascending) order either way,
@@ -262,7 +293,6 @@ let build_cutoff ~cutoff ~spec ~n =
   let vdw_instructions =
     List.map
       (fun (i, j) ->
-        let expr = Expr.(const (spec.Device.c6 /. 4.0) / dist6_expr i j) in
         let effects =
           [
             {
@@ -273,14 +303,12 @@ let build_cutoff ~cutoff ~spec ~n =
             { Instruction.pstring = Pauli_string.single j Pauli.Z; coeff = -1.0 };
           ]
         in
+        let label = pair_label i j in
         let channel =
-          Instruction.channel ~cid:(fresh_cid ())
-            ~label:(Printf.sprintf "vdw(%d,%d)" i j)
-            ~expr ~effects ~hint:Instruction.Hint_fixed
+          Instruction.channel ~cid:(fresh_cid ()) ~label ~template:vdw
+            ~ids:(vdw_ids i j) ~effects ~hint:Instruction.Hint_fixed
         in
-        Instruction.make
-          ~label:(Printf.sprintf "vdw(%d,%d)" i j)
-          ~channels:[ channel ])
+        Instruction.make ~label ~channels:[ channel ])
       vdw_pairs
   in
   let control_index i =
@@ -290,11 +318,10 @@ let build_cutoff ~cutoff ~spec ~n =
     match spec.Device.control with
     | Device.Local ->
         List.init n (fun i ->
-            let expr = Expr.(const 0.5 * var deltas.(i)) in
             let channel =
               Instruction.channel ~cid:(fresh_cid ())
                 ~label:(Printf.sprintf "detuning(%d)" i)
-                ~expr
+                ~template:detuning ~ids:[| deltas.(i).Variable.id |]
                 ~effects:
                   [ { Instruction.pstring = Pauli_string.single i Pauli.Z; coeff = 1.0 } ]
                 ~hint:
@@ -308,7 +335,7 @@ let build_cutoff ~cutoff ~spec ~n =
           List.init n (fun i ->
               Instruction.channel ~cid:(fresh_cid ())
                 ~label:(Printf.sprintf "detuning-global@%d" i)
-                ~expr:Expr.(const 0.5 * var deltas.(0))
+                ~template:detuning ~ids:[| deltas.(0).Variable.id |]
                 ~effects:
                   [ { Instruction.pstring = Pauli_string.single i Pauli.Z; coeff = 1.0 } ]
                 ~hint:
@@ -320,10 +347,11 @@ let build_cutoff ~cutoff ~spec ~n =
   let rabi_channels i =
     let k = control_index i in
     let omega = omegas.(k) and phi = phis.(k) in
+    let ids = [| omega.Variable.id; phi.Variable.id |] in
     let cos_channel =
       Instruction.channel ~cid:(fresh_cid ())
         ~label:(Printf.sprintf "rabi-cos(%d)" i)
-        ~expr:Expr.(const 0.5 * var omega * cos_ (var phi))
+        ~template:rabi_cos ~ids
         ~effects:
           [ { Instruction.pstring = Pauli_string.single i Pauli.X; coeff = 1.0 } ]
         ~hint:
@@ -333,7 +361,7 @@ let build_cutoff ~cutoff ~spec ~n =
     let sin_channel =
       Instruction.channel ~cid:(fresh_cid ())
         ~label:(Printf.sprintf "rabi-sin(%d)" i)
-        ~expr:Expr.(neg (const 0.5 * var omega * sin_ (var phi)))
+        ~template:rabi_sin ~ids
         ~effects:
           [ { Instruction.pstring = Pauli_string.single i Pauli.Y; coeff = 1.0 } ]
         ~hint:

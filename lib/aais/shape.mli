@@ -12,7 +12,9 @@
 
     Renderings are exact, not hashed: every float is rendered as its
     IEEE bits in hex, so two devices differing in one ulp of a bound
-    get different renderings.  The device rendering is memoized on the
+    get different renderings.  A channel's expression is rendered from
+    its template: each template's text is cut at its variables once per
+    rendering, and every instance splices its own ids in.  The device rendering is memoized on the
     {!Aais.t} (see {!Aais.memo_key}), so each AAIS value is rendered at
     most once, however many compiles key it. *)
 

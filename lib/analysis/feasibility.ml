@@ -30,7 +30,14 @@ let channel_rates ~(channels : Instruction.channel array) ~variables =
     match memo.(cid) with
     | Some i -> i
     | None ->
-        let i = Expr.eval_interval channels.(cid).expr ~bounds in
+        (* the template over its ids' bounds: the same interval
+           operations on the same endpoints as the instance *)
+        let c = channels.(cid) in
+        let i =
+          Expr.eval_interval
+            (Expr.template_expr c.template)
+            ~bounds:(Array.map (fun v -> bounds.(v)) c.ids)
+        in
         memo.(cid) <- Some i;
         i
 

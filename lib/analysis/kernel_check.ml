@@ -218,7 +218,7 @@ let check ?(subject = Diagnostic.System) ?source ?bounds ~n_env kernel =
 let check_channel ~n_vars ~bounds (ch : Instruction.channel) =
   check
     ~subject:(Diagnostic.Channel { cid = ch.cid; label = ch.label })
-    ~source:ch.expr ~bounds ~n_env:n_vars ch.kernel
+    ~source:(Instruction.expr ch) ~bounds ~n_env:n_vars ch.kernel
 
 (* A device carries O(n²) channels, but almost all of them are copies of
    a handful of expression shapes that differ only in which variables
@@ -263,20 +263,9 @@ let canonical_class n_vars bounds (ch : Instruction.channel) =
         | instr -> instr)
       view
   in
-  let rec rename_expr (e : Expr.t) =
-    match e with
-    | Expr.Const _ -> e
-    | Expr.Var v -> Expr.Var (rename v)
-    | Expr.Neg a -> Expr.Neg (rename_expr a)
-    | Expr.Add (a, b) -> Expr.Add (rename_expr a, rename_expr b)
-    | Expr.Sub (a, b) -> Expr.Sub (rename_expr a, rename_expr b)
-    | Expr.Mul (a, b) -> Expr.Mul (rename_expr a, rename_expr b)
-    | Expr.Div (a, b) -> Expr.Div (rename_expr a, rename_expr b)
-    | Expr.Pow_int (a, k) -> Expr.Pow_int (rename_expr a, k)
-    | Expr.Sin a -> Expr.Sin (rename_expr a)
-    | Expr.Cos a -> Expr.Cos (rename_expr a)
+  let csrc =
+    Expr.map_vars (fun l -> rename ch.ids.(l)) (Expr.template_expr ch.template)
   in
-  let csrc = rename_expr ch.expr in
   let originals = List.rev !order in
   (* everything QT019 asks about a variable id, resolved per canonical
      slot; two channels with equal flag lists behave identically *)

@@ -8,7 +8,7 @@ type classification_view = {
 
 type view = {
   key : string;
-  rederived_key : string;
+  rederived_key : string list;
   support : Ps.t list;
   key_support : Ps.t list option;
   rows : Ps.t array;
@@ -282,10 +282,33 @@ let check_classifications v =
 
 (* ---- QT027: structural key round-trip -------------------------------- *)
 
+(* [key] is the concatenation of [pieces], compared in place eight
+   bytes at a time: the key runs to megabytes on large devices, and
+   joining the pieces would copy it again *)
+let equal_concat key pieces =
+  let n = String.length key in
+  let equal_at pos p =
+    let len = String.length p in
+    let rec words i =
+      if i + 8 > len then tail i
+      else
+        Int64.equal (String.get_int64_ne key (pos + i)) (String.get_int64_ne p i)
+        && words (i + 8)
+    and tail i = i >= len || (key.[pos + i] = p.[i] && tail (i + 1)) in
+    words 0
+  in
+  let rec go pos = function
+    | [] -> pos = n
+    | p :: rest ->
+        let len = String.length p in
+        pos + len <= n && equal_at pos p && go (pos + len) rest
+  in
+  go 0 pieces
+
 let check_key v =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  if not (String.equal v.key v.rederived_key) then
+  if not (equal_concat v.key v.rederived_key) then
     add
       (error ~subject:Diagnostic.System ~code:"QT027"
          ~hint:

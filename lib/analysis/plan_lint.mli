@@ -50,7 +50,9 @@ type classification_view = {
 
 type view = {
   key : string;  (** the stored structural cache key *)
-  rederived_key : string;  (** the key rebuilt from the plan's own parts *)
+  rederived_key : string list;
+      (** the key rebuilt from the plan's own parts, as the pieces whose
+          concatenation it is; compared with [key] without joining them *)
   support : Qturbo_pauli.Pauli_string.t list;  (** canonical support *)
   key_support : Qturbo_pauli.Pauli_string.t list option;
       (** the support section of [key], parsed back; [None] when it does

@@ -166,9 +166,16 @@ let flag_prefix generic = Printf.sprintf "g=%b|" generic
 let device_key ~(options : options) ~aais =
   flag_prefix options.generic_local_solver ^ Shape.of_aais aais
 
-(* Single point of truth for the plan-key format. *)
+(* Single point of truth for the plan-key format: the flag prefix and
+   [Shape.key]'s two sections, joined in one copy of the rendering. *)
 let plan_key_of_support ~(options : options) ~aais ~support =
-  flag_prefix options.generic_local_solver ^ Shape.key ~aais ~support
+  String.concat ""
+    [
+      flag_prefix options.generic_local_solver;
+      Shape.of_aais aais;
+      "@@";
+      Shape.of_support support;
+    ]
 
 let plan_key ~options ~aais ~target =
   plan_key_of_support ~options ~aais ~support:(support_of_target target)
@@ -288,14 +295,15 @@ let prepared_name = function
 
 (* last occurrence of "@@" in a key: [Shape.key] joins the device and
    support sections with it, and only the final separator is ours to
-   trust (labels inside the device section are free-form text) *)
+   trust (labels inside the device section are free-form text).  The
+   support section is short, so the scan runs from the end. *)
 let last_separator key =
-  let rec go found i =
-    if i + 1 >= String.length key then found
-    else if key.[i] = '@' && key.[i + 1] = '@' then go (Some i) (i + 1)
-    else go found (i + 1)
+  let rec go i =
+    if i < 0 then None
+    else if key.[i] = '@' && key.[i + 1] = '@' then Some i
+    else go (i - 1)
   in
-  go None 0
+  go (String.length key - 2)
 
 let key_support_of key =
   match last_separator key with
@@ -327,8 +335,9 @@ let lint (plan : t) =
       (* the device section is [d.device_key], rendered from the same
          aais when the device part was built (both the stored key and
          this one descend from it, so corruption of either side still
-         mismatches); only the cheap support section is re-rendered *)
-      rederived_key = d.device_key ^ "@@" ^ Shape.of_support plan.support;
+         mismatches); only the cheap support section is re-rendered,
+         and the pieces are compared in place, never joined *)
+      rederived_key = [ d.device_key; "@@"; Shape.of_support plan.support ];
       support = plan.support;
       key_support = key_support_of plan.key;
       rows = Term_index.strings index;

@@ -95,10 +95,11 @@ let prepare ~vars ~channels (comp : Locality.component) =
     let triples = ref [] in
     Array.iteri
       (fun i cid ->
+        let ch = channels.(cid) in
         List.iter
           (fun (v, d) -> triples := (i, k_of_var.(v), d) :: !triples)
-          (Expr.Deriv_table.kernels derivs ~wrt:free
-             channels.(cid).Instruction.expr))
+          (Expr.Deriv_table.kernels derivs ~wrt:free ch.Instruction.template
+             ch.Instruction.ids))
       cids;
     Array.of_list (List.rev !triples)
   in
@@ -112,8 +113,8 @@ let prepare ~vars ~channels (comp : Locality.component) =
   (* The LU path's JᵀJ assembly needs ascending columns within a row,
      and the CG path's row products sum in this order.  Both hold by
      construction (union-find groups list their members in ascending
-     order and [Expr.vars] is sorted); check it once per plan here
-     rather than once per Jacobian. *)
+     order and [Deriv_table.kernels] returns ascending ids); check it
+     once per plan here rather than once per Jacobian. *)
   for i = 0 to n_rows - 1 do
     for t = jac_row_ptr.(i) + 1 to jac_row_ptr.(i + 1) - 1 do
       if jac_col_idx.(t) <= jac_col_idx.(t - 1) then
@@ -132,7 +133,27 @@ let prepare ~vars ~channels (comp : Locality.component) =
         | Some x -> Some (if x = 0.0 then 1 else 0)
         | None -> None
     in
-    let row cid = expr_degree ~var_degree channels.(cid).Instruction.expr in
+    (* a row's degree is its template's under the degrees of its ids:
+       derived once per (template, signature), as most rows share both *)
+    let memo = Expr.Template_memo.create () in
+    let row cid =
+      let ch = channels.(cid) in
+      let signature = Array.map var_degree ch.Instruction.ids in
+      let seen =
+        Expr.Template_memo.find_or_add memo ch.Instruction.template (fun () ->
+            ref [])
+      in
+      match List.assoc_opt signature !seen with
+      | Some d -> d
+      | None ->
+          let d =
+            expr_degree
+              ~var_degree:(fun l -> signature.(l))
+              (Expr.template_expr ch.Instruction.template)
+          in
+          seen := (signature, d) :: !seen;
+          d
+    in
     if n_rows = 0 then None
     else
       match row cids.(0) with

@@ -11,12 +11,12 @@ let decompose ~channels ~n_vars =
   Array.iteri
     (fun k (c : Instruction.channel) ->
       assert (c.Instruction.cid = k);
-      List.iter
+      Array.iter
         (fun v ->
           if v < 0 || v >= n_vars then
             invalid_arg "Locality.decompose: variable id out of range";
           Union_find.union uf k (n_channels + v))
-        (Expr.vars c.Instruction.expr))
+        c.Instruction.ids)
     channels;
   let groups = Union_find.groups uf in
   let components =

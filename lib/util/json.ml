@@ -26,12 +26,15 @@ let escape s =
 
 let quote s = "\"" ^ escape s ^ "\""
 
+(* [Printf.sprintf "%.17g"] interprets its format and then makes
+   exactly this call; making it directly skips the interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* JSON has no representation for nan/±inf ([%.17g] would print "nan",
    which strict parsers reject); emit [null] instead.  Everything the
    code base prints into a JSON number position must come through
    here. *)
-let float_lit f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+let float_lit f = if Float.is_finite f then format_float "%.17g" f else "null"
 
 (* Non-finite numbers have no JSON representation; [emit] maps them to
    [null] (same policy as [float_lit]), so [parse (emit v)] returns [v]

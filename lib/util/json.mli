@@ -36,8 +36,9 @@ val quote : string -> string
 (** [escape] wrapped in double quotes — a complete JSON string token. *)
 
 val float_lit : float -> string
-(** A JSON number token with [%.17g] precision, or [null] when the
-    value is [nan] or [±inf]. *)
+(** A JSON number token with [%.17g] precision — the text
+    [Printf.sprintf "%.17g"] gives — or [null] when the value is [nan]
+    or [±inf]. *)
 
 val emit : value -> string
 (** Serialize a {!value} to a compact RFC 8259 text.  Inverse of

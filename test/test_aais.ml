@@ -196,41 +196,44 @@ let same_derivs a b =
 
 let test_template_view () =
   let e = Expr.(Div (Const 2.0, Pow_int (Sub (Var 7, Var 3), 6)) + Var 7) in
-  let local, globals = Expr.template e in
-  Alcotest.(check (array int)) "first-occurrence order" [| 7; 3 |] globals;
+  let tpl, ids = Expr.split e in
+  Alcotest.(check (array int)) "first-occurrence order" [| 7; 3 |] ids;
   Alcotest.(check bool) "renamed" true
-    (Expr.equal_bits local
-       Expr.(Div (Const 2.0, Pow_int (Sub (Var 0, Var 1), 6)) + Var 0));
-  Alcotest.(check bool) "maps back" true
-    (Expr.equal_bits e (Expr.map_vars (fun l -> globals.(l)) local))
+    (Expr.template_expr tpl
+    = Expr.(Div (Const 2.0, Pow_int (Sub (Var 0, Var 1), 6)) + Var 0));
+  let back = Expr.instance_expr tpl ids and k = Expr.instance tpl ids in
+  Alcotest.(check bool) "maps back" true (back = e);
+  Alcotest.(check bool) "instance kernel = compile" true
+    (same_kernel k (Expr.compile e))
 
-let test_equal_bits_constants () =
-  let nan1 = Int64.float_of_bits 0x7ff8000000000001L
-  and nan2 = Int64.float_of_bits 0x7ff8000000000002L in
-  Alcotest.(check bool) "-0.0 <> 0.0" false
-    (Expr.equal_bits (Expr.Const 0.0) (Expr.Const (-0.0)));
-  Alcotest.(check bool) "a NaN equals itself" true
-    (Expr.equal_bits (Expr.Const nan1) (Expr.Const nan1));
-  Alcotest.(check bool) "NaN payloads differ" false
-    (Expr.equal_bits (Expr.Const nan1) (Expr.Const nan2));
-  Alcotest.(check bool) "hash reads past the first nodes" true
-    (let deep c =
-       List.fold_left (fun acc _ -> Expr.Neg acc) (Expr.Const c) (List.init 40 Fun.id)
-     in
-     Expr.hash_bits (deep 1.0) <> Expr.hash_bits (deep 2.0))
+let test_template_rejects_bad_ids () =
+  let tpl = Expr.template Expr.(Var 0 - Var 1) in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "a repeated id" (fun () -> Expr.instance tpl [| 4; 4 |]);
+  raises "too few ids" (fun () -> Expr.instance tpl [| 4 |]);
+  raises "a repeated id in the derivative table" (fun () ->
+      Expr.Deriv_table.kernels (Expr.Deriv_table.create ())
+        ~wrt:(fun _ -> true) tpl [| 2; 2 |]);
+  raises "a gap in the local variables" (fun () ->
+      Expr.template Expr.(Var 0 * Var 2))
 
 (* [Div (v, ±0.0)] keeps its constant through [simplify], and the
-   derivative's constant table carries the sign: a table that equated
-   the two templates would hand the second channel the first one's
-   constants *)
+   derivative's constant table carries the sign: two templates that
+   differ only there each get their own kernels *)
 let test_signed_zero_templates () =
   let tbl = Expr.Deriv_table.create () in
   let wrt _ = true in
-  let pos = Expr.(Div (Var 0, Const 0.0)) and neg = Expr.(Div (Var 1, Const (-0.0))) in
-  let kpos = Expr.Deriv_table.kernels tbl ~wrt pos in
-  let kneg = Expr.Deriv_table.kernels tbl ~wrt neg in
-  Alcotest.(check bool) "+0.0 channel" true (same_derivs kpos (direct_derivs ~wrt pos));
-  Alcotest.(check bool) "-0.0 channel" true (same_derivs kneg (direct_derivs ~wrt neg));
+  let pos = Expr.template Expr.(Div (Var 0, Const 0.0))
+  and neg = Expr.template Expr.(Div (Var 0, Const (-0.0))) in
+  let kpos = Expr.Deriv_table.kernels tbl ~wrt pos [| 0 |] in
+  let kneg = Expr.Deriv_table.kernels tbl ~wrt neg [| 1 |] in
+  let direct tpl ids = direct_derivs ~wrt (Expr.instance_expr tpl ids) in
+  Alcotest.(check bool) "+0.0 channel" true (same_derivs kpos (direct pos [| 0 |]));
+  Alcotest.(check bool) "-0.0 channel" true (same_derivs kneg (direct neg [| 1 |]));
   match (kpos, kneg) with
   | [ (_, a) ], [ (_, b) ] ->
       Alcotest.(check bool) "different kernels" false
@@ -240,16 +243,19 @@ let test_signed_zero_templates () =
   | _ -> Alcotest.fail "expected one derivative per channel"
 
 (* ids at or above 2^24 do not fit the fused pair encoding, so the
-   fusion pass keeps them apart; such expressions compile directly *)
+   fusion pass keeps them apart; such instances compile directly *)
 let test_template_wide_ids () =
   let wide = 1 lsl 24 in
-  let e = Expr.(Div (Const 3.0, Pow_int (Sub (Var wide, Var 5), 2))) in
-  let small = Expr.map_vars (function 0 -> 1 | _ -> 2) (fst (Expr.template e)) in
+  let tpl = Expr.template Expr.(Div (Const 3.0, Pow_int (Sub (Var 0, Var 1), 2))) in
+  let ids = [| wide; 5 |] in
+  let e = Expr.instance_expr tpl ids in
   let tbl = Expr.Deriv_table.create () in
   let wrt _ = true in
-  ignore (Expr.Deriv_table.kernels tbl ~wrt small);
+  ignore (Expr.Deriv_table.kernels tbl ~wrt tpl [| 1; 2 |]);
   Alcotest.(check bool) "fallback equals direct" true
-    (same_derivs (Expr.Deriv_table.kernels tbl ~wrt e) (direct_derivs ~wrt e))
+    (same_derivs (Expr.Deriv_table.kernels tbl ~wrt tpl ids) (direct_derivs ~wrt e));
+  Alcotest.(check bool) "instance kernel = compile" true
+    (same_kernel (Expr.instance tpl ids) (Expr.compile e))
 
 let const_gen =
   QCheck.Gen.(
@@ -305,7 +311,8 @@ let renaming_gen =
          ]))
 
 (* the first renaming primes the table, the second is served from it;
-   [skip] leaves one id out of [wrt], as a pinned coordinate is *)
+   [skip] leaves one id out of [wrt], as a pinned coordinate is.  The
+   instance kernels must be the direct compiles too. *)
 let prop_template_kernels_match_direct =
   QCheck.Test.make ~name:"template-relabeled derivative kernels = direct compile"
     ~count:500
@@ -313,12 +320,18 @@ let prop_template_kernels_match_direct =
        QCheck.Gen.(quad template_expr_gen renaming_gen renaming_gen (int_range 0 3)))
     (fun (e, r1, r2, skip) ->
       let tbl = Expr.Deriv_table.create () in
-      let e1 = Expr.map_vars (fun v -> r1.(v)) e
-      and e2 = Expr.map_vars (fun v -> r2.(v)) e in
+      let tpl, vars = Expr.split e in
+      let ids1 = Array.map (fun v -> r1.(v)) vars
+      and ids2 = Array.map (fun v -> r2.(v)) vars in
+      let e1 = Expr.instance_expr tpl ids1 and e2 = Expr.instance_expr tpl ids2 in
+      let i1 = Expr.instance tpl ids1 and i2 = Expr.instance tpl ids2 in
       let wrt1 v = v <> r1.(skip) and wrt2 v = v <> r2.(skip) in
-      let k1 = Expr.Deriv_table.kernels tbl ~wrt:wrt1 e1 in
-      let k2 = Expr.Deriv_table.kernels tbl ~wrt:wrt2 e2 in
-      same_derivs k1 (direct_derivs ~wrt:wrt1 e1)
+      let k1 = Expr.Deriv_table.kernels tbl ~wrt:wrt1 tpl ids1 in
+      let k2 = Expr.Deriv_table.kernels tbl ~wrt:wrt2 tpl ids2 in
+      compare e1 (Expr.map_vars (fun v -> r1.(v)) e) = 0
+      && same_kernel i1 (Expr.compile e1)
+      && same_kernel i2 (Expr.compile e2)
+      && same_derivs k1 (direct_derivs ~wrt:wrt1 e1)
       && same_derivs k2 (direct_derivs ~wrt:wrt2 e2))
 
 (* The key renderer writes integers digit by digit; it must spell them
@@ -329,7 +342,7 @@ let test_key_integer_spelling () =
     Variable.fresh pool ~name:"v" ~kind:Variable.Runtime_dynamic ~lo:0.0 ~hi:1.0 ()
   in
   let channel cid n =
-    Instruction.channel ~cid ~label:"p"
+    Instruction.channel_of_expr ~cid ~label:"p"
       ~expr:Expr.(Pow_int (Var v.Variable.id, n))
       ~effects:
         [ { Instruction.pstring = Pauli_string.single 1203 Pauli.Z; coeff = 1.0 } ]
@@ -362,12 +375,268 @@ let test_key_integer_spelling () =
         (fun n -> "p" ^ string_of_int n ^ "(")
         [ -6; min_int; max_int; 0; 10; -10 ])
 
+(* ---- Every stock channel is its template's instance ---- *)
+
+(* The key renderer as it was before channels carried templates: one
+   walk of each channel's own expression tree, floats spelled nibble by
+   nibble.  [Shape.of_aais] must give these bytes. *)
+module Reference_key = struct
+  let add_float buf f =
+    let bits = Int64.bits_of_float f in
+    if Int64.equal bits 0L then Buffer.add_char buf '0'
+    else begin
+      let started = ref false in
+      for i = 15 downto 0 do
+        let nib =
+          Int64.to_int (Int64.logand (Int64.shift_right_logical bits (i * 4)) 0xFL)
+        in
+        if nib <> 0 then started := true;
+        if !started then Buffer.add_char buf "0123456789abcdef".[nib]
+      done
+    end
+
+  let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+  let rec add_expr buf (e : Expr.t) =
+    let wrap tag a =
+      Buffer.add_string buf tag;
+      add_expr buf a;
+      Buffer.add_char buf ')'
+    and binop op a b =
+      Buffer.add_char buf '(';
+      add_expr buf a;
+      Buffer.add_string buf op;
+      add_expr buf b;
+      Buffer.add_char buf ')'
+    in
+    match e with
+    | Expr.Const c -> Buffer.add_char buf 'c'; add_float buf c
+    | Expr.Var v -> Buffer.add_char buf 'v'; add_int buf v
+    | Expr.Neg a -> wrap "n(" a
+    | Expr.Add (a, b) -> binop "+" a b
+    | Expr.Sub (a, b) -> binop "-" a b
+    | Expr.Mul (a, b) -> binop "*" a b
+    | Expr.Div (a, b) -> binop "/" a b
+    | Expr.Pow_int (a, k) -> wrap ("p" ^ string_of_int k ^ "(") a
+    | Expr.Sin a -> wrap "s(" a
+    | Expr.Cos a -> wrap "k(" a
+
+  let add_hint buf (h : Instruction.solver_hint) =
+    let polar tag amp phase scale =
+      Buffer.add_char buf tag;
+      add_int buf amp;
+      Buffer.add_char buf ',';
+      add_int buf phase;
+      Buffer.add_char buf ':';
+      add_float buf scale
+    in
+    match h with
+    | Instruction.Hint_linear { var; slope } ->
+        Buffer.add_char buf 'L';
+        add_int buf var;
+        Buffer.add_char buf ':';
+        add_float buf slope
+    | Instruction.Hint_polar_cos { amp; phase; scale } -> polar 'C' amp phase scale
+    | Instruction.Hint_polar_sin { amp; phase; scale } -> polar 'S' amp phase scale
+    | Instruction.Hint_fixed -> Buffer.add_char buf 'F'
+    | Instruction.Hint_generic -> Buffer.add_char buf 'G'
+
+  let add_pstring buf s =
+    Pauli_string.iter
+      (fun site op ->
+        add_int buf site;
+        Buffer.add_string buf (Pauli.op_to_string op))
+      s
+
+  let render (aais : Aais.t) =
+    let buf = Buffer.create 1024 in
+    let sp () = Buffer.add_char buf ' ' in
+    Buffer.add_string buf aais.Aais.name;
+    Buffer.add_char buf '#';
+    add_int buf aais.Aais.n_qubits;
+    Buffer.add_char buf '#';
+    Buffer.add_string buf aais.Aais.fingerprint;
+    Option.iter
+      (fun (tr : Aais.truncation) ->
+        Buffer.add_string buf "#cut ";
+        add_float buf tr.Aais.radius;
+        sp ();
+        add_int buf tr.Aais.kept_pairs;
+        sp ();
+        add_int buf tr.Aais.dropped_pairs;
+        sp ();
+        add_float buf tr.Aais.dropped_l1;
+        sp ();
+        add_float buf tr.Aais.max_dropped)
+      aais.Aais.truncation;
+    Array.iter
+      (fun (v : Variable.t) ->
+        Buffer.add_char buf '|';
+        add_int buf v.Variable.id;
+        sp ();
+        Buffer.add_char buf (if Variable.is_fixed v then 'f' else 'd');
+        sp ();
+        add_float buf v.Variable.bound.Qturbo_optim.Bounds.lo;
+        sp ();
+        add_float buf v.Variable.bound.Qturbo_optim.Bounds.hi;
+        sp ();
+        add_float buf v.Variable.init)
+      (Aais.variables aais);
+    Buffer.add_string buf "##";
+    Array.iter
+      (fun (c : Instruction.channel) ->
+        Buffer.add_char buf '|';
+        add_int buf c.Instruction.cid;
+        sp ();
+        add_expr buf (Instruction.expr c);
+        sp ();
+        add_hint buf c.Instruction.hint;
+        List.iter
+          (fun { Instruction.pstring; coeff } ->
+            Buffer.add_char buf ';';
+            add_pstring buf pstring;
+            Buffer.add_char buf ':';
+            add_float buf coeff)
+          c.Instruction.effects)
+      (Aais.channels aais);
+    Buffer.contents buf
+end
+
+(* The van-der-Waals amplitude [C6 / (4 d⁶)] of pair channel [c] at the
+   initial layout, from the atom positions rather than from the
+   channel's own expression: a channel whose ids were mapped to the
+   wrong coordinates computes another number. *)
+let vdw_expected (ryd : Rydberg.t) =
+  let env = Variable.initial_env ryd.Rydberg.aais.Aais.pool in
+  let ps = Rydberg.positions ryd ~env in
+  fun (c : Instruction.channel) ->
+    match (c.Instruction.hint, c.Instruction.effects) with
+    | Instruction.Hint_fixed, { Instruction.pstring; _ } :: _ ->
+        let sites = ref [] in
+        Pauli_string.iter (fun site _ -> sites := site :: !sites) pstring;
+        let d2 =
+          match !sites with
+          | [ j; i ] ->
+              let label = Printf.sprintf "vdw(%d,%d)" i j in
+              if c.Instruction.label <> label then
+                Alcotest.failf "pair channel labeled %S, not %S"
+                  c.Instruction.label label;
+              let xi, yi = ps.(i) and xj, yj = ps.(j) in
+              ((xi -. xj) *. (xi -. xj)) +. ((yi -. yj) *. (yi -. yj))
+          | _ -> Alcotest.failf "%s: not a pair channel" c.Instruction.label
+        in
+        Some (ryd.Rydberg.spec.Device.c6 /. (4.0 *. (d2 *. d2 *. d2)))
+    | _ -> None
+
+(* Rydberg on a line and on a plane, under the Auto policy, all pairs
+   and a 45 um radius, plus Heisenberg and both ion traps, from 1 to
+   1000 sites.  All pairs stops at 300 sites: at 1000 it is half a
+   million channels, held at once.  The traps cap their ion count, so
+   the nearest-neighbour one has its cap lifted. *)
+let stock_devices =
+  let relaxed = { Device.aquila_paper with Device.max_extent = 2000.0 } in
+  let rydberg ryd = (ryd.Rydberg.aais, vdw_expected ryd) in
+  let other aais = (aais, fun _ -> None) in
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun geometry ->
+          List.filter_map
+            (fun cutoff ->
+              match cutoff with
+              | Rydberg.All_pairs when n > 300 -> None
+              | _ ->
+                  let spec = Device.with_geometry geometry relaxed in
+                  Some (lazy (rydberg (Rydberg.build_cutoff ~cutoff ~spec ~n))))
+            [ Rydberg.Auto; Rydberg.All_pairs; Rydberg.Radius 45.0 ])
+        [ Device.Line; Device.Plane ]
+      @ [
+          lazy
+            (rydberg
+               (Rydberg.build ~spec:(Device.with_control Device.Global relaxed) ~n));
+          lazy (other (Heisenberg.build ~spec:Device.heisenberg_default ~n).Heisenberg.aais);
+          lazy
+            (other
+               (Iontrap.build
+                  ~spec:{ Device.iontrap_nn with Device.max_ions = 1000 }
+                  ~n)
+                 .Iontrap.aais);
+        ]
+      @
+      if n <= Device.iontrap_chain.Device.max_ions then
+        [ lazy (other (Iontrap.build ~spec:Device.iontrap_chain ~n).Iontrap.aais) ]
+      else [])
+    [ 1; 2; 5; 23; 93; 150; 300; 1000 ]
+
+let test_stock_channels_are_instances () =
+  List.iter
+    (fun device ->
+      let aais, expected = Lazy.force device in
+      let env = Variable.initial_env aais.Aais.pool in
+      Array.iter
+        (fun (c : Instruction.channel) ->
+          let fail what =
+            Alcotest.failf "%s, channel %s: %s" aais.Aais.name
+              c.Instruction.label what
+          in
+          if
+            not
+              (same_kernel c.Instruction.kernel
+                 (Expr.compile (Instruction.expr c)))
+          then fail "kernel differs from compile";
+          match expected c with
+          | Some want ->
+              let got = Instruction.eval_channel c ~env in
+              if Float.abs (got -. want) > 1e-9 *. Float.abs want then
+                fail (Printf.sprintf "amplitude %h, expected %h" got want)
+          | None -> ())
+        (Aais.channels aais);
+      if not (String.equal (Shape.of_aais aais) (Reference_key.render aais)) then
+        Alcotest.failf "%s: key differs from the tree-walk rendering"
+          aais.Aais.name)
+    stock_devices
+
+(* The digit scratch of [Shape]'s float rendering against the nibble
+   loop, on random bit patterns, NaN payloads, subnormals and zeros. *)
+let prop_key_floats_match_reference =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map Int64.float_of_bits ui64);
+          (2, map (fun m -> Int64.float_of_bits (Int64.logand m 0x800f_ffff_ffff_ffffL)) ui64);
+          (1, map Int64.float_of_bits (map (Int64.logor 0x7ff0_0000_0000_0001L) ui64));
+          (1, oneofl [ 0.0; -0.0; 1.0; infinity; neg_infinity; nan; max_float ]);
+        ])
+  in
+  QCheck.Test.make ~name:"key floats = nibble-by-nibble rendering" ~count:5000
+    (QCheck.make
+       ~print:(fun cs -> String.concat " " (List.map (Printf.sprintf "%h") cs))
+       (QCheck.Gen.list_size (QCheck.Gen.return 8) gen))
+    (fun cs ->
+      let pool = Variable.create_pool () in
+      let channels =
+        List.mapi
+          (fun cid c ->
+            Instruction.channel_of_expr ~cid ~label:"c" ~expr:(Expr.Const c)
+              ~effects:
+                [ { Instruction.pstring = Pauli_string.single 0 Pauli.Z; coeff = c } ]
+              ~hint:Instruction.Hint_generic)
+          cs
+      in
+      let aais =
+        Aais.make ~name:"floats" ~n_qubits:1 ~pool
+          ~instructions:[ Instruction.make ~label:"c" ~channels ]
+          ()
+      in
+      String.equal (Shape.of_aais aais) (Reference_key.render aais))
+
 (* ---- Instruction hints ---- *)
 
 let test_hint_validation_rejects_lies () =
   Alcotest.(check bool) "lying linear hint rejected" true
     (match
-       Instruction.channel ~cid:0 ~label:"bad"
+       Instruction.channel_of_expr ~cid:0 ~label:"bad"
          ~expr:Expr.(Pow_int (Var 0, 2))
          ~effects:[]
          ~hint:(Instruction.Hint_linear { var = 0; slope = 1.0 })
@@ -378,7 +647,7 @@ let test_hint_validation_rejects_lies () =
 let test_hint_polar_accepts_rydberg_shape () =
   let expr = Expr.(Mul (Mul (Const 0.5, Var 0), Cos (Var 1))) in
   let c =
-    Instruction.channel ~cid:0 ~label:"rabi-cos" ~expr ~effects:[]
+    Instruction.channel_of_expr ~cid:0 ~label:"rabi-cos" ~expr ~effects:[]
       ~hint:(Instruction.Hint_polar_cos { amp = 0; phase = 1; scale = 0.5 })
   in
   Alcotest.(check bool) "valid" true (Instruction.validate_hint c)
@@ -388,7 +657,7 @@ let test_hint_polar_accepts_rydberg_shape () =
    their ids; the truthful hints must still validate there. *)
 let test_polar_hint_lies_rejected () =
   let rejected msg expr hint =
-    match Instruction.channel ~cid:0 ~label:"bad" ~expr ~effects:[] ~hint with
+    match Instruction.channel_of_expr ~cid:0 ~label:"bad" ~expr ~effects:[] ~hint with
     | _ -> Alcotest.failf "%s: accepted" msg
     | exception Invalid_argument _ -> ()
   in
@@ -403,7 +672,7 @@ let test_polar_hint_lies_rejected () =
         (fun (expr, hint) ->
           Alcotest.(check bool) (case "truthful hint") true
             (Instruction.validate_hint
-               (Instruction.channel ~cid:0 ~label:"ok" ~expr ~effects:[] ~hint)))
+               (Instruction.channel_of_expr ~cid:0 ~label:"ok" ~expr ~effects:[] ~hint)))
         [ (cos_expr, cos_hint); (sin_expr, sin_hint) ];
       rejected (case "amp and phase swapped") cos_expr
         (Instruction.Hint_polar_cos { amp = phase; phase = amp; scale = 0.5 });
@@ -415,7 +684,7 @@ let test_polar_hint_lies_rejected () =
 
 let test_instruction_variables_derived () =
   let c1 =
-    Instruction.channel ~cid:0 ~label:"c1" ~expr:Expr.(Mul (Var 2, Var 0))
+    Instruction.channel_of_expr ~cid:0 ~label:"c1" ~expr:Expr.(Mul (Var 2, Var 0))
       ~effects:[] ~hint:Instruction.Hint_generic
   in
   let i = Instruction.make ~label:"i" ~channels:[ c1 ] in
@@ -423,7 +692,7 @@ let test_instruction_variables_derived () =
 
 let test_effect_terms_filter_identity () =
   let c =
-    Instruction.channel ~cid:0 ~label:"c"
+    Instruction.channel_of_expr ~cid:0 ~label:"c"
       ~expr:(Expr.Const 1.0)
       ~effects:
         [
@@ -663,8 +932,8 @@ let () =
       ( "template",
         [
           Alcotest.test_case "view and map back" `Quick test_template_view;
-          Alcotest.test_case "constants compared by bits" `Quick
-            test_equal_bits_constants;
+          Alcotest.test_case "repeated or missing ids rejected" `Quick
+            test_template_rejects_bad_ids;
           Alcotest.test_case "0.0 and -0.0 templates get their own kernels"
             `Quick test_signed_zero_templates;
           Alcotest.test_case "ids past 2^24 compile directly" `Quick
@@ -675,6 +944,9 @@ let () =
         [
           Alcotest.test_case "key integers spelled as string_of_int" `Quick
             test_key_integer_spelling;
+          Alcotest.test_case "stock channels are template instances" `Quick
+            test_stock_channels_are_instances;
+          QCheck_alcotest.to_alcotest prop_key_floats_match_reference;
         ] );
       ( "instruction",
         [

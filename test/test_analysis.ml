@@ -155,7 +155,7 @@ let dangling_aais () =
       ~lo:0.0 ~hi:1.0 ()
   in
   let ch =
-    Instruction.channel ~cid:(Aais.channel_count aais) ~label:"dangling"
+    Instruction.channel_of_expr ~cid:(Aais.channel_count aais) ~label:"dangling"
       ~expr:(Expr.var v) ~effects:[] ~hint:Instruction.Hint_generic
   in
   Aais.make ~name:"rydberg+dangling" ~n_qubits:aais.Aais.n_qubits ~pool
@@ -242,7 +242,7 @@ let test_unused_variable_warns () =
       ~hi:1.0 ()
   in
   let ch =
-    Instruction.channel ~cid:0 ~label:"z0" ~expr:(Expr.var used)
+    Instruction.channel_of_expr ~cid:0 ~label:"z0" ~expr:(Expr.var used)
       ~effects:
         [ { Instruction.pstring = Pauli_string.single 0 Pauli.Z; coeff = 1.0 } ]
       ~hint:Instruction.Hint_generic

@@ -339,7 +339,7 @@ let test_generic_solver_case3 () =
       ~lo:(-.Float.pi) ~hi:Float.pi ~init:0.3 ()
   in
   let channel =
-    Instruction.channel ~cid:0 ~label:"cos-only"
+    Instruction.channel_of_expr ~cid:0 ~label:"cos-only"
       ~expr:Expr.(Cos (Var phi.Variable.id))
       ~effects:[ { Instruction.pstring = Pauli_string.single 0 Pauli.X; coeff = 1.0 } ]
       ~hint:Instruction.Hint_generic
@@ -367,7 +367,7 @@ let test_generic_solver_case3 () =
 let test_const_component () =
   (* a constant channel pins T directly *)
   let channel =
-    Instruction.channel ~cid:0 ~label:"const"
+    Instruction.channel_of_expr ~cid:0 ~label:"const"
       ~expr:(Expr.Const 2.0)
       ~effects:[ { Instruction.pstring = Pauli_string.single 0 Pauli.Z; coeff = 1.0 } ]
       ~hint:Instruction.Hint_generic
@@ -457,7 +457,7 @@ let synthetic vars_spec exprs =
     Array.of_list
       (List.mapi
          (fun cid expr ->
-           Instruction.channel ~cid ~label:(Printf.sprintf "c%d" cid) ~expr
+           Instruction.channel_of_expr ~cid ~label:(Printf.sprintf "c%d" cid) ~expr
              ~effects:
                [ { Instruction.pstring = Pauli_string.single cid Pauli.Z; coeff = 1.0 } ]
              ~hint:Instruction.Hint_fixed)
@@ -515,7 +515,7 @@ let prefit_cost (channels : Instruction.channel array) ~alpha ~t_sim ls =
   let acc = ref 0.0 in
   Array.iteri
     (fun i ch ->
-      let r = (Expr.eval ch.Instruction.expr ~env *. t_sim) -. alpha.(i) in
+      let r = (Expr.eval (Instruction.expr ch) ~env *. t_sim) -. alpha.(i) in
       acc := !acc +. (r *. r))
     channels;
   !acc

@@ -210,7 +210,64 @@ let test_handler_cli_parity () =
   in
   Alcotest.(check string) "daemon result = CLI --json payload"
     (J.emit (drop_plan_cache (J.parse_exn direct)))
-    (J.emit (drop_plan_cache (response_result resp)))
+    (J.emit (drop_plan_cache (response_result resp)));
+  (* a truncated sweep: [qturbo sweep --cutoff 10] resolves its device
+     with the cutoff, as the daemon's sweep does, and prints this *)
+  Qturbo_core.Compile_plan.clear_caches ();
+  let resp, _ =
+    handle
+      {|{"op":"sweep","model":"ising-chain","n":5,"cutoff":"10","sweep_j":"0.5:1.5:2"}|}
+  in
+  Qturbo_core.Compile_plan.clear_caches ();
+  let model_of ~j ~h =
+    Ops.resolve_model ~hamiltonian:None ~model_name:(Some "ising-chain") ~n:5
+      ~j ~h
+  in
+  let inst =
+    Ops.resolve_backend ~backend:"rydberg" ~device:None ~cutoff:(Some "10")
+      ~ramp:false ~model_name:model.Qturbo_models.Model.name
+      ~n:model.Qturbo_models.Model.n
+  in
+  let options =
+    Ops.options_with ~domains:0 ~best_effort:false ~deadline:0.0
+      ~no_plan_cache:false
+  in
+  let range = Ops.parse_range ~what:"sweep" in
+  let jobs =
+    List.concat_map
+      (fun j ->
+        List.concat_map
+          (fun h -> List.map (fun t -> (j, h, t)) (range "1.0"))
+          (range "0"))
+      (range "0.5:1.5:2")
+  in
+  let direct =
+    Ops.sweep_static_json ~options
+      ~batch_domains:options.Qturbo_core.Compiler.domains ~backend:"rydberg"
+      ~inst ~probe:(model_of ~j:0.0 ~h:0.0)
+      ~target_of:(fun ~j ~h -> Ops.static_target (model_of ~j ~h))
+      ~jobs ()
+  in
+  let rec drop_plan_caches = function
+    | J.Object fields ->
+        J.Object
+          (List.filter_map
+             (fun (k, v) ->
+               if k = "plan_cache" then None else Some (k, drop_plan_caches v))
+             fields)
+    | J.Array items -> J.Array (List.map drop_plan_caches items)
+    | v -> v
+  in
+  let daemon = J.emit (drop_plan_caches (response_result resp)) in
+  Alcotest.(check string) "daemon sweep with a cutoff = CLI sweep --cutoff"
+    (J.emit (drop_plan_caches (J.parse_exn direct)))
+    daemon;
+  let untruncated, _ =
+    handle {|{"op":"sweep","model":"ising-chain","n":5,"sweep_j":"0.5:1.5:2"}|}
+  in
+  Alcotest.(check bool) "the cutoff changes the sweep" false
+    (String.equal daemon
+       (J.emit (drop_plan_caches (response_result untruncated))))
 
 (* ---- backend instances shared across requests ---- *)
 

@@ -255,6 +255,32 @@ let prop_json_emit_stable =
       let once = Json.emit v in
       String.equal once (Json.emit (Json.parse_exn once)))
 
+(* [float_lit] skips Printf's format interpreter; its finite output
+   must be the text [Printf.sprintf "%.17g"] gives, on every bit
+   pattern: random ones, subnormals, signed zeros and the extremes. *)
+let prop_json_float_lit_matches_printf =
+  let special =
+    [
+      0.0; -0.0; max_float; -.max_float; min_float; Float.min_float /. 2.0;
+      4.9406564584124654e-324; -4.9406564584124654e-324; 1.0; 0.1;
+      infinity; neg_infinity; nan;
+    ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map Int64.float_of_bits ui64);
+          (2, map (fun m -> Int64.float_of_bits (Int64.logand m 0x800f_ffff_ffff_ffffL)) ui64);
+          (1, oneofl special);
+        ])
+  in
+  QCheck.Test.make ~name:"float_lit = Printf %.17g on finite floats" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      String.equal (Json.float_lit f)
+        (if Float.is_finite f then Printf.sprintf "%.17g" f else "null"))
+
 let test_json_rejects_malformed () =
   let bad =
     [
@@ -519,6 +545,7 @@ let () =
              [
                prop_json_roundtrip; prop_json_emit_stable;
                prop_json_surrogate_escape_equiv; prop_json_utf8_roundtrip;
+               prop_json_float_lit_matches_printf;
              ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
