@@ -1230,8 +1230,9 @@ let robustness () =
   Table_fmt.print
     ~title:
       (Printf.sprintf
-         "Fault recovery (Ising chain, n = %d, best-effort; \"all stages \
-          down\" is expected to stay degraded)"
+         "Fault recovery (Ising chain, n = %d, best-effort; \"retry \
+          exhausted\" and \"all stages down\" are expected to stay \
+          degraded)"
          n_small)
     rt;
   let oc = open_out "BENCH_robustness.json" in

@@ -100,6 +100,36 @@ let print_store_summary () =
          else "")
         (Option.value (Qturbo_core.Compile_plan.store_dir ()) ~default:"?")
 
+(* The banner of a degraded result names the causes its fatal records
+   give: an exhausted constraint loop leaves the layout breaking the
+   device's constraints; any other fatal record is a component that
+   kept a non-converged solution. *)
+let degraded_banner (failures : Qturbo_resilience.Failure.t list) =
+  let fatal_sites =
+    List.filter_map
+      (fun (f : Qturbo_resilience.Failure.t) ->
+        if f.Qturbo_resilience.Failure.fatal then
+          Some f.Qturbo_resilience.Failure.site
+        else None)
+      failures
+  in
+  let layout = List.mem "constraint-loop" fatal_sites in
+  let unsolved = List.exists (fun s -> s <> "constraint-loop") fatal_sites in
+  let causes =
+    (if unsolved || not layout then
+       [ "some component kept a non-converged solution" ]
+     else [])
+    @
+    if layout then
+      [
+        "the constraint loop gave up with the layout still breaking the \
+         device's constraints";
+      ]
+    else []
+  in
+  Printf.sprintf "DEGRADED: best-effort result; %s (see failure records above)"
+    (String.concat " and " causes)
+
 let print_compile_result ~(instance : Backend.instance) ~show_pulse ~ramp
     (r : Qturbo_core.Compiler.result) =
   Printf.printf "compiled in %.2f ms\n" (1000.0 *. r.Qturbo_core.Compiler.compile_seconds);
@@ -115,9 +145,7 @@ let print_compile_result ~(instance : Backend.instance) ~show_pulse ~ramp
       Printf.printf "failure: %s\n" (Qturbo_resilience.Failure.to_string f))
     r.Qturbo_core.Compiler.failures;
   if r.Qturbo_core.Compiler.degraded then
-    print_endline
-      "DEGRADED: best-effort result; some component kept a non-converged \
-       solution (see failure records above)";
+    print_endline (degraded_banner r.Qturbo_core.Compiler.failures);
   let p = r.Qturbo_core.Compiler.plan in
   if p.Qturbo_core.Compiler.cache_enabled then
     Printf.printf
@@ -232,9 +260,7 @@ let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
           (Qturbo_resilience.Failure.to_string f))
       td.Qturbo_core.Td_compiler.failures;
     if td.Qturbo_core.Td_compiler.degraded then
-      print_endline
-        "DEGRADED: best-effort result; some component kept a \
-         non-converged solution (see failure records above)";
+      print_endline (degraded_banner td.Qturbo_core.Td_compiler.failures);
     Printf.printf "plan: %d front-end build(s)\n"
       td.Qturbo_core.Td_compiler.plan_builds;
     0

@@ -21,15 +21,19 @@ type t = {
   n_qubits : int;
   pool : Variable.pool;
   instructions : Instruction.t list;
+  channels : Instruction.channel array;
   check_fixed : float array -> string list;
   fingerprint : string;
   truncation : truncation option;
   key_memo : key_memo;
 }
 
-let channels t =
+(* The instructions' channels indexed by cid, validated dense. *)
+let channel_table instructions =
   let all =
-    List.concat_map (fun (i : Instruction.t) -> i.Instruction.channels) t.instructions
+    List.concat_map
+      (fun (i : Instruction.t) -> i.Instruction.channels)
+      instructions
   in
   let n = List.length all in
   let arr = Array.make n None in
@@ -46,20 +50,17 @@ let channels t =
 
 let make ~name ~n_qubits ~pool ~instructions ?(check_fixed = fun _ -> [])
     ?(fingerprint = "") ?truncation () =
-  let t =
-    {
-      name;
-      n_qubits;
-      pool;
-      instructions;
-      check_fixed;
-      fingerprint;
-      truncation;
-      key_memo = Atomic.make None;
-    }
-  in
-  ignore (channels t);
-  t
+  {
+    name;
+    n_qubits;
+    pool;
+    instructions;
+    channels = channel_table instructions;
+    check_fixed;
+    fingerprint;
+    truncation;
+    key_memo = Atomic.make None;
+  }
 
 let memo_key t ~render =
   let size = Variable.count t.pool in
@@ -73,10 +74,8 @@ let memo_key t ~render =
 
 let without_key_memo t = { t with key_memo = Atomic.make None }
 
-let channel_count t =
-  List.fold_left
-    (fun acc (i : Instruction.t) -> acc + List.length i.Instruction.channels)
-    0 t.instructions
+let channels t = t.channels
+let channel_count t = Array.length t.channels
 
 let variables t = Variable.all t.pool
 let variable t id = (variables t).(id)

@@ -32,6 +32,10 @@ type t = private {
   n_qubits : int;
   pool : Variable.pool;
   instructions : Instruction.t list;
+  channels : Instruction.channel array;
+      (** Every instruction's channels, indexed by [cid]: built and
+          validated once by {!make}, then shared by every reader (see
+          {!channels}). *)
   check_fixed : float array -> string list;
       (** [check_fixed env] returns human-readable violations of the
           runtime-fixed-variable constraints (empty = feasible).  Drives
@@ -85,9 +89,11 @@ val without_key_memo : t -> t
     the rendering it already carries in its keys. *)
 
 val channels : t -> Instruction.channel array
-(** All channels indexed by [cid]. *)
+(** All channels indexed by [cid]: the array {!make} validated, the same
+    one on every call.  Callers share it and must not write into it. *)
 
 val channel_count : t -> int
+(** [Array.length (channels t)]. *)
 
 val variable : t -> int -> Variable.t
 

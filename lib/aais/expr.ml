@@ -761,15 +761,21 @@ let kernel_of_view prog ~consts ~depth ~max_var =
    so the scratch must be domain-local *)
 let stack_key = Domain.DLS.new_key (fun () -> ref (Array.make 16 0.0))
 
-let eval_kernel k ~env =
+let[@inline] stack depth =
   let open Stdlib in
   let cell = Domain.DLS.get stack_key in
-  if Array.length !cell < k.k_depth then
-    cell := Array.make (Int.max k.k_depth (2 * Array.length !cell)) 0.0;
-  let st = !cell in
-  let prog = k.k_prog and consts = k.k_consts in
+  if Array.length !cell < depth then
+    cell := Array.make (Int.max depth (2 * Array.length !cell)) 0.0;
+  !cell
+
+(* The one dispatch loop: run the postfix words [prog.(lo) .. prog.(hi-1)]
+   on the stack [st], leaving the value in [st.(0)].  Both {!eval_kernel}
+   and {!Batch} call it; [@inline] copies it into each caller even
+   without flambda, so neither pays a call per row. *)
+let[@inline] exec prog consts ~env st lo hi =
+  let open Stdlib in
   let sp = ref 0 in
-  for pc = 0 to Array.length prog - 1 do
+  for pc = lo to hi - 1 do
     let instr = Array.unsafe_get prog pc in
     let arg = instr asr 5 in
     match instr land 31 with
@@ -883,36 +889,32 @@ let eval_kernel k ~env =
         Array.unsafe_set st !sp (cos env.(arg));
         incr sp
     | _ -> assert false
-  done;
+  done
+
+let eval_kernel k ~env =
+  let st = stack k.k_depth in
+  exec k.k_prog k.k_consts ~env st 0 (Array.length k.k_prog);
   st.(0)
 
-(* ---- batched SoA evaluation ------------------------------------------ *)
+(* ---- batched evaluation ---------------------------------------------- *)
 
 (* Many kernels packed into one flat program so a residual sweep over a
-   component's channels runs as a single tight loop writing into a
-   reusable Bigarray buffer — no per-row closure dispatch, no boxed
-   intermediate arrays.  Each row replays exactly the float operations
-   [eval_kernel] would run on its kernel, in the same order, so every
-   output is bitwise-identical to the per-kernel evaluator. *)
+   component's channels runs as a single loop writing into a float
+   array — no per-row closure dispatch, no boxed intermediate values.
+   Each row runs [exec] over its own words, exactly what [eval_kernel]
+   runs on its kernel, so every output is bitwise-identical to the
+   per-kernel evaluator. *)
 module Batch = struct
   open Stdlib
-
-  type buffer =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   type t = {
     b_prog : int array;  (* concatenated programs, const args rebased *)
     b_row_ptr : int array;  (* row r occupies [b_row_ptr.(r), b_row_ptr.(r+1)) *)
     b_consts : float array;  (* concatenated constant tables *)
     b_depth : int;  (* max stack depth over all rows *)
-    b_max_var : int;
   }
 
   let length b = Array.length b.b_row_ptr - 1
-  let max_var b = b.b_max_var
-
-  let create_buffer n =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Stdlib.max 1 n)
 
   (* opcodes whose argument indexes the constant table — the only words
      that need rebasing when tables are concatenated (the vv/dsq pairs
@@ -932,7 +934,7 @@ module Batch = struct
       kernels;
     let prog = Array.make (Stdlib.max 1 !total_prog) 0 in
     let consts = Array.make (Stdlib.max 1 !total_consts) 0.0 in
-    let depth = ref 1 and max_var = ref (-1) in
+    let depth = ref 1 in
     let pp = ref 0 and cp = ref 0 in
     Array.iteri
       (fun r k ->
@@ -947,147 +949,23 @@ module Batch = struct
           k.k_prog;
         Array.blit k.k_consts 0 consts off (Array.length k.k_consts);
         cp := off + Array.length k.k_consts;
-        if k.k_depth > !depth then depth := k.k_depth;
-        if k.k_max_var > !max_var then max_var := k.k_max_var)
+        if k.k_depth > !depth then depth := k.k_depth)
       kernels;
     row_ptr.(rows) <- !pp;
-    {
-      b_prog = prog;
-      b_row_ptr = row_ptr;
-      b_consts = consts;
-      b_depth = !depth;
-      b_max_var = !max_var;
-    }
+    { b_prog = prog; b_row_ptr = row_ptr; b_consts = consts; b_depth = !depth }
 
-  let eval b ~env ~out =
-    let open Stdlib in
-    let rows = length b in
-    if Bigarray.Array1.dim out < rows then
-      invalid_arg "Expr.Batch.eval: output buffer shorter than the batch";
-    let cell = Domain.DLS.get stack_key in
-    if Array.length !cell < b.b_depth then
-      cell := Array.make (Int.max b.b_depth (2 * Array.length !cell)) 0.0;
-    let st = !cell in
+  let eval b ~env ~out ~lo ~hi =
+    if lo < 0 || hi > length b || lo > hi then
+      invalid_arg "Expr.Batch.eval: row range outside the batch";
+    if Array.length out < hi then
+      invalid_arg "Expr.Batch.eval: output array shorter than the range";
+    let st = stack b.b_depth in
     let prog = b.b_prog and consts = b.b_consts and row_ptr = b.b_row_ptr in
-    for r = 0 to rows - 1 do
-      let sp = ref 0 in
-      for pc = row_ptr.(r) to row_ptr.(r + 1) - 1 do
-        let instr = Array.unsafe_get prog pc in
-        let arg = instr asr 5 in
-        match instr land 31 with
-        | 0 (* const *) ->
-            Array.unsafe_set st !sp (Array.unsafe_get consts arg);
-            incr sp
-        | 1 (* var *) ->
-            Array.unsafe_set st !sp env.(arg);
-            incr sp
-        | 2 (* neg *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (-.Array.unsafe_get st i)
-        | 3 (* add *) ->
-            decr sp;
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i +. Array.unsafe_get st !sp)
-        | 4 (* sub *) ->
-            decr sp;
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i -. Array.unsafe_get st !sp)
-        | 5 (* mul *) ->
-            decr sp;
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i *. Array.unsafe_get st !sp)
-        | 6 (* div *) ->
-            decr sp;
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i /. Array.unsafe_get st !sp)
-        | 7 (* pow *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (int_pow (Array.unsafe_get st i) arg)
-        | 8 (* sin *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (sin (Array.unsafe_get st i))
-        | 9 (* cos *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (cos (Array.unsafe_get st i))
-        | 10 (* vv_add *) ->
-            let va = env.(arg lsr 24) in
-            let vb = env.(arg land 0xffffff) in
-            Array.unsafe_set st !sp (va +. vb);
-            incr sp
-        | 11 (* vv_sub *) ->
-            let va = env.(arg lsr 24) in
-            let vb = env.(arg land 0xffffff) in
-            Array.unsafe_set st !sp (va -. vb);
-            incr sp
-        | 12 (* vv_mul *) ->
-            let va = env.(arg lsr 24) in
-            let vb = env.(arg land 0xffffff) in
-            Array.unsafe_set st !sp (va *. vb);
-            incr sp
-        | 13 (* vv_div *) ->
-            let va = env.(arg lsr 24) in
-            let vb = env.(arg land 0xffffff) in
-            Array.unsafe_set st !sp (va /. vb);
-            incr sp
-        | 14 (* var_add *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (Array.unsafe_get st i +. env.(arg))
-        | 15 (* var_sub *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (Array.unsafe_get st i -. env.(arg))
-        | 16 (* var_mul *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (Array.unsafe_get st i *. env.(arg))
-        | 17 (* var_div *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i (Array.unsafe_get st i /. env.(arg))
-        | 18 (* const_add *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i +. Array.unsafe_get consts arg)
-        | 19 (* const_sub *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i -. Array.unsafe_get consts arg)
-        | 20 (* const_mul *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i *. Array.unsafe_get consts arg)
-        | 21 (* const_div *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get st i /. Array.unsafe_get consts arg)
-        | 22 (* sq *) ->
-            let i = !sp - 1 in
-            let x = Array.unsafe_get st i in
-            Array.unsafe_set st i (x *. x)
-        | 23 (* cube *) ->
-            let i = !sp - 1 in
-            let x = Array.unsafe_get st i in
-            Array.unsafe_set st i (x *. (x *. x))
-        | 24 (* dsq *) ->
-            let va = env.(arg lsr 24) in
-            let vb = env.(arg land 0xffffff) in
-            let d = va -. vb in
-            Array.unsafe_set st !sp (d *. d);
-            incr sp
-        | 25 (* crdiv *) ->
-            let i = !sp - 1 in
-            Array.unsafe_set st i
-              (Array.unsafe_get consts arg /. Array.unsafe_get st i)
-        | 26 (* var_sin *) ->
-            Array.unsafe_set st !sp (sin env.(arg));
-            incr sp
-        | 27 (* var_cos *) ->
-            Array.unsafe_set st !sp (cos env.(arg));
-            incr sp
-        | _ -> assert false
-      done;
-      Bigarray.Array1.unsafe_set out r st.(0)
+    for r = lo to hi - 1 do
+      exec prog consts ~env st
+        (Array.unsafe_get row_ptr r)
+        (Array.unsafe_get row_ptr (r + 1));
+      Array.unsafe_set out r (Array.unsafe_get st 0)
     done
 end
 

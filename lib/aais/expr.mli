@@ -231,37 +231,32 @@ end
     A residual sweep evaluates every channel kernel of a component
     against the same environment, once per optimiser iteration.
     {!Batch.pack} concatenates the kernels into one flat program so
-    {!Batch.eval} runs the whole sweep as a single tight loop writing
-    into a reusable [Bigarray] buffer — no per-kernel dispatch, no boxed
-    intermediate arrays, and (after the first call on a domain) no
-    allocation at all. *)
+    {!Batch.eval} runs a range of rows as a single loop writing into a
+    plain [float array] — no per-kernel dispatch, no boxed intermediate
+    values, and (after the first call on a domain) no allocation at all.
+    The batch and {!eval_kernel} run one and the same interpreter loop,
+    so they cannot drift apart.  Pool domains can fill disjoint row
+    ranges of one array. *)
 module Batch : sig
-  type buffer =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
   type t
 
   val pack : kernel array -> t
-  (** Concatenate kernels into one program.  [eval] on the result
-      performs exactly the float operations each [eval_kernel] would,
+  (** Concatenate kernels into one program.  Evaluating row [r] performs
+      exactly the float operations [eval_kernel] performs on kernel [r],
       in the same order, so every output is bitwise-identical to the
       per-kernel evaluator. *)
 
-  val eval : t -> env:float array -> out:buffer -> unit
-  (** [eval b ~env ~out] writes kernel [r]'s value to [out.{r}] for
-      every row.  Raises [Invalid_argument] when [out] is shorter than
-      the batch.  Domain-safe: the evaluation stack is the same
-      domain-local scratch {!eval_kernel} uses. *)
+  val eval :
+    t -> env:float array -> out:float array -> lo:int -> hi:int -> unit
+  (** [eval b ~env ~out ~lo ~hi] writes kernel [r]'s value to
+      [out.(r)] for every [r] in [\[lo, hi)], and nothing else.  Raises
+      [Invalid_argument] when the range leaves [\[0, length b\]] or [out]
+      is shorter than [hi].  Domain-safe: the evaluation stack is the
+      same domain-local scratch {!eval_kernel} uses, so domains may fill
+      disjoint ranges of one array at once. *)
 
   val length : t -> int
   (** Number of packed kernels (rows). *)
-
-  val max_var : t -> int
-  (** Largest variable id any packed kernel reads, [-1] if none. *)
-
-  val create_buffer : int -> buffer
-  (** A fresh float64 buffer of at least the given length (at least 1,
-      so a zero-row batch still gets a valid buffer). *)
 end
 
 (** {1 Typed IR view}

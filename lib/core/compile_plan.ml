@@ -513,21 +513,11 @@ let store_persist (p : t) =
    variables.  Its key equals the requester's, and the key renders
    everything the solve and the analyzer read, so the plan is rebound
    onto the requester's device: the device is resident once, and every
-   output bit is what the loaded copy would give. *)
+   output bit is what the loaded copy would give.  Prepared components
+   hold their own programs and bounds, so only the device record
+   changes. *)
 let rebind_device (d : device) ~aais =
-  let vars = Aais.variables aais and channels = Aais.channels aais in
-  {
-    d with
-    aais;
-    channels;
-    vars;
-    prepared =
-      List.map
-        (function
-          | Dynamic p -> Dynamic (Local_solver.rebind p ~vars ~channels)
-          | Fixed p -> Fixed (Fixed_solver.rebind p ~vars ~channels))
-        d.prepared;
-  }
+  { d with aais; channels = Aais.channels aais; vars = Aais.variables aais }
 
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
@@ -819,9 +809,11 @@ let constraint_loop run ~device:(d : device) ~alpha ~t_start prepared =
                 (String.concat "; " violations)
           in
           warn run reason;
+          (* the layout breaks the device's constraints: a result the
+             compiler knows is wrong is not a success *)
           Some
             (Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
-               ~fatal:false
+               ~fatal:true
                ~class_:
                  (if out_of_iters then Failure.Position_retry_exhausted
                   else Failure.Deadline_expired)

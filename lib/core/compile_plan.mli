@@ -141,8 +141,9 @@ type result = {
           resilience supervisor, in pipeline order *)
   degraded : bool;
       (** true iff some failure is fatal — a component kept a
-          non-converged solution (best-effort compiles only; strict
-          compiles raise instead) *)
+          non-converged solution, or the constraint loop gave up with
+          the layout breaking the device's constraints (best-effort
+          compiles only; strict compiles raise instead) *)
   plan : plan_stats;  (** plan provenance and cache counters *)
 }
 

@@ -9,15 +9,15 @@ let is_pinned (b : Bounds.bound) = b.Bounds.lo = b.Bounds.hi
 (* Everything independent of (α, T_sim), derived once per component:
    the free/pinned split, the sparse symbolic Jacobian (structure and
    compiled derivative kernels), the channel kernels and the rows'
-   common degree of homogeneity.  The dominant saving is the Jacobian
-   scan: probing every (row, variable) pair costs O(rows · cols)
-   symbolic derivatives, while scanning each row's own variable set
-   costs O(rows · vars-per-row) — a van-der-Waals channel touches 4
-   coordinates, not all of them. *)
+   common degree of homogeneity.  It holds its own programs, bounds and
+   starting layout and nothing of the device it came from, so a plan
+   rebound onto an identical device uses it unchanged.  The dominant
+   saving is the Jacobian scan: probing every (row, variable) pair costs
+   O(rows · cols) symbolic derivatives, while scanning each row's own
+   variable set costs O(rows · vars-per-row) — a van-der-Waals channel
+   touches 4 coordinates, not all of them. *)
 type prepared = {
   comp : Locality.component;
-  vars : Variable.t array;
-  channels : Instruction.channel array;
   free_ids : int array;
   cids : int array;
   env_size : int;
@@ -163,8 +163,6 @@ let prepare ~vars ~channels (comp : Locality.component) =
   in
   {
     comp;
-    vars;
-    channels;
     free_ids;
     cids;
     env_size;
@@ -182,14 +180,14 @@ let prepare ~vars ~channels (comp : Locality.component) =
 
 let degree p = p.degree
 
-let rebind p ~vars ~channels = { p with vars; channels }
-
-(* Below this many rows/entries the pool dispatch costs more than it
-   saves: submitting a job and waking sleeping workers runs ~0.5 ms,
-   while a compiled-kernel row evaluates in ~10 ns — a residual pass
-   over 4k van-der-Waals rows is ~50 µs of work.  Fine-grained inner
-   parallelism only pays on components far larger than any Fig. 3
-   benchmark; smaller solves stay sequential on every domain count. *)
+(* Below this many rows/entries the solve stays sequential on every
+   domain count, so the pool only ever sees components far larger than
+   any Fig. 3 benchmark.  On a 2-CPU VM, all-pairs ising-cycle position
+   rows filled back to back: one batch pass costs ~18 ns a row
+   (578 µs for the 32,896 rows of n = 257), 2 or 4 domains fill them in
+   385 and 372 µs, and 79,800 rows in 0.63× of one pass; below ~4k rows
+   the dispatch eats the gain.  A whole warm n = 257 solve (~45 ms, mostly
+   the sparse step) did not resolve the difference either way. *)
 let par_threshold = 32_768
 
 (* Free-variable count at which the LM position solve switches from the
@@ -202,11 +200,13 @@ let sparse_threshold = 256
 
 (* The residual rows r_i(x) = row_i(x)·T_sim − α_i of one solve, over
    an environment holding the pinned values, whose free slots [load]
-   rewrites. *)
+   rewrites.  [fill x] loads [x] and evaluates every row into [out];
+   [residual], [cost] and the closed-form pre-fit all read it there. *)
 type sweep = {
   env : float array;
-  out : Expr.Batch.buffer;
+  out : float array;
   load : float array -> unit;
+  fill : float array -> unit;
   residual : float array -> float array;
   cost : float array -> float;  (* Σ r_i², summed in row order *)
 }
@@ -216,53 +216,43 @@ let sweep ~domains ~alpha ~t_sim p =
     invalid_arg
       (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
          p.comp.Locality.id);
-  let channels = p.channels and cids = p.cids and free_ids = p.free_ids in
+  let cids = p.cids and free_ids = p.free_ids in
   let n_rows = Array.length cids in
   let env = Array.make p.env_size 0.0 in
   List.iter (fun (v, x) -> env.(v) <- x) p.pinned;
-  let row_domains = if n_rows < par_threshold then 1 else domains in
-  (* sequential residual sweeps run on the packed SoA batch: one flat
-     program over a reusable float64 buffer, bitwise-identical to the
-     per-row kernel dispatch it replaces *)
-  let out = Expr.Batch.create_buffer n_rows in
+  let out = Array.make n_rows 0.0 in
   let load x = Array.iteri (fun k v -> env.(v) <- x.(k)) free_ids in
-  let residual x =
+  (* contiguous row ranges into disjoint slices of [out] (one range,
+     run in place, below the threshold): each row is the same program
+     on the same env, so the bits match the sequential pass *)
+  let ranges =
+    if n_rows < par_threshold || domains <= 1 then 1 else 4 * domains
+  in
+  let fill x =
     load x;
-    if row_domains = 1 then begin
-      Expr.Batch.eval p.res_batch ~env ~out;
-      Array.init n_rows (fun i ->
-          (Bigarray.Array1.unsafe_get out i *. t_sim)
-          -. alpha.(Array.unsafe_get cids i))
-    end
-    else begin
-      let r = Array.make n_rows 0.0 in
-      Qturbo_par.Pool.parallel_for ~domains:row_domains ~total:n_rows (fun i ->
-          let cid = Array.unsafe_get cids i in
-          r.(i) <-
-            (Instruction.eval_channel channels.(cid) ~env *. t_sim)
-            -. alpha.(cid));
-      r
-    end
+    Qturbo_par.Pool.parallel_for ~domains ~total:ranges (fun c ->
+        Expr.Batch.eval p.res_batch ~env ~out
+          ~lo:(c * n_rows / ranges)
+          ~hi:((c + 1) * n_rows / ranges))
+  in
+  let residual x =
+    fill x;
+    Array.init n_rows (fun i ->
+        (Array.unsafe_get out i *. t_sim) -. alpha.(Array.unsafe_get cids i))
   in
   let cost x =
-    if row_domains = 1 then begin
-      (* allocation-free: square the rows straight out of the batch
-         buffer, accumulating in row order like the array fold did *)
-      load x;
-      Expr.Batch.eval p.res_batch ~env ~out;
-      let acc = ref 0.0 in
-      for i = 0 to n_rows - 1 do
-        let ri =
-          (Bigarray.Array1.unsafe_get out i *. t_sim)
-          -. alpha.(Array.unsafe_get cids i)
-        in
-        acc := !acc +. (ri *. ri)
-      done;
-      !acc
-    end
-    else Array.fold_left (fun acc ri -> acc +. (ri *. ri)) 0.0 (residual x)
+    (* allocation-free: square the rows straight out of [out] *)
+    fill x;
+    let acc = ref 0.0 in
+    for i = 0 to n_rows - 1 do
+      let ri =
+        (Array.unsafe_get out i *. t_sim) -. alpha.(Array.unsafe_get cids i)
+      in
+      acc := !acc +. (ri *. ri)
+    done;
+    !acc
   in
-  { env; out; load; residual; cost }
+  { env; out; load; fill; residual; cost }
 
 type start = {
   log_scale : float;
@@ -285,11 +275,10 @@ let start_of_sweep ~alpha ~t_sim p sw =
     match p.degree with
     | None -> None
     | Some d ->
-        sw.load p.x_init;
-        Expr.Batch.eval p.res_batch ~env:sw.env ~out:sw.out;
+        sw.fill p.x_init;
         let num = ref 0.0 and den = ref 0.0 in
         for i = 0 to Array.length p.cids - 1 do
-          let a = Bigarray.Array1.unsafe_get sw.out i *. t_sim in
+          let a = Array.unsafe_get sw.out i *. t_sim in
           num := !num +. (a *. alpha.(Array.unsafe_get p.cids i));
           den := !den +. (a *. a)
         done;

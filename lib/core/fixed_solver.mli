@@ -33,9 +33,17 @@ type prepared
     homogeneity.  Preparing once and re-solving across the §5.2
     constraint iteration avoids re-deriving O(rows · vars) symbolic
     derivatives on every probe — the single largest cost of the
-    original solver on position components — and a solve allocates
-    only the Jacobian's value array.  Immutable and shareable across
-    pool domains. *)
+    original solver on position components.  Self-contained: it keeps
+    the bounds and initial layout it reads and no reference to the
+    [vars] and [channels] it was prepared from, so it serves any device
+    whose key equals theirs.  Immutable and shareable across pool
+    domains. *)
+
+val par_threshold : int
+(** Row count (for the residual) and stored Jacobian-entry count (for
+    the Jacobian) from which [domains > 1] evaluates them on the pool;
+    below it they run sequentially at any width.  32,768: only
+    components far larger than any Fig. 3 benchmark reach the pool. *)
 
 val sparse_threshold : int
 (** Free-variable count at which the LM position solve switches from
@@ -78,14 +86,6 @@ val degree : prepared -> int option
     off the origin, where a difference like [x0 − x1] mixes degrees 0
     and 1. *)
 
-val rebind :
-  prepared ->
-  vars:Qturbo_aais.Variable.t array ->
-  channels:Qturbo_aais.Instruction.channel array ->
-  prepared
-(** As [Local_solver.rebind]: the same component reading identical
-    [vars] and [channels] instead of its own. *)
-
 type start = {
   log_scale : float;  (** [ln s]: the layout LM starts from is [s·x_init] *)
   closed_form : bool;  (** [false]: the golden-section search ran *)
@@ -113,10 +113,11 @@ val solve_supervised :
     from {!prefit}'s layout and reporting its failure records first.  On
     a hard solver failure the returned layout is the (clamped) pre-fit
     initial layout and the failure list says why.  [domains > 1]
-    evaluates the residual rows and Jacobian entries on the pool
-    (disjoint writes collected by index, so the result is
-    bitwise-identical to [domains = 1]; small components stay
-    sequential regardless).
+    evaluates the residual rows (in contiguous ranges of the packed
+    batch) and the Jacobian entries on the pool (disjoint writes
+    collected by index, so the result is bitwise-identical to
+    [domains = 1]; components below {!par_threshold} rows or entries
+    stay sequential regardless).
     Raises [Invalid_argument] when [t_sim <= 0]. *)
 
 val solve :

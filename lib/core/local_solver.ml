@@ -109,7 +109,9 @@ let polar_fit ~alpha ~cos_channels ~sin_channels =
 (* Everything derivable from (vars, channels, comp, classification)
    alone — i.e. independent of α and T_sim — is derived once here and
    reused across every probe of the T-bisection, every constraint
-   iteration and every refinement pass.  A [prepared] value is
+   iteration and every refinement pass.  A [prepared] value holds the
+   kernels and bounds it reads, not the arrays it came from, so a plan
+   rebound onto an identical device uses it unchanged.  It is
    immutable, so it may be shared freely across pool domains (the
    generic path allocates its env per solve; the closed forms use a
    per-domain scratch env). *)
@@ -122,7 +124,8 @@ type generic_ctx = {
 
 type prep_case =
   | P_const of (int * float) list (* (cid, expr value) — closed exprs *)
-  | P_closed_form (* Linear / Polar: the classification carries it all *)
+  | P_linear of Bounds.bound (* the driven variable's *)
+  | P_polar of Bounds.bound * Bounds.bound (* amplitude's, phase's *)
   | P_generic of generic_ctx
   | P_fixed (* runtime-fixed: use Fixed_solver *)
 
@@ -130,14 +133,12 @@ type prepared = {
   p_comp : Locality.component;
   p_cls : classification;
   p_cids : int array;
+  p_kernels : Expr.kernel array; (* the channels' kernels, in [p_cids] order *)
   p_env_size : int; (* max variable id of the component + 1 *)
-  p_vars : Variable.t array;
-  p_channels : Instruction.channel array;
   p_case : prep_case;
 }
 
 let classification_of p = p.p_cls
-let rebind p ~vars ~channels = { p with p_vars = vars; p_channels = channels }
 
 let prepare ~vars ~channels comp classification =
   let case =
@@ -149,7 +150,9 @@ let prepare ~vars ~channels comp classification =
              (fun cid ->
                (cid, Instruction.eval_channel channels.(cid) ~env:[||]))
              comp.Locality.channel_ids)
-    | Linear _ | Polar _ -> P_closed_form
+    | Linear { var; _ } -> P_linear vars.(var).Variable.bound
+    | Polar { amp; phase; _ } ->
+        P_polar (vars.(amp).Variable.bound, vars.(phase).Variable.bound)
     | Generic ->
         let var_ids = Array.of_list comp.Locality.var_ids in
         let bounds = Array.map (fun v -> vars.(v).Variable.bound) var_ids in
@@ -162,31 +165,28 @@ let prepare ~vars ~channels comp classification =
             g_x0 = Bounds.to_internal transform x0_ext;
           }
   in
+  let cids = Array.of_list comp.Locality.channel_ids in
   {
     p_comp = comp;
     p_cls = classification;
-    p_cids = Array.of_list comp.Locality.channel_ids;
+    p_cids = cids;
+    p_kernels = Array.map (fun cid -> channels.(cid).Instruction.kernel) cids;
     p_env_size =
       List.fold_left (fun acc v -> Int.max acc (v + 1)) 1 comp.Locality.var_ids;
-    p_vars = vars;
-    p_channels = channels;
     p_case = case;
   }
 
 (* ---- generic path: bounded LM feasibility + bisection over T ---- *)
 
 let generic_residual ~alpha ~t_sim p g =
-  let channels = p.p_channels in
-  let cids = p.p_cids in
-  let n_ch = Array.length cids in
+  let kernels = p.p_kernels and cids = p.p_cids in
   let var_ids = g.g_var_ids in
   let scratch = Array.make p.p_env_size 0.0 in
   fun x ->
     Array.iteri (fun k v -> scratch.(v) <- x.(k)) var_ids;
-    Array.init n_ch (fun i ->
-        let cid = cids.(i) in
-        (Instruction.eval_channel channels.(cid) ~env:scratch *. t_sim)
-        -. alpha.(cid))
+    Array.init (Array.length cids) (fun i ->
+        (Expr.eval_kernel kernels.(i) ~env:scratch *. t_sim)
+        -. alpha.(cids.(i)))
 
 let generic_solution_of_report ~alpha ~t_sim p g (report : Objective.report) =
   let var_ids = g.g_var_ids in
@@ -282,14 +282,14 @@ let min_time_supervised ~sup ~alpha p =
             if a = 0.0 || k = 0.0 then acc else Float.max acc (a /. k))
           0.0 ks,
         [] )
-  | Linear { var; slopes }, _ ->
+  | Linear { slopes; _ }, P_linear bound ->
       let needed = fit_scaled ~alpha slopes in
-      (time_for_bound ~bound:p.p_vars.(var).Variable.bound needed, [])
-  | Polar { amp; phase = _; cos_channels; sin_channels }, _ ->
+      (time_for_bound ~bound needed, [])
+  | Polar { cos_channels; sin_channels; _ }, P_polar (amp_bound, _) ->
       let omega_t, _ = polar_fit ~alpha ~cos_channels ~sin_channels in
       if omega_t = 0.0 then (0.0, [])
       else
-        let hi = p.p_vars.(amp).Variable.bound.Bounds.hi in
+        let hi = amp_bound.Bounds.hi in
         ((if hi > 0.0 then omega_t /. hi else infinity), [])
   | Generic, P_generic g ->
       if
@@ -304,7 +304,7 @@ let min_time_supervised ~sup ~alpha p =
               "expired before evolution-time search";
           ] )
       else generic_min_time ~alpha p g
-  | (Const_channels | Generic), _ -> assert false
+  | (Const_channels | Linear _ | Polar _ | Generic), _ -> assert false
 
 (* Per-domain zeroed env for the closed forms' eps2: prepared
    components are shared across pool domains, so the scratch must be
@@ -323,13 +323,12 @@ let eval_eps2 ~alpha ~t_sim p assignments =
   let env = !cell in
   List.iter (fun (v, x) -> env.(v) <- x) assignments;
   let acc = ref 0.0 in
-  Array.iter
-    (fun cid ->
+  Array.iteri
+    (fun i cid ->
       acc :=
         !acc
         +. Float.abs
-             ((Instruction.eval_channel p.p_channels.(cid) ~env *. t_sim)
-             -. alpha.(cid)))
+             ((Expr.eval_kernel p.p_kernels.(i) ~env *. t_sim) -. alpha.(cid)))
     p.p_cids;
   List.iter (fun (v, _) -> env.(v) <- 0.0) assignments;
   !acc
@@ -339,7 +338,6 @@ let solve_supervised ~sup ~alpha ~t_sim p =
     invalid_arg
       (Printf.sprintf "Local_solver.solve_at: t_sim <= 0 (component %d)"
          p.p_comp.Locality.id);
-  let vars = p.p_vars in
   match (p.p_cls, p.p_case) with
   | Fixed_vars, _ ->
       invalid_arg
@@ -354,19 +352,20 @@ let solve_supervised ~sup ~alpha ~t_sim p =
           0.0 ks
       in
       ({ assignments = []; eps2 }, [])
-  | Linear { var; slopes }, _ ->
+  | Linear { var; slopes }, P_linear bound ->
       let needed = fit_scaled ~alpha slopes in
-      let value = Bounds.clamp vars.(var).Variable.bound (needed /. t_sim) in
+      let value = Bounds.clamp bound (needed /. t_sim) in
       let assignments = [ (var, value) ] in
       ({ assignments; eps2 = eval_eps2 ~alpha ~t_sim p assignments }, [])
-  | Polar { amp; phase; cos_channels; sin_channels }, _ ->
+  | ( Polar { amp; phase; cos_channels; sin_channels },
+      P_polar (amp_bound, phase_bound) ) ->
       let omega_t, phi = polar_fit ~alpha ~cos_channels ~sin_channels in
-      let omega = Bounds.clamp vars.(amp).Variable.bound (omega_t /. t_sim) in
-      let phi = Bounds.clamp vars.(phase).Variable.bound phi in
+      let omega = Bounds.clamp amp_bound (omega_t /. t_sim) in
+      let phi = Bounds.clamp phase_bound phi in
       let assignments = [ (amp, omega); (phase, phi) ] in
       ({ assignments; eps2 = eval_eps2 ~alpha ~t_sim p assignments }, [])
   | Generic, P_generic g -> generic_solve_supervised ~sup ~alpha ~t_sim p g
-  | (Const_channels | Generic), _ -> assert false
+  | (Const_channels | Linear _ | Polar _ | Generic), _ -> assert false
 
 (* ---- unprepared entry points (tests, one-off probes) -------------- *)
 

@@ -48,10 +48,13 @@ type solution = {
 
 type prepared
 (** A component bundled with everything derivable from its
-    classification alone (closed-expression values, the generic path's
+    classification alone (its channels' kernels, closed-expression
+    values, the bounds the closed forms clamp into, the generic path's
     bound transform and starting point) — computed once, reused across
     every [T] probe, constraint iteration and refinement pass.
-    Immutable, so safe to share across pool domains. *)
+    Self-contained: it keeps no reference to the [vars] and [channels]
+    it was prepared from, so it serves any device whose key equals
+    theirs.  Immutable, so safe to share across pool domains. *)
 
 val prepare :
   vars:Qturbo_aais.Variable.t array ->
@@ -61,16 +64,6 @@ val prepare :
   prepared
 
 val classification_of : prepared -> classification
-
-val rebind :
-  prepared ->
-  vars:Qturbo_aais.Variable.t array ->
-  channels:Qturbo_aais.Instruction.channel array ->
-  prepared
-(** The same component reading [vars] and [channels] instead of the
-    arrays it was prepared from.  They must be identical to those
-    arrays (equal structure, bit-identical variables): nothing derived
-    from them is recomputed. *)
 
 val solve_supervised :
   sup:Qturbo_resilience.Supervisor.t ->

@@ -768,14 +768,24 @@ let test_compiler_constraint_iteration () =
   (* a tiny max-extent forces the layout iteration to stretch T *)
   let spec = { Device.aquila_paper with Device.max_extent = 12.0 } in
   let ryd = Rydberg.build ~spec ~n:3 in
-  let r = Compiler.compile ~aais:ryd.Rydberg.aais ~target:(ising_chain 3) ~t_tar:1.0 () in
   (* atoms must pack within 12 µm: stronger coupling, so T can stay at the
      bottleneck only if the layout fits; either way the result respects
-     the constraint or reports it *)
-  let positions = Rydberg.positions ryd ~env:r.Compiler.env in
-  let violations = Rydberg.check_layout ~spec positions in
-  Alcotest.(check bool) "fits or warns" true
-    (violations = [] || r.Compiler.warnings <> [])
+     the constraint or the strict compile refuses it *)
+  match
+    Compiler.compile ~aais:ryd.Rydberg.aais ~target:(ising_chain 3)
+      ~t_tar:1.0 ()
+  with
+  | r ->
+      let positions = Rydberg.positions ryd ~env:r.Compiler.env in
+      Alcotest.(check (list string)) "fits" []
+        (Rydberg.check_layout ~spec positions)
+  | exception Qturbo_resilience.Failure.Failed fs ->
+      Alcotest.(check bool) "refused by the constraint loop" true
+        (List.exists
+           (fun (f : Qturbo_resilience.Failure.t) ->
+             f.Qturbo_resilience.Failure.site = "constraint-loop"
+             && f.Qturbo_resilience.Failure.fatal)
+           fs)
 
 (* ---- Mapping ---- *)
 

@@ -253,18 +253,26 @@ let test_recovered_compile_matches_clean () =
     Alcotest.failf "recovered error %g vs clean %g"
       r.Qturbo_core.Compiler.error_l1 clean.Qturbo_core.Compiler.error_l1
 
+(* A layout that still breaks the device's constraints when the loop
+   gives up is a result the compiler knows is wrong: the record is
+   fatal, so a strict compile raises and a best-effort one is degraded. *)
 let test_constraint_retry_classified () =
-  let r =
-    compile
-      ~options:(compile_opts ~faults:(Fault.parse_exn "constraint-loop=retry") ())
-      5
+  let retry = Fault.parse_exn "constraint-loop=retry" in
+  let exhausted =
+    List.exists (fun (f : Failure.t) ->
+        f.Failure.class_ = Failure.Position_retry_exhausted && f.Failure.fatal)
   in
-  Alcotest.(check bool) "not fatal" false r.Qturbo_core.Compiler.degraded;
-  Alcotest.(check bool) "position-retry-exhausted recorded" true
-    (List.exists
-       (fun (f : Failure.t) ->
-         f.Failure.class_ = Failure.Position_retry_exhausted)
-       r.Qturbo_core.Compiler.failures)
+  (match compile ~options:(compile_opts ~faults:retry ()) 5 with
+  | _ -> Alcotest.fail "strict compile with the loop exhausted must raise"
+  | exception Failure.Failed fs ->
+      Alcotest.(check bool) "fatal position-retry-exhausted raised" true
+        (exhausted fs));
+  let r =
+    compile ~options:(compile_opts ~best_effort:true ~faults:retry ()) 5
+  in
+  Alcotest.(check bool) "degraded" true r.Qturbo_core.Compiler.degraded;
+  Alcotest.(check bool) "fatal position-retry-exhausted recorded" true
+    (exhausted r.Qturbo_core.Compiler.failures)
 
 let test_degraded_deterministic_across_domains () =
   let run domains =

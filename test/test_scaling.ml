@@ -215,29 +215,131 @@ let expr_gen =
           ])
     3
 
+(* rows, plus cut points splitting [0, rows) into consecutive ranges
+   (empty ranges included) *)
 let arb_expr_rows =
-  let gen = QCheck.Gen.(list_size (int_range 1 12) expr_gen) in
-  let print es =
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_range 1 12) expr_gen)
+        (list_size (int_range 0 4) (int_range 0 12)))
+  in
+  let print (es, cuts) =
     String.concat "; " (List.map (Format.asprintf "%a" Expr.pp) es)
+    ^ " | cuts "
+    ^ String.concat "," (List.map string_of_int cuts)
   in
   QCheck.make ~print gen
 
 let test_batch_matches_eval_kernel =
   QCheck.Test.make
     ~name:"Expr.Batch.eval = eval_kernel, row by row, bitwise" ~count:200
-    arb_expr_rows (fun exprs ->
-      let kernels = List.map Expr.compile exprs in
-      let batch = Expr.Batch.pack (Array.of_list kernels) in
+    arb_expr_rows (fun (exprs, cuts) ->
+      let kernels = Array.of_list (List.map Expr.compile exprs) in
+      let rows = Array.length kernels in
+      let batch = Expr.Batch.pack kernels in
       let env = Array.init 8 (fun i -> 0.25 +. (0.37 *. float_of_int i)) in
-      let out = Expr.Batch.create_buffer (Expr.Batch.length batch) in
-      Expr.Batch.eval batch ~env ~out;
-      List.for_all2
-        (fun idx k ->
-          Int64.equal
-            (Int64.bits_of_float (Expr.eval_kernel k ~env))
-            (Int64.bits_of_float (Bigarray.Array1.get out idx)))
-        (List.init (List.length kernels) Fun.id)
-        kernels)
+      let same out =
+        Array.for_all2
+          (fun k v ->
+            Int64.equal
+              (Int64.bits_of_float (Expr.eval_kernel k ~env))
+              (Int64.bits_of_float v))
+          kernels out
+      in
+      let whole = Array.make rows Float.nan in
+      Expr.Batch.eval batch ~env ~out:whole ~lo:0 ~hi:rows;
+      (* the same rows, range by range into one array *)
+      let bounds =
+        (0 :: List.sort Int.compare (List.map (fun c -> Int.min c rows) cuts))
+        @ [ rows ]
+      in
+      let ranged = Array.make rows Float.nan in
+      let rec fill = function
+        | lo :: (hi :: _ as rest) ->
+            Expr.Batch.eval batch ~env ~out:ranged ~lo ~hi;
+            fill rest
+        | [ _ ] | [] -> ()
+      in
+      fill bounds;
+      Expr.Batch.length batch = rows && same whole && same ranged)
+
+(* ---- row-parallel residual and Jacobian: 1 vs 4 domains ---- *)
+
+(* A synthetic position component wide enough for the pool: 33,540
+   van-der-Waals-shaped rows [c/(x_a − x_b)^6] over the 78 pairs of 13
+   coordinates on a line (x0 pinned at the origin, 12 free), each pair
+   repeated with three constants.  Rows, and so Jacobian entries (every
+   row has a free coordinate), reach [Fixed_solver.par_threshold], so
+   [~domains:4] runs the residual batch in row ranges and the Jacobian
+   by entry; the solve must give the bits of [~domains:1]. *)
+let test_row_parallel_position_solve () =
+  let module Pauli = Qturbo_pauli.Pauli in
+  let module Pauli_string = Qturbo_pauli.Pauli_string in
+  let n = 13 in
+  let pool = Variable.create_pool () in
+  for i = 0 to n - 1 do
+    let lo, hi = if i = 0 then (0.0, 0.0) else (-200.0, 200.0) in
+    ignore
+      (Variable.fresh pool ~name:(Printf.sprintf "x%d" i)
+         ~kind:Variable.Runtime_fixed ~lo ~hi
+         ~init:(7.5 *. float_of_int i)
+         ())
+  done;
+  let vars = Variable.all pool in
+  let templates =
+    Array.map
+      (fun c ->
+        Expr.template
+          Expr.(Const c / Pow_int (Sub (Var 0, Var 1), 6)))
+      [| 862690.0; 431345.0; 1725380.0 |]
+  in
+  let pairs =
+    Array.of_list
+      (List.concat
+         (List.init n (fun a ->
+              List.init (n - 1 - a) (fun k -> (a, a + 1 + k)))))
+  in
+  let rows = 430 * Array.length pairs in
+  Alcotest.(check bool) "rows above the pool threshold" true
+    (rows >= Fixed_solver.par_threshold);
+  let channels =
+    Array.init rows (fun cid ->
+        let a, b = pairs.(cid mod Array.length pairs) in
+        Instruction.channel ~cid ~label:(Printf.sprintf "row%d" cid)
+          ~template:templates.(cid / Array.length pairs mod 3)
+          ~ids:[| a; b |]
+          ~effects:
+            [ { Instruction.pstring = Pauli_string.two a Pauli.Z b Pauli.Z;
+                coeff = 1.0 } ]
+          ~hint:Instruction.Hint_fixed)
+  in
+  (* targets from a reference layout 1.1× the initial one, perturbed
+     per row so the system is inconsistent and the solve iterates *)
+  let t_sim = 0.8 in
+  let reference = Array.init n (fun i -> 8.25 *. float_of_int i) in
+  let alpha =
+    Array.init rows (fun cid ->
+        Instruction.eval_channel channels.(cid) ~env:reference
+        *. t_sim
+        *. (1.0 +. (0.01 *. float_of_int (cid mod 7))))
+  in
+  match Locality.decompose ~channels ~n_vars:n with
+  | [ comp ] ->
+      let solve domains =
+        Fixed_solver.solve ~domains ~vars ~channels ~alpha ~t_sim comp
+      in
+      let r1 = solve 1 and r4 = solve 4 in
+      let values (r : Fixed_solver.result) =
+        Array.of_list (List.map snd r.Fixed_solver.assignments)
+      in
+      Alcotest.(check (list int)) "same variables"
+        (List.map fst r1.Fixed_solver.assignments)
+        (List.map fst r4.Fixed_solver.assignments);
+      check_bits_arr "assignments" (values r1) (values r4);
+      check_bits "eps2" r1.Fixed_solver.eps2 r4.Fixed_solver.eps2;
+      Alcotest.(check bool) "finite eps2" true
+        (Float.is_finite r1.Fixed_solver.eps2)
+  | _ -> Alcotest.fail "one position component expected"
 
 (* ---- sparse position-solve path: deterministic, warm ≡ cold ---- *)
 
@@ -290,7 +392,11 @@ let () =
             test_qt029_reported;
         ] );
       ( "batch",
-        [ QCheck_alcotest.to_alcotest test_batch_matches_eval_kernel ] );
+        [
+          QCheck_alcotest.to_alcotest test_batch_matches_eval_kernel;
+          Alcotest.test_case "row-parallel position solve, 1 vs 4 domains"
+            `Quick test_row_parallel_position_solve;
+        ] );
       ( "sparse",
         [
           Alcotest.test_case "sparse solve deterministic" `Slow

@@ -372,8 +372,13 @@ let test_requests_leave_instances_unchanged () =
           {|{"op":"lint",%s}|};
           {|{"op":"sweep",%s,"sweep_j":"0.5:1.0:2"}|};
         ];
+      (* best-effort: on the Rydberg device the two-segment layout
+         breaks its constraints, which a strict sweep refuses *)
       guard ~backend ~model:"qaoa-chain"
-        [ {|{"op":"sweep",%s,"sweep_segments":"2","sweep_t":"1.0"}|} ])
+        [
+          {|{"op":"sweep",%s,"sweep_segments":"2","sweep_t":"1.0",|}
+          ^^ {|"best_effort":true}|};
+        ])
     backends
 
 (* ---- check and lint read the obtained plan ---- *)

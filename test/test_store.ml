@@ -439,7 +439,7 @@ let test_store_payload_leaves_out_key_memo () =
 
 (* A store hit for a device whose variables are bit-identical to the
    stored one's is rebound onto the requester's AAIS: one resident copy
-   per device, and the same bits as the cold build. *)
+   per device, and the same bits as the cold build, at any pool width. *)
 let test_store_hit_rebinds_onto_requester () =
   with_store @@ fun _dir ->
   let cold = compile_ising () in
@@ -456,11 +456,23 @@ let test_store_hit_rebinds_onto_requester () =
     (Array.for_all2 ( == ) d.Compile_plan.channels (Aais.channels aais));
   Alcotest.(check bool) "the requester's variables" true
     (Array.for_all2 ( == ) d.Compile_plan.vars (Aais.variables aais));
-  let r = Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 () in
-  check_bits "t_sim" cold.Compiler.t_sim r.Compiler.t_sim;
-  check_bits_arr "env" cold.Compiler.env r.Compiler.env;
-  check_bits "error" cold.Compiler.error_l1 r.Compiler.error_l1;
-  check_bits "bound" cold.Compiler.theorem1_bound r.Compiler.theorem1_bound
+  let same what (r : Compiler.result) =
+    check_bits (what ^ " t_sim") cold.Compiler.t_sim r.Compiler.t_sim;
+    check_bits_arr (what ^ " env") cold.Compiler.env r.Compiler.env;
+    check_bits (what ^ " error") cold.Compiler.error_l1 r.Compiler.error_l1;
+    check_bits (what ^ " bound") cold.Compiler.theorem1_bound
+      r.Compiler.theorem1_bound
+  in
+  same "hit" (Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 ());
+  (* only the device record was rebound: a fresh process's hit solved
+     on a 4-wide pool gives the cold build's bits too *)
+  Compile_plan.clear_caches ();
+  let options = { Compiler.default_options with Compiler.domains = 4 } in
+  let plan, provenance = Compile_plan.obtain ~options ~aais ~target in
+  Alcotest.(check bool) "a store hit after clear_caches" true
+    (provenance = Compile_plan.Stored);
+  same "hit at 4 domains"
+    (Compile_plan.solve ~options ~plan ~coeffs:target ~t_tar:1.0 ())
 
 (* On the evenly spaced chain, radii of 1.2 and 1.5 spacings keep
    exactly the nearest-neighbour pairs, so the two devices emit the same
