@@ -1393,8 +1393,13 @@ let plan () =
   (* large-N scaling: cold compiles on the auto-cutoff ising-cycle from
      n = 100 to n = 1000, with per-plan memory from Gc deltas and a
      fitted log-log exponent.  The SimuQ baseline grows alongside until
-     it first fails inside a fixed budget — that size is recorded. *)
-  let large_sizes = if !quick then [ 100; 300 ] else [ 100; 200; 400; 700; 1000 ] in
+     it first fails inside a fixed budget — that size is recorded.  The
+     quick series fits n = 300 and 1000: on a 2-CPU VM, a fit over 100
+     and 300 (cold compiles of a few ms) read 1.11–1.30 against its 1.3
+     target, so the CI gate failed about one run in four. *)
+  let large_sizes =
+    if !quick then [ 300; 1000 ] else [ 100; 200; 400; 700; 1000 ]
+  in
   let simuq_budget = if !quick then 10.0 else 60.0 in
   let large_ryd = large_cycle_ryd in
   let simuq_alive = ref true in

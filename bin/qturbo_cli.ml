@@ -569,7 +569,6 @@ let lint_kernel_fixture variant =
 let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
   let module CP = Qturbo_core.Compile_plan in
   let d = plan.CP.device in
-  let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l in
   match variant with
   | "plan-support" ->
       (* the index no longer leads with the (shortened) support's terms *)
@@ -603,39 +602,12 @@ let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
       if Array.length values > 0 then values.(0) <- values.(0) +. 1.0;
       Some ("QT024", copy)
   | "plan-dup-channel" ->
-      (* one channel listed twice inside a locality component *)
-      let comps =
-        match d.CP.comps with
-        | (c : Qturbo_core.Locality.component) :: rest ->
-            {
-              c with
-              Qturbo_core.Locality.channel_ids =
-                (match c.Qturbo_core.Locality.channel_ids with
-                | cid :: _ as ids -> cid :: ids
-                | [] -> []);
-            }
-            :: rest
-        | [] -> []
+      (* the first prepared solver listed twice: its component's channels
+         and id appear in two components *)
+      let prepared =
+        match d.CP.prepared with s :: _ as all -> s :: all | [] -> []
       in
-      Some ("QT025", { plan with CP.device = { d with CP.comps = comps } })
-  | "plan-class-count" ->
-      (* one classification fewer than components *)
-      Some
-        ( "QT026",
-          {
-            plan with
-            CP.device =
-              { d with CP.classifications = drop_last d.CP.classifications };
-          } )
-  | "plan-key" ->
-      (* stored key no longer matches the plan's own structure *)
-      Some ("QT027", { plan with CP.key = plan.CP.key ^ "#stale" })
-  | "plan-prepared" ->
-      (* one prepared solver context fewer than components *)
-      Some
-        ( "QT028",
-          { plan with CP.device = { d with CP.prepared = drop_last d.CP.prepared } }
-        )
+      Some ("QT025", { plan with CP.device = { d with CP.prepared } })
   | _ -> None
 
 let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
@@ -717,9 +689,7 @@ let lint_inject_arg =
            $(b,kernel-env) (QT019), $(b,kernel-depth) (QT020), \
            $(b,kernel-range) (QT021), $(b,kernel-opcode) (QT022).  Plan \
            defects: $(b,plan-support) (QT023), $(b,plan-channels) (QT024), \
-           $(b,plan-csr) (QT024), $(b,plan-dup-channel) (QT025), \
-           $(b,plan-class-count) (QT026), $(b,plan-key) (QT027), \
-           $(b,plan-prepared) (QT028).")
+           $(b,plan-csr) (QT024), $(b,plan-dup-channel) (QT025).")
 
 let lint_term =
   Term.(
@@ -733,7 +703,7 @@ let lint_info =
       "Statically verify the compiled artifacts for a model/device pair \
        without solving: every channel's postfix kernel (stack safety, \
        environment references, range soundness — QT017-QT022) and the \
-       compile plan's cross-stage invariants (QT023-QT028).  Exits non-zero \
+       compile plan's cross-stage invariants (QT023-QT026).  Exits non-zero \
        when error-severity diagnostics are found."
 
 (* ---- sweep: many (coefficients, t_tar) jobs through one shared plan ---- *)

@@ -244,30 +244,4 @@ let of_support support =
     support;
   Buffer.contents buf
 
-(* The inverse of [add_pstring]: a run of (decimal site, op letter)
-   pairs. *)
-let pstring_of_sparse text =
-  let ib = Scanf.Scanning.from_string text in
-  let rec pairs acc =
-    if Scanf.Scanning.end_of_input ib then Pauli_string.of_list (List.rev acc)
-    else
-      Scanf.bscanf ib "%u%c" (fun site c ->
-          match Pauli.op_of_char c with
-          | Some ((Pauli.X | Pauli.Y | Pauli.Z) as op) ->
-              pairs ((site, op) :: acc)
-          | Some Pauli.I | None -> invalid_arg "Shape.support_of_rendering")
-  in
-  pairs []
-
-let support_of_rendering text =
-  match
-    String.split_on_char ',' text
-    |> List.filter (fun s -> s <> "")
-    |> List.map pstring_of_sparse
-  with
-  | support -> Some support
-  | exception
-      (Invalid_argument _ | Failure _ | Scanf.Scan_failure _ | End_of_file) ->
-      None
-
 let key ~aais ~support = of_aais aais ^ "@@" ^ of_support support

@@ -1,10 +1,9 @@
 (** Structural fingerprints of a compile's {e shape}.
 
     The front-end artifacts of a compile — term index, linear-system
-    skeleton, locality components, classifications, prepared solver
-    contexts — depend only on the AAIS and the set of Pauli strings the
-    target Hamiltonian touches, never on the coefficients or the target
-    evolution time.  This module renders that dependency set into a
+    skeleton, the locality components' prepared solvers — depend only
+    on the AAIS and the set of Pauli strings the target Hamiltonian
+    touches, never on the coefficients or the target evolution time.  This module renders that dependency set into a
     canonical string, the key of [Qturbo_core.Compile_plan]'s
     structural plan cache.  The SimuQ baseline shares the same helper
     (its global system is keyed identically), so both compilers agree
@@ -51,11 +50,6 @@ val of_support : Qturbo_pauli.Pauli_string.t list -> string
     [site op] pairs (["0Z1Z"] for Z₀Z₁), one [','] after each — the
     spelling {!of_aais} uses for channel effects, linear in the
     strings' weight rather than in the qubit count. *)
-
-val support_of_rendering :
-  string -> Qturbo_pauli.Pauli_string.t list option
-(** The inverse of {!of_support}; [None] on text it cannot have
-    produced. *)
 
 val key : aais:Aais.t -> support:Qturbo_pauli.Pauli_string.t list -> string
 (** [of_aais aais] and [of_support support] joined — the full

@@ -7,19 +7,14 @@ type classification_view = {
 }
 
 type view = {
-  key : string;
-  rederived_key : string list;
   support : Ps.t list;
-  key_support : Ps.t list option;
   rows : Ps.t array;
   cells : (int * float) list array;
   csr : Qturbo_linalg.Csr.t;
   n_channels : int;
   n_vars : int;
   channel_terms : Ps.t list;
-  comps : Structure.comp list;
-  classifications : classification_view list;
-  prepared_names : string list;
+  components : (Structure.comp * classification_view) list;
 }
 
 let error ~subject ~code ?hint msg =
@@ -164,7 +159,7 @@ let check_partition v =
   let var_owner = Array.make (Int.max v.n_vars 1) (-1) in
   let comp_ids = Hashtbl.create 8 in
   List.iter
-    (fun (c : Structure.comp) ->
+    (fun ((c : Structure.comp), _) ->
       (if Hashtbl.mem comp_ids c.id then
          add
            (error ~subject:(comp_subject c) ~code:"QT025"
@@ -202,7 +197,7 @@ let check_partition v =
                     vid var_owner.(vid) c.id))
           else var_owner.(vid) <- c.id)
         c.var_ids)
-    v.comps;
+    v.components;
   for cid = 0 to v.n_channels - 1 do
     if chan_owner.(cid) < 0 then
       add
@@ -217,157 +212,58 @@ let check_partition v =
 let check_classifications v =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let n_comps = List.length v.comps in
-  let n_class = List.length v.classifications in
-  if n_class <> n_comps then
-    add
-      (error ~subject:Diagnostic.System ~code:"QT026"
-         ~hint:"classification is per locality component"
-         (Printf.sprintf "%d classifications for %d components" n_class n_comps));
-  let rec go comps classes =
-    match (comps, classes) with
-    | (c : Structure.comp) :: cr, (cl : classification_view) :: clr ->
-        let subset what ids universe =
-          List.iter
-            (fun id ->
-              if not (List.mem id universe) then
-                add
-                  (error ~subject:(comp_subject c) ~code:"QT026"
-                     ~hint:
-                       "a classification may only name its own component's \
-                        channels and variables"
-                     (Printf.sprintf
-                        "%s classification of component %d names %s %d, which \
-                         the component does not contain"
-                        cl.name c.id what id)))
-            ids
-        in
-        subset "variable" cl.class_vars c.var_ids;
-        subset "channel" cl.class_channels c.channel_ids;
-        (match cl.name with
-        | "const" ->
-            if c.var_ids <> [] then
+  List.iter
+    (fun ((c : Structure.comp), (cl : classification_view)) ->
+      let subset what ids universe =
+        List.iter
+          (fun id ->
+            if not (List.mem id universe) then
               add
                 (error ~subject:(comp_subject c) ~code:"QT026"
-                   ~hint:"const components carry no free variables"
+                   ~hint:
+                     "a classification may only name its own component's \
+                      channels and variables"
                    (Printf.sprintf
-                      "component %d is classified const but has %d variable%s"
-                      c.id
-                      (List.length c.var_ids)
-                      (if List.length c.var_ids = 1 then "" else "s")))
-        | "linear" ->
-            if List.length cl.class_vars <> 1 then
-              add
-                (error ~subject:(comp_subject c) ~code:"QT026"
-                   (Printf.sprintf
-                      "linear classification of component %d names %d driver \
-                       variables (expected 1)"
-                      c.id
-                      (List.length cl.class_vars)))
-        | "polar" ->
-            if List.length cl.class_vars <> 2 then
-              add
-                (error ~subject:(comp_subject c) ~code:"QT026"
-                   (Printf.sprintf
-                      "polar classification of component %d names %d variables \
-                       (expected amplitude and phase)"
-                      c.id
-                      (List.length cl.class_vars)))
-        | _ -> ());
-        go cr clr
-    | _, _ -> ()
-  in
-  go v.comps v.classifications;
-  List.rev !diags
-
-(* ---- QT027: structural key round-trip -------------------------------- *)
-
-(* [key] is the concatenation of [pieces], compared in place eight
-   bytes at a time: the key runs to megabytes on large devices, and
-   joining the pieces would copy it again *)
-let equal_concat key pieces =
-  let n = String.length key in
-  let equal_at pos p =
-    let len = String.length p in
-    let rec words i =
-      if i + 8 > len then tail i
-      else
-        Int64.equal (String.get_int64_ne key (pos + i)) (String.get_int64_ne p i)
-        && words (i + 8)
-    and tail i = i >= len || (key.[pos + i] = p.[i] && tail (i + 1)) in
-    words 0
-  in
-  let rec go pos = function
-    | [] -> pos = n
-    | p :: rest ->
-        let len = String.length p in
-        pos + len <= n && equal_at pos p && go (pos + len) rest
-  in
-  go 0 pieces
-
-let check_key v =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  if not (equal_concat v.key v.rederived_key) then
-    add
-      (error ~subject:Diagnostic.System ~code:"QT027"
-         ~hint:
-           "a stale key makes the cache serve this plan for the wrong \
-            structure"
-         "stored plan key differs from the key re-derived from the plan's own \
-          device and support");
-  (match v.key_support with
-  | None ->
-      add
-        (error ~subject:Diagnostic.System ~code:"QT027"
-           ~hint:"the support section of the key must parse back"
-           "support section of the stored plan key does not parse")
-  | Some terms ->
-      if
-        List.length terms <> List.length v.support
-        || not (List.for_all2 Ps.equal terms v.support)
-      then
-        add
-          (error ~subject:Diagnostic.System ~code:"QT027"
-             ~hint:"the key's support section must round-trip exactly"
-             "support parsed back from the stored plan key differs from the \
-              plan's support"));
-  List.rev !diags
-
-(* ---- QT028: prepared solver contexts agree --------------------------- *)
-
-let check_prepared v =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let n_comps = List.length v.comps in
-  if List.length v.prepared_names <> n_comps then
-    add
-      (error ~subject:Diagnostic.System ~code:"QT028"
-         ~hint:"each component owns exactly one prepared solver context"
-         (Printf.sprintf "%d prepared solver contexts for %d components"
-            (List.length v.prepared_names)
-            n_comps));
-  let rec go comps classes prepared =
-    match (comps, classes, prepared) with
-    | ( (c : Structure.comp) :: cr,
-        (cl : classification_view) :: clr,
-        pname :: pr ) ->
-        if not (String.equal cl.name pname) then
-          add
-            (error ~subject:(comp_subject c) ~code:"QT028"
-               ~hint:
-                 "the prepared context must be built from the plan's own \
-                  classification"
-               (Printf.sprintf
-                  "component %d is classified %s but its prepared solver \
-                   context reports %s"
-                  c.id cl.name pname));
-        go cr clr pr
-    | _, _, _ -> ()
-  in
-  go v.comps v.classifications v.prepared_names;
+                      "%s classification of component %d names %s %d, which \
+                       the component does not contain"
+                      cl.name c.id what id)))
+          ids
+      in
+      subset "variable" cl.class_vars c.var_ids;
+      subset "channel" cl.class_channels c.channel_ids;
+      match cl.name with
+      | "const" ->
+          if c.var_ids <> [] then
+            add
+              (error ~subject:(comp_subject c) ~code:"QT026"
+                 ~hint:"const components carry no free variables"
+                 (Printf.sprintf
+                    "component %d is classified const but has %d variable%s"
+                    c.id
+                    (List.length c.var_ids)
+                    (if List.length c.var_ids = 1 then "" else "s")))
+      | "linear" ->
+          if List.length cl.class_vars <> 1 then
+            add
+              (error ~subject:(comp_subject c) ~code:"QT026"
+                 (Printf.sprintf
+                    "linear classification of component %d names %d driver \
+                     variables (expected 1)"
+                    c.id
+                    (List.length cl.class_vars)))
+      | "polar" ->
+          if List.length cl.class_vars <> 2 then
+            add
+              (error ~subject:(comp_subject c) ~code:"QT026"
+                 (Printf.sprintf
+                    "polar classification of component %d names %d variables \
+                     (expected amplitude and phase)"
+                    c.id
+                    (List.length cl.class_vars)))
+      | _ -> ())
+    v.components;
   List.rev !diags
 
 let check v =
   check_term_index v @ check_skeleton v @ check_partition v
-  @ check_classifications v @ check_key v @ check_prepared v
+  @ check_classifications v

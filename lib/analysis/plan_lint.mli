@@ -1,8 +1,8 @@
 (** Plan-invariant linter (static analyzer stage two, pass B).
 
     [Qturbo_core.Compile_plan] artifacts are replayed from an LRU cache
-    across compiles, sweeps and time-dependent segments — and the
-    roadmap's plan store will deserialize them from disk.  This pass
+    across compiles, sweeps and time-dependent segments, and the plan
+    store deserializes them from disk.  This pass
     checks the cross-stage invariants that make a plan trustworthy,
     operating (like {!Structure}) on a generic view so this library
     stays independent of [qturbo.core], which converts its own types and
@@ -22,17 +22,12 @@
        duplicated or out-of-range variable id, or a duplicate component
        id;}
     {- [QT026] (error): a classification is inconsistent with its
-       component's arity — classification/component count mismatch,
-       a const classification over a component with variables, or a
-       linear/polar classification naming variables or channels outside
-       its component;}
-    {- [QT027] (error): the structural [Shape] key does not round-trip —
-       re-deriving the key from the plan's own device and support gives
-       a different string, or the support section of the stored key does
-       not parse back to the plan's support;}
-    {- [QT028] (error): the prepared solver contexts disagree with the
-       classifications — count mismatch, or a prepared context whose
-       own classification differs from the plan's.}}
+       component's arity — a const classification over a component with
+       variables, a linear or polar classification naming the wrong
+       number of variables, or a classification naming variables or
+       channels outside its component.}}
+
+    [QT027] and [QT028] are retired and unassigned.
 
     All checks are pure structural scans; linting a plan costs
     microseconds next to its build. *)
@@ -42,21 +37,15 @@ type classification_view = {
       (** ["const" | "linear" | "polar" | "fixed" | "generic"] *)
   class_vars : int list;
       (** variable ids the classification names (linear's driver, polar's
-          amplitude and phase); empty for the structureless kinds *)
+          amplitude and phase, the generic path's variables); empty for
+          const and fixed *)
   class_channels : int list;
-      (** channel cids the classification names (slope / cos / sin
-          entries); empty for the structureless kinds *)
+      (** channel cids the classification names (const values, slope /
+          cos / sin entries); empty for generic and fixed *)
 }
 
 type view = {
-  key : string;  (** the stored structural cache key *)
-  rederived_key : string list;
-      (** the key rebuilt from the plan's own parts, as the pieces whose
-          concatenation it is; compared with [key] without joining them *)
   support : Qturbo_pauli.Pauli_string.t list;  (** canonical support *)
-  key_support : Qturbo_pauli.Pauli_string.t list option;
-      (** the support section of [key], parsed back; [None] when it does
-          not parse *)
   rows : Qturbo_pauli.Pauli_string.t array;  (** term-index rows, in order *)
   cells : (int * float) list array;  (** per-row [(channel, coeff)] *)
   csr : Qturbo_linalg.Csr.t;
@@ -66,11 +55,9 @@ type view = {
   n_vars : int;
   channel_terms : Qturbo_pauli.Pauli_string.t list;
       (** every non-identity term some channel can produce *)
-  comps : Structure.comp list;
-  classifications : classification_view list;  (** one per component *)
-  prepared_names : string list;
-      (** the classification each prepared solver context reports for
-          itself, rendered like {!classification_view.name} *)
+  components : (Structure.comp * classification_view) list;
+      (** one per prepared solver: its component and its
+          classification *)
 }
 
 val check : view -> Diagnostic.t list

@@ -109,27 +109,25 @@ type result = {
   plan : plan_stats;
 }
 
-let classification_name = function
-  | Local_solver.Const_channels -> "const"
-  | Local_solver.Linear _ -> "linear"
-  | Local_solver.Polar _ -> "polar"
-  | Local_solver.Fixed_vars -> "fixed"
-  | Local_solver.Generic -> "generic"
-
-(* A component bundled with its solver-specific prepared state. *)
+(* One locality component's prepared solver: the §5.1 closed forms or
+   generic path for a runtime-dynamic component, the §5.2 position
+   solve for a runtime-fixed one. *)
 type prepared_comp =
   | Dynamic of Local_solver.prepared
   | Fixed of Fixed_solver.prepared
 
-let prepare_components ~vars ~channels comps classifications =
-  List.map2
-    (fun comp classification ->
-      match classification with
-      | Local_solver.Fixed_vars -> Fixed (Fixed_solver.prepare ~vars ~channels comp)
-      | Local_solver.Const_channels | Local_solver.Linear _
-      | Local_solver.Polar _ | Local_solver.Generic ->
-          Dynamic (Local_solver.prepare ~vars ~channels comp classification))
-    comps classifications
+let component = function
+  | Dynamic p -> Local_solver.component p
+  | Fixed p -> Fixed_solver.component p
+
+let classification_name = function
+  | Fixed _ -> "fixed"
+  | Dynamic p -> (
+      match Local_solver.case p with
+      | Local_solver.Const _ -> "const"
+      | Local_solver.Linear _ -> "linear"
+      | Local_solver.Polar _ -> "polar"
+      | Local_solver.Generic _ -> "generic")
 
 (* ------------------------------------------------------------------ *)
 (* Plan artifacts                                                      *)
@@ -139,10 +137,7 @@ type device = {
   channels : Instruction.channel array;
   vars : Variable.t array;
   generic_local_solver : bool;
-  comps : Locality.component list;
-  classifications : Local_solver.classification list;
   prepared : prepared_comp list;
-  device_key : string;
 }
 
 type t = {
@@ -152,22 +147,16 @@ type t = {
   structure_diags : Diagnostic.t list;
   precheck : Qturbo_analysis.Analysis.table;
   lint_diags : Diagnostic.t list;
-  key : string;
   lru_key : string;
   build_seconds : float;
 }
 
 let support_of_target = Shape.support_of_target
 
-(* [^] copies the memoized rendering once; [sprintf "%s"] would copy
-   it through a buffer twice *)
 let flag_prefix generic = Printf.sprintf "g=%b|" generic
 
-let device_key ~(options : options) ~aais =
-  flag_prefix options.generic_local_solver ^ Shape.of_aais aais
-
-(* Single point of truth for the plan-key format: the flag prefix and
-   [Shape.key]'s two sections, joined in one copy of the rendering. *)
+(* The plan-key format: the flag prefix and [Shape.key]'s two sections,
+   joined in one copy of the rendering.  Only the store reads it. *)
 let plan_key_of_support ~(options : options) ~aais ~support =
   String.concat ""
     [
@@ -202,27 +191,20 @@ let plan_serves ~generic ~aais ~support (p : t) =
 let build_device ?(options = default_options) ~aais () =
   let channels = Aais.channels aais in
   let vars = Aais.variables aais in
-  let comps = Locality.decompose ~channels ~n_vars:(Array.length vars) in
-  let classifications =
-    List.map
-      (fun comp ->
-        match Local_solver.classify ~vars ~channels comp with
-        | (Local_solver.Linear _ | Local_solver.Polar _)
-          when options.generic_local_solver ->
-            Local_solver.Generic
-        | cls -> cls)
-      comps
+  let generic = options.generic_local_solver in
+  let prepare (comp : Locality.component) =
+    if List.exists (fun v -> Variable.is_fixed vars.(v)) comp.var_ids then
+      Fixed (Fixed_solver.prepare ~vars ~channels comp)
+    else Dynamic (Local_solver.prepare ~generic ~vars ~channels comp)
   in
-  let prepared = prepare_components ~vars ~channels comps classifications in
   {
     aais;
     channels;
     vars;
-    generic_local_solver = options.generic_local_solver;
-    comps;
-    classifications;
-    prepared;
-    device_key = device_key ~options ~aais;
+    generic_local_solver = generic;
+    prepared =
+      List.map prepare
+        (Locality.decompose ~channels ~n_vars:(Array.length vars));
   }
 
 (* The structure pass of [qturbo.analysis] takes a generic view of the
@@ -235,15 +217,13 @@ let structure_rows ~index ~cells =
            cells = c })
        cells)
 
-let structure_comps comps =
-  List.map
-    (fun (c : Locality.component) ->
-      {
-        Qturbo_analysis.Structure.id = c.Locality.id;
-        channel_ids = c.Locality.channel_ids;
-        var_ids = c.Locality.var_ids;
-      })
-    comps
+let structure_comp s =
+  let c = component s in
+  {
+    Qturbo_analysis.Structure.id = c.Locality.id;
+    channel_ids = c.Locality.channel_ids;
+    var_ids = c.Locality.var_ids;
+  }
 
 (* What the analyzer needs of a plan beyond its target: the structure
    pass and the tables of passes 1, 2 and 4 over the support rows (the
@@ -255,7 +235,7 @@ let analyzed (d : device) ~support skeleton =
   let structure_diags =
     Qturbo_analysis.Structure.check ~channels:d.channels ~variables:d.vars
       ~rows:(structure_rows ~index ~cells)
-      ~comps:(structure_comps d.comps)
+      ~comps:(List.map structure_comp d.prepared)
   in
   let precheck =
     Qturbo_analysis.Analysis.table ~channels:d.channels ~variables:d.vars
@@ -271,46 +251,27 @@ let analyzed (d : device) ~support skeleton =
    library stays independent of this one; convert our types and call
    in. *)
 
-let classification_view (cl : Local_solver.classification) =
-  let open Qturbo_analysis.Plan_lint in
-  match cl with
-  | Local_solver.Const_channels ->
-      { name = "const"; class_vars = []; class_channels = [] }
-  | Local_solver.Linear { var; slopes } ->
-      { name = "linear"; class_vars = [ var ]; class_channels = List.map fst slopes }
-  | Local_solver.Polar { amp; phase; cos_channels; sin_channels } ->
-      {
-        name = "polar";
-        class_vars = [ amp; phase ];
-        class_channels = List.map fst cos_channels @ List.map fst sin_channels;
-      }
-  | Local_solver.Fixed_vars ->
-      { name = "fixed"; class_vars = []; class_channels = [] }
-  | Local_solver.Generic ->
-      { name = "generic"; class_vars = []; class_channels = [] }
-
-let prepared_name = function
-  | Dynamic p -> classification_name (Local_solver.classification_of p)
-  | Fixed _ -> "fixed"
-
-(* last occurrence of "@@" in a key: [Shape.key] joins the device and
-   support sections with it, and only the final separator is ours to
-   trust (labels inside the device section are free-form text).  The
-   support section is short, so the scan runs from the end. *)
-let last_separator key =
-  let rec go i =
-    if i < 0 then None
-    else if key.[i] = '@' && key.[i + 1] = '@' then Some i
-    else go (i - 1)
+(* What a prepared solver's case names: the variables it writes and
+   the channels it reads by id. *)
+let classification_view s =
+  let class_vars, class_channels =
+    match s with
+    | Fixed _ -> ([], [])
+    | Dynamic p -> (
+        match Local_solver.case p with
+        | Local_solver.Const ks -> ([], List.map fst ks)
+        | Local_solver.Linear { var; slopes; _ } ->
+            ([ var ], List.map fst slopes)
+        | Local_solver.Polar { amp; phase; cos_channels; sin_channels; _ } ->
+            ( [ amp; phase ],
+              List.map fst cos_channels @ List.map fst sin_channels )
+        | Local_solver.Generic g -> (Array.to_list g.Local_solver.var_ids, []))
   in
-  go (String.length key - 2)
-
-let key_support_of key =
-  match last_separator key with
-  | None -> None
-  | Some i ->
-      Shape.support_of_rendering
-        (String.sub key (i + 2) (String.length key - i - 2))
+  {
+    Qturbo_analysis.Plan_lint.name = classification_name s;
+    class_vars;
+    class_channels;
+  }
 
 let lint (plan : t) =
   let d = plan.device in
@@ -331,24 +292,17 @@ let lint (plan : t) =
   in
   Qturbo_analysis.Plan_lint.check
     {
-      Qturbo_analysis.Plan_lint.key = plan.key;
-      (* the device section is [d.device_key], rendered from the same
-         aais when the device part was built (both the stored key and
-         this one descend from it, so corruption of either side still
-         mismatches); only the cheap support section is re-rendered,
-         and the pieces are compared in place, never joined *)
-      rederived_key = [ d.device_key; "@@"; Shape.of_support plan.support ];
-      support = plan.support;
-      key_support = key_support_of plan.key;
+      Qturbo_analysis.Plan_lint.support = plan.support;
       rows = Term_index.strings index;
       cells = Linear_system.skeleton_cells plan.skeleton;
       csr = Linear_system.skeleton_csr plan.skeleton;
       n_channels = Array.length d.channels;
       n_vars = Array.length d.vars;
       channel_terms;
-      comps = structure_comps d.comps;
-      classifications = List.map classification_view d.classifications;
-      prepared_names = List.map prepared_name d.prepared;
+      components =
+        List.map
+          (fun s -> (structure_comp s, classification_view s))
+          d.prepared;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -388,7 +342,7 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
   let structure_diags, precheck =
     analyzed device ~support:target_shape skeleton
   in
-  (* the keys and the lint gate are part of the front end: all run
+  (* the LRU key and the lint gate are part of the front end: both run
      before the clock is read.  Fresh builds are linted before anyone
      can use (or cache) them. *)
   let plan =
@@ -399,7 +353,6 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       structure_diags;
       precheck;
       lint_diags = [];
-      key = plan_key_of_support ~options ~aais ~support:target_shape;
       lru_key =
         plan_lru_key ~generic:options.generic_local_solver ~aais
           ~support:target_shape;
@@ -450,64 +403,51 @@ let store_dir () = Option.map Plan_store.dir !store
 let store_stats () = Option.map Plan_store.stats !store
 
 (* A payload that passed the store's byte-level checks (magic, version,
-   key, checksum) can still be semantic garbage — a hand-edited entry
-   with a recomputed checksum.  The decode is exception-guarded and
+   the full key, checksum) can still be semantic garbage — a hand-edited
+   entry with a recomputed checksum.  The decode is exception-guarded,
+   the payload's solver flag and support must equal the request's (the
+   file header carries the key; the payload carries no copy of it), and
    every deserialized plan passes the full [Plan_lint] gate before it
    is served: store entries are the only plans that come from outside
    this process.  No lint pass reads the analyzer's findings, so those
    are re-derived from the linted skeleton and device rather than taken
    from the payload, and the plan records the re-lint.  Any failure
-   demotes the store hit to a corrupt miss and the caller rebuilds.
-   The full key is spelled out only when a store is open: with none, a
-   miss would concatenate the whole device rendering for nothing. *)
-let store_fetch ~options ~aais ~support =
-  match !store with
+   demotes the store hit to a corrupt miss and the caller rebuilds. *)
+let store_fetch st ~key ~generic ~support =
+  let corrupt what =
+    Plan_store.reclassify_corrupt st;
+    Log.warn (fun m -> m "plan store entry %s; rebuilding" what);
+    None
+  in
+  match Plan_store.load st ~key with
   | None -> None
-  | Some st -> (
-      let key = plan_key_of_support ~options ~aais ~support in
-      let corrupt what =
-        Plan_store.reclassify_corrupt st;
-        Log.warn (fun m -> m "plan store entry %s; rebuilding" what);
-        None
-      in
-      match Plan_store.load st ~key with
-      | None -> None
-      | Some payload -> (
-          match (Marshal.from_string payload 0 : t) with
-          | exception _ -> corrupt "failed to decode"
-          | p when p.key <> key -> corrupt "failed the lint gate"
-          | p -> (
-              let diags = lint p in
-              if Diagnostic.has_errors diags then corrupt "failed the lint gate"
-              else
-                match analyzed p.device ~support:p.support p.skeleton with
-                | exception _ -> corrupt "failed the analyzer"
-                | structure_diags, precheck ->
-                    Some
-                      {
-                        p with
-                        structure_diags;
-                        precheck;
-                        lint_diags = diags;
-                      })))
+  | Some payload -> (
+      match (Marshal.from_string payload 0 : t) with
+      | exception _ -> corrupt "failed to decode"
+      | p
+        when not
+               (Bool.equal p.device.generic_local_solver generic
+               && List.equal Pauli_string.equal p.support support) ->
+          corrupt "does not match the request"
+      | p -> (
+          let diags = lint p in
+          if Diagnostic.has_errors diags then corrupt "failed the lint gate"
+          else
+            match analyzed p.device ~support:p.support p.skeleton with
+            | exception _ -> corrupt "failed the analyzer"
+            | structure_diags, precheck ->
+                Some { p with structure_diags; precheck; lint_diags = diags }))
 
-(* The payload leaves out the AAIS's key memo: [key] and [device_key]
-   already carry the rendering, and a third copy would only grow every
-   entry a loader has to read, checksum and decode. *)
-let store_persist (p : t) =
-  match !store with
-  | None -> ()
-  | Some st -> (
-      let p =
-        {
-          p with
-          device = { p.device with aais = Aais.without_key_memo p.device.aais };
-        }
-      in
-      match Marshal.to_string p [ Marshal.Closures ] with
-      | payload -> ignore (Plan_store.save st ~key:p.key ~payload : bool)
-      | exception _ ->
-          Log.warn (fun m -> m "plan could not be marshaled for the store"))
+(* The payload leaves out the AAIS's key memo: the entry's header
+   already carries the rendering, and a second copy would only grow
+   every entry a loader has to read, checksum and decode. *)
+let store_persist st ~key (p : t) =
+  let device = { p.device with aais = Aais.without_key_memo p.device.aais } in
+  let p = { p with device } in
+  match Marshal.to_string p [ Marshal.Closures ] with
+  | payload -> ignore (Plan_store.save st ~key ~payload : bool)
+  | exception _ ->
+      Log.warn (fun m -> m "plan could not be marshaled for the store")
 
 (* A stored plan arrives with its own deserialized AAIS, channels and
    variables.  Its key equals the requester's, and the key renders
@@ -522,8 +462,9 @@ let rebind_device (d : device) ~aais =
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
    build (which back-fills both).  A hit renders nothing: the LRU key
-   comes from the AAIS's memoized digest, and the exact full key is
-   spelled out only on a miss with a store open, for the store. *)
+   comes from the AAIS's memoized digest.  The exact full key is spelled
+   out once per LRU miss, and only with a store open: the fetch and the
+   persist share it. *)
 let obtain_for_support ~options ~aais ~support =
   if not options.plan_cache then
     (build ~options ~aais ~target_shape:support (), Built)
@@ -536,7 +477,15 @@ let obtain_for_support ~options ~aais ~support =
         !stage_hook "plan-cache-hit";
         (p, Cached)
     | None -> (
-        match store_fetch ~options ~aais ~support with
+        let store_key =
+          Option.map
+            (fun st -> (st, plan_key_of_support ~options ~aais ~support))
+            !store
+        in
+        match
+          Option.bind store_key (fun (st, key) ->
+              store_fetch st ~key ~generic ~support)
+        with
         | Some p ->
             !stage_hook "plan-store-hit";
             let p = { p with device = rebind_device p.device ~aais; lru_key } in
@@ -552,7 +501,7 @@ let obtain_for_support ~options ~aais ~support =
             (* [build] just linted this plan and raised on errors *)
             let p = build ~options ~aais ~target_shape:support () in
             Plan_cache.add plan_cache lru_key ~accept p;
-            store_persist p;
+            Option.iter (fun (st, key) -> store_persist st ~key p) store_key;
             (p, Built))
 
 let obtain ~options ~aais ~target =
@@ -597,8 +546,10 @@ let validate_target ~aais ~target ~t_tar =
    one idle — run the sweep sequentially so the big component's inner
    parallelism (residual rows, Jacobian entries) gets the pool instead.
    Otherwise parallelize across components, one component per task. *)
-let component_domains ~domains comps =
-  let sizes = List.map (fun c -> List.length c.Locality.channel_ids) comps in
+let component_domains ~domains prepared =
+  let sizes =
+    List.map (fun s -> List.length (component s).Locality.channel_ids) prepared
+  in
   let total = List.fold_left ( + ) 0 sizes in
   let largest = List.fold_left Int.max 0 sizes in
   if 2 * largest > total then (1, domains) else (domains, 1)
@@ -616,7 +567,7 @@ type run = {
 
 let start ~options (device : device) =
   let comp_domains, fixed_domains =
-    component_domains ~domains:options.domains device.comps
+    component_domains ~domains:options.domains device.prepared
   in
   {
     options;
@@ -714,7 +665,7 @@ let linear_solve options ls =
 (* One component's shortest feasible evolution time (§5.1); [0.] for
    runtime-fixed components, which the constraint loop polices. *)
 let component_min_time run ~alpha = function
-  | Dynamic p -> Local_solver.min_time_supervised ~sup:run.sup ~alpha p
+  | Dynamic p -> Local_solver.min_time ~sup:run.sup ~alpha p
   | Fixed _ -> (0.0, [])
 
 let padded options t =
@@ -736,7 +687,7 @@ let start_times run bottlenecks =
 let solve_component run ~alpha ~t_sim = function
   | Dynamic p ->
       let { Local_solver.assignments; eps2 }, failures =
-        Local_solver.solve_supervised ~sup:run.sup ~alpha ~t_sim p
+        Local_solver.solve ~sup:run.sup ~alpha ~t_sim p
       in
       (assignments, eps2, failures)
   | Fixed p ->
@@ -830,18 +781,21 @@ let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
     Instruction.eval_channel c ~env *. t_sim
   in
   (* a kernel eval is ~10 ns; only very wide channel sets outweigh the
-     pool dispatch (same granularity reasoning as Fixed_solver) *)
-  if Array.length channels < 32_768 then Array.map achieved channels
+     pool dispatch (the position solve's granularity threshold) *)
+  if Array.length channels < Fixed_solver.par_threshold then
+    Array.map achieved channels
   else Qturbo_par.Pool.parallel_map ~domains achieved channels
 
 let fixed_channels (d : device) =
   let mask = Array.make (Array.length d.channels) false in
-  List.iter2
-    (fun (comp : Locality.component) p ->
-      match p with
-      | Fixed _ -> List.iter (fun cid -> mask.(cid) <- true) comp.channel_ids
+  List.iter
+    (function
+      | Fixed p ->
+          List.iter
+            (fun cid -> mask.(cid) <- true)
+            (Fixed_solver.component p).channel_ids
       | Dynamic _ -> ())
-    d.comps d.prepared;
+    d.prepared;
   mask
 
 (* §6.2: the §4.1 system with the fixed channels' achieved contribution
@@ -900,20 +854,19 @@ let refine run ~device:(d : device) ~ls ~alpha (layout : layout) =
         let eps2s, failures =
           apply_solved env
             (guarded_sweep run ~site:"refine" ~domains:run.comp_domains
-               (fun ((comp : Locality.component), p) ->
-                 match p with
-                 | Fixed _ ->
+               (function
+                 | Fixed p ->
                      (* unchanged: recompute its eps2 against original
                         targets *)
                      ( [],
                        List.fold_left
                          (fun acc cid ->
                            acc +. Float.abs (achieved.(cid) -. alpha.(cid)))
-                         0.0 comp.channel_ids,
+                         0.0 (Fixed_solver.component p).channel_ids,
                        [] )
-                 | Dynamic _ ->
-                     solve_component run ~alpha:alpha_refined ~t_sim p)
-               (List.combine d.comps d.prepared))
+                 | Dynamic _ as s ->
+                     solve_component run ~alpha:alpha_refined ~t_sim s)
+               d.prepared)
         in
         (env, eps2s, [], failures)
 
@@ -1004,7 +957,7 @@ let static_tail ~t0 ~provenance ~plan (i : instances) =
   !stage_hook "local-solve";
   Log.debug (fun m ->
       m "locality: %d components, bottleneck evolution time %.4g"
-        (List.length d.comps) bottleneck);
+        (List.length d.prepared) bottleneck);
   let layout =
     constraint_loop run ~device:d ~alpha
       ~t_start:(List.hd (start_times run [ bottleneck ]))
@@ -1025,16 +978,17 @@ let static_tail ~t0 ~provenance ~plan (i : instances) =
   let eps2_total = List.fold_left ( +. ) 0.0 eps2s in
   let components =
     List.map2
-      (fun (comp : Locality.component) (cls, (tmin, eps2)) ->
+      (fun s (tmin, eps2) ->
+        let comp = component s in
         {
-          classification = classification_name cls;
+          classification = classification_name s;
           channels = List.length comp.Locality.channel_ids;
           variables = List.length comp.Locality.var_ids;
           min_time = tmin;
           eps2;
         })
-      d.comps
-      (List.combine d.classifications (List.combine min_times eps2s))
+      d.prepared
+      (List.combine min_times eps2s)
   in
   (* in pipeline order: evolution-time search and pipeline-level records
      (constraint loop, refinement expiry), then the final constraint

@@ -23,8 +23,8 @@
     plan.  Equal structures produce interchangeable plans, so a cache
     hit is bitwise-identical to a cold build by construction.  Each
     AAIS value is rendered at most once; the full key is spelled out
-    only on an LRU miss, for the persistent store and the [QT027]
-    round-trip check.
+    once per LRU miss, and only when a persistent store is open: no
+    plan keeps a copy of it.
 
     The numeric back-end is one sequence of stages over K coefficient
     instances of one plan (see {!section-stages}): {!solve} runs it for
@@ -151,24 +151,24 @@ type result = {
 
 type prepared_comp =
   | Dynamic of Local_solver.prepared
+      (** a runtime-dynamic component: its classification and closed
+          form or generic path *)
   | Fixed of Fixed_solver.prepared
+      (** a runtime-fixed component: the §5.2 position solve *)
 
 type device = {
   aais : Aais.t;
   channels : Instruction.channel array;
   vars : Variable.t array;
   generic_local_solver : bool;
-  comps : Locality.component list;
-  classifications : Local_solver.classification list;
   prepared : prepared_comp list;
-  device_key : string;
-      (** ["g=<flag>|"] and the {!Shape.of_aais} rendering: the device
-          section of every plan key built on it *)
+      (** one prepared solver per locality component, in
+          [Locality.decompose] order *)
 }
-(** The target-independent part of a plan: locality decomposition,
-    classifications (with the [generic_local_solver] override applied)
-    and prepared solver contexts.  Depends only on the AAIS, so it is
-    shared across every target shape on the same device. *)
+(** The target-independent part of a plan: the locality components as
+    their prepared solvers, each classified with the
+    [generic_local_solver] override applied.  Depends only on the AAIS,
+    so it is shared across every target shape on the same device. *)
 
 type t = {
   device : device;
@@ -184,9 +184,6 @@ type t = {
   lint_diags : Diagnostic.t list;
       (** everything the {!lint} gate reported when this plan was
           admitted — at {!build}, or on the re-lint of a store load *)
-  key : string;
-      (** the exact structural key ({!plan_key}); the store files the
-          plan under it *)
   lru_key : string;
       (** the compact key the in-memory LRU files the plan under:
           solver flag, rendering digest, support digest *)
@@ -197,10 +194,11 @@ val support_of_target : Pauli_sum.t -> Pauli_string.t list
 (** Non-identity support, in term order (= {!Shape.support_of_target}). *)
 
 val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
-(** The exact structural key this target would compile under.  Equal
-    keys ⇒ interchangeable plans; coefficients do not contribute.  The
-    device section comes from the AAIS's memo, so only the first call
-    on an AAIS value renders it. *)
+(** The exact structural key this target would compile under, as the
+    persistent store files its plan.  Equal keys ⇒ interchangeable
+    plans; coefficients do not contribute.  The device section comes
+    from the AAIS's memo, so only the first call on an AAIS value
+    renders it. *)
 
 val obtain_device : options:options -> aais:Aais.t -> device
 (** Fetch-or-build the device part through its cache
@@ -240,12 +238,12 @@ val obtain_for_support :
 (** {1 Plan linting}
 
     The cross-stage invariant pass ([Qturbo_analysis.Plan_lint], codes
-    [QT023]–[QT028]) over a plan's artifacts: term-index coverage of the
-    canonical support, skeleton dimensions, locality-component
-    partition, classification arity, structural-key round-trip, and
-    prepared-context agreement.  {!build} runs it on every fresh plan
-    and raises {!Diagnostic.Rejected} on errors, and every plan loaded
-    from the persistent store is re-linted. *)
+    [QT023]–[QT026]) over a plan's artifacts: term-index coverage of the
+    canonical support, skeleton dimensions, the partition of the
+    channels and variables by the prepared solvers' components, and
+    each solver's classification against its component.  {!build} runs
+    it on every fresh plan and raises {!Diagnostic.Rejected} on errors,
+    and every plan loaded from the persistent store is re-linted. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)

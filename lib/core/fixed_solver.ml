@@ -62,6 +62,8 @@ let rec expr_degree ~var_degree (e : Expr.t) =
   | Sin a | Cos a -> (
       match expr_degree ~var_degree a with Some 0 -> Some 0 | _ -> None)
 
+let component p = p.comp
+
 let prepare ~vars ~channels (comp : Locality.component) =
   let all_ids = Array.of_list comp.Locality.var_ids in
   (* gauge-pinned coordinates (lo = hi) are held fixed; optimising them

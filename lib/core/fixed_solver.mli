@@ -74,6 +74,8 @@ val prepare :
     It holds by construction; the check runs once per plan instead of
     once per Jacobian. *)
 
+val component : prepared -> Locality.component
+
 val degree : prepared -> int option
 (** [Some d] when every row of the component is homogeneous of the same
     degree [d ≠ 0] under a uniform rescale of its free coordinates,

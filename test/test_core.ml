@@ -214,33 +214,57 @@ let test_component_of_channel () =
 
 (* ---- Local_solver ---- *)
 
+(* The prepared solvers of a device part, one per locality component,
+   as a compile builds them. *)
 let classified ryd =
-  let channels = Aais.channels ryd.Rydberg.aais in
-  let vars = Aais.variables ryd.Rydberg.aais in
-  let comps = Locality.decompose ~channels ~n_vars:(Array.length vars) in
-  (channels, vars, comps, List.map (Local_solver.classify ~vars ~channels) comps)
+  let aais = ryd.Rydberg.aais in
+  let device =
+    Compile_plan.obtain_device
+      ~options:
+        { Compile_plan.default_options with Compile_plan.plan_cache = false }
+      ~aais
+  in
+  (Aais.channels aais, Aais.variables aais, device.Compile_plan.prepared)
+
+let none = Qturbo_resilience.Supervisor.none
+
+(* The runtime-dynamic solvers whose case [select] accepts. *)
+let dynamic_cases select solvers =
+  List.filter_map
+    (function
+      | Compile_plan.Dynamic p ->
+          Option.map (fun c -> (p, c)) (select (Local_solver.case p))
+      | Compile_plan.Fixed _ -> None)
+    solvers
 
 let test_classification_names () =
   let ryd = rydberg3 () in
-  let _, _, _, classes = classified ryd in
-  let count pred = List.length (List.filter pred classes) in
+  let _, _, solvers = classified ryd in
+  let count select = List.length (dynamic_cases select solvers) in
   Alcotest.(check int) "one fixed" 1
-    (count (function Local_solver.Fixed_vars -> true | _ -> false));
+    (List.length
+       (List.filter
+          (function
+            | Compile_plan.Fixed _ -> true | Compile_plan.Dynamic _ -> false)
+          solvers));
   Alcotest.(check int) "three linear" 3
-    (count (function Local_solver.Linear _ -> true | _ -> false));
+    (count (function Local_solver.Linear _ as c -> Some c | _ -> None));
   Alcotest.(check int) "three polar" 3
-    (count (function Local_solver.Polar _ -> true | _ -> false))
+    (count (function Local_solver.Polar _ as c -> Some c | _ -> None))
 
 let test_min_time_detuning_case1 () =
   (* paper §5.1 Case 1: Δ/2 · T = 1 with Δ_max = 20 MHz → T = 0.1 µs *)
   let ryd = rydberg3 () in
-  let channels, vars, comps, classes = classified ryd in
+  let channels, _, solvers = classified ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
   let times =
-    List.map2
-      (fun comp cls -> Local_solver.min_time ~vars ~channels ~alpha comp cls)
-      comps classes
+    List.map
+      (function
+        | Compile_plan.Dynamic p ->
+            fst (Local_solver.min_time ~sup:none ~alpha p)
+        | Compile_plan.Fixed _ -> 0.0)
+      solvers
   in
   let sorted = List.sort Float.compare times in
   (match sorted with
@@ -259,75 +283,68 @@ let test_min_time_detuning_case1 () =
 
 let test_solve_at_detuning () =
   let ryd = rydberg3 () in
-  let channels, vars, comps, classes = classified ryd in
+  let channels, _, solvers = classified ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
-  List.iter2
-    (fun comp cls ->
-      match cls with
-      | Local_solver.Linear { var; _ } ->
-          let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
-          in
-          check_close "eps2" 1e-9 0.0 eps2;
-          (match assignments with
-          | [ (v, value) ] ->
-              Alcotest.(check int) "assigns its var" var v;
-              (* Δ = 2 α / T: either 2.5 (α=1) or 5.0 (α=2) *)
-              Alcotest.(check bool) "value plausible" true
-                (Float.abs (value -. 2.5) < 1e-6 || Float.abs (value -. 5.0) < 1e-6)
-          | _ -> Alcotest.fail "single assignment expected")
-      | Local_solver.Polar _ | Local_solver.Fixed_vars
-      | Local_solver.Const_channels | Local_solver.Generic ->
-          ())
-    comps classes
+  List.iter
+    (fun (p, var) ->
+      let { Local_solver.assignments; eps2 }, _ =
+        Local_solver.solve ~sup:none ~alpha ~t_sim:0.8 p
+      in
+      check_close "eps2" 1e-9 0.0 eps2;
+      match assignments with
+      | [ (v, value) ] ->
+          Alcotest.(check int) "assigns its var" var v;
+          (* Δ = 2 α / T: either 2.5 (α=1) or 5.0 (α=2) *)
+          Alcotest.(check bool) "value plausible" true
+            (Float.abs (value -. 2.5) < 1e-6 || Float.abs (value -. 5.0) < 1e-6)
+      | _ -> Alcotest.fail "single assignment expected")
+    (dynamic_cases
+       (function Local_solver.Linear { var; _ } -> Some var | _ -> None)
+       solvers)
 
 let test_solve_at_polar () =
   let ryd = rydberg3 () in
-  let channels, vars, comps, classes = classified ryd in
+  let channels, _, solvers = classified ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
-  List.iter2
-    (fun comp cls ->
-      match cls with
-      | Local_solver.Polar { amp; phase; _ } ->
-          let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
-          in
-          check_close "polar exact" 1e-9 0.0 eps2;
-          let lookup v = List.assoc v assignments in
-          check_close "omega = 2.5 at bottleneck" 1e-6 2.5 (lookup amp);
-          check_close "phi = 0" 1e-9 0.0 (lookup phase)
-      | Local_solver.Linear _ | Local_solver.Fixed_vars
-      | Local_solver.Const_channels | Local_solver.Generic ->
-          ())
-    comps classes
+  List.iter
+    (fun (p, (amp, phase)) ->
+      let { Local_solver.assignments; eps2 }, _ =
+        Local_solver.solve ~sup:none ~alpha ~t_sim:0.8 p
+      in
+      check_close "polar exact" 1e-9 0.0 eps2;
+      let lookup v = List.assoc v assignments in
+      check_close "omega = 2.5 at bottleneck" 1e-6 2.5 (lookup amp);
+      check_close "phi = 0" 1e-9 0.0 (lookup phase))
+    (dynamic_cases
+       (function
+         | Local_solver.Polar { amp; phase; _ } -> Some (amp, phase)
+         | _ -> None)
+       solvers)
 
 let test_solve_at_clamps_out_of_bounds () =
   (* at T shorter than feasible the detuning must clamp to its bound and
      report nonzero eps2 *)
   let ryd = rydberg3 () in
-  let channels, vars, comps, classes = classified ryd in
+  let channels, vars, solvers = classified ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
   let total_eps = ref 0.0 in
-  List.iter2
-    (fun comp cls ->
-      match cls with
-      | Local_solver.Linear _ ->
-          let { Local_solver.eps2; assignments } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.01 comp cls
-          in
-          List.iter
-            (fun (v, value) ->
-              Alcotest.(check bool) "in bounds" true
-                (Qturbo_optim.Bounds.contains vars.(v).Variable.bound value))
-            assignments;
-          total_eps := !total_eps +. eps2
-      | Local_solver.Polar _ | Local_solver.Fixed_vars
-      | Local_solver.Const_channels | Local_solver.Generic ->
-          ())
-    comps classes;
+  List.iter
+    (fun (p, ()) ->
+      let { Local_solver.eps2; assignments }, _ =
+        Local_solver.solve ~sup:none ~alpha ~t_sim:0.01 p
+      in
+      List.iter
+        (fun (v, value) ->
+          Alcotest.(check bool) "in bounds" true
+            (Qturbo_optim.Bounds.contains vars.(v).Variable.bound value))
+        assignments;
+      total_eps := !total_eps +. eps2)
+    (dynamic_cases
+       (function Local_solver.Linear _ -> Some () | _ -> None)
+       solvers);
   Alcotest.(check bool) "clamping reported" true (!total_eps > 0.1)
 
 let test_generic_solver_case3 () =
@@ -349,13 +366,16 @@ let test_generic_solver_case3 () =
   let comps = Locality.decompose ~channels ~n_vars:1 in
   match comps with
   | [ comp ] ->
-      let cls = Local_solver.classify ~vars ~channels comp in
-      Alcotest.(check bool) "generic" true (cls = Local_solver.Generic);
+      let p = Local_solver.prepare ~vars ~channels comp in
+      Alcotest.(check bool) "generic" true
+        (match Local_solver.case p with
+        | Local_solver.Generic _ -> true
+        | _ -> false);
       let alpha = [| 1.0 |] in
-      let t = Local_solver.min_time ~vars ~channels ~alpha comp cls in
+      let t, _ = Local_solver.min_time ~sup:none ~alpha p in
       check_close "T = 1" 1e-3 1.0 t;
-      let { Local_solver.assignments; eps2 } =
-        Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:1.001 comp cls
+      let { Local_solver.assignments; eps2 }, _ =
+        Local_solver.solve ~sup:none ~alpha ~t_sim:1.001 p
       in
       Alcotest.(check bool) "small residual" true (eps2 < 1e-3);
       (match assignments with
@@ -377,69 +397,58 @@ let test_const_component () =
   let comps = Locality.decompose ~channels ~n_vars:0 in
   match comps with
   | [ comp ] ->
-      let cls = Local_solver.classify ~vars ~channels comp in
-      Alcotest.(check bool) "const" true (cls = Local_solver.Const_channels);
+      (* the generic override leaves a variable-free component const *)
+      let p = Local_solver.prepare ~generic:true ~vars ~channels comp in
+      Alcotest.(check bool) "const" true
+        (match Local_solver.case p with
+        | Local_solver.Const _ -> true
+        | _ -> false);
       check_close "T = alpha / k" 1e-12 3.0
-        (Local_solver.min_time ~vars ~channels ~alpha:[| 6.0 |] comp cls)
+        (fst (Local_solver.min_time ~sup:none ~alpha:[| 6.0 |] p))
   | _ -> Alcotest.fail "one component expected"
 
 (* ---- Fixed_solver ---- *)
 
+(* The runtime-fixed component of a Rydberg device, prepared. *)
+let prepared_positions ryd =
+  let channels, vars, solvers = classified ryd in
+  match
+    List.filter_map
+      (function
+        | Compile_plan.Fixed p -> Some p | Compile_plan.Dynamic _ -> None)
+      solvers
+  with
+  | [ p ] -> (channels, vars, Fixed_solver.component p, p)
+  | _ -> Alcotest.fail "one position component expected"
+
 let test_fixed_solver_positions () =
   let ryd = rydberg3 () in
-  let channels, vars, comps, classes = classified ryd in
+  let channels, vars, comp, _ = prepared_positions ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
-  List.iter2
-    (fun comp cls ->
-      match cls with
-      | Local_solver.Fixed_vars ->
-          let { Fixed_solver.assignments; eps2 } =
-            Fixed_solver.solve ~vars ~channels ~alpha ~t_sim:0.8 comp
-          in
-          Alcotest.(check bool) "small residual" true (eps2 < 0.05);
-          let lookup v = List.assoc v.Variable.id assignments in
-          check_close "x0 pinned" 1e-9 0.0 (lookup ryd.Rydberg.xs.(0));
-          check_close "x1 = 7.46" 0.05 7.4614 (Float.abs (lookup ryd.Rydberg.xs.(1)));
-          check_close "x2 = 14.92" 0.1 14.9229 (Float.abs (lookup ryd.Rydberg.xs.(2)))
-      | Local_solver.Linear _ | Local_solver.Polar _
-      | Local_solver.Const_channels | Local_solver.Generic ->
-          ())
-    comps classes
+  let { Fixed_solver.assignments; eps2 } =
+    Fixed_solver.solve ~vars ~channels ~alpha ~t_sim:0.8 comp
+  in
+  Alcotest.(check bool) "small residual" true (eps2 < 0.05);
+  let lookup v = List.assoc v.Variable.id assignments in
+  check_close "x0 pinned" 1e-9 0.0 (lookup ryd.Rydberg.xs.(0));
+  check_close "x1 = 7.46" 0.05 7.4614 (Float.abs (lookup ryd.Rydberg.xs.(1)));
+  check_close "x2 = 14.92" 0.1 14.9229 (Float.abs (lookup ryd.Rydberg.xs.(2)))
 
 let test_fixed_solver_rejects_bad_time () =
   let ryd = rydberg3 () in
-  let channels, vars, comps, _ = classified ryd in
-  match comps with
-  | comp :: _ ->
-      Alcotest.check_raises "t<=0"
-        (Invalid_argument
-           (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
-              comp.Locality.id))
-        (fun () ->
-          ignore
-            (Fixed_solver.solve ~vars ~channels
-               ~alpha:(Array.make (Array.length channels) 0.0)
-               ~t_sim:0.0 comp))
-  | [] -> Alcotest.fail "no components"
+  let channels, vars, comp, _ = prepared_positions ryd in
+  Alcotest.check_raises "t<=0"
+    (Invalid_argument
+       (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
+          comp.Locality.id))
+    (fun () ->
+      ignore
+        (Fixed_solver.solve ~vars ~channels
+           ~alpha:(Array.make (Array.length channels) 0.0)
+           ~t_sim:0.0 comp))
 
 (* ---- Fixed_solver magnitude pre-fit ---- *)
-
-(* The runtime-fixed component of a Rydberg device, prepared. *)
-let prepared_positions ryd =
-  let channels, vars, comps, classes = classified ryd in
-  match
-    List.filter_map
-      (fun (comp, cls) ->
-        match cls with
-        | Local_solver.Fixed_vars -> Some comp
-        | Local_solver.Linear _ | Local_solver.Polar _
-        | Local_solver.Const_channels | Local_solver.Generic ->
-            None)
-      (List.combine comps classes)
-  with
-  | [ comp ] -> (channels, vars, comp, Fixed_solver.prepare ~vars ~channels comp)
-  | _ -> Alcotest.fail "one position component expected"
 
 (* A synthetic runtime-fixed component: one channel per expression over
    the given variables ([(lo, hi, init)]; lo = hi pins). *)

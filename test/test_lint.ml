@@ -1,6 +1,6 @@
 (* Tests for static analyzer stage two: the kernel IR verifier
    (Kernel_check, QT017-QT022), the plan-invariant linter (Plan_lint via
-   Compile_plan.lint, QT023-QT028), the lint gate on fresh plan builds,
+   Compile_plan.lint, QT023-QT026), the lint gate on fresh plan builds,
    and the fused/unfused peephole-equivalence property. *)
 
 open Qturbo_pauli
@@ -234,8 +234,6 @@ let check_has msg code diags =
     Alcotest.failf "%s: expected %s among [%s]" msg code
       (String.concat "; " (codes diags))
 
-let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l
-
 let test_qt023_support_coverage () =
   let plan = Lazy.force base_plan in
   let bad =
@@ -300,55 +298,17 @@ let test_qt024_repeated_channel () =
   if not (List.exists (fun d -> d.D.message = expected) diags) then
     Alcotest.failf "no diagnostic says %S" expected
 
+(* The first prepared solver listed twice: its component's channels,
+   variables and id each appear in two components. *)
 let test_qt025_partition () =
   let plan = Lazy.force base_plan in
   let d = plan.Compile_plan.device in
-  let comps =
-    match d.Compile_plan.comps with
-    | (c : Locality.component) :: rest ->
-        {
-          c with
-          Locality.channel_ids =
-            (match c.Locality.channel_ids with
-            | cid :: _ as ids -> cid :: ids
-            | [] -> []);
-        }
-        :: rest
-    | [] -> []
+  let prepared =
+    match d.Compile_plan.prepared with s :: _ as all -> s :: all | [] -> []
   in
-  let bad =
-    { plan with Compile_plan.device = { d with Compile_plan.comps = comps } }
-  in
-  check_codes "duplicated channel" [ "QT025" ] (Compile_plan.lint bad)
-
-let test_qt026_classification () =
-  let plan = Lazy.force base_plan in
-  let d = plan.Compile_plan.device in
-  let bad =
-    {
-      plan with
-      Compile_plan.device =
-        {
-          d with
-          Compile_plan.classifications = drop_last d.Compile_plan.classifications;
-        };
-    }
-  in
-  check_has "count mismatch" "QT026" (Compile_plan.lint bad)
-
-let test_qt027_key_roundtrip () =
-  let plan = Lazy.force base_plan in
-  let bad = { plan with Compile_plan.key = plan.Compile_plan.key ^ "#stale" } in
-  check_codes "stale key" [ "QT027" ] (Compile_plan.lint bad)
-
-let test_qt028_prepared () =
-  let plan = Lazy.force base_plan in
-  let d = plan.Compile_plan.device in
-  let device =
-    { d with Compile_plan.prepared = drop_last d.Compile_plan.prepared }
-  in
+  let device = { d with Compile_plan.prepared } in
   let bad = { plan with Compile_plan.device = device } in
-  check_codes "prepared count" [ "QT028" ] (Compile_plan.lint bad);
+  check_codes "duplicated solver" [ "QT025" ] (Compile_plan.lint bad);
   (* the gate every fresh build runs refuses the same defect *)
   match
     Compile_plan.build ~device ~aais:d.Compile_plan.aais
@@ -356,9 +316,53 @@ let test_qt028_prepared () =
   with
   | _ -> Alcotest.fail "a fresh build over a broken device part was served"
   | exception D.Rejected diags ->
-      Alcotest.(check (list string))
-        "fresh build rejected" [ "QT028" ]
-        (List.map (fun d -> d.D.code) diags)
+      check_codes "fresh build rejected" [ "QT025" ] diags
+
+(* A hand-edited payload can still break a classification's arity: a
+   linear classification naming a variable outside its component, and
+   a const classification over a component with variables.  Two
+   channels (Z0 and X0), one variable each, one component each; every
+   other pass is clean. *)
+let test_qt026_classification () =
+  let module PL = Qturbo_analysis.Plan_lint in
+  let z0 = Pauli_string.single 0 Pauli.Z
+  and x0 = Pauli_string.single 0 Pauli.X in
+  let cells = [| [ (0, 1.0) ]; [ (1, 1.0) ] |] in
+  let comp id =
+    { Qturbo_analysis.Structure.id; channel_ids = [ id ]; var_ids = [ id ] }
+  in
+  let view components =
+    {
+      PL.support = [ z0 ];
+      rows = [| z0; x0 |];
+      cells;
+      csr = Qturbo_linalg.Csr.of_row_lists ~cols:2 cells;
+      n_channels = 2;
+      n_vars = 2;
+      channel_terms = [ z0; x0 ];
+      components;
+    }
+  in
+  let linear vars =
+    { PL.name = "linear"; class_vars = vars; class_channels = [ 0 ] }
+  in
+  let const = { PL.name = "const"; class_vars = []; class_channels = [ 1 ] } in
+  let generic =
+    { PL.name = "generic"; class_vars = [ 1 ]; class_channels = [] }
+  in
+  check_codes "sound view" []
+    (PL.check (view [ (comp 0, linear [ 0 ]); (comp 1, generic) ]));
+  let diags = PL.check (view [ (comp 0, linear [ 1 ]); (comp 1, const) ]) in
+  check_codes "broken classifications" [ "QT026" ] diags;
+  List.iter
+    (fun expected ->
+      if not (List.exists (fun d -> d.D.message = expected) diags) then
+        Alcotest.failf "no diagnostic says %S" expected)
+    [
+      "linear classification of component 0 names variable 1, which the \
+       component does not contain";
+      "component 1 is classified const but has 1 variable";
+    ]
 
 let () =
   Alcotest.run "lint"
@@ -402,8 +406,5 @@ let () =
           Alcotest.test_case "QT025 partition" `Quick test_qt025_partition;
           Alcotest.test_case "QT026 classification" `Quick
             test_qt026_classification;
-          Alcotest.test_case "QT027 key round-trip" `Quick
-            test_qt027_key_roundtrip;
-          Alcotest.test_case "QT028 prepared contexts" `Quick test_qt028_prepared;
         ] );
     ]

@@ -165,35 +165,6 @@ let test_key_digest_goldens () =
         (Digest.to_hex (Shape.digest inst.Qturbo_backend.Backend.aais)))
     key_digest_goldens
 
-(* The support section of a plan key is spelled sparsely, and QT027
-   parses it back: the round trip is exact, and text the renderer
-   cannot produce does not parse. *)
-let test_support_rendering_roundtrip () =
-  let supports =
-    [
-      [];
-      Shape.support_of_target (static_target "ising-cycle" 12);
-      Shape.support_of_target (static_target "kitaev" 7);
-      [
-        Pauli_string.of_list [ (0, Pauli.X); (17, Pauli.Y); (1203, Pauli.Z) ];
-        Pauli_string.single 9 Pauli.Y;
-      ];
-    ]
-  in
-  List.iter
-    (fun support ->
-      match Shape.support_of_rendering (Shape.of_support support) with
-      | Some parsed when List.equal Pauli_string.equal parsed support -> ()
-      | _ ->
-          Alcotest.failf "support %S does not round-trip"
-            (Shape.of_support support))
-    supports;
-  List.iter
-    (fun text ->
-      Alcotest.(check bool) (text ^ " is refused") true
-        (Shape.support_of_rendering text = None))
-    [ "Z0,"; "0,"; "0Z1,"; "0Q,"; "0Z0Z,"; "IZZ," ]
-
 (* ---- cached vs cold solves are bitwise-identical ---- *)
 
 let cold_vs_warm ~domains (j, h) =
@@ -704,7 +675,6 @@ let () =
         [
           quick "structural key sensitivity" test_plan_key_ignores_coefficients;
           QCheck_alcotest.to_alcotest prop_plan_key_coefficient_invariant;
-          quick "sparse support rendering round-trips" test_support_rendering_roundtrip;
           quick "device-key digests match the goldens" test_key_digest_goldens;
         ] );
       ( "cache",

@@ -233,12 +233,11 @@ let test_corrupt_store_rebuilds () =
 let test_csr_mismatch_rebuilds () =
   with_store @@ fun dir ->
   let r1 = compile_ising () in
-  let plan, _ =
-    Compile_plan.obtain ~options:Compiler.default_options
+  let key =
+    Compile_plan.plan_key ~options:Compiler.default_options
       ~aais:(rydberg_for 5).Rydberg.aais
       ~target:(static_target "ising-chain" 5)
   in
-  let key = plan.Compile_plan.key in
   let raw = PS.open_store ~version:(Compile_plan.store_version ()) ~dir in
   let tampered : Compile_plan.t =
     match PS.load raw ~key with
@@ -405,37 +404,93 @@ let test_store_bitwise_identical_across_domains () =
             [ ("cold store", cold); ("store hit", stored) ]))
     [ 1; 4 ]
 
-(* The AAIS's key memo holds a copy of the device rendering; the plan's
-   keys already carry it, so the payload must leave the memo out: it is
-   smaller than the resident plan's own marshaling by at least the
-   rendering. *)
+(* [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec matches i k = k = n || (s.[i + k] = sub.[k] && matches i (k + 1)) in
+  let rec from i = i + n <= m && (matches i 0 || from (i + 1)) in
+  from 0
+
+(* The entry's header carries the exact key, so the payload carries no
+   copy of the device rendering: the plan keeps none, and the AAIS's
+   key memo is left out. *)
 let test_store_payload_leaves_out_key_memo () =
   with_store @@ fun dir ->
   let aais = (rydberg_for 5).Rydberg.aais in
-  let plan, _ =
-    Compile_plan.obtain ~options:Compiler.default_options ~aais
-      ~target:(static_target "ising-chain" 5)
-  in
+  let target = static_target "ising-chain" 5 in
+  ignore (Compile_plan.obtain ~options:Compiler.default_options ~aais ~target);
   let rendering = Shape.of_aais aais in
   let payload =
     match
       PS.load
         (PS.open_store ~version:(Compile_plan.store_version ()) ~dir)
-        ~key:plan.Compile_plan.key
+        ~key:
+          (Compile_plan.plan_key ~options:Compiler.default_options ~aais
+             ~target)
     with
     | Some p -> p
     | None -> Alcotest.fail "the fresh build was not persisted"
   in
-  let resident = Marshal.to_string plan [ Marshal.Closures ] in
-  if String.length payload + String.length rendering > String.length resident
-  then
-    Alcotest.failf "payload %d bytes + rendering %d > resident plan %d bytes"
-      (String.length payload) (String.length rendering)
-      (String.length resident);
+  Alcotest.(check bool) "the entry's header holds the rendering" true
+    (contains ~sub:rendering (read_file (sole_entry dir)));
+  Alcotest.(check bool) "the payload holds no copy of it" false
+    (contains ~sub:rendering payload);
   let loaded : Compile_plan.t = Marshal.from_string payload 0 in
   Alcotest.(check bool) "the loaded device renders the same" true
     (String.equal rendering
        (Shape.of_aais loaded.Compile_plan.device.Compile_plan.aais))
+
+(* A self-consistent entry for another request passes every byte check
+   and the lint gate: here a plan built for a smaller support, or one
+   whose solver flag is flipped.  The fetch compares the payload's
+   support and flag with the request's, so either is a corrupt miss;
+   the rebuild gives the cold build's bits and repairs the entry. *)
+let mismatched_entry_rebuilds edit () =
+  with_store @@ fun dir ->
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let target = static_target "ising-chain" 5 in
+  let cold = compile_ising () in
+  tamper_entry dir ~aais ~target edit;
+  Compile_plan.clear_caches ();
+  let r = compile_ising () in
+  Alcotest.(check bool) "refused, rebuilt" false
+    r.Compiler.plan.Compiler.store_hit;
+  check_bits "t_sim identical" cold.Compiler.t_sim r.Compiler.t_sim;
+  check_bits_arr "env identical" cold.Compiler.env r.Compiler.env;
+  check_bits "error identical" cold.Compiler.error_l1 r.Compiler.error_l1;
+  (match Compile_plan.store_stats () with
+  | None -> Alcotest.fail "store stats missing"
+  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt);
+  Compile_plan.clear_caches ();
+  let r = compile_ising () in
+  Alcotest.(check bool) "repaired entry hits" true
+    r.Compiler.plan.Compiler.store_hit
+
+let test_other_support_rebuilds =
+  mismatched_entry_rebuilds (fun p ->
+      let d = p.Compile_plan.device in
+      let plan =
+        Compile_plan.build ~device:d ~aais:d.Compile_plan.aais
+          ~target_shape:(List.tl p.Compile_plan.support) ()
+      in
+      Alcotest.(check (list string)) "the smaller plan lints clean" []
+        (List.map
+           (fun (d : Qturbo_analysis.Diagnostic.t) -> d.code)
+           (Compile_plan.lint plan));
+      plan)
+
+let test_flipped_solver_flag_rebuilds =
+  mismatched_entry_rebuilds (fun p ->
+      let d = p.Compile_plan.device in
+      {
+        p with
+        Compile_plan.device =
+          {
+            d with
+            Compile_plan.generic_local_solver =
+              not d.Compile_plan.generic_local_solver;
+          };
+      })
 
 (* A store hit for a device whose variables are bit-identical to the
    stored one's is rebound onto the requester's AAIS: one resident copy
@@ -548,6 +603,10 @@ let () =
             `Quick test_store_bitwise_identical_across_domains;
           Alcotest.test_case "payload leaves out the key memo" `Quick
             test_store_payload_leaves_out_key_memo;
+          Alcotest.test_case "an entry for another support rebuilds" `Quick
+            test_other_support_rebuilds;
+          Alcotest.test_case "an entry with the other solver flag rebuilds"
+            `Quick test_flipped_solver_flag_rebuilds;
           Alcotest.test_case "a store hit rebinds onto an identical device"
             `Quick test_store_hit_rebinds_onto_requester;
           Alcotest.test_case "radii keeping the same pairs key apart"
