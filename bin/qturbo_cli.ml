@@ -42,21 +42,10 @@ let resolve_backend = Ops.resolve_backend
 
 (* ---- persistent plan store -------------------------------------------- *)
 
-(* --plan-store DIR (or the QTURBO_PLAN_STORE environment variable)
-   enables the on-disk plan store for this invocation; --no-plan-store
-   wins over the environment. *)
-let setup_plan_store ~plan_store ~no_plan_store =
-  if no_plan_store then Qturbo_core.Compile_plan.disable_store ()
-  else
-    let dir =
-      match plan_store with
-      | Some _ -> plan_store
-      | None -> (
-          match Sys.getenv_opt "QTURBO_PLAN_STORE" with
-          | Some "" | None -> None
-          | dir -> dir)
-    in
-    Option.iter (fun dir -> Qturbo_core.Compile_plan.enable_store ~dir) dir
+(* --plan-store DIR enables the on-disk plan store for this
+   invocation. *)
+let setup_plan_store plan_store =
+  Option.iter (fun dir -> Qturbo_core.Compile_plan.enable_store ~dir) plan_store
 
 let plan_store_arg =
   Cmdliner.Arg.(
@@ -64,22 +53,13 @@ let plan_store_arg =
     & opt (some string) None
     & info [ "plan-store" ] ~docv:"DIR"
         ~doc:
-          "Persist coefficient-free compile plans under $(docv) and reuse \
-           them across processes: a cold invocation whose structural key is \
-           already stored skips the whole front end.  Entries are keyed by \
-           the exact structural key plus a store-format/binary version; any \
+          "Persist each compile plan's support and linear-system skeleton \
+           under $(docv) and reuse them across processes: a cold invocation \
+           whose structural key is already stored checks the entry against \
+           its own device and builds the rest.  Entries are keyed by the \
+           exact structural key plus a store-format/binary version; any \
            mismatch or corruption falls back to a counted rebuild.  Results \
-           are bitwise-identical with the store on or off.  The \
-           $(b,QTURBO_PLAN_STORE) environment variable sets a default \
-           directory.")
-
-let no_plan_store_flag =
-  Cmdliner.Arg.(
-    value & flag
-    & info [ "no-plan-store" ]
-        ~doc:
-          "Ignore $(b,QTURBO_PLAN_STORE) and run without the on-disk plan \
-           store.")
+           are bitwise-identical with the store on or off.")
 
 (* ---- compile ---- *)
 
@@ -209,12 +189,12 @@ let user_errors f =
 
 let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
     segments
-    domains baseline no_refine no_time_opt no_plan_cache plan_store
-    no_plan_store repeat best_effort
+    domains baseline no_refine no_time_opt no_plan_cache plan_store repeat
+    best_effort
     deadline show_pulse ramp json verbose =
  user_errors @@ fun () ->
   setup_logging verbose;
-  setup_plan_store ~plan_store ~no_plan_store;
+  setup_plan_store plan_store;
   let model = resolve_model ~hamiltonian ~model_name ~n ~j ~h in
   let n = model.Qturbo_models.Model.n in
   if json && (baseline || Qturbo_models.Model.is_driven model) then
@@ -438,8 +418,8 @@ let compile_term =
   Term.(
     const compile_cmd $ model_arg $ hamiltonian_arg $ n_arg $ backend_arg $ device_arg $ cutoff_arg $ t_tar_arg
     $ j_arg $ h_arg $ segments_arg $ domains_arg $ baseline_flag $ no_refine_flag
-    $ no_time_opt_flag $ no_plan_cache_flag $ plan_store_arg
-    $ no_plan_store_flag $ repeat_arg $ best_effort_flag
+    $ no_time_opt_flag $ no_plan_cache_flag $ plan_store_arg $ repeat_arg
+    $ best_effort_flag
     $ deadline_arg $ show_pulse_flag $ ramp_flag $ json_flag $ verbose_flag)
 
 let compile_info =
@@ -590,14 +570,15 @@ let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
   | "plan-csr" ->
       (* the CSR the linear solve reads no longer packs the skeleton's
          cells: one stored coefficient changed in a deep copy (the
-         skeleton is shared and its lists are immutable, so the copy
-         goes through the store's marshaling) *)
-      let copy : CP.t =
-        Marshal.from_string (Marshal.to_string plan [ Marshal.Closures ]) 0
+         skeleton is shared and immutable through its API, so the copy
+         goes through marshaling, as a store entry does) *)
+      let skeleton : Qturbo_core.Linear_system.skeleton =
+        Marshal.from_string (Marshal.to_string plan.CP.skeleton []) 0
       in
+      let copy = { plan with CP.skeleton } in
       let values =
         Qturbo_linalg.Csr.values
-          (Qturbo_core.Linear_system.skeleton_csr copy.CP.skeleton)
+          (Qturbo_core.Linear_system.skeleton_csr skeleton)
       in
       if Array.length values > 0 then values.(0) <- values.(0) +. 1.0;
       Some ("QT024", copy)
@@ -757,10 +738,10 @@ let print_plan_summary ~plan_cache =
 
 let sweep_cmd model_name hamiltonian n backend device_name cutoff jobs_file
     sweep_j sweep_h sweep_t sweep_segments domains batch_domains no_plan_cache
-    plan_store no_plan_store best_effort json verbose =
+    plan_store best_effort json verbose =
  user_errors @@ fun () ->
   setup_logging verbose;
-  setup_plan_store ~plan_store ~no_plan_store;
+  setup_plan_store plan_store;
   let options =
     Ops.options_with ~domains ~best_effort ~deadline:0.0 ~no_plan_cache
   in
@@ -908,8 +889,8 @@ let sweep_term =
     const sweep_cmd $ model_arg $ hamiltonian_arg $ n_arg $ backend_arg
     $ device_arg $ cutoff_arg $ jobs_file_arg $ sweep_j_arg $ sweep_h_arg
     $ sweep_t_arg $ sweep_segments_arg $ domains_arg $ batch_domains_arg
-    $ no_plan_cache_flag $ plan_store_arg $ no_plan_store_flag
-    $ best_effort_flag $ json_flag $ verbose_flag)
+    $ no_plan_cache_flag $ plan_store_arg $ best_effort_flag $ json_flag
+    $ verbose_flag)
 
 let sweep_info =
   Cmd.info "sweep"
@@ -1005,10 +986,10 @@ let socket_arg =
            system temporary directory).")
 
 let serve_cmd socket max_request_bytes deadline_cap max_requests plan_store
-    no_plan_store verbose =
+    verbose =
  user_errors @@ fun () ->
   setup_logging verbose;
-  setup_plan_store ~plan_store ~no_plan_store;
+  setup_plan_store plan_store;
   let socket_path = Option.value socket ~default:(default_socket_path ()) in
   if max_request_bytes < 1 then failwith "--max-request-bytes must be >= 1";
   let config =
@@ -1051,13 +1032,13 @@ let max_requests_arg =
 let serve_term =
   Term.(
     const serve_cmd $ socket_arg $ max_request_bytes_arg $ deadline_cap_arg
-    $ max_requests_arg $ plan_store_arg $ no_plan_store_flag $ verbose_flag)
+    $ max_requests_arg $ plan_store_arg $ verbose_flag)
 
 let serve_info =
   Cmd.info "serve"
     ~doc:
       "Run the compile daemon on a Unix-domain socket: one warm process \
-       (plan cache, device artifacts, optional plan store) answering \
+       (plan cache, backend instances, optional plan store) answering \
        newline-delimited JSON requests — compile, check, lint, sweep, \
        stats, ping, shutdown.  Responses reuse the exact --json payload \
        shapes; a request can fail (typed error responses carrying the \

@@ -169,26 +169,22 @@ let plan_key_of_support ~(options : options) ~aais ~support =
 let plan_key ~options ~aais ~target =
   plan_key_of_support ~options ~aais ~support:(support_of_target target)
 
-(* The in-memory LRUs file entries under compact keys: the solver flag
-   and digests of the device rendering (and of the support, for plans).
-   A digest match is only a candidate; [device_serves] / [plan_serves]
-   confirm it exactly before anything is served. *)
-let device_lru_key ~generic ~aais =
-  flag_prefix generic ^ Digest.to_hex (Shape.digest aais)
-
+(* The in-memory LRU files a plan under a compact key: the solver flag
+   and digests of the device rendering and of the support.  A digest
+   match is only a candidate; [plan_serves] confirms it exactly before
+   anything is served. *)
 let plan_lru_key ~generic ~aais ~support =
-  device_lru_key ~generic ~aais
+  flag_prefix generic
+  ^ Digest.to_hex (Shape.digest aais)
   ^ "|"
   ^ Digest.to_hex (Digest.string (Shape.of_support support))
 
-let device_serves ~generic ~aais (d : device) =
-  Bool.equal d.generic_local_solver generic && Shape.same_device d.aais aais
-
 let plan_serves ~generic ~aais ~support (p : t) =
-  device_serves ~generic ~aais p.device
+  Bool.equal p.device.generic_local_solver generic
+  && Shape.same_device p.device.aais aais
   && List.equal Pauli_string.equal p.support support
 
-let build_device ?(options = default_options) ~aais () =
+let build_device ~(options : options) ~aais =
   let channels = Aais.channels aais in
   let vars = Aais.variables aais in
   let generic = options.generic_local_solver in
@@ -225,25 +221,6 @@ let structure_comp s =
     var_ids = c.Locality.var_ids;
   }
 
-(* What the analyzer needs of a plan beyond its target: the structure
-   pass and the tables of passes 1, 2 and 4 over the support rows (the
-   index numbers the support first).  Computed when a plan is built, and
-   again from the linted artifacts when one is loaded from the store. *)
-let analyzed (d : device) ~support skeleton =
-  let index = Linear_system.skeleton_index skeleton in
-  let cells = Linear_system.skeleton_cells skeleton in
-  let structure_diags =
-    Qturbo_analysis.Structure.check ~channels:d.channels ~variables:d.vars
-      ~rows:(structure_rows ~index ~cells)
-      ~comps:(List.map structure_comp d.prepared)
-  in
-  let precheck =
-    Qturbo_analysis.Analysis.table ~channels:d.channels ~variables:d.vars
-      ~cells
-      ~rows:(Int.min (List.length support) (Term_index.count index))
-  in
-  (structure_diags, precheck)
-
 (* ------------------------------------------------------------------ *)
 (* Plan linting                                                        *)
 
@@ -273,9 +250,8 @@ let classification_view s =
     class_channels;
   }
 
-let lint (plan : t) =
-  let d = plan.device in
-  let index = Linear_system.skeleton_index plan.skeleton in
+let lint_artifacts (d : device) ~support skeleton =
+  let index = Linear_system.skeleton_index skeleton in
   let channel_terms =
     (* hash-based dedup: devices carry O(n²) channels whose effect terms
        overlap heavily, and the comparison-sort over the raw concat
@@ -292,10 +268,10 @@ let lint (plan : t) =
   in
   Qturbo_analysis.Plan_lint.check
     {
-      Qturbo_analysis.Plan_lint.support = plan.support;
+      Qturbo_analysis.Plan_lint.support;
       rows = Term_index.strings index;
-      cells = Linear_system.skeleton_cells plan.skeleton;
-      csr = Linear_system.skeleton_csr plan.skeleton;
+      cells = Linear_system.skeleton_cells skeleton;
+      csr = Linear_system.skeleton_csr skeleton;
       n_channels = Array.length d.channels;
       n_vars = Array.length d.vars;
       channel_terms;
@@ -305,67 +281,67 @@ let lint (plan : t) =
           d.prepared;
     }
 
+let lint (plan : t) =
+  lint_artifacts plan.device ~support:plan.support plan.skeleton
+
 (* ------------------------------------------------------------------ *)
-(* Caches                                                              *)
+(* Admission and the cache                                             *)
 
 let plan_cache : t Plan_cache.t = Plan_cache.create ~capacity:32
-let device_cache : device Plan_cache.t = Plan_cache.create ~capacity:8
 
 let cache_stats () = Plan_cache.stats plan_cache
 let cache_per_key () = Plan_cache.per_key plan_cache
-let device_cache_stats () = Plan_cache.stats device_cache
 
 let clear_caches = Plan_cache.clear_all
 
-let obtain_device ~options ~aais =
-  if not options.plan_cache then build_device ~options ~aais ()
-  else
-    let generic = options.generic_local_solver in
-    let key = device_lru_key ~generic ~aais in
-    let accept = device_serves ~generic ~aais in
-    match Plan_cache.find device_cache key ~accept with
-    | Some d -> d
-    | None ->
-        let d = build_device ~options ~aais () in
-        Plan_cache.add device_cache key ~accept d;
-        d
+(* The one step that admits a plan, from a fresh build or a store
+   load: the lint gate, then what the analyzer needs of a plan beyond
+   its target, the structure pass and the tables of passes 1, 2 and 4
+   over the support rows (the index numbers the support first).  No
+   lint pass reads the analyzer's results, so running it second moves
+   no output, and it never reads an artifact the gate refused.
+   [Error] carries the gate's errors. *)
+let admit ~(device : device) ~support ~skeleton ~lru_key =
+  let lint_diags = lint_artifacts device ~support skeleton in
+  match Diagnostic.errors lint_diags with
+  | _ :: _ as errors -> Error errors
+  | [] ->
+      let index = Linear_system.skeleton_index skeleton
+      and cells = Linear_system.skeleton_cells skeleton
+      and channels = device.channels
+      and variables = device.vars in
+      let structure_diags =
+        Qturbo_analysis.Structure.check ~channels ~variables
+          ~rows:(structure_rows ~index ~cells)
+          ~comps:(List.map structure_comp device.prepared)
+      in
+      let precheck =
+        Qturbo_analysis.Analysis.table ~channels ~variables ~cells
+          ~rows:(Int.min (List.length support) (Term_index.count index))
+      in
+      Ok
+        { device; support; skeleton; structure_diags; precheck; lint_diags;
+          lru_key; build_seconds = 0.0 }
 
+(* The LRU key and the lint gate are part of the front end: both run
+   before the clock is read.  Fresh builds are linted before anyone can
+   use (or cache) them. *)
 let build ?(options = default_options) ?device ~aais ~target_shape () =
   !stage_hook "plan-build";
   let t0 = Qturbo_util.Clock.now () in
   let device =
-    match device with Some d -> d | None -> obtain_device ~options ~aais
+    match device with Some d -> d | None -> build_device ~options ~aais
   in
   let skeleton =
     Linear_system.skeleton ~channels:device.channels ~support:target_shape
   in
-  let structure_diags, precheck =
-    analyzed device ~support:target_shape skeleton
+  let lru_key =
+    plan_lru_key ~generic:options.generic_local_solver ~aais
+      ~support:target_shape
   in
-  (* the LRU key and the lint gate are part of the front end: both run
-     before the clock is read.  Fresh builds are linted before anyone
-     can use (or cache) them. *)
-  let plan =
-    {
-      device;
-      support = target_shape;
-      skeleton;
-      structure_diags;
-      precheck;
-      lint_diags = [];
-      lru_key =
-        plan_lru_key ~generic:options.generic_local_solver ~aais
-          ~support:target_shape;
-      build_seconds = 0.0;
-    }
-  in
-  let lint_diags = lint plan in
-  let plan =
-    { plan with lint_diags; build_seconds = Qturbo_util.Clock.now () -. t0 }
-  in
-  match Diagnostic.errors lint_diags with
-  | [] -> plan
-  | lint_errors ->
+  match admit ~device ~support:target_shape ~skeleton ~lru_key with
+  | Ok plan -> { plan with build_seconds = Qturbo_util.Clock.now () -. t0 }
+  | Error lint_errors ->
       Log.err (fun m ->
           m "plan lint rejected a fresh build (%d errors)"
             (List.length lint_errors));
@@ -378,18 +354,18 @@ let lint_findings plan = plan.lint_diags
 
 module Plan_store = Qturbo_store.Plan_store
 
-(* Marshaled closures are only decodable by the exact binary that wrote
-   them (the runtime embeds code digests), so the store-format version
-   bakes in the executable's digest: a rebuilt binary invalidates every
-   prior entry as a counted version mismatch up front instead of a
-   decode failure later. *)
+(* [Marshal] is not type-safe across builds: a payload decoded by
+   another binary may not have the layout this one expects.  So the
+   store-format version bakes in the executable's digest, and a rebuilt
+   binary invalidates every prior entry as a counted version mismatch up
+   front instead of a bad decode later. *)
 let store_version =
   let v = lazy (
     let exe_digest =
       try Digest.to_hex (Digest.file Sys.executable_name)
       with Sys_error _ -> "unknown-executable"
     in
-    "qturbo-plan/1 " ^ exe_digest)
+    "qturbo-plan/2 " ^ exe_digest)
   in
   fun () -> Lazy.force v
 
@@ -402,18 +378,16 @@ let disable_store () = store := None
 let store_dir () = Option.map Plan_store.dir !store
 let store_stats () = Option.map Plan_store.stats !store
 
-(* A payload that passed the store's byte-level checks (magic, version,
-   the full key, checksum) can still be semantic garbage — a hand-edited
-   entry with a recomputed checksum.  The decode is exception-guarded,
-   the payload's solver flag and support must equal the request's (the
-   file header carries the key; the payload carries no copy of it), and
-   every deserialized plan passes the full [Plan_lint] gate before it
-   is served: store entries are the only plans that come from outside
-   this process.  No lint pass reads the analyzer's findings, so those
-   are re-derived from the linted skeleton and device rather than taken
-   from the payload, and the plan records the re-lint.  Any failure
-   demotes the store hit to a corrupt miss and the caller rebuilds. *)
-let store_fetch st ~key ~generic ~support =
+(* An entry is the plan's support and skeleton, so nothing a solve
+   executes comes from disk.  A payload that passed the store's byte
+   checks (magic, version, the full key with its solver flag, checksum)
+   can still be a hand edit with a recomputed checksum, so every byte
+   is checked: the decode is guarded, the support must equal the
+   request's and the skeleton must be the one the requester's channels
+   build.  Only then is the device part built, as a fresh build builds
+   it, and the plan passes the same admission step.  Any failure is a
+   corrupt miss, and the caller rebuilds. *)
+let store_fetch st ~key ~options ~aais ~support ~lru_key =
   let corrupt what =
     Plan_store.reclassify_corrupt st;
     Log.warn (fun m -> m "plan store entry %s; rebuilding" what);
@@ -422,42 +396,29 @@ let store_fetch st ~key ~generic ~support =
   match Plan_store.load st ~key with
   | None -> None
   | Some payload -> (
-      match (Marshal.from_string payload 0 : t) with
+      match
+        (Marshal.from_string payload 0
+          : Pauli_string.t list * Linear_system.skeleton)
+      with
       | exception _ -> corrupt "failed to decode"
-      | p
-        when not
-               (Bool.equal p.device.generic_local_solver generic
-               && List.equal Pauli_string.equal p.support support) ->
+      | stored, _ when not (List.equal Pauli_string.equal stored support) ->
           corrupt "does not match the request"
-      | p -> (
-          let diags = lint p in
-          if Diagnostic.has_errors diags then corrupt "failed the lint gate"
-          else
-            match analyzed p.device ~support:p.support p.skeleton with
-            | exception _ -> corrupt "failed the analyzer"
-            | structure_diags, precheck ->
-                Some { p with structure_diags; precheck; lint_diags = diags }))
+      | _, skeleton -> (
+          match
+            Linear_system.built_from ~channels:(Aais.channels aais) ~support
+              skeleton
+          with
+          | false | (exception _) -> corrupt "does not match the device"
+          | true -> (
+              let device = build_device ~options ~aais in
+              match admit ~device ~support ~skeleton ~lru_key with
+              | exception _ -> corrupt "failed the analyzer"
+              | Error _ -> corrupt "failed the lint gate"
+              | Ok p -> Some p)))
 
-(* The payload leaves out the AAIS's key memo: the entry's header
-   already carries the rendering, and a second copy would only grow
-   every entry a loader has to read, checksum and decode. *)
 let store_persist st ~key (p : t) =
-  let device = { p.device with aais = Aais.without_key_memo p.device.aais } in
-  let p = { p with device } in
-  match Marshal.to_string p [ Marshal.Closures ] with
-  | payload -> ignore (Plan_store.save st ~key ~payload : bool)
-  | exception _ ->
-      Log.warn (fun m -> m "plan could not be marshaled for the store")
-
-(* A stored plan arrives with its own deserialized AAIS, channels and
-   variables.  Its key equals the requester's, and the key renders
-   everything the solve and the analyzer read, so the plan is rebound
-   onto the requester's device: the device is resident once, and every
-   output bit is what the loaded copy would give.  Prepared components
-   hold their own programs and bounds, so only the device record
-   changes. *)
-let rebind_device (d : device) ~aais =
-  { d with aais; channels = Aais.channels aais; vars = Aais.variables aais }
+  let payload = Marshal.to_string (p.support, p.skeleton) [] in
+  ignore (Plan_store.save st ~key ~payload : bool)
 
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
@@ -484,18 +445,11 @@ let obtain_for_support ~options ~aais ~support =
         in
         match
           Option.bind store_key (fun (st, key) ->
-              store_fetch st ~key ~generic ~support)
+              store_fetch st ~key ~options ~aais ~support ~lru_key)
         with
         | Some p ->
             !stage_hook "plan-store-hit";
-            let p = { p with device = rebind_device p.device ~aais; lru_key } in
             Plan_cache.add plan_cache lru_key ~accept p;
-            (* the deserialized device part is shareable too: cache it so
-               fresh shapes on the same device skip the prepare pass *)
-            Plan_cache.add device_cache
-              (device_lru_key ~generic ~aais)
-              ~accept:(device_serves ~generic ~aais)
-              p.device;
             (p, Stored)
         | None ->
             (* [build] just linted this plan and raised on errors *)
@@ -692,7 +646,7 @@ let solve_component run ~alpha ~t_sim = function
       (assignments, eps2, failures)
   | Fixed p ->
       let { Fixed_solver.assignments; eps2 }, failures =
-        Fixed_solver.solve_supervised ~domains:run.fixed_domains ~sup:run.sup
+        Fixed_solver.solve ~domains:run.fixed_domains ~sup:run.sup
           ~alpha ~t_sim p
       in
       (assignments, eps2, failures)

@@ -167,8 +167,9 @@ type device = {
 }
 (** The target-independent part of a plan: the locality components as
     their prepared solvers, each classified with the
-    [generic_local_solver] override applied.  Depends only on the AAIS,
-    so it is shared across every target shape on the same device. *)
+    [generic_local_solver] override applied.  Depends only on the AAIS;
+    it is built inside {!build} (or a store hit) and lives only in its
+    plan. *)
 
 type t = {
   device : device;
@@ -183,7 +184,7 @@ type t = {
           target's terms against it *)
   lint_diags : Diagnostic.t list;
       (** everything the {!lint} gate reported when this plan was
-          admitted — at {!build}, or on the re-lint of a store load *)
+          admitted — at {!build}, or on a store load *)
   lru_key : string;
       (** the compact key the in-memory LRU files the plan under:
           solver flag, rendering digest, support digest *)
@@ -200,9 +201,10 @@ val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
     from the AAIS's memo, so only the first call on an AAIS value
     renders it. *)
 
-val obtain_device : options:options -> aais:Aais.t -> device
-(** Fetch-or-build the device part through its cache
-    ([options.plan_cache = false] builds fresh). *)
+val build_device : options:options -> aais:Aais.t -> device
+(** The device part {!build} builds for [aais]: one prepared solver per
+    locality component, under [options.generic_local_solver].  No cache
+    holds it. *)
 
 val build :
   ?options:options ->
@@ -211,18 +213,22 @@ val build :
   target_shape:Pauli_string.t list ->
   unit ->
   t
-(** Build a plan for a target shape (fires the ["plan-build"] hook).
-    [?device] reuses an already-built device part. *)
+(** Build a plan for a target shape (fires the ["plan-build"] hook):
+    the device part ({!build_device}), the skeleton, then admission —
+    the {!lint} gate, which raises {!Diagnostic.Rejected} on errors,
+    and the analyzer on the linted artifacts.  A store hit admits its
+    plan through the same step.  [?device] hands the gate a given device
+    part instead; it exists for tests of the gate. *)
 
 val obtain :
   options:options -> aais:Aais.t -> target:Pauli_sum.t -> t * provenance
 (** Fetch-or-build the plan for [target]'s shape, reporting where it
     came from.  Lookup order: memory LRU, then the persistent store
     (when {!enable_store} is active — a validated store hit back-fills
-    the LRU), then a fresh build (which back-fills both).  Fresh builds
-    pass through the {!lint} gate (see {!build}) and store payloads are
-    re-linted before being served; resident plans are immutable and are
-    served as they are. *)
+    the LRU), then a fresh build (which back-fills both).  A store hit
+    checks the entry's support and skeleton against the request, builds
+    the device part from [aais] and admits the plan as {!build} does;
+    resident plans are immutable and are served as they are. *)
 
 val obtain_for_support :
   options:options ->
@@ -242,8 +248,9 @@ val obtain_for_support :
     canonical support, skeleton dimensions, the partition of the
     channels and variables by the prepared solvers' components, and
     each solver's classification against its component.  {!build} runs
-    it on every fresh plan and raises {!Diagnostic.Rejected} on errors,
-    and every plan loaded from the persistent store is re-linted. *)
+    it on every fresh plan and raises {!Diagnostic.Rejected} on errors;
+    a plan assembled from a persistent-store entry passes the same gate,
+    and a failure there is a corrupt miss. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
@@ -410,13 +417,16 @@ val compile :
 
     Process-wide hook for the on-disk store ({!Qturbo_store.Plan_store}):
     when enabled, {!obtain} consults it on every memory-cache miss and
-    persists every fresh build, so a second process skips the front end
-    for shapes a first process already compiled.  Payloads are whole
-    plans marshaled with closures; the store version ties entries to
-    the exact executable (see {!store_version}), and every load is
-    checksum-validated and re-linted, so a stale, torn or hand-edited
-    entry degrades to a rebuild, never to wrong output.  Results are
-    bitwise-identical with the store on or off. *)
+    persists every fresh build.  An entry is a plan's support and
+    skeleton, marshaled without closures: nothing a solve executes
+    comes from disk.  The store version ties entries to the exact
+    executable (see {!store_version}); a load is checksum-validated,
+    its support must equal the request's and its skeleton must be the
+    one the requester's channels build ({!Linear_system.built_from}),
+    and the plan is then admitted as {!build} admits one, over a device
+    part built from the requester's AAIS.  So a stale, torn or
+    hand-edited entry degrades to a rebuild, never to wrong output.
+    Results are bitwise-identical with the store on or off. *)
 
 val enable_store : dir:string -> unit
 (** Route {!obtain} through a store rooted at [dir] (created lazily).
@@ -429,9 +439,9 @@ val store_stats : unit -> Qturbo_store.Plan_store.stats option
 
 val store_version : unit -> string
 (** The store-format version tag this process writes and requires:
-    a format prefix plus the running executable's digest (marshaled
-    closures do not survive a rebuild, so a new binary must invalidate
-    every prior entry).  Exposed for tests and ops tooling. *)
+    a format prefix plus the running executable's digest ([Marshal] is
+    not type-safe across builds, so a new binary must invalidate every
+    prior entry).  Exposed for tests and ops tooling. *)
 
 (** {1 Cache control} *)
 
@@ -442,10 +452,7 @@ val cache_per_key : unit -> (string * Plan_cache.key_stats) list
     ({!t.lru_key}; display layers digest them further), sorted by
     key. *)
 
-val device_cache_stats : unit -> Plan_cache.stats
-
 val clear_caches : unit -> unit
-(** Empty every {!Plan_cache} in the process — plans, device parts and
-    the service's backend instances — and zero their counters: the
-    state of a fresh process (tests, benchmarks and cold-path
-    measurement). *)
+(** Empty every {!Plan_cache} in the process — plans and the
+    service's backend instances — and zero their counters: the state of
+    a fresh process (tests, benchmarks and cold-path measurement). *)

@@ -7,12 +7,10 @@ let analyze ?t_max ~aais ~target ~t_tar () =
 
 let compile_batch ?(options = default_options) ?(strict = true) ?t_max
     ?(batch_domains = 1) ~aais jobs =
-  (* the device part is shared across every job; plans are memoized per
-     target shape — through the process-wide cache when it is enabled,
-     through a batch-local table otherwise (a disabled cache must still
-     not rebuild the front-end for jobs of equal shape, that is the
-     whole point of batching) *)
-  let device = lazy (obtain_device ~options ~aais) in
+  (* plans are memoized per target shape — through the process-wide
+     cache when it is enabled, through a batch-local table otherwise (a
+     disabled cache must still not rebuild the front-end for jobs of
+     equal shape, that is the whole point of batching) *)
   let local : (string, t) Hashtbl.t = Hashtbl.create 8 in
   (* Phase 1 — validate and acquire plans sequentially in job order.
      All cache mutation (and therefore all hit/miss/discard accounting)
@@ -31,10 +29,7 @@ let compile_batch ?(options = default_options) ?(strict = true) ?t_max
             match Hashtbl.find_opt local key with
             | Some p -> (p, Cached)
             | None ->
-                let p =
-                  build ~options ~device:(Lazy.force device) ~aais
-                    ~target_shape:support ()
-                in
+                let p = build ~options ~aais ~target_shape:support () in
                 Hashtbl.add local key p;
                 (p, Built)
           end

@@ -10,8 +10,8 @@ let is_pinned (b : Bounds.bound) = b.Bounds.lo = b.Bounds.hi
    the free/pinned split, the sparse symbolic Jacobian (structure and
    compiled derivative kernels), the channel kernels and the rows'
    common degree of homogeneity.  It holds its own programs, bounds and
-   starting layout and nothing of the device it came from, so a plan
-   rebound onto an identical device uses it unchanged.  The dominant
+   starting layout and nothing of the device it came from, so a cached
+   plan serves every device whose key equals its own.  The dominant
    saving is the Jacobian scan: probing every (row, variable) pair costs
    O(rows · cols) symbolic derivatives, while scanning each row's own
    variable set costs O(rows · vars-per-row) — a van-der-Waals channel
@@ -315,7 +315,7 @@ let start_of_sweep ~alpha ~t_sim p sw =
 let prefit ~alpha ~t_sim p =
   start_of_sweep ~alpha ~t_sim p (sweep ~domains:1 ~alpha ~t_sim p)
 
-let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
+let solve ?(domains = 1) ~sup ~alpha ~t_sim p =
   let sw = sweep ~domains ~alpha ~t_sim p in
   let start = start_of_sweep ~alpha ~t_sim p sw in
   let nv = Array.length p.free_ids in
@@ -395,9 +395,3 @@ let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
   in
   ( { assignments = free_assignments @ p.pinned; eps2 },
     start.failures @ solve_failures )
-
-let solve ?domains ~vars ~channels ~alpha ~t_sim comp =
-  fst
-    (solve_supervised ?domains ~sup:Qturbo_resilience.Supervisor.none ~alpha
-       ~t_sim
-       (prepare ~vars ~channels comp))

@@ -98,11 +98,11 @@ type start = {
 }
 
 val prefit : alpha:float array -> t_sim:float -> prepared -> start
-(** The magnitude pre-fit {!solve_supervised} starts from (see
+(** The magnitude pre-fit {!solve} starts from (see
     "Initialisation" above), on one domain: the same start at any pool
     width.  Raises [Invalid_argument] when [t_sim <= 0]. *)
 
-val solve_supervised :
+val solve :
   ?domains:int ->
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
@@ -121,15 +121,3 @@ val solve_supervised :
     [domains = 1]; components below {!par_threshold} rows or entries
     stay sequential regardless).
     Raises [Invalid_argument] when [t_sim <= 0]. *)
-
-val solve :
-  ?domains:int ->
-  vars:Qturbo_aais.Variable.t array ->
-  channels:Qturbo_aais.Instruction.channel array ->
-  alpha:float array ->
-  t_sim:float ->
-  Locality.component ->
-  result
-(** [prepare] + {!solve_supervised} under
-    {!Qturbo_resilience.Supervisor.none}, failures dropped — a one-off
-    probe.  Raises [Invalid_argument] when [t_sim <= 0]. *)

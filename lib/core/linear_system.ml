@@ -47,6 +47,51 @@ let skeleton ~channels ~support =
     sk_csr = csr;
   }
 
+(* One pass over [skeleton]'s own order: rows are numbered by first
+   occurrence, the support's terms and then the channels' effect terms,
+   so each term must name a row already numbered or the next one, and
+   the row's string must be the term (which makes the lookup table
+   return each row's own number).  Each effect consumes the head of its
+   row's cells, which must be the channel and the coefficient bit for
+   bit; the CSR's agreement with the cells is the lint gate's QT024. *)
+let built_from ~channels ~support sk =
+  let index = sk.sk_index in
+  let n_rows = Term_index.count index in
+  let pending = Array.copy sk.sk_cells in
+  let next = ref 0 in
+  let row s =
+    match Term_index.row_of index s with
+    | Some r
+      when r <= !next && r < n_rows
+           && Pauli_string.equal (Term_index.string_of index r) s ->
+        if r = !next then incr next;
+        r
+    | _ -> raise_notrace Exit
+  in
+  let effect (c : Instruction.channel) (s, coeff) =
+    let r = row s in
+    match pending.(r) with
+    | (cid, v) :: rest
+      when cid = c.Instruction.cid
+           && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float coeff)
+      ->
+        pending.(r) <- rest
+    | _ -> raise_notrace Exit
+  in
+  sk.sk_n_channels = Array.length channels
+  && Array.length pending = n_rows
+  &&
+  match
+    List.iter
+      (fun s -> if not (Pauli_string.is_identity s) then ignore (row s))
+      support;
+    Array.iter
+      (fun c -> List.iter (effect c) (Instruction.effect_terms c))
+      channels
+  with
+  | exception Exit -> false
+  | () -> !next = n_rows && Array.for_all List.is_empty pending
+
 (* Filled from the target's terms, so the cost follows the target: a
    row the target does not name keeps [0.0 *. t_tar], the bits a zero
    coefficient gives ([-0.0] for a negative [t_tar], NaN for an

@@ -37,6 +37,19 @@ val skeleton :
     [Invalid_argument] when a row would name a channel twice — the
     structural precondition {!solve} relies on without re-checking. *)
 
+val built_from :
+  channels:Qturbo_aais.Instruction.channel array ->
+  support:Qturbo_pauli.Pauli_string.t list ->
+  skeleton ->
+  bool
+(** [built_from ~channels ~support sk]: [sk] is what
+    [skeleton ~channels ~support] builds — the same rows in the same
+    order, a lookup table that returns each row's own number, the
+    channel count, and each row's cells the channels' non-identity
+    effects on that row's term, in channel order, bit for bit, with none
+    left over.  One pass over the rows and the effects; it does not read
+    the CSR.  The persistent plan store runs it on every entry it loads. *)
+
 val instantiate :
   skeleton -> target:Qturbo_pauli.Pauli_sum.t -> t_tar:float -> t
 (** Attach the instance-specific right-hand side

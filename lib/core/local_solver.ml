@@ -138,8 +138,8 @@ let polar_fit ~alpha ~cos_channels ~sin_channels =
    independent of α and T_sim — is derived once here and reused across
    every probe of the T-bisection, every constraint iteration and every
    refinement pass.  A [prepared] value holds the kernels and bounds it
-   reads, not the arrays it came from, so a plan rebound onto an
-   identical device uses it unchanged.  It is immutable, so it may be
+   reads, not the arrays it came from, so a cached plan serves every
+   device whose key equals its own.  It is immutable, so it may be
    shared freely across pool domains (the generic path allocates its
    env per solve; the closed forms use a per-domain scratch env). *)
 

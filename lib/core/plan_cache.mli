@@ -1,6 +1,6 @@
 (** Bounded, mutex-guarded LRU cache keyed by compact strings.
 
-    Backs the {!Compile_plan} plan and device caches and the service's
+    Backs the {!Compile_plan} plan cache and the service's
     backend-instance cache.  Entries must be
     immutable (plans are), because a cached value may be shared by
     concurrent compiles running on different pool domains.  All

@@ -219,10 +219,7 @@ let test_component_of_channel () =
 let classified ryd =
   let aais = ryd.Rydberg.aais in
   let device =
-    Compile_plan.obtain_device
-      ~options:
-        { Compile_plan.default_options with Compile_plan.plan_cache = false }
-      ~aais
+    Compile_plan.build_device ~options:Compile_plan.default_options ~aais
   in
   (Aais.channels aais, Aais.variables aais, device.Compile_plan.prepared)
 
@@ -411,23 +408,23 @@ let test_const_component () =
 
 (* The runtime-fixed component of a Rydberg device, prepared. *)
 let prepared_positions ryd =
-  let channels, vars, solvers = classified ryd in
+  let channels, _, solvers = classified ryd in
   match
     List.filter_map
       (function
         | Compile_plan.Fixed p -> Some p | Compile_plan.Dynamic _ -> None)
       solvers
   with
-  | [ p ] -> (channels, vars, Fixed_solver.component p, p)
+  | [ p ] -> (channels, Fixed_solver.component p, p)
   | _ -> Alcotest.fail "one position component expected"
 
 let test_fixed_solver_positions () =
   let ryd = rydberg3 () in
-  let channels, vars, comp, _ = prepared_positions ryd in
+  let channels, _, p = prepared_positions ryd in
   let ls = Linear_system.build ~channels ~target:(ising_chain 3) ~t_tar:1.0 in
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
-  let { Fixed_solver.assignments; eps2 } =
-    Fixed_solver.solve ~vars ~channels ~alpha ~t_sim:0.8 comp
+  let { Fixed_solver.assignments; eps2 }, _ =
+    Fixed_solver.solve ~sup:none ~alpha ~t_sim:0.8 p
   in
   Alcotest.(check bool) "small residual" true (eps2 < 0.05);
   let lookup v = List.assoc v.Variable.id assignments in
@@ -437,16 +434,16 @@ let test_fixed_solver_positions () =
 
 let test_fixed_solver_rejects_bad_time () =
   let ryd = rydberg3 () in
-  let channels, vars, comp, _ = prepared_positions ryd in
+  let channels, comp, p = prepared_positions ryd in
   Alcotest.check_raises "t<=0"
     (Invalid_argument
        (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
           comp.Locality.id))
     (fun () ->
       ignore
-        (Fixed_solver.solve ~vars ~channels
+        (Fixed_solver.solve ~sup:none
            ~alpha:(Array.make (Array.length channels) 0.0)
-           ~t_sim:0.0 comp))
+           ~t_sim:0.0 p))
 
 (* ---- Fixed_solver magnitude pre-fit ---- *)
 
@@ -482,7 +479,7 @@ let synthetic_degree vars_spec exprs =
 
 let test_prefit_degree_detection () =
   let degree ryd =
-    let _, _, _, p = prepared_positions ryd in
+    let _, _, p = prepared_positions ryd in
     Fixed_solver.degree p
   in
   let line = Device.aquila_paper in
@@ -634,7 +631,7 @@ let test_prefit_falls_back_to_search () =
   check "anti-correlated" (Array.of_list (List.map (fun c -> -3.0 *. c) cs));
   (* and the same on a Rydberg device, whose rows are homogeneous *)
   let ryd = Rydberg.build ~spec:Device.aquila_paper ~n:4 in
-  let channels, _, comp, p = prepared_positions ryd in
+  let channels, comp, p = prepared_positions ryd in
   let zeros = Array.make (Array.length channels) 0.0 in
   Alcotest.(check bool) "rydberg, alpha = 0: search" false
     (Fixed_solver.prefit ~alpha:zeros ~t_sim p).Fixed_solver.closed_form;

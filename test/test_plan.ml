@@ -557,8 +557,6 @@ let test_cache_stats_counters () =
   Alcotest.(check int) "miss counter" 1 r2.Compiler.plan.Compiler.cache_misses;
   let s = Compile_plan.cache_stats () in
   Alcotest.(check int) "plan cache size" 1 s.Plan_cache.size;
-  let d = Compile_plan.device_cache_stats () in
-  Alcotest.(check bool) "device cached" true (d.Plan_cache.size >= 1);
   (* disabling the cache leaves the counters untouched *)
   let r3 =
     Compiler.compile
@@ -571,38 +569,43 @@ let test_cache_stats_counters () =
   let s' = Compile_plan.cache_stats () in
   Alcotest.(check int) "no extra miss" s.Plan_cache.misses s'.Plan_cache.misses
 
-let test_device_plan_shared_across_shapes () =
-  let ryd = rydberg_for "ising-chain" 5 in
-  let options = Compiler.default_options in
-  Compile_plan.clear_caches ();
-  let p3, _ =
-    Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais
-      ~target:(static_target "ising-chain" 3)
-  in
-  let p5, _ =
-    Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais
-      ~target:(static_target "ising-chain" 5)
-  in
-  Alcotest.(check bool) "distinct plans" true (p3 != p5);
-  Alcotest.(check bool) "shared device part" true
-    (p3.Compile_plan.device == p5.Compile_plan.device)
-
 (* ---- compile_batch ---- *)
 
+(* Each plan builds its own device part, so with the cache off a batch
+   over two supports (the zero field drops the X terms) builds two
+   plans, and every job still matches its individual compile. *)
 let test_compile_batch_matches_individual () =
   let ryd = rydberg_for "ising-chain" 4 in
-  let target ~j =
+  let target ?h ~j () =
     Pauli_sum.drop_identity
       (Qturbo_models.Model.hamiltonian_at
-         (Qturbo_models.Benchmarks.ising_chain ~j ~n:4 ())
+         (Qturbo_models.Benchmarks.ising_chain ?h ~j ~n:4 ())
          ~s:0.0)
   in
-  let jobs = [ (target ~j:0.5, 1.0); (target ~j:1.5, 0.7); (target ~j:2.5, 1.3) ] in
+  let jobs =
+    [ (target ~j:0.5 (), 1.0); (target ~j:1.5 (), 0.7); (target ~j:2.5 (), 1.3) ]
+  in
+  let two_supports =
+    [ (target ~j:0.5 (), 1.0); (target ~h:0.0 ~j:1.5 (), 0.7);
+      (target ~j:2.5 (), 1.3); (target ~h:0.0 ~j:0.8 (), 1.1) ]
+  in
   List.iter
-    (fun plan_cache ->
+    (fun (plan_cache, jobs) ->
       let options = { Compiler.default_options with Compiler.plan_cache } in
       Compile_plan.clear_caches ();
       let batch = Compiler.compile_batch ~options ~aais:ryd.Rydberg.aais jobs in
+      let supports =
+        List.sort_uniq
+          (List.compare Pauli_string.compare)
+          (List.map (fun (t, _) -> Compile_plan.support_of_target t) jobs)
+      in
+      Alcotest.(check int)
+        "one build per support"
+        (List.length supports)
+        (List.length
+           (List.filter
+              (fun (b : Compiler.result) -> not b.Compiler.plan.Compiler.cache_hit)
+              batch));
       List.iter2
         (fun (target, t_tar) (b : Compiler.result) ->
           let r =
@@ -612,7 +615,7 @@ let test_compile_batch_matches_individual () =
           check_bits "batch t_sim" r.Compiler.t_sim b.Compiler.t_sim;
           check_bits "batch error" r.Compiler.error_l1 b.Compiler.error_l1)
         jobs batch)
-    [ true; false ]
+    [ (true, jobs); (false, jobs); (false, two_supports) ]
 
 (* ---- td shares one device part across segments ---- *)
 
@@ -681,14 +684,13 @@ let () =
         [
           quick "bounded LRU semantics" test_plan_cache_lru;
           quick "hit/miss counters and disable" test_cache_stats_counters;
-          quick "device part shared across shapes" test_device_plan_shared_across_shapes;
+          quick "equal devices built apart share a plan" test_equal_devices_share_plan;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_1;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_4;
-          quick "equal devices built apart share a plan" test_equal_devices_share_plan;
           quick "one ulp of one bound misses" test_one_ulp_bound_misses;
           quick "a grown pool re-keys and misses" test_pool_growth_rekeys;
-          quick "warm obtain allocates under 64 KB" test_warm_obtain_allocation;
           quick "acceptance predicate confirms hits" test_plan_cache_accept;
+          quick "warm obtain allocates under 64 KB" test_warm_obtain_allocation;
         ] );
       ( "allocation",
         [

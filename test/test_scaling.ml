@@ -326,7 +326,10 @@ let test_row_parallel_position_solve () =
   match Locality.decompose ~channels ~n_vars:n with
   | [ comp ] ->
       let solve domains =
-        Fixed_solver.solve ~domains ~vars ~channels ~alpha ~t_sim comp
+        fst
+          (Fixed_solver.solve ~domains ~sup:Qturbo_resilience.Supervisor.none
+             ~alpha ~t_sim
+             (Fixed_solver.prepare ~vars ~channels comp))
       in
       let r1 = solve 1 and r4 = solve 4 in
       let values (r : Fixed_solver.result) =

@@ -226,90 +226,147 @@ let test_corrupt_store_rebuilds () =
   Alcotest.(check bool) "repaired entry hits" true
     r.Compiler.plan.Compiler.store_hit
 
-(* A hand-edited entry with a recomputed checksum whose skeleton CSR
-   disagrees with its cell lists: the solve and the error metrics read
-   the CSR, so the lint gate must refuse it as a corrupt miss, and the
-   rebuild must repair the entry. *)
-let test_csr_mismatch_rebuilds () =
-  with_store @@ fun dir ->
-  let r1 = compile_ising () in
-  let key =
-    Compile_plan.plan_key ~options:Compiler.default_options
-      ~aais:(rydberg_for 5).Rydberg.aais
-      ~target:(static_target "ising-chain" 5)
-  in
-  let raw = PS.open_store ~version:(Compile_plan.store_version ()) ~dir in
-  let tampered : Compile_plan.t =
-    match PS.load raw ~key with
-    | Some payload -> Marshal.from_string payload 0
-    | None -> Alcotest.fail "the fresh build was not persisted"
-  in
-  let values =
-    Qturbo_linalg.Csr.values
-      (Linear_system.skeleton_csr tampered.Compile_plan.skeleton)
-  in
-  values.(0) <- values.(0) +. 1.0;
-  Alcotest.(check bool) "tampered entry written" true
-    (PS.save raw ~key
-       ~payload:(Marshal.to_string tampered [ Marshal.Closures ]));
-  Compile_plan.clear_caches ();
-  let r2 = compile_ising () in
-  Alcotest.(check bool) "refused, rebuilt" false
-    r2.Compiler.plan.Compiler.store_hit;
-  check_bits "t_sim identical" r1.Compiler.t_sim r2.Compiler.t_sim;
-  check_bits_arr "env identical" r1.Compiler.env r2.Compiler.env;
-  check_bits "error identical" r1.Compiler.error_l1 r2.Compiler.error_l1;
-  (match Compile_plan.store_stats () with
-  | None -> Alcotest.fail "store stats missing"
-  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt);
-  Compile_plan.clear_caches ();
-  let r3 = compile_ising () in
-  Alcotest.(check bool) "repaired entry hits" true
-    r3.Compiler.plan.Compiler.store_hit
-
 let json = Qturbo_analysis.Diagnostic.list_to_json
 
-(* Rewrite the stored plan for [target] through [edit], as a hand edit
-   with a recomputed checksum would. *)
-let tamper_entry dir ~aais ~target edit =
+(* An entry is the plan's support and skeleton. *)
+type payload = Pauli_string.t list * Linear_system.skeleton
+
+(* Rewrite the stored entry for [target] through [edit], as a hand edit
+   with a recomputed checksum would.  The decoded payload is a private
+   copy, so [edit] may damage it in place. *)
+let tamper_entry dir ~aais ~target (edit : payload -> payload) =
   let key =
     Compile_plan.plan_key ~options:Compiler.default_options ~aais ~target
   in
   let raw = PS.open_store ~version:(Compile_plan.store_version ()) ~dir in
-  let plan : Compile_plan.t =
+  let payload : payload =
     match PS.load raw ~key with
     | Some payload -> Marshal.from_string payload 0
     | None -> Alcotest.fail "the fresh build was not persisted"
   in
   Alcotest.(check bool) "tampered entry written" true
-    (PS.save raw ~key
-       ~payload:(Marshal.to_string (edit plan) [ Marshal.Closures ]))
+    (PS.save raw ~key ~payload:(Marshal.to_string (edit payload) []))
+
+(* An entry that passes every byte check but is not what the request
+   would build: the fetch refuses it as a corrupt miss, and the rebuild
+   gives the cold build's bits and repairs the entry. *)
+let tampered_entry_rebuilds edit () =
+  with_store @@ fun dir ->
+  let aais = (rydberg_for 5).Rydberg.aais in
+  let target = static_target "ising-chain" 5 in
+  let cold = compile_ising () in
+  tamper_entry dir ~aais ~target edit;
+  Compile_plan.clear_caches ();
+  let r = compile_ising () in
+  Alcotest.(check bool) "refused, rebuilt" false
+    r.Compiler.plan.Compiler.store_hit;
+  check_bits "t_sim identical" cold.Compiler.t_sim r.Compiler.t_sim;
+  check_bits_arr "env identical" cold.Compiler.env r.Compiler.env;
+  check_bits "error identical" cold.Compiler.error_l1 r.Compiler.error_l1;
+  (match Compile_plan.store_stats () with
+  | None -> Alcotest.fail "store stats missing"
+  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt);
+  Compile_plan.clear_caches ();
+  let r = compile_ising () in
+  Alcotest.(check bool) "repaired entry hits" true
+    r.Compiler.plan.Compiler.store_hit
+
+(* A skeleton CSR that disagrees with its cell lists: the solve and the
+   error metrics read the CSR, so the lint gate refuses it. *)
+let test_csr_mismatch_rebuilds =
+  tampered_entry_rebuilds (fun ((_, skeleton) as payload) ->
+      let values =
+        Qturbo_linalg.Csr.values (Linear_system.skeleton_csr skeleton)
+      in
+      values.(0) <- values.(0) +. 1.0;
+      payload)
+
+(* One cell coefficient doubled in the cell lists and in the CSR alike:
+   the lint gate sees a consistent skeleton, and only the check against
+   the requester's channels finds a row they do not produce. *)
+let test_doubled_cell_rebuilds =
+  tampered_entry_rebuilds (fun ((_, skeleton) as payload) ->
+      let cells = Linear_system.skeleton_cells skeleton in
+      let csr = Linear_system.skeleton_csr skeleton in
+      let row =
+        Option.get
+          (List.find_opt
+             (fun i -> cells.(i) <> [])
+             (List.init (Array.length cells) Fun.id))
+      in
+      let cid, v = List.hd cells.(row) in
+      cells.(row) <- (cid, 2.0 *. v) :: List.tl cells.(row);
+      let values = Qturbo_linalg.Csr.values csr in
+      let k = (Qturbo_linalg.Csr.row_ptr csr).(row) in
+      values.(k) <- 2.0 *. values.(k);
+      Alcotest.(check bool) "the CSR still packs the cells" true
+        (Qturbo_linalg.Csr.packs csr ~cols:(Qturbo_linalg.Csr.cols csr)
+           cells);
+      payload)
+
+(* The term index's lookup table taken from an index over a reordered
+   support, so an X term and a ZZ term look up each other's rows while
+   the row list still reads in order.  The lint gate reads only the row
+   list.  The index is abstract, so the edit replaces its lookup-table
+   field (the first) as a hand-edited payload would. *)
+let test_swapped_lookup_rebuilds =
+  tampered_entry_rebuilds (fun ((support, skeleton) as payload) ->
+      let ops s = List.map snd (Pauli_string.to_list s) in
+      let x = List.find (fun s -> ops s = [ Pauli.X ]) support
+      and zz = List.find (fun s -> ops s = [ Pauli.Z; Pauli.Z ]) support in
+      let swap s =
+        if Pauli_string.equal s x then zz
+        else if Pauli_string.equal s zz then x
+        else s
+      in
+      let other =
+        Linear_system.skeleton
+          ~channels:(Aais.channels (rydberg_for 5).Rydberg.aais)
+          ~support:(List.map swap support)
+      in
+      let index = Linear_system.skeleton_index skeleton in
+      let row_of s = Option.get (Term_index.row_of index s) in
+      let row_x = row_of x and row_zz = row_of zz in
+      Obj.set_field (Obj.repr index) 0
+        (Obj.field (Obj.repr (Linear_system.skeleton_index other)) 0);
+      Alcotest.(check (pair int int)) "X and ZZ look up each other's rows"
+        (row_zz, row_x) (row_of x, row_of zz);
+      Alcotest.(check bool) "the row list still reads in order" true
+        (Pauli_string.equal (Term_index.string_of index row_x) x);
+      payload)
 
 let store_hits () =
   match Compile_plan.store_stats () with
   | Some s -> s.PS.hits
   | None -> Alcotest.fail "store stats missing"
 
-(* An entry that drops the plan's structure findings passes every byte
-   check and the lint gate, which reads no analyzer result.  A store
-   load re-derives the findings from the linted skeleton and device, so
-   a check and a compile served from the entry report what the cold
-   build did (its QT007 included). *)
-let test_dropped_structure_findings_rederived () =
-  with_store @@ fun dir ->
+(* A store hit re-derives the analyzer's findings and the lint list
+   from the checked support and skeleton over the requester's device, so
+   a check, a lint and a compile served from an entry report what the
+   cold build did (its QT007 included). *)
+let test_store_hit_findings_equal_cold () =
+  with_store @@ fun _dir ->
   let aais = (rydberg_for 5).Rydberg.aais in
   let target = static_target "ising-chain" 5 in
   let analyze () = json (Compiler.analyze ~aais ~target ~t_tar:1.0 ()) in
+  let lint () =
+    json
+      (Compile_plan.lint_findings
+         (fst
+            (Compile_plan.obtain ~options:Compiler.default_options ~aais
+               ~target)))
+  in
   let cold_check = analyze () in
+  let cold_lint = lint () in
   let cold = compile_ising () in
   Alcotest.(check bool) "the cold plan carries a QT007" true
     (List.exists
        (fun (d : Qturbo_analysis.Diagnostic.t) -> d.code = "QT007")
        cold.Compiler.diagnostics);
-  tamper_entry dir ~aais ~target (fun p ->
-      { p with Compile_plan.structure_diags = [] });
   Compile_plan.clear_caches ();
   Alcotest.(check string) "check served from the entry" cold_check (analyze ());
+  Compile_plan.clear_caches ();
+  Alcotest.(check string) "lint served from the entry" cold_lint (lint ());
   Compile_plan.clear_caches ();
   let r = compile_ising () in
   Alcotest.(check bool) "compile served from the entry" true
@@ -317,43 +374,7 @@ let test_dropped_structure_findings_rederived () =
   Alcotest.(check string) "compile diagnostics"
     (json cold.Compiler.diagnostics)
     (json r.Compiler.diagnostics);
-  Alcotest.(check int) "both served by the store" 2 (store_hits ())
-
-(* The same for the analyzer's tables and the recorded lint list: an
-   entry claiming no channel feeds any row, and a lint error the plan
-   does not have, is served with what its own artifacts say. *)
-let test_tampered_tables_and_lint_rederived () =
-  with_store @@ fun dir ->
-  let aais = (rydberg_for 5).Rydberg.aais in
-  let target = static_target "ising-chain" 5 in
-  let analyze () = json (Compiler.analyze ~aais ~target ~t_tar:1.0 ()) in
-  let lint () =
-    json
-      (Compile_plan.lint_findings
-         (fst (Compile_plan.obtain ~options:Compiler.default_options ~aais ~target)))
-  in
-  let cold_check = analyze () and cold_lint = lint () in
-  let fake =
-    Qturbo_analysis.Diagnostic.make ~code:"QT023"
-      ~severity:Qturbo_analysis.Diagnostic.Error
-      ~subject:Qturbo_analysis.Diagnostic.System "planted"
-  in
-  tamper_entry dir ~aais ~target (fun p ->
-      let table = p.Compile_plan.precheck in
-      {
-        p with
-        Compile_plan.precheck =
-          {
-            table with
-            Qturbo_analysis.Analysis.rates =
-              Array.map (fun _ -> None) table.Qturbo_analysis.Analysis.rates;
-          };
-        lint_diags = [ fake ];
-      });
-  Compile_plan.clear_caches ();
-  Alcotest.(check string) "check served from the entry" cold_check (analyze ());
-  Alcotest.(check string) "lint served from the entry" cold_lint (lint ());
-  Alcotest.(check int) "served by the store" 1 (store_hits ())
+  Alcotest.(check int) "all three served by the store" 3 (store_hits ())
 
 let test_version_mismatch_rebuilds () =
   with_store @@ fun dir ->
@@ -411,14 +432,16 @@ let contains ~sub s =
   let rec from i = i + n <= m && (matches i 0 || from (i + 1)) in
   from 0
 
-(* The entry's header carries the exact key, so the payload carries no
-   copy of the device rendering: the plan keeps none, and the AAIS's
-   key memo is left out. *)
+(* The entry's header carries the exact key, and the payload is the
+   plan's support and skeleton: no AAIS, so no copy of the device
+   rendering (the key memo included). *)
 let test_store_payload_leaves_out_key_memo () =
   with_store @@ fun dir ->
   let aais = (rydberg_for 5).Rydberg.aais in
   let target = static_target "ising-chain" 5 in
-  ignore (Compile_plan.obtain ~options:Compiler.default_options ~aais ~target);
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options ~aais ~target
+  in
   let rendering = Shape.of_aais aais in
   let payload =
     match
@@ -435,67 +458,68 @@ let test_store_payload_leaves_out_key_memo () =
     (contains ~sub:rendering (read_file (sole_entry dir)));
   Alcotest.(check bool) "the payload holds no copy of it" false
     (contains ~sub:rendering payload);
-  let loaded : Compile_plan.t = Marshal.from_string payload 0 in
-  Alcotest.(check bool) "the loaded device renders the same" true
-    (String.equal rendering
-       (Shape.of_aais loaded.Compile_plan.device.Compile_plan.aais))
+  Alcotest.(check bool) "the payload is the support and the skeleton" true
+    (String.equal payload
+       (Marshal.to_string
+          (plan.Compile_plan.support, plan.Compile_plan.skeleton)
+          []));
+  let support, skeleton = (Marshal.from_string payload 0 : payload) in
+  Alcotest.(check bool) "it decodes as the request's support" true
+    (List.equal Pauli_string.equal support
+       (Compile_plan.support_of_target target));
+  Alcotest.(check bool) "and as the skeleton the channels build" true
+    (Linear_system.built_from ~channels:(Aais.channels aais) ~support
+       skeleton)
 
-(* A self-consistent entry for another request passes every byte check
-   and the lint gate: here a plan built for a smaller support, or one
-   whose solver flag is flipped.  The fetch compares the payload's
-   support and flag with the request's, so either is a corrupt miss;
-   the rebuild gives the cold build's bits and repairs the entry. *)
-let mismatched_entry_rebuilds edit () =
+(* A self-consistent entry for a smaller support on the requester's
+   device passes every byte check and the skeleton check for its own
+   support; the fetch compares its support with the request's. *)
+let test_other_support_rebuilds =
+  tampered_entry_rebuilds (fun (support, _) ->
+      let channels = Aais.channels (rydberg_for 5).Rydberg.aais in
+      let smaller = List.tl support in
+      let skeleton = Linear_system.skeleton ~channels ~support:smaller in
+      Alcotest.(check bool) "the smaller entry is self-consistent" true
+        (Linear_system.built_from ~channels ~support:smaller skeleton);
+      (smaller, skeleton))
+
+(* The key's [g=<flag>|] prefix files the two solver flags' plans apart:
+   a compile under the other flag, on the same store, misses and builds
+   its own entry with the store-off bits, and each flag then hits its
+   own entry. *)
+let test_other_solver_flag_own_entry () =
   with_store @@ fun dir ->
-  let aais = (rydberg_for 5).Rydberg.aais in
-  let target = static_target "ising-chain" 5 in
-  let cold = compile_ising () in
-  tamper_entry dir ~aais ~target edit;
+  let generic =
+    { Compiler.default_options with Compiler.generic_local_solver = true }
+  in
+  ignore (compile_ising ());
+  Compile_plan.disable_store ();
   Compile_plan.clear_caches ();
-  let r = compile_ising () in
-  Alcotest.(check bool) "refused, rebuilt" false
+  let off = compile_ising ~options:generic () in
+  Compile_plan.enable_store ~dir;
+  Compile_plan.clear_caches ();
+  let r = compile_ising ~options:generic () in
+  Alcotest.(check bool) "the other flag misses" false
     r.Compiler.plan.Compiler.store_hit;
-  check_bits "t_sim identical" cold.Compiler.t_sim r.Compiler.t_sim;
-  check_bits_arr "env identical" cold.Compiler.env r.Compiler.env;
-  check_bits "error identical" cold.Compiler.error_l1 r.Compiler.error_l1;
+  check_bits "t_sim as store-off" off.Compiler.t_sim r.Compiler.t_sim;
+  check_bits_arr "env as store-off" off.Compiler.env r.Compiler.env;
+  check_bits "error as store-off" off.Compiler.error_l1 r.Compiler.error_l1;
+  Alcotest.(check int) "two entries" 2 (Array.length (Sys.readdir dir));
   (match Compile_plan.store_stats () with
   | None -> Alcotest.fail "store stats missing"
-  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt);
-  Compile_plan.clear_caches ();
-  let r = compile_ising () in
-  Alcotest.(check bool) "repaired entry hits" true
-    r.Compiler.plan.Compiler.store_hit
+  | Some s -> Alcotest.(check int) "not counted as corrupt" 0 s.PS.corrupt);
+  List.iter
+    (fun (what, options) ->
+      Compile_plan.clear_caches ();
+      let r = compile_ising ~options () in
+      Alcotest.(check bool) (what ^ " hits its own entry") true
+        r.Compiler.plan.Compiler.store_hit)
+    [ ("default", Compiler.default_options); ("generic", generic) ]
 
-let test_other_support_rebuilds =
-  mismatched_entry_rebuilds (fun p ->
-      let d = p.Compile_plan.device in
-      let plan =
-        Compile_plan.build ~device:d ~aais:d.Compile_plan.aais
-          ~target_shape:(List.tl p.Compile_plan.support) ()
-      in
-      Alcotest.(check (list string)) "the smaller plan lints clean" []
-        (List.map
-           (fun (d : Qturbo_analysis.Diagnostic.t) -> d.code)
-           (Compile_plan.lint plan));
-      plan)
-
-let test_flipped_solver_flag_rebuilds =
-  mismatched_entry_rebuilds (fun p ->
-      let d = p.Compile_plan.device in
-      {
-        p with
-        Compile_plan.device =
-          {
-            d with
-            Compile_plan.generic_local_solver =
-              not d.Compile_plan.generic_local_solver;
-          };
-      })
-
-(* A store hit for a device whose variables are bit-identical to the
-   stored one's is rebound onto the requester's AAIS: one resident copy
-   per device, and the same bits as the cold build, at any pool width. *)
-let test_store_hit_rebinds_onto_requester () =
+(* A store hit builds its device part from the requester's AAIS, as a
+   fresh build does, and gives the cold build's bits at any pool
+   width. *)
+let test_store_hit_builds_device_part () =
   with_store @@ fun _dir ->
   let cold = compile_ising () in
   Compile_plan.clear_caches ();
@@ -519,8 +543,8 @@ let test_store_hit_rebinds_onto_requester () =
       r.Compiler.theorem1_bound
   in
   same "hit" (Compile_plan.solve ~plan ~coeffs:target ~t_tar:1.0 ());
-  (* only the device record was rebound: a fresh process's hit solved
-     on a 4-wide pool gives the cold build's bits too *)
+  (* a fresh process's hit solved on a 4-wide pool gives the cold
+     build's bits too *)
   Compile_plan.clear_caches ();
   let options = { Compiler.default_options with Compiler.domains = 4 } in
   let plan, provenance = Compile_plan.obtain ~options ~aais ~target in
@@ -599,6 +623,10 @@ let () =
             test_version_mismatch_rebuilds;
           Alcotest.test_case "CSR disagreeing with its cells rebuilds" `Quick
             test_csr_mismatch_rebuilds;
+          Alcotest.test_case "a doubled cell coefficient rebuilds" `Quick
+            test_doubled_cell_rebuilds;
+          Alcotest.test_case "a swapped lookup table rebuilds" `Quick
+            test_swapped_lookup_rebuilds;
           Alcotest.test_case "bitwise identical on/off, domains 1 and 4"
             `Quick test_store_bitwise_identical_across_domains;
           Alcotest.test_case "payload leaves out the key memo" `Quick
@@ -606,14 +634,12 @@ let () =
           Alcotest.test_case "an entry for another support rebuilds" `Quick
             test_other_support_rebuilds;
           Alcotest.test_case "an entry with the other solver flag rebuilds"
-            `Quick test_flipped_solver_flag_rebuilds;
-          Alcotest.test_case "a store hit rebinds onto an identical device"
-            `Quick test_store_hit_rebinds_onto_requester;
+            `Quick test_other_solver_flag_own_entry;
+          Alcotest.test_case "a store hit builds its device part"
+            `Quick test_store_hit_builds_device_part;
           Alcotest.test_case "radii keeping the same pairs key apart"
             `Quick test_radii_keeping_the_same_pairs_key_apart;
-          Alcotest.test_case "dropped structure findings are re-derived"
-            `Quick test_dropped_structure_findings_rederived;
-          Alcotest.test_case "tampered tables and lint list are re-derived"
-            `Quick test_tampered_tables_and_lint_rederived;
+          Alcotest.test_case "store-hit findings equal cold ones"
+            `Quick test_store_hit_findings_equal_cold;
         ] );
     ]
