@@ -568,20 +568,28 @@ let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
               };
           } )
   | "plan-csr" ->
-      (* the CSR the linear solve reads no longer packs the skeleton's
-         cells: one stored coefficient changed in a deep copy (the
-         skeleton is shared and immutable through its API, so the copy
-         goes through marshaling, as a store entry does) *)
+      (* the first row with two entries names its first channel twice,
+         which the greedy solve trusts the gate to refuse; the edit goes
+         to a deep copy (the skeleton is shared and immutable through
+         its API, so the copy goes through marshaling, as a store entry
+         does) *)
       let skeleton : Qturbo_core.Linear_system.skeleton =
         Marshal.from_string (Marshal.to_string plan.CP.skeleton []) 0
       in
-      let copy = { plan with CP.skeleton } in
-      let values =
-        Qturbo_linalg.Csr.values
-          (Qturbo_core.Linear_system.skeleton_csr skeleton)
-      in
-      if Array.length values > 0 then values.(0) <- values.(0) +. 1.0;
-      Some ("QT024", copy)
+      let csr = Qturbo_core.Linear_system.skeleton_csr skeleton in
+      let row_ptr = Qturbo_linalg.Csr.row_ptr csr
+      and col_idx = Qturbo_linalg.Csr.col_idx csr in
+      (match
+         List.find_opt
+           (fun i -> row_ptr.(i + 1) - row_ptr.(i) >= 2)
+           (List.init (Qturbo_linalg.Csr.rows csr) Fun.id)
+       with
+      | Some i -> col_idx.(row_ptr.(i) + 1) <- col_idx.(row_ptr.(i))
+      | None ->
+          failwith
+            "plan-csr needs a system row fed by two channels; this plan has \
+             none");
+      Some ("QT024", { plan with CP.skeleton })
   | "plan-dup-channel" ->
       (* the first prepared solver listed twice: its component's channels
          and id appear in two components *)
@@ -643,7 +651,7 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
                 | Some (_code, bad) -> CP.lint bad
                 | None -> failwith ("unknown injection: " ^ variant))))
   in
-  let diags = kernel_diags @ CP.lint_findings plan @ injected in
+  let diags = kernel_diags @ injected in
   let n_rows = Ops.plan_rows plan in
   if json then
     print_endline
@@ -670,7 +678,8 @@ let lint_inject_arg =
            $(b,kernel-env) (QT019), $(b,kernel-depth) (QT020), \
            $(b,kernel-range) (QT021), $(b,kernel-opcode) (QT022).  Plan \
            defects: $(b,plan-support) (QT023), $(b,plan-channels) (QT024), \
-           $(b,plan-csr) (QT024), $(b,plan-dup-channel) (QT025).")
+           $(b,plan-csr) (QT024: a row names a channel twice; needs a row \
+           fed by two channels), $(b,plan-dup-channel) (QT025).")
 
 let lint_term =
   Term.(

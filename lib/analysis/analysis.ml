@@ -32,15 +32,11 @@ type table = {
   rates : Feasibility.interval option array;
 }
 
-let table ~channels ~variables ~cells ~rows =
+let table ~channels ~variables ~matrix ~rows =
   let rate = Feasibility.channel_rates ~channels ~variables in
   {
     pool = Device_check.variables variables;
-    rates =
-      Array.init rows (fun row ->
-          match cells.(row) with
-          | [] -> None
-          | row_cells -> Some (Feasibility.row_rate ~rate row_cells));
+    rates = Array.init rows (Feasibility.row_rate ~rate matrix);
   }
 
 let target_checks table ~aais ~rate_of ~target ~t_tar ?t_max () =

@@ -11,8 +11,8 @@
 
     Pass 3 (system structure) needs the assembled linear system and its
     locality decomposition, which live in [qturbo.core]; the core
-    converts its own types into {!Structure.row} / {!Structure.comp} and
-    calls {!Structure.check} directly. *)
+    passes its matrix, converts its components into {!Structure.comp}
+    and calls {!Structure.check} directly. *)
 
 val static_checks :
   aais:Qturbo_aais.Aais.t ->
@@ -43,12 +43,13 @@ type table = {
 val table :
   channels:Qturbo_aais.Instruction.channel array ->
   variables:Qturbo_aais.Variable.t array ->
-  cells:(int * float) list array ->
+  matrix:Qturbo_linalg.Csr.t ->
   rows:int ->
   table
-(** Tabulate rows [0 … rows-1] of [cells] (each row's cells in channel
-    order, as {!Feasibility.row_rate} takes them).  A channel's interval
-    is evaluated at most once, and only when it feeds a tabled row. *)
+(** Tabulate rows [0 … rows-1] of the system [matrix] (one column per
+    channel, each row's entries in channel order, as
+    {!Feasibility.row_rate} reads them).  A channel's interval is
+    evaluated at most once, and only when it feeds a tabled row. *)
 
 val target_checks :
   table ->

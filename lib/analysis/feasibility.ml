@@ -41,12 +41,20 @@ let channel_rates ~(channels : Instruction.channel array) ~variables =
         memo.(cid) <- Some i;
         i
 
-(* [fold_right] adds the last channel first, without reversing the
-   list *)
-let row_rate ~rate cells =
-  List.fold_right
-    (fun (cid, k) acc -> iadd acc (iscale k (rate cid)))
-    cells (0.0, 0.0)
+(* from the row's last entry to its first *)
+let row_rate ~rate matrix row =
+  let module Csr = Qturbo_linalg.Csr in
+  let row_ptr = Csr.row_ptr matrix
+  and col_idx = Csr.col_idx matrix
+  and values = Csr.values matrix in
+  if row_ptr.(row) = row_ptr.(row + 1) then None
+  else begin
+    let acc = ref (0.0, 0.0) in
+    for k = row_ptr.(row + 1) - 1 downto row_ptr.(row) do
+      acc := iadd !acc (iscale values.(k) (rate col_idx.(k)))
+    done;
+    Some !acc
+  end
 
 let judge ?t_max ~t_tar s coeff ((lo, hi) as rate) =
   let sign_ok = if coeff > 0.0 then hi > 0.0 else lo < 0.0 in
@@ -91,26 +99,26 @@ let judge ?t_max ~t_tar s coeff ((lo, hi) as rate) =
 
 module Ps_tbl = Hashtbl.Make (Pauli_string)
 
-(* Collecting cells for the target's terms only keeps the scan linear in
-   the channel effect lists even when the AAIS produces O(N²) terms the
-   target never mentions.  Identity effects can never be in the table,
-   so the raw effect lists need no filtering. *)
+(* Collecting the channels of the target's terms only keeps the scan
+   linear in the channel effect lists even when the AAIS produces O(N²)
+   terms the target never mentions.  Identity effects can never be in
+   the table, so the raw effect lists need no filtering. *)
 let scan ~(channels : Instruction.channel array) ~variables ~target =
-  let cells = Ps_tbl.create 64 in
+  let feeds = Ps_tbl.create 64 in
   List.iter
-    (fun (s, _) -> Ps_tbl.replace cells s [])
+    (fun (s, _) -> Ps_tbl.replace feeds s [])
     (Pauli_sum.terms (Pauli_sum.drop_identity target));
   Array.iter
     (fun (c : Instruction.channel) ->
       List.iter
         (fun (e : Instruction.effect) ->
-          match Ps_tbl.find_opt cells e.pstring with
-          | Some l -> Ps_tbl.replace cells e.pstring ((c.cid, e.coeff) :: l)
+          match Ps_tbl.find_opt feeds e.pstring with
+          | Some l -> Ps_tbl.replace feeds e.pstring ((c.cid, e.coeff) :: l)
           | None -> ())
         c.effects)
     channels;
   let rate = channel_rates ~channels ~variables in
+  let cols = Array.length channels in
   fun s ->
-    match Ps_tbl.find cells s with
-    | [] -> None
-    | l -> Some (row_rate ~rate (List.rev l))
+    let row = List.rev (Ps_tbl.find feeds s) in
+    row_rate ~rate (Qturbo_linalg.Csr.of_row_lists ~cols [| row |]) 0

@@ -17,10 +17,11 @@
        the interval bound is conservative.}}
 
     Terms no channel produces at all have no rate; pass 1 reports them
-    as [QT001].  A term's rate comes from its {e cells}, the
-    [(channel id, effect coefficient)] pairs of the channels feeding it
-    in channel order: {!scan} collects them from the channel effect
-    lists, a compile plan reads them off its linear-system skeleton. *)
+    as [QT001].  A term's rate comes from its row of the system matrix,
+    the [(channel id, effect coefficient)] entries of the channels
+    feeding it in channel order: {!scan} collects them from the channel
+    effect lists, a compile plan reads them off its linear-system
+    skeleton. *)
 
 type interval = float * float
 
@@ -33,11 +34,14 @@ val channel_rates :
     interval of its amplitude expression over the variables' declared
     bounds, evaluating each channel at most once, on first use. *)
 
-val row_rate : rate:(int -> interval) -> (int * float) list -> interval
-(** A term's achievable-rate interval from its cells: the interval sum
-    of [coeff · rate cid], folded from the last cell to the first.
-    Every producer of cells goes through here, so equal cells give
-    bit-equal intervals. *)
+val row_rate :
+  rate:(int -> interval) -> Qturbo_linalg.Csr.t -> int -> interval option
+(** [row_rate ~rate matrix row]: a term's achievable-rate interval from
+    its matrix row, the interval sum of [coeff · rate cid] over the
+    row's stored entries, folded from the last entry to the first;
+    [None] for a row with no entry (no channel feeds the term).  Every
+    producer of rows goes through here, so equal rows give bit-equal
+    intervals. *)
 
 val judge :
   ?t_max:float ->
@@ -57,5 +61,6 @@ val scan :
   Qturbo_pauli.Pauli_string.t ->
   interval option
 (** The reference producer: one pass over every channel's effect list,
-    collecting the cells of the target's terms.  The returned function
-    gives a target term's rate, [None] when no channel feeds it. *)
+    collecting each target term's channels, each term packed as a
+    one-row matrix for {!row_rate}.  The returned function gives a
+    target term's rate, [None] when no channel feeds it. *)

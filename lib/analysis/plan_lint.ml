@@ -9,8 +9,7 @@ type classification_view = {
 type view = {
   support : Ps.t list;
   rows : Ps.t array;
-  cells : (int * float) list array;
-  csr : Qturbo_linalg.Csr.t;
+  matrix : Qturbo_linalg.Csr.t;
   n_channels : int;
   n_vars : int;
   channel_terms : Ps.t list;
@@ -100,51 +99,42 @@ let check_term_index v =
 (* ---- QT024: skeleton dimensions -------------------------------------- *)
 
 let check_skeleton v =
+  let module Csr = Qturbo_linalg.Csr in
   let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let n_rows = Array.length v.rows in
-  if Array.length v.cells <> n_rows then
-    add
-      (error ~subject:Diagnostic.System ~code:"QT024"
-         ~hint:"the skeleton must carry one cell list per indexed term"
-         (Printf.sprintf "skeleton has %d cell rows for %d index rows"
-            (Array.length v.cells) n_rows));
+  let add ?hint msg =
+    diags := error ~subject:Diagnostic.System ~code:"QT024" ?hint msg :: !diags
+  in
+  let n_rows = Array.length v.rows and m = v.matrix in
+  if Csr.rows m <> n_rows then
+    add ~hint:"the skeleton must carry one matrix row per indexed term"
+      (Printf.sprintf "skeleton has %d matrix rows for %d index rows"
+         (Csr.rows m) n_rows);
+  let row_ptr = Csr.row_ptr m and col_idx = Csr.col_idx m in
   let in_range = ref true in
   let last_row = Array.make v.n_channels (-1) in
-  Array.iteri
-    (fun i cells ->
-      List.iter
-        (fun (cid, _) ->
-          if cid < 0 || cid >= v.n_channels then begin
-            in_range := false;
-            add
-              (error ~subject:Diagnostic.System ~code:"QT024"
-                 ~hint:
-                   (Printf.sprintf "the device has %d channels" v.n_channels)
-                 (Printf.sprintf
-                    "skeleton row %d references channel %d outside [0, %d)" i
-                    cid v.n_channels))
-          end
-          else if last_row.(cid) = i then
-            add
-              (error ~subject:Diagnostic.System ~code:"QT024"
-                 ~hint:
-                   "the greedy linear solve assumes each row names a channel \
-                    once"
-                 (Printf.sprintf "skeleton row %d names channel %d twice" i cid))
-          else last_row.(cid) <- i)
-        cells)
-    v.cells;
-  (* the linear solve, error_l1 and the Theorem-1 bound read the CSR,
-     so it must be exactly the cells, packed in order *)
-  if !in_range && not (Qturbo_linalg.Csr.packs v.csr ~cols:v.n_channels v.cells)
-  then
-    add
-      (error ~subject:Diagnostic.System ~code:"QT024"
-         ~hint:
-           "the solve and the error metrics read the CSR; it must pack the \
-            cell lists verbatim"
-         "skeleton CSR disagrees with its cell lists");
+  for i = 0 to Csr.rows m - 1 do
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let cid = col_idx.(k) in
+      if cid < 0 || cid >= v.n_channels then begin
+        in_range := false;
+        add
+          ~hint:(Printf.sprintf "the device has %d channels" v.n_channels)
+          (Printf.sprintf "skeleton row %d references channel %d outside [0, %d)"
+             i cid v.n_channels)
+      end
+      else if last_row.(cid) = i then
+        add
+          ~hint:"the greedy linear solve assumes each row names a channel once"
+          (Printf.sprintf "skeleton row %d names channel %d twice" i cid)
+      else last_row.(cid) <- i
+    done
+  done;
+  (* a column count is only worth reporting when no entry is already
+     out of range *)
+  if !in_range && Csr.cols m <> v.n_channels then
+    add ~hint:"the matrix needs one column per channel"
+      (Printf.sprintf "skeleton matrix has %d columns for %d channels"
+         (Csr.cols m) v.n_channels);
   List.rev !diags
 
 (* ---- QT025: locality components partition the channel set ----------- *)

@@ -1,25 +1,18 @@
 open Qturbo_aais
 
-type row = {
-  term : Qturbo_pauli.Pauli_string.t;
-  cells : (int * float) list;
-}
-
 type comp = { id : int; channel_ids : int list; var_ids : int list }
 
-let check ~channels ~variables ~rows ~comps =
+let check ~channels ~variables ~matrix ~comps =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   (* QT005: channels absent from every row and feeding no term. *)
   let n_ch = Array.length channels in
   let in_rows = Array.make (Int.max 1 n_ch) false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (cid, k) ->
-          if k <> 0.0 && cid >= 0 && cid < n_ch then in_rows.(cid) <- true)
-        r.cells)
-    rows;
+  let values = Qturbo_linalg.Csr.values matrix in
+  Array.iteri
+    (fun k cid ->
+      if values.(k) <> 0.0 && cid >= 0 && cid < n_ch then in_rows.(cid) <- true)
+    (Qturbo_linalg.Csr.col_idx matrix);
   Array.iter
     (fun (c : Instruction.channel) ->
       let feeds_term =

@@ -1,9 +1,9 @@
 (** Equation-system structure analysis (pass 3).
 
-    Operates on a generic view of the assembled global linear system and
-    its locality decomposition, so this library stays independent of
-    [qturbo.core] (which converts its [Linear_system] rows and
-    [Locality] components into the types below before calling in):
+    Operates on the assembled global linear system's matrix and a
+    generic view of its locality decomposition, so this library stays
+    independent of [qturbo.core] (which passes its skeleton's matrix and
+    converts its [Locality] components into {!comp} before calling in):
 
     {ul
     {- [QT005] (error): a dangling synthesized variable — an instruction
@@ -20,16 +20,14 @@
        when runtime-fixed variables participate (the standard
        van-der-Waals wrap rows are expected to be fit in this sense).}} *)
 
-type row = {
-  term : Qturbo_pauli.Pauli_string.t;
-  cells : (int * float) list;  (** (channel id, effect coefficient) *)
-}
-
 type comp = { id : int; channel_ids : int list; var_ids : int list }
 
 val check :
   channels:Qturbo_aais.Instruction.channel array ->
   variables:Qturbo_aais.Variable.t array ->
-  rows:row list ->
+  matrix:Qturbo_linalg.Csr.t ->
   comps:comp list ->
   Diagnostic.t list
+(** [matrix] is the system matrix, one column per channel: a channel
+    appears in a system equation when some row stores it with a
+    non-zero value. *)

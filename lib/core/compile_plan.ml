@@ -146,7 +146,6 @@ type t = {
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
   precheck : Qturbo_analysis.Analysis.table;
-  lint_diags : Diagnostic.t list;
   lru_key : string;
   build_seconds : float;
 }
@@ -204,15 +203,7 @@ let build_device ~(options : options) ~aais =
   }
 
 (* The structure pass of [qturbo.analysis] takes a generic view of the
-   system; convert the skeleton rows and [Locality] components. *)
-let structure_rows ~index ~cells =
-  Array.to_list
-    (Array.mapi
-       (fun i c ->
-         { Qturbo_analysis.Structure.term = Term_index.string_of index i;
-           cells = c })
-       cells)
-
+   [Locality] components. *)
 let structure_comp s =
   let c = component s in
   {
@@ -270,8 +261,7 @@ let lint_artifacts (d : device) ~support skeleton =
     {
       Qturbo_analysis.Plan_lint.support;
       rows = Term_index.strings index;
-      cells = Linear_system.skeleton_cells skeleton;
-      csr = Linear_system.skeleton_csr skeleton;
+      matrix = Linear_system.skeleton_csr skeleton;
       n_channels = Array.length d.channels;
       n_vars = Array.length d.vars;
       channel_terms;
@@ -299,29 +289,27 @@ let clear_caches = Plan_cache.clear_all
    its target, the structure pass and the tables of passes 1, 2 and 4
    over the support rows (the index numbers the support first).  No
    lint pass reads the analyzer's results, so running it second moves
-   no output, and it never reads an artifact the gate refused.
-   [Error] carries the gate's errors. *)
+   no output, and it never reads an artifact the gate refused.  The
+   gate reports only errors; [Error] carries them. *)
 let admit ~(device : device) ~support ~skeleton ~lru_key =
-  let lint_diags = lint_artifacts device ~support skeleton in
-  match Diagnostic.errors lint_diags with
+  match lint_artifacts device ~support skeleton with
   | _ :: _ as errors -> Error errors
   | [] ->
       let index = Linear_system.skeleton_index skeleton
-      and cells = Linear_system.skeleton_cells skeleton
+      and matrix = Linear_system.skeleton_csr skeleton
       and channels = device.channels
       and variables = device.vars in
       let structure_diags =
-        Qturbo_analysis.Structure.check ~channels ~variables
-          ~rows:(structure_rows ~index ~cells)
+        Qturbo_analysis.Structure.check ~channels ~variables ~matrix
           ~comps:(List.map structure_comp device.prepared)
       in
       let precheck =
-        Qturbo_analysis.Analysis.table ~channels ~variables ~cells
+        Qturbo_analysis.Analysis.table ~channels ~variables ~matrix
           ~rows:(Int.min (List.length support) (Term_index.count index))
       in
       Ok
-        { device; support; skeleton; structure_diags; precheck; lint_diags;
-          lru_key; build_seconds = 0.0 }
+        { device; support; skeleton; structure_diags; precheck; lru_key;
+          build_seconds = 0.0 }
 
 (* The LRU key and the lint gate are part of the front end: both run
    before the clock is read.  Fresh builds are linted before anyone can
@@ -347,8 +335,6 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
             (List.length lint_errors));
       raise (Diagnostic.Rejected lint_errors)
 
-let lint_findings plan = plan.lint_diags
-
 (* ------------------------------------------------------------------ *)
 (* Persistent plan store                                               *)
 
@@ -365,7 +351,7 @@ let store_version =
       try Digest.to_hex (Digest.file Sys.executable_name)
       with Sys_error _ -> "unknown-executable"
     in
-    "qturbo-plan/2 " ^ exe_digest)
+    "qturbo-plan/3 " ^ exe_digest)
   in
   fun () -> Lazy.force v
 
@@ -559,7 +545,8 @@ let expiry run ~site detail =
 
 (* One index lookup per target term against the plan's table.  A term
    only channels produce lies in a row past the table and is rated from
-   its cells here; a term with no row is outside the plan's shape. *)
+   its matrix row here; a term with no row is outside the plan's
+   shape. *)
 let diagnose ?t_max ~aais ~plan ~t_tar target =
   let module Feasibility = Qturbo_analysis.Feasibility in
   let index = Linear_system.skeleton_index plan.skeleton in
@@ -573,11 +560,10 @@ let diagnose ?t_max ~aais ~plan ~t_tar target =
   let rate_of s =
     match Term_index.row_of index s with
     | Some row when row < Array.length rates -> rates.(row)
-    | Some row -> (
-        match (Linear_system.skeleton_cells plan.skeleton).(row) with
-        | [] -> None
-        | cells ->
-            Some (Feasibility.row_rate ~rate:(Lazy.force channel_rate) cells))
+    | Some row ->
+        Feasibility.row_rate ~rate:(Lazy.force channel_rate)
+          (Linear_system.skeleton_csr plan.skeleton)
+          row
     | None ->
         invalid_arg
           "Compile_plan.diagnose: target term outside the plan's shape"
@@ -601,16 +587,16 @@ let dedup diagnostics =
       end)
     diagnostics
 
-let enforce run ~strict diagnostics =
-  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
+(* Errors refuse the compile; warnings are rendered into its
+   warnings. *)
+let enforce run diagnostics =
+  Qturbo_analysis.Analysis.check_or_raise diagnostics;
   List.iter
     (fun d ->
       if d.Diagnostic.severity = Diagnostic.Warning then
         warn run (Diagnostic.to_string d))
     diagnostics;
-  Log.debug (fun m ->
-      m "precheck: %d diagnostics (%d errors)" (List.length diagnostics)
-        (List.length (Diagnostic.errors diagnostics)))
+  Log.debug (fun m -> m "precheck: %d diagnostics" (List.length diagnostics))
 
 let linear_solve options ls =
   if options.dense_linear_solver then Linear_system.solve_dense ls
@@ -851,7 +837,7 @@ type instances = {
 
 (* The per-instance stages, for any number of instances sharing [plan]:
    right-hand sides, the precheck and the linear solves. *)
-let instances ~options ~strict ?t_max ~plan ~t_tar targets =
+let instances ~options ?t_max ~plan ~t_tar targets =
   let d = plan.device in
   let aais = d.aais in
   let run = start ~options d in
@@ -868,7 +854,7 @@ let instances ~options ~strict ?t_max ~plan ~t_tar targets =
     | [ target ] -> diagnose ?t_max ~aais ~plan ~t_tar target
     | _ -> dedup (List.concat_map (diagnose ?t_max ~aais ~plan ~t_tar) targets)
   in
-  enforce run ~strict diagnostics;
+  enforce run diagnostics;
   !stage_hook "linear-solve";
   let module S = Qturbo_linalg.Sparse_solve in
   let solutions =
@@ -1156,7 +1142,7 @@ let shared_layout_tail ~t0 ~provenance ~plan (i : instances) =
     plan_builds = (if provenance = Built then 1 else 0);
   }
 
-let solve ?(options = default_options) ?(strict = true) ?t_max
+let solve ?(options = default_options) ?t_max
     ?(provenance = Built) ~plan ~coeffs:target ~t_tar () =
   validate_target ~aais:plan.device.aais ~target ~t_tar;
   let plan_index = Linear_system.skeleton_index plan.skeleton in
@@ -1170,13 +1156,13 @@ let solve ?(options = default_options) ?(strict = true) ?t_max
     (Pauli_sum.terms target);
   let t0 = Qturbo_util.Clock.now () in
   static_tail ~t0 ~provenance ~plan
-    (instances ~options ~strict ?t_max ~plan ~t_tar [ target ])
+    (instances ~options ?t_max ~plan ~t_tar [ target ])
 
-let solve_segments ?(options = default_options) ?(strict = true) ?t_max
+let solve_segments ?(options = default_options) ?t_max
     ?(provenance = Built) ~plan ~t_tar targets =
   if targets = [] then invalid_arg "Compile_plan.solve_segments: no segments";
   let t0 = Qturbo_util.Clock.now () in
-  let i = instances ~options ~strict ?t_max ~plan ~t_tar targets in
+  let i = instances ~options ?t_max ~plan ~t_tar targets in
   match targets with
   | [ _ ] ->
       let r = static_tail ~t0 ~provenance ~plan i in
@@ -1203,12 +1189,11 @@ let solve_segments ?(options = default_options) ?(strict = true) ?t_max
       }
   | _ -> shared_layout_tail ~t0 ~provenance ~plan i
 
-let compile ?(options = default_options) ?(strict = true) ?t_max ~aais ~target
-    ~t_tar () =
+let compile ?(options = default_options) ?t_max ~aais ~target ~t_tar () =
   validate_target ~aais ~target ~t_tar;
   let t0 = Qturbo_util.Clock.now () in
   let plan, provenance = obtain ~options ~aais ~target in
   let r =
-    solve ~options ~strict ?t_max ~provenance ~plan ~coeffs:target ~t_tar ()
+    solve ~options ?t_max ~provenance ~plan ~coeffs:target ~t_tar ()
   in
   { r with compile_seconds = Qturbo_util.Clock.now () -. t0 }

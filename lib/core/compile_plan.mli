@@ -182,9 +182,6 @@ type t = {
           passes over the support rows (coverage, achievable-rate
           intervals, variable-pool findings): {!diagnose} walks only the
           target's terms against it *)
-  lint_diags : Diagnostic.t list;
-      (** everything the {!lint} gate reported when this plan was
-          admitted — at {!build}, or on a store load *)
   lru_key : string;
       (** the compact key the in-memory LRU files the plan under:
           solver flag, rendering digest, support digest *)
@@ -255,10 +252,6 @@ val obtain_for_support :
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
 
-val lint_findings : t -> Diagnostic.t list
-(** The plan's {!lint} findings: the list its gate recorded
-    ([lint_diags]). *)
-
 (** {1 Solving} *)
 
 val validate_t_tar : who:string -> float -> unit
@@ -317,7 +310,6 @@ val diagnose :
 
 val solve :
   ?options:options ->
-  ?strict:bool ->
   ?t_max:float ->
   ?provenance:provenance ->
   plan:t ->
@@ -366,7 +358,6 @@ end
 
 val solve_segments :
   ?options:options ->
-  ?strict:bool ->
   ?t_max:float ->
   ?provenance:provenance ->
   plan:t ->
@@ -386,7 +377,6 @@ val solve_segments :
 
 val compile :
   ?options:options ->
-  ?strict:bool ->
   ?t_max:float ->
   aais:Aais.t ->
   target:Pauli_sum.t ->
@@ -399,12 +389,11 @@ val compile :
     diagnostic.
 
     The precheck runs every static-analysis pass before any solver:
-    with [strict] (the default), error-severity diagnostics raise
-    {!Qturbo_analysis.Diagnostic.Rejected}; with [~strict:false] the
-    pipeline proceeds anyway (the historical least-squares behaviour)
-    and the findings are carried on [result.diagnostics].
-    Warning-severity findings are additionally rendered into
-    [result.warnings].
+    error-severity diagnostics raise
+    {!Qturbo_analysis.Diagnostic.Rejected}, whatever
+    [options.best_effort] says.  The findings are carried on
+    [result.diagnostics], and warning-severity ones are additionally
+    rendered into [result.warnings].
 
     Every component solve runs under the
     {!Qturbo_resilience.Supervisor} escalation ladder; if a component

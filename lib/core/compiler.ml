@@ -5,7 +5,7 @@ let analyze ?t_max ~aais ~target ~t_tar () =
   let plan, _ = obtain ~options:default_options ~aais ~target in
   diagnose ?t_max ~aais ~plan ~t_tar target
 
-let compile_batch ?(options = default_options) ?(strict = true) ?t_max
+let compile_batch ?(options = default_options) ?t_max
     ?(batch_domains = 1) ~aais jobs =
   (* plans are memoized per target shape — through the process-wide
      cache when it is enabled, through a batch-local table otherwise (a
@@ -45,5 +45,5 @@ let compile_batch ?(options = default_options) ?(strict = true) ?t_max
      sequentially). *)
   Qturbo_par.Pool.parallel_map_list ~domains:batch_domains ~chunk:1
     (fun (target, t_tar, plan, provenance) ->
-      solve ~options ~strict ?t_max ~provenance ~plan ~coeffs:target ~t_tar ())
+      solve ~options ?t_max ~provenance ~plan ~coeffs:target ~t_tar ())
     prepared

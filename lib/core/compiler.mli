@@ -36,7 +36,6 @@ val analyze :
 
 val compile_batch :
   ?options:options ->
-  ?strict:bool ->
   ?t_max:float ->
   ?batch_domains:int ->
   aais:Qturbo_aais.Aais.t ->

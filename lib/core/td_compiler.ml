@@ -15,7 +15,7 @@ let validate ~t_tar ~segments =
                 segments);
          ])
 
-let compile ?(options = Compile_plan.default_options) ?(strict = true) ?t_max
+let compile ?(options = Compile_plan.default_options) ?t_max
     ~aais ~model ~t_tar ~segments () =
   validate ~t_tar ~segments;
   let t0 = Qturbo_util.Clock.now () in
@@ -38,7 +38,7 @@ let compile ?(options = Compile_plan.default_options) ?(strict = true) ?t_max
     Compile_plan.obtain_for_support ~options ~aais ~support
   in
   let r =
-    Compile_plan.solve_segments ~options ~strict ?t_max ~provenance ~plan
+    Compile_plan.solve_segments ~options ?t_max ~provenance ~plan
       ~t_tar:(t_tar /. float_of_int segments)
       hams
   in

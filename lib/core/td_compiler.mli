@@ -23,7 +23,6 @@ end
 
 val compile :
   ?options:Compile_plan.options ->
-  ?strict:bool ->
   ?t_max:float ->
   aais:Qturbo_aais.Aais.t ->
   model:Qturbo_models.Model.t ->
@@ -46,9 +45,8 @@ val compile :
     {!Compile_plan.section-stages}.
 
     Every discretized segment Hamiltonian runs through the pre-solve
-    static analyzer first; with [strict] (the default) error-severity
-    diagnostics raise {!Qturbo_analysis.Diagnostic.Rejected} before any
-    solver runs.
+    static analyzer first; error-severity diagnostics raise
+    {!Qturbo_analysis.Diagnostic.Rejected} before any solver runs.
 
     The binding-layout and per-segment solves run under the resilience
     escalation ladder; if a component exhausts every stage the compile

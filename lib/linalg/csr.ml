@@ -83,20 +83,32 @@ let of_row_lists ~cols row_lists =
     row_lists;
   { nrows; ncols = cols; row_ptr; col_idx; values }
 
-let of_pattern ~cols ~row_ptr ~col_idx =
+(* The row count of a valid pattern; [who] names the constructor in
+   the refusals. *)
+let pattern_rows who ~cols ~row_ptr ~col_idx =
   let nrows = Array.length row_ptr - 1 and nnz = Array.length col_idx in
   if nrows < 0 || row_ptr.(0) <> 0 || row_ptr.(nrows) <> nnz then
-    invalid_arg "Csr.of_pattern: row pointers do not span the columns";
+    invalid_arg (who ^ ": row pointers do not span the columns");
   for i = 0 to nrows - 1 do
     if row_ptr.(i + 1) < row_ptr.(i) then
-      invalid_arg "Csr.of_pattern: row pointers decrease"
+      invalid_arg (who ^ ": row pointers decrease")
   done;
   Array.iter
     (fun c ->
-      if c < 0 || c >= cols then
-        invalid_arg "Csr.of_pattern: column out of range")
+      if c < 0 || c >= cols then invalid_arg (who ^ ": column out of range"))
     col_idx;
-  { nrows; ncols = cols; row_ptr; col_idx; values = Array.make nnz 0.0 }
+  nrows
+
+let of_pattern ~cols ~row_ptr ~col_idx =
+  let nrows = pattern_rows "Csr.of_pattern" ~cols ~row_ptr ~col_idx in
+  let values = Array.make (Array.length col_idx) 0.0 in
+  { nrows; ncols = cols; row_ptr; col_idx; values }
+
+let of_arrays ~cols ~row_ptr ~col_idx ~values =
+  let nrows = pattern_rows "Csr.of_arrays" ~cols ~row_ptr ~col_idx in
+  if Array.length values <> Array.length col_idx then
+    invalid_arg "Csr.of_arrays: one value per column index";
+  { nrows; ncols = cols; row_ptr; col_idx; values }
 
 let rows t = t.nrows
 let cols t = t.ncols
@@ -179,29 +191,6 @@ let repeated_col t =
       end
   in
   scan 0 (if t.nrows = 0 then 0 else t.row_ptr.(0))
-
-let packs t ~cols row_lists =
-  let n = Array.length row_lists in
-  t.nrows = n && t.ncols = cols
-  && Array.length t.row_ptr = n + 1
-  && Array.length t.values = Array.length t.col_idx
-  && t.row_ptr.(n) = Array.length t.col_idx
-  &&
-  let rec cells_match k stop = function
-    | [] -> k = stop
-    | (c, v) :: rest ->
-        k < stop && t.col_idx.(k) = c
-        && Int64.equal (Int64.bits_of_float t.values.(k)) (Int64.bits_of_float v)
-        && cells_match (k + 1) stop rest
-  in
-  let rec rows_match i =
-    i >= n
-    || cells_match t.row_ptr.(i) t.row_ptr.(i + 1) row_lists.(i)
-       && rows_match (i + 1)
-  in
-  (* a structurally damaged [t] (an unmarshaled one) may index out of
-     bounds; that is a mismatch too *)
-  try t.row_ptr.(0) = 0 && rows_match 0 with Invalid_argument _ -> false
 
 let get t i j =
   if i < 0 || i >= t.nrows || j < 0 || j >= t.ncols then

@@ -15,8 +15,7 @@ val of_triplets : rows:int -> cols:int -> triplet list -> t
 val of_row_lists : cols:int -> (int * float) list array -> t
 (** Pack per-row [(col, value)] lists {e verbatim}: entry order within a
     row is preserved, duplicates are kept, explicit zeros are stored.
-    [row_entries] on the result returns exactly the input lists — the
-    lossless bridge from the historical list-of-cells representation.
+    [row_entries] on the result returns exactly the input lists.
     Out-of-range columns raise [Invalid_argument]. *)
 
 val of_pattern : cols:int -> row_ptr:int array -> col_idx:int array -> t
@@ -26,6 +25,16 @@ val of_pattern : cols:int -> row_ptr:int array -> col_idx:int array -> t
     them.  [row_ptr] runs from 0 up to [Array.length col_idx] without
     decreasing, and every column [c] has [0 <= c < cols]; otherwise
     [Invalid_argument]. *)
+
+val of_arrays :
+  cols:int ->
+  row_ptr:int array ->
+  col_idx:int array ->
+  values:float array ->
+  t
+(** {!of_pattern} holding [values], one per column index, instead of
+    zeros.  No array is copied.  Stored order is kept, duplicates and
+    explicit zeros included. *)
 
 val rows : t -> int
 
@@ -65,12 +74,6 @@ val repeated_col : t -> (int * int) option
 (** The first [(row, col)] at which a row stores the same column twice,
     in row-major order; [None] when every row names each column at most
     once.  O(nnz). *)
-
-val packs : t -> cols:int -> (int * float) list array -> bool
-(** [packs t ~cols rows]: [t] is exactly [of_row_lists ~cols rows] — the
-    same dimensions and the same stored entries in the same order, with
-    bitwise-equal values — checked without building the packed copy.
-    [false], never an exception, for a structurally damaged [t]. *)
 
 val get : t -> int -> int -> float
 (** Zero for non-stored entries; O(row nnz). *)

@@ -183,9 +183,10 @@ let solve_csr a ~rhs =
 
 let solve ~ncols rows = solve_csr (pack ~ncols rows) ~rhs:(rhs_of rows)
 
-let dense_only ~ncols rows =
-  let a = pack ~ncols rows in
-  let nrows = Csr.rows a in
+let dense_csr a ~rhs =
+  let nrows = Csr.rows a and ncols = Csr.cols a in
+  if Array.length rhs <> nrows then
+    invalid_arg "Sparse_solve.dense_csr: rhs length differs from the row count";
   if nrows = 0 then
     {
       x = Array.make ncols 0.0;
@@ -194,7 +195,6 @@ let dense_only ~ncols rows =
         { greedy_solved = 0; dense_solved = 0; free_vars = ncols; dense_rows = 0 };
     }
   else begin
-    let rhs = rhs_of rows in
     let x = Qr.least_squares (Csr.to_dense a) rhs in
     {
       x;
@@ -208,3 +208,5 @@ let dense_only ~ncols rows =
         };
     }
   end
+
+let dense_only ~ncols rows = dense_csr (pack ~ncols rows) ~rhs:(rhs_of rows)

@@ -52,7 +52,12 @@ val residual_l1 : ncols:int -> row list -> Vec.t -> float
 (** Recompute [‖A x − b‖₁] for an arbitrary candidate (used by the
     refinement stage after the runtime-fixed variables moved). *)
 
-val dense_only : ncols:int -> row list -> result
+val dense_csr : Csr.t -> rhs:float array -> result
 (** Reference implementation that skips the greedy pass and solves the
     whole system densely (QR least squares).  Used by tests and by the
-    [ablation/linear-solver] bench. *)
+    [ablation/linear-solver] bench.  Raises [Invalid_argument] when
+    [rhs] does not have one entry per row. *)
+
+val dense_only : ncols:int -> row list -> result
+(** {!dense_csr} for row lists, validated and packed as {!solve}
+    packs them. *)

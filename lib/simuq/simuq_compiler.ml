@@ -118,6 +118,8 @@ let compile ?(options = default_options) ~aais ~target ~t_tar () =
            ftol = 1e-4;
            xtol = 1e-7;
            accept_residual = Some accept_residual;
+           (* a start begun before the budget ran out stops at it *)
+           deadline = Some (t0 +. options.time_budget_seconds);
          }
        in
        let wrapped = Bounds.wrap_residual transform residual in

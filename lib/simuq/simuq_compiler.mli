@@ -25,8 +25,9 @@ type options = {
   t_max : float;  (** search window for the evolution time (default 10.) *)
   max_evaluations_per_start : int;  (** LM budget per start *)
   time_budget_seconds : float;
-      (** overall CPU budget; exhaustion fails the compilation (default
-          120.) *)
+      (** overall wall-clock budget (default 120.); no start begins
+          after it, and a running start stops at it, past it by at most
+          one Jacobian *)
   seed : int64;
 }
 

@@ -188,19 +188,6 @@ let test_td_compiler_rejects_too () =
   | Ok _ -> Alcotest.fail "expected rejection");
   Alcotest.(check bool) "no linear solve" false (List.mem "linear-solve" stages)
 
-let test_non_strict_keeps_least_squares () =
-  let ryd = rydberg3 () in
-  let target =
-    Pauli_sum.add (ising_chain 3)
-      (Pauli_sum.term 1.0 (Pauli_string.two 0 Pauli.Y 1 Pauli.Y))
-  in
-  let r =
-    Compiler.compile ~strict:false ~aais:ryd.Rydberg.aais ~target ~t_tar:1.0 ()
-  in
-  Alcotest.(check bool) "residual visible" true (r.Compiler.error_l1 >= 1.0);
-  Alcotest.(check bool) "diagnostics carried" true
-    (has_code "QT001" r.Compiler.diagnostics)
-
 (* ---- clean inputs stay clean ---- *)
 
 let test_clean_compile_no_errors () =
@@ -573,8 +560,6 @@ let () =
             test_reject_sign_infeasible_coefficient;
           Alcotest.test_case "dangling channel rejected" `Quick test_reject_dangling_channel;
           Alcotest.test_case "td compiler rejects too" `Quick test_td_compiler_rejects_too;
-          Alcotest.test_case "non-strict keeps least squares" `Quick
-            test_non_strict_keeps_least_squares;
           Alcotest.test_case "clean compile stays clean" `Quick test_clean_compile_no_errors;
           Alcotest.test_case "magnitude warning with t_max" `Quick
             test_magnitude_warning_with_t_max;

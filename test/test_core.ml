@@ -168,10 +168,108 @@ let test_linear_system_residual_metric () =
   let sol = Linear_system.solve ls in
   check_close "residual of solution" 1e-9 0.0
     (Linear_system.residual_l1 ls ~alpha:sol.Qturbo_linalg.Sparse_solve.x);
-  let zero = Array.make ls.Linear_system.n_channels 0.0 in
+  let zero = Array.make (Qturbo_linalg.Csr.cols (Linear_system.csr ls)) 0.0 in
   check_close "residual of zero = ||B||" 1e-9
     (Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar)
     (Linear_system.residual_l1 ls ~alpha:zero)
+
+(* The skeleton and the store's check on small devices of every backend,
+   over random identity-free supports of producible terms: each matrix
+   row holds its term's non-identity channel effects in channel order,
+   [built_from] accepts the skeleton, and one stored entry's column or
+   value changed in a marshaled copy makes it refuse. *)
+let skeleton_devices = Hashtbl.create 32
+
+let skeleton_channels (kind, n) =
+  match Hashtbl.find_opt skeleton_devices (kind, n) with
+  | Some c -> c
+  | None ->
+      let module B = Qturbo_backend.Backend in
+      let backend, model_name =
+        match kind with
+        | "rydberg-line" -> (B.rydberg, "ising-chain")
+        | "rydberg-plane" -> (B.rydberg, "ising-cycle")
+        | "heisenberg" -> (B.heisenberg, "heis-chain")
+        | _ -> (B.iontrap, "ising-chain")
+      in
+      let c = Aais.channels (backend.B.instantiate ~model_name ~n ()).B.aais in
+      Hashtbl.add skeleton_devices (kind, n) c;
+      c
+
+let prop_skeleton_built_from =
+  let gen =
+    QCheck.Gen.(
+      let* kind =
+        oneofl [ "rydberg-line"; "rydberg-plane"; "heisenberg"; "iontrap" ]
+      in
+      let* n = int_range 2 8 in
+      let* keep = float_range 0.0 1.0 in
+      let* seed = int_bound 1_000_000 in
+      return (kind, n, keep, seed))
+  in
+  QCheck.Test.make ~name:"skeleton rows are the channel effects; built_from"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (kind, n, keep, seed) ->
+         Printf.sprintf "%s n=%d keep=%g seed=%d" kind n keep seed)
+       gen)
+    (fun (kind, n, keep, seed) ->
+      let module Csr = Qturbo_linalg.Csr in
+      let channels = skeleton_channels (kind, n) in
+      let rng = Random.State.make [| seed |] in
+      let producible =
+        List.sort_uniq Pauli_string.compare
+          (List.concat_map
+             (fun c -> List.map fst (Instruction.effect_terms c))
+             (Array.to_list channels))
+      in
+      let support =
+        List.filter (fun _ -> Random.State.float rng 1.0 < keep) producible
+      in
+      let sk = Linear_system.skeleton ~channels ~support in
+      let index = Linear_system.skeleton_index sk
+      and m = Linear_system.skeleton_csr sk in
+      let bits v = Int64.bits_of_float v in
+      let same_entries a b =
+        List.equal (fun (c, v) (c', v') -> c = c' && bits v = bits v') a b
+      in
+      let oracle s =
+        List.concat_map
+          (fun (c : Instruction.channel) ->
+            List.filter_map
+              (fun (e : Instruction.effect) ->
+                if Pauli_string.equal e.pstring s then Some (c.cid, e.coeff)
+                else None)
+              c.effects)
+          (Array.to_list channels)
+      in
+      let rows_ok =
+        Csr.rows m = Term_index.count index
+        && Csr.cols m = Array.length channels
+        && List.for_all
+             (fun r ->
+               same_entries (Csr.row_entries m r)
+                 (oracle (Term_index.string_of index r)))
+             (List.init (Csr.rows m) Fun.id)
+      in
+      let edited_refused =
+        Csr.nnz m = 0
+        ||
+        let copy : Linear_system.skeleton =
+          Marshal.from_string (Marshal.to_string sk []) 0
+        in
+        let m' = Linear_system.skeleton_csr copy in
+        let k = Random.State.int rng (Csr.nnz m') in
+        let col_idx = Csr.col_idx m' and values = Csr.values m' in
+        if Csr.cols m' > 1 && Random.State.bool rng then
+          col_idx.(k) <-
+            (col_idx.(k) + 1 + Random.State.int rng (Csr.cols m' - 1))
+            mod Csr.cols m'
+        else
+          values.(k) <- Int64.float_of_bits (Int64.logxor (bits values.(k)) 1L);
+        not (Linear_system.built_from ~channels ~support copy)
+      in
+      rows_ok && Linear_system.built_from ~channels ~support sk && edited_refused)
 
 (* ---- Locality ---- *)
 
@@ -721,10 +819,9 @@ let test_compiler_rejects_bad_input () =
     (fun () ->
       ignore (Compiler.compile ~aais:ryd.Rydberg.aais ~target:(ising_chain 5) ~t_tar:1.0 ()))
 
-let test_compiler_unreachable_term_warns_in_error () =
-  (* a YY term is outside the Rydberg AAIS span: strict compilation
-     rejects it before any solver; non-strict keeps the historical
-     least-squares behaviour and carries the diagnostic on the result *)
+let test_compiler_unreachable_term_rejected () =
+  (* a YY term is outside the Rydberg AAIS span: compilation rejects it
+     before any solver *)
   let ryd = rydberg3 () in
   let target =
     Pauli_sum.add (ising_chain 3)
@@ -734,15 +831,7 @@ let test_compiler_unreachable_term_warns_in_error () =
   | exception Qturbo_analysis.Diagnostic.Rejected ds ->
       Alcotest.(check bool) "QT001 reported" true
         (List.exists (fun d -> d.Qturbo_analysis.Diagnostic.code = "QT001") ds)
-  | _ -> Alcotest.fail "strict compile should reject the YY term");
-  let r =
-    Compiler.compile ~strict:false ~aais:ryd.Rydberg.aais ~target ~t_tar:1.0 ()
-  in
-  Alcotest.(check bool) "unreachable term penalised" true (r.Compiler.error_l1 >= 1.0);
-  Alcotest.(check bool) "diagnostic carried on the result" true
-    (List.exists
-       (fun d -> d.Qturbo_analysis.Diagnostic.code = "QT001")
-       r.Compiler.diagnostics)
+  | _ -> Alcotest.fail "the compile should reject the YY term")
 
 let test_compiler_heisenberg_exact () =
   let heis = Heisenberg.build ~spec:Device.heisenberg_default ~n:4 in
@@ -914,21 +1003,20 @@ let test_td_rejects_bad_args () =
     (Invalid_argument "Compile_plan.solve_segments: no segments") (fun () ->
       ignore (Compiler.solve_segments ~plan ~t_tar:1.0 []));
   (* a target wider than the register is refused with the static path's
-     message at every segment count, strict or not *)
+     message at every segment count *)
   let spec = { Device.aquila_paper with Device.max_extent = 1e6 } in
   let ryd4 = Rydberg.build ~spec ~n:4 in
   let mis5 = Qturbo_models.Benchmarks.mis_chain ~n:5 () in
   List.iter
-    (fun (segments, strict) ->
+    (fun segments ->
       Alcotest.check_raises
-        (Printf.sprintf "mis-chain n=5 on 4 atoms, segments=%d strict=%b"
-           segments strict)
+        (Printf.sprintf "mis-chain n=5 on 4 atoms, segments=%d" segments)
         (Invalid_argument "Compiler.compile: target touches qubits outside the AAIS")
         (fun () ->
           ignore
-            (Td_compiler.compile ~strict ~aais:ryd4.Rydberg.aais ~model:mis5
-               ~t_tar:1.0 ~segments ())))
-    [ (1, true); (1, false); (4, true); (4, false) ]
+            (Td_compiler.compile ~aais:ryd4.Rydberg.aais ~model:mis5 ~t_tar:1.0
+               ~segments ())))
+    [ 1; 4 ]
 
 (* ---- Extract ---- *)
 
@@ -991,6 +1079,7 @@ let () =
           Alcotest.test_case "residual metric" `Quick test_linear_system_residual_metric;
           Alcotest.test_case "B filled from the target's terms" `Quick
             test_linear_system_instantiate_matches_row_lookup;
+          QCheck_alcotest.to_alcotest prop_skeleton_built_from;
         ] );
       ( "locality",
         [
@@ -1030,7 +1119,7 @@ let () =
             test_compiler_generic_local_ablation_same_answer;
           Alcotest.test_case "t_tar scaling" `Quick test_compiler_t_tar_scales;
           Alcotest.test_case "input validation" `Quick test_compiler_rejects_bad_input;
-          Alcotest.test_case "unreachable terms" `Quick test_compiler_unreachable_term_warns_in_error;
+          Alcotest.test_case "unreachable terms" `Quick test_compiler_unreachable_term_rejected;
           Alcotest.test_case "heisenberg exact" `Quick test_compiler_heisenberg_exact;
           Alcotest.test_case "heisenberg roundtrip" `Quick test_compiler_heisenberg_hamiltonian_roundtrip;
           Alcotest.test_case "constraint iteration" `Quick test_compiler_constraint_iteration;

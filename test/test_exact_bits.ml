@@ -139,10 +139,11 @@ let static ?(backend = Backend.rydberg) ?device ?cutoff ?(tweak = Fun.id)
        ~options:(options ?faults ?best_effort tweak)
        ~aais:inst.Backend.aais ~target ~t_tar:1.0 ())
 
-(* X0 + ... + X4 on ising-chain n=5's device, compiled non-strictly and
-   best-effort: no target term reaches a van-der-Waals channel, so every
-   α of the position component is 0, the closed form's u* is 0, and the
-   magnitude pre-fit takes the golden-section search (asserted here).
+(* X0 + ... + X4 on ising-chain n=5's device, compiled best-effort (the
+   analyzer finds no error): no target term reaches a van-der-Waals
+   channel, so every α of the position component is 0, the closed
+   form's u* is 0, and the magnitude pre-fit takes the golden-section
+   search (asserted here).
    The layout breaks the device's constraints, so a strict compile
    raises and this one is degraded (asserted); the row pins its bits,
    not its quality. *)
@@ -157,7 +158,7 @@ let prefit_search () =
         (List.init 5 (fun i -> (Pauli_string.single i Pauli.X, 1.0))))
   in
   let options = options ~best_effort:true Fun.id in
-  let r = Compiler.compile ~options ~strict:false ~aais ~target ~t_tar:1.0 () in
+  let r = Compiler.compile ~options ~aais ~target ~t_tar:1.0 () in
   Alcotest.(check bool) "degraded" true r.Compiler.degraded;
   let plan, _ = Compiler.obtain ~options ~aais ~target in
   List.iter
@@ -761,8 +762,8 @@ let show o =
 
 (* What [observed] leaves out of a time-dependent compile: the binding
    segment, the warnings and the analyzer's findings.  The kitaev rows
-   compile non-strictly against a 0.05 us device time limit, so each
-   carries 14 findings (13 QT003 and one QT007) and 14 warnings (the
+   compile against a 0.05 us device time limit, so each carries 14
+   findings (13 QT003 and one QT007, no error) and 14 warnings (the
    QT003s and the constraint loop's exhaustion); at K >= 2 the segments'
    findings are deduplicated by (code, subject).  The exhaustion is
    fatal, so they compile best-effort: a strict compile raises. *)
@@ -773,13 +774,13 @@ type td_facts = {
   diagnostics_md5 : string;  (** over [Diagnostic.list_to_json] *)
 }
 
-let td_facts ?(tweak = Fun.id) ?faults ?best_effort ?(strict = true) ?t_max
-    ~model ~n ~segments () =
+let td_facts ?(tweak = Fun.id) ?faults ?best_effort ?t_max ~model ~n ~segments
+    () =
   let inst = Backend.rydberg.Backend.instantiate ~model_name:model ~n () in
   let r =
     Td_compiler.compile
       ~options:(options ?faults ?best_effort tweak)
-      ~strict ?t_max
+      ?t_max
       ~aais:inst.Backend.aais
       ~model:(Qturbo_models.Benchmarks.by_name ~name:model ~n)
       ~t_tar:1.0 ~segments ()
@@ -795,10 +796,10 @@ let td_facts ?(tweak = Fun.id) ?faults ?best_effort ?(strict = true) ?t_max
 let facts_cases =
   List.map
     (fun segments ->
-      ( Printf.sprintf "kitaev n=13 K=%d non-strict t_max=0.05" segments,
+      ( Printf.sprintf "kitaev n=13 K=%d best-effort t_max=0.05" segments,
         fun () ->
-          td_facts ~strict:false ~best_effort:true ~t_max:0.05 ~model:"kitaev"
-            ~n:13 ~segments () ))
+          td_facts ~best_effort:true ~t_max:0.05 ~model:"kitaev" ~n:13
+            ~segments () ))
     [ 1; 2; 4 ]
   @ [
       ( "rydberg mis-chain n=5 K=4",
@@ -828,21 +829,21 @@ let facts_cases =
    tails share *)
 let expected_facts =
   [
-    ( "kitaev n=13 K=1 non-strict t_max=0.05",
+    ( "kitaev n=13 K=1 best-effort t_max=0.05",
       {
         binding_segment = 0;
         warnings = 14;
         warnings_md5 = "194bef016f725a3dd8310ba397863243";
         diagnostics_md5 = "84cbba1f5754b0c34f5a1132ccc9c5ef";
       } );
-    ( "kitaev n=13 K=2 non-strict t_max=0.05",
+    ( "kitaev n=13 K=2 best-effort t_max=0.05",
       {
         binding_segment = 0;
         warnings = 14;
         warnings_md5 = "95c69cf939d459cca605c4d8941689dc";
         diagnostics_md5 = "95cc9ec8c624beb5e2cbb67e2a451237";
       } );
-    ( "kitaev n=13 K=4 non-strict t_max=0.05",
+    ( "kitaev n=13 K=4 best-effort t_max=0.05",
       {
         binding_segment = 0;
         warnings = 14;

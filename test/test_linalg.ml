@@ -206,14 +206,17 @@ let test_csr_out_of_range () =
 
 (* A matrix over a kept pattern is the zero matrix [of_row_lists] packs
    from the same rows, shares the pattern arrays and gets its own
-   values; malformed patterns are refused. *)
+   values; [of_arrays] shares given values too; malformed patterns are
+   refused. *)
 let test_csr_of_pattern () =
   let rows = [| [ (0, 0.0); (2, 0.0) ]; []; [ (1, 0.0) ] |] in
   let packed = Csr.of_row_lists ~cols:3 rows in
   let row_ptr = Csr.row_ptr packed and col_idx = Csr.col_idx packed in
   let a = Csr.of_pattern ~cols:3 ~row_ptr ~col_idx in
   let b = Csr.of_pattern ~cols:3 ~row_ptr ~col_idx in
-  Alcotest.(check bool) "packs the zero rows" true (Csr.packs a ~cols:3 rows);
+  Alcotest.(check bool) "the zero rows" true
+    (Csr.rows a = 3 && Csr.cols a = 3
+    && List.for_all (fun i -> Csr.row_entries a i = rows.(i)) [ 0; 1; 2 ]);
   Alcotest.(check bool) "pattern shared" true
     (Csr.row_ptr a == row_ptr && Csr.col_idx a == col_idx);
   (Csr.values a).(1) <- 4.0;
@@ -229,7 +232,14 @@ let test_csr_of_pattern () =
     ~col_idx:[||];
   refused "row pointers decrease" ~cols:3 ~row_ptr:[| 0; 2; 1; 2 |]
     ~col_idx:[| 0; 1 |];
-  refused "column out of range" ~cols:2 ~row_ptr:[| 0; 1 |] ~col_idx:[| 2 |]
+  refused "column out of range" ~cols:2 ~row_ptr:[| 0; 1 |] ~col_idx:[| 2 |];
+  let values = [| 1.0; 2.0; 3.0 |] in
+  let c = Csr.of_arrays ~cols:3 ~row_ptr ~col_idx ~values in
+  Alcotest.(check bool) "values shared" true (Csr.values c == values);
+  check_float "stored in order" 2.0 (Csr.get c 0 2);
+  Alcotest.check_raises "one value per column index"
+    (Invalid_argument "Csr.of_arrays: one value per column index") (fun () ->
+      ignore (Csr.of_arrays ~cols:3 ~row_ptr ~col_idx ~values:[| 1.0 |]))
 
 (* ---- Sparse_solve ---- *)
 

@@ -268,39 +268,33 @@ let deep_copy (plan : Compile_plan.t) : Compile_plan.t =
       Marshal.from_string (Marshal.to_string plan.Compile_plan.skeleton []) 0;
   }
 
-(* the linear solve, error_l1 and the Theorem-1 bound read the CSR *)
-let test_qt024_csr_mismatch () =
-  let plan = Lazy.force base_plan in
-  let bad = deep_copy plan in
-  let values =
-    Qturbo_linalg.Csr.values
-      (Linear_system.skeleton_csr bad.Compile_plan.skeleton)
-  in
-  values.(0) <- values.(0) +. 1.0;
-  check_codes "CSR disagrees with the cells" [ "QT024" ] (Compile_plan.lint bad);
-  check_codes "the original is untouched" [] (Compile_plan.lint plan)
-
 (* the greedy solve no longer re-checks that a row names a channel
    once; the gate does *)
 let test_qt024_repeated_channel () =
-  let bad = deep_copy (Lazy.force base_plan) in
-  let cells = Linear_system.skeleton_cells bad.Compile_plan.skeleton in
+  let plan = Lazy.force base_plan in
+  let bad = deep_copy plan in
+  let csr = Linear_system.skeleton_csr bad.Compile_plan.skeleton in
+  let row_ptr = Qturbo_linalg.Csr.row_ptr csr
+  and col_idx = Qturbo_linalg.Csr.col_idx csr in
   let row =
     match
-      List.find_opt (fun i -> cells.(i) <> []) (List.init (Array.length cells) Fun.id)
+      List.find_opt
+        (fun i -> row_ptr.(i + 1) - row_ptr.(i) >= 2)
+        (List.init (Qturbo_linalg.Csr.rows csr) Fun.id)
     with
     | Some i -> i
-    | None -> Alcotest.fail "no populated row"
+    | None -> Alcotest.fail "no row with two entries"
   in
-  cells.(row) <- List.hd cells.(row) :: cells.(row);
+  let cid = col_idx.(row_ptr.(row)) in
+  col_idx.(row_ptr.(row) + 1) <- cid;
   let diags = Compile_plan.lint bad in
   check_codes "repeated channel" [ "QT024" ] diags;
   let expected =
-    Printf.sprintf "skeleton row %d names channel %d twice" row
-      (fst (List.hd cells.(row)))
+    Printf.sprintf "skeleton row %d names channel %d twice" row cid
   in
   if not (List.exists (fun d -> d.D.message = expected) diags) then
-    Alcotest.failf "no diagnostic says %S" expected
+    Alcotest.failf "no diagnostic says %S" expected;
+  check_codes "the original is untouched" [] (Compile_plan.lint plan)
 
 (* The first prepared solver listed twice: its component's channels,
    variables and id each appear in two components. *)
@@ -322,46 +316,72 @@ let test_qt025_partition () =
   | exception D.Rejected diags ->
       check_codes "fresh build rejected" [ "QT025" ] diags
 
-(* A hand-edited payload can still break a classification's arity: a
-   linear classification naming a variable outside its component, and
-   a const classification over a component with variables.  Two
-   channels (Z0 and X0), one variable each, one component each; every
-   other pass is clean. *)
-let test_qt026_classification () =
-  let module PL = Qturbo_analysis.Plan_lint in
+(* A view of two channels (Z0 and X0), one variable each, one component
+   each: every pass is clean on it with the [sound] classifications. *)
+module PL = Qturbo_analysis.Plan_lint
+
+let comp id =
+  { Qturbo_analysis.Structure.id; channel_ids = [ id ]; var_ids = [ id ] }
+
+let linear vars =
+  { PL.name = "linear"; class_vars = vars; class_channels = [ 0 ] }
+
+let generic = { PL.name = "generic"; class_vars = [ 1 ]; class_channels = [] }
+let sound = [ (comp 0, linear [ 0 ]); (comp 1, generic) ]
+
+let two_channel_view ?(matrix = [| [ (0, 1.0) ]; [ (1, 1.0) ] |]) ?(cols = 2)
+    components =
   let z0 = Pauli_string.single 0 Pauli.Z
   and x0 = Pauli_string.single 0 Pauli.X in
-  let cells = [| [ (0, 1.0) ]; [ (1, 1.0) ] |] in
-  let comp id =
-    { Qturbo_analysis.Structure.id; channel_ids = [ id ]; var_ids = [ id ] }
-  in
-  let view components =
-    {
-      PL.support = [ z0 ];
-      rows = [| z0; x0 |];
-      cells;
-      csr = Qturbo_linalg.Csr.of_row_lists ~cols:2 cells;
-      n_channels = 2;
-      n_vars = 2;
-      channel_terms = [ z0; x0 ];
-      components;
-    }
-  in
-  let linear vars =
-    { PL.name = "linear"; class_vars = vars; class_channels = [ 0 ] }
-  in
-  let const = { PL.name = "const"; class_vars = []; class_channels = [ 1 ] } in
-  let generic =
-    { PL.name = "generic"; class_vars = [ 1 ]; class_channels = [] }
-  in
-  check_codes "sound view" []
-    (PL.check (view [ (comp 0, linear [ 0 ]); (comp 1, generic) ]));
-  let diags = PL.check (view [ (comp 0, linear [ 1 ]); (comp 1, const) ]) in
-  check_codes "broken classifications" [ "QT026" ] diags;
+  {
+    PL.support = [ z0 ];
+    rows = [| z0; x0 |];
+    matrix = Qturbo_linalg.Csr.of_row_lists ~cols matrix;
+    n_channels = 2;
+    n_vars = 2;
+    channel_terms = [ z0; x0 ];
+    components;
+  }
+
+let check_messages diags expected =
   List.iter
     (fun expected ->
       if not (List.exists (fun d -> d.D.message = expected) diags) then
-        Alcotest.failf "no diagnostic says %S" expected)
+        Alcotest.failf "no diagnostic says %S among [%s]" expected
+          (String.concat "; " (List.map (fun d -> d.D.message) diags)))
+    expected
+
+(* The matrix's own dimensions against the index and the device: one
+   row per index row, one column per channel; a column count is not
+   reported over an entry already out of range. *)
+let test_qt024_matrix_dims () =
+  let diags = PL.check (two_channel_view ~matrix:[| [ (0, 1.0) ] |] sound) in
+  check_codes "one matrix row short" [ "QT024" ] diags;
+  check_messages diags [ "skeleton has 1 matrix rows for 2 index rows" ];
+  let diags = PL.check (two_channel_view ~cols:3 sound) in
+  check_codes "a column too many" [ "QT024" ] diags;
+  check_messages diags [ "skeleton matrix has 3 columns for 2 channels" ];
+  let diags =
+    PL.check
+      (two_channel_view ~cols:3
+         ~matrix:[| [ (0, 1.0) ]; [ (1, 1.0); (2, 1.0) ] |]
+         sound)
+  in
+  check_messages diags [ "skeleton row 1 references channel 2 outside [0, 2)" ];
+  Alcotest.(check int) "the column count is not reported too" 1
+    (List.length diags)
+
+(* A hand-edited payload can still break a classification's arity: a
+   linear classification naming a variable outside its component, and
+   a const classification over a component with variables. *)
+let test_qt026_classification () =
+  let const = { PL.name = "const"; class_vars = []; class_channels = [ 1 ] } in
+  check_codes "sound view" [] (PL.check (two_channel_view sound));
+  let diags =
+    PL.check (two_channel_view [ (comp 0, linear [ 1 ]); (comp 1, const) ])
+  in
+  check_codes "broken classifications" [ "QT026" ] diags;
+  check_messages diags
     [
       "linear classification of component 0 names variable 1, which the \
        component does not contain";
@@ -403,10 +423,10 @@ let () =
           Alcotest.test_case "QT023 support coverage" `Quick
             test_qt023_support_coverage;
           Alcotest.test_case "QT024 skeleton dims" `Quick test_qt024_skeleton_dims;
-          Alcotest.test_case "QT024 CSR disagrees with the cells" `Quick
-            test_qt024_csr_mismatch;
           Alcotest.test_case "QT024 row names a channel twice" `Quick
             test_qt024_repeated_channel;
+          Alcotest.test_case "QT024 matrix dimensions" `Quick
+            test_qt024_matrix_dims;
           Alcotest.test_case "QT025 partition" `Quick test_qt025_partition;
           Alcotest.test_case "QT026 classification" `Quick
             test_qt026_classification;

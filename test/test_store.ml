@@ -271,37 +271,15 @@ let tampered_entry_rebuilds edit () =
   Alcotest.(check bool) "repaired entry hits" true
     r.Compiler.plan.Compiler.store_hit
 
-(* A skeleton CSR that disagrees with its cell lists: the solve and the
-   error metrics read the CSR, so the lint gate refuses it. *)
-let test_csr_mismatch_rebuilds =
+(* One stored coefficient doubled: the lint gate sees a well-formed
+   skeleton, and only the check against the requester's channels finds a
+   row they do not produce. *)
+let test_doubled_cell_rebuilds =
   tampered_entry_rebuilds (fun ((_, skeleton) as payload) ->
       let values =
         Qturbo_linalg.Csr.values (Linear_system.skeleton_csr skeleton)
       in
-      values.(0) <- values.(0) +. 1.0;
-      payload)
-
-(* One cell coefficient doubled in the cell lists and in the CSR alike:
-   the lint gate sees a consistent skeleton, and only the check against
-   the requester's channels finds a row they do not produce. *)
-let test_doubled_cell_rebuilds =
-  tampered_entry_rebuilds (fun ((_, skeleton) as payload) ->
-      let cells = Linear_system.skeleton_cells skeleton in
-      let csr = Linear_system.skeleton_csr skeleton in
-      let row =
-        Option.get
-          (List.find_opt
-             (fun i -> cells.(i) <> [])
-             (List.init (Array.length cells) Fun.id))
-      in
-      let cid, v = List.hd cells.(row) in
-      cells.(row) <- (cid, 2.0 *. v) :: List.tl cells.(row);
-      let values = Qturbo_linalg.Csr.values csr in
-      let k = (Qturbo_linalg.Csr.row_ptr csr).(row) in
-      values.(k) <- 2.0 *. values.(k);
-      Alcotest.(check bool) "the CSR still packs the cells" true
-        (Qturbo_linalg.Csr.packs csr ~cols:(Qturbo_linalg.Csr.cols csr)
-           cells);
+      values.(0) <- 2.0 *. values.(0);
       payload)
 
 (* The term index's lookup table taken from an index over a reordered
@@ -340,10 +318,10 @@ let store_hits () =
   | Some s -> s.PS.hits
   | None -> Alcotest.fail "store stats missing"
 
-(* A store hit re-derives the analyzer's findings and the lint list
-   from the checked support and skeleton over the requester's device, so
-   a check, a lint and a compile served from an entry report what the
-   cold build did (its QT007 included). *)
+(* A store hit re-derives the analyzer's findings from the checked
+   support and skeleton over the requester's device, so a check, a lint
+   and a compile served from an entry report what the cold build did
+   (its QT007 included). *)
 let test_store_hit_findings_equal_cold () =
   with_store @@ fun _dir ->
   let aais = (rydberg_for 5).Rydberg.aais in
@@ -351,7 +329,7 @@ let test_store_hit_findings_equal_cold () =
   let analyze () = json (Compiler.analyze ~aais ~target ~t_tar:1.0 ()) in
   let lint () =
     json
-      (Compile_plan.lint_findings
+      (Compile_plan.lint
          (fst
             (Compile_plan.obtain ~options:Compiler.default_options ~aais
                ~target)))
@@ -621,8 +599,6 @@ let () =
             test_corrupt_store_rebuilds;
           Alcotest.test_case "version mismatch rebuilds" `Quick
             test_version_mismatch_rebuilds;
-          Alcotest.test_case "CSR disagreeing with its cells rebuilds" `Quick
-            test_csr_mismatch_rebuilds;
           Alcotest.test_case "a doubled cell coefficient rebuilds" `Quick
             test_doubled_cell_rebuilds;
           Alcotest.test_case "a swapped lookup table rebuilds" `Quick
