@@ -192,14 +192,6 @@ let degree p = p.degree
    the sparse step) did not resolve the difference either way. *)
 let par_threshold = 32_768
 
-(* Free-variable count at which the LM position solve switches from the
-   LU factorization of the normal equations (O(nv³) per damping attempt)
-   to conjugate gradients.  Every Fig. 3-scale device (n ≤ 100 atoms,
-   nv ≤ ~200) stays on the LU path — assembled from the CSR Jacobian
-   bitwise as the dense matrix used to be — while n ≳ 130 planar
-   layouts get the near-linear solve. *)
-let sparse_threshold = 256
-
 (* The residual rows r_i(x) = row_i(x)·T_sim − α_i of one solve, over
    an environment holding the pinned values, whose free slots [load]
    rewrites.  [fill x] loads [x] and evaluates every row into [out];
@@ -324,10 +316,11 @@ let solve ?(domains = 1) ~sup ~alpha ~t_sim p =
   let jac_domains = if nnz < par_threshold then 1 else domains in
   (* exact symbolic Jacobian; LM runs in external coordinates (position
      boxes are wide, so iterates stay interior) and the result is clamped,
-     any clamping error landing in eps2.  Both step solvers take the
-     same CSR Jacobian over the prepared pattern: a solve allocates only
-     its value array and refills it in place; no dense matrix is ever
-     allocated. *)
+     any clamping error landing in eps2.  The Jacobian is a CSR over the
+     prepared pattern whose value array a solve allocates once and
+     refills in place; LM takes LU steps on it below
+     [Levenberg_marquardt.cg_threshold] free variables and CG steps from
+     there, so no dense Jacobian is ever allocated. *)
   let csr =
     Csr.of_pattern ~cols:nv ~row_ptr:p.jac_row_ptr ~col_idx:p.jac_col_idx
   in
@@ -338,53 +331,14 @@ let solve ?(domains = 1) ~sup ~alpha ~t_sim p =
         values.(t) <-
           Expr.eval_kernel (Array.unsafe_get p.jac_kernels t) ~env:sw.env
           *. t_sim);
-    csr
+    Objective.Csr csr
   in
-  let report, solve_failures =
-    if nv < sparse_threshold then begin
-      let outcome =
-        Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
-          ~component:p.comp.Locality.id
-          ~jacobian:(fun x -> Objective.Csr (jacobian x))
-          ~bounds:p.bounds sw.residual x0_ext
-      in
-      ( outcome.Qturbo_resilience.Supervisor.report,
-        outcome.Qturbo_resilience.Supervisor.failures )
-    end
-    else begin
-      (* Large components bypass the escalation ladder: Nelder–Mead is
-         skipped above ~40 dimensions anyway and a multistart over
-         thousands of coordinates would dwarf the compile.  The
-         supervisor still contributes its wall-clock deadline; a hard
-         failure is surfaced as a non-fatal record (the clamped pre-fit
-         layout is returned, its error landing in eps2).  Injected
-         faults do not reach this path — fault-injection drills run at
-         Fig. 3 scale, below [sparse_threshold]. *)
-      let options =
-        {
-          Levenberg_marquardt.default_options with
-          deadline = Qturbo_resilience.Supervisor.deadline sup;
-        }
-      in
-      let report =
-        Levenberg_marquardt.minimize_sparse ~options ~jacobian sw.residual
-          x0_ext
-      in
-      let failures =
-        Option.to_list
-          (Option.map
-             (fun class_ ->
-               Qturbo_resilience.Failure.make ~component:p.comp.Locality.id
-                 ~site:"fixed-solve" ~stage:"lm-sparse" ~fatal:false ~class_
-                 (Printf.sprintf
-                    "sparse LM position solve failed with non-finite cost \
-                     after %d iterations"
-                    report.Objective.iterations))
-             (Qturbo_resilience.Supervisor.classify_report report))
-      in
-      (report, failures)
-    end
+  let outcome =
+    Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
+      ~component:p.comp.Locality.id ~jacobian ~bounds:p.bounds sw.residual
+      x0_ext
   in
+  let report = outcome.Qturbo_resilience.Supervisor.report in
   let x_ext =
     Array.mapi (fun k x -> Bounds.clamp p.bounds.(k) x) report.Objective.x
   in
@@ -394,4 +348,4 @@ let solve ?(domains = 1) ~sup ~alpha ~t_sim p =
     List.init nv (fun k -> (p.free_ids.(k), x_ext.(k)))
   in
   ( { assignments = free_assignments @ p.pinned; eps2 },
-    start.failures @ solve_failures )
+    start.failures @ outcome.Qturbo_resilience.Supervisor.failures )

@@ -45,21 +45,6 @@ val par_threshold : int
     below it they run sequentially at any width.  32,768: only
     components far larger than any Fig. 3 benchmark reach the pool. *)
 
-val sparse_threshold : int
-(** Free-variable count at which the LM position solve switches from
-    the LU factorization of the normal equations (O(nv³) per damping
-    attempt, {!Qturbo_optim.Levenberg_marquardt.minimize}) to the
-    conjugate-gradient path
-    ({!Qturbo_optim.Levenberg_marquardt.minimize_sparse}).  Both take
-    the same CSR Jacobian over the prepared pattern, its values refilled
-    in place; no dense Jacobian is built on either side.  Components
-    below it — every Fig. 3-scale device — get [JᵀJ] assembled from
-    the CSR bitwise as the dense matrix gave it, so they stay
-    bitwise-identical to prior releases.  On the CG path under a
-    supervisor, the escalation ladder is bypassed (the deadline still
-    applies; hard failures surface as non-fatal records) and injected
-    faults are not applied. *)
-
 val prepare :
   vars:Qturbo_aais.Variable.t array ->
   channels:Qturbo_aais.Instruction.channel array ->
@@ -109,12 +94,18 @@ val solve :
   t_sim:float ->
   prepared ->
   result * Qturbo_resilience.Failure.t list
-(** Solve at a given [T_sim], the LM position solve running under the
-    resilience escalation ladder (site ["fixed-solve"], the component's
-    locality id; the position boxes seed the multistart stage), starting
-    from {!prefit}'s layout and reporting its failure records first.  On
-    a hard solver failure the returned layout is the (clamped) pre-fit
-    initial layout and the failure list says why.  [domains > 1]
+(** Solve at a given [T_sim]: one call into
+    {!Qturbo_resilience.Supervisor.solve} (site ["fixed-solve"], the
+    component's locality id; the position boxes clamp the retry jitter
+    and seed the multistart stage) with the exact CSR Jacobian, starting
+    from {!prefit}'s layout and reporting its failure records first.
+    Every component, whatever its size, runs under the escalation
+    ladder, whose shape follows the free-variable count (LU steps and
+    the full ladder below
+    {!Qturbo_optim.Levenberg_marquardt.cg_threshold}; CG steps, an
+    unperturbed retry and no multistart from it).  On a hard solver
+    failure the returned layout is the (clamped) pre-fit initial layout
+    and the failure list says why, its last record fatal.  [domains > 1]
     evaluates the residual rows (in contiguous ranges of the packed
     batch) and the Jacobian entries on the pool (disjoint writes
     collected by index, so the result is bitwise-identical to

@@ -1,5 +1,3 @@
-type row = { cells : (int * float) list; rhs : float }
-
 type stats = {
   greedy_solved : int;
   dense_solved : int;
@@ -8,21 +6,6 @@ type stats = {
 }
 
 type result = { x : Vec.t; residual_l1 : float; stats : stats }
-
-(* Row lists packed verbatim, rejecting out-of-range columns and rows
-   that name a column twice. *)
-let pack ~ncols rows =
-  let a =
-    try
-      Csr.of_row_lists ~cols:ncols
-        (Array.of_list (List.map (fun r -> r.cells) rows))
-    with Invalid_argument _ -> invalid_arg "Sparse_solve: column out of range"
-  in
-  if Csr.repeated_col a <> None then
-    invalid_arg "Sparse_solve: duplicate column in row";
-  a
-
-let rhs_of rows = Array.of_list (List.map (fun r -> r.rhs) rows)
 
 (* ‖A x − rhs‖₁, each row's stored entries accumulated in order *)
 let csr_residual_l1 a ~rhs x =
@@ -38,9 +21,6 @@ let csr_residual_l1 a ~rhs x =
     res := !res +. Float.abs (!lhs -. rhs.(i))
   done;
   !res
-
-let residual_l1 ~ncols rows x =
-  csr_residual_l1 (pack ~ncols rows) ~rhs:(rhs_of rows) x
 
 (* Tiny coefficients cannot be used as pivots in the greedy pass: dividing
    by them would blow up rounding errors from earlier substitutions. *)
@@ -181,8 +161,6 @@ let solve_csr a ~rhs =
       };
   }
 
-let solve ~ncols rows = solve_csr (pack ~ncols rows) ~rhs:(rhs_of rows)
-
 let dense_csr a ~rhs =
   let nrows = Csr.rows a and ncols = Csr.cols a in
   if Array.length rhs <> nrows then
@@ -208,5 +186,3 @@ let dense_csr a ~rhs =
         };
     }
   end
-
-let dense_only ~ncols rows = dense_csr (pack ~ncols rows) ~rhs:(rhs_of rows)

@@ -12,10 +12,6 @@
     exactly; the van-der-Waals tail is the canonical example) and the
     returned [residual_l1] is then the [ε₁] of the paper's Theorem 1. *)
 
-type row = { cells : (int * float) list; rhs : float }
-(** One equation [Σ coeff·x_col = rhs]; columns within a row must be
-    distinct. *)
-
 type stats = {
   greedy_solved : int;  (** unknowns fixed by the substitution pass *)
   dense_solved : int;  (** unknowns fixed by the dense fallback *)
@@ -42,22 +38,8 @@ val solve_csr : Csr.t -> rhs:float array -> result
     descending row order), so the result is a pure function of the
     stored entries and their order. *)
 
-val solve : ncols:int -> row list -> result
-(** The validated entry point for row lists: raises [Invalid_argument]
-    on out-of-range columns or duplicate columns within one row, then
-    packs the rows ({!Csr.of_row_lists}, verbatim order) and runs
-    {!solve_csr}. *)
-
-val residual_l1 : ncols:int -> row list -> Vec.t -> float
-(** Recompute [‖A x − b‖₁] for an arbitrary candidate (used by the
-    refinement stage after the runtime-fixed variables moved). *)
-
 val dense_csr : Csr.t -> rhs:float array -> result
 (** Reference implementation that skips the greedy pass and solves the
     whole system densely (QR least squares).  Used by tests and by the
     [ablation/linear-solver] bench.  Raises [Invalid_argument] when
     [rhs] does not have one entry per row. *)
-
-val dense_only : ncols:int -> row list -> result
-(** {!dense_csr} for row lists, validated and packed as {!solve}
-    packs them. *)

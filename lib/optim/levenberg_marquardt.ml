@@ -34,9 +34,9 @@ let default_options =
 exception Budget_exhausted
 exception Deadline_hit
 
-(* The one outer loop behind both Jacobian representations: damping
-   schedule, accept/reject, every stopping rule, and the evaluation
-   budget and deadline.  What differs is passed in:
+(* The outer loop: damping schedule, accept/reject, every stopping
+   rule, and the evaluation budget and deadline.  [minimize] passes in
+   the Jacobian and the step solver it picked for it:
    - [jac ~charge x] builds the Jacobian at [x] ([charge k] bills [k]
      residual evaluations to the budget, for finite differences);
    - [gradient j r] is [Jᵀr];
@@ -175,45 +175,6 @@ let drive ~options ~jac ~gradient ~normal f x0 =
     stop = !stop;
   }
 
-(* LU steps: the normal equations with Marquardt scaling on the
-   diagonal, factorized into one reusable n×n buffer.  JᵀJ and Jᵀr are
-   assembled from whichever representation the Jacobian has; both give
-   the same bits for the same matrix. *)
-let minimize ?(options = default_options) ?jacobian f x0 =
-  let n = Array.length x0 in
-  let jac ~charge x =
-    match jacobian with
-    | Some j -> j x
-    | None ->
-        (* charge n evaluations for a forward-difference Jacobian *)
-        charge n;
-        Objective.Dense (Numeric_jacobian.forward f x)
-  in
-  let gradient j r =
-    match j with
-    | Objective.Dense m -> Mat.mul_vec_t m r
-    | Objective.Csr c -> Csr.mul_vec_t c r
-  in
-  let damped = Mat.create ~rows:n ~cols:n in
-  let normal j neg_g =
-    let jtj =
-      match j with
-      | Objective.Dense m -> Mat.at_mul_self m
-      | Objective.Csr c -> Csr.at_mul_self c
-    in
-    fun lambda ->
-      Array.blit (Mat.data jtj) 0 (Mat.data damped) 0 (n * n);
-      for k = 0 to n - 1 do
-        let d = Mat.get jtj k k in
-        let scaled = if d > 0.0 then d else 1.0 in
-        Mat.set damped k k (d +. (lambda *. scaled))
-      done;
-      match Lu.solve_factored (Lu.factorize_in_place damped) neg_g with
-      | delta -> if Array.for_all Float.is_finite delta then Some delta else None
-      | exception Lu.Singular _ -> None
-  in
-  drive ~options ~jac ~gradient ~normal f x0
-
 (* Conjugate gradient on the damped normal equations
    [(JᵀJ + λ·diag s) δ = b]: the matrix is only ever applied, never
    formed, so an attempt costs O(cg_iters · nnz) instead of the dense
@@ -294,21 +255,60 @@ let cg_normal ~j ~lambda ~scale ~b ~jv ~av =
     if !failed || not (Array.for_all Float.is_finite x) then None else Some x
   end
 
-(* Sparse steps: conjugate gradients on the same damped normal
-   equations, with the Marquardt scale taken from the diagonal of JᵀJ
-   exactly as the LU path does (zero columns get unit scale). *)
-let minimize_sparse ?(options = default_options) ~jacobian f x0 =
+let cg_threshold = 256
+
+(* The one entry: a CSR Jacobian with at least [cg_threshold] unknowns
+   takes conjugate-gradient steps, anything else LU steps on the normal
+   equations with Marquardt scaling on the diagonal, factorized into one
+   reusable n×n buffer.  On the LU branch JᵀJ and Jᵀr are assembled
+   from whichever representation the Jacobian has, and both give the
+   same bits for the same matrix.  Each branch allocates its scratch the
+   first time it runs, so a CG solve never holds an n×n buffer. *)
+let minimize ?(options = default_options) ?jacobian f x0 =
   let n = Array.length x0 in
-  (* CG scratch, sized on the first Jacobian *)
-  let jv = ref [||] in
-  let av = Array.make n 0.0 in
-  let normal j neg_g =
-    if Array.length !jv < Csr.rows j then jv := Array.make (Csr.rows j) 0.0;
-    let scale =
-      Array.map (fun d -> if d > 0.0 then d else 1.0) (Csr.col_sq_sums j)
-    in
-    fun lambda -> cg_normal ~j ~lambda ~scale ~b:neg_g ~jv:!jv ~av
+  let jac ~charge x =
+    match jacobian with
+    | Some j -> j x
+    | None ->
+        (* charge n evaluations for a forward-difference Jacobian *)
+        charge n;
+        Objective.Dense (Numeric_jacobian.forward f x)
   in
-  drive ~options
-    ~jac:(fun ~charge:_ x -> jacobian x)
-    ~gradient:Csr.mul_vec_t ~normal f x0
+  let gradient j r =
+    match j with
+    | Objective.Dense m -> Mat.mul_vec_t m r
+    | Objective.Csr c -> Csr.mul_vec_t c r
+  in
+  let damped = lazy (Mat.create ~rows:n ~cols:n) in
+  let lu_solver jtj neg_g =
+    let damped = Lazy.force damped in
+    fun lambda ->
+      Array.blit (Mat.data jtj) 0 (Mat.data damped) 0 (n * n);
+      for k = 0 to n - 1 do
+        let d = Mat.get jtj k k in
+        let scaled = if d > 0.0 then d else 1.0 in
+        Mat.set damped k k (d +. (lambda *. scaled))
+      done;
+      match Lu.solve_factored (Lu.factorize_in_place damped) neg_g with
+      | delta -> if Array.for_all Float.is_finite delta then Some delta else None
+      | exception Lu.Singular _ -> None
+  in
+  (* CG scratch, [jv] sized on the first sparse Jacobian *)
+  let jv = ref [||] and av = lazy (Array.make n 0.0) in
+  let cg_solver c neg_g =
+    if Array.length !jv < Csr.rows c then jv := Array.make (Csr.rows c) 0.0;
+    let av = Lazy.force av in
+    (* the Marquardt scale is the diagonal of JᵀJ, zero columns mapped
+       to 1, as on the LU branch *)
+    let scale =
+      Array.map (fun d -> if d > 0.0 then d else 1.0) (Csr.col_sq_sums c)
+    in
+    fun lambda -> cg_normal ~j:c ~lambda ~scale ~b:neg_g ~jv:!jv ~av
+  in
+  let normal j neg_g =
+    match j with
+    | Objective.Csr c when n >= cg_threshold -> cg_solver c neg_g
+    | Objective.Csr c -> lu_solver (Csr.at_mul_self c) neg_g
+    | Objective.Dense m -> lu_solver (Mat.at_mul_self m) neg_g
+  in
+  drive ~options ~jac ~gradient ~normal f x0

@@ -32,40 +32,41 @@ type options = {
 
 val default_options : options
 
+val cg_threshold : int
+(** Unknown count from which {!minimize} takes a CSR Jacobian's steps
+    by conjugate gradients instead of an LU factorization: 256.  Every
+    Fig. 3-scale position solve (n ≤ 100 atoms, ≤ ~200 coordinates)
+    stays on LU, while planar Rydberg layouts from n ≈ 130 get the
+    near-linear step. *)
+
 val minimize :
   ?options:options ->
   ?jacobian:Objective.jacobian_fn ->
   Objective.residual_fn ->
   float array ->
   Objective.report
-(** [minimize f x0] runs LM from [x0], each damped step an LU solve of
-    the normal equations.  When [jacobian] is omitted a forward-difference
-    Jacobian is used (its evaluations are charged to the budget).  [JᵀJ]
-    and [Jᵀr] are assembled from whichever {!Objective.jacobian} case the
-    Jacobian has — {!Qturbo_linalg.Mat.at_mul_self} for [Dense],
-    {!Qturbo_linalg.Csr.at_mul_self} for [Csr] — and the two give the
-    same bits for the same matrix (the residual is finite wherever a
-    gradient is taken), so a problem's report does not depend on its
-    Jacobian's representation.  The report's [converged] is true when
-    any of the three tolerances triggered; exhausting the iteration or
-    evaluation budget leaves it false while still returning the best
-    point seen, with [report.stop] naming the cause ([Stop_max_evaluations],
-    [Stop_deadline], [Stop_invalid] for a non-finite initial cost, …).
-    No exception ever escapes [minimize] itself: the internal budget and
-    deadline signals are caught here and surfaced only through the
-    report. *)
+(** [minimize f x0] runs LM from [x0].  When [jacobian] is omitted a
+    forward-difference Jacobian is used (its evaluations are charged to
+    the budget).  Each damped step solves
+    [(JᵀJ + λ·diag s) δ = −Jᵀr], [s] the diagonal of [JᵀJ] with zero
+    columns mapped to 1, and the solver is picked from the Jacobian:
+    - a [Dense] Jacobian, or a [Csr] one with fewer than {!cg_threshold}
+      unknowns, takes an LU solve of the normal equations, [JᵀJ] and
+      [Jᵀr] assembled with {!Qturbo_linalg.Mat.at_mul_self} or
+      {!Qturbo_linalg.Csr.at_mul_self}.  The two give the same bits for
+      the same matrix (the residual is finite wherever a gradient is
+      taken), so below {!cg_threshold} a problem's report does not
+      depend on its Jacobian's representation;
+    - a [Csr] Jacobian with at least {!cg_threshold} unknowns takes
+      conjugate-gradient steps on the same equations, the matrix applied
+      and never formed: O(cg·nnz) per damping attempt instead of an
+      O(n³) factorization, and no n×n buffer.  Deterministic; a CG
+      breakdown is treated like a singular factorization.
 
-val minimize_sparse :
-  ?options:options ->
-  jacobian:(float array -> Qturbo_linalg.Csr.t) ->
-  Objective.residual_fn ->
-  float array ->
-  Objective.report
-(** {!minimize} for a sparse Jacobian: the same outer loop (damping
-    schedule, accept/reject, every stopping rule), but each damped step
-    solves [(JᵀJ + λ·diag s) δ = −Jᵀr] by conjugate gradients — O(cg·nnz)
-    per attempt instead of an O(n³) factorization, which keeps large
-    runtime-fixed solves near-linear.  [s] is the diagonal of [JᵀJ] with
-    zero columns mapped to 1, as on the LU path.  Deterministic; a CG
-    breakdown is treated like a singular factorization.  The [jacobian]
-    is required. *)
+    The report's [converged] is true when any of the three tolerances
+    triggered; exhausting the iteration or evaluation budget leaves it
+    false while still returning the best point seen, with [report.stop]
+    naming the cause ([Stop_max_evaluations], [Stop_deadline],
+    [Stop_invalid] for a non-finite initial cost, …).  No exception ever
+    escapes [minimize] itself: the internal budget and deadline signals
+    are caught here and surfaced only through the report. *)

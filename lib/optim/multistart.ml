@@ -1,6 +1,6 @@
 open Qturbo_util
 
-type 'a run = { report : Objective.report; start_index : int; extra : 'a }
+type run = { report : Objective.report; start_index : int }
 
 (* the best run under the deterministic (cost, start_index) order:
    strictly smaller finite cost wins, ties keep the earlier start *)
@@ -9,76 +9,24 @@ let better_than best (report : Objective.report) =
   | None -> Float.is_finite report.Objective.cost
   | Some { report = b; _ } -> report.Objective.cost < b.Objective.cost
 
-let search ?domains ~rng ~starts ~sample ~solve ~accept () =
-  let domains =
-    match domains with Some d -> d | None -> Qturbo_par.Pool.default_domains ()
+let search ~rng ~starts ~sample ~solve ~accept =
+  (* start [i] samples from the [i]-th stream split off [rng], so its
+     point does not depend on what the earlier starts did.  A start
+     whose solver raises is contained: it simply stops being a
+     candidate, and all-starts-raising yields [None] for the caller to
+     classify rather than an escaped exception. *)
+  let rec go i best =
+    if i >= starts then best
+    else
+      let x0 = sample (Rng.split rng) in
+      match solve x0 with
+      | exception _ -> go (i + 1) best
+      | report ->
+          let run = { report; start_index = i } in
+          if accept report then Some run
+          else go (i + 1) (if better_than best report then Some run else best)
   in
-  if starts <= 0 then (None, 0)
-  else begin
-    (* per-start streams are split off the caller's rng up front, in
-       start order — every start sees the same initial point whether the
-       search runs sequentially or on the pool *)
-    let x0s = Array.make starts [||] in
-    for i = 0 to starts - 1 do
-      x0s.(i) <- sample (Rng.split rng)
-    done;
-    (* a start whose solver raises is contained: it simply stops being a
-       candidate, so the winner stays deterministic by (cost, start_index)
-       over the surviving starts, and all-starts-raising yields (None, _)
-       for the caller to classify rather than an escaped exception *)
-    let safe_solve x0 = match solve x0 with
-      | run -> Some run
-      | exception _ -> None
-    in
-    if domains <= 1 || Qturbo_par.Pool.in_worker () then begin
-      (* sequential: stop at the first accepted run *)
-      let best = ref None in
-      let accepted = ref None in
-      let i = ref 0 in
-      while !accepted = None && !i < starts do
-        (match safe_solve x0s.(!i) with
-        | Some (report, extra) ->
-            if accept report then
-              accepted := Some { report; start_index = !i; extra }
-            else if better_than !best report then
-              best := Some { report; start_index = !i; extra }
-        | None -> ());
-        incr i
-      done;
-      match !accepted with
-      | Some run -> (Some run, run.start_index + 1)
-      | None -> (!best, !i)
-    end
-    else begin
-      (* speculative: all starts run, then the same winner is picked —
-         the accepted run at the smallest start index, else the best by
-         (cost, start_index) *)
-      let runs =
-        Qturbo_par.Pool.parallel_map ~domains ~chunk:1 safe_solve x0s
-      in
-      let accepted = ref None in
-      for i = starts - 1 downto 0 do
-        match runs.(i) with
-        | Some (report, extra) ->
-            if accept report then
-              accepted := Some { report; start_index = i; extra }
-        | None -> ()
-      done;
-      match !accepted with
-      | Some run -> (Some run, run.start_index + 1)
-      | None ->
-          let best = ref None in
-          Array.iteri
-            (fun i run ->
-              match run with
-              | Some (report, extra) ->
-                  if better_than !best report then
-                    best := Some { report; start_index = i; extra }
-              | None -> ())
-            runs;
-          (!best, starts)
-    end
-  end
+  go 0 None
 
 let sample_box bounds ~fallback rng =
   Array.map

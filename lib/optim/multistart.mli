@@ -1,49 +1,39 @@
-(** Multistart driver: run a solver from several random initial points and
-    keep the best result.
+(** Multistart search: run a solver from several random initial points,
+    one after another, and keep the best result.  It is the last rung of
+    the resilience supervisor's escalation ladder, which runs it below
+    {!Levenberg_marquardt.cg_threshold} unknowns, inside the
+    per-component pool task that already holds a domain. *)
 
-    This mirrors SimuQ's practice of re-running SciPy's [least_squares]
-    from random initial guesses until one lands in the feasible basin; the
-    number of starts times the per-start budget is the baseline's dominant
-    compile-time cost. *)
-
-type 'a run = {
+type run = {
   report : Objective.report;
-  start_index : int;
-  extra : 'a;  (** solver-specific payload (e.g. indicator assignment) *)
+  start_index : int;  (** the start that produced [report], from 0 *)
 }
 
 val search :
-  ?domains:int ->
   rng:Qturbo_util.Rng.t ->
   starts:int ->
   sample:(Qturbo_util.Rng.t -> float array) ->
-  solve:(float array -> Objective.report * 'a) ->
+  solve:(float array -> Objective.report) ->
   accept:(Objective.report -> bool) ->
-  unit ->
-  'a run option * int
-(** [search ~rng ~starts ~sample ~solve ~accept ()] solves from up to
-    [starts] random initial points and returns the winning run together
-    with the number of starts consumed.
+  run option
+(** [search ~rng ~starts ~sample ~solve ~accept] solves from up to
+    [starts] random initial points, in start order, and returns the
+    winning run.
 
-    Each start samples its initial point from its own [Rng.split]-derived
-    stream (split off [rng] in start order before any solving), so the
-    set of initial points — and therefore the winner — is the same
-    whether the starts run sequentially or on the pool ([domains],
-    defaulting to {!Qturbo_par.Pool.default_domains}).
+    Start [i] samples its initial point from the [i]-th stream
+    {!Qturbo_util.Rng.split} off [rng], so its point does not depend on
+    what the earlier starts did.
 
-    The winner is the {e accepted} run with the smallest start index when
-    [accept] fires (the run itself, even if an earlier start had lower
-    cost; [used] is its index + 1), and otherwise the best run by
-    [(cost, start_index)] — strictly smaller finite cost wins, ties keep
-    the earlier start ([used = starts]).  [None] when every start
-    diverged to a non-finite cost.  The sequential path stops solving at
-    the first accepted run; the parallel path runs all starts
-    speculatively and then picks the identical winner.
+    The search stops at the first run [accept] fires on and returns it,
+    whatever the costs of the other starts.  Otherwise every
+    start runs and the winner is the best run by [(cost, start_index)]:
+    strictly smaller finite cost wins, ties keep the earlier start.
+    [None] when every start diverged to a non-finite cost.
 
     A start whose [solve] raises is contained per-start: it drops out of
     the candidate set (as if it had returned an infinite cost) and the
-    remaining starts still determine the same winner.  When every start
-    raises or diverges the result is [(None, starts)] — never an escaped
+    remaining starts still determine the winner.  When every start
+    raises or diverges the result is [None] — never an escaped
     exception — so callers classify the failure instead of crashing. *)
 
 val sample_box :

@@ -4,8 +4,10 @@ type residual_fn = float array -> float array
 (** A vector residual [F : R^n -> R^m]; solvers minimise [‖F(x)‖₂²]. *)
 
 (** A Jacobian [J(x)] with [J_{ij} = ∂F_i/∂x_j], in the representation
-    its producer has.  Solvers take either and give the same bits for
-    the same matrix. *)
+    its producer has.  {!Levenberg_marquardt.minimize} takes either and
+    gives the same bits for the same matrix below its [cg_threshold]
+    unknowns; from there a [Csr] Jacobian takes conjugate-gradient
+    steps. *)
 type jacobian =
   | Dense of Qturbo_linalg.Mat.t
       (** numeric Jacobians: forward differences, SimuQ's central

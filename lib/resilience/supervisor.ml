@@ -22,7 +22,6 @@ let make ?deadline_seconds ?faults ?(best_effort = false) () =
 
 let best_effort t = t.best_effort
 let faults t = t.faults
-let deadline t = t.deadline
 
 let wall_expired t =
   match t.deadline with None -> false | Some d -> Clock.now () >= d
@@ -34,8 +33,8 @@ let pool_guard t ~site () =
   if site_expired t ~site ~component:(-1) then raise Expired
 
 (* Nelder–Mead is hopeless well before ~40 dimensions (a shrink step alone
-   costs n evaluations); above that the ladder jumps straight from the
-   jittered LM restart to multistart. *)
+   costs n evaluations); above that the ladder goes straight from the
+   LM restart to multistart, or stops there from cg_threshold on. *)
 let nm_dim_limit = 40
 let multistart_starts = 4
 
@@ -81,6 +80,8 @@ let jitter ?bounds rng x0 =
       | None -> v')
     x0
 
+(* [None] for a finite cost; otherwise the failure class its stop
+   reason names *)
 let classify_report (r : Objective.report) =
   if Float.is_finite r.cost then None
   else
@@ -183,20 +184,15 @@ let run_multistart_stage t ~site ~component ~options ~jacobian ~bounds residual
                 Rng.uniform rng ~lo:(v -. span) ~hi:(v +. span))
               x0
     in
-    let solve x0 =
-      (Levenberg_marquardt.minimize ~options ?jacobian residual x0, ())
-    in
+    let solve x0 = Levenberg_marquardt.minimize ~options ?jacobian residual x0 in
     let accept (r : Objective.report) =
       r.Objective.converged && Float.is_finite r.Objective.cost
     in
-    (* domains:1 — the ladder already runs inside a per-component pool
-       task; nesting more parallelism buys nothing deterministic *)
     match
-      Multistart.search ~domains:1 ~rng ~starts:multistart_starts ~sample
-        ~solve ~accept ()
+      Multistart.search ~rng ~starts:multistart_starts ~sample ~solve ~accept
     with
-    | Some run, _ -> run.Multistart.report
-    | None, _ ->
+    | Some run -> run.Multistart.report
+    | None ->
         let stop =
           if budget_fault then Objective.Stop_max_evaluations
           else Objective.Stop_invalid
@@ -221,6 +217,16 @@ let solve t ~site ~component ?(options = Levenberg_marquardt.default_options)
     }
   else begin
     let n = Array.length x0 in
+    (* From [cg_threshold] unknowns the retry re-runs the first rung from
+       the same start and no multistart follows.  The unperturbed retry
+       recovers a failure that does not depend on the start (an injected
+       fault, one stage's budget); one that does fails both rungs and is
+       fatal, as a total failure is at every size.  A perturbed restart
+       does not pay at that size: on a planar n = 300 layout the ±1%
+       jitter stacked two atoms and the constraint loop ran out, and an
+       absolute-only 1e-3 jitter recovered at ~400× the cost of the
+       unperturbed one; a multistart over random layouts costs more. *)
+    let large = n >= Levenberg_marquardt.cg_threshold in
     let stages =
       [
         ( stage_lm,
@@ -229,8 +235,9 @@ let solve t ~site ~component ?(options = Levenberg_marquardt.default_options)
               residual x0 );
         ( stage_lm_retry,
           fun () ->
-            let rng = stream ~site ~component in
-            let x0' = jitter ?bounds rng x0 in
+            let x0' =
+              if large then x0 else jitter ?bounds (stream ~site ~component) x0
+            in
             run_lm_stage t ~stage:stage_lm_retry ~component ~options ~jacobian
               residual x0' );
       ]
@@ -239,7 +246,10 @@ let solve t ~site ~component ?(options = Levenberg_marquardt.default_options)
              (stage_nm, fun () -> run_nm_stage t ~component ~options residual x0);
            ]
          else [])
-      @ [
+      @
+      if large then []
+      else
+        [
           ( stage_multistart,
             fun () ->
               run_multistart_stage t ~site ~component ~options ~jacobian

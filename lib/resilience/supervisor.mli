@@ -14,6 +14,15 @@
       stream; samples inside [bounds] when given, else a box around the
       initial point).
 
+    The ladder's shape follows the size.  From
+    {!Qturbo_optim.Levenberg_marquardt.cg_threshold} unknowns, where LM
+    takes conjugate-gradient steps on a CSR Jacobian, it is {b lm} then
+    {b lm-retry} from the caller's initial point itself, and no
+    multistart: the unperturbed retry recovers every failure that does
+    not depend on the start (an injected fault, one stage's budget),
+    one that does fails both stages and is fatal, and a jittered
+    restart or a multistart at that size costs hundreds of solves.
+
     Escalation happens only on {e hard} failure — non-finite cost,
     deadline expiry, an injected fault, or an exception out of the
     residual/Jacobian.  A merely-unconverged finite iterate is accepted
@@ -46,7 +55,6 @@ val make :
 
 val best_effort : t -> bool
 val faults : t -> Fault.spec
-val deadline : t -> float option
 
 val wall_expired : t -> bool
 (** The wall-clock deadline (if any) has passed. *)
@@ -60,10 +68,6 @@ val pool_guard : t -> site:string -> unit -> unit
     match).  This is how a deadline propagates through the pool: the
     guard stops the job from claiming further ranges and the caller
     catches {!Expired} and degrades. *)
-
-val classify_report : Qturbo_optim.Objective.report -> Failure.class_ option
-(** [None] for a finite cost; otherwise the failure class its stop
-    reason names. *)
 
 type outcome = {
   report : Qturbo_optim.Objective.report;

@@ -243,7 +243,24 @@ let test_csr_of_pattern () =
 
 (* ---- Sparse_solve ---- *)
 
-let row cells rhs = { Sparse_solve.cells; rhs }
+(* A test-local equation [Σ coeff·x_col = rhs]; a system of them is
+   packed in row order into the CSR matrix the solver takes. *)
+type row = { cells : (int * float) list; rhs : float }
+
+let row cells rhs = { cells; rhs }
+
+let pack ~ncols rows =
+  ( Csr.of_row_lists ~cols:ncols
+      (Array.of_list (List.map (fun r -> r.cells) rows)),
+    Array.of_list (List.map (fun r -> r.rhs) rows) )
+
+let greedy_solve ~ncols rows =
+  let a, rhs = pack ~ncols rows in
+  Sparse_solve.solve_csr a ~rhs
+
+let dense_solve ~ncols rows =
+  let a, rhs = pack ~ncols rows in
+  Sparse_solve.dense_csr a ~rhs
 
 let test_sparse_triangular_chain () =
   (* x0 = 2; x0 + x1 = 5; x1 + x2 = 10 — pure greedy substitution *)
@@ -254,7 +271,7 @@ let test_sparse_triangular_chain () =
       row [ (1, 1.0); (2, 1.0) ] 10.0;
     ]
   in
-  let r = Sparse_solve.solve ~ncols:3 rows in
+  let r = greedy_solve ~ncols:3 rows in
   Alcotest.(check (array (float 1e-9))) "solution" [| 2.0; 3.0; 7.0 |] r.Sparse_solve.x;
   check_float "residual" 0.0 r.Sparse_solve.residual_l1;
   Alcotest.(check int) "all greedy" 3 r.Sparse_solve.stats.Sparse_solve.greedy_solved
@@ -264,33 +281,41 @@ let test_sparse_dense_fallback () =
   let rows =
     [ row [ (0, 1.0); (1, 1.0) ] 3.0; row [ (0, 1.0); (1, -1.0) ] 1.0 ]
   in
-  let r = Sparse_solve.solve ~ncols:2 rows in
+  let r = greedy_solve ~ncols:2 rows in
   Alcotest.(check (array (float 1e-9))) "solution" [| 2.0; 1.0 |] r.Sparse_solve.x;
   Alcotest.(check int) "dense solved" 2 r.Sparse_solve.stats.Sparse_solve.dense_solved
 
 let test_sparse_inconsistent_residual () =
   (* no channel produces this term: empty row with nonzero rhs *)
   let rows = [ row [] 4.0; row [ (0, 2.0) ] 6.0 ] in
-  let r = Sparse_solve.solve ~ncols:1 rows in
+  let r = greedy_solve ~ncols:1 rows in
   check_float "x" 3.0 r.Sparse_solve.x.(0);
   check_float "residual from impossible row" 4.0 r.Sparse_solve.residual_l1
 
 let test_sparse_free_variable () =
   let rows = [ row [ (0, 1.0) ] 1.0 ] in
-  let r = Sparse_solve.solve ~ncols:3 rows in
+  let r = greedy_solve ~ncols:3 rows in
   Alcotest.(check int) "free vars" 2 r.Sparse_solve.stats.Sparse_solve.free_vars;
   check_float "free at zero" 0.0 r.Sparse_solve.x.(1)
 
 let test_sparse_conflicting_singletons () =
   (* x0 = 1 and x0 = 3: greedy solves one, the other becomes residual *)
   let rows = [ row [ (0, 1.0) ] 1.0; row [ (0, 1.0) ] 3.0 ] in
-  let r = Sparse_solve.solve ~ncols:1 rows in
+  let r = greedy_solve ~ncols:1 rows in
   check_float "residual" 2.0 r.Sparse_solve.residual_l1
 
-let test_sparse_duplicate_column_rejected () =
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Sparse_solve: duplicate column in row") (fun () ->
-      ignore (Sparse_solve.solve ~ncols:2 [ row [ (0, 1.0); (0, 2.0) ] 1.0 ]))
+let test_csr_repeated_col () =
+  (* the check the skeleton build runs before any greedy solve *)
+  Alcotest.(check (option (pair int int)))
+    "row 1 names column 2 twice" (Some (1, 2))
+    (Csr.repeated_col
+       (Csr.of_row_lists ~cols:3
+          [| [ (0, 1.0); (2, 1.0) ]; [ (2, 1.0); (0, 3.0); (2, 2.0) ] |]));
+  Alcotest.(check (option (pair int int)))
+    "clean matrix" None
+    (Csr.repeated_col
+       (Csr.of_row_lists ~cols:3
+          [| [ (0, 1.0); (2, 1.0) ]; []; [ (2, 1.0); (1, 3.0) ] |]))
 
 let test_sparse_matches_dense_on_consistent () =
   let rng = Qturbo_util.Rng.create ~seed:123L in
@@ -308,8 +333,8 @@ let test_sparse_matches_dense_on_consistent () =
           in
           row cells rhs)
     in
-    let greedy = Sparse_solve.solve ~ncols:n rows in
-    let dense = Sparse_solve.dense_only ~ncols:n rows in
+    let greedy = greedy_solve ~ncols:n rows in
+    let dense = dense_solve ~ncols:n rows in
     if
       not
         (Qturbo_util.Float_cmp.approx_array ~rtol:1e-6 ~atol:1e-7
@@ -528,7 +553,7 @@ let system_gen =
       float_range (-5.0) 5.0 >>= fun rhs ->
       return
         {
-          Sparse_solve.cells =
+          cells =
             List.combine (List.filteri (fun i _ -> i < k) cols) coeffs;
           rhs;
         }
@@ -544,21 +569,21 @@ let system_gen =
     let links =
       List.init (n - 1) (fun i ->
           {
-            Sparse_solve.cells = [ (i, c.(2 * i)); (i + 1, c.((2 * i) + 1)) ];
+            cells = [ (i, c.(2 * i)); (i + 1, c.((2 * i) + 1)) ];
             rhs = r.(i);
           })
     in
     let closing =
       if cycle then
-        { Sparse_solve.cells = [ (n - 1, c.(2 * n - 2)); (0, c.(2 * n - 1)) ]; rhs = r.(n - 1) }
-      else { Sparse_solve.cells = [ (n - 1, c.(2 * n - 2)) ]; rhs = r.(n - 1) }
+        { cells = [ (n - 1, c.(2 * n - 2)); (0, c.(2 * n - 1)) ]; rhs = r.(n - 1) }
+      else { cells = [ (n - 1, c.(2 * n - 2)) ]; rhs = r.(n - 1) }
     in
     shuffle_l (closing :: links) >>= fun rows ->
     bool >>= fun spare ->
     (* an unused trailing column and an empty row, sometimes *)
     return
       ( (if spare then n + 1 else n),
-        if spare then rows @ [ { Sparse_solve.cells = []; rhs = r.(n) } ] else rows )
+        if spare then rows @ [ { cells = []; rhs = r.(n) } ] else rows )
   in
   frequency [ (1, random_system); (1, chain_system) ]
 
@@ -566,7 +591,7 @@ let print_system (ncols, rows) =
   Printf.sprintf "ncols=%d rows=[%s]" ncols
     (String.concat "; "
        (List.map
-          (fun { Sparse_solve.cells; rhs } ->
+          (fun { cells; rhs } ->
             Printf.sprintf "{%s} = %h"
               (String.concat " "
                  (List.map (fun (c, a) -> Printf.sprintf "%d:%h" c a) cells))
@@ -578,14 +603,7 @@ let prop_csr_solve_matches_list_oracle =
     ~count:2000
     (QCheck.make ~print:print_system system_gen)
     (fun (ncols, rows) ->
-      let expected = List_oracle.solve ~ncols rows in
-      let packed =
-        Csr.of_row_lists ~cols:ncols
-          (Array.of_list (List.map (fun r -> r.Sparse_solve.cells) rows))
-      in
-      let rhs = Array.of_list (List.map (fun r -> r.Sparse_solve.rhs) rows) in
-      same_result expected (Sparse_solve.solve ~ncols rows)
-      && same_result expected (Sparse_solve.solve_csr packed ~rhs))
+      same_result (List_oracle.solve ~ncols rows) (greedy_solve ~ncols rows))
 
 (* the generator reaches every branch the property is meant to cover *)
 let test_system_gen_coverage () =
@@ -599,13 +617,13 @@ let test_system_gen_coverage () =
     if st.Sparse_solve.greedy_solved >= 3 then note "singleton chain";
     if st.Sparse_solve.dense_solved > 0 then note "QR fallback";
     if st.Sparse_solve.free_vars > 0 then note "unused column";
-    if List.exists (fun r -> r.Sparse_solve.cells = []) rows then note "empty row";
+    if List.exists (fun r -> r.cells = []) rows then note "empty row";
     if
       List.exists
         (fun r ->
           List.exists
             (fun (_, a) -> a <> 0.0 && Float.abs a <= 1e-12)
-            r.Sparse_solve.cells)
+            r.cells)
         rows
       && st.Sparse_solve.dense_rows > 0
     then note "pivot below tolerance"
@@ -715,6 +733,7 @@ let () =
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
           Alcotest.test_case "range check" `Quick test_csr_out_of_range;
           Alcotest.test_case "kept pattern" `Quick test_csr_of_pattern;
+          Alcotest.test_case "repeated column" `Quick test_csr_repeated_col;
         ] );
       ( "sparse_solve",
         [
@@ -725,8 +744,6 @@ let () =
           Alcotest.test_case "free variables" `Quick test_sparse_free_variable;
           Alcotest.test_case "conflicting singletons" `Quick
             test_sparse_conflicting_singletons;
-          Alcotest.test_case "duplicate column rejected" `Quick
-            test_sparse_duplicate_column_rejected;
           Alcotest.test_case "greedy matches dense" `Quick
             test_sparse_matches_dense_on_consistent;
         ] );

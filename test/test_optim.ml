@@ -105,6 +105,46 @@ let test_lm_multidimensional_fit () =
   check_close "a" 1e-5 2.0 r.Objective.x.(0);
   check_close "b" 1e-5 0.7 r.Objective.x.(1)
 
+(* r_i = x_i + x_i³ − t_i: separable, one Jacobian entry per row, the
+   CSR's value array refilled in place as the position solve does *)
+let separable_csr n =
+  let module Csr = Qturbo_linalg.Csr in
+  let t = Array.init n (fun i -> 1.0 +. float_of_int (i mod 7)) in
+  let f x = Array.init n (fun i -> x.(i) +. (x.(i) *. x.(i) *. x.(i)) -. t.(i)) in
+  let csr = Csr.of_row_lists ~cols:n (Array.init n (fun i -> [ (i, 0.0) ])) in
+  let values = Csr.values csr in
+  let jacobian x =
+    for i = 0 to n - 1 do
+      values.(i) <- 1.0 +. (3.0 *. x.(i) *. x.(i))
+    done;
+    Objective.Csr csr
+  in
+  (f, jacobian)
+
+let test_lm_csr_across_cg_threshold () =
+  (* the last LU-sized and the first CG-sized problem both converge *)
+  List.iter
+    (fun n ->
+      let f, jacobian = separable_csr n in
+      let r = Levenberg_marquardt.minimize ~jacobian f (Array.make n 0.5) in
+      let msg s = Printf.sprintf "n=%d: %s" n s in
+      Alcotest.(check bool) (msg "converged") true r.Objective.converged;
+      Alcotest.(check bool) (msg "cost at zero") true (r.Objective.cost < 1e-16))
+    Levenberg_marquardt.[ cg_threshold - 1; cg_threshold ]
+
+let test_lm_cg_allocation () =
+  (* bytes, not time: an n×n LU buffer at n = 2,000 alone is 32 MB *)
+  let n = 2_000 in
+  let f, jacobian = separable_csr n in
+  let x0 = Array.make n 0.5 in
+  let before = Qturbo_util.Alloc.bytes () in
+  let r = Levenberg_marquardt.minimize ~jacobian f x0 in
+  let bytes = Qturbo_util.Alloc.bytes () -. before in
+  Alcotest.(check bool) "converged" true r.Objective.converged;
+  if bytes > 8e6 then
+    Alcotest.failf "a CG-sized solve allocated %.1f MB (bound 8 MB)"
+      (bytes /. 1e6)
+
 (* ---- Nelder_mead ---- *)
 
 let test_nm_quadratic () =
@@ -217,22 +257,25 @@ let test_golden_min () =
 let test_multistart_finds_global () =
   (* two basins; only the one near 4 satisfies acceptance *)
   let rng = Qturbo_util.Rng.create ~seed:31L in
+  let solves = ref 0 in
   let solve x0 =
+    incr solves;
     let f x = [| ((x.(0) -. 4.0) *. (x.(0) +. 3.0)) /. 10.0 |] in
-    (Levenberg_marquardt.minimize f x0, ())
+    Levenberg_marquardt.minimize f x0
   in
-  let best, used =
+  let best =
     Multistart.search ~rng ~starts:20
       ~sample:(fun rng -> [| Qturbo_util.Rng.uniform rng ~lo:(-10.0) ~hi:10.0 |])
       ~solve
       ~accept:(fun r -> r.Objective.cost < 1e-12 && r.Objective.x.(0) > 0.0)
-      ()
   in
   (match best with
   | None -> Alcotest.fail "no run kept"
   | Some run ->
-      Alcotest.(check bool) "found a root" true (run.Multistart.report.Objective.cost < 1e-10));
-  Alcotest.(check bool) "used at least one start" true (used >= 1)
+      Alcotest.(check bool) "found a root" true (run.Multistart.report.Objective.cost < 1e-10);
+      Alcotest.(check int) "stopped at the accepted start"
+        (run.Multistart.start_index + 1) !solves);
+  Alcotest.(check bool) "used at least one start" true (!solves >= 1)
 
 let test_sample_box () =
   let rng = Qturbo_util.Rng.create ~seed:37L in
@@ -244,101 +287,64 @@ let test_sample_box () =
   done
 
 (* Regression: acceptance must report the run that fired it, not a later
-   start that happens to reach a lower cost — and the sequential early-exit
-   path must agree with the speculative pool path on winner and [used]. *)
-let synthetic_search ~domains ~costs ~accept =
+   start that happens to reach a lower cost.  Returns the winner and the
+   number of starts solved, so the early exit is observable. *)
+let synthetic_search ~costs ~accept =
   let rng = Qturbo_util.Rng.create ~seed:7L in
-  (* x0s are split off [rng] sequentially in start order before any
-     solving, so a counter tags each start with its index *)
+  (* start i samples its point before it is solved, so a counter tags
+     each start with its index *)
   let counter = ref 0 in
   let sample _rng =
     let k = !counter in
     incr counter;
     [| float_of_int k |]
   in
+  let solves = ref 0 in
   let solve x0 =
-    let k = int_of_float x0.(0) in
-    ( {
-        Objective.x = x0;
-        cost = costs.(k);
-        residual_norm = 0.0;
-        iterations = 1;
-        evaluations = 1;
-        converged = true;
-        stop = Objective.Stop_converged;
-      },
-      k )
+    incr solves;
+    {
+      Objective.x = x0;
+      cost = costs.(int_of_float x0.(0));
+      residual_norm = 0.0;
+      iterations = 1;
+      evaluations = 1;
+      converged = true;
+      stop = Objective.Stop_converged;
+    }
   in
-  Multistart.search ~domains ~rng ~starts:(Array.length costs) ~sample ~solve
-    ~accept ()
+  let best =
+    Multistart.search ~rng ~starts:(Array.length costs) ~sample ~solve ~accept
+  in
+  (best, !solves)
 
 let test_multistart_reports_accepted_run () =
   (* start 2 is accepted first; start 6 is accepted too and cheaper *)
   let costs = [| 10.0; 9.0; 4.0; 7.0; 6.0; 5.5; 1.0; 3.0 |] in
   let accept r = r.Objective.cost < 5.0 in
-  List.iter
-    (fun domains ->
-      match synthetic_search ~domains ~costs ~accept with
-      | None, _ -> Alcotest.fail "expected a run"
-      | Some run, used ->
-          let msg s = Printf.sprintf "domains=%d: %s" domains s in
-          Alcotest.(check int) (msg "accepted start") 2 run.Multistart.start_index;
-          Alcotest.(check int) (msg "extra payload") 2 run.Multistart.extra;
-          Alcotest.(check (float 0.0))
-            (msg "accepted cost, not the global best")
-            4.0 run.Multistart.report.Objective.cost;
-          Alcotest.(check int) (msg "used stops at acceptance") 3 used)
-    [ 1; 4 ]
+  match synthetic_search ~costs ~accept with
+  | None, _ -> Alcotest.fail "expected a run"
+  | Some run, solves ->
+      Alcotest.(check int) "accepted start" 2 run.Multistart.start_index;
+      Alcotest.(check (float 0.0)) "accepted cost, not the global best" 4.0
+        run.Multistart.report.Objective.cost;
+      Alcotest.(check int) "solving stops at acceptance" 3 solves
 
 let test_multistart_best_tie_prefers_earlier () =
   (* nothing accepted: best by (cost, start_index); the cost tie between
-     starts 1 and 3 keeps the earlier one, on both paths *)
+     starts 1 and 3 keeps the earlier one *)
   let costs = [| 3.0; 1.0; 4.0; 1.0; 5.0 |] in
   let accept _ = false in
-  List.iter
-    (fun domains ->
-      match synthetic_search ~domains ~costs ~accept with
-      | None, _ -> Alcotest.fail "expected a run"
-      | Some run, used ->
-          let msg s = Printf.sprintf "domains=%d: %s" domains s in
-          Alcotest.(check int) (msg "earlier tie wins") 1 run.Multistart.start_index;
-          Alcotest.(check int) (msg "all starts consumed") 5 used)
-    [ 1; 4 ]
+  match synthetic_search ~costs ~accept with
+  | None, _ -> Alcotest.fail "expected a run"
+  | Some run, solves ->
+      Alcotest.(check int) "earlier tie wins" 1 run.Multistart.start_index;
+      Alcotest.(check int) "all starts consumed" 5 solves
 
 let test_multistart_all_diverged () =
   let costs = [| Float.nan; Float.infinity; Float.nan |] in
-  List.iter
-    (fun domains ->
-      match synthetic_search ~domains ~costs ~accept:(fun _ -> false) with
-      | None, used -> Alcotest.(check int) "used" 3 used
-      | Some _, _ -> Alcotest.fail "non-finite costs must yield None")
-    [ 1; 4 ]
-
-let test_multistart_parallel_matches_sequential () =
-  (* same seed, real LM solves: the pool path must pick the identical
-     winner (same start, bitwise-same point) as the sequential path *)
-  let search domains =
-    let rng = Qturbo_util.Rng.create ~seed:31L in
-    let solve x0 =
-      let f x = [| ((x.(0) -. 4.0) *. (x.(0) +. 3.0)) /. 10.0 |] in
-      (Levenberg_marquardt.minimize f x0, ())
-    in
-    Multistart.search ~domains ~rng ~starts:12
-      ~sample:(fun rng -> [| Qturbo_util.Rng.uniform rng ~lo:(-10.0) ~hi:10.0 |])
-      ~solve
-      ~accept:(fun r -> r.Objective.cost < 1e-12 && r.Objective.x.(0) > 0.0)
-      ()
-  in
-  match (search 1, search 4) with
-  | (Some r1, used1), (Some r4, used4) ->
-      Alcotest.(check int) "same start" r1.Multistart.start_index
-        r4.Multistart.start_index;
-      Alcotest.(check int) "same used" used1 used4;
-      Alcotest.(check bool) "bitwise-same point" true
-        (Int64.equal
-           (Int64.bits_of_float r1.Multistart.report.Objective.x.(0))
-           (Int64.bits_of_float r4.Multistart.report.Objective.x.(0)))
-  | _ -> Alcotest.fail "both paths must find a run"
+  match synthetic_search ~costs ~accept:(fun _ -> false) with
+  | None, solves -> Alcotest.(check int) "all starts consumed" 3 solves
+  | Some _, _ -> Alcotest.fail "non-finite costs must yield None"
 
 (* ---- qcheck properties ---- *)
 
@@ -484,6 +490,10 @@ let () =
           Alcotest.test_case "cost target" `Quick test_lm_cost_target_stops_early;
           Alcotest.test_case "accept residual" `Quick test_lm_accept_residual;
           Alcotest.test_case "exponential fit" `Quick test_lm_multidimensional_fit;
+          Alcotest.test_case "CSR on both sides of cg_threshold" `Quick
+            test_lm_csr_across_cg_threshold;
+          Alcotest.test_case "CG solve holds no n x n buffer" `Quick
+            test_lm_cg_allocation;
         ] );
       ( "nelder_mead",
         [
@@ -523,8 +533,6 @@ let () =
             test_multistart_best_tie_prefers_earlier;
           Alcotest.test_case "all-diverged yields None" `Quick
             test_multistart_all_diverged;
-          Alcotest.test_case "pool path matches sequential" `Quick
-            test_multistart_parallel_matches_sequential;
           Alcotest.test_case "sample box" `Quick test_sample_box;
         ] );
       ( "properties",

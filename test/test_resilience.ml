@@ -149,50 +149,81 @@ let test_ladder_deterministic () =
   check_bits_array "iterate" a.Supervisor.report.Objective.x
     b.Supervisor.report.Objective.x
 
+(* From cg_threshold unknowns the retry restarts from the caller's
+   start unperturbed and no multistart follows: under [lm=nan] the retry
+   returns the clean solve's bits, and under [*=nan] the ladder stops
+   after two records. *)
+let test_ladder_large_shape () =
+  let n = Levenberg_marquardt.cg_threshold in
+  let residual x = Array.mapi (fun i v -> v -. float_of_int (i mod 5)) x in
+  let x0 () = Array.make n 0.5 in
+  let solve spec =
+    Supervisor.solve
+      (Supervisor.make ~faults:(Fault.parse_exn spec) ())
+      ~site:"fixed-solve" ~component:0 residual (x0 ())
+  in
+  let clean = Supervisor.solve Supervisor.none ~site:"fixed-solve"
+      ~component:0 residual (x0 ())
+  in
+  let o = solve "lm=nan" in
+  Alcotest.(check string) "retry wins" "lm-retry" o.Supervisor.stage;
+  check_bits_array "retry iterate is the clean one"
+    clean.Supervisor.report.Objective.x o.Supervisor.report.Objective.x;
+  let o = solve "*=nan" in
+  Alcotest.(check bool) "failed" true (Supervisor.failed o);
+  Alcotest.(check (list (pair string bool)))
+    "lm, then a fatal lm-retry"
+    [ ("lm", false); ("lm-retry", true) ]
+    (List.map
+       (fun (f : Failure.t) -> (f.Failure.stage, f.Failure.fatal))
+       o.Supervisor.failures)
+
 (* ---- Multistart per-start containment (injected failures) ---- *)
 
 let test_multistart_injected_failures () =
-  (* starts whose sampled point lands in x > 0 raise; the winner must be
-     the best surviving start, identically at any domain count *)
+  (* the first three starts raise; the search goes on to the fourth,
+     which converges and is accepted *)
   let target = -2.0 in
+  let solves = ref 0 in
   let solve x0 =
-    if x0.(0) > 0.0 then failwith "injected per-start failure"
-    else
-      (Levenberg_marquardt.minimize (fun x -> [| x.(0) -. target |]) x0, ())
+    incr solves;
+    if !solves <= 3 then failwith "injected per-start failure"
+    else Levenberg_marquardt.minimize (fun x -> [| x.(0) -. target |]) x0
   in
-  let search ~domains =
-    Multistart.search ~domains
+  match
+    Multistart.search
       ~rng:(Qturbo_util.Rng.create ~seed:99L)
       ~starts:8
       ~sample:(fun rng -> [| Qturbo_util.Rng.uniform rng ~lo:(-5.0) ~hi:5.0 |])
       ~solve
       ~accept:(fun r -> r.Objective.converged)
-      ()
-  in
-  match (search ~domains:1, search ~domains:4) with
-  | (Some a, used_a), (Some b, used_b) ->
-      Alcotest.(check int) "same winner" a.Multistart.start_index
-        b.Multistart.start_index;
-      Alcotest.(check int) "same consumption" used_a used_b;
-      check_bits_array "same iterate" a.Multistart.report.Objective.x
-        b.Multistart.report.Objective.x;
+  with
+  | Some a ->
+      Alcotest.(check int) "first surviving start wins" 3
+        a.Multistart.start_index;
+      Alcotest.(check int) "solving stops at acceptance" 4 !solves;
       Alcotest.(check bool) "winner converged" true
-        a.Multistart.report.Objective.converged
-  | _ -> Alcotest.fail "expected a surviving start at both domain counts"
+        a.Multistart.report.Objective.converged;
+      Alcotest.(check (float 1e-9)) "winner solves the problem" target
+        a.Multistart.report.Objective.x.(0)
+  | None -> Alcotest.fail "expected a surviving start"
 
 let test_multistart_all_fail () =
-  let solve _ = failwith "every start fails" in
+  let solves = ref 0 in
+  let solve _ =
+    incr solves;
+    failwith "every start fails"
+  in
   match
-    Multistart.search ~domains:4
+    Multistart.search
       ~rng:(Qturbo_util.Rng.create ~seed:5L)
       ~starts:6
       ~sample:(fun rng -> [| Qturbo_util.Rng.uniform rng ~lo:(-1.0) ~hi:1.0 |])
       ~solve
       ~accept:(fun _ -> true)
-      ()
   with
-  | None, used -> Alcotest.(check int) "all starts consumed" 6 used
-  | Some _, _ -> Alcotest.fail "no start may win when every solve raises"
+  | None -> Alcotest.(check int) "all starts consumed" 6 !solves
+  | Some _ -> Alcotest.fail "no start may win when every solve raises"
 
 (* ---- Compile-level contract ---- *)
 
@@ -361,6 +392,84 @@ let test_verifier_carries_failures () =
   Alcotest.(check bool) "json degraded flag" true
     (contains ~needle:{|"degraded":true|} json)
 
+(* ---- Large components: the same ladder above cg_threshold ---- *)
+
+(* planar ising-cycle n = 150: one position component with 2n − 3 = 297
+   free coordinates, so LM takes CG steps *)
+let large_n = 150
+
+let compile_large ~options =
+  let spec =
+    Device.with_geometry Device.Plane
+      { Device.aquila_paper with Device.max_extent = 2000.0 }
+  in
+  let ryd = Rydberg.build ~spec ~n:large_n in
+  let target =
+    Qturbo_pauli.Pauli_sum.drop_identity
+      (Qturbo_models.Model.hamiltonian_at
+         (Qturbo_models.Benchmarks.by_name ~name:"ising-cycle" ~n:large_n)
+         ~s:0.0)
+  in
+  Qturbo_core.Compiler.compile ~options ~aais:ryd.Rydberg.aais ~target
+    ~t_tar:1.0 ()
+
+let record (f : Failure.t) =
+  Printf.sprintf "%s/%s fatal=%b" f.Failure.site f.Failure.stage f.Failure.fatal
+
+let test_large_lm_nan_recovers () =
+  Alcotest.(check bool) "above the CG threshold" true
+    ((2 * large_n) - 3 >= Levenberg_marquardt.cg_threshold);
+  List.iter
+    (fun domains ->
+      let msg s = Printf.sprintf "domains=%d: %s" domains s in
+      let clean = compile_large ~options:(compile_opts ~domains ()) in
+      let r =
+        compile_large
+          ~options:(compile_opts ~domains ~faults:(Fault.parse_exn "lm=nan") ())
+      in
+      check_bits_array (msg "env") clean.Qturbo_core.Compiler.env
+        r.Qturbo_core.Compiler.env;
+      check_bits_array (msg "t_sim and error_l1")
+        [| clean.Qturbo_core.Compiler.t_sim; clean.Qturbo_core.Compiler.error_l1 |]
+        [| r.Qturbo_core.Compiler.t_sim; r.Qturbo_core.Compiler.error_l1 |];
+      Alcotest.(check (list string)) (msg "clean records") []
+        (List.map record clean.Qturbo_core.Compiler.failures);
+      Alcotest.(check (list string))
+        (msg "one non-fatal lm record")
+        [ "fixed-solve/lm fatal=false" ]
+        (List.map record r.Qturbo_core.Compiler.failures))
+    [ 1; 4 ]
+
+let test_large_total_failure () =
+  let want = [ "fixed-solve/lm fatal=false"; "fixed-solve/lm-retry fatal=true" ] in
+  (match compile_large ~options:(compile_opts ~faults:all_nan ()) with
+  | _ -> Alcotest.fail "strict compile under total failure must raise"
+  | exception Failure.Failed fs ->
+      Alcotest.(check (list string)) "strict records" want (List.map record fs));
+  let r =
+    compile_large ~options:(compile_opts ~best_effort:true ~faults:all_nan ())
+  in
+  Alcotest.(check bool) "best-effort degrades" true
+    r.Qturbo_core.Compiler.degraded;
+  Alcotest.(check (list string)) "best-effort records" want
+    (List.map record r.Qturbo_core.Compiler.failures)
+
+let test_large_expired_deadline () =
+  match
+    compile_large
+      ~options:(compile_opts ~faults:(Fault.parse_exn "fixed-solve=deadline") ())
+  with
+  | _ -> Alcotest.fail "strict compile with the solve expired must raise"
+  | exception Failure.Failed fs -> (
+      match fs with
+      | [ f ] ->
+          Alcotest.(check string) "record" "fixed-solve/ fatal=true" (record f);
+          Alcotest.(check string) "class" "deadline-expired"
+            (Failure.class_name f.Failure.class_);
+          Alcotest.(check string) "detail" "expired before solve started"
+            f.Failure.detail
+      | fs -> Alcotest.failf "expected one record, got %d" (List.length fs))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -381,6 +490,8 @@ let () =
             test_deadline_in_past;
           Alcotest.test_case "seeded jitter is deterministic" `Quick
             test_ladder_deterministic;
+          Alcotest.test_case "large: unperturbed retry, no multistart" `Quick
+            test_ladder_large_shape;
         ] );
       ( "multistart",
         [
@@ -407,5 +518,14 @@ let () =
             test_expired_deadline_compile;
           Alcotest.test_case "verifier carries failures" `Quick
             test_verifier_carries_failures;
+        ] );
+      ( "large component",
+        [
+          Alcotest.test_case "lm=nan recovers the clean bits" `Quick
+            test_large_lm_nan_recovers;
+          Alcotest.test_case "total failure is fatal" `Quick
+            test_large_total_failure;
+          Alcotest.test_case "expired before the solve" `Quick
+            test_large_expired_deadline;
         ] );
     ]

@@ -348,11 +348,11 @@ let test_row_parallel_position_solve () =
 
 let test_sparse_path_deterministic () =
   (* n = 150 on the plane: 297 free position variables, above
-     Fixed_solver.sparse_threshold — the CSR/CG path actually runs. *)
+     Levenberg_marquardt.cg_threshold — the CG step actually runs. *)
   let n = 150 in
   Alcotest.(check bool)
     "n=150 plane really exercises the sparse path" true
-    ((2 * n) - 3 >= Fixed_solver.sparse_threshold);
+    ((2 * n) - 3 >= Qturbo_optim.Levenberg_marquardt.cg_threshold);
   let target = static_target "ising-cycle" n in
   let compile ~domains ~plan_cache =
     let ryd = Rydberg.build ~spec:relaxed_plane ~n in
