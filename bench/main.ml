@@ -590,15 +590,8 @@ let analysis () =
           "lint(s)";
           "compile(s)";
           "lint1shot%";
-          "gate%";
         ]
   in
-  (* production gate overhead: with the plan cache on (the default),
-     the lint gate runs exactly once per fresh structural build, so a
-     sweep of [sweep_k] instances over one structure pays [lint_s]
-     once.  The kernel verifier is opt-in (QTURBO_VERIFY_KERNELS) and
-     adds nothing to the production compile path. *)
-  let sweep_k = 16 in
   let rows =
     List.map
       (fun n ->
@@ -624,17 +617,18 @@ let analysis () =
               Qturbo_core.Compile_plan.diagnose ~aais ~plan ~t_tar:1.0 target)
         in
         (* stage-two analyzer: kernel verifier over every channel kernel,
-           plan linter over the built plan (both run inside qturbo lint;
-           the linter also gates every fresh plan build) *)
+           plan linter over the built plan.  Both run inside qturbo lint
+           and nowhere on the compile path (the kernel verifier only
+           under QTURBO_VERIFY_KERNELS). *)
         let verify_s =
           best (fun () -> ignore (Qturbo_analysis.Kernel_check.check_aais aais))
         in
         let lint_s =
           best (fun () -> ignore (Qturbo_core.Compile_plan.lint plan))
         in
-        (* cold compile: the lint gate runs once per fresh plan build,
-           so the honest denominator rebuilds the plan rather than
-           serving it from the warm cache *)
+        (* cold compile: [qturbo lint] runs in a fresh process, so the
+           denominator rebuilds the plan rather than serving it from the
+           warm cache *)
         let compile_s =
           best (fun () ->
               Qturbo_core.Compiler.compile
@@ -648,19 +642,6 @@ let analysis () =
         let overhead_pct =
           100.0 *. (verify_s +. lint_s) /. Float.max 1e-9 compile_s
         in
-        (* one structural plan, [sweep_k] compiles through the cache:
-           the default production configuration *)
-        Qturbo_core.Compile_plan.clear_caches ();
-        let sweep_s, _ =
-          time_run (fun () ->
-              for i = 1 to sweep_k do
-                ignore
-                  (Qturbo_core.Compiler.compile ~aais ~target
-                     ~t_tar:(1.0 +. (0.05 *. float_of_int i))
-                     ())
-              done)
-        in
-        let gate_pct = 100.0 *. lint_s /. Float.max 1e-9 sweep_s in
         Table_fmt.add_row t
           [
             string_of_int n;
@@ -670,85 +651,33 @@ let analysis () =
             Table_fmt.cell_of_float lint_s;
             Table_fmt.cell_of_float compile_s;
             Table_fmt.cell_of_float overhead_pct;
-            Table_fmt.cell_of_float gate_pct;
           ];
-        (n, analyze_s, precheck_s, verify_s, lint_s, compile_s, overhead_pct,
-         sweep_s, gate_pct))
+        (n, analyze_s, precheck_s, verify_s, lint_s, compile_s, overhead_pct))
       (sweep_sizes ())
   in
   Table_fmt.print
     ~title:
-      (Printf.sprintf
-         "Static-analysis overhead (Ising cycle, best of 5; lint1shot%% = \
-          verify + lint vs one cold compile; gate%% = lint gate vs a \
-          %d-instance cached sweep, the production path)"
-         sweep_k)
+      "Static-analysis overhead (Ising cycle, best of 5; lint1shot% = \
+       verify + lint vs one cold compile, what qturbo lint adds)"
     t;
-  (* lint-gate re-check on the ion-trap family: the backend refactor must
-     keep the cached-sweep gate under the same <1% budget on the largest
-     sweep size *)
-  let trap_n = List.fold_left Int.max 0 (sweep_sizes ()) in
-  let trap = iontrap_for trap_n in
-  let trap_aais = trap.Iontrap.aais in
-  let trap_target = static_target "ising-chain" trap_n in
-  let trap_plan =
-    Qturbo_core.Compile_plan.build ~aais:trap_aais
-      ~target_shape:(Qturbo_core.Compile_plan.support_of_target trap_target)
-      ()
-  in
-  let trap_lint_s =
-    best (fun () -> ignore (Qturbo_core.Compile_plan.lint trap_plan))
-  in
-  Qturbo_core.Compile_plan.clear_caches ();
-  let trap_sweep_s, _ =
-    time_run (fun () ->
-        for i = 1 to sweep_k do
-          ignore
-            (Qturbo_core.Compiler.compile ~aais:trap_aais ~target:trap_target
-               ~t_tar:(1.0 +. (0.05 *. float_of_int i))
-               ())
-        done)
-  in
-  let trap_gate_pct = 100.0 *. trap_lint_s /. Float.max 1e-9 trap_sweep_s in
-  progress
-    "analysis: iontrap ising-chain n=%d lint %.6f s sweep %.3f s gate %.4f%% \
-     (budget 1%%)"
-    trap_n trap_lint_s trap_sweep_s trap_gate_pct;
   let oc = open_out "BENCH_analysis.json" in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"%s\",\n\
     \  \"reps\": %d,\n\
-    \  \"sweep_instances\": %d,\n\
-    \  \"target_gate_overhead_percent\": 1.0,\n\
-    \  \"iontrap\": {\"benchmark\": \"ising-chain\", \"n\": %d, \
-     \"plan_lint_seconds\": %.6f, \"sweep_seconds\": %.6f, \
-     \"gate_overhead_percent\": %.4f},\n\
     \  \"series\": [\n%s\n\
     \  ]\n\
      }\n"
-    name reps sweep_k trap_n trap_lint_s trap_sweep_s trap_gate_pct
+    name reps
     (String.concat ",\n"
        (List.map
-          (fun
-            ( n,
-              analyze_s,
-              precheck_s,
-              verify_s,
-              lint_s,
-              compile_s,
-              pct,
-              sweep_s,
-              gate_pct )
-          ->
+          (fun (n, analyze_s, precheck_s, verify_s, lint_s, compile_s, pct) ->
             Printf.sprintf
               "    {\"n\": %d, \"analyze_seconds\": %.6f, \
                \"precheck_seconds\": %.6f, \"kernel_verify_seconds\": %.6f, \
                \"plan_lint_seconds\": %.6f, \"compile_seconds\": %.6f, \
-               \"lint_oneshot_overhead_percent\": %.4f, \"sweep_seconds\": \
-               %.6f, \"gate_overhead_percent\": %.4f}"
-              n analyze_s precheck_s verify_s lint_s compile_s pct sweep_s
-              gate_pct)
+               \"lint_oneshot_overhead_percent\": %.4f}"
+              n analyze_s precheck_s verify_s lint_s compile_s pct)
           rows));
   close_out oc;
   progress "analysis: wrote BENCH_analysis.json"

@@ -17,18 +17,6 @@ open Cmdliner
 open Qturbo_aais
 module Backend = Qturbo_backend.Backend
 
-(* [run] compiles against the raw preset (no scaling-study window
-   widening, no model-driven geometry switch) — it keeps its own preset
-   table; every other command resolves devices through the backend
-   registry. *)
-let run_device_presets =
-  [
-    ("aquila-paper", Device.aquila_paper);
-    ("aquila", Device.aquila);
-    ("aquila-fig6a", Device.aquila_fig6a);
-    ("aquila-fig6b", Device.aquila_fig6b);
-  ]
-
 (* Model/backend resolution, compile options, static targets, range
    parsing, the check and lint findings and the machine-readable payload
    builders live in {!Qturbo_service.Ops}, shared with the [qturbo
@@ -569,10 +557,10 @@ let lint_corrupt_plan variant (plan : Qturbo_core.Compile_plan.t) =
           } )
   | "plan-csr" ->
       (* the first row with two entries names its first channel twice,
-         which the greedy solve trusts the gate to refuse; the edit goes
-         to a deep copy (the skeleton is shared and immutable through
-         its API, so the copy goes through marshaling, as a store entry
-         does) *)
+         which the greedy solve trusts the skeleton build to refuse; the
+         edit goes to a deep copy (the skeleton is shared and immutable
+         through its API, so the copy goes through marshaling, as a store
+         entry does) *)
       let skeleton : Qturbo_core.Linear_system.skeleton =
         Marshal.from_string (Marshal.to_string plan.CP.skeleton []) 0
       in
@@ -634,7 +622,7 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
   let kernel_diags = KC.check_aais aais in
   let injected =
     match inject with
-    | None -> []
+    | None -> CP.lint plan
     | Some variant -> (
         let n_env = Array.length (Aais.variables aais) in
         match lint_kernel_fixture variant with
@@ -918,8 +906,11 @@ let run_cmd model_name n device_name t_tar j h shots noise_scale seed verbose =
   let model = build_model ~name:model_name ~n ~j ~h in
   if Qturbo_models.Model.is_driven model then
     failwith "run supports static models only (compile driven ones instead)";
+  (* the raw preset: no scaling-study window widening and no
+     model-driven geometry switch, which every other command gets
+     through the backend registry *)
   let spec =
-    match List.assoc_opt device_name run_device_presets with
+    match List.assoc_opt device_name Backend.rydberg_presets with
     | Some sp -> sp
     | None -> failwith ("unknown device: " ^ device_name)
   in

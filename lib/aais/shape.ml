@@ -243,5 +243,3 @@ let of_support support =
       Buffer.add_char buf ',')
     support;
   Buffer.contents buf
-
-let key ~aais ~support = of_aais aais ^ "@@" ^ of_support support

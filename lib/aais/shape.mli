@@ -3,11 +3,10 @@
     The front-end artifacts of a compile — term index, linear-system
     skeleton, the locality components' prepared solvers — depend only
     on the AAIS and the set of Pauli strings the target Hamiltonian
-    touches, never on the coefficients or the target evolution time.  This module renders that dependency set into a
-    canonical string, the key of [Qturbo_core.Compile_plan]'s
-    structural plan cache.  The SimuQ baseline shares the same helper
-    (its global system is keyed identically), so both compilers agree
-    on when two compiles have the same shape.
+    touches, never on the coefficients or the target evolution time.
+    This module renders that dependency set into canonical strings:
+    [Qturbo_core.Compile_plan] keys its plans by their digests and
+    confirms a key match by their equality.
 
     Renderings are exact, not hashed: every float is rendered as its
     IEEE bits in hex, so two devices differing in one ulp of a bound
@@ -50,7 +49,3 @@ val of_support : Qturbo_pauli.Pauli_string.t list -> string
     [site op] pairs (["0Z1Z"] for Z₀Z₁), one [','] after each — the
     spelling {!of_aais} uses for channel effects, linear in the
     strings' weight rather than in the qubit count. *)
-
-val key : aais:Aais.t -> support:Qturbo_pauli.Pauli_string.t list -> string
-(** [of_aais aais] and [of_support support] joined — the full
-    structural key of one (device, target-shape) pair. *)

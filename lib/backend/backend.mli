@@ -103,3 +103,9 @@ val all : unit -> t list
 val rydberg : t
 val heisenberg : t
 val iontrap : t
+
+val rydberg_presets : (string * Device.rydberg) list
+(** The Rydberg device presets by name, as defined.  [qturbo run]
+    compiles against them as they are; {!rydberg}'s [instantiate]
+    widens the window for [n > 16] and switches cycle and lattice
+    models to planar geometry on top of them. *)

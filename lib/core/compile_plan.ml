@@ -146,37 +146,27 @@ type t = {
   skeleton : Linear_system.skeleton;
   structure_diags : Diagnostic.t list;
   precheck : Qturbo_analysis.Analysis.table;
-  lru_key : string;
+  key : string;
   build_seconds : float;
 }
 
 let support_of_target = Shape.support_of_target
 
-let flag_prefix generic = Printf.sprintf "g=%b|" generic
-
-(* The plan-key format: the flag prefix and [Shape.key]'s two sections,
-   joined in one copy of the rendering.  Only the store reads it. *)
-let plan_key_of_support ~(options : options) ~aais ~support =
-  String.concat ""
-    [
-      flag_prefix options.generic_local_solver;
-      Shape.of_aais aais;
-      "@@";
-      Shape.of_support support;
-    ]
-
-let plan_key ~options ~aais ~target =
-  plan_key_of_support ~options ~aais ~support:(support_of_target target)
-
-(* The in-memory LRU files a plan under a compact key: the solver flag
-   and digests of the device rendering and of the support.  A digest
-   match is only a candidate; [plan_serves] confirms it exactly before
-   anything is served. *)
-let plan_lru_key ~generic ~aais ~support =
-  flag_prefix generic
+(* The plan key: the solver flag and MD5 digests of the device
+   rendering and of the support rendering.  The in-memory LRU and the
+   persistent store both file a plan under it.  A key match is only a
+   candidate: the LRU confirms it with [plan_serves], a store hit with
+   the entry's support and [Linear_system.built_from], before anything
+   is served. *)
+let plan_key_of_support ~generic ~aais ~support =
+  Printf.sprintf "g=%b|" generic
   ^ Digest.to_hex (Shape.digest aais)
   ^ "|"
   ^ Digest.to_hex (Digest.string (Shape.of_support support))
+
+let plan_key ~(options : options) ~aais ~target =
+  plan_key_of_support ~generic:options.generic_local_solver ~aais
+    ~support:(support_of_target target)
 
 let plan_serves ~generic ~aais ~support (p : t) =
   Bool.equal p.device.generic_local_solver generic
@@ -241,8 +231,8 @@ let classification_view s =
     class_channels;
   }
 
-let lint_artifacts (d : device) ~support skeleton =
-  let index = Linear_system.skeleton_index skeleton in
+let lint (plan : t) =
+  let d = plan.device in
   let channel_terms =
     (* hash-based dedup: devices carry O(n²) channels whose effect terms
        overlap heavily, and the comparison-sort over the raw concat
@@ -259,9 +249,9 @@ let lint_artifacts (d : device) ~support skeleton =
   in
   Qturbo_analysis.Plan_lint.check
     {
-      Qturbo_analysis.Plan_lint.support;
-      rows = Term_index.strings index;
-      matrix = Linear_system.skeleton_csr skeleton;
+      Qturbo_analysis.Plan_lint.support = plan.support;
+      rows = Term_index.strings (Linear_system.skeleton_index plan.skeleton);
+      matrix = Linear_system.skeleton_csr plan.skeleton;
       n_channels = Array.length d.channels;
       n_vars = Array.length d.vars;
       channel_terms;
@@ -270,9 +260,6 @@ let lint_artifacts (d : device) ~support skeleton =
           (fun s -> (structure_comp s, classification_view s))
           d.prepared;
     }
-
-let lint (plan : t) =
-  lint_artifacts plan.device ~support:plan.support plan.skeleton
 
 (* ------------------------------------------------------------------ *)
 (* Admission and the cache                                             *)
@@ -285,55 +272,43 @@ let cache_per_key () = Plan_cache.per_key plan_cache
 let clear_caches = Plan_cache.clear_all
 
 (* The one step that admits a plan, from a fresh build or a store
-   load: the lint gate, then what the analyzer needs of a plan beyond
-   its target, the structure pass and the tables of passes 1, 2 and 4
-   over the support rows (the index numbers the support first).  No
-   lint pass reads the analyzer's results, so running it second moves
-   no output, and it never reads an artifact the gate refused.  The
-   gate reports only errors; [Error] carries them. *)
-let admit ~(device : device) ~support ~skeleton ~lru_key =
-  match lint_artifacts device ~support skeleton with
-  | _ :: _ as errors -> Error errors
-  | [] ->
-      let index = Linear_system.skeleton_index skeleton
-      and matrix = Linear_system.skeleton_csr skeleton
-      and channels = device.channels
-      and variables = device.vars in
-      let structure_diags =
-        Qturbo_analysis.Structure.check ~channels ~variables ~matrix
-          ~comps:(List.map structure_comp device.prepared)
-      in
-      let precheck =
-        Qturbo_analysis.Analysis.table ~channels ~variables ~matrix
-          ~rows:(Int.min (List.length support) (Term_index.count index))
-      in
-      Ok
-        { device; support; skeleton; structure_diags; precheck; lru_key;
-          build_seconds = 0.0 }
+   load: what the analyzer needs of a plan beyond its target, the
+   structure pass and the tables of passes 1, 2 and 4 over the support
+   rows (the index numbers the support first).  No invariant pass runs:
+   every plan [obtain] serves is one [build] constructed or an entry
+   checked equal to what the requester's channels build, and those
+   constructors establish QT023–QT026.  So [lint] is [qturbo lint]'s
+   job and the tests', not a compile's. *)
+let admit ~(device : device) ~support ~skeleton ~key =
+  let index = Linear_system.skeleton_index skeleton
+  and matrix = Linear_system.skeleton_csr skeleton
+  and channels = device.channels
+  and variables = device.vars in
+  let structure_diags =
+    Qturbo_analysis.Structure.check ~channels ~variables ~matrix
+      ~comps:(List.map structure_comp device.prepared)
+  in
+  let precheck =
+    Qturbo_analysis.Analysis.table ~channels ~variables ~matrix
+      ~rows:(Int.min (List.length support) (Term_index.count index))
+  in
+  { device; support; skeleton; structure_diags; precheck; key;
+    build_seconds = 0.0 }
 
-(* The LRU key and the lint gate are part of the front end: both run
-   before the clock is read.  Fresh builds are linted before anyone can
-   use (or cache) them. *)
-let build ?(options = default_options) ?device ~aais ~target_shape () =
+(* The key is part of the front end: [build_seconds] counts it. *)
+let build ?(options = default_options) ~aais ~target_shape () =
   !stage_hook "plan-build";
   let t0 = Qturbo_util.Clock.now () in
-  let device =
-    match device with Some d -> d | None -> build_device ~options ~aais
-  in
+  let device = build_device ~options ~aais in
   let skeleton =
     Linear_system.skeleton ~channels:device.channels ~support:target_shape
   in
-  let lru_key =
-    plan_lru_key ~generic:options.generic_local_solver ~aais
+  let key =
+    plan_key_of_support ~generic:options.generic_local_solver ~aais
       ~support:target_shape
   in
-  match admit ~device ~support:target_shape ~skeleton ~lru_key with
-  | Ok plan -> { plan with build_seconds = Qturbo_util.Clock.now () -. t0 }
-  | Error lint_errors ->
-      Log.err (fun m ->
-          m "plan lint rejected a fresh build (%d errors)"
-            (List.length lint_errors));
-      raise (Diagnostic.Rejected lint_errors)
+  let plan = admit ~device ~support:target_shape ~skeleton ~key in
+  { plan with build_seconds = Qturbo_util.Clock.now () -. t0 }
 
 (* ------------------------------------------------------------------ *)
 (* Persistent plan store                                               *)
@@ -351,7 +326,7 @@ let store_version =
       try Digest.to_hex (Digest.file Sys.executable_name)
       with Sys_error _ -> "unknown-executable"
     in
-    "qturbo-plan/3 " ^ exe_digest)
+    "qturbo-plan/4 " ^ exe_digest)
   in
   fun () -> Lazy.force v
 
@@ -366,14 +341,15 @@ let store_stats () = Option.map Plan_store.stats !store
 
 (* An entry is the plan's support and skeleton, so nothing a solve
    executes comes from disk.  A payload that passed the store's byte
-   checks (magic, version, the full key with its solver flag, checksum)
-   can still be a hand edit with a recomputed checksum, so every byte
-   is checked: the decode is guarded, the support must equal the
-   request's and the skeleton must be the one the requester's channels
-   build.  Only then is the device part built, as a fresh build builds
-   it, and the plan passes the same admission step.  Any failure is a
-   corrupt miss, and the caller rebuilds. *)
-let store_fetch st ~key ~options ~aais ~support ~lru_key =
+   checks (magic, version, the key with its solver flag, checksum) can
+   still be a hand edit with a recomputed checksum, or an entry filed
+   under a colliding digest, so every byte is checked: the decode is
+   guarded, the support must equal the request's and the skeleton must
+   be the one the requester's channels build.  Only then is the device
+   part built, as a fresh build builds it, and the plan passes the same
+   admission step.  Any failure is a corrupt miss, and the caller
+   rebuilds. *)
+let store_fetch st ~key ~options ~aais ~support =
   let corrupt what =
     Plan_store.reclassify_corrupt st;
     Log.warn (fun m -> m "plan store entry %s; rebuilding" what);
@@ -397,51 +373,44 @@ let store_fetch st ~key ~options ~aais ~support ~lru_key =
           | false | (exception _) -> corrupt "does not match the device"
           | true -> (
               let device = build_device ~options ~aais in
-              match admit ~device ~support ~skeleton ~lru_key with
+              match admit ~device ~support ~skeleton ~key with
               | exception _ -> corrupt "failed the analyzer"
-              | Error _ -> corrupt "failed the lint gate"
-              | Ok p -> Some p)))
+              | p -> Some p)))
 
-let store_persist st ~key (p : t) =
+let store_persist st (p : t) =
   let payload = Marshal.to_string (p.support, p.skeleton) [] in
-  ignore (Plan_store.save st ~key ~payload : bool)
+  ignore (Plan_store.save st ~key:p.key ~payload : bool)
 
 (* Fetch-or-build a plan for an explicit support.  Returns the plan and
    where it came from: memory LRU, then on-disk store, then a fresh
-   build (which back-fills both).  A hit renders nothing: the LRU key
-   comes from the AAIS's memoized digest.  The exact full key is spelled
-   out once per LRU miss, and only with a store open: the fetch and the
-   persist share it. *)
+   build (which back-fills both).  The key is computed once, from the
+   AAIS's memoized digest and the support, and serves the LRU and the
+   store alike; a hit renders nothing else. *)
 let obtain_for_support ~options ~aais ~support =
   if not options.plan_cache then
     (build ~options ~aais ~target_shape:support (), Built)
   else
     let generic = options.generic_local_solver in
-    let lru_key = plan_lru_key ~generic ~aais ~support in
+    let key = plan_key_of_support ~generic ~aais ~support in
     let accept = plan_serves ~generic ~aais ~support in
-    match Plan_cache.find plan_cache lru_key ~accept with
+    match Plan_cache.find plan_cache key ~accept with
     | Some p ->
         !stage_hook "plan-cache-hit";
         (p, Cached)
     | None -> (
-        let store_key =
-          Option.map
-            (fun st -> (st, plan_key_of_support ~options ~aais ~support))
-            !store
-        in
+        let store = !store in
         match
-          Option.bind store_key (fun (st, key) ->
-              store_fetch st ~key ~options ~aais ~support ~lru_key)
+          Option.bind store (fun st ->
+              store_fetch st ~key ~options ~aais ~support)
         with
         | Some p ->
             !stage_hook "plan-store-hit";
-            Plan_cache.add plan_cache lru_key ~accept p;
+            Plan_cache.add plan_cache key ~accept p;
             (p, Stored)
         | None ->
-            (* [build] just linted this plan and raised on errors *)
             let p = build ~options ~aais ~target_shape:support () in
-            Plan_cache.add plan_cache lru_key ~accept p;
-            Option.iter (fun (st, key) -> store_persist st ~key p) store_key;
+            Plan_cache.add plan_cache key ~accept p;
+            Option.iter (fun st -> store_persist st p) store;
             (p, Built))
 
 let obtain ~options ~aais ~target =
@@ -943,7 +912,7 @@ let static_tail ~t0 ~provenance ~plan (i : instances) =
   let now = Qturbo_util.Clock.now () in
   let cache = Plan_cache.stats plan_cache in
   let kstats =
-    if options.plan_cache then Plan_cache.key_stats plan_cache plan.lru_key
+    if options.plan_cache then Plan_cache.key_stats plan_cache plan.key
     else Plan_cache.zero_key_stats
   in
   {

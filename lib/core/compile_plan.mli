@@ -11,20 +11,21 @@
     batch compiles and the segments of a time-dependent compile all
     reuse one plan, paying the front-end once.
 
-    A plan's exact structural key ({!plan_key}) is the AAIS rendering
-    ({!Shape.of_aais}: name, variables, channel expressions/hints/effects,
-    the device builder's constraint fingerprint and its cutoff summary)
-    plus the target's support and the classification-affecting options.  Plans are cached
-    process-wide in a bounded LRU ({!Plan_cache}) under a compact key
-    (the solver flag, the rendering's memoized MD5 and the support's
-    MD5), and a resident plan is served only after exact equality of
-    its flag, rendering and support with the request's — digests pick
-    the candidate, equality decides, so no collision can serve a wrong
-    plan.  Equal structures produce interchangeable plans, so a cache
-    hit is bitwise-identical to a cold build by construction.  Each
-    AAIS value is rendered at most once; the full key is spelled out
-    once per LRU miss, and only when a persistent store is open: no
-    plan keeps a copy of it.
+    A plan's structure is the AAIS rendering ({!Shape.of_aais}: name,
+    variables, channel expressions/hints/effects, the device builder's
+    constraint fingerprint and its cutoff summary) plus the target's
+    support and the classification-affecting options.  Plans are cached
+    process-wide in a bounded LRU ({!Plan_cache}), and persisted by the
+    optional store, under one compact key ({!plan_key}: the solver
+    flag, the rendering's memoized MD5 and the support's MD5).  A
+    resident plan is served only after exact equality of its flag,
+    rendering and support with the request's, and a store entry only
+    after its support and skeleton equal what the requester's channels
+    build — digests pick the candidate, equality decides, so no
+    collision can serve a wrong plan.  Equal structures produce
+    interchangeable plans, so a cache hit is bitwise-identical to a
+    cold build by construction.  Each AAIS value is rendered at most
+    once.
 
     The numeric back-end is one sequence of stages over K coefficient
     instances of one plan (see {!section-stages}): {!solve} runs it for
@@ -109,8 +110,8 @@ type plan_stats = {
   key_misses : int;
   key_evictions : int;
   build_seconds : float;
-      (** front-end cost, key render and lint gate included (0 on a
-          cache or store hit) *)
+      (** front-end cost, key render included (0 on a cache or store
+          hit) *)
   solve_seconds : float;  (** numeric back-end cost *)
 }
 
@@ -182,9 +183,8 @@ type t = {
           passes over the support rows (coverage, achievable-rate
           intervals, variable-pool findings): {!diagnose} walks only the
           target's terms against it *)
-  lru_key : string;
-      (** the compact key the in-memory LRU files the plan under:
-          solver flag, rendering digest, support digest *)
+  key : string;
+      (** the {!plan_key} the LRU and the store file the plan under *)
   build_seconds : float;
 }
 
@@ -192,11 +192,12 @@ val support_of_target : Pauli_sum.t -> Pauli_string.t list
 (** Non-identity support, in term order (= {!Shape.support_of_target}). *)
 
 val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
-(** The exact structural key this target would compile under, as the
-    persistent store files its plan.  Equal keys ⇒ interchangeable
-    plans; coefficients do not contribute.  The device section comes
-    from the AAIS's memo, so only the first call on an AAIS value
-    renders it. *)
+(** The key this target's plan is filed under, in the LRU and the
+    persistent store alike: [g=<flag>|<MD5 of the device
+    rendering>|<MD5 of the support rendering>].  Coefficients do not
+    contribute.  The device digest comes from the AAIS's memo, so only
+    the first call on an AAIS value renders it.  A key names a
+    candidate; what is served is confirmed by exact equality. *)
 
 val build_device : options:options -> aais:Aais.t -> device
 (** The device part {!build} builds for [aais]: one prepared solver per
@@ -205,17 +206,15 @@ val build_device : options:options -> aais:Aais.t -> device
 
 val build :
   ?options:options ->
-  ?device:device ->
   aais:Aais.t ->
   target_shape:Pauli_string.t list ->
   unit ->
   t
 (** Build a plan for a target shape (fires the ["plan-build"] hook):
     the device part ({!build_device}), the skeleton, then admission —
-    the {!lint} gate, which raises {!Diagnostic.Rejected} on errors,
-    and the analyzer on the linted artifacts.  A store hit admits its
-    plan through the same step.  [?device] hands the gate a given device
-    part instead; it exists for tests of the gate. *)
+    the analyzer's structure pass and tables.  A store hit admits its
+    plan through the same step.  The {!lint} pass does not run here:
+    the constructors establish its invariants. *)
 
 val obtain :
   options:options -> aais:Aais.t -> target:Pauli_sum.t -> t * provenance
@@ -244,10 +243,11 @@ val obtain_for_support :
     [QT023]–[QT026]) over a plan's artifacts: term-index coverage of the
     canonical support, skeleton dimensions, the partition of the
     channels and variables by the prepared solvers' components, and
-    each solver's classification against its component.  {!build} runs
-    it on every fresh plan and raises {!Diagnostic.Rejected} on errors;
-    a plan assembled from a persistent-store entry passes the same gate,
-    and a failure there is a corrupt miss. *)
+    each solver's classification against its component.  Every plan
+    {!obtain} serves is one {!build} constructed, or a store entry
+    checked equal to what the requester's channels build, and those
+    constructors establish the invariants; so no compile runs this
+    pass.  [qturbo lint], the daemon's [lint] op and the tests do. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
@@ -437,9 +437,8 @@ val store_version : unit -> string
 val cache_stats : unit -> Plan_cache.stats
 
 val cache_per_key : unit -> (string * Plan_cache.key_stats) list
-(** Per-key counters of the plan cache, keyed by the compact LRU keys
-    ({!t.lru_key}; display layers digest them further), sorted by
-    key. *)
+(** Per-key counters of the plan cache, keyed by the plan keys
+    ({!t.key}; display layers digest them further), sorted by key. *)
 
 val clear_caches : unit -> unit
 (** Empty every {!Plan_cache} in the process — plans and the

@@ -78,8 +78,8 @@ val build :
 val solve : t -> Qturbo_linalg.Sparse_solve.result
 (** Greedy structural pass + dense fallback
     ({!Qturbo_linalg.Sparse_solve.solve_csr}) on the shared [csr] and
-    [b_tar].  The structure was checked when the skeleton was built (and
-    by the plan lint gate for plans loaded from a store), not here. *)
+    [b_tar].  The structure was checked when the skeleton was built (a
+    skeleton loaded from a store must pass {!built_from}), not here. *)
 
 val solve_dense : t -> Qturbo_linalg.Sparse_solve.result
 (** Dense-only reference path ({!Qturbo_linalg.Sparse_solve.dense_csr}),

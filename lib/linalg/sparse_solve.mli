@@ -31,7 +31,7 @@ val solve_csr : Csr.t -> rhs:float array -> result
     the residual reports the quality.  Each row must name each column
     at most once ({!Csr.repeated_col} is [None]); this is {e not}
     re-checked per call — callers check it where the matrix is built
-    (the compiler's skeleton build and its plan lint gate).  Raises
+    (the compiler's skeleton build).  Raises
     [Invalid_argument] when [rhs] does not have one entry per row.
     Floats are combined in a fixed order (singletons queued in
     ascending row order, each solved column's rows updated in

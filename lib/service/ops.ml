@@ -208,8 +208,8 @@ let plan_rows (plan : Qturbo_core.Compile_plan.t) =
        plan.Qturbo_core.Compile_plan.skeleton)
 
 (* `qturbo lint --json` without an injected defect: the kernel findings
-   over the plan a compile of [target] would use.  That plan passed its
-   lint gate, which reports only errors, so it adds no finding. *)
+   and the plan linter's over the plan a compile of [target] would
+   use. *)
 let lint_report_json ~model_label ~backend ~inst ~target () =
   let module CP = Qturbo_core.Compile_plan in
   let aais = inst.Backend.aais in
@@ -217,7 +217,7 @@ let lint_report_json ~model_label ~backend ~inst ~target () =
   lint_payload ~model_label ~backend
     ~channels:(Qturbo_aais.Aais.channel_count aais)
     ~rows:(plan_rows plan)
-    (Qturbo_analysis.Kernel_check.check_aais aais)
+    (Qturbo_analysis.Kernel_check.check_aais aais @ CP.lint plan)
 
 let sweep_header ~probe ~backend ~n ~mode ~job_count ~batch_domains =
   Printf.sprintf

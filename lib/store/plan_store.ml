@@ -54,8 +54,8 @@ type verdict = Valid of string | Absent | Corrupt | Version_mismatch
 (* Entry layout: four header lines (magic, version tag, "<key_len>
    <payload_len>", payload MD5 hex) followed by the raw key bytes and
    the raw payload bytes.  The key is stored in full — file names are
-   only a digest, so an (improbable) digest collision must read as a
-   miss, not as somebody else's plan. *)
+   only its digest, so an (improbable) file-name collision must read
+   as a miss, not as another key's entry. *)
 let validate t ~key text =
   let len = String.length text in
   let line_end from =

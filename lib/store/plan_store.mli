@@ -2,11 +2,11 @@
 
     The in-memory [Plan_cache] amortizes the structural front end
     within one process; this store amortizes it {e across} processes.
-    Entries are opaque byte payloads keyed by the exact structural
-    [Shape] key string — the one the LRU's compact key digests, and
-    the LRU confirms a digest match with the same exact equality — so a
-    hit here is as trustworthy as an LRU hit, provided the payload
-    survives validation.
+    Entries are opaque byte payloads filed under a caller's key: the
+    compiler's plan key (the solver flag and MD5 digests of the device
+    and support renderings), the same key its LRU uses.  A key names a
+    candidate only; the caller confirms a payload against its request
+    before serving it, as the LRU confirms a resident plan.
 
     Trust model: the store is a cache, never a source of truth.  Every
     entry carries a magic line, the store-format {e version} string
@@ -58,8 +58,8 @@ val save : t -> key:string -> payload:string -> bool
 
 val reclassify_corrupt : t -> unit
 (** Demote the most recent hit to a corrupt miss.  The store validates
-    bytes, not semantics: when the caller's decode or lint gate rejects
-    a payload that passed checksum validation, this keeps the telemetry
+    bytes, not semantics: when the caller's decode or checks reject a
+    payload that passed checksum validation, this keeps the telemetry
     honest. *)
 
 val stats : t -> stats

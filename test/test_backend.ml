@@ -173,12 +173,12 @@ let prop_shape_keys_distinct =
         match which with 0 -> "ising-chain" | 1 -> "kitaev" | _ -> "pxp"
       in
       let target = static_target model_name n in
-      let support = Shape.support_of_target target in
       let keys =
         List.map
           (fun (b : Backend.t) ->
             let inst = b.Backend.instantiate ~model_name ~n () in
-            Shape.key ~aais:inst.Backend.aais ~support)
+            Compile_plan.plan_key ~options:Compiler.default_options
+              ~aais:inst.Backend.aais ~target)
           (Backend.all ())
       in
       let distinct = List.sort_uniq compare keys in

@@ -492,8 +492,8 @@ let test_instantiate_allocation_iontrap () =
    key render included.  The position Jacobian's 16,836 kernels come
    from one compile per expression template, relabeled per row;
    compiling each row's kernels allocates over twice the limit.  It
-   measures 22.7 MB, against 33.9 MB before the key was rendered per
-   template and the lint gate stopped copying the key. *)
+   measures 16.6 MB, against 33.9 MB before the key was rendered per
+   template. *)
 let test_cold_build_allocation () =
   Compile_plan.clear_caches ();
   let inst =

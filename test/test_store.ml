@@ -271,9 +271,9 @@ let tampered_entry_rebuilds edit () =
   Alcotest.(check bool) "repaired entry hits" true
     r.Compiler.plan.Compiler.store_hit
 
-(* One stored coefficient doubled: the lint gate sees a well-formed
-   skeleton, and only the check against the requester's channels finds a
-   row they do not produce. *)
+(* One stored coefficient doubled: the skeleton stays well-formed, and
+   only the check against the requester's channels finds a row they do
+   not produce. *)
 let test_doubled_cell_rebuilds =
   tampered_entry_rebuilds (fun ((_, skeleton) as payload) ->
       let values =
@@ -284,8 +284,8 @@ let test_doubled_cell_rebuilds =
 
 (* The term index's lookup table taken from an index over a reordered
    support, so an X term and a ZZ term look up each other's rows while
-   the row list still reads in order.  The lint gate reads only the row
-   list.  The index is abstract, so the edit replaces its lookup-table
+   the row list still reads in order.  The plan linter reads only the
+   row list.  The index is abstract, so the edit replaces its lookup-table
    field (the first) as a hand-edited payload would. *)
 let test_swapped_lookup_rebuilds =
   tampered_entry_rebuilds (fun ((support, skeleton) as payload) ->
@@ -410,9 +410,9 @@ let contains ~sub s =
   let rec from i = i + n <= m && (matches i 0 || from (i + 1)) in
   from 0
 
-(* The entry's header carries the exact key, and the payload is the
+(* The entry's header carries the plan key, and the payload is the
    plan's support and skeleton: no AAIS, so no copy of the device
-   rendering (the key memo included). *)
+   rendering anywhere in the entry (the key memo included). *)
 let test_store_payload_leaves_out_key_memo () =
   with_store @@ fun dir ->
   let aais = (rydberg_for 5).Rydberg.aais in
@@ -421,21 +421,28 @@ let test_store_payload_leaves_out_key_memo () =
     Compile_plan.obtain ~options:Compiler.default_options ~aais ~target
   in
   let rendering = Shape.of_aais aais in
+  let key =
+    Compile_plan.plan_key ~options:Compiler.default_options ~aais ~target
+  in
   let payload =
     match
       PS.load
         (PS.open_store ~version:(Compile_plan.store_version ()) ~dir)
-        ~key:
-          (Compile_plan.plan_key ~options:Compiler.default_options ~aais
-             ~target)
+        ~key
     with
     | Some p -> p
     | None -> Alcotest.fail "the fresh build was not persisted"
   in
-  Alcotest.(check bool) "the entry's header holds the rendering" true
-    (contains ~sub:rendering (read_file (sole_entry dir)));
-  Alcotest.(check bool) "the payload holds no copy of it" false
-    (contains ~sub:rendering payload);
+  let entry = read_file (sole_entry dir) in
+  Alcotest.(check bool) "no byte range of the entry holds the rendering"
+    false (contains ~sub:rendering entry);
+  (match String.split_on_char '\n' entry with
+  | _magic :: _version :: sizes :: _md5 :: _ ->
+      let key_len = Scanf.sscanf sizes "%d %d" (fun k _ -> k) in
+      let body = String.length entry - key_len - String.length payload in
+      Alcotest.(check string) "the header's key is the plan key" key
+        (String.sub entry body key_len)
+  | _ -> Alcotest.fail "unexpected entry layout");
   Alcotest.(check bool) "the payload is the support and the skeleton" true
     (String.equal payload
        (Marshal.to_string
